@@ -243,8 +243,9 @@ def _measure_cell(
     fanout: int,
     budget_name: str,
     systems: tuple[str, ...],
-) -> list[TradeoffCell]:
-    """All systems' cells for one overlay × budget point."""
+) -> tuple[list[TradeoffCell], float]:
+    """All systems' cells for one overlay × budget point, plus the hop
+    RTT their ``mean_latency`` was derived with."""
     budget = BUDGETS[budget_name]
     bundle = build_services(config, overlay=overlay, fanout=fanout)
     services = [bundle.by_name(name) for name in systems]
@@ -303,7 +304,7 @@ def _measure_cell(
                 verified=verified,
             )
         )
-    return cells
+    return cells, network.hop_latency
 
 
 def run_tradeoff(
@@ -331,14 +332,16 @@ def run_tradeoff(
                 f"{', '.join(p[0] for p in overlay_points(config))}"
             )
     result = TradeoffResult(config=config, systems=systems)
+    hop_rtt = 0.0
     for label, overlay, fanout in points:
         for budget_name in config.tradeoff_budgets:
-            result.cells.extend(
-                _measure_cell(config, label, overlay, fanout, budget_name, systems)
+            cells, hop_rtt = _measure_cell(
+                config, label, overlay, fanout, budget_name, systems
             )
+            result.cells.extend(cells)
     result.notes.append(
         f"{config.tradeoff_queries} point queries and "
         f"{config.tradeoff_churn_events} churn events per cell; "
-        f"latency = mean hops x {0.05:.2f}s hop RTT"
+        f"latency = mean hops x {hop_rtt:.2f}s hop RTT"
     )
     return result

@@ -1,0 +1,513 @@
+"""The overlay-level base class shared by every object-graph DHT.
+
+:class:`Overlay` is to :class:`~repro.overlay.chord.ChordRing` and
+:class:`~repro.overlay.cycloid.CycloidOverlay` what
+:class:`~repro.overlay.node.OverlayNode` is to their nodes: everything
+that does not depend on the overlay's *geometry* lives here exactly once —
+the ``lookup`` dispatch, the traced wrapper, the lossy fault-path route,
+the walk-span wrapper, key storage, replica repair, the depart half of
+churn, and the maintenance steps.
+
+A concrete overlay supplies only geometry, as small hooks: the owner
+oracle and the native-key <-> storage-key mapping (``owner_of`` /
+``key_id`` / ``key_of`` / ``uid_of`` / ``id_space_size``), the fault-free
+hop loop ``_lookup_plain``, the fault path's ``_owns_local`` stop test and
+``_hop_candidates`` preference list, ``edge_kind``, the range walk
+``_walk_impl``, the two routing-table refresh halves ``_refresh_near`` /
+``_refresh_far``, ``join`` with ``_membership_add`` / ``_membership_remove``
+and ``_repair_neighbourhood``, and ``check_invariants``.
+``docs/architecture.md`` ("The overlays") tabulates skeleton vs hooks.
+
+The fault-free hop loops stay in the subclasses on purpose: Chord's local
+stop test, Cycloid's revisit -> clockwise fallback and the single-hop
+tier's probe retries are different algorithms, and they are the hottest
+lines in the simulator.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Any
+
+from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
+from repro.sim.durability import (
+    DurabilityPolicy,
+    SuccessorPlacement,
+    decodable_level,
+    successor_replication,
+)
+from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
+from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.sim.network import SimulatedNetwork
+from repro.utils.validation import require
+
+__all__ = ["Overlay"]
+
+
+class Overlay:
+    """Geometry-independent skeleton of a simulated DHT overlay.
+
+    Subclasses set whatever attributes the durability policy's
+    ``validate`` reads (``successor_list_len`` / ``dimension``) *before*
+    calling this constructor.
+    """
+
+    #: Span-name prefix (``"<kind>.lookup"`` / ``"<kind>.walk"``).
+    kind: str
+    #: The routing-table entry a range-walk step follows (hop attribution).
+    walk_edge: str
+
+    def __init__(
+        self,
+        network: SimulatedNetwork | None,
+        replication: int,
+        durability: DurabilityPolicy | None,
+    ) -> None:
+        self.network = network if network is not None else SimulatedNetwork()
+        #: The durability policy governing where a key's copies/fragments
+        #: live and when a piece still decodes.  The default — successor
+        #: replication at ``replication`` copies — is byte-identical to the
+        #: pre-policy hard-coded scheme: the owner plus ``replication - 1``
+        #: native successors, any surviving copy readable.
+        self.durability = (
+            durability if durability is not None else successor_replication(replication)
+        )
+        #: Copies (fragments) kept per key.  With the default policy at 1
+        #: behaviour matches the paper exactly; higher values make data
+        #: survive *crash* failures (see :meth:`fail`).
+        self.replication = self.durability.fragments
+        self.durability.validate(self)
+        #: Hot-path flag: the seed's successor placement short-circuits
+        #: the policy dispatch in :meth:`replica_set` (store and lookup
+        #: fall-back call it per key, so the indirection is measurable).
+        self._native_placement = type(self.durability.placement) is SuccessorPlacement
+        #: Requester behaviour under injected faults (retries, timeouts,
+        #: failover).  Irrelevant — and never consulted — while the network
+        #: has no active fault injector.
+        self.lookup_policy: LookupPolicy = DEFAULT_POLICY
+        self._nodes: dict[Any, OverlayNode] = {}
+        #: Optional hop-level span tracer (:class:`repro.obs.spans.
+        #: QueryTracer`).  ``None`` (the default) keeps the routing hot
+        #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
+        self.tracer: Any | None = None
+
+    # ------------------------------------------------------------------
+    # Membership
+    # ------------------------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        """Current live population."""
+        return len(self._nodes)
+
+    def node(self, node_id: Any) -> OverlayNode:
+        """The live node with identifier ``node_id``."""
+        return self._nodes[node_id]
+
+    # ------------------------------------------------------------------
+    # Routed lookup
+    # ------------------------------------------------------------------
+    @property
+    def faults_active(self) -> bool:
+        """Whether the shared network currently injects faults."""
+        return self.network.faults_active
+
+    def lookup(
+        self, start: OverlayNode, key: Any, policy: LookupPolicy | None = None
+    ) -> LookupResult:
+        """Route from ``start`` to the owner of ``key`` using only links.
+
+        Fault-free, this is the overlay's own greedy route
+        (``_lookup_plain``).  With a fault injector active the route runs
+        under ``policy`` (default :attr:`lookup_policy`): every hop message
+        can be lost, retries and alternate-entry failover apply, the
+        membership oracle is never consulted, and an unfinishable route
+        returns a ``complete=False`` result instead of raising or silently
+        succeeding.
+        """
+        key = self._route_key(key)
+        if self.tracer is not None:
+            return self._lookup_traced(start, key, policy)
+        if self.faults_active:
+            return self._lookup_faulty(start, key, policy or self.lookup_policy)
+        return self._lookup_plain(start, key)
+
+    def _route_key(self, key: Any) -> Any:
+        """``key`` as the route (and its LOOKUP span) should see it."""
+        return key
+
+    def _lookup_traced(
+        self, start: OverlayNode, key: Any, policy: LookupPolicy | None
+    ) -> LookupResult:
+        """Route with span tracing: identical result, plus one LOOKUP span
+        with per-hop child spans.
+
+        Fault-free routes are traced *post hoc* from the result path (the
+        hot loop stays branch-free); the fault path emits hops and
+        drop/retry/failover/timeout annotations live as they happen.
+        """
+        tracer = self.tracer
+        with tracer.span(
+            "lookup", f"{self.kind}.lookup", origin=start.uid, key=key
+        ) as span:
+            if self.faults_active:
+                result = self._lookup_faulty(
+                    start, key, policy or self.lookup_policy, tracer=tracer
+                )
+            else:
+                result = self._lookup_plain(start, key)
+                prev = start
+                for uid in result.path[1:]:
+                    node = self._nodes[uid]
+                    tracer.hop(prev.uid, uid, self.edge_kind(prev, node))
+                    prev = node
+            span.attrs.update(
+                owner=result.owner.uid, hops=result.hops,
+                complete=result.complete, retries=result.retries,
+                timed_out=result.timed_out,
+            )
+        return result
+
+    def _lookup_faulty(
+        self,
+        start: OverlayNode,
+        key: Any,
+        policy: LookupPolicy,
+        tracer: Any | None = None,
+    ) -> LookupResult:
+        """The fault-path route: local stop test, lossy hops, failover.
+
+        Never touches the membership oracle — ownership is judged by
+        ``_owns_local`` from (possibly stale) local state alone, and when
+        no entry of ``_hop_candidates`` answers within the policy's retry
+        budget the lookup *fails* with ``complete=False``.  The believed
+        owner can legitimately differ from the true one while routing
+        state is degraded — the caller sees that as missing matches, not
+        as a wrong "complete" claim from the oracle.
+        """
+        cur = start
+        hops = 0
+        retries = 0
+        path = [cur.uid]
+        budget = policy.hop_budget or self._fault_hop_budget()
+        drops: list[tuple[int, int]] = []
+        hedges: list[tuple[int, bool]] = []
+        on_drop = None if tracer is None else (
+            lambda dst_id, attempt: drops.append((dst_id, attempt))
+        )
+        on_hedge = None if tracer is None else (
+            lambda dst_id, won: hedges.append((dst_id, won))
+        )
+        while True:
+            if self._owns_local(cur, key):
+                return LookupResult(
+                    owner=cur, hops=hops, path=tuple(path), retries=retries
+                )
+            if hops >= budget:
+                # Hop budget exhausted: the requester gives up.
+                return LookupResult(
+                    owner=cur, hops=hops, path=tuple(path),
+                    complete=False, retries=retries,
+                )
+            nxt, used, skipped = deliver_first(
+                self.network,
+                self.uid_of(cur),
+                self._hop_candidates(cur, key, policy),
+                policy,
+                on_drop,
+                on_hedge,
+            )
+            retries += used
+            if tracer is not None:
+                advanced = nxt is not None and nxt is not cur
+                trace_fault_step(
+                    tracer,
+                    cur.uid,
+                    nxt.uid if advanced else None,
+                    self.edge_kind(cur, nxt) if advanced else "",
+                    used, skipped, drops, hedges,
+                )
+            if nxt is None or nxt is cur:
+                # Every candidate timed out (or none exist): the route is
+                # stuck and the lookup honestly fails.
+                return LookupResult(
+                    owner=cur, hops=hops, path=tuple(path),
+                    complete=False, retries=retries, timed_out=True,
+                )
+            cur = nxt
+            hops += 1
+            path.append(cur.uid)
+            self.network.count_hop()
+
+    # ------------------------------------------------------------------
+    # Range walk
+    # ------------------------------------------------------------------
+    def walk(
+        self,
+        start: OverlayNode,
+        lo: int,
+        hi: int,
+        policy: LookupPolicy | None = None,
+    ) -> WalkResult:
+        """The overlay's range walk from ``start`` over ``[lo, hi]`` — see
+        the subclass's ``_walk_impl``; with a tracer attached the walk is
+        wrapped in a WALK span whose hop children are the walk steps.
+
+        Published under the overlay's own name (``walk_arc`` /
+        ``walk_cluster``).
+        """
+        if self.tracer is None:
+            return self._walk_impl(start, lo, hi, policy)
+        tracer = self.tracer
+        with tracer.span(
+            "walk", f"{self.kind}.walk", origin=start.uid, **self._walk_attrs(lo, hi)
+        ) as span:
+            result = self._walk_impl(start, lo, hi, policy)
+            prev = result[0]
+            for node in result[1:]:
+                tracer.hop(prev.uid, node.uid, self.walk_edge)
+                prev = node
+            for _ in range(result.retries):
+                tracer.event("retry")
+            if result.truncated:
+                tracer.event("truncated", reason=result.reason)
+            if result.timed_out:
+                tracer.event("timeout")
+            span.attrs.update(
+                visited=len(result), truncated=result.truncated,
+                retries=result.retries,
+            )
+        return result
+
+    def _truncate_walk(self, result: WalkResult, reason: str) -> None:
+        """Flag ``result`` truncated (first reason wins) and count it."""
+        if not result.truncated:
+            result.truncated = True
+            result.reason = reason
+        self.network.count_walk_truncation()
+
+    # ------------------------------------------------------------------
+    # Key storage (routed through the overlay)
+    # ------------------------------------------------------------------
+    def replica_set(self, key: Any) -> list:
+        """The nodes that should hold ``key`` under the durability policy
+        (default: its owner plus the next ``replication - 1`` native
+        successors), owner first."""
+        if self._native_placement:
+            return self._native_holders(key, self.replication)
+        return self.durability.holders(self, self.key_id(key))
+
+    def replica_set_of(self, key_id: int) -> list:
+        """:meth:`replica_set` addressed by integer storage key."""
+        return self.replica_set(self.key_of(key_id))
+
+    def native_holders(self, key_id: int, count: int) -> list:
+        """``count`` native successor holders of storage key ``key_id`` —
+        what :class:`~repro.sim.durability.SuccessorPlacement` delegates
+        to."""
+        return self._native_holders(self.key_of(key_id), count)
+
+    def store(self, namespace: str, key: Any, item: Any) -> OverlayNode:
+        """Place ``item`` at the owner of ``key`` (oracle placement).
+
+        With more than one holder the owner pushes copies to the rest of
+        the replica set (counted as maintenance messages).
+        """
+        key_id = self.key_id(key)
+        replicas = self.replica_set(key)
+        for holder in replicas:
+            holder.store(namespace, key_id, item)
+        if len(replicas) > 1:
+            self.network.count_maintenance(len(replicas) - 1)
+        return replicas[0]
+
+    def routed_store(
+        self, start: OverlayNode, namespace: str, key: Any, item: Any
+    ) -> LookupResult:
+        """Insert via a routed lookup from ``start`` (counts hops)."""
+        result = self.lookup(start, key)
+        key_id = self.key_id(key)
+        result.owner.store(namespace, key_id, item)
+        for holder in self.replica_set(key)[1:]:
+            if holder is not result.owner:
+                holder.store(namespace, key_id, item)
+                self.network.count_maintenance(1)
+        return result
+
+    def discard(self, namespace: str, key: Any, item: Any) -> int:
+        """Remove ``item``'s copies from the key's replica set.
+
+        Returns the number of copies removed.  Used by lease expiry
+        (``repro.core.refresh``): a provider's stale report is withdrawn
+        from the owner and every replica.
+        """
+        key_id = self.key_id(key)
+        removed = 0
+        for holder in self.replica_set(key):
+            if holder.remove_item(namespace, key_id, item):
+                removed += 1
+        return removed
+
+    # ------------------------------------------------------------------
+    # Replica repair
+    # ------------------------------------------------------------------
+    def repair_replication(self) -> int:
+        """Restore every key to exactly its replica set; returns copies moved.
+
+        Models the periodic replica-maintenance pass: after
+        joins/leaves/failures, each surviving piece is re-homed so every
+        member of the policy's holder set carries it (and nobody else
+        does).  Surviving per-holder counts reduce through
+        :func:`~repro.sim.durability.decodable_level` — at the default
+        decode threshold of 1 that is the seed's ``max`` merge (a node's
+        own copy count is a piece's true multiplicity; replicas mirror
+        it, so identical items stay distinct pieces without replica
+        copies multiplying back in), while an erasure policy re-homes
+        only pieces with at least ``k`` surviving fragments and *purges*
+        undecodable fragments rather than resurrecting lost data.
+        """
+        threshold = self.durability.threshold
+        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
+        for node in list(self.nodes()):
+            held = node.bucket_counts()
+            node.clear_storage()
+            for bucket_key, pieces in held.items():
+                bucket = surviving.setdefault(bucket_key, {})
+                for item, count in pieces.items():
+                    bucket.setdefault(item, []).append(count)
+        moved = 0
+        for (namespace, key_id), pieces in surviving.items():
+            replicas = self.replica_set_of(key_id)
+            for item, counts in pieces.items():
+                level = decodable_level(counts, threshold)
+                if level == 0:
+                    continue
+                for holder in replicas:
+                    for _ in range(level):
+                        holder.store(namespace, key_id, item)
+                    moved += level
+        if moved:
+            self.network.count_maintenance(moved)
+        return moved
+
+    def repair_replication_step(
+        self,
+        budget: int | None = None,
+        after: tuple[str, int] | None = None,
+    ) -> RepairProgress:
+        """Anti-entropy replica repair of up to ``budget`` key buckets.
+
+        Buckets are visited in sorted ``(namespace, key_id)`` order
+        starting strictly after ``after`` (``None`` starts from the
+        beginning); each repaired bucket ends up exactly on its replica
+        set, like one key's worth of :meth:`repair_replication`.
+        ``budget=None`` repairs every bucket in one call.  Returns a
+        :class:`~repro.sim.maintenance.RepairProgress` whose ``next_after``
+        is the resume cursor (``None`` once the sweep wrapped).
+        """
+        return repair_buckets(
+            self, self.replica_set_of, budget, after, policy=self.durability
+        )
+
+    # ------------------------------------------------------------------
+    # Churn: the depart half (``join`` is geometry)
+    # ------------------------------------------------------------------
+    def leave(self, node_id: Any) -> None:
+        """Graceful departure: keys hand off to their heirs, neighbours
+        repair.
+
+        Matches the paper's churn model, in which "there were no failures in
+        all test cases" — departures hand their state off before leaving.
+        """
+        self._depart(node_id, handover=True)
+
+    def fail(self, node_id: Any) -> None:
+        """Crash failure: the node vanishes *without* handing off its keys.
+
+        Keys whose only copy lived on the crashed node are lost (the
+        ``replication=1`` configuration); with ``replication >= 2`` the
+        surviving replicas keep every key readable, and the next
+        :meth:`repair_replication` restores the full replica count.
+        """
+        self._depart(node_id, handover=False)
+
+    def _depart(self, node_id: Any, handover: bool) -> None:
+        node_id = self._normalize_id(node_id)
+        if node_id not in self._nodes:
+            raise ValueError(
+                f"node {node_id} is not a live member "
+                f"(population {self.num_nodes})"
+            )
+        require(self.num_nodes > 1, "cannot remove the last ring node")
+        node = self._nodes.pop(node_id)
+        self._membership_remove(node_id)
+        node.alive = False
+        self.invalidate_routing_caches()
+        if handover:
+            for (namespace, key_id), pieces in node.bucket_counts().items():
+                # With replication the heir usually holds replica copies
+                # already; top up to the departing node's count instead of
+                # duplicating, so identical items stay distinct pieces.
+                heir = self._heir(node, key_id)
+                held = Counter(heir.items_at(namespace, key_id))
+                for item, count in pieces.items():
+                    for _ in range(count - held[item]):
+                        heir.store(namespace, key_id, item)
+            self.network.count_maintenance(2)  # departure notifications
+        # A crashed node's memory is simply gone; neighbours detect the
+        # failure via timeouts and repair locally.
+        node.clear_storage()
+        self._repair_neighbourhood(node)
+
+    def _heir(self, node: OverlayNode, key_id: int) -> OverlayNode:
+        """Who receives departing ``node``'s bucket ``key_id``: by default
+        the key's new owner."""
+        return self.owner_of(key_id)
+
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+    def _refresh_routing_state(self, node: OverlayNode) -> None:
+        """Derive all of ``node``'s routing entries from the membership
+        oracle."""
+        self._refresh_near(node)
+        self._refresh_far(node)
+
+    def stabilize_step(self, node: OverlayNode) -> None:
+        """One stabilization step: refresh ``node``'s neighbour links
+        (Chord's ``stabilize``/``notify`` exchange; Cycloid's leaf sets).
+
+        The unit of the maintenance scheduler's *stabilize* budget; a full
+        :meth:`stabilize_all` pass is the budget-unlimited special case.
+        Counts one maintenance message.
+        """
+        if not node.alive:
+            return
+        self._refresh_near(node)
+        self.network.count_maintenance(1)
+
+    def refresh_routing_step(self, node: OverlayNode) -> None:
+        """One routing-refresh step: rebuild ``node``'s long-range entries
+        (Chord's ``fix_fingers``; Cycloid's cubical and cyclic
+        neighbours).  The unit of the scheduler's *refresh* budget; counts
+        one maintenance message."""
+        if not node.alive:
+            return
+        self._refresh_far(node)
+        self.network.count_maintenance(1)
+
+    def stabilize_all(self) -> None:
+        """Periodic stabilization: every node re-derives its routing state."""
+        for node in self._nodes.values():
+            self._refresh_routing_state(node)
+            self.network.count_maintenance(1)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def outlink_counts(self) -> list[int]:
+        """Per-node count of distinct live neighbours (Figure 3a)."""
+        return [len(node.outlinks()) for node in self.nodes()]
+
+    def directory_sizes(self, namespace: str | None = None) -> list[int]:
+        """Per-node directory sizes (Figure 3b–d)."""
+        return [node.directory_size(namespace) for node in self.nodes()]

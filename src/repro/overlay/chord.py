@@ -26,21 +26,14 @@ from __future__ import annotations
 
 import bisect
 import warnings
-from collections import Counter
 from collections.abc import Iterable
-from typing import Any
 
 from repro.overlay.arraystore import RingVector
+from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace
-from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
-from repro.sim.durability import (
-    DurabilityPolicy,
-    SuccessorPlacement,
-    decodable_level,
-    successor_replication,
-)
-from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
-from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.overlay.node import LookupResult, OverlayNode, WalkResult
+from repro.sim.durability import DurabilityPolicy
+from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
@@ -91,8 +84,8 @@ class ChordNode(OverlayNode):
         return links
 
 
-class ChordRing:
-    """A simulated Chord overlay.
+class ChordRing(Overlay):
+    """A simulated Chord overlay (geometry hooks under :class:`Overlay`).
 
     Parameters
     ----------
@@ -115,6 +108,9 @@ class ChordRing:
     9
     """
 
+    kind = "chord"
+    walk_edge = "successor"
+
     def __init__(
         self,
         bits: int,
@@ -126,30 +122,8 @@ class ChordRing:
     ) -> None:
         require(successor_list_len >= 1, "successor_list_len must be >= 1")
         self.space = IdSpace(bits)
-        self.network = network if network is not None else SimulatedNetwork()
         self.successor_list_len = successor_list_len
-        #: The durability policy governing where a key's copies/fragments
-        #: live and when a piece still decodes.  The default —
-        #: successor-list replication at ``replication`` copies — is
-        #: byte-identical to the pre-policy hard-coded scheme: the owner
-        #: plus ``replication - 1`` successors, any surviving copy readable.
-        self.durability = (
-            durability if durability is not None else successor_replication(replication)
-        )
-        #: Copies (fragments) kept per key.  With the default policy at 1
-        #: behaviour matches the paper exactly; higher values make data
-        #: survive *crash* failures (see :meth:`fail`).
-        self.replication = self.durability.fragments
-        self.durability.validate(self)
-        #: Hot-path flag: the seed's successor placement short-circuits
-        #: the policy dispatch in :meth:`replica_set` (store and lookup
-        #: fall-back call it per key, so the indirection is measurable).
-        self._native_placement = type(self.durability.placement) is SuccessorPlacement
-        #: Requester behaviour under injected faults (retries, timeouts,
-        #: failover).  Irrelevant — and never consulted — while the network
-        #: has no active fault injector.
-        self.lookup_policy: LookupPolicy = DEFAULT_POLICY
-        self._nodes: dict[int, ChordNode] = {}
+        super().__init__(network, replication, durability)
         #: The flat array-backed membership core (``repro.overlay.
         #: arraystore``); the node objects and their routing pointers are
         #: views over this sorted id vector.
@@ -161,16 +135,12 @@ class ChordRing:
         #: membership + alive flags, so every churn entry point
         #: (:meth:`join` / :meth:`leave` / :meth:`fail` / :meth:`build` —
         #: the methods ChurnGuard wraps at the service level) clears them,
-        #: and :meth:`_refresh_fingers` (stabilize/refresh paths) drops the
+        #: and :meth:`_refresh_far` (stabilize/refresh paths) drops the
         #: touched node's entry.  ``routing_cache=False`` disables the
         #: caches entirely (the equivalence tests diff the two modes).
         self.routing_cache = routing_cache
         self._succ_cache: dict[int, ChordNode] = {}
         self._cpf_cache: dict[int, list[ChordNode]] = {}
-        #: Optional hop-level span tracer (:class:`repro.obs.spans.
-        #: QueryTracer`).  ``None`` (the default) keeps the routing hot
-        #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
-        self.tracer: Any | None = None
 
     def invalidate_routing_caches(self) -> None:
         """Drop all derived-routing caches (membership or liveness changed).
@@ -191,18 +161,9 @@ class ChordRing:
         return self.space.bits
 
     @property
-    def num_nodes(self) -> int:
-        """Current live population."""
-        return len(self._sorted_ids)
-
-    @property
     def node_ids(self) -> list[int]:
         """Live node IDs in ring order."""
         return self._sorted_ids.as_list()
-
-    def node(self, node_id: int) -> ChordNode:
-        """The live node with identifier ``node_id``."""
-        return self._nodes[node_id]
 
     def nodes(self) -> Iterable[ChordNode]:
         """All live nodes, in ring order."""
@@ -263,19 +224,20 @@ class ChordRing:
             result.append(self._nodes[ids[(idx + offset) % n]])
         return result
 
-    def _refresh_routing_state(self, node: ChordNode) -> None:
-        """Point ``node``'s fingers/successors/predecessor at true targets."""
-        self._refresh_fingers(node)
-        self._refresh_successors(node)
+    #: The native placement's holders are the key's successor list.
+    _native_holders = _successors_from
 
-    def _refresh_fingers(self, node: ChordNode) -> None:
+    def _refresh_far(self, node: ChordNode) -> None:
+        """Point ``node``'s fingers at their true targets (``fix_fingers``)."""
         nid = node.node_id
         node.fingers = [
             self.successor_of(nid + (1 << i)) for i in range(self.bits)
         ]
         self._cpf_cache.pop(nid, None)
 
-    def _refresh_successors(self, node: ChordNode) -> None:
+    def _refresh_near(self, node: ChordNode) -> None:
+        """Point ``node``'s successor list and predecessor at their true
+        targets (the ``stabilize``/``notify`` exchange)."""
         nid = node.node_id
         node.successor_list = [
             n for n in self._successors_from(nid + 1, self.successor_list_len)
@@ -285,63 +247,43 @@ class ChordRing:
         node.predecessor = pred if pred.node_id != nid else None
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (budgeted-scheduler support)
+    # Linearized-key view (identity on a ring, modulo wrapping)
     # ------------------------------------------------------------------
-    def stabilize_step(self, node: ChordNode) -> None:
-        """One stabilization step: refresh ``node``'s successor list and
-        predecessor pointer (Chord's ``stabilize``/``notify`` exchange).
+    @property
+    def id_space_size(self) -> int:
+        """Size of the identifier space, ``2**bits``."""
+        return self.space.size
 
-        The unit of the maintenance scheduler's *stabilize* budget; a full
-        :meth:`stabilize_all` pass is the budget-unlimited special case.
-        Counts one maintenance message.
-        """
-        if not node.alive:
-            return
-        self._refresh_successors(node)
-        self.network.count_maintenance(1)
+    def key_id(self, key: int) -> int:
+        """The storage key of ``key``: the key itself, wrapped."""
+        return self.space.wrap(key)
 
-    def refresh_routing_step(self, node: ChordNode) -> None:
-        """One routing-refresh step: rebuild ``node``'s finger table
-        (Chord's ``fix_fingers``).  The unit of the scheduler's *refresh*
-        budget; counts one maintenance message."""
-        if not node.alive:
-            return
-        self._refresh_fingers(node)
-        self.network.count_maintenance(1)
+    #: Node identifiers and routed keys (with their LOOKUP spans) live in
+    #: the same wrapped space as storage keys.
+    _normalize_id = _route_key = key_id
+
+    def key_of(self, key_id: int) -> int:
+        """Inverse of :meth:`key_id` (identity)."""
+        return key_id
+
+    def owner_of(self, key_id: int) -> ChordNode:
+        """The live node owning storage key ``key_id``."""
+        return self.successor_of(key_id)
+
+    def uid_of(self, node: ChordNode) -> int:
+        """``node``'s identifier in the network's integer space."""
+        return node.node_id
 
     # ------------------------------------------------------------------
     # Routed lookup
     # ------------------------------------------------------------------
-    @property
-    def faults_active(self) -> bool:
-        """Whether the shared network currently injects faults."""
-        return self.network.faults_active
-
-    def lookup(
-        self, start: ChordNode, key: int, policy: LookupPolicy | None = None
-    ) -> LookupResult:
-        """Route from ``start`` to the owner of ``key`` using only links.
+    def _lookup_plain(self, start: ChordNode, key: int) -> LookupResult:
+        """The fault-free greedy route (``key`` already wrapped).
 
         Greedy closest-preceding-finger routing; stale (dead) fingers are
         skipped, and the successor list is the fallback, so lookups remain
         correct between stabilization rounds under graceful churn.
-
-        With a fault injector active the route runs under ``policy``
-        (default :attr:`lookup_policy`): every hop message can be lost,
-        retries and successor/finger failover apply, the membership oracle
-        is never consulted, and an unfinishable route returns a
-        ``complete=False`` result instead of raising or silently
-        succeeding.
         """
-        key = self.space.wrap(key)
-        if self.tracer is not None:
-            return self._lookup_traced(start, key, policy)
-        if self.faults_active:
-            return self._lookup_faulty(start, key, policy or self.lookup_policy)
-        return self._lookup_plain(start, key)
-
-    def _lookup_plain(self, start: ChordNode, key: int) -> LookupResult:
-        """The fault-free greedy route (``key`` already wrapped)."""
         cur = start
         hops = 0
         path = [cur.node_id]
@@ -367,36 +309,6 @@ class ChordRing:
             self.network.count_hop()
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
 
-    def _lookup_traced(
-        self, start: ChordNode, key: int, policy: LookupPolicy | None
-    ) -> LookupResult:
-        """Route with span tracing: identical result, plus one LOOKUP span
-        with per-hop child spans.
-
-        Fault-free routes are traced *post hoc* from the result path (the
-        hot loop stays branch-free); the fault path emits hops and
-        drop/retry/failover/timeout annotations live as they happen.
-        """
-        tracer = self.tracer
-        with tracer.span("lookup", "chord.lookup", origin=start.node_id, key=key) as span:
-            if self.faults_active:
-                result = self._lookup_faulty(
-                    start, key, policy or self.lookup_policy, tracer=tracer
-                )
-            else:
-                result = self._lookup_plain(start, key)
-                prev = start
-                for nid in result.path[1:]:
-                    node = self._nodes[nid]
-                    tracer.hop(prev.node_id, nid, self.edge_kind(prev, node))
-                    prev = node
-            span.attrs.update(
-                owner=result.owner.node_id, hops=result.hops,
-                complete=result.complete, retries=result.retries,
-                timed_out=result.timed_out,
-            )
-        return result
-
     def edge_kind(self, src: ChordNode, dst: ChordNode) -> str:
         """Which routing-table entry of ``src`` reaches ``dst``.
 
@@ -416,69 +328,10 @@ class ChordRing:
             return "predecessor"
         return "unknown"
 
-    def _lookup_faulty(
-        self,
-        start: ChordNode,
-        key: int,
-        policy: LookupPolicy,
-        tracer: Any | None = None,
-    ) -> LookupResult:
-        """The fault-path route: local stop test, lossy hops, failover.
-
-        Never touches the membership oracle — ownership is judged from the
-        (possibly stale) predecessor pointer alone, and when no next hop
-        answers within the policy's retry budget the lookup *fails* with
-        ``complete=False``.
-        """
-        cur = start
-        hops = 0
-        retries = 0
-        path = [cur.node_id]
-        budget = policy.hop_budget or 8 * self.bits + self.num_nodes
-        drops: list[tuple[int, int]] = []
-        hedges: list[tuple[int, bool]] = []
-        on_drop = None if tracer is None else (
-            lambda dst_id, attempt: drops.append((dst_id, attempt))
-        )
-        on_hedge = None if tracer is None else (
-            lambda dst_id, won: hedges.append((dst_id, won))
-        )
-        while True:
-            if self._owns_local(cur, key):
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path), retries=retries
-                )
-            if hops >= budget:
-                # Hop budget exhausted: the requester gives up.
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path),
-                    complete=False, retries=retries,
-                )
-            candidates = self._hop_candidates(cur, key, policy)
-            nxt, used, skipped = deliver_first(
-                self.network, cur.node_id, candidates, policy, on_drop, on_hedge
-            )
-            retries += used
-            if tracer is not None:
-                advanced = nxt is not None and nxt is not cur
-                trace_fault_step(
-                    tracer,
-                    cur.node_id,
-                    nxt.node_id if advanced else None,
-                    self.edge_kind(cur, nxt) if advanced else "",
-                    used, skipped, drops, hedges,
-                )
-            if nxt is None or nxt is cur:
-                # Every candidate timed out (or none exist): the route is
-                # stuck and the lookup honestly fails.
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path),
-                    complete=False, retries=retries, timed_out=True,
-                )
-            cur = nxt
-            hops += 1
-            path.append(cur.node_id)
-            self.network.count_hop()
+    def _fault_hop_budget(self) -> int:
+        """The fault path's give-up point: the plain loop's termination
+        guard."""
+        return 8 * self.bits + self.num_nodes
 
     def _owns(self, node: ChordNode, key: int) -> bool:
         pred = node.predecessor
@@ -514,6 +367,13 @@ class ChordRing:
         rest are the policy-gated failover alternatives (further
         successor-list entries, lower fingers).
         """
+        succ = cur.successor
+        if (
+            succ is not None
+            and succ is not cur
+            and self.space.in_interval(key, cur.node_id, succ.node_id)
+        ):
+            return self._successor_candidates(cur, policy)
         out: list[tuple[int, ChordNode]] = []
         seen = {cur.node_id}
 
@@ -526,16 +386,6 @@ class ChordRing:
                 seen.add(candidate.node_id)
                 out.append((candidate.node_id, candidate))
 
-        succ = cur.successor
-        if (
-            succ is not None
-            and succ is not cur
-            and self.space.in_interval(key, cur.node_id, succ.node_id)
-        ):
-            entries = [n for n in cur.successor_list if n.alive]
-            for entry in entries if policy.successor_failover else entries[:1]:
-                add(entry)
-            return out
         fingers = [
             finger
             for finger in reversed(cur.fingers)
@@ -555,6 +405,19 @@ class ChordRing:
             add(finger)
         add(succ)
         return out
+
+    def _successor_candidates(
+        self, cur: ChordNode, policy: LookupPolicy
+    ) -> list[tuple[int, ChordNode]]:
+        """``cur``'s live successor-list entries, nearest first — only the
+        nearest without ``policy.successor_failover``."""
+        entries: list[tuple[int, ChordNode]] = []
+        seen = {cur.node_id}
+        for entry in cur.successor_list:
+            if entry.alive and entry.node_id not in seen:
+                seen.add(entry.node_id)
+                entries.append((entry.node_id, entry))
+        return entries if policy.successor_failover else entries[:1]
 
     def _closest_preceding(self, node: ChordNode, key: int) -> ChordNode:
         """Best live next hop: highest finger in ``(node, key)``.
@@ -594,43 +457,17 @@ class ChordRing:
     # ------------------------------------------------------------------
     # Successor walk (range-query primitive)
     # ------------------------------------------------------------------
-    def walk_arc(
-        self,
-        start: ChordNode,
-        from_key: int,
-        until_key: int,
-        policy: LookupPolicy | None = None,
-    ) -> WalkResult:
-        """All live nodes owning keys on the clockwise arc — see
-        :meth:`_walk_arc_impl`; with a tracer attached the walk is wrapped
-        in a WALK span whose hop children are the successor steps."""
-        if self.tracer is None:
-            return self._walk_arc_impl(start, from_key, until_key, policy)
-        tracer = self.tracer
-        with tracer.span(
-            "walk", "chord.walk",
-            origin=start.node_id,
-            from_key=self.space.wrap(from_key),
-            until_key=self.space.wrap(until_key),
-        ) as span:
-            result = self._walk_arc_impl(start, from_key, until_key, policy)
-            prev = result[0]
-            for node in result[1:]:
-                tracer.hop(prev.node_id, node.node_id, "successor")
-                prev = node
-            for _ in range(result.retries):
-                tracer.event("retry")
-            if result.truncated:
-                tracer.event("truncated", reason=result.reason)
-            if result.timed_out:
-                tracer.event("timeout")
-            span.attrs.update(
-                visited=len(result), truncated=result.truncated,
-                retries=result.retries,
-            )
-        return result
+    #: The public range-walk entry point: :meth:`Overlay.walk` (tracer
+    #: dispatch + WALK span) around :meth:`_walk_impl`.
+    walk_arc = Overlay.walk
 
-    def _walk_arc_impl(
+    def _walk_attrs(self, from_key: int, until_key: int) -> dict[str, int]:
+        return {
+            "from_key": self.space.wrap(from_key),
+            "until_key": self.space.wrap(until_key),
+        }
+
+    def _walk_impl(
         self,
         start: ChordNode,
         from_key: int,
@@ -704,82 +541,11 @@ class ChordRing:
         self, cur: ChordNode, policy: LookupPolicy, result: WalkResult
     ) -> tuple[ChordNode | None, int]:
         """One lossy walk step: deliver to the nearest reachable successor."""
-        entries: list[tuple[int, ChordNode]] = []
-        seen = {cur.node_id}
-        for entry in cur.successor_list:
-            if entry.alive and entry.node_id not in seen:
-                seen.add(entry.node_id)
-                entries.append((entry.node_id, entry))
-        if not policy.successor_failover:
-            entries = entries[:1]
         nxt, retries, skipped = deliver_first(
-            self.network, cur.node_id, entries, policy
+            self.network, cur.node_id, self._successor_candidates(cur, policy), policy
         )
         result.retries += retries
         return nxt, skipped
-
-    def _truncate_walk(self, result: WalkResult, reason: str) -> None:
-        """Flag ``result`` truncated (first reason wins) and count it."""
-        if not result.truncated:
-            result.truncated = True
-            result.reason = reason
-        self.network.count_walk_truncation()
-
-    # ------------------------------------------------------------------
-    # Key storage (routed through the overlay)
-    # ------------------------------------------------------------------
-    def native_holders(self, key_id: int, count: int) -> list[ChordNode]:
-        """``count`` distinct live nodes clockwise from ``key_id`` — the
-        successor-list holders :class:`~repro.sim.durability.
-        SuccessorPlacement` delegates to."""
-        return self._successors_from(key_id, count)
-
-    def replica_set(self, key: int) -> list[ChordNode]:
-        """The nodes that should hold ``key`` under the durability policy
-        (default: its owner plus the next ``replication - 1`` live
-        successors)."""
-        if self._native_placement:
-            return self._successors_from(key, self.replication)
-        return self.durability.holders(self, key)
-
-    def store(self, namespace: str, key: int, item: Any) -> ChordNode:
-        """Place ``item`` at the owner of ``key`` (oracle placement).
-
-        With ``replication > 1`` the owner pushes copies to its successors
-        (counted as maintenance messages).
-        """
-        key = self.space.wrap(key)
-        replicas = self.replica_set(key)
-        for holder in replicas:
-            holder.store(namespace, key, item)
-        if len(replicas) > 1:
-            self.network.count_maintenance(len(replicas) - 1)
-        return replicas[0]
-
-    def routed_store(self, start: ChordNode, namespace: str, key: int, item: Any) -> LookupResult:
-        """Insert via a routed lookup from ``start`` (counts hops)."""
-        result = self.lookup(start, key)
-        key = self.space.wrap(key)
-        result.owner.store(namespace, key, item)
-        for holder in self.replica_set(key)[1:]:
-            if holder is not result.owner:
-                holder.store(namespace, key, item)
-                self.network.count_maintenance(1)
-        return result
-
-    def discard(self, namespace: str, key: int, item: Any) -> int:
-        """Remove ``item``'s copies from the key's replica set.
-
-        Returns the number of copies removed.  Used by lease expiry
-        (``repro.core.refresh``): a provider's stale report is withdrawn
-        from the owner and every replica.
-        """
-        key = self.space.wrap(key)
-        removed = 0
-        for holder in self.replica_set(key):
-            if holder.remove_item(namespace, key, item):
-                removed += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Churn
@@ -792,12 +558,12 @@ class ChordRing:
         pointers and successor lists), and other nodes' fingers are
         refreshed lazily by :meth:`stabilize_all`.
         """
-        node_id = self.space.wrap(node_id)
+        node_id = self._normalize_id(node_id)
         require(node_id not in self._nodes, f"node {node_id} already present")
         had_members = bool(self._sorted_ids)
         node = ChordNode(node_id, self.bits)
-        self._sorted_ids.add(node_id)
         self._nodes[node_id] = node
+        self._membership_add(node_id)
         self.invalidate_routing_caches()
         self._refresh_routing_state(node)
         self.network.count_maintenance(self.bits)  # building its state
@@ -814,115 +580,22 @@ class ChordRing:
                         moved += 1
                 if moved:
                     self.network.count_maintenance(1)
-            self._repair_neighbourhood(node_id)
+            self._repair_neighbourhood(node)
         return node
 
-    def leave(self, node_id: int) -> None:
-        """Graceful departure: keys move to the successor, neighbours repair.
+    def _membership_add(self, node_id: int) -> None:
+        self._sorted_ids.add(node_id)
 
-        Matches the paper's churn model, in which "there were no failures in
-        all test cases" — departures hand their state off before leaving.
-        """
-        require(len(self._sorted_ids) > 1, "cannot remove the last ring node")
-        node = self._nodes.pop(node_id)
+    def _membership_remove(self, node_id: int) -> None:
         self._sorted_ids.remove(node_id)
-        node.alive = False
-        self.invalidate_routing_caches()
-        successor = self.successor_of(node_id)
-        outgoing: dict[tuple[str, int], Counter] = {}
-        for namespace, key_id, item in node.stored_entries():
-            outgoing.setdefault((namespace, key_id), Counter())[item] += 1
-        for (namespace, key_id), pieces in outgoing.items():
-            # With replication the successor (replica #2) usually holds
-            # copies already; top up to the departing node's count instead
-            # of duplicating, so identical items stay distinct pieces.
-            held = Counter(successor.items_at(namespace, key_id))
-            for item, count in pieces.items():
-                for _ in range(count - held[item]):
-                    successor.store(namespace, key_id, item)
-        node.clear_storage()
-        self.network.count_maintenance(2)  # departure notifications
-        self._repair_neighbourhood(node_id)
 
-    def fail(self, node_id: int) -> None:
-        """Crash failure: the node vanishes *without* handing off its keys.
+    def _heir(self, node: ChordNode, key_id: int) -> ChordNode:
+        """A departing node's keys all move to its successor."""
+        return self.successor_of(node.node_id)
 
-        Keys whose only copy lived on the crashed node are lost (the
-        ``replication=1`` configuration); with ``replication >= 2`` the
-        surviving successor-list replicas keep every key readable, and the
-        next :meth:`repair_replication` restores the full replica count.
-        """
-        require(len(self._sorted_ids) > 1, "cannot remove the last ring node")
-        node = self._nodes.pop(node_id)
-        self._sorted_ids.remove(node_id)
-        node.alive = False
-        self.invalidate_routing_caches()
-        node.clear_storage()  # the crashed node's memory is gone
-        # Neighbours detect the failure via timeouts and repair locally.
-        self._repair_neighbourhood(node_id)
-
-    def repair_replication(self) -> int:
-        """Restore every key to exactly its replica set; returns copies moved.
-
-        Models the periodic replica-maintenance pass: after
-        joins/leaves/failures, each surviving piece is re-homed so every
-        member of the policy's holder set carries it (and nobody else
-        does).  Surviving per-holder counts reduce through
-        :func:`~repro.sim.durability.decodable_level` — at the default
-        decode threshold of 1 that is the seed's ``max`` merge (a node's
-        own copy count is a piece's true multiplicity; replicas mirror
-        it, so identical items stay distinct pieces without replica
-        copies multiplying back in), while an erasure policy re-homes
-        only pieces with at least ``k`` surviving fragments and *purges*
-        undecodable fragments rather than resurrecting lost data.
-        """
-        threshold = self.durability.threshold
-        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
-        for node in list(self.nodes()):
-            held: dict[tuple[str, int], Counter] = {}
-            for namespace, key_id, item in node.stored_entries():
-                held.setdefault((namespace, key_id), Counter())[item] += 1
-            node.clear_storage()
-            for bucket_key, pieces in held.items():
-                bucket = surviving.setdefault(bucket_key, {})
-                for item, count in pieces.items():
-                    bucket.setdefault(item, []).append(count)
-        moved = 0
-        for (namespace, key_id), pieces in surviving.items():
-            replicas = self.replica_set(key_id)
-            for item, counts in pieces.items():
-                level = decodable_level(counts, threshold)
-                if level == 0:
-                    continue
-                for holder in replicas:
-                    for _ in range(level):
-                        holder.store(namespace, key_id, item)
-                    moved += level
-        if moved:
-            self.network.count_maintenance(moved)
-        return moved
-
-    def repair_replication_step(
-        self,
-        budget: int | None = None,
-        after: tuple[str, int] | None = None,
-    ) -> RepairProgress:
-        """Anti-entropy replica repair of up to ``budget`` key buckets.
-
-        Buckets are visited in sorted ``(namespace, key)`` order starting
-        strictly after ``after`` (``None`` starts from the beginning); each
-        repaired bucket ends up exactly on its replica set, like one key's
-        worth of :meth:`repair_replication`.  ``budget=None`` repairs every
-        bucket in one call.  Returns a
-        :class:`~repro.sim.maintenance.RepairProgress` whose ``next_after``
-        is the resume cursor (``None`` once the sweep wrapped).
-        """
-        return repair_buckets(
-            self, self.replica_set, budget, after, policy=self.durability
-        )
-
-    def _repair_neighbourhood(self, around_id: int) -> None:
+    def _repair_neighbourhood(self, node: ChordNode) -> None:
         """Refresh routing state of nodes adjacent to a membership change."""
+        around_id = node.node_id
         for neighbour in self._successors_from(around_id, self.successor_list_len + 1):
             self._refresh_routing_state(neighbour)
             self.network.count_maintenance(1)
@@ -930,29 +603,17 @@ class ChordRing:
         self._refresh_routing_state(pred)
         self.network.count_maintenance(1)
 
-    def stabilize_all(self) -> None:
-        """Periodic stabilization: every node re-derives its routing state."""
-        for node in self._nodes.values():
-            self._refresh_routing_state(node)
-            self.network.count_maintenance(1)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def outlink_counts(self) -> list[int]:
-        """Per-node count of distinct live neighbours (Figure 3a)."""
-        return [len(node.outlinks()) for node in self.nodes()]
-
-    def directory_sizes(self, namespace: str | None = None) -> list[int]:
-        """Per-node directory sizes (Figure 3b–d)."""
-        return [node.directory_size(namespace) for node in self.nodes()]
-
-    def check_ring_invariants(self) -> None:
-        """Raise AssertionError unless successor/predecessor links form the
-        unique ring over live nodes — used by tests and after churn storms.
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the membership index is sorted and
+        successor/predecessor links form the unique ring over live nodes —
+        used by tests and after churn storms.
         """
         ids = self._sorted_ids
         n = len(ids)
+        assert list(ids) == sorted(ids), f"node index not sorted: {list(ids)}"
         for idx, nid in enumerate(ids):
             node = self._nodes[nid]
             expected_succ = self._nodes[ids[(idx + 1) % n]]

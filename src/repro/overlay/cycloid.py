@@ -42,19 +42,15 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from collections.abc import Iterable
-from typing import Any, NamedTuple
+from operator import itemgetter
+from typing import NamedTuple
 
 from repro.overlay.arraystore import RingVector
+from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
-from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
-from repro.sim.durability import (
-    DurabilityPolicy,
-    SuccessorPlacement,
-    decodable_level,
-    successor_replication,
-)
-from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
-from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.overlay.node import LookupResult, OverlayNode, WalkResult
+from repro.sim.durability import DurabilityPolicy
+from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
@@ -125,8 +121,13 @@ class CycloidNode(OverlayNode):
         return {node.cid for node in self.table_entries()}
 
 
-class CycloidOverlay:
-    """A simulated Cycloid overlay of dimension ``d``.
+class CycloidOverlay(Overlay):
+    """A simulated Cycloid overlay of dimension ``d`` (geometry hooks under
+    :class:`Overlay`).
+
+    Replicas stay inside the owner's cluster (the closest node plus its
+    cluster successors), so the intra-cluster range walk still sees every
+    key.
 
     Examples
     --------
@@ -138,6 +139,9 @@ class CycloidOverlay:
     >>> result.owner.cid
     CycloidId(k=2, a=5)
     """
+
+    kind = "cycloid"
+    walk_edge = "inside-leaf"
 
     def __init__(
         self,
@@ -166,28 +170,7 @@ class CycloidOverlay:
         self.routing_mode = routing_mode
         self.dimension = dimension
         self.cubical_space = IdSpace(dimension)  # ring of 2**d clusters
-        self.network = network if network is not None else SimulatedNetwork()
-        #: The durability policy governing where a key's copies/fragments
-        #: live.  The default — intra-cluster successor replication at
-        #: ``replication`` copies — is byte-identical to the pre-policy
-        #: hard-coded scheme: the owner plus ``replication - 1`` cluster
-        #: successors (replicas stay inside the attribute's cluster, so
-        #: the intra-cluster range walk still sees every key).  Default 1
-        #: matches the paper; >= 2 survives crash failures (:meth:`fail`).
-        self.durability = (
-            durability if durability is not None else successor_replication(replication)
-        )
-        #: Copies (fragments) kept per key under the policy.
-        self.replication = self.durability.fragments
-        self.durability.validate(self)
-        #: Hot-path flag: the seed's successor placement short-circuits
-        #: the policy dispatch (and the linearize round-trip) in
-        #: :meth:`replica_set`.
-        self._native_placement = type(self.durability.placement) is SuccessorPlacement
-        #: Requester behaviour under injected faults; never consulted while
-        #: the network has no active fault injector.
-        self.lookup_policy: LookupPolicy = DEFAULT_POLICY
-        self._nodes: dict[CycloidId, CycloidNode] = {}
+        super().__init__(network, replication, durability)
         #: cluster -> sorted flat vector of present cyclic indices (the
         #: array-backed membership core, ``repro.overlay.arraystore``)
         self._clusters: dict[int, RingVector] = {}
@@ -201,10 +184,6 @@ class CycloidOverlay:
         #: disables memoisation (equivalence tests diff the two modes).
         self.routing_cache = routing_cache
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
-        #: Optional hop-level span tracer (:class:`repro.obs.spans.
-        #: QueryTracer`).  ``None`` (the default) keeps the routing hot
-        #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
-        self.tracer: Any | None = None
 
     def invalidate_routing_caches(self) -> None:
         """Drop the owner cache (membership changed)."""
@@ -219,11 +198,6 @@ class CycloidOverlay:
         return self.dimension * self.cubical_space.size
 
     @property
-    def num_nodes(self) -> int:
-        """Current live population."""
-        return len(self._nodes)
-
-    @property
     def num_clusters(self) -> int:
         """Current number of non-empty clusters."""
         return len(self._cluster_ids)
@@ -234,10 +208,6 @@ class CycloidOverlay:
         return [
             CycloidId(k, a) for a in self._cluster_ids for k in self._clusters[a]
         ]
-
-    def node(self, cid: CycloidId) -> CycloidNode:
-        """The live node with identifier ``cid``."""
-        return self._nodes[cid]
 
     def nodes(self) -> Iterable[CycloidNode]:
         """All live nodes."""
@@ -322,12 +292,7 @@ class CycloidOverlay:
             idx = (bisect.bisect_left(ids, a) - 1) % len(ids)
         return ids[idx]
 
-    def _refresh_routing_state(self, node: CycloidNode) -> None:
-        """Derive all seven routing entries from the membership oracle."""
-        self._refresh_leaf_sets(node)
-        self._refresh_links(node)
-
-    def _refresh_leaf_sets(self, node: CycloidNode) -> None:
+    def _refresh_near(self, node: CycloidNode) -> None:
         """Inside and outside leaf sets (the cluster-local entries)."""
         k, a = node.cid
 
@@ -358,7 +323,7 @@ class CycloidOverlay:
             out_next if out_next is not node else None,
         )
 
-    def _refresh_links(self, node: CycloidNode) -> None:
+    def _refresh_far(self, node: CycloidNode) -> None:
         """Cubical and cyclic neighbours (the long-range routing entries)."""
         d = self.dimension
         k, a = node.cid
@@ -386,57 +351,35 @@ class CycloidOverlay:
         )
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (budgeted-scheduler support)
+    # Linearized-key view: (k, a) <-> a*d + k
     # ------------------------------------------------------------------
-    def stabilize_step(self, node: CycloidNode) -> None:
-        """One stabilization step: refresh ``node``'s inside and outside
-        leaf sets (the cluster-local links a real Cycloid node exchanges
-        with its cycle neighbours).  The unit of the maintenance
-        scheduler's *stabilize* budget; counts one maintenance message."""
-        if not node.alive or node.a not in self._clusters:
-            return
-        self._refresh_leaf_sets(node)
-        self.network.count_maintenance(1)
+    #: The linearized identifier space spans every ``(k, a)`` position.
+    id_space_size = capacity
 
-    def refresh_routing_step(self, node: CycloidNode) -> None:
-        """One routing-refresh step: rebuild ``node``'s cubical and cyclic
-        neighbours (the long-range entries).  The unit of the scheduler's
-        *refresh* budget; counts one maintenance message."""
-        if not node.alive or node.a not in self._clusters:
-            return
-        self._refresh_links(node)
-        self.network.count_maintenance(1)
+    def linearize(self, cid: CycloidId) -> int:
+        """The integer storage key of ``(k, a)``: ``a * d + k``."""
+        return cid.a * self.dimension + (cid.k % self.dimension)
 
-    def repair_replication_step(
-        self,
-        budget: int | None = None,
-        after: tuple[str, int] | None = None,
-    ) -> RepairProgress:
-        """Anti-entropy replica repair of up to ``budget`` key buckets.
+    def delinearize(self, value: int) -> CycloidId:
+        """Inverse of the (k, a) → int storage-key mapping."""
+        return CycloidId(value % self.dimension, value // self.dimension)
 
-        See :meth:`ChordRing.repair_replication_step` — identical contract;
-        keys are the linearized ``(k, a)`` storage identifiers.
-        """
-        return repair_buckets(
-            self, lambda key_id: self.replica_set(self.delinearize(key_id)),
-            budget, after, policy=self.durability,
-        )
+    key_id = linearize
+    key_of = delinearize
+
+    def owner_of(self, key_id: int) -> CycloidNode:
+        """The live node owning storage key ``key_id``."""
+        return self.closest_node(self.delinearize(key_id))
+
+    def uid_of(self, node: CycloidNode) -> int:
+        """``node``'s identifier in the network's integer space."""
+        return self.linearize(node.cid)
 
     # ------------------------------------------------------------------
     # Routed lookup
     # ------------------------------------------------------------------
-    @property
-    def faults_active(self) -> bool:
-        """Whether the shared network currently injects faults."""
-        return self.network.faults_active
-
-    def lookup(
-        self,
-        start: CycloidNode,
-        target: CycloidId,
-        policy: LookupPolicy | None = None,
-    ) -> LookupResult:
-        """Route from ``start`` to the owner of key ``target``.
+    def _lookup_plain(self, start: CycloidNode, target: CycloidId) -> LookupResult:
+        """The fault-free CCC route (oracle stop test).
 
         Cube-connected-cycles emulation: while the cubical index disagrees
         with the owner's cluster, descend one cyclic level per hop — via the
@@ -444,22 +387,7 @@ class CycloidOverlay:
         inside leaf set otherwise — then walk the final cluster's small
         cycle to the owner.  Every hop follows a maintained routing-table
         link; the membership oracle is used only to know when to stop.
-
-        With a fault injector active the route instead runs under
-        ``policy`` (default :attr:`lookup_policy`): greedy strictly-
-        improving routing with a purely local stop test, lossy hops,
-        retries and alternate-entry failover — the oracle is never
-        consulted and an unfinishable route returns ``complete=False``
-        rather than raising.
         """
-        if self.tracer is not None:
-            return self._lookup_traced(start, target, policy)
-        if self.faults_active:
-            return self._lookup_faulty(start, target, policy or self.lookup_policy)
-        return self._lookup_plain(start, target)
-
-    def _lookup_plain(self, start: CycloidNode, target: CycloidId) -> LookupResult:
-        """The fault-free CCC route (oracle stop test)."""
         owner = self.closest_node(target)
         cur = start
         hops = 0
@@ -494,37 +422,6 @@ class CycloidOverlay:
             )
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
 
-    def _lookup_traced(
-        self,
-        start: CycloidNode,
-        target: CycloidId,
-        policy: LookupPolicy | None,
-    ) -> LookupResult:
-        """Route with span tracing: identical result, plus one LOOKUP span
-        with per-hop child spans (post hoc when fault-free, live with
-        drop/retry/failover annotations on the fault path)."""
-        tracer = self.tracer
-        with tracer.span(
-            "lookup", "cycloid.lookup", origin=start.cid, key=target
-        ) as span:
-            if self.faults_active:
-                result = self._lookup_faulty(
-                    start, target, policy or self.lookup_policy, tracer=tracer
-                )
-            else:
-                result = self._lookup_plain(start, target)
-                prev = start
-                for cid in result.path[1:]:
-                    node = self._nodes[cid]
-                    tracer.hop(prev.cid, cid, self.edge_kind(prev, node))
-                    prev = node
-            span.attrs.update(
-                owner=result.owner.cid, hops=result.hops,
-                complete=result.complete, retries=result.retries,
-                timed_out=result.timed_out,
-            )
-        return result
-
     def edge_kind(self, src: CycloidNode, dst: CycloidNode) -> str:
         """Which routing-table entry of ``src`` reaches ``dst``.
 
@@ -554,86 +451,39 @@ class CycloidOverlay:
                           (tk - node.k) % self.dimension)
         return (cluster_dist, cyclic_dist)
 
-    def _lookup_faulty(
-        self,
-        start: CycloidNode,
-        target: CycloidId,
-        policy: LookupPolicy,
-        tracer: Any | None = None,
-    ) -> LookupResult:
-        """The fault-path route: greedy descent with a local stop test.
+    def _fault_hop_budget(self) -> int:
+        """The fault path's give-up point (sized for a full cluster ring)."""
+        return 10 * self.dimension + 3 * self.cubical_space.size + 4
 
-        Each node forwards to its strictly key-closer routing-table
-        entries, nearest first; a node with no closer live entry believes
-        it owns the key and answers.  Strict improvement bounds the route
-        without any oracle termination check, and the believed owner can
-        legitimately differ from the true one while routing state is
-        degraded — the caller sees that as missing matches, not as a wrong
-        "complete" claim from the oracle.
+    def _owns_local(self, node: CycloidNode, key: CycloidId) -> bool:
+        """Ownership judged purely from local state — no oracle.
+
+        A node with no strictly key-closer live routing-table entry is a
+        local minimum of :meth:`_key_badness` and believes it owns the key.
         """
-        tk = target.k % self.dimension
-        ta = target.a % self.cubical_space.size
-        cur = start
-        hops = 0
-        retries = 0
-        path = [cur.cid]
-        budget = (
-            policy.hop_budget
-            or 10 * self.dimension + 3 * self.cubical_space.size + 4
+        tk, ta = key
+        own = self._key_badness(node, tk, ta)
+        return not any(
+            self._key_badness(n, tk, ta) < own for n in node.table_entries()
         )
-        drops: list[tuple[int, int]] = []
-        hedges: list[tuple[int, bool]] = []
-        on_drop = None if tracer is None else (
-            lambda dst_id, attempt: drops.append((dst_id, attempt))
-        )
-        on_hedge = None if tracer is None else (
-            lambda dst_id, won: hedges.append((dst_id, won))
-        )
-        while True:
-            own = self._key_badness(cur, tk, ta)
-            improving = sorted(
-                (n for n in cur.table_entries()
-                 if self._key_badness(n, tk, ta) < own),
-                key=lambda n: self._key_badness(n, tk, ta),
-            )
-            if not improving:
-                # Local minimum: cur believes it owns the key.
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path), retries=retries
-                )
-            if hops >= budget:
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path),
-                    complete=False, retries=retries,
-                )
-            if not policy.finger_fallback:
-                improving = improving[:1]
-            nxt, used, skipped = deliver_first(
-                self.network,
-                self.linearize(cur.cid),
-                [(self.linearize(n.cid), n) for n in improving],
-                policy,
-                on_drop,
-                on_hedge,
-            )
-            retries += used
-            if tracer is not None:
-                trace_fault_step(
-                    tracer,
-                    cur.cid,
-                    nxt.cid if nxt is not None else None,
-                    self.edge_kind(cur, nxt) if nxt is not None else "",
-                    used, skipped, drops, hedges,
-                )
-            if nxt is None:
-                return LookupResult(
-                    owner=cur, hops=hops, path=tuple(path),
-                    complete=False, retries=retries, timed_out=True,
-                )
-            cur = nxt
-            hops += 1
-            path.append(cur.cid)
-            self.network.count_hop()
+
+    def _hop_candidates(
+        self, cur: CycloidNode, key: CycloidId, policy: LookupPolicy
+    ) -> list[tuple[int, CycloidNode]]:
+        """Ordered next-hop preference list for the fault-path route:
+        ``cur``'s strictly key-closer table entries, nearest first (only
+        the nearest without ``policy.finger_fallback``).
+
+        Strict improvement bounds the route without any oracle termination
+        check.
+        """
+        tk, ta = key
+        own = self._key_badness(cur, tk, ta)
+        scored = [(self._key_badness(n, tk, ta), n) for n in cur.table_entries()]
+        improving = sorted((e for e in scored if e[0] < own), key=itemgetter(0))
+        if not policy.finger_fallback:
+            improving = improving[:1]
+        return [(self.linearize(n.cid), n) for _, n in improving]
 
     def _next_hop(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
         d = self.dimension
@@ -711,17 +561,10 @@ class CycloidOverlay:
         large-cycle traversal — which always makes cluster-ring progress, so
         routing still terminates.
         """
-        def badness(node: CycloidNode) -> tuple[int, int]:
-            cluster_dist = self.cubical_space.ring_distance(node.a, owner.a)
-            cyclic_dist = min((node.k - owner.k) % self.dimension,
-                              (owner.k - node.k) % self.dimension)
-            return (cluster_dist, cyclic_dist)
-
-        current_badness = badness(cur)
         best: CycloidNode | None = None
-        best_badness = current_badness
+        best_badness = self._key_badness(cur, owner.k, owner.a)
         for cand in cur.table_entries():
-            b = badness(cand)
+            b = self._key_badness(cand, owner.k, owner.a)
             if b < best_badness:
                 best, best_badness = cand, b
         if best is not None:
@@ -735,43 +578,14 @@ class CycloidOverlay:
     # ------------------------------------------------------------------
     # Intra-cluster walk (LORM's range-query primitive)
     # ------------------------------------------------------------------
-    def walk_cluster(
-        self,
-        start: CycloidNode,
-        k_from: int,
-        k_to: int,
-        policy: LookupPolicy | None = None,
-    ) -> WalkResult:
-        """Nodes of ``start``'s cluster covering cyclic sector — see
-        :meth:`_walk_cluster_impl`; with a tracer attached the walk is
-        wrapped in a WALK span whose hop children are the leaf steps."""
-        if self.tracer is None:
-            return self._walk_cluster_impl(start, k_from, k_to, policy)
-        tracer = self.tracer
-        with tracer.span(
-            "walk", "cycloid.walk",
-            origin=start.cid,
-            k_from=k_from % self.dimension,
-            k_to=k_to % self.dimension,
-        ) as span:
-            result = self._walk_cluster_impl(start, k_from, k_to, policy)
-            prev = result[0]
-            for node in result[1:]:
-                tracer.hop(prev.cid, node.cid, "inside-leaf")
-                prev = node
-            for _ in range(result.retries):
-                tracer.event("retry")
-            if result.truncated:
-                tracer.event("truncated", reason=result.reason)
-            if result.timed_out:
-                tracer.event("timeout")
-            span.attrs.update(
-                visited=len(result), truncated=result.truncated,
-                retries=result.retries,
-            )
-        return result
+    #: The public range-walk entry point: :meth:`Overlay.walk` (tracer
+    #: dispatch + WALK span) around :meth:`_walk_impl`.
+    walk_cluster = Overlay.walk
 
-    def _walk_cluster_impl(
+    def _walk_attrs(self, k_from: int, k_to: int) -> dict[str, int]:
+        return {"k_from": k_from % self.dimension, "k_to": k_to % self.dimension}
+
+    def _walk_impl(
         self,
         start: CycloidNode,
         k_from: int,
@@ -839,98 +653,31 @@ class CycloidOverlay:
             result.append(cur)
         return result
 
-    def _truncate_walk(self, result: WalkResult, reason: str) -> None:
-        """Flag ``result`` truncated (first reason wins) and count it."""
-        if not result.truncated:
-            result.truncated = True
-            result.reason = reason
-        self.network.count_walk_truncation()
-
     # ------------------------------------------------------------------
     # Key storage
     # ------------------------------------------------------------------
-    def native_holders(self, key_id: int, count: int) -> list[CycloidNode]:
+    def _native_holders(self, key: CycloidId, count: int) -> list[CycloidNode]:
         """The closest node plus the next ``count - 1`` distinct members
-        clockwise in its cluster — the intra-cluster holders
-        :class:`~repro.sim.durability.SuccessorPlacement` delegates to.
-        ``key_id`` is the linearized ``(k, a)`` storage identifier."""
-        owner = self.closest_node(self.delinearize(key_id))
+        clockwise in its cluster — the intra-cluster holders of the native
+        placement."""
+        owner = self.closest_node(key)
         members = self.cluster_members(owner.a)
         idx = bisect.bisect_left(self._clusters[owner.a].data, owner.k)
         count = min(count, len(members))
         return [members[(idx + offset) % len(members)] for offset in range(count)]
-
-    def replica_set(self, key: CycloidId) -> list[CycloidNode]:
-        """Nodes that should hold ``key`` under the durability policy
-        (default: the closest node plus the next ``replication - 1``
-        distinct members clockwise in its cluster)."""
-        if self._native_placement:
-            owner = self.closest_node(key)
-            members = self.cluster_members(owner.a)
-            idx = bisect.bisect_left(self._clusters[owner.a].data, owner.k)
-            count = min(self.replication, len(members))
-            return [
-                members[(idx + offset) % len(members)] for offset in range(count)
-            ]
-        return self.durability.holders(self, self.linearize(key))
-
-    def store(self, namespace: str, key: CycloidId, item: Any) -> CycloidNode:
-        """Place ``item`` at the owner of ``key`` (oracle placement).
-
-        With ``replication > 1`` copies go to cluster successors (counted
-        as maintenance messages).
-        """
-        replicas = self.replica_set(key)
-        for holder in replicas:
-            holder.store(namespace, self.linearize(key), item)
-        if len(replicas) > 1:
-            self.network.count_maintenance(len(replicas) - 1)
-        return replicas[0]
-
-    def routed_store(
-        self, start: CycloidNode, namespace: str, key: CycloidId, item: Any
-    ) -> LookupResult:
-        """Insert via a routed lookup from ``start`` (counts hops)."""
-        result = self.lookup(start, key)
-        result.owner.store(namespace, self.linearize(key), item)
-        for holder in self.replica_set(key)[1:]:
-            if holder is not result.owner:
-                holder.store(namespace, self.linearize(key), item)
-                self.network.count_maintenance(1)
-        return result
-
-    def discard(self, namespace: str, key: CycloidId, item: Any) -> int:
-        """Remove ``item``'s copies from the key's replica set; returns the
-        number of copies removed (lease-expiry support)."""
-        key_id = self.linearize(key)
-        removed = 0
-        for holder in self.replica_set(key):
-            if holder.remove_item(namespace, key_id, item):
-                removed += 1
-        return removed
-
-    def linearize(self, cid: CycloidId) -> int:
-        return cid.a * self.dimension + (cid.k % self.dimension)
-
-    def delinearize(self, value: int) -> CycloidId:
-        """Inverse of the internal (k, a) → int storage-key mapping."""
-        return CycloidId(value % self.dimension, value // self.dimension)
 
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
     def join(self, cid: CycloidId) -> CycloidNode:
         """A new node joins and takes over the keys now closest to it."""
-        cid = CycloidId(cid.k % self.dimension, cid.a % self.cubical_space.size)
+        cid = self._normalize_id(cid)
         require(cid not in self._nodes, f"node {cid} already present")
         node = CycloidNode(cid, self.dimension)
         had_members = bool(self._nodes)
 
         self._nodes[cid] = node
-        ks = self._clusters.setdefault(cid.a, RingVector())
-        ks.add(cid.k)
-        if len(ks) == 1:
-            self._cluster_ids.add(cid.a)
+        self._membership_add(cid)
         self.invalidate_routing_caches()
 
         self._refresh_routing_state(node)
@@ -950,12 +697,10 @@ class CycloidOverlay:
             moved = 0
             incoming: dict[tuple[str, int], Counter] = {}
             for donor in donors:
-                donated: dict[tuple[str, int], Counter] = {}
-                for namespace, key_id, item in donor.stored_entries():
-                    if self.closest_node(self.delinearize(key_id)) is node:
-                        donated.setdefault((namespace, key_id), Counter())[item] += 1
-                for bucket_key, pieces in donated.items():
-                    donor.remove_items(bucket_key[0], bucket_key[1])
+                for bucket_key, pieces in donor.bucket_counts().items():
+                    if self.owner_of(bucket_key[1]) is not node:
+                        continue
+                    donor.remove_items(*bucket_key)
                     # Several donors can hold replica copies of the same
                     # piece; merge with max so the newcomer receives each
                     # piece's true multiplicity, not the sum over replicas.
@@ -973,87 +718,21 @@ class CycloidOverlay:
         self._repair_neighbourhood(node)
         return node
 
-    def leave(self, cid: CycloidId) -> None:
-        """Graceful departure: keys re-home to the new closest node."""
-        require(len(self._nodes) > 1, "cannot remove the last node")
-        node = self._nodes.pop(cid)
+    def _normalize_id(self, cid: CycloidId) -> CycloidId:
+        return CycloidId(cid.k % self.dimension, cid.a % self.cubical_space.size)
+
+    def _membership_add(self, cid: CycloidId) -> None:
+        ks = self._clusters.setdefault(cid.a, RingVector())
+        ks.add(cid.k)
+        if len(ks) == 1:
+            self._cluster_ids.add(cid.a)
+
+    def _membership_remove(self, cid: CycloidId) -> None:
         ks = self._clusters[cid.a]
         ks.remove(cid.k)
         if not ks:
             del self._clusters[cid.a]
             self._cluster_ids.remove(cid.a)
-        node.alive = False
-        self.invalidate_routing_caches()
-        outgoing: dict[tuple[str, int], Counter] = {}
-        for namespace, key_id, item in node.stored_entries():
-            outgoing.setdefault((namespace, key_id), Counter())[item] += 1
-        for (namespace, key_id), pieces in outgoing.items():
-            new_owner = self.closest_node(self.delinearize(key_id))
-            # See ChordRing.leave: the new owner may already hold replica
-            # copies — top up to the departing node's count so identical
-            # items stay distinct pieces without duplicating replicas.
-            held = Counter(new_owner.items_at(namespace, key_id))
-            for item, count in pieces.items():
-                for _ in range(count - held[item]):
-                    new_owner.store(namespace, key_id, item)
-        node.clear_storage()
-        self.network.count_maintenance(2)
-        self._repair_neighbourhood(node)
-
-    def fail(self, cid: CycloidId) -> None:
-        """Crash failure: the node vanishes without handing off its keys.
-
-        With ``replication >= 2`` the intra-cluster replicas keep every key
-        readable; :meth:`repair_replication` then restores the replica
-        count.  With ``replication = 1`` keys held only here are lost.
-        """
-        require(len(self._nodes) > 1, "cannot remove the last node")
-        node = self._nodes.pop(cid)
-        ks = self._clusters[cid.a]
-        ks.remove(cid.k)
-        if not ks:
-            del self._clusters[cid.a]
-            self._cluster_ids.remove(cid.a)
-        node.alive = False
-        self.invalidate_routing_caches()
-        node.clear_storage()  # the crashed node's memory is gone
-        self._repair_neighbourhood(node)
-
-    def repair_replication(self) -> int:
-        """Restore every key to exactly its replica set; returns copies moved.
-
-        See :meth:`ChordRing.repair_replication`: surviving per-holder
-        counts reduce through
-        :func:`~repro.sim.durability.decodable_level` — at the default
-        decode threshold of 1 the seed's ``max`` merge (identical items
-        keep their multiplicity while replica copies count once); under
-        an erasure policy undecodable fragments are purged.
-        """
-        threshold = self.durability.threshold
-        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
-        for node in list(self.nodes()):
-            held: dict[tuple[str, int], Counter] = {}
-            for namespace, key_id, item in node.stored_entries():
-                held.setdefault((namespace, key_id), Counter())[item] += 1
-            node.clear_storage()
-            for bucket_key, pieces in held.items():
-                bucket = surviving.setdefault(bucket_key, {})
-                for item, count in pieces.items():
-                    bucket.setdefault(item, []).append(count)
-        moved = 0
-        for (namespace, key_id), pieces in surviving.items():
-            replicas = self.replica_set(self.delinearize(key_id))
-            for item, counts in pieces.items():
-                level = decodable_level(counts, threshold)
-                if level == 0:
-                    continue
-                for holder in replicas:
-                    for _ in range(level):
-                        holder.store(namespace, key_id, item)
-                    moved += level
-        if moved:
-            self.network.count_maintenance(moved)
-        return moved
 
     def _repair_neighbourhood(self, node: CycloidNode) -> None:
         """Refresh routing state around a membership change.
@@ -1074,25 +753,16 @@ class CycloidOverlay:
             self._refresh_routing_state(member)
             self.network.count_maintenance(1)
 
-    def stabilize_all(self) -> None:
-        """Periodic stabilization: every node re-derives its routing state."""
-        for node in list(self.nodes()):
-            self._refresh_routing_state(node)
-            self.network.count_maintenance(1)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def outlink_counts(self) -> list[int]:
-        """Per-node count of distinct live neighbours (Figure 3a; ≤ 7)."""
-        return [len(node.outlinks()) for node in self.nodes()]
-
-    def directory_sizes(self, namespace: str | None = None) -> list[int]:
-        """Per-node directory sizes (Figure 3b–d)."""
-        return [node.directory_size(namespace) for node in self.nodes()]
-
     def check_invariants(self) -> None:
-        """Verify leaf-set mutuality and cluster ordering (test support)."""
+        """Verify the cluster index, leaf-set mutuality and cluster ordering
+        (test support)."""
+        assert sorted(self._clusters) == list(self._cluster_ids), (
+            f"cluster index {list(self._cluster_ids)} != non-empty clusters "
+            f"{sorted(self._clusters)}"
+        )
         for a, ks in self._clusters.items():
             assert ks == sorted(ks), f"cluster {a} not ordered"
             members = self.cluster_members(a)

@@ -9,7 +9,7 @@ accounting — the quantity plotted throughout Figure 3 — exact.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any
 
@@ -136,6 +136,15 @@ class OverlayNode:
             for item in bucket
         ]
 
+    def bucket_counts(self) -> dict[tuple[str, int], Counter]:
+        """Per ``(namespace, key_id)`` bucket, each stored item's copy count
+        (what handover, repair and the placement checks reason over)."""
+        return {
+            (namespace, key_id): Counter(bucket)
+            for namespace, buckets in self._store.items()
+            for key_id, bucket in buckets.items()
+        }
+
     def remove_items(self, namespace: str, key_id: int) -> list[Any]:
         """Remove and return all items under ``(namespace, key_id)``."""
         ns = self._store.get(namespace)
@@ -186,8 +195,8 @@ def trace_fault_step(
     drops: list,
     hedges: list | None = None,
 ) -> None:
-    """Emit one fault-path routing step into ``tracer`` (shared by both
-    overlays' ``_lookup_faulty`` loops).
+    """Emit one fault-path routing step into ``tracer`` (called by
+    :meth:`repro.overlay.base.Overlay._lookup_faulty`).
 
     ``dst=None`` means the step failed entirely — the drops/retries attach
     to the enclosing lookup span together with a "timeout" marker.

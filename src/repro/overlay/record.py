@@ -64,7 +64,7 @@ class ReCordOverlay(ChordRing):
         ).digest()
         return 1 + int.from_bytes(digest, "big") % (span - 1)
 
-    def _refresh_fingers(self, node: ChordNode) -> None:
+    def _refresh_far(self, node: ChordNode) -> None:
         nid = node.node_id
         size = self.space.size
         entries: list[tuple[int, ChordNode]] = []

@@ -96,29 +96,25 @@ class SingleHopRing(ChordRing):
                 del deltas[subject]
 
     def join(self, node_id: int) -> ChordNode:
-        node_id = self.space.wrap(node_id)
-        if node_id in self._nodes:
-            return super().join(node_id)  # raises the canonical error
-        self._record_event(node_id, True)
         node = super().join(node_id)
-        self._pending[node_id] = {}
         # The joiner downloads the full membership table — the O(n) entry
         # cost that buys O(1) lookups (D1HT Section 3).
         if self.num_nodes > 1:
             self.network.count_maintenance(self.num_nodes - 1)
         return node
 
-    def leave(self, node_id: int) -> None:
-        if node_id in self._nodes and len(self._sorted_ids) > 1:
-            self._pending.pop(node_id, None)
-            self._record_event(node_id, False)
-        super().leave(node_id)
+    # The membership hooks run for every *accepted* join / leave / fail,
+    # before the neighbourhood repair lets the subject's neighbours learn
+    # immediately.
+    def _membership_add(self, node_id: int) -> None:
+        super()._membership_add(node_id)
+        self._record_event(node_id, True)
+        self._pending[node_id] = {}
 
-    def fail(self, node_id: int) -> None:
-        if node_id in self._nodes and len(self._sorted_ids) > 1:
-            self._pending.pop(node_id, None)
-            self._record_event(node_id, False)
-        super().fail(node_id)
+    def _membership_remove(self, node_id: int) -> None:
+        super()._membership_remove(node_id)
+        self._pending.pop(node_id, None)
+        self._record_event(node_id, False)
 
     # ------------------------------------------------------------------
     # Maintenance: dissemination through the budget machinery

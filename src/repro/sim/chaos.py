@@ -55,15 +55,10 @@ __all__ = [
 
 
 def id_space_of(overlay: Any) -> int:
-    """The integer identifier-space size of an overlay substrate.
-
-    Chord rings expose ``space.size`` (``2**bits``); Cycloid overlays
-    expose ``capacity`` (``d * 2**d``, the linearized key space).
-    """
-    space = getattr(overlay, "space", None)
-    if space is not None:
-        return space.size
-    return overlay.capacity
+    """The integer identifier-space size of an overlay substrate
+    (``2**bits`` on a Chord ring; ``d * 2**d``, the linearized key space,
+    on Cycloid)."""
+    return overlay.id_space_size
 
 
 def network_ids_of(overlay: Any) -> list[int]:
@@ -74,10 +69,8 @@ def network_ids_of(overlay: Any) -> list[int]:
     ``deliver_first``, so fail-slow marks land on the IDs messages
     actually travel between.
     """
-    linearize = getattr(overlay, "linearize", None)
-    if linearize is not None:
-        return sorted(linearize(cid) for cid in overlay.node_ids)
-    return sorted(int(nid) for nid in overlay.node_ids)
+    # int(): ring ids built from numpy draws stay numpy integers.
+    return sorted(int(overlay.uid_of(node)) for node in overlay.nodes())
 
 
 def slow_victims(overlay: Any, fraction: float) -> list[int]:

@@ -30,8 +30,9 @@ policy byte-identical to the pre-policy code.
 Import discipline: this module is imported by ``repro.overlay`` (the
 overlays carry their policy) and by the invariant/maintenance layers, so
 it must not import anything from ``repro.overlay`` or
-``repro.baselines``; overlays are duck-typed via ``native_holders`` /
-``successor_of`` / ``closest_node`` / ``linearize``.
+``repro.baselines``; overlays are reached only through the linearized-key
+view of :class:`~repro.overlay.base.Overlay` (``native_holders`` /
+``owner_of`` / ``uid_of`` / ``id_space_size``).
 """
 
 from __future__ import annotations
@@ -72,34 +73,6 @@ def decodable_level(counts: Sequence[int], threshold: int) -> int:
     if len(counts) < threshold:
         return 0
     return sorted(counts, reverse=True)[threshold - 1]
-
-
-def _id_space_of(overlay: Any) -> int:
-    """Linearized identifier-space size (``2**bits``, or ``d * 2**d``).
-
-    Mirrors :func:`repro.sim.chaos.id_space_of`; duplicated here because
-    importing :mod:`repro.sim.chaos` from this module would close an
-    import cycle through the :mod:`repro.sim` package init (this module
-    is imported by ``repro.sim.maintenance`` and ``repro.overlay``).
-    """
-    space = getattr(overlay, "space", None)
-    if space is not None:
-        return space.size
-    return overlay.capacity
-
-
-def _linear_owner(overlay: Any, key_id: int) -> Any:
-    """The node owning linearized key ``key_id`` (either overlay kind)."""
-    if hasattr(overlay, "delinearize"):
-        return overlay.closest_node(overlay.delinearize(key_id))
-    return overlay.successor_of(key_id)
-
-
-def _linear_uid(overlay: Any, node: Any) -> int:
-    """A node's position in the linearized identifier space."""
-    if hasattr(overlay, "delinearize"):
-        return overlay.linearize(node.cid)
-    return node.node_id
 
 
 # ----------------------------------------------------------------------
@@ -164,12 +137,12 @@ class SymmetricPlacement(PlacementPolicy):
     kind = "symmetric"
 
     def holders(self, overlay: Any, key_id: int, count: int) -> list:
-        space = _id_space_of(overlay)
+        space = overlay.id_space_size
         out: list = []
         seen: set[int] = set()
         for i in range(count):
-            node = _linear_owner(overlay, (key_id + i * space // count) % space)
-            uid = _linear_uid(overlay, node)
+            node = overlay.owner_of((key_id + i * space // count) % space)
+            uid = overlay.uid_of(node)
             if uid not in seen:
                 seen.add(uid)
                 out.append(node)
@@ -178,8 +151,8 @@ class SymmetricPlacement(PlacementPolicy):
         for _ in range(overlay.num_nodes):
             if len(out) >= count or len(out) >= overlay.num_nodes:
                 break
-            node = _linear_owner(overlay, cursor)
-            uid = _linear_uid(overlay, node)
+            node = overlay.owner_of(cursor)
+            uid = overlay.uid_of(node)
             if uid not in seen:
                 seen.add(uid)
                 out.append(node)

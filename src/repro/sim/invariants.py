@@ -5,8 +5,9 @@ the simulator's bookkeeping is exact, so this module centralises the
 checkable invariants and makes them cheap to run after every churn event:
 
 * **structural** — membership indexes agree with the node objects, and the
-  successor/predecessor (Chord) or leaf-set (Cycloid) links form the
-  unique ring over the live population;
+  overlay's own ``check_invariants()`` holds (successor/predecessor links
+  on Chord, leaf sets on Cycloid form the unique ring over the live
+  population);
 * **directory conservation** — a *census* of every stored
   ``(namespace, key, item)`` piece, taken before and after a churn event:
   joins, graceful leaves, stabilization rounds and replica repair must
@@ -28,10 +29,9 @@ so every event is validated as it happens.  The experiment runner's
 ``--invariants`` flag and the ``repro check`` CLI subcommand both install
 guards this way.
 
-The checkers deliberately duck-type the two overlays (anything with
-``check_ring_invariants`` is treated as a Chord ring, anything with
-``delinearize`` as a Cycloid overlay) so this module imports nothing from
-:mod:`repro.overlay` and stays cycle-free.
+The checkers reach overlays only through the
+:class:`~repro.overlay.base.Overlay` interface and import nothing from
+:mod:`repro.overlay`, so this module stays cycle-free.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from repro.sim.durability import decodable_level
 __all__ = [
     "InvariantViolation",
     "ChurnGuard",
-    "check_chord_ring",
-    "check_cycloid_overlay",
     "check_overlay",
     "check_replica_placement",
     "directory_census",
@@ -116,77 +114,34 @@ def directory_census(overlay: Any, policy: Any = None) -> Counter:
 # ----------------------------------------------------------------------
 # Structural checks
 # ----------------------------------------------------------------------
-def check_chord_ring(ring: Any) -> None:
-    """Membership-index consistency plus successor/predecessor ring links."""
-    ids = ring.node_ids
-    _check(bool(ids), "chord: ring has no members")
-    _check(ids == sorted(ids), f"chord: node index not sorted: {ids}")
-    _check(len(ids) == len(set(ids)), f"chord: duplicate node IDs: {ids}")
-    _check(
-        ring.num_nodes == len(ids),
-        f"chord: num_nodes {ring.num_nodes} != index size {len(ids)}",
-    )
-    for nid in ids:
-        try:
-            node = ring.node(nid)
-        except KeyError:
-            raise InvariantViolation(
-                f"chord: id {nid} indexed but absent from the node map"
-            ) from None
-        _check(node.alive, f"chord: dead node {nid} still indexed as live")
-        _check(
-            node.node_id == nid,
-            f"chord: node map inconsistent at {nid} (object says {node.node_id})",
-        )
-    try:
-        ring.check_ring_invariants()
-    except InvariantViolation:
-        raise
-    except AssertionError as exc:
-        raise InvariantViolation(f"chord ring links: {exc}") from exc
-
-
-def check_cycloid_overlay(overlay: Any) -> None:
-    """Cluster-index consistency plus Cycloid leaf-set mutuality."""
+def check_overlay(overlay: Any) -> None:
+    """Membership-index consistency plus the overlay's own link checks."""
+    kind = overlay.kind
     ids = overlay.node_ids
-    _check(bool(ids), "cycloid: overlay has no members")
-    _check(len(ids) == len(set(ids)), f"cycloid: duplicate node IDs: {ids}")
+    _check(bool(ids), f"{kind}: overlay has no members")
+    _check(len(ids) == len(set(ids)), f"{kind}: duplicate node IDs: {ids}")
     _check(
         overlay.num_nodes == len(ids),
-        f"cycloid: num_nodes {overlay.num_nodes} != index size {len(ids)}",
+        f"{kind}: num_nodes {overlay.num_nodes} != index size {len(ids)}",
     )
-    clusters = sorted({cid.a for cid in ids})
-    _check(
-        overlay.num_clusters == len(clusters),
-        f"cycloid: num_clusters {overlay.num_clusters} != {len(clusters)} "
-        "non-empty clusters in the index",
-    )
-    for cid in ids:
+    for uid in ids:
         try:
-            node = overlay.node(cid)
+            node = overlay.node(uid)
         except KeyError:
             raise InvariantViolation(
-                f"cycloid: id {cid} indexed but absent from the node map"
+                f"{kind}: id {uid} indexed but absent from the node map"
             ) from None
-        _check(node.alive, f"cycloid: dead node {cid} still indexed as live")
+        _check(node.alive, f"{kind}: dead node {uid} still indexed as live")
         _check(
-            node.cid == cid,
-            f"cycloid: node map inconsistent at {cid} (object says {node.cid})",
+            node.uid == uid,
+            f"{kind}: node map inconsistent at {uid} (object says {node.uid})",
         )
     try:
         overlay.check_invariants()
     except InvariantViolation:
         raise
     except AssertionError as exc:
-        raise InvariantViolation(f"cycloid leaf sets: {exc}") from exc
-
-
-def check_overlay(overlay: Any) -> None:
-    """Dispatch to the overlay-appropriate structural check."""
-    if hasattr(overlay, "check_ring_invariants"):
-        check_chord_ring(overlay)
-    else:
-        check_cycloid_overlay(overlay)
+        raise InvariantViolation(f"{kind} links: {exc}") from exc
 
 
 def overlay_of(service: Any) -> Any:
@@ -202,12 +157,6 @@ def overlay_of(service: Any) -> Any:
 # ----------------------------------------------------------------------
 # Replica placement (strict; valid immediately after repair_replication)
 # ----------------------------------------------------------------------
-def _replicas_for(overlay: Any, key_id: int) -> list:
-    if hasattr(overlay, "delinearize"):
-        return overlay.replica_set(overlay.delinearize(key_id))
-    return overlay.replica_set(key_id)
-
-
 def check_replica_placement(overlay: Any) -> None:
     """Every stored key sits on exactly its replica set, identically.
 
@@ -216,11 +165,10 @@ def check_replica_placement(overlay: Any) -> None:
     """
     holders: dict[tuple[str, int], dict[Any, Counter]] = {}
     for node in list(overlay.nodes()):
-        for namespace, key_id, item in node.stored_entries():
-            per_key = holders.setdefault((namespace, key_id), {})
-            per_key.setdefault(node.uid, Counter())[item] += 1
+        for bucket_key, pieces in node.bucket_counts().items():
+            holders.setdefault(bucket_key, {})[node.uid] = pieces
     for (namespace, key_id), per_key in holders.items():
-        expected = {n.uid for n in _replicas_for(overlay, key_id)}
+        expected = {n.uid for n in overlay.replica_set_of(key_id)}
         actual = set(per_key)
         _check(
             actual == expected,
@@ -271,10 +219,10 @@ class ChurnGuard:
     def __init__(self, service: Any) -> None:
         self.service = service
         self.overlay = overlay_of(service)
-        self.policy = getattr(self.overlay, "durability", None)
+        self.policy = self.overlay.durability
         #: Number of churn events validated so far.
         self.events = 0
-        fragments_fate_share = self.policy is not None and self.policy.is_erasure
+        fragments_fate_share = self.policy.is_erasure
         for name in self._CONSERVING:
             exact = name == "stabilize" or not fragments_fate_share
             setattr(service, name, self._guarded(getattr(service, name), exact=exact))
@@ -282,13 +230,12 @@ class ChurnGuard:
         self.overlay.repair_replication = self._guarded(
             self.overlay.repair_replication, exact=True, placement=True
         )
-        if hasattr(self.overlay, "repair_replication_step"):
-            # Incremental anti-entropy must conserve the census exactly,
-            # but a partial pass legitimately leaves unvisited keys
-            # misplaced — no placement assertion here.
-            self.overlay.repair_replication_step = self._guarded(
-                self.overlay.repair_replication_step, exact=True
-            )
+        # Incremental anti-entropy must conserve the census exactly, but a
+        # partial pass legitimately leaves unvisited keys misplaced — no
+        # placement assertion here.
+        self.overlay.repair_replication_step = self._guarded(
+            self.overlay.repair_replication_step, exact=True
+        )
 
     def _guarded(
         self, fn: Callable, *, exact: bool, placement: bool = False

@@ -115,10 +115,7 @@ def repair_buckets(
     # Scan surviving copies, bucketed by (namespace, key_id).
     holders: dict[tuple[str, int], list[tuple[Any, Counter]]] = {}
     for node in list(overlay.nodes()):
-        per_bucket: dict[tuple[str, int], Counter] = {}
-        for namespace, key_id, item in node.stored_entries():
-            per_bucket.setdefault((namespace, key_id), Counter())[item] += 1
-        for bucket_key, pieces in per_bucket.items():
+        for bucket_key, pieces in node.bucket_counts().items():
             holders.setdefault(bucket_key, []).append((node, pieces))
 
     ordered = sorted(holders)

@@ -63,29 +63,17 @@ def replica_deficit(overlay: Any, policy: Any = None) -> int:
     present); the default successor replication has ``threshold=1`` and
     a target of ``replication`` holders per piece.
     """
-    if policy is None:
-        policy = getattr(overlay, "durability", None)
-    threshold = 1 if policy is None else policy.threshold
+    threshold = (overlay.durability if policy is None else policy).threshold
     holders: dict[tuple[str, int], dict[Any, list[int]]] = {}
     for node in list(overlay.nodes()):
-        per_node: dict[tuple[str, int], dict[Any, int]] = {}
-        for namespace, key_id, item in node.stored_entries():
-            per_item = per_node.setdefault((namespace, key_id), {})
-            per_item[item] = per_item.get(item, 0) + 1
-        for bucket_key, pieces in per_node.items():
+        for bucket_key, pieces in node.bucket_counts().items():
             bucket = holders.setdefault(bucket_key, {})
             for item, count in pieces.items():
                 bucket.setdefault(item, []).append(count)
 
-    if hasattr(overlay, "delinearize"):
-        def replicas_for(key_id: int):
-            return overlay.replica_set(overlay.delinearize(key_id))
-    else:
-        replicas_for = overlay.replica_set
-
     deficit = 0
     for (namespace, key_id), pieces in holders.items():
-        target_holders = len(replicas_for(key_id))
+        target_holders = len(overlay.replica_set_of(key_id))
         for item, counts in pieces.items():
             level = decodable_level(counts, threshold)
             for j in range(1, level + 1):

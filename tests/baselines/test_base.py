@@ -101,4 +101,4 @@ class TestChurnBookkeeping:
         service = SwordService.build_full(5, schema, seed=1)
         service.churn_leave()
         service.stabilize()
-        service.ring.check_ring_invariants()
+        service.ring.check_invariants()

@@ -65,7 +65,7 @@ class TestChordCrashRejoin:
         ring.join(8)
         assert not old.alive  # the corpse is not revived in place
         assert ring.node(8) is not old
-        ring.check_ring_invariants()
+        ring.check_invariants()
 
 
 class TestCycloidCrashRejoin:

@@ -25,8 +25,8 @@ class TestConstruction:
             ChordRing(4).build([])
 
     def test_ring_invariants_after_build(self, full_ring, sparse_ring):
-        full_ring.check_ring_invariants()
-        sparse_ring.check_ring_invariants()
+        full_ring.check_invariants()
+        sparse_ring.check_invariants()
 
     def test_fingers_point_to_true_successors(self, sparse_ring):
         for node in sparse_ring.nodes():

@@ -98,7 +98,7 @@ class TestLeave:
         r = random.Random(3)
         for _ in range(8):
             ring.leave(r.choice(ring.node_ids))
-        ring.check_ring_invariants()
+        ring.check_invariants()
 
 
 class TestChurnStorm:
@@ -125,7 +125,7 @@ class TestChurnStorm:
         for key in range(0, 128, 7):
             start = ring.node(r.choice(ring.node_ids))
             assert ring.lookup(start, key).owner is ring.successor_of(key)
-        ring.check_ring_invariants()
+        ring.check_invariants()
 
     def test_total_data_conserved_through_churn(self, ring):
         r = random.Random(17)

@@ -1,0 +1,239 @@
+"""The :class:`repro.overlay.base.Overlay` contract, for every overlay class.
+
+``ChordRing``, ``ReCordOverlay``, ``SingleHopRing`` and ``CycloidOverlay``
+share one skeleton: the same ``lookup`` dispatch, traced wrapper,
+fault-path route, walk-span wrapper, storage, replica repair and depart
+path — literally the same function objects — and only differ in the
+geometry hooks underneath.  These tests pin that, and the behaviour the
+skeleton promises, on all four.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+import re
+
+import pytest
+
+from repro.obs.spans import QueryTracer
+from repro.overlay.base import Overlay
+from repro.overlay.chord import ChordRing
+from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.overlay.record import ReCordOverlay
+from repro.overlay.singlehop import SingleHopRing
+from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
+
+OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
+
+#: Every method the skeleton owns; each must resolve to ``Overlay``'s one
+#: definition on every class ...
+SKELETON = (
+    "num_nodes", "node", "faults_active", "lookup", "_lookup_traced",
+    "_lookup_faulty", "walk", "_truncate_walk", "replica_set",
+    "replica_set_of", "native_holders", "store", "routed_store", "discard",
+    "repair_replication", "repair_replication_step", "leave", "fail",
+    "_depart", "_refresh_routing_state", "stabilize_step",
+    "refresh_routing_step", "stabilize_all", "outlink_counts",
+    "directory_sizes",
+)
+#: ... except where the single-hop tier changes the *accounting*: it
+#: disseminates membership events through the stabilize machinery and
+#: counts its full membership table as outlinks.
+PERMITTED_OVERRIDES = {
+    SingleHopRing: {
+        "_refresh_routing_state", "stabilize_step", "stabilize_all",
+        "outlink_counts",
+    },
+}
+
+
+def make_overlay(cls, *, full: bool = False, **kwargs):
+    """A 64-position overlay of ``cls``: full, or 40 scattered members."""
+    rng = random.Random(7)
+    if cls is CycloidOverlay:
+        overlay = cls(4, **kwargs)
+        ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
+    else:
+        overlay = cls(6, **kwargs)
+        ids = list(range(64))
+    overlay.build(ids if full else rng.sample(ids, 40))
+    return overlay
+
+
+def native_key(overlay, rng: random.Random):
+    """A uniformly random key in ``overlay``'s native key type."""
+    return overlay.key_of(rng.randrange(overlay.id_space_size))
+
+
+def walk_bounds(overlay, start):
+    """``(lo, hi)`` of a walk that leaves ``start`` but stays short."""
+    if isinstance(overlay, CycloidOverlay):
+        return start.k, (start.k + 2) % overlay.dimension
+    return start.node_id, (start.node_id + 20) % overlay.id_space_size
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+class TestOneSkeleton:
+    def test_skeleton_methods_resolve_to_overlay(self, cls):
+        permitted = PERMITTED_OVERRIDES.get(cls, set())
+        for name in SKELETON:
+            shared = getattr(cls, name) is getattr(Overlay, name)
+            assert shared != (name in permitted), name
+
+    def test_walk_is_published_under_the_overlays_own_name(self, cls):
+        name = "walk_cluster" if cls is CycloidOverlay else "walk_arc"
+        assert getattr(cls, name) is Overlay.walk
+        # LormService picks its flat mode off this attribute's absence.
+        assert hasattr(cls, "walk_cluster") == (cls is CycloidOverlay)
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+class TestTracedEqualsUntraced:
+    def test_lookup(self, cls):
+        overlay = make_overlay(cls)
+        rng = random.Random(11)
+        nodes = list(overlay.nodes())
+        for _ in range(40):
+            start, key = rng.choice(nodes), native_key(overlay, rng)
+            plain = overlay.lookup(start, key)
+            overlay.tracer = tracer = QueryTracer()
+            traced = overlay.lookup(start, key)
+            overlay.tracer = None
+            assert traced == plain
+            (trace,) = tracer.traces
+            assert trace.hop_count() == traced.hops == len(traced.path) - 1
+
+    def test_lookup_under_loss(self, cls):
+        policy = LookupPolicy(max_retries=3)
+        for seed in range(6):
+            results = []
+            for traced in (False, True):
+                overlay = make_overlay(cls, full=True)
+                overlay.network.faults = FaultInjector(
+                    FaultPlan(loss_rate=0.3, seed=seed)
+                )
+                tracer = QueryTracer() if traced else None
+                overlay.tracer = tracer
+                nodes = list(overlay.nodes())
+                results.append(
+                    overlay.lookup(nodes[0], overlay.key_of(47), policy)
+                )
+            plain, traced_result = results
+            # Same seeded drops, same route: compare by value (the two
+            # overlays hold distinct node objects).
+            assert traced_result.path == plain.path
+            assert traced_result.retries == plain.retries
+            assert traced_result.complete == plain.complete
+            (trace,) = tracer.traces
+            assert trace.hop_count() == traced_result.hops
+            assert len(trace.events_of("retry")) == traced_result.retries
+
+    def test_walk(self, cls):
+        overlay = make_overlay(cls)
+        for start in list(overlay.nodes())[::7]:
+            lo, hi = walk_bounds(overlay, start)
+            plain = overlay.walk(start, lo, hi)
+            overlay.tracer = tracer = QueryTracer()
+            traced = overlay.walk(start, lo, hi)
+            overlay.tracer = None
+            assert traced == plain
+            assert traced.truncated == plain.truncated
+            (trace,) = tracer.traces
+            assert trace.hop_count() == len(traced) - 1
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+class TestStorageAndRepair:
+    def test_store_places_on_the_replica_set(self, cls):
+        overlay = make_overlay(cls, replication=3)
+        key = native_key(overlay, random.Random(3))
+        owner = overlay.store("ns", key, "item")
+        key_id = overlay.key_id(key)
+        replicas = overlay.replica_set(key)
+        assert owner is replicas[0] is overlay.owner_of(key_id)
+        assert replicas == overlay.replica_set_of(key_id)
+        for holder in replicas:
+            assert holder.items_at("ns", key_id) == ["item"]
+        assert overlay.discard("ns", key, "item") == len(replicas)
+        assert sum(overlay.directory_sizes("ns")) == 0
+
+    def test_routed_store_matches_oracle_placement(self, cls):
+        oracle, routed = (make_overlay(cls, replication=2) for _ in range(2))
+        rng = random.Random(5)
+        for i in range(20):
+            key = native_key(oracle, rng)
+            oracle.store("ns", key, i)
+            result = routed.routed_store(next(iter(routed.nodes())), "ns", key, i)
+            assert result.owner.uid == oracle.owner_of(oracle.key_id(key)).uid
+        assert routed.directory_sizes("ns") == oracle.directory_sizes("ns")
+
+    def test_repair_leaves_every_bucket_exactly_on_its_replica_set(self, cls):
+        overlay = make_overlay(cls, replication=3)
+        rng = random.Random(9)
+        for i in range(60):
+            overlay.store("ns", native_key(overlay, rng), f"v{i}")
+        for _ in range(6):
+            overlay.fail(rng.choice(overlay.node_ids))
+            overlay.leave(rng.choice(overlay.node_ids))
+        assert overlay.repair_replication() > 0
+        holders: dict[int, set] = {}
+        for node in overlay.nodes():
+            for _, key_id, _ in node.stored_entries():
+                holders.setdefault(key_id, set()).add(node.uid)
+        assert holders
+        for key_id, uids in holders.items():
+            assert uids == {n.uid for n in overlay.replica_set_of(key_id)}, key_id
+        # A second pass finds nothing left to move into place.
+        assert overlay.repair_replication_step().copies_moved == 0
+        overlay.check_invariants()
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+@pytest.mark.parametrize("removal", ["leave", "fail"])
+class TestDepartValidation:
+    """``leave`` / ``fail`` normalise ids exactly as ``join`` does and
+    refuse non-members before touching any state."""
+
+    @staticmethod
+    def vacant_and_alias(overlay):
+        """A vacant normalised id plus an un-normalised spelling of it."""
+        if isinstance(overlay, CycloidOverlay):
+            vacant = next(
+                CycloidId(k, a) for a in range(16) for k in range(4)
+                if CycloidId(k, a) not in overlay.node_ids
+            )
+            return vacant, CycloidId(vacant.k + 4, vacant.a + 16)
+        vacant = next(i for i in range(64) if i not in overlay.node_ids)
+        return vacant, vacant + 64
+
+    def test_unnormalised_id_departs_like_it_joined(self, cls, removal):
+        overlay = make_overlay(cls)
+        vacant, alias = self.vacant_and_alias(overlay)
+        assert overlay.join(alias).uid == vacant
+        getattr(overlay, removal)(alias)
+        assert vacant not in overlay.node_ids
+        assert overlay.num_nodes == 40
+        overlay.stabilize_all()
+        overlay.check_invariants()
+
+    def test_absent_id_is_refused_before_any_state_is_touched(self, cls, removal):
+        overlay = make_overlay(cls)
+        overlay.store("ns", native_key(overlay, random.Random(1)), "x")
+        vacant, _ = self.vacant_and_alias(overlay)
+
+        def state():
+            return (
+                list(overlay.node_ids),
+                overlay.directory_sizes(),
+                overlay.network.stats.snapshot(),
+                copy.deepcopy(getattr(overlay, "_pending", None)),
+            )
+
+        before = state()
+        with pytest.raises(
+            ValueError, match=re.escape(str(vacant)) + r".*population 40"
+        ):
+            getattr(overlay, removal)(vacant)
+        assert state() == before
+        overlay.check_invariants()

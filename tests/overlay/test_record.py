@@ -92,7 +92,7 @@ def test_invariants_and_routing_survive_churn():
     ring.fail(ring.node_ids[-1])
     ring.join(1)
     ring.stabilize_all()
-    ring.check_ring_invariants()
+    ring.check_invariants()
     for key in range(0, ring.space.size, 5):
         result = ring.lookup(ring.node(ring.node_ids[0]), key)
         assert result.owner is ring.successor_of(key)

@@ -146,7 +146,7 @@ def test_ring_invariants_hold_through_churn():
     ring.leave(ring.node_ids[2])
     ring.fail(ring.node_ids[-1])
     ring.join(1)
-    ring.check_ring_invariants()
+    ring.check_invariants()
 
 
 def test_duplicate_join_raises_like_chord():

@@ -72,7 +72,7 @@ class TestChordChurnSequences:
             _apply(service, op)
         service.stabilize()
         ring = service.ring
-        ring.check_ring_invariants()
+        ring.check_invariants()
 
         # Routable: every key resolves to the true successor from any start.
         starts = ring.node_ids

@@ -70,7 +70,7 @@ class TestChordProperties:
     def test_ring_invariants_for_any_membership(self, members):
         ring = ChordRing(6)
         ring.build(members)
-        ring.check_ring_invariants()
+        ring.check_invariants()
 
 
 # ---------------------------------------------------------------------------
