@@ -29,7 +29,8 @@ from repro.core.resource import (
 from repro.hashing.consistent import ConsistentHash
 from repro.hashing.locality import LocalityPreservingHash
 from repro.hashing.spread import spread_attribute_ids
-from repro.overlay.chord import ChordNode, ChordRing
+from repro.overlay.chord import ChordRing
+from repro.sim.invariants import overlay_of
 from repro.sim.metrics import MetricsRegistry
 from repro.utils.seeding import SeedFactory
 from repro.workloads.attributes import AttributeSchema
@@ -73,6 +74,9 @@ class DiscoveryService(ABC):
 
     metrics: MetricsRegistry
     schema: AttributeSchema
+    #: The query stream's RNG (entry-node draws); set by each substrate
+    #: binding's constructor.
+    _rng: np.random.Generator
 
     # ------------------------------------------------------------------
     # Tracing
@@ -86,8 +90,6 @@ class DiscoveryService(ABC):
         message; detached, the hot paths are byte-for-byte the untraced
         ones.
         """
-        from repro.sim.invariants import overlay_of
-
         self.tracer = tracer
         overlay_of(self).tracer = tracer
 
@@ -214,8 +216,7 @@ class DiscoveryService(ABC):
     def _multi_query_impl(
         self, mq: MultiAttributeQuery, start: Any | None = None
     ) -> MultiQueryResult:
-        if start is None:
-            start = self.random_node()
+        start = self._resolve_start(start)
         sub_results = tuple(self.query(q, start) for q in mq.sub_queries())
         providers = join_on_provider([r.matches for r in sub_results])
         self.metrics.record_pair(
@@ -254,8 +255,6 @@ class DiscoveryService(ABC):
         pre-latency world.  Attaching resets the RTT book so back-to-back
         measurement cells never share estimator state.
         """
-        from repro.sim.invariants import overlay_of
-
         net = overlay_of(self).network
         net.latency_model = model
         net.reset_rtt()
@@ -264,9 +263,22 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     # Structure metrics (Figure 3)
     # ------------------------------------------------------------------
-    @abstractmethod
     def random_node(self) -> Any:
         """A uniformly random live node (query entry point)."""
+        overlay = overlay_of(self)
+        ids = overlay.node_ids
+        return overlay.node(ids[int(self._rng.integers(len(ids)))])
+
+    def _resolve_start(self, start: Any | None) -> Any:
+        return start if start is not None else self.random_node()
+
+    def _failed_result(self, lookup: Any) -> QueryResult:
+        """A lookup that never reached an owner: honest empty partial."""
+        self.metrics.record_pair("query.hops", lookup.hops, "query.visited", 0)
+        return QueryResult(
+            matches=(), hops=lookup.hops, visited_nodes=0,
+            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
+        )
 
     @abstractmethod
     def directory_sizes(self) -> list[int]:
@@ -339,7 +351,6 @@ class DiscoveryService(ABC):
     def maintenance_round(self) -> Any:
         """The service's lazily created budgeted-maintenance round (one
         round-robin cursor state per service)."""
-        from repro.sim.invariants import overlay_of
         from repro.sim.maintenance import MaintenanceRound
 
         round_ = getattr(self, "_maintenance_round", None)
@@ -515,10 +526,6 @@ class ChordBackedService(DiscoveryService):
             self._value_hashes[attribute] = vh
         return vh
 
-    def random_node(self) -> ChordNode:
-        ids = self.ring.node_ids
-        return self.ring.node(ids[int(self._rng.integers(len(ids)))])
-
     def directory_sizes(self) -> list[int]:
         return self.ring.directory_sizes()
 
@@ -537,17 +544,6 @@ class ChordBackedService(DiscoveryService):
     def max_visited_per_subquery(self) -> int:
         # A range walk can cover the whole ring (Theorem 4.10's worst case).
         return self.ring.num_nodes
-
-    def _resolve_start(self, start: ChordNode | None) -> ChordNode:
-        return start if start is not None else self.random_node()
-
-    def _failed_result(self, lookup: Any) -> QueryResult:
-        """A lookup that never reached an owner: honest empty partial."""
-        self.metrics.record_pair("query.hops", lookup.hops, "query.visited", 0)
-        return QueryResult(
-            matches=(), hops=lookup.hops, visited_nodes=0,
-            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
-        )
 
     def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
         self.ring.network.faults = injector

@@ -13,6 +13,7 @@ spread over the whole ring, the walk spans the entire system
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, ClassVar
 
 from repro.baselines.base import ChordBackedService
@@ -112,9 +113,9 @@ class MaanService(ChordBackedService):
                     timed_out=value_lookup.timed_out,
                 )
             matches = tuple(
-                info
-                for info in value_lookup.owner.items_at(_VALUE_NS, value_key)
-                if info.attribute == q.attribute and constraint.matches(info.value)
+                value_lookup.owner.items_at(
+                    _VALUE_NS, value_key, q.attribute, *constraint.bounds
+                )
             )
             self.ring.network.count_directory_check(1)
             if stats is not None:
@@ -141,12 +142,12 @@ class MaanService(ChordBackedService):
         walk = self.ring.walk_arc(value_lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
-            matches = tuple(
-                info
+            attribute = q.attribute
+            low_value, high_value = constraint.bounds
+            matches = tuple(chain.from_iterable(
+                node.items_in(_VALUE_NS, attribute, low_value, high_value)
                 for node in walk
-                for info in node.items_in(_VALUE_NS)
-                if info.attribute == q.attribute and constraint.matches(info.value)
-            )
+            ))
         hops = attr_lookup.hops + value_lookup.hops + (len(walk) - 1)
         visited = 1 + len(walk)  # attribute root + every walked value node
         self.ring.network.count_hop(len(walk) - 1)

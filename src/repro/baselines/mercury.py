@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, QueryResult, ResourceInfo
+from repro.core.resource import Query, QueryResult, ResourceInfo, select_matches
 
 __all__ = ["MercuryService"]
 
@@ -72,11 +72,7 @@ class MercuryService(ChordBackedService):
             lookup = self.ring.lookup(start, key)
             if not lookup.complete:
                 return self._failed_result(lookup)
-            matches = tuple(
-                info
-                for info in lookup.owner.items_at(namespace, key)
-                if constraint.matches(info.value)
-            )
+            matches = select_matches((lookup.owner.items_at(namespace, key),), constraint)
             self.ring.network.count_directory_check(1)
             if self.load_stats is not None:
                 self.load_stats.record_serve(lookup.owner.uid, q.attribute)
@@ -95,11 +91,8 @@ class MercuryService(ChordBackedService):
         walk = self.ring.walk_arc(lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
-            matches = tuple(
-                info
-                for node in walk
-                for info in node.items_in(namespace)
-                if constraint.matches(info.value)
+            matches = select_matches(
+                (node.items_in(namespace) for node in walk), constraint
             )
         hops = lookup.hops + (len(walk) - 1)
         self.ring.network.count_hop(len(walk) - 1)

@@ -74,9 +74,7 @@ class SwordService(ChordBackedService):
         if not lookup.complete:
             return self._failed_result(lookup)
         matches = tuple(
-            info
-            for info in lookup.owner.items_at(dir_ns, dir_key)
-            if info.attribute == q.attribute and constraint.matches(info.value)
+            lookup.owner.items_at(dir_ns, dir_key, q.attribute, *constraint.bounds)
         )
         self.ring.network.count_directory_check(1)
         if self.load_stats is not None:

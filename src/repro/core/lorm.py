@@ -25,11 +25,11 @@ from typing import Any, ClassVar
 import numpy as np
 
 from repro.baselines.base import DiscoveryService
-from repro.core.resource import Query, QueryResult, ResourceInfo
+from repro.core.resource import Query, QueryResult, ResourceInfo, select_matches
 from repro.hashing.consistent import ConsistentHash
 from repro.hashing.locality import LocalityPreservingHash
 from repro.hashing.spread import spread_attribute_ids
-from repro.overlay.cycloid import CycloidId, CycloidNode, CycloidOverlay
+from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.sim.metrics import MetricsRegistry
 from repro.utils.seeding import SeedFactory
 from repro.workloads.attributes import AttributeSchema
@@ -239,10 +239,8 @@ class LormService(DiscoveryService):
             lookup = self.overlay.lookup(start, key)
             if not lookup.complete:
                 return self._failed_result(lookup)
-            matches = tuple(
-                info
-                for info in lookup.owner.items_at(_NAMESPACE, stored_at)
-                if info.attribute == q.attribute and constraint.matches(info.value)
+            matches = select_matches(
+                (lookup.owner.items_at(_NAMESPACE, stored_at),), constraint
             )
             self.overlay.network.count_directory_check(1)
             if self.load_stats is not None:
@@ -272,11 +270,8 @@ class LormService(DiscoveryService):
             walk = self.overlay.walk_cluster(lookup.owner, k1, k2)
         matches: tuple = ()
         if self.collect_matches:
-            matches = tuple(
-                info
-                for node in walk
-                for info in node.items_in(_NAMESPACE)
-                if info.attribute == q.attribute and constraint.matches(info.value)
+            matches = select_matches(
+                (node.items_in(_NAMESPACE) for node in walk), constraint
             )
         hops = lookup.hops + (len(walk) - 1)
         self.overlay.network.count_hop(len(walk) - 1)
@@ -292,24 +287,12 @@ class LormService(DiscoveryService):
             timed_out=walk.timed_out,
         )
 
-    def _failed_result(self, lookup: Any) -> QueryResult:
-        """A lookup that never reached an owner: honest empty partial."""
-        self._record(lookup.hops, 0)
-        return QueryResult(
-            matches=(), hops=lookup.hops, visited_nodes=0,
-            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
-        )
-
     def _record(self, hops: int, visited: int) -> None:
         self.metrics.record_pair("query.hops", hops, "query.visited", visited)
 
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
-    def random_node(self) -> CycloidNode:
-        ids = self.overlay.node_ids
-        return self.overlay.node(ids[int(self._rng.integers(len(ids)))])
-
     def directory_sizes(self) -> list[int]:
         return self.overlay.directory_sizes()
 
@@ -333,9 +316,6 @@ class LormService(DiscoveryService):
         # cluster holds at most ``d`` nodes; the linearized arc on a flat
         # ring spans at most ``d`` IDs, so the same bound carries over.
         return self.dimension
-
-    def _resolve_start(self, start: CycloidNode | None) -> CycloidNode:
-        return start if start is not None else self.random_node()
 
     def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
         self.overlay.network.faults = injector

@@ -11,6 +11,7 @@ identical workloads through each.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.utils.validation import require
@@ -22,10 +23,11 @@ __all__ = [
     "MultiAttributeQuery",
     "QueryResult",
     "MultiQueryResult",
+    "select_matches",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceInfo:
     """One piece of available-resource information, ``⟨a, δπ_a, ip_addr⟩``.
 
@@ -45,6 +47,12 @@ class ResourceInfo:
     attribute: str
     value: float
     provider: str
+
+    def __post_init__(self) -> None:
+        # NaN compares false with everything: it would slip through every
+        # range test and break the ordered directory views' bisects.
+        if self.value != self.value:
+            raise ValueError(f"NaN value for attribute {self.attribute!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,10 @@ class AttributeConstraint:
     high: float | None = None
 
     def __post_init__(self) -> None:
+        if self.low != self.low or self.high != self.high:
+            raise ValueError(
+                f"NaN bound for attribute {self.attribute!r}: [{self.low}, {self.high}]"
+            )
         if self.low is not None and self.high is not None:
             require(
                 self.low <= self.high,
@@ -109,12 +121,35 @@ class AttributeConstraint:
             return False
         return True
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """Inclusive ``(low, high)`` with ``-inf`` / ``+inf`` standing in
+        for an unbounded side — ``low <= value <= high`` is :meth:`matches`."""
+        return self.bounds_within(-math.inf, math.inf)
+
     def bounds_within(self, lo: float, hi: float) -> tuple[float, float]:
         """Concrete inclusive bounds, substituting the attribute domain
         ``[lo, hi]`` for unbounded sides."""
         low = lo if self.low is None else self.low
         high = hi if self.high is None else self.high
         return low, high
+
+
+def select_matches(
+    directories: Iterable[Iterable[ResourceInfo]], constraint: AttributeConstraint
+) -> tuple[ResourceInfo, ...]:
+    """The infos of the visited ``directories`` that satisfy ``constraint``
+    — the scan-side match, for directories small or single-attribute
+    enough that an ordered view (``OverlayNode.items_in`` with an
+    attribute) would cost more than it saves."""
+    attribute = constraint.attribute
+    low, high = constraint.bounds
+    return tuple([
+        info
+        for directory in directories
+        for info in directory
+        if low <= info.value <= high and info.attribute == attribute
+    ])
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,9 @@ class Overlay:
         #: has no active fault injector.
         self.lookup_policy: LookupPolicy = DEFAULT_POLICY
         self._nodes: dict[Any, OverlayNode] = {}
+        #: :attr:`node_ids` of the current membership epoch (``None``:
+        #: not derived yet) — flushed with the routing caches.
+        self._node_ids: tuple | None = None
         #: Optional hop-level span tracer (:class:`repro.obs.spans.
         #: QueryTracer`).  ``None`` (the default) keeps the routing hot
         #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
@@ -102,6 +105,28 @@ class Overlay:
     def node(self, node_id: Any) -> OverlayNode:
         """The live node with identifier ``node_id``."""
         return self._nodes[node_id]
+
+    @property
+    def node_ids(self) -> tuple:
+        """Live node IDs in the overlay's native order (``_ordered_ids``),
+        derived once per membership epoch: entry-node selection reads this
+        on every query."""
+        ids = self._node_ids
+        if ids is None:
+            ids = self._node_ids = tuple(self._ordered_ids())
+        return ids
+
+    def invalidate_routing_caches(self) -> None:
+        """Drop every cache derived from the membership (it, or a liveness
+        flag, changed).
+
+        Called automatically by every membership-changing entry point
+        (``build`` / ``join`` / ``leave`` / ``fail``); public so external
+        code that mutates routing state in place (e.g. tests staging stale
+        fingers) can restore cache coherence.  Subclasses extend it with
+        their own derived-routing caches.
+        """
+        self._node_ids = None
 
     # ------------------------------------------------------------------
     # Routed lookup

@@ -143,12 +143,7 @@ class ChordRing(Overlay):
         self._cpf_cache: dict[int, list[ChordNode]] = {}
 
     def invalidate_routing_caches(self) -> None:
-        """Drop all derived-routing caches (membership or liveness changed).
-
-        Called automatically by every membership-changing entry point;
-        public so external code that mutates routing state in place (e.g.
-        tests staging stale fingers) can restore cache coherence.
-        """
+        super().invalidate_routing_caches()
         self._succ_cache.clear()
         self._cpf_cache.clear()
 
@@ -160,10 +155,9 @@ class ChordRing(Overlay):
         """ID-space width."""
         return self.space.bits
 
-    @property
-    def node_ids(self) -> list[int]:
+    def _ordered_ids(self) -> Iterable[int]:
         """Live node IDs in ring order."""
-        return self._sorted_ids.as_list()
+        return self._sorted_ids
 
     def nodes(self) -> Iterable[ChordNode]:
         """All live nodes, in ring order."""
@@ -306,7 +300,7 @@ class ChordRing(Overlay):
                 cur = self._closest_preceding(cur, key)
             hops += 1
             path.append(cur.node_id)
-            self.network.count_hop()
+        self.network.count_hop(hops)
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
 
     def edge_kind(self, src: ChordNode, dst: ChordNode) -> str:

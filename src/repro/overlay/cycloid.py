@@ -186,7 +186,7 @@ class CycloidOverlay(Overlay):
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
 
     def invalidate_routing_caches(self) -> None:
-        """Drop the owner cache (membership changed)."""
+        super().invalidate_routing_caches()
         self._owner_cache.clear()
 
     # ------------------------------------------------------------------
@@ -202,12 +202,11 @@ class CycloidOverlay(Overlay):
         """Current number of non-empty clusters."""
         return len(self._cluster_ids)
 
-    @property
-    def node_ids(self) -> list[CycloidId]:
+    def _ordered_ids(self) -> Iterable[CycloidId]:
         """Live node IDs, ordered by (cluster, cyclic index)."""
-        return [
+        return (
             CycloidId(k, a) for a in self._cluster_ids for k in self._clusters[a]
-        ]
+        )
 
     def nodes(self) -> Iterable[CycloidNode]:
         """All live nodes."""
@@ -414,7 +413,7 @@ class CycloidOverlay(Overlay):
             hops += 1
             path.append(cur.cid)
             visited.add(cur.cid)
-            self.network.count_hop()
+        self.network.count_hop(hops)
         if cur is not owner:
             raise RuntimeError(
                 f"Cycloid routing did not converge: {start.cid} -> {target} "

@@ -9,8 +9,11 @@ accounting — the quantity plotted throughout Figure 3 — exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import inf
+from operator import attrgetter
 from typing import Any
 
 __all__ = ["LookupResult", "OverlayNode", "WalkResult", "trace_fault_step"]
@@ -80,6 +83,10 @@ class WalkResult(list):
         return not self.truncated
 
 
+#: A view's sort key (stable, so equal keys keep their bucket order).
+_VIEW_ORDER = attrgetter("attribute", "value")
+
+
 class OverlayNode:
     """A DHT node with namespaced key→items storage.
 
@@ -87,7 +94,7 @@ class OverlayNode:
     Chord, the seven-entry routing table for Cycloid).
     """
 
-    __slots__ = ("uid", "alive", "_store")
+    __slots__ = ("uid", "alive", "_store", "_views")
 
     def __init__(self, uid: Any) -> None:
         #: Overlay-specific identifier (int for Chord, (k, a) for Cycloid).
@@ -95,6 +102,14 @@ class OverlayNode:
         #: False once the node has left; dead nodes are skipped by routing.
         self.alive = True
         self._store: dict[str, dict[int, list[Any]]] = {}
+        #: Ordered read views, ``namespace -> {key_id (None: the whole
+        #: namespace) -> (items, attributes, values)}``: the bucket's items
+        #: stably sorted by ``(attribute, value)`` with the two sort keys
+        #: as parallel lists, so an attribute/range read is four bisects
+        #: and a slice.  Pure derived state (the same idiom as the
+        #: overlays' ``_succ_cache``): built on the first filtered read,
+        #: dropped by every write to the namespace, never observable.
+        self._views: dict[str, dict[int | None, tuple[list, list, list]]] = {}
 
     # ------------------------------------------------------------------
     # Storage
@@ -102,6 +117,8 @@ class OverlayNode:
     def store(self, namespace: str, key_id: int, item: Any) -> None:
         """Store ``item`` under ``key_id`` within ``namespace``."""
         self._store.setdefault(namespace, defaultdict(list))[key_id].append(item)
+        if self._views:
+            self._views.pop(namespace, None)
 
     def has_item(self, namespace: str, key_id: int, item: Any) -> bool:
         """Whether ``item`` is already stored under ``(namespace, key_id)``.
@@ -113,19 +130,72 @@ class OverlayNode:
             return False
         return item in ns.get(key_id, ())
 
-    def items_at(self, namespace: str, key_id: int) -> list[Any]:
-        """Items stored under exactly ``(namespace, key_id)``."""
+    def items_at(
+        self,
+        namespace: str,
+        key_id: int,
+        attribute: str | None = None,
+        low: float = -inf,
+        high: float = inf,
+    ) -> list[Any]:
+        """Items stored under exactly ``(namespace, key_id)``, in bucket
+        order — or, given ``attribute``, only that attribute's items with
+        ``low <= value <= high``, in value order, read from the bucket's
+        ordered view in time proportional to the answer."""
+        if attribute is not None:
+            return self._view_slice(namespace, key_id, attribute, low, high)
         ns = self._store.get(namespace)
         if ns is None:
             return []
         return list(ns.get(key_id, ()))
 
-    def items_in(self, namespace: str) -> list[Any]:
-        """All items in ``namespace`` regardless of key."""
+    def items_in(
+        self,
+        namespace: str,
+        attribute: str | None = None,
+        low: float = -inf,
+        high: float = inf,
+    ) -> list[Any]:
+        """All items in ``namespace`` regardless of key — or, given
+        ``attribute``, the matching ones only (see :meth:`items_at`)."""
+        if attribute is not None:
+            return self._view_slice(namespace, None, attribute, low, high)
         ns = self._store.get(namespace)
         if ns is None:
             return []
         return [item for bucket in ns.values() for item in bucket]
+
+    def _view_slice(
+        self, namespace: str, key_id: int | None, attribute: str, low: float, high: float
+    ) -> list[Any]:
+        """The ``attribute`` items with ``low <= value <= high`` of one
+        bucket (``key_id=None``: of the whole namespace), via its view."""
+        try:
+            items, attributes, values = self._views[namespace][key_id]
+        except KeyError:
+            items, attributes, values = self._build_view(namespace, key_id)
+        first = bisect_left(attributes, attribute)
+        last = bisect_right(attributes, attribute, first)
+        return items[
+            bisect_left(values, low, first, last):bisect_right(values, high, first, last)
+        ]
+
+    def _build_view(self, namespace: str, key_id: int | None) -> tuple[list, list, list]:
+        """Derive (and keep until the next write to ``namespace``) the
+        ordered view of one bucket, or of the whole namespace."""
+        ns = self._store.get(namespace, {})
+        if key_id is None:
+            bucket = [item for held in ns.values() for item in held]
+        else:
+            bucket = ns.get(key_id, ())
+        items = sorted(bucket, key=_VIEW_ORDER)
+        view = (
+            items,
+            [item.attribute for item in items],
+            [item.value for item in items],
+        )
+        self._views.setdefault(namespace, {})[key_id] = view
+        return view
 
     def stored_entries(self) -> list[tuple[str, int, Any]]:
         """Every stored ``(namespace, key_id, item)`` triple (for re-homing)."""
@@ -150,6 +220,7 @@ class OverlayNode:
         ns = self._store.get(namespace)
         if ns is None:
             return []
+        self._views.pop(namespace, None)
         return list(ns.pop(key_id, ()))
 
     def remove_item(self, namespace: str, key_id: int, item: Any) -> bool:
@@ -163,11 +234,13 @@ class OverlayNode:
         bucket.remove(item)
         if not bucket:
             del ns[key_id]
+        self._views.pop(namespace, None)
         return True
 
     def clear_storage(self) -> None:
         """Drop every stored item (used after transfer on departure)."""
         self._store.clear()
+        self._views.clear()
 
     def directory_size(self, namespace: str | None = None) -> int:
         """Number of stored resource-information pieces.

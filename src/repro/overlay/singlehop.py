@@ -208,7 +208,7 @@ class SingleHopRing(ChordRing):
             cur = nxt
             hops += 1
             path.append(cur.node_id)
-            self.network.count_hop()
+        self.network.count_hop(hops)
         return LookupResult(owner=cur, hops=hops, path=tuple(path), retries=retries)
 
     def edge_kind(self, src: ChordNode, dst: ChordNode) -> str:

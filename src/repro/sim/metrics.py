@@ -9,9 +9,11 @@ per-operation accounting into.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,7 +98,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: defaultdict[str, float] = defaultdict(float)
-        self._samples: defaultdict[str, list[float]] = defaultdict(list)
+        #: One flat ``array('d')`` per series: 8 bytes a sample, where a
+        #: list of boxed floats costs 32 — a long run records two samples
+        #: per sub-query for as long as it lives.
+        self._samples: defaultdict[str, array] = defaultdict(partial(array, "d"))
 
     def incr(self, name: str, amount: float = 1.0) -> None:
         """Increase counter ``name`` by ``amount``."""
@@ -108,7 +113,7 @@ class MetricsRegistry:
 
     def record(self, name: str, value: float) -> None:
         """Append one sample to series ``name``."""
-        self._samples[name].append(float(value))
+        self._samples[name].append(value)
 
     def record_pair(
         self, name1: str, value1: float, name2: str, value2: float
@@ -122,8 +127,8 @@ class MetricsRegistry:
         would impose on the caller.
         """
         samples = self._samples
-        samples[name1].append(float(value1))
-        samples[name2].append(float(value2))
+        samples[name1].append(value1)
+        samples[name2].append(value2)
 
     def samples(self, name: str) -> list[float]:
         """Raw samples recorded under ``name``."""

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.baselines.base import DiscoveryService
 from repro.baselines.sword import SwordService
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, ResourceInfo
+from repro.experiments.common import SYSTEM_NAMES, build_service
+from repro.experiments.config import SMOKE_CONFIG
+from repro.sim.invariants import overlay_of
 from repro.workloads.attributes import AttributeSchema
 
 
@@ -54,6 +59,25 @@ class TestRandomNodes:
         assert [a.random_node().node_id for _ in range(10)] == [
             b.random_node().node_id for _ in range(10)
         ]
+
+
+    def test_entry_node_selection_is_written_once(self, schema):
+        """Every system draws its entry node through the one
+        ``DiscoveryService`` definition: one ``integers(n)`` draw from the
+        query stream, indexing the overlay's per-epoch ``node_ids``."""
+        # ... flat-mode LORM (a ring under ``.overlay``) included.
+        for system, tier in [(name, None) for name in SYSTEM_NAMES] + [("LORM", "chord")]:
+            service = build_service(SMOKE_CONFIG, system, overlay=tier)
+            for name in ("random_node", "_resolve_start", "_failed_result"):
+                assert getattr(type(service), name) is getattr(DiscoveryService, name), name
+            overlay = overlay_of(service)
+            twin = np.random.Generator(type(service._rng.bit_generator)())
+            twin.bit_generator.state = service._rng.bit_generator.state
+            service.churn_leave()  # a new membership epoch: fresh ids, same stream
+            ids = overlay.node_ids
+            for _ in range(5):
+                assert service.random_node().uid == ids[int(twin.integers(len(ids)))]
+            assert service._resolve_start(overlay.node(ids[0])) is overlay.node(ids[0])
 
 
 class TestMultiQueryInterface:

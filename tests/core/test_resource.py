@@ -12,6 +12,7 @@ from repro.core.resource import (
     QueryResult,
     ResourceInfo,
     effective_span_fraction,
+    select_matches,
 )
 
 
@@ -46,11 +47,69 @@ class TestAttributeConstraint:
         with pytest.raises(ValueError):
             AttributeConstraint.between("cpu", 2.0, 1.0)
 
+    def test_nan_bound_rejected_naming_the_attribute(self):
+        nan = float("nan")
+        for make in (
+            lambda: AttributeConstraint.point("cpu-mhz", nan),
+            lambda: AttributeConstraint.at_least("cpu-mhz", nan),
+            lambda: AttributeConstraint.at_most("cpu-mhz", nan),
+            lambda: AttributeConstraint.between("cpu-mhz", 1.0, nan),
+        ):
+            with pytest.raises(ValueError, match="cpu-mhz"):
+                make()
+
+    def test_bounds_are_what_matches_tests(self):
+        inf = float("inf")
+        assert AttributeConstraint("any").bounds == (-inf, inf)
+        assert AttributeConstraint.at_least("cpu", 5.0).bounds == (5.0, inf)
+        assert AttributeConstraint.at_most("cpu", 5.0).bounds == (-inf, 5.0)
+        for c in (
+            AttributeConstraint.point("cpu", 2.0),
+            AttributeConstraint.between("cpu", 1.0, 3.0),
+        ):
+            low, high = c.bounds
+            for value in (0.5, 1.0, 2.0, 3.0, 3.5):
+                assert (low <= value <= high) == c.matches(value)
+
     def test_bounds_within_substitutes_domain(self):
         c = AttributeConstraint.at_least("cpu", 5.0)
         assert c.bounds_within(0.0, 10.0) == (5.0, 10.0)
         c2 = AttributeConstraint.at_most("cpu", 5.0)
         assert c2.bounds_within(0.0, 10.0) == (0.0, 5.0)
+
+
+class TestResourceInfo:
+    def test_nan_value_rejected_naming_the_attribute(self):
+        with pytest.raises(ValueError, match="mem-mb"):
+            ResourceInfo("mem-mb", float("nan"), "p")
+
+    def test_slotted_and_still_a_value(self):
+        import copy
+        import pickle
+
+        info = ResourceInfo("cpu", 2.0, "p")
+        assert not hasattr(info, "__dict__")
+        assert pickle.loads(pickle.dumps(info)) == info == copy.deepcopy(info)
+        assert hash(info) == hash(ResourceInfo("cpu", 2.0, "p"))
+        with pytest.raises(AttributeError):
+            info.value = 3.0  # frozen
+
+    def test_select_matches_is_the_per_item_filter(self):
+        constraint = AttributeConstraint.between("cpu", 1.0, 3.0)
+        directories = [
+            [ResourceInfo("cpu", 0.5, "a"), ResourceInfo("cpu", 1.0, "b")],
+            [],
+            [
+                ResourceInfo("mem", 2.0, "c"),
+                ResourceInfo("cpu", 3.0, "d"),
+                ResourceInfo("cpu", 3.5, "e"),
+            ],
+        ]
+        assert select_matches(directories, constraint) == tuple(
+            info for directory in directories for info in directory
+            if info.attribute == "cpu" and constraint.matches(info.value)
+        )
+        assert [i.provider for i in select_matches(directories, constraint)] == ["b", "d"]
 
 
 class TestQueries:

@@ -203,7 +203,7 @@ class TestCompactChordRingEquivalence:
                     compact.fail(node_id)
         obj.stabilize_all()
         compact.stabilize_all()
-        assert compact.ids.tolist() == obj.node_ids
+        assert compact.ids.tolist() == list(obj.node_ids)
         self._assert_routes_match(obj, compact, rng, queries=100)
 
 

@@ -13,12 +13,12 @@ from repro.overlay.chord import ChordRing
 class TestConstruction:
     def test_build_full_population(self, full_ring):
         assert full_ring.num_nodes == 64
-        assert full_ring.node_ids == list(range(64))
+        assert full_ring.node_ids == tuple(range(64))
 
     def test_build_deduplicates_and_wraps(self):
         ring = ChordRing(4)
         ring.build([1, 17, 5])  # 17 wraps to 1
-        assert ring.node_ids == [1, 5]
+        assert ring.node_ids == (1, 5)
 
     def test_build_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestWalkArc:
         start = sparse_ring.node(ids[0])
         until = ids[4]
         walk = sparse_ring.walk_arc(start, ids[0], until)
-        assert [n.node_id for n in walk] == ids[:5]
+        assert [n.node_id for n in walk] == list(ids[:5])
 
     def test_walk_single_node_when_start_owns_end(self, sparse_ring):
         ids = sparse_ring.node_ids
@@ -150,7 +150,7 @@ class TestWalkArc:
         from_key = (ids[3] + 1) % sparse_ring.space.size  # between nodes 3 and 4
         start = sparse_ring.successor_of(from_key)
         walk = sparse_ring.walk_arc(start, from_key, ids[6])
-        assert [n.node_id for n in walk] == ids[4:7]
+        assert [n.node_id for n in walk] == list(ids[4:7])
 
 
 class TestStorage:

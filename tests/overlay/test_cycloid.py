@@ -30,7 +30,7 @@ class TestConstruction:
     def test_build_wraps_indices(self):
         overlay = CycloidOverlay(3)
         overlay.build([CycloidId(5, 9)])  # k wraps mod 3, a mod 8
-        assert overlay.node_ids == [CycloidId(2, 1)]
+        assert overlay.node_ids == (CycloidId(2, 1),)
 
     def test_cluster_members_ordered(self, sparse_overlay):
         for a in range(16):

@@ -29,7 +29,7 @@ OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
 #: Every method the skeleton owns; each must resolve to ``Overlay``'s one
 #: definition on every class ...
 SKELETON = (
-    "num_nodes", "node", "faults_active", "lookup", "_lookup_traced",
+    "num_nodes", "node", "node_ids", "faults_active", "lookup", "_lookup_traced",
     "_lookup_faulty", "walk", "_truncate_walk", "replica_set",
     "replica_set_of", "native_holders", "store", "routed_store", "discard",
     "repair_replication", "repair_replication_step", "leave", "fail",
@@ -86,6 +86,43 @@ class TestOneSkeleton:
         assert getattr(cls, name) is Overlay.walk
         # LormService picks its flat mode off this attribute's absence.
         assert hasattr(cls, "walk_cluster") == (cls is CycloidOverlay)
+
+
+@pytest.mark.parametrize("cls", OVERLAY_CLASSES)
+class TestMembershipEpoch:
+    def test_node_ids_is_derived_once_per_epoch(self, cls):
+        overlay = make_overlay(cls)
+        ids = overlay.node_ids
+        assert overlay.node_ids is ids  # entry-node selection reads it per query
+        assert list(ids) == [node.uid for node in overlay.nodes()]
+        rng = random.Random(5)
+        for change in ("leave", "join", "fail", "join", "build"):
+            before = overlay.node_ids
+            if change == "join":
+                overlay.join(victim)
+            elif change == "build":
+                overlay.build(before[::2])
+            else:
+                victim = rng.choice(before)
+                getattr(overlay, change)(victim)
+            after = overlay.node_ids
+            assert after is not before and after is overlay.node_ids
+            assert list(after) == [node.uid for node in overlay.nodes()], change
+            assert len(after) == overlay.num_nodes == len(set(after))
+
+    def test_fault_free_hops_are_counted_once_each(self, cls):
+        overlay = make_overlay(cls)
+        rng = random.Random(13)
+        nodes = list(overlay.nodes())
+        total = 0
+        for _ in range(60):
+            stats = overlay.network.stats
+            before = (stats.routing_hops, stats.messages)
+            result = overlay.lookup(rng.choice(nodes), native_key(overlay, rng))
+            assert stats.routing_hops - before[0] == result.hops == len(result.path) - 1
+            assert stats.messages - before[1] == result.hops
+            total += result.hops
+        assert total > 0
 
 
 @pytest.mark.parametrize("cls", OVERLAY_CLASSES)

@@ -101,6 +101,32 @@ class TestRegistry:
         m.samples("x").append(99.0)
         assert m.samples("x") == [1.0]
 
+    def test_samples_are_a_list_of_floats_whatever_was_recorded(self):
+        m = MetricsRegistry()
+        m.record("x", 3)
+        m.record_pair("x", np.int64(4), "y", 2.5)
+        assert m.samples("x") == [3.0, 4.0] and type(m.samples("x")) is list
+        assert all(type(v) is float for v in m.samples("x") + m.samples("y"))
+        assert m.last("x") == 4.0 and m.last("nope") is None
+        assert m.summary("x").total == 7.0
+
+    def test_per_sample_footprint(self):
+        """A run records two samples per sub-query for as long as it lives:
+        a series is a flat double array (8 B a sample), not boxed floats."""
+        import tracemalloc
+
+        m = MetricsRegistry()
+        m.record_pair("hops", 1, "visited", 1)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for i in range(100_000):
+                m.record_pair("hops", i, "visited", i + 0.5)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 2_000_000  # 200k samples; boxed floats: ~6.4 MB
+
 
 class TestNaNSafeEmission:
     """Regression: empty-series summaries must not leak NaN into reports."""
