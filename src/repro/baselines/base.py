@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Any, ClassVar
 
 import numpy as np
@@ -77,6 +77,10 @@ class DiscoveryService(ABC):
     #: The query stream's RNG (entry-node draws); set by each substrate
     #: binding's constructor.
     _rng: np.random.Generator
+    #: The churn stream's RNG (victim / rejoiner draws) and the departed
+    #: node ids a later :meth:`churn_join` re-admits; same constructors.
+    _churn_rng: np.random.Generator
+    _departed: list
 
     # ------------------------------------------------------------------
     # Tracing
@@ -239,11 +243,13 @@ class DiscoveryService(ABC):
         """Attach a fault injector (and optional lookup policy) to the
         service's overlay network; ``injector=None`` detaches it.
 
-        Subclasses bind this to their overlay.  While an injector is
-        active, lookups run without oracle assistance and can return
-        ``complete=False`` results.
+        While an injector is active, lookups run without oracle
+        assistance and can return ``complete=False`` results.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no overlay binding")
+        overlay = overlay_of(self)
+        overlay.network.faults = injector
+        if policy is not None:
+            overlay.lookup_policy = policy
 
     def configure_latency(self, model: Any | None) -> None:
         """Attach a :class:`~repro.sim.latency.LatencyModel` to the
@@ -280,18 +286,18 @@ class DiscoveryService(ABC):
             complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
         )
 
-    @abstractmethod
     def directory_sizes(self) -> list[int]:
         """Per-node resource-information piece counts."""
+        return overlay_of(self).directory_sizes()
 
-    @abstractmethod
     def outlink_counts(self) -> list[int]:
         """Per-node maintained-neighbour counts (Mercury multiplies by the
         number of hubs, as each node participates in every hub)."""
+        return overlay_of(self).outlink_counts()
 
-    @abstractmethod
     def num_nodes(self) -> int:
         """Current live population."""
+        return overlay_of(self).num_nodes
 
     def total_info_pieces(self) -> int:
         """System-wide stored pieces (MAAN stores 2 per info, Theorem 4.2)."""
@@ -323,21 +329,37 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     # Churn (Section V-C)
     # ------------------------------------------------------------------
-    @abstractmethod
+    def _churn_depart(self, depart: Callable[[Any], Any]) -> bool:
+        """Draw a victim from ``_churn_rng`` and remove it through
+        ``depart`` (the overlay's ``leave`` or ``fail``); False at a
+        population of two."""
+        overlay = overlay_of(self)
+        if overlay.num_nodes <= 2:
+            return False
+        ids = overlay.node_ids
+        victim = ids[int(self._churn_rng.integers(len(ids)))]
+        depart(victim)
+        self._departed.append(victim)
+        return True
+
     def churn_leave(self) -> bool:
         """A random live node departs gracefully; False if impossible."""
+        return self._churn_depart(overlay_of(self).leave)
 
-    @abstractmethod
     def churn_join(self) -> bool:
         """A previously departed node rejoins; False if none is vacant."""
+        if not self._departed:
+            return False
+        idx = int(self._churn_rng.integers(len(self._departed)))
+        overlay_of(self).join(self._departed.pop(idx))
+        return True
 
-    @abstractmethod
     def churn_fail(self) -> bool:
         """A random live node *crashes* (no key hand-off); False if
         impossible.  Whether data survives depends on the overlay's
         replication factor."""
+        return self._churn_depart(overlay_of(self).fail)
 
-    @abstractmethod
     def stabilize(self, budget: Any | None = None) -> Any:
         """One periodic stabilization round.
 
@@ -347,6 +369,10 @@ class DiscoveryService(ABC):
         (stabilize / refresh / replica-repair caps) and returns its
         :class:`~repro.sim.maintenance.MaintenanceReport`.
         """
+        if budget is None:
+            overlay_of(self).stabilize_all()
+            return None
+        return self.maintenance_round().run(budget)
 
     def maintenance_round(self) -> Any:
         """The service's lazily created budgeted-maintenance round (one
@@ -526,15 +552,6 @@ class ChordBackedService(DiscoveryService):
             self._value_hashes[attribute] = vh
         return vh
 
-    def directory_sizes(self) -> list[int]:
-        return self.ring.directory_sizes()
-
-    def outlink_counts(self) -> list[int]:
-        return self.ring.outlink_counts()
-
-    def num_nodes(self) -> int:
-        return self.ring.num_nodes
-
     def structural_hop_bound(self) -> int:
         # Closest-preceding-finger routing at least halves the clockwise
         # distance per hop, so ``bits`` hops reach the key's predecessor
@@ -544,43 +561,3 @@ class ChordBackedService(DiscoveryService):
     def max_visited_per_subquery(self) -> int:
         # A range walk can cover the whole ring (Theorem 4.10's worst case).
         return self.ring.num_nodes
-
-    def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
-        self.ring.network.faults = injector
-        if policy is not None:
-            self.ring.lookup_policy = policy
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def churn_leave(self) -> bool:
-        if self.ring.num_nodes <= 2:
-            return False
-        ids = self.ring.node_ids
-        victim = int(ids[int(self._churn_rng.integers(len(ids)))])
-        self.ring.leave(victim)
-        self._departed.append(victim)
-        return True
-
-    def churn_join(self) -> bool:
-        if not self._departed:
-            return False
-        idx = int(self._churn_rng.integers(len(self._departed)))
-        node_id = self._departed.pop(idx)
-        self.ring.join(node_id)
-        return True
-
-    def churn_fail(self) -> bool:
-        if self.ring.num_nodes <= 2:
-            return False
-        ids = self.ring.node_ids
-        victim = int(ids[int(self._churn_rng.integers(len(ids)))])
-        self.ring.fail(victim)
-        self._departed.append(victim)
-        return True
-
-    def stabilize(self, budget: Any | None = None) -> Any:
-        if budget is None:
-            self.ring.stabilize_all()
-            return None
-        return self.maintenance_round().run(budget)

@@ -117,7 +117,7 @@ class MercuryService(ChordBackedService):
     def outlink_counts(self) -> list[int]:
         """Each node maintains a routing table in *every* hub (m of them)."""
         num_hubs = len(self.schema)
-        return [num_hubs * links for links in self.ring.outlink_counts()]
+        return [num_hubs * links for links in super().outlink_counts()]
 
     def maintenance_scale(self) -> int:
         """Structural maintenance multiplier (one full DHT per attribute)."""

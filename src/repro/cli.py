@@ -22,25 +22,345 @@ Examples
     repro check --systems all --seed 0
     repro bench --smoke --seed 0
     repro bench compare benchmarks/baseline.json BENCH_20260805T120000Z.json
+
+Every sweep experiment is one :class:`Experiment` row in
+:data:`EXPERIMENTS` — name, help, runner, its flags and its verdict
+words; :func:`build_parser` generates the subcommands from the rows and
+:func:`_run_experiment` is the one command loop behind all of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
+from typing import Any
 
+from repro.experiments.availability import run_availability
+from repro.experiments.common import resolve_overlay, resolve_systems
 from repro.experiments.config import PAPER_CONFIG, SMOKE_CONFIG, ExperimentConfig
-from repro.experiments.runner import FIGURES, run_all_figures, run_figure
+from repro.experiments.durability import DEFAULT_SCENARIOS, run_durability
+from repro.experiments.hotspot import run_hotspot
+from repro.experiments.recovery import run_chaos_demo
+from repro.experiments.runner import (
+    FIGURES,
+    run_all_figures,
+    run_figure,
+    run_figures_parallel,
+)
+from repro.experiments.scale import run_scale
+from repro.experiments.tail import run_tail
+from repro.experiments.tradeoff import run_tradeoff, select_points
+from repro.sim.durability import parse_policy
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "Experiment", "EXPERIMENTS", "Flag"]
 
 _SCALES = {"paper": PAPER_CONFIG, "smoke": SMOKE_CONFIG}
 
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+class Flag:
+    """One ``add_argument`` row of a subcommand.
+
+    ``to`` names what the parsed value feeds: an :class:`ExperimentConfig`
+    field (a list becomes a tuple) or, for any other name, a keyword
+    argument of the experiment's runner — after ``resolve(config, value)``
+    when the raw strings need validating.  ``to=None`` leaves the value on
+    the namespace for the command itself.  Everything else is argparse's.
+    """
+
+    def __init__(
+        self,
+        *names: str,
+        to: str | None = None,
+        resolve: Callable[[ExperimentConfig, Any], Any] | None = None,
+        **kwargs: Any,
+    ) -> None:
+        self.names = names
+        self.to = to
+        self.resolve = resolve
+        self.kwargs = kwargs
+        #: The namespace attribute argparse stores the value under.
+        self.dest = names[0].lstrip("-").replace("-", "_")
+
+
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One sweep subcommand: what to run, with which flags, judged how."""
+
+    name: str
+    help: str
+    #: ``runner(config, **kwargs)`` -> a result with ``render()`` / ``save()``.
+    runner: Callable[..., Any]
+    flags: tuple[Flag, ...]
+    #: ``(pass, fail)`` words for a result gated on its ``.ok`` (the exit
+    #: code); ``None`` for an ungated figure report.
+    verdict: tuple[str, str] | None = None
+    #: ``judge(result, args, elapsed) -> (ok, word)`` when the gate is not
+    #: the result's own ``.ok``.
+    judge: Callable[[Any, argparse.Namespace, float], tuple[bool, str]] | None = None
+
+
+# ----------------------------------------------------------------------
+# Shared flags
+# ----------------------------------------------------------------------
+_SMOKE = Flag("--smoke", action="store_true",
+              help="alias for --scale smoke (deterministic CI entry point)")
+_SEED = Flag("--seed", to="seed", type=int, help="override the master seed")
+_COMMON = (
+    Flag("--scale", choices=sorted(_SCALES), default="smoke",
+         help="paper = Section V parameters (n=2048, m=200, k=500); "
+         "smoke = same shape, laptop-fast (default)"),
+    _SEED,
+    Flag("--out", help="directory for CSV/text output"),
+    Flag("--lph", to="lph_kind", choices=["cdf", "linear"],
+         help="override the locality-preserving hash flavour"),
+    Flag("--invariants", to="validate_invariants", action="store_true",
+         help="validate overlay invariants and directory conservation after "
+         "every churn event (aborts at the first violation)"),
+)
+_PARALLEL = Flag(
+    "--parallel", nargs="?", type=int, const=0, metavar="WORKERS",
+    help="fan figures out over worker processes (opt-in; figures no "
+    "longer share service bundles, so total CPU rises while "
+    "wall-clock drops; WORKERS defaults to the CPU count)",
+)
+
+
+def _systems_flag(help_text: str) -> Flag:
+    return Flag("--systems", to="systems", nargs="+", metavar="SYSTEM",
+                resolve=lambda config, names: resolve_systems(names),
+                help=help_text)
+
+
+def _run_scale(config: ExperimentConfig, *, workers: int | None = None):
+    """``run_scale`` under the CLI's ``--parallel [WORKERS]`` convention."""
+    return run_scale(
+        config, parallel=workers is not None, max_workers=workers or None
+    )
+
+
+def _judge_scale(result, args: argparse.Namespace, elapsed: float) -> tuple[bool, str]:
+    """``repro scale`` fails only when a ``--budget-*`` is exceeded."""
+    violations = result.over_budget(elapsed, args.budget_seconds, args.budget_mb)
+    for violation in violations:
+        print(f"BUDGET EXCEEDED: {violation}", file=sys.stderr)
+    return not violations, f"{len(result.points)} point(s)"
+
+
+# ----------------------------------------------------------------------
+# The experiment registry
+# ----------------------------------------------------------------------
+EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment(
+        "availability",
+        "query completeness under message loss x replication",
+        run_availability,
+        _COMMON + (
+            Flag("--loss", to="loss_rates", type=float, nargs="+", metavar="RATE",
+                 help="message-loss rates to sweep (e.g. --loss 0 0.05 0.1)"),
+            Flag("--replication", to="availability_replications", type=int,
+                 nargs="+", metavar="R",
+                 help="replication factors to sweep (e.g. --replication 1 2 3)"),
+            Flag("--queries", to="num_availability_queries", type=int,
+                 help="multi-attribute queries per (loss, replication) cell"),
+        ),
+    ),
+    Experiment(
+        "chaos",
+        "seeded chaos-timeline demo: partition heal + crash burst "
+        "under budgeted maintenance; exits non-zero unless every system "
+        "reconverges (and the budget=0 control does NOT)",
+        run_chaos_demo,
+        _COMMON + (_SMOKE,),
+        verdict=("RECONVERGED", "FAILED TO RECONVERGE"),
+    ),
+    Experiment(
+        "durability",
+        "redundancy-policy sweep: successor/symmetric replication and "
+        "erasure coding through chaos timelines, reporting pieces lost, "
+        "data time-to-recover and repair bandwidth per policy; exits "
+        "non-zero unless every cell recovers its surviving data",
+        run_durability,
+        _COMMON + (
+            _SMOKE,
+            Flag("--policies", to="policies", nargs="+", metavar="SPEC",
+                 resolve=lambda config, specs: tuple(parse_policy(s) for s in specs),
+                 help="policy specs to sweep: replication:R | symmetric:R | "
+                 "erasure:K+M, optionally @successor/@symmetric "
+                 "(default: replication:2 symmetric:2 erasure:2+1)"),
+            _systems_flag("systems to subject to the sweep (default: LORM Mercury)"),
+            Flag("--scenarios", to="scenarios", nargs="+",
+                 choices=["demo", "crash-storm"],
+                 resolve=lambda config, names: tuple(
+                     s for s in DEFAULT_SCENARIOS if s.name in names
+                 ),
+                 help="chaos timelines to run (default: both)"),
+        ),
+        verdict=("RECOVERED", "FAILED TO RECOVER"),
+    ),
+    Experiment(
+        "hotspot",
+        "load-balance sweep under zipf-skewed popularity: per-node "
+        "serve-load imbalance (max/mean, Gini, top-5 share) per system x "
+        "zipf-s x mitigation (none / salted roots / dynamic replication); "
+        "exits non-zero unless the best mitigation cuts SWORD's imbalance "
+        ">= 2x at the highest s with byte-identical answers and hop "
+        "counts within the structural ceilings",
+        run_hotspot,
+        _COMMON + (
+            _SMOKE,
+            _systems_flag("systems to sweep (default: LORM Mercury SWORD MAAN; "
+                          "mitigations apply to SWORD and MAAN)"),
+            Flag("--zipf-s", to="hotspot_zipf_s", type=float, nargs="+", metavar="S",
+                 help="zipf exponents to sweep (e.g. --zipf-s 0 0.8 1.1)"),
+            Flag("--queries", to="hotspot_queries", type=int,
+                 help="measured multi-attribute queries per cell"),
+            Flag("--salts", to="hotspot_salts", type=int,
+                 help="salted roots per attribute (S) for the salt mitigation"),
+        ),
+        verdict=("BALANCED", "GATE MISS"),
+    ),
+    Experiment(
+        "tradeoff",
+        "lookup-vs-maintenance sweep across routing tiers (chord / "
+        "record:f<N> randomized-Chord / singlehop full-membership) x "
+        "maintenance budget (zero/default/unlimited), common random "
+        "numbers; exits non-zero unless single-hop means <= 1.05 hops at "
+        "unlimited budget (trace-oracle verified) and ReCord hops are "
+        "monotone in the fan-out",
+        run_tradeoff,
+        _COMMON + (
+            _SMOKE,
+            _systems_flag("systems to sweep (default: LORM Mercury SWORD MAAN)"),
+            Flag("--overlays", to="overlays", nargs="+", metavar="POINT",
+                 resolve=lambda config, labels: tuple(
+                     point[0] for point in select_points(config, tuple(labels))
+                 ),
+                 help="overlay points to sweep: chord, record:f<N>, singlehop "
+                 "(default: all configured points)"),
+            Flag("--queries", to="tradeoff_queries", type=int,
+                 help="measured point queries per overlay x budget cell"),
+            Flag("--churn-events", to="tradeoff_churn_events", type=int,
+                 help="churn events (leave/join alternating) per cell"),
+            Flag("--fanouts", to="tradeoff_fanouts", type=int, nargs="+", metavar="H",
+                 help="ReCord per-level fan-outs to sweep (e.g. --fanouts 1 4 16)"),
+        ),
+        verdict=("CURVE OK", "GATE MISS"),
+    ),
+    Experiment(
+        "tail",
+        "tail-latency sweep under gray failures: p50/p99/p99.9 "
+        "response time vs slow-node fraction x requester policy "
+        "(fixed/adaptive/hedged timeouts); exits non-zero unless the "
+        "hedged policy cuts p99 >= 2x vs fixed on LORM and SWORD, meets "
+        "the p99 SLO and keeps hedge overhead bounded",
+        run_tail,
+        _COMMON + (
+            _SMOKE,
+            Flag("--fractions", to="tail_slow_fractions", type=float, nargs="+",
+                 metavar="F",
+                 help="slow-node fractions to sweep (e.g. --fractions 0 0.05 0.1)"),
+            Flag("--queries", to="tail_queries", type=int,
+                 help="measured multi-attribute queries per cell"),
+            Flag("--slo-p99", to="tail_slo_p99", type=float, metavar="SECONDS",
+                 help="p99 response-time SLO the hedged policy must meet"),
+        ),
+        verdict=("SLO MET", "SLO MISSED"),
+    ),
+    Experiment(
+        "scale",
+        "n-scaling sweep on the compact array core: hops and "
+        "maintenance messages at 100k-1M nodes with wall-clock and peak "
+        "memory per point; exits non-zero when a --budget is exceeded",
+        _run_scale,
+        (
+            Flag("--scale", choices=sorted(_SCALES), default="paper",
+                 help="paper = 100k-1M nodes (default); smoke = small, CI-fast"),
+            _SMOKE,
+            _SEED,
+            Flag("--sizes", to="scale_sizes", type=int, nargs="+", metavar="N",
+                 help="populations to sweep (e.g. --sizes 100000 1000000)"),
+            Flag("--queries", to="scale_queries", type=int,
+                 help="routed lookups measured per population point"),
+            Flag("--churn-events", to="scale_churn_events", type=int,
+                 help="churn events (join/leave/fail round-robin) measured per point"),
+            Flag("--budget-seconds", type=float,
+                 help="fail (exit 1) when the whole sweep takes longer than this"),
+            Flag("--budget-mb", type=float,
+                 help="fail (exit 1) when any point's peak traced memory exceeds "
+                 "this many MB (peak RSS is reported alongside)"),
+            Flag("--out", help="directory for CSV/text/JSON output"),
+            Flag("--parallel", to="workers", nargs="?", type=int, const=0,
+                 metavar="WORKERS",
+                 help="shard population points over worker processes (results are "
+                 "identical to a serial run; WORKERS defaults to the CPU count)"),
+        ),
+        judge=_judge_scale,
+    ),
+)
+
+
+# ----------------------------------------------------------------------
+# The other subcommands' flags
+# ----------------------------------------------------------------------
+_BENCH_FLAGS = (
+    Flag("--scale", choices=sorted(_SCALES), default="smoke",
+         help="paper = Section V parameters; smoke = laptop-fast (default)"),
+    _SMOKE,
+    _SEED,
+    Flag("--profile", choices=["micro", "macro", "figures", "all"], default="all",
+         help="op groups to time (default: all)"),
+    Flag("--repeats", type=int, help="override every op's timed repeat count"),
+    Flag("--out", default=".",
+         help="output JSON file, or a directory for BENCH_<timestamp>.json "
+         "(default: current directory)"),
+)
+_BENCH_COMPARE_FLAGS = (
+    Flag("baseline", help="baseline BENCH_*.json"),
+    Flag("current", help="current BENCH_*.json"),
+    Flag("--threshold", type=float, default=0.25,
+         help="relative p50 regression tolerance (default: 0.25 = +25%%)"),
+)
+_TRACE_FLAGS = (
+    Flag("--system", required=True, choices=["lorm", "mercury", "sword", "maan"],
+         help="which discovery system to trace"),
+    Flag("--overlay", metavar="OVERLAY",
+         help="routing substrate: chord, cycloid (LORM only), singlehop, "
+         "record (default: the system's native substrate)"),
+    Flag("--fanout", type=int, default=2,
+         help="ReCord per-level finger fan-out (--overlay record only)"),
+    Flag("--seed", type=int, default=0, help="replay seed (default: 0)"),
+    Flag("--queries", type=int, default=1,
+         help="multi-attribute queries to replay (default: 1)"),
+    Flag("--attributes", type=int, default=2,
+         help="attributes per query (default: 2)"),
+    Flag("--kind", choices=["point", "range", "at-least"], default="range",
+         help="per-attribute constraint shape (default: range)"),
+    Flag("--loss", type=float, default=0.0,
+         help="seeded per-message loss rate; > 0 adds fault annotations "
+         "(drop/retry/timeout/failover) to the spans"),
+    Flag("--format", choices=["tree", "jsonl", "chrome"], default="tree",
+         help="tree = human-readable; jsonl = one span per line; "
+         "chrome = chrome://tracing / Perfetto trace_event JSON"),
+    Flag("--out", help="write the trace to a file instead of stdout"),
+)
+_CHECK_FLAGS = (
+    Flag("--systems", nargs="+", default=["all"], metavar="SYSTEM",
+         help="systems to check: all (default) or any of LORM Mercury SWORD MAAN"),
+    Flag("--seed", type=int, default=0, help="harness seed (default: 0)"),
+    Flag("--queries", type=int, default=45,
+         help="queries in the fault-free differential replay"),
+    Flag("--churn-events", type=int, default=40, help="events in the guarded churn storm"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse CLI definition."""
+    """The argparse CLI definition, generated from the flag tables."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -48,896 +368,259 @@ def build_parser() -> argparse.ArgumentParser:
             "range-query and multi-attribute resource discovery in grids."
         ),
     )
+    parser.set_defaults(smoke=False)  # for the subcommands without the alias
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available figures")
+    def add(into, name: str, help_text: str, flags, handler) -> argparse.ArgumentParser:
+        p = into.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(*flag.names, **flag.kwargs)
+        # The subparser rides along so a handler's usage errors read
+        # "repro <command>: error: ..." like argparse's own.
+        p.set_defaults(handler=handler, subparser=p)
+        return p
 
-    run_p = sub.add_parser("run", help="run one or more figures")
-    run_p.add_argument("figures", nargs="+", choices=sorted(FIGURES), metavar="FIGURE")
-    _add_common(run_p)
-    _add_parallel(run_p)
-
-    all_p = sub.add_parser("all", help="run every figure")
-    _add_common(all_p)
-    _add_parallel(all_p)
-
-    avail_p = sub.add_parser(
-        "availability",
-        help="query completeness under message loss x replication",
-    )
-    _add_common(avail_p)
-    avail_p.add_argument(
-        "--loss",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="RATE",
-        help="message-loss rates to sweep (e.g. --loss 0 0.05 0.1)",
-    )
-    avail_p.add_argument(
-        "--replication",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="R",
-        help="replication factors to sweep (e.g. --replication 1 2 3)",
-    )
-    avail_p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="multi-attribute queries per (loss, replication) cell",
-    )
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="seeded chaos-timeline demo: partition heal + crash burst "
-        "under budgeted maintenance; exits non-zero unless every system "
-        "reconverges (and the budget=0 control does NOT)",
-    )
-    _add_common(chaos_p)
-    chaos_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-
-    durability_p = sub.add_parser(
-        "durability",
-        help="redundancy-policy sweep: successor/symmetric replication and "
-        "erasure coding through chaos timelines, reporting pieces lost, "
-        "data time-to-recover and repair bandwidth per policy; exits "
-        "non-zero unless every cell recovers its surviving data",
-    )
-    _add_common(durability_p)
-    durability_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    durability_p.add_argument(
-        "--policies",
-        nargs="+",
-        default=None,
-        metavar="SPEC",
-        help="policy specs to sweep: replication:R | symmetric:R | "
-        "erasure:K+M, optionally @successor/@symmetric "
-        "(default: replication:2 symmetric:2 erasure:2+1)",
-    )
-    durability_p.add_argument(
-        "--systems",
-        nargs="+",
-        default=None,
-        metavar="SYSTEM",
-        help="systems to subject to the sweep (default: LORM Mercury)",
-    )
-    durability_p.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=None,
-        choices=["demo", "crash-storm"],
-        help="chaos timelines to run (default: both)",
-    )
-
-    hotspot_p = sub.add_parser(
-        "hotspot",
-        help="load-balance sweep under zipf-skewed popularity: per-node "
-        "serve-load imbalance (max/mean, Gini, top-5 share) per system x "
-        "zipf-s x mitigation (none / salted roots / dynamic replication); "
-        "exits non-zero unless the best mitigation cuts SWORD's imbalance "
-        ">= 2x at the highest s with byte-identical answers and hop "
-        "counts within the structural ceilings",
-    )
-    _add_common(hotspot_p)
-    hotspot_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    hotspot_p.add_argument(
-        "--systems",
-        nargs="+",
-        default=None,
-        metavar="SYSTEM",
-        help="systems to sweep (default: LORM Mercury SWORD MAAN; "
-        "mitigations apply to SWORD and MAAN)",
-    )
-    hotspot_p.add_argument(
-        "--zipf-s",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="S",
-        help="zipf exponents to sweep (e.g. --zipf-s 0 0.8 1.1)",
-    )
-    hotspot_p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="measured multi-attribute queries per cell",
-    )
-    hotspot_p.add_argument(
-        "--salts",
-        type=int,
-        default=None,
-        help="salted roots per attribute (S) for the salt mitigation",
-    )
-
-    tradeoff_p = sub.add_parser(
-        "tradeoff",
-        help="lookup-vs-maintenance sweep across routing tiers (chord / "
-        "record:f<N> randomized-Chord / singlehop full-membership) x "
-        "maintenance budget (zero/default/unlimited), common random "
-        "numbers; exits non-zero unless single-hop means <= 1.05 hops at "
-        "unlimited budget (trace-oracle verified) and ReCord hops are "
-        "monotone in the fan-out",
-    )
-    _add_common(tradeoff_p)
-    tradeoff_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    tradeoff_p.add_argument(
-        "--systems",
-        nargs="+",
-        default=None,
-        metavar="SYSTEM",
-        help="systems to sweep (default: LORM Mercury SWORD MAAN)",
-    )
-    tradeoff_p.add_argument(
-        "--overlays",
-        nargs="+",
-        default=None,
-        metavar="POINT",
-        help="overlay points to sweep: chord, record:f<N>, singlehop "
-        "(default: all configured points)",
-    )
-    tradeoff_p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="measured point queries per overlay x budget cell",
-    )
-    tradeoff_p.add_argument(
-        "--churn-events",
-        type=int,
-        default=None,
-        help="churn events (leave/join alternating) per cell",
-    )
-    tradeoff_p.add_argument(
-        "--fanouts",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="H",
-        help="ReCord per-level fan-outs to sweep (e.g. --fanouts 1 4 16)",
-    )
-
-    tail_p = sub.add_parser(
-        "tail",
-        help="tail-latency sweep under gray failures: p50/p99/p99.9 "
-        "response time vs slow-node fraction x requester policy "
-        "(fixed/adaptive/hedged timeouts); exits non-zero unless the "
-        "hedged policy cuts p99 >= 2x vs fixed on LORM and SWORD, meets "
-        "the p99 SLO and keeps hedge overhead bounded",
-    )
-    _add_common(tail_p)
-    tail_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    tail_p.add_argument(
-        "--fractions",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="F",
-        help="slow-node fractions to sweep (e.g. --fractions 0 0.05 0.1)",
-    )
-    tail_p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="measured multi-attribute queries per cell",
-    )
-    tail_p.add_argument(
-        "--slo-p99",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="p99 response-time SLO the hedged policy must meet",
-    )
-
-    scale_p = sub.add_parser(
-        "scale",
-        help="n-scaling sweep on the compact array core: hops and "
-        "maintenance messages at 100k-1M nodes with wall-clock and peak "
-        "memory per point; exits non-zero when a --budget is exceeded",
-    )
-    scale_p.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="paper",
-        help="paper = 100k-1M nodes (default); smoke = small, CI-fast",
-    )
-    scale_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    scale_p.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
-    )
-    scale_p.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="N",
-        help="populations to sweep (e.g. --sizes 100000 1000000)",
-    )
-    scale_p.add_argument(
-        "--queries",
-        type=int,
-        default=None,
-        help="routed lookups measured per population point",
-    )
-    scale_p.add_argument(
-        "--churn-events",
-        type=int,
-        default=None,
-        help="churn events (join/leave/fail round-robin) measured per point",
-    )
-    scale_p.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="fail (exit 1) when the whole sweep takes longer than this",
-    )
-    scale_p.add_argument(
-        "--budget-mb",
-        type=float,
-        default=None,
-        help="fail (exit 1) when any point's peak traced memory exceeds "
-        "this many MB (peak RSS is reported alongside)",
-    )
-    scale_p.add_argument(
-        "--out", default=None, help="directory for CSV/text/JSON output"
-    )
-    scale_p.add_argument(
-        "--parallel",
-        nargs="?",
-        type=int,
-        const=0,
-        default=None,
-        metavar="WORKERS",
-        help="shard population points over worker processes (results are "
-        "identical to a serial run; WORKERS defaults to the CPU count)",
-    )
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark: time overlay/system hot paths into a "
+    add(sub, "list", "list available figures", (), _cmd_list)
+    figures = Flag("figures", nargs="+", choices=sorted(FIGURES), metavar="FIGURE")
+    add(sub, "run", "run one or more figures",
+        (figures,) + _COMMON + (_PARALLEL,), _cmd_figures)
+    add(sub, "all", "run every figure", _COMMON + (_PARALLEL,), _cmd_figures)
+    for spec in EXPERIMENTS:
+        add(sub, spec.name, spec.help, spec.flags, partial(_run_experiment, spec=spec))
+    bench_p = add(
+        sub, "bench",
+        "wall-clock benchmark: time overlay/system hot paths into a "
         "schema-versioned BENCH_<timestamp>.json, or compare two reports",
+        (), _cmd_bench,
     )
+    # Declared before bench's own flags: usage lists `{compare}` first.
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=False)
-    bench_p.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="smoke",
-        help="paper = Section V parameters; smoke = laptop-fast (default)",
-    )
-    bench_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="alias for --scale smoke (deterministic CI entry point)",
-    )
-    bench_p.add_argument(
-        "--seed", type=int, default=None, help="override the master seed"
-    )
-    bench_p.add_argument(
-        "--profile",
-        choices=["micro", "macro", "figures", "all"],
-        default="all",
-        help="op groups to time (default: all)",
-    )
-    bench_p.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="override every op's timed repeat count",
-    )
-    bench_p.add_argument(
-        "--out",
-        default=".",
-        help="output JSON file, or a directory for BENCH_<timestamp>.json "
-        "(default: current directory)",
-    )
-    compare_p = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json reports; exits non-zero when any op "
+    for flag in _BENCH_FLAGS:
+        bench_p.add_argument(*flag.names, **flag.kwargs)
+    add(bench_sub, "compare",
+        "diff two BENCH_*.json reports; exits non-zero when any op "
         "regresses beyond the threshold (calibration-normalised p50)",
-    )
-    compare_p.add_argument("baseline", help="baseline BENCH_*.json")
-    compare_p.add_argument("current", help="current BENCH_*.json")
-    compare_p.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="relative p50 regression tolerance (default: 0.25 = +25%%)",
-    )
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="replay a seeded multi-attribute query with hop-level span "
+        _BENCH_COMPARE_FLAGS, _cmd_bench_compare)
+    add(sub, "trace",
+        "replay a seeded multi-attribute query with hop-level span "
         "tracing on and print the trace (tree, JSONL or Chrome "
         "trace_event JSON); deterministic for a given seed",
-    )
-    trace_p.add_argument(
-        "--system",
-        required=True,
-        choices=["lorm", "mercury", "sword", "maan"],
-        help="which discovery system to trace",
-    )
-    trace_p.add_argument(
-        "--overlay",
-        default=None,
-        metavar="OVERLAY",
-        help="routing substrate: chord, cycloid (LORM only), singlehop, "
-        "record (default: the system's native substrate)",
-    )
-    trace_p.add_argument(
-        "--fanout",
-        type=int,
-        default=2,
-        help="ReCord per-level finger fan-out (--overlay record only)",
-    )
-    trace_p.add_argument(
-        "--seed", type=int, default=0, help="replay seed (default: 0)"
-    )
-    trace_p.add_argument(
-        "--queries", type=int, default=1,
-        help="multi-attribute queries to replay (default: 1)",
-    )
-    trace_p.add_argument(
-        "--attributes", type=int, default=2,
-        help="attributes per query (default: 2)",
-    )
-    trace_p.add_argument(
-        "--kind",
-        choices=["point", "range", "at-least"],
-        default="range",
-        help="per-attribute constraint shape (default: range)",
-    )
-    trace_p.add_argument(
-        "--loss", type=float, default=0.0,
-        help="seeded per-message loss rate; > 0 adds fault annotations "
-        "(drop/retry/timeout/failover) to the spans",
-    )
-    trace_p.add_argument(
-        "--format",
-        choices=["tree", "jsonl", "chrome"],
-        default="tree",
-        help="tree = human-readable; jsonl = one span per line; "
-        "chrome = chrome://tracing / Perfetto trace_event JSON",
-    )
-    trace_p.add_argument(
-        "--out", default=None,
-        help="write the trace to a file instead of stdout",
-    )
-
-    report_p = sub.add_parser(
-        "report", help="assemble results/REPORT.md from existing artifacts"
-    )
-    report_p.add_argument(
-        "--out", default="results", help="results directory (default: results/)"
-    )
-
-    check_p = sub.add_parser(
-        "check",
-        help="differential/invariant correctness check (oracle replay + "
+        _TRACE_FLAGS, _cmd_trace)
+    add(sub, "report", "assemble results/REPORT.md from existing artifacts",
+        (Flag("--out", default="results",
+              help="results directory (default: results/)"),),
+        _cmd_report)
+    add(sub, "check",
+        "differential/invariant correctness check (oracle replay + "
         "guarded churn storm); exits non-zero on any divergence",
-    )
-    check_p.add_argument(
-        "--systems",
-        nargs="+",
-        default=["all"],
-        metavar="SYSTEM",
-        help="systems to check: all (default) or any of LORM Mercury SWORD MAAN",
-    )
-    check_p.add_argument(
-        "--seed", type=int, default=0, help="harness seed (default: 0)"
-    )
-    check_p.add_argument(
-        "--queries", type=int, default=45,
-        help="queries in the fault-free differential replay",
-    )
-    check_p.add_argument(
-        "--churn-events", type=int, default=40,
-        help="events in the guarded churn storm",
-    )
+        _CHECK_FLAGS, _cmd_check)
     return parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scale",
-        choices=sorted(_SCALES),
-        default="smoke",
-        help="paper = Section V parameters (n=2048, m=200, k=500); "
-        "smoke = same shape, laptop-fast (default)",
-    )
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--out", default=None, help="directory for CSV/text output")
-    p.add_argument(
-        "--lph",
-        choices=["cdf", "linear"],
-        default=None,
-        help="override the locality-preserving hash flavour",
-    )
-    p.add_argument(
-        "--invariants",
-        action="store_true",
-        help="validate overlay invariants and directory conservation after "
-        "every churn event (aborts at the first violation)",
-    )
-
-
-def _add_parallel(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--parallel",
-        nargs="?",
-        type=int,
-        const=0,
-        default=None,
-        metavar="WORKERS",
-        help="fan figures out over worker processes (opt-in; figures no "
-        "longer share service bundles, so total CPU rises while "
-        "wall-clock drops; WORKERS defaults to the CPU count)",
-    )
-
-
-def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    config = _SCALES[args.scale]
+# ----------------------------------------------------------------------
+# The command loop
+# ----------------------------------------------------------------------
+def _config_from(args: argparse.Namespace, flags: Sequence[Flag]) -> ExperimentConfig:
+    """The ``--scale`` preset with every given config-field flag applied."""
     overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.lph is not None:
-        overrides["lph_kind"] = args.lph
-    if getattr(args, "invariants", False):
-        overrides["validate_invariants"] = True
-    return config.scaled(**overrides) if overrides else config
+    for flag in flags:
+        value = getattr(args, flag.dest)
+        # `is`: an unset store_true flag overrides nothing, but 0 does.
+        if flag.to in _CONFIG_FIELDS and value is not None and value is not False:
+            overrides[flag.to] = tuple(value) if isinstance(value, list) else value
+    return _SCALES[args.scale].scaled(**overrides)
 
 
-def _resolve_systems_arg(parser: argparse.ArgumentParser, names):
-    """Canonical system names, or a clean ``parser.error`` (exit 2,
-    valid choices listed) instead of an unhandled traceback."""
-    from repro.experiments.common import resolve_systems
+def _report_done(
+    args: argparse.Namespace, config: ExperimentConfig, word: str, elapsed: float
+) -> None:
+    print(
+        f"[{args.scale} scale, seed {config.seed}] {word} in {elapsed:.1f}s",
+        file=sys.stderr,
+    )
+    if args.out:
+        print(f"results written to {args.out}/", file=sys.stderr)
+
+
+def _run_experiment(args: argparse.Namespace, spec: Experiment) -> int:
+    """Config, run, render, verdict, save, exit code — for every experiment.
+
+    A ``ValueError`` while building the config or resolving a flag is bad
+    input: usage error, exit 2.  One raised by the runner is a bug and
+    propagates.
+    """
+    try:
+        config = _config_from(args, spec.flags)
+        kwargs = {}
+        for flag in spec.flags:
+            value = getattr(args, flag.dest)
+            if flag.to is None or flag.to in _CONFIG_FIELDS or value is None:
+                continue
+            kwargs[flag.to] = flag.resolve(config, value) if flag.resolve else value
+    except ValueError as exc:
+        args.subparser.error(str(exc))
+    started = time.perf_counter()
+    result = spec.runner(config, **kwargs)
+    elapsed = time.perf_counter() - started
+    print(result.render())
+    ok, word = True, "done"
+    if spec.judge is not None:
+        ok, word = spec.judge(result, args, elapsed)
+    elif spec.verdict is not None:
+        ok = result.ok
+        word = spec.verdict[0 if ok else 1]
+    else:
+        print()  # an ungated figure report ends like `repro run`'s
+    if args.out:
+        result.save(args.out)
+    _report_done(args, config, word, elapsed)
+    return 0 if ok else 1
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    for figure_id in sorted(FIGURES):
+        doc = (FIGURES[figure_id].__doc__ or "").strip().splitlines()[0]
+        print(f"{figure_id:7s} {doc}")
+    return 0
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    """``run FIGURE...`` and ``all``: each figure saved as it finishes."""
+    config = _config_from(args, _COMMON)
+    figure_ids = args.figures if args.command == "run" else sorted(FIGURES)
+    started = time.perf_counter()
+    results: dict[str, Any] = {}
+    if args.parallel is not None:
+        results = run_figures_parallel(
+            figure_ids, config, save_dir=args.out, max_workers=args.parallel or None
+        )
+    elif args.command == "all":
+        results = run_all_figures(config, save_dir=args.out)
+    for figure_id in figure_ids:
+        if figure_id not in results:
+            results[figure_id] = run_figure(figure_id, config, save_dir=args.out)
+        print(results[figure_id].render())
+        print()
+    _report_done(args, config, "done", time.perf_counter() - started)
+    return 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench import run_bench
+
+    config = _config_from(args, _BENCH_FLAGS)
+    started = time.perf_counter()
+    bench_report = run_bench(
+        config,
+        scale=args.scale,
+        profile=args.profile,
+        repeats=args.repeats,
+        progress=lambda msg: print(msg, file=sys.stderr),
+    )
+    print(bench_report.render())
+    path = bench_report.save(args.out)
+    elapsed = time.perf_counter() - started
+    print(
+        f"[{args.scale} scale, seed {config.seed}] benched in "
+        f"{elapsed:.1f}s -> {path}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def _cmd_bench_compare(args: argparse.Namespace) -> int:
+    from repro.bench import compare_reports
+    from repro.bench.report import BenchReport
+
+    result = compare_reports(
+        BenchReport.load(args.baseline),
+        BenchReport.load(args.current),
+        threshold=args.threshold,
+    )
+    print(result.render())
+    return 0 if result.ok else 1
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
+    from repro.obs.replay import replay_queries
+    from repro.workloads.generator import QueryKind
 
     try:
-        return resolve_systems(names)
+        overlay = resolve_overlay(args.overlay) if args.overlay is not None else None
     except ValueError as exc:
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
+    started = time.perf_counter()
+    _, traces = replay_queries(
+        args.system,
+        seed=args.seed,
+        num_queries=args.queries,
+        num_attributes=args.attributes,
+        kind=QueryKind(args.kind),
+        loss=args.loss,
+        overlay=overlay,
+        fanout=args.fanout,
+    )
+    if args.format == "jsonl":
+        text = traces_to_jsonl(traces)
+    elif args.format == "chrome":
+        text = traces_to_chrome(traces)
+    else:
+        text = "\n".join(render_tree(t) for t in traces)
+        if text:
+            text += "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {args.out}", file=sys.stderr)
+    else:
+        sys.stdout.write(text)
+    elapsed = time.perf_counter() - started
+    hops = sum(t.hop_count() for t in traces)
+    print(
+        f"[{args.system}, seed {args.seed}] {len(traces)} trace(s), "
+        f"{hops} hops in {elapsed:.1f}s",
+        file=sys.stderr,
+    )
+    return 0
 
 
-def _resolve_overlay_arg(parser: argparse.ArgumentParser, name):
-    """Canonical overlay name, or a clean ``parser.error`` (exit 2, valid
-    choices listed) — the ``--systems`` contract, for ``--overlay``."""
-    from repro.experiments.common import resolve_overlay
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments.consolidate import write_report
+
+    path = write_report(args.out)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.testing.differential import ALL_SYSTEMS, run_check
 
     try:
-        return resolve_overlay(name)
+        systems = (
+            ALL_SYSTEMS if "all" in args.systems else resolve_systems(args.systems)
+        )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
+    started = time.perf_counter()
+    report = run_check(
+        systems=systems,
+        seed=args.seed,
+        num_queries=args.queries,
+        churn_events=args.churn_events,
+    )
+    print(report.render())
+    elapsed = time.perf_counter() - started
+    print(f"[seed {args.seed}] checked in {elapsed:.1f}s", file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        for figure_id in sorted(FIGURES):
-            doc = (FIGURES[figure_id].__doc__ or "").strip().splitlines()[0]
-            print(f"{figure_id:7s} {doc}")
-        return 0
-
-    if args.command == "bench":
-        if getattr(args, "bench_command", None) == "compare":
-            from repro.bench import compare_reports
-            from repro.bench.report import BenchReport
-
-            result = compare_reports(
-                BenchReport.load(args.baseline),
-                BenchReport.load(args.current),
-                threshold=args.threshold,
-            )
-            print(result.render())
-            return 0 if result.ok else 1
-
-        from repro.bench import run_bench
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _SCALES[args.scale]
-        if args.seed is not None:
-            config = config.scaled(seed=args.seed)
-        started = time.perf_counter()
-        bench_report = run_bench(
-            config,
-            scale=args.scale,
-            profile=args.profile,
-            repeats=args.repeats,
-            progress=lambda msg: print(msg, file=sys.stderr),
-        )
-        print(bench_report.render())
-        path = bench_report.save(args.out)
-        elapsed = time.perf_counter() - started
-        print(
-            f"[{args.scale} scale, seed {config.seed}] benched in "
-            f"{elapsed:.1f}s -> {path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.command == "scale":
-        from repro.experiments.scale import run_scale
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _SCALES[args.scale]
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.sizes is not None:
-            overrides["scale_sizes"] = tuple(args.sizes)
-        if args.queries is not None:
-            overrides["scale_queries"] = args.queries
-        if args.churn_events is not None:
-            overrides["scale_churn_events"] = args.churn_events
-        if overrides:
-            config = config.scaled(**overrides)
-        started = time.perf_counter()
-        result = run_scale(
-            config,
-            parallel=args.parallel is not None,
-            max_workers=(args.parallel or None) if args.parallel else None,
-        )
-        elapsed = time.perf_counter() - started
-        print(result.render())
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        ok = True
-        if args.budget_seconds is not None and elapsed > args.budget_seconds:
-            ok = False
-            print(
-                f"BUDGET EXCEEDED: sweep took {elapsed:.1f}s "
-                f"(budget {args.budget_seconds:.1f}s)",
-                file=sys.stderr,
-            )
-        if args.budget_mb is not None:
-            worst = max(result.points, key=lambda p: p.peak_tracemalloc_mb)
-            if worst.peak_tracemalloc_mb > args.budget_mb:
-                ok = False
-                print(
-                    f"BUDGET EXCEEDED: n={worst.num_nodes} peaked at "
-                    f"{worst.peak_tracemalloc_mb:.1f} MB traced "
-                    f"(budget {args.budget_mb:.1f} MB)",
-                    file=sys.stderr,
-                )
-        print(
-            f"[{args.scale} scale, seed {config.seed}] "
-            f"{len(result.points)} point(s) in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-
-    if args.command == "trace":
-        from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
-        from repro.obs.replay import replay_queries
-        from repro.workloads.generator import QueryKind
-
-        overlay = (
-            _resolve_overlay_arg(parser, args.overlay)
-            if args.overlay is not None else None
-        )
-        started = time.perf_counter()
-        _, traces = replay_queries(
-            args.system,
-            seed=args.seed,
-            num_queries=args.queries,
-            num_attributes=args.attributes,
-            kind=QueryKind(args.kind),
-            loss=args.loss,
-            overlay=overlay,
-            fanout=args.fanout,
-        )
-        if args.format == "jsonl":
-            text = traces_to_jsonl(traces)
-        elif args.format == "chrome":
-            text = traces_to_chrome(traces)
-        else:
-            text = "\n".join(render_tree(t) for t in traces)
-            if text:
-                text += "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(text)
-        elapsed = time.perf_counter() - started
-        hops = sum(t.hop_count() for t in traces)
-        print(
-            f"[{args.system}, seed {args.seed}] {len(traces)} trace(s), "
-            f"{hops} hops in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.command == "report":
-        from repro.experiments.consolidate import write_report
-
-        path = write_report(args.out)
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "check":
-        from repro.testing.differential import ALL_SYSTEMS, run_check
-
-        systems = (
-            ALL_SYSTEMS
-            if "all" in args.systems
-            else _resolve_systems_arg(parser, args.systems)
-        )
-        started = time.perf_counter()
-        report = run_check(
-            systems=systems,
-            seed=args.seed,
-            num_queries=args.queries,
-            churn_events=args.churn_events,
-        )
-        print(report.render())
-        elapsed = time.perf_counter() - started
-        print(f"[seed {args.seed}] checked in {elapsed:.1f}s", file=sys.stderr)
-        return 0 if report.ok else 1
-
-    if args.command == "chaos":
-        from repro.experiments.recovery import run_chaos_demo
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        started = time.perf_counter()
-        result = run_chaos_demo(config)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "RECONVERGED" if result.ok else "FAILED TO RECONVERGE"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "hotspot":
-        from repro.experiments.hotspot import run_hotspot
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.zipf_s is not None:
-            overrides["hotspot_zipf_s"] = tuple(args.zipf_s)
-        if args.queries is not None:
-            overrides["hotspot_queries"] = args.queries
-        if args.salts is not None:
-            overrides["hotspot_salts"] = args.salts
-        if overrides:
-            config = config.scaled(**overrides)
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems is not None else None
-        )
-        started = time.perf_counter()
-        result = run_hotspot(config, systems=systems)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "BALANCED" if result.ok else "GATE MISS"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "tradeoff":
-        from repro.experiments.tradeoff import run_tradeoff
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.queries is not None:
-            overrides["tradeoff_queries"] = args.queries
-        if args.churn_events is not None:
-            overrides["tradeoff_churn_events"] = args.churn_events
-        if args.fanouts is not None:
-            overrides["tradeoff_fanouts"] = tuple(args.fanouts)
-        if overrides:
-            config = config.scaled(**overrides)
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems is not None else None
-        )
-        started = time.perf_counter()
-        try:
-            result = run_tradeoff(
-                config,
-                systems=systems,
-                overlays=tuple(args.overlays) if args.overlays else None,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "CURVE OK" if result.ok else "GATE MISS"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "tail":
-        from repro.experiments.tail import run_tail
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        overrides = {}
-        if args.fractions is not None:
-            overrides["tail_slow_fractions"] = tuple(args.fractions)
-        if args.queries is not None:
-            overrides["tail_queries"] = args.queries
-        if args.slo_p99 is not None:
-            overrides["tail_slo_p99"] = args.slo_p99
-        if overrides:
-            config = config.scaled(**overrides)
-        started = time.perf_counter()
-        result = run_tail(config)
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "SLO MET" if result.ok else "SLO MISSED"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    if args.command == "durability":
-        from repro.experiments.durability import (
-            DEFAULT_SCENARIOS,
-            DEFAULT_SYSTEMS,
-            run_durability,
-        )
-        from repro.sim.durability import parse_policy
-
-        if args.smoke:
-            args.scale = "smoke"
-        config = _config_from(args)
-        try:
-            policies = (
-                tuple(parse_policy(spec) for spec in args.policies)
-                if args.policies else None
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        scenarios = (
-            tuple(s for s in DEFAULT_SCENARIOS if s.name in args.scenarios)
-            if args.scenarios else DEFAULT_SCENARIOS
-        )
-        systems = (
-            _resolve_systems_arg(parser, args.systems)
-            if args.systems else DEFAULT_SYSTEMS
-        )
-        started = time.perf_counter()
-        result = run_durability(
-            config, policies=policies, scenarios=scenarios, systems=systems
-        )
-        print(result.render())
-        elapsed = time.perf_counter() - started
-        verdict = "RECOVERED" if result.ok else "FAILED TO RECOVER"
-        print(
-            f"[{args.scale} scale, seed {config.seed}] {verdict} in {elapsed:.1f}s",
-            file=sys.stderr,
-        )
-        if args.out:
-            result.save(args.out)
-            print(f"results written to {args.out}/", file=sys.stderr)
-        return 0 if result.ok else 1
-
-    config = _config_from(args)
-    started = time.perf_counter()
-    if args.command == "availability":
-        overrides = {}
-        if args.loss is not None:
-            overrides["loss_rates"] = tuple(args.loss)
-        if args.replication is not None:
-            overrides["availability_replications"] = tuple(args.replication)
-        if args.queries is not None:
-            overrides["num_availability_queries"] = args.queries
-        if overrides:
-            config = config.scaled(**overrides)
-        result = run_figure("availability", config, save_dir=args.out)
-        print(result.render())
-        print()
-    elif args.command == "all":
-        if args.parallel is not None:
-            from repro.experiments.runner import run_figures_parallel
-
-            results = run_figures_parallel(
-                sorted(FIGURES), config, save_dir=args.out,
-                max_workers=args.parallel or None,
-            )
-        else:
-            results = run_all_figures(config, save_dir=args.out)
-        for figure_id in sorted(results):
-            print(results[figure_id].render())  # type: ignore[attr-defined]
-            print()
-    else:
-        if args.parallel is not None:
-            from repro.experiments.runner import run_figures_parallel
-
-            results = run_figures_parallel(
-                args.figures, config, save_dir=args.out,
-                max_workers=args.parallel or None,
-            )
-            for figure_id in args.figures:
-                print(results[figure_id].render())  # type: ignore[attr-defined]
-                print()
-        else:
-            for figure_id in args.figures:
-                result = run_figure(figure_id, config, save_dir=args.out)
-                print(result.render())
-                print()
-    elapsed = time.perf_counter() - started
-    print(f"[{args.scale} scale, seed {config.seed}] done in {elapsed:.1f}s", file=sys.stderr)
-    if args.out:
-        print(f"results written to {args.out}/", file=sys.stderr)
-    return 0
+    args = build_parser().parse_args(argv)
+    if args.smoke:
+        args.scale = "smoke"
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

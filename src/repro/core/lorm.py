@@ -293,15 +293,6 @@ class LormService(DiscoveryService):
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
-    def directory_sizes(self) -> list[int]:
-        return self.overlay.directory_sizes()
-
-    def outlink_counts(self) -> list[int]:
-        return self.overlay.outlink_counts()
-
-    def num_nodes(self) -> int:
-        return self.overlay.num_nodes
-
     def structural_hop_bound(self) -> int:
         if self._flat:
             # Chord-family substrate: the classic halving ceiling.
@@ -316,43 +307,3 @@ class LormService(DiscoveryService):
         # cluster holds at most ``d`` nodes; the linearized arc on a flat
         # ring spans at most ``d`` IDs, so the same bound carries over.
         return self.dimension
-
-    def configure_faults(self, injector: Any, policy: Any | None = None) -> None:
-        self.overlay.network.faults = injector
-        if policy is not None:
-            self.overlay.lookup_policy = policy
-
-    # ------------------------------------------------------------------
-    # Churn
-    # ------------------------------------------------------------------
-    def churn_leave(self) -> bool:
-        if self.overlay.num_nodes <= 2:
-            return False
-        ids = self.overlay.node_ids
-        victim = ids[int(self._churn_rng.integers(len(ids)))]
-        self.overlay.leave(victim)
-        self._departed.append(victim)
-        return True
-
-    def churn_join(self) -> bool:
-        if not self._departed:
-            return False
-        idx = int(self._churn_rng.integers(len(self._departed)))
-        cid = self._departed.pop(idx)
-        self.overlay.join(cid)
-        return True
-
-    def churn_fail(self) -> bool:
-        if self.overlay.num_nodes <= 2:
-            return False
-        ids = self.overlay.node_ids
-        victim = ids[int(self._churn_rng.integers(len(ids)))]
-        self.overlay.fail(victim)
-        self._departed.append(victim)
-        return True
-
-    def stabilize(self, budget: Any | None = None) -> Any:
-        if budget is None:
-            self.overlay.stabilize_all()
-            return None
-        return self.maintenance_round().run(budget)

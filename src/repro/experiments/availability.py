@@ -22,6 +22,7 @@ from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
+from repro.sim.invariants import overlay_of
 from repro.sim.network import publish_stats
 from repro.utils.seeding import SeedFactory
 from repro.workloads.generator import QueryKind
@@ -48,7 +49,7 @@ def measure_completeness(
     """
     if not cases:
         return 1.0
-    overlay = service.overlay if hasattr(service, "overlay") else service.ring
+    overlay = overlay_of(service)
     before = overlay.network.stats.snapshot()
     service.configure_faults(injector, policy)
     try:
@@ -75,7 +76,7 @@ def _crash_storm(bundle: ServiceBundle, config: ExperimentConfig) -> int:
     crashes = max(1, round(config.availability_crash_fraction * config.population))
     repair_every = max(1, crashes // 4)
     for service in bundle.all():
-        overlay = service.overlay if hasattr(service, "overlay") else service.ring
+        overlay = overlay_of(service)
         for i in range(crashes):
             if not service.churn_fail():
                 break

@@ -172,6 +172,17 @@ class ExperimentConfig:
             self.hotspot_queries >= self.hotspot_windows,
             "hotspot_queries must cover every window",
         )
+        require(self.tail_queries >= 1, "tail_queries must be >= 1")
+        require(self.tradeoff_queries >= 1, "tradeoff_queries must be >= 1")
+        require(self.scale_queries >= 1, "scale_queries must be >= 1")
+        # The scale churn loop (join, leave, fail round-robin) nets one
+        # departure per three events and cannot remove a ring's last node.
+        smallest = max(3, self.scale_churn_events // 3 + 1)
+        require(
+            all(n >= smallest for n in self.scale_sizes),
+            f"every scale_sizes entry must be >= {smallest} to survive "
+            f"{self.scale_churn_events} churn events",
+        )
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -24,19 +24,17 @@ default maintenance budget and cadence as the chaos demo.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.experiments.common import build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.recovery import _probe_cases, chaos_trial
+from repro.experiments.report import CellTable
 from repro.sim.chaos import CRASH_STORM_SCENARIO, DEMO_SCENARIO, ChaosScenario
 from repro.sim.durability import DEFAULT_POLICY_SPECS, DurabilityPolicy, parse_policy
 from repro.sim.invariants import directory_census, overlay_of
 from repro.sim.maintenance import DEFAULT_BUDGET, MaintenanceScheduler
-from repro.utils.formatting import render_table
 
 __all__ = [
     "DurabilityCell",
@@ -87,69 +85,36 @@ class DurabilityCell:
 
 
 @dataclass
-class DurabilityResult:
+class DurabilityResult(CellTable):
     """The full policy × scenario sweep."""
 
-    config: ExperimentConfig
-    cells: list[DurabilityCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    name = "durability"
+    title = (
+        "durability: redundancy policies under chaos "
+        "(TTR/recovered = data recovery, availability floor 0)"
+    )
+    cell_type = DurabilityCell
+    key_fields = ("system", "policy", "scenario")
+    columns = (
+        ("system", lambda c: c.system),
+        ("policy", lambda c: c.policy),
+        ("scenario", lambda c: c.scenario),
+        ("pieces", lambda c: str(c.pieces_before)),
+        ("lost", lambda c: str(c.pieces_lost)),
+        ("TTR", lambda c: "never" if math.isinf(c.ttr) else f"{c.ttr:.1f}s"),
+        ("deficit area", lambda c: f"{c.deficit_area:.0f}"),
+        ("min avail", lambda c: f"{c.min_availability:.2f}"),
+        ("final avail", lambda c: f"{c.final_availability:.2f}"),
+        ("repair copies", lambda c: str(c.repair_copies)),
+        ("repair BW", lambda c: f"{c.repair_bandwidth:.1f}"),
+        ("overhead", lambda c: f"{c.storage_overhead:.2f}"),
+        ("recovered", lambda c: "yes" if c.recovered else "NO"),
+    )
 
     @property
     def ok(self) -> bool:
         """Every cell recovered its surviving data within the horizon."""
         return bool(self.cells) and all(cell.ok for cell in self.cells)
-
-    def table(self) -> str:
-        rows = []
-        for c in self.cells:
-            rows.append([
-                c.system,
-                c.policy,
-                c.scenario,
-                str(c.pieces_before),
-                str(c.pieces_lost),
-                "never" if math.isinf(c.ttr) else f"{c.ttr:.1f}s",
-                f"{c.deficit_area:.0f}",
-                f"{c.min_availability:.2f}",
-                f"{c.final_availability:.2f}",
-                str(c.repair_copies),
-                f"{c.repair_bandwidth:.1f}",
-                f"{c.storage_overhead:.2f}",
-                "yes" if c.recovered else "NO",
-            ])
-        return render_table(
-            ["system", "policy", "scenario", "pieces", "lost", "TTR",
-             "deficit area", "min avail", "final avail", "repair copies",
-             "repair BW", "overhead", "recovered"],
-            rows,
-            title="durability: redundancy policies under chaos "
-            "(TTR/recovered = data recovery, availability floor 0)",
-        )
-
-    def render(self) -> str:
-        out = self.table()
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``durability.csv`` + ``durability.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "durability.csv"
-        fields = [
-            "system", "policy", "scenario", "pieces_before", "pieces_lost",
-            "ttr", "deficit_area", "min_availability", "final_availability",
-            "repair_copies", "repair_bandwidth", "storage_overhead",
-            "recovered",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "durability.txt").write_text(self.render() + "\n")
-        return csv_path
 
 
 def _census_size(service, policy: DurabilityPolicy) -> int:

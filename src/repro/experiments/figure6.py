@@ -27,7 +27,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceEventKind, TraceRecorder
 from repro.utils.seeding import SeedFactory
 from repro.workloads.generator import QueryKind
 
@@ -51,7 +50,6 @@ def run_churn_trial(
     rate: float,
     *,
     attributes_per_query: int = 1,
-    tracer: "TraceRecorder | None" = None,
 ) -> ChurnTrialResult:
     """Simulate one churn rate across all four approaches.
 
@@ -86,20 +84,12 @@ def run_churn_trial(
     for service in bundle.all():
         sim = Simulator()
 
-        def traced(action, kind, service=service):
-            if tracer is None:
-                return action
-            def wrapped(_action=action, _kind=kind, _svc=service):
-                tracer.record(_kind, _svc.name, population=_svc.num_nodes())
-                return _action()
-            return wrapped
-
         churn = ChurnProcess(rate=rate, rng=seeds.numpy(f"churn:{service.name}"))
         total_churn_events += churn.install(
             sim,
             horizon,
-            on_join=traced(service.churn_join, TraceEventKind.JOIN),
-            on_leave=traced(service.churn_leave, TraceEventKind.LEAVE),
+            on_join=service.churn_join,
+            on_leave=service.churn_leave,
         )
 
         stabilize_t = _STABILIZE_PERIOD

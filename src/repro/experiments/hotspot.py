@@ -30,18 +30,16 @@ and no sub-query may exceed its system's structural hop ceiling.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.core.hotspot import DynamicReplicator, SaltPlan
 from repro.experiments.common import SYSTEM_NAMES, build_service, resolve_systems
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.report import CellTable
 from repro.sim.invariants import overlay_of
 from repro.sim.loadstats import LoadStats, LoadWindow, max_mean_ratio
 from repro.sim.maintenance import MaintenanceBudget
-from repro.utils.formatting import render_table
 from repro.utils.seeding import SeedFactory
 from repro.workloads.generator import GridWorkload, QueryKind
 from repro.workloads.popularity import ZipfPopularity
@@ -94,18 +92,29 @@ class HotspotCell:
 
 
 @dataclass
-class HotspotResult:
+class HotspotResult(CellTable):
     """The full system × zipf-s × mitigation sweep plus the gate verdict."""
 
-    config: ExperimentConfig
-    cells: list[HotspotCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def cell(self, system: str, zipf_s: float, mitigation: str) -> HotspotCell:
-        for c in self.cells:
-            if c.system == system and c.zipf_s == zipf_s and c.mitigation == mitigation:
-                return c
-        raise KeyError(f"no cell ({system}, {zipf_s}, {mitigation})")
+    name = "hotspot"
+    title = (
+        "hotspot: serve-load imbalance under zipf popularity "
+        "x mitigation (common random numbers)"
+    )
+    cell_type = HotspotCell
+    key_fields = ("system", "zipf_s", "mitigation")
+    columns = (
+        ("system", lambda c: c.system),
+        ("zipf s", lambda c: f"{c.zipf_s:g}"),
+        ("mitigation", lambda c: c.mitigation),
+        ("max/mean", lambda c: f"{c.imbalance:.1f}"),
+        ("gini", lambda c: f"{c.gini:.3f}"),
+        ("top-5", lambda c: f"{c.top5_share:.1%}"),
+        ("route max/mean", lambda c: f"{c.route_imbalance:.1f}"),
+        ("hops", lambda c: f"{c.mean_subquery_hops:.1f}"),
+        ("max/bound", lambda c: f"{c.max_subquery_hops}/{c.hop_bound}"),
+        ("transparent", lambda c: "yes" if c.transparent else "NO"),
+        ("copies", lambda c: str(c.replica_copies)),
+    )
 
     @property
     def headline_s(self) -> float:
@@ -148,98 +157,29 @@ class HotspotResult:
             return False
         return True
 
-    def table(self) -> str:
-        rows = []
-        for c in self.cells:
-            rows.append(
-                [
-                    c.system,
-                    f"{c.zipf_s:g}",
-                    c.mitigation,
-                    f"{c.imbalance:.1f}",
-                    f"{c.gini:.3f}",
-                    f"{c.top5_share:.1%}",
-                    f"{c.route_imbalance:.1f}",
-                    f"{c.mean_subquery_hops:.1f}",
-                    f"{c.max_subquery_hops}/{c.hop_bound}",
-                    "yes" if c.transparent else "NO",
-                    str(c.replica_copies),
-                ]
-            )
-        headers = [
-            "system",
-            "zipf s",
-            "mitigation",
-            "max/mean",
-            "gini",
-            "top-5",
-            "route max/mean",
-            "hops",
-            "max/bound",
-            "transparent",
-            "copies",
-        ]
-        return render_table(
-            headers,
-            rows,
-            title="hotspot: serve-load imbalance under zipf popularity "
-            "x mitigation (common random numbers)",
-        )
-
-    def render(self) -> str:
-        out = self.table()
+    def verdict_lines(self) -> list[str]:
         s = self.headline_s
-        if s > 0.0:
-            out += "\n"
-            for system in MITIGATED_SYSTEMS:
-                try:
-                    base = self.cell(system, s, "none")
-                    cut = self.cut(system)
-                except KeyError:
-                    continue
-                need = REQUIRED_CUT if system == HEADLINE_SYSTEM else 1.0
-                verdict = "ok" if cut >= need else "MISS"
-                gate = ""
-                if system == HEADLINE_SYSTEM:
-                    gate = f" (gate >= {REQUIRED_CUT:g}x: {verdict})"
-                out += (
-                    f"\n{system} @ s={s:g}: max/mean {base.imbalance:.1f} "
-                    f"(none) -> best mitigated {base.imbalance / cut:.1f}, "
-                    f"{cut:.1f}x cut{gate}"
-                )
-            out += f"\nverdict: {'ok' if self.ok else 'GATE MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``hotspot.csv`` + ``hotspot.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "hotspot.csv"
-        fields = [
-            "system",
-            "zipf_s",
-            "mitigation",
-            "imbalance",
-            "gini",
-            "top5_share",
-            "route_imbalance",
-            "mean_subquery_hops",
-            "max_subquery_hops",
-            "hop_bound",
-            "queries",
-            "transparent",
-            "replica_copies",
-            "replicas_created",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "hotspot.txt").write_text(self.render() + "\n")
-        return csv_path
+        if s <= 0.0:
+            return []
+        lines = []
+        for system in MITIGATED_SYSTEMS:
+            try:
+                base = self.cell(system, s, "none")
+                cut = self.cut(system)
+            except KeyError:
+                continue
+            need = REQUIRED_CUT if system == HEADLINE_SYSTEM else 1.0
+            verdict = "ok" if cut >= need else "MISS"
+            gate = ""
+            if system == HEADLINE_SYSTEM:
+                gate = f" (gate >= {REQUIRED_CUT:g}x: {verdict})"
+            lines.append(
+                f"{system} @ s={s:g}: max/mean {base.imbalance:.1f} "
+                f"(none) -> best mitigated {base.imbalance / cut:.1f}, "
+                f"{cut:.1f}x cut{gate}"
+            )
+        lines.append(f"verdict: {'ok' if self.ok else 'GATE MISS'}")
+        return lines
 
 
 def _skewed_workload(config: ExperimentConfig, s: float) -> GridWorkload:

@@ -21,6 +21,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.churn import ChurnProcess
 from repro.sim.engine import Simulator
+from repro.sim.invariants import overlay_of
 from repro.utils.seeding import SeedFactory
 
 __all__ = ["maintenance_trial", "run_maintenance"]
@@ -40,9 +41,7 @@ def maintenance_trial(config: ExperimentConfig, rate: float) -> dict[str, float]
     seeds = SeedFactory(config.seed).fork(f"maintenance:{rate}")
     out: dict[str, float] = {}
     for service in bundle.all():
-        network = (
-            service.overlay.network if service.name == "LORM" else service.ring.network
-        )
+        network = overlay_of(service).network
         before = network.stats.maintenance_messages
         sim = Simulator()
         churn = ChurnProcess(rate=rate, rng=seeds.numpy(f"churn:{service.name}"))

@@ -1,30 +1,130 @@
-"""Figure results: structured series + CSV + text rendering.
+"""Experiment results: structured data + CSV + text rendering.
 
 A :class:`FigureResult` carries every curve of one paper figure (measured
 and analysis-derived), knows the paper's qualitative expectation for that
 figure, and renders itself as an aligned table, an ASCII chart, and a CSV
-file under ``results/``.
+file under ``results/``.  A :class:`CellTable` is the sweep counterpart:
+one cell dataclass per measured point, rendered through a column
+list, with the experiment's pass/fail verdict as the only code a
+subclass has to bring.  Every result persists through
+:func:`write_result`, so ``<stem>.csv`` + ``<stem>.txt`` is written in
+exactly one place.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, ClassVar
 
 from repro.analysis.models import AnalysisCurve
+from repro.experiments.config import ExperimentConfig
 from repro.plotting.ascii import ascii_chart
 from repro.utils.formatting import render_table
 from repro.utils.validation import require
 
-__all__ = ["DistributionResult", "DistributionRow", "FigureResult"]
+__all__ = [
+    "CellTable",
+    "DistributionResult",
+    "DistributionRow",
+    "FigureResult",
+    "with_notes",
+    "write_result",
+]
 
 
 def _finite_or_empty(value: float) -> float | str:
     """A CSV cell: the value itself, or an empty cell for NaN/inf."""
     return value if math.isfinite(value) else ""
+
+
+def write_result(directory: str | Path, stem: str, csv_text: str, text: str) -> Path:
+    """Write ``<stem>.csv`` and ``<stem>.txt`` (``text`` plus a final
+    newline) under ``directory``, creating it; returns the CSV path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    csv_path = directory / f"{stem}.csv"
+    csv_path.write_text(csv_text)
+    (directory / f"{stem}.txt").write_text(text + "\n")
+    return csv_path
+
+
+def with_notes(text: str, notes: Sequence[str]) -> str:
+    """``text`` followed by a blank line and one ``note:`` line per note."""
+    if not notes:
+        return text
+    return text + "\n\n" + "\n".join(f"note: {note}" for note in notes)
+
+
+@dataclass
+class CellTable:
+    """A sweep result: one cell dataclass per measured point, plus notes.
+
+    Subclasses declare the class attributes below and their verdict
+    (``ok`` and :meth:`verdict_lines`); lookup, table, text report, CSV
+    and persistence are shared.
+    """
+
+    config: ExperimentConfig
+    cells: list = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    #: File stem of the saved artifacts (``<name>.csv`` / ``<name>.txt``).
+    name: ClassVar[str]
+    #: Table title.
+    title: ClassVar[str]
+    #: The cell dataclass; its field order is the CSV column order.
+    cell_type: ClassVar[type]
+    #: The cell fields :meth:`cell` looks a point up by, in argument order.
+    key_fields: ClassVar[tuple[str, ...]]
+    #: ``(header, cell -> text)`` per table column.
+    columns: ClassVar[tuple[tuple[str, Callable[[Any], str]], ...]]
+
+    def cell(self, *key: Any) -> Any:
+        """The cell whose :attr:`key_fields` equal ``key``."""
+        for c in self.cells:
+            if tuple(getattr(c, name) for name in self.key_fields) == key:
+                return c
+        raise KeyError(f"no cell ({', '.join(str(k) for k in key)})")
+
+    def table(self) -> str:
+        """Aligned text table, one row per cell."""
+        return render_table(
+            [header for header, _ in self.columns],
+            [[fmt(c) for _, fmt in self.columns] for c in self.cells],
+            title=self.title,
+        )
+
+    def verdict_lines(self) -> list[str]:
+        """The lines between the table and the notes (none by default)."""
+        return []
+
+    def render(self) -> str:
+        """Full text report: table, verdict lines and notes."""
+        out = self.table()
+        lines = self.verdict_lines()
+        if lines:
+            out += "\n\n" + "\n".join(lines)
+        return with_notes(out, self.notes)
+
+    def to_csv(self) -> str:
+        """One CSV row per cell; the header is the cell dataclass's fields."""
+        names = [f.name for f in dataclasses.fields(self.cell_type)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(names)
+        for c in self.cells:
+            writer.writerow([getattr(c, name) for name in names])
+        return buffer.getvalue()
+
+    def save(self, directory: str | Path) -> Path:
+        """Write ``<name>.csv`` + ``<name>.txt`` under ``directory``."""
+        return write_result(directory, self.name, self.to_csv(), self.render())
 
 
 @dataclass
@@ -102,21 +202,15 @@ class FigureResult:
 
     def render(self) -> str:
         """Full text report: table, chart and notes."""
-        parts = [self.to_table(), "", self.to_ascii_chart()]
-        if self.notes:
-            parts.append("")
-            parts.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(parts)
+        return with_notes(
+            self.to_table() + "\n\n" + self.to_ascii_chart(), self.notes
+        )
 
     def save(self, directory: str | Path) -> Path:
         """Write ``<figure_id>.csv`` and ``<figure_id>.txt`` under
         ``directory``; returns the CSV path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / f"{self.figure_id}.csv"
-        csv_path.write_text(self.to_csv())
-        (directory / f"{self.figure_id}.txt").write_text(self.render() + "\n")
-        return csv_path
+        return write_result(directory, self.figure_id, self.to_csv(), self.render())
+
 
 @dataclass(frozen=True)
 class DistributionRow:
@@ -185,17 +279,8 @@ class DistributionResult:
 
     def render(self) -> str:
         """Full text report."""
-        parts = [self.to_table()]
-        if self.notes:
-            parts.append("")
-            parts.extend(f"note: {note}" for note in self.notes)
-        return "\n".join(parts)
+        return with_notes(self.to_table(), self.notes)
 
     def save(self, directory: str | Path) -> Path:
         """Write CSV and text renderings; returns the CSV path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / f"{self.figure_id}.csv"
-        csv_path.write_text(self.to_csv())
-        (directory / f"{self.figure_id}.txt").write_text(self.render() + "\n")
-        return csv_path
+        return write_result(directory, self.figure_id, self.to_csv(), self.render())

@@ -139,6 +139,29 @@ class ScaleResult(FigureResult):
                     row[key] = None
         return json.dumps({"points": rows}, indent=2, allow_nan=False) + "\n"
 
+    def over_budget(
+        self,
+        elapsed: float,
+        budget_seconds: float | None = None,
+        budget_mb: float | None = None,
+    ) -> list[str]:
+        """One line per blown budget (``None`` = unbudgeted): the sweep's
+        wall-clock ``elapsed`` and the worst point's peak traced memory."""
+        violations = []
+        if budget_seconds is not None and elapsed > budget_seconds:
+            violations.append(
+                f"sweep took {elapsed:.1f}s (budget {budget_seconds:.1f}s)"
+            )
+        if budget_mb is not None:
+            worst = max(self.points, key=lambda p: p.peak_tracemalloc_mb)
+            if worst.peak_tracemalloc_mb > budget_mb:
+                violations.append(
+                    f"n={worst.num_nodes} peaked at "
+                    f"{worst.peak_tracemalloc_mb:.1f} MB traced "
+                    f"(budget {budget_mb:.1f} MB)"
+                )
+        return violations
+
     def save(self, directory: str | Path) -> Path:
         csv_path = super().save(directory)
         (Path(directory) / f"{self.figure_id}_table.json").write_text(

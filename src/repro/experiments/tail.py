@@ -25,14 +25,13 @@ the property suite verifies independently.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.report import CellTable
 from repro.sim.chaos import slow_victims
 from repro.sim.faults import (
     ADAPTIVE_POLICY,
@@ -43,7 +42,6 @@ from repro.sim.faults import (
 )
 from repro.sim.invariants import overlay_of
 from repro.sim.latency import LognormalLatency
-from repro.utils.formatting import render_table
 from repro.utils.seeding import SeedFactory
 from repro.workloads.generator import QueryKind
 
@@ -96,22 +94,29 @@ class TailCell:
 
 
 @dataclass
-class TailResult:
+class TailResult(CellTable):
     """The full system × fraction × policy sweep plus the SLO verdict."""
 
-    config: ExperimentConfig
-    cells: list[TailCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def cell(self, system: str, fraction: float, policy: str) -> TailCell:
-        for c in self.cells:
-            if (
-                c.system == system
-                and c.slow_fraction == fraction
-                and c.policy == policy
-            ):
-                return c
-        raise KeyError(f"no cell ({system}, {fraction}, {policy})")
+    name = "tail"
+    title = (
+        "tail latency: gray failures x requester policies "
+        "(lognormal per-message latency)"
+    )
+    cell_type = TailCell
+    key_fields = ("system", "slow_fraction", "policy")
+    columns = (
+        ("system", lambda c: c.system),
+        ("slow", lambda c: f"{c.slow_fraction:.0%}"),
+        ("policy", lambda c: c.policy),
+        ("p50 ms", lambda c: f"{c.p50 * 1000:.0f}"),
+        ("p99 ms", lambda c: f"{c.p99 * 1000:.0f}"),
+        ("p99.9 ms", lambda c: f"{c.p999 * 1000:.0f}"),
+        ("mean ms", lambda c: f"{c.mean * 1000:.0f}"),
+        ("timeouts", lambda c: str(c.timeouts)),
+        ("hedges", lambda c: str(c.hedges)),
+        ("won", lambda c: str(c.hedges_won)),
+        ("hedge ovh", lambda c: f"{c.hedge_overhead:.1%}"),
+    )
 
     @property
     def headline_fraction(self) -> float:
@@ -153,76 +158,32 @@ class TailResult:
             return False
         return True
 
-    def table(self) -> str:
-        rows = []
-        for c in self.cells:
-            rows.append([
-                c.system,
-                f"{c.slow_fraction:.0%}",
-                c.policy,
-                f"{c.p50 * 1000:.0f}",
-                f"{c.p99 * 1000:.0f}",
-                f"{c.p999 * 1000:.0f}",
-                f"{c.mean * 1000:.0f}",
-                str(c.timeouts),
-                str(c.hedges),
-                str(c.hedges_won),
-                f"{c.hedge_overhead:.1%}",
-            ])
-        return render_table(
-            ["system", "slow", "policy", "p50 ms", "p99 ms", "p99.9 ms",
-             "mean ms", "timeouts", "hedges", "won", "hedge ovh"],
-            rows,
-            title="tail latency: gray failures x requester policies "
-            "(lognormal per-message latency)",
-        )
-
-    def render(self) -> str:
-        out = self.table()
+    def verdict_lines(self) -> list[str]:
         fraction = self.headline_fraction
-        if fraction > 0.0:
-            out += "\n"
-            for system in HEADLINE_SYSTEMS:
-                try:
-                    speedup = self.speedup(system)
-                    hedged = self.cell(system, fraction, "hedged")
-                except KeyError:
-                    continue
-                verdict = (
-                    "ok"
-                    if speedup >= HEADLINE_SPEEDUP
-                    and hedged.p99 <= self.config.tail_slo_p99
-                    else "MISS"
-                )
-                out += (
-                    f"\n{system} @ {fraction:.0%} slow: p99 "
-                    f"{self.cell(system, fraction, 'fixed').p99 * 1000:.0f} ms "
-                    f"(fixed) -> {hedged.p99 * 1000:.0f} ms (hedged), "
-                    f"{speedup:.1f}x, SLO {self.config.tail_slo_p99 * 1000:.0f} "
-                    f"ms: {verdict}"
-                )
-            out += f"\nverdict: {'ok' if self.ok else 'SLO MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``tail.csv`` + ``tail.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "tail.csv"
-        fields = [
-            "system", "slow_fraction", "policy", "p50", "p99", "p999",
-            "mean", "queries", "messages", "timeouts", "retries", "hedges",
-            "hedges_won",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, name) for name in fields])
-        (directory / "tail.txt").write_text(self.render() + "\n")
-        return csv_path
+        if fraction <= 0.0:
+            return []
+        lines = []
+        for system in HEADLINE_SYSTEMS:
+            try:
+                speedup = self.speedup(system)
+                hedged = self.cell(system, fraction, "hedged")
+            except KeyError:
+                continue
+            verdict = (
+                "ok"
+                if speedup >= HEADLINE_SPEEDUP
+                and hedged.p99 <= self.config.tail_slo_p99
+                else "MISS"
+            )
+            lines.append(
+                f"{system} @ {fraction:.0%} slow: p99 "
+                f"{self.cell(system, fraction, 'fixed').p99 * 1000:.0f} ms "
+                f"(fixed) -> {hedged.p99 * 1000:.0f} ms (hedged), "
+                f"{speedup:.1f}x, SLO {self.config.tail_slo_p99 * 1000:.0f} "
+                f"ms: {verdict}"
+            )
+        lines.append(f"verdict: {'ok' if self.ok else 'SLO MISS'}")
+        return lines
 
 
 def _measure_cell(

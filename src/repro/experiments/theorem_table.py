@@ -19,6 +19,7 @@ import numpy as np
 from repro.analysis import theorems
 from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.report import with_notes, write_result
 from repro.utils.formatting import render_table
 from repro.workloads.generator import QueryKind
 
@@ -75,19 +76,10 @@ class TheoremTable:
         )
 
     def render(self) -> str:
-        parts = [self.to_table()]
-        if self.notes:
-            parts.append("")
-            parts.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(parts)
+        return with_notes(self.to_table(), self.notes)
 
     def save(self, directory: str | Path) -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / f"{self.figure_id}.csv"
-        csv_path.write_text(self.to_csv())
-        (directory / f"{self.figure_id}.txt").write_text(self.render() + "\n")
-        return csv_path
+        return write_result(directory, self.figure_id, self.to_csv(), self.render())
 
 
 def run_theorem_table(

@@ -30,12 +30,11 @@ The verdict (:attr:`TradeoffResult.ok`, the CI gate):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.experiments.common import build_services, resolve_systems
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.report import CellTable
 from repro.obs.spans import QueryTracer, SpanKind
 from repro.sim.invariants import overlay_of
 from repro.sim.maintenance import (
@@ -45,10 +44,15 @@ from repro.sim.maintenance import (
     MaintenanceBudget,
 )
 from repro.testing.traces import assert_trace_bounds
-from repro.utils.formatting import render_table
 from repro.workloads.generator import QueryKind
 
-__all__ = ["TradeoffCell", "TradeoffResult", "run_tradeoff", "SINGLEHOP_MEAN_HOPS_GATE"]
+__all__ = [
+    "TradeoffCell",
+    "TradeoffResult",
+    "run_tradeoff",
+    "select_points",
+    "SINGLEHOP_MEAN_HOPS_GATE",
+]
 
 #: The CI gate on single-hop mean lookup hops at unlimited budget.
 SINGLEHOP_MEAN_HOPS_GATE = 1.05
@@ -68,6 +72,25 @@ def overlay_points(config: ExperimentConfig) -> tuple[tuple[str, str, int], ...]
         points.append((f"record:f{fanout}", "record", int(fanout)))
     points.append(("singlehop", "singlehop", 2))
     return tuple(points)
+
+
+def select_points(
+    config: ExperimentConfig, overlays: tuple[str, ...] | None
+) -> tuple[tuple[str, str, int], ...]:
+    """:func:`overlay_points` restricted to the labels in ``overlays``
+    (``None`` keeps all); an unknown label is a ``ValueError`` naming the
+    valid ones, raised before anything is built."""
+    points = overlay_points(config)
+    if overlays is None:
+        return points
+    wanted = {o.lower() for o in overlays}
+    unknown = wanted - {p[0].lower() for p in points}
+    if unknown:
+        raise ValueError(
+            f"unknown tradeoff overlay point(s) {sorted(unknown)}; valid: "
+            f"{', '.join(p[0] for p in points)}"
+        )
+    return tuple(p for p in points if p[0].lower() in wanted)
 
 
 @dataclass
@@ -96,19 +119,29 @@ class TradeoffCell:
 
 
 @dataclass
-class TradeoffResult:
+class TradeoffResult(CellTable):
     """The full sweep plus the gate verdict."""
 
-    config: ExperimentConfig
-    systems: tuple[str, ...]
-    cells: list[TradeoffCell] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    systems: tuple[str, ...] = field(kw_only=True)
 
-    def cell(self, overlay: str, budget: str, system: str) -> TradeoffCell:
-        for c in self.cells:
-            if c.overlay == overlay and c.budget == budget and c.system == system:
-                return c
-        raise KeyError(f"no cell ({overlay}, {budget}, {system})")
+    name = "tradeoff"
+    title = (
+        "tradeoff: lookup hops/latency vs maintenance bandwidth "
+        "(common random numbers)"
+    )
+    cell_type = TradeoffCell
+    key_fields = ("overlay", "budget", "system")
+    columns = (
+        ("overlay", lambda c: c.overlay),
+        ("budget", lambda c: c.budget),
+        ("system", lambda c: c.system),
+        ("mean hops", lambda c: f"{c.mean_hops:.2f}"),
+        ("max", lambda c: str(c.max_hops)),
+        ("latency", lambda c: f"{c.mean_latency * 1000:.0f}ms"),
+        ("maint/event", lambda c: f"{c.maintenance_per_event:.1f}"),
+        ("retries", lambda c: str(c.retries)),
+        ("verified", lambda c: "yes" if c.verified else "-"),
+    )
 
     def mean_hops_over_systems(self, overlay: str, budget: str) -> float:
         hops = [c.mean_hops for c in self.cells
@@ -145,50 +178,15 @@ class TradeoffResult:
             c.maintenance_per_event >= 0.0 for c in self.cells
         )
 
-    def table(self) -> str:
-        rows = []
-        for c in self.cells:
-            rows.append(
-                [
-                    c.overlay,
-                    c.budget,
-                    c.system,
-                    f"{c.mean_hops:.2f}",
-                    str(c.max_hops),
-                    f"{c.mean_latency * 1000:.0f}ms",
-                    f"{c.maintenance_per_event:.1f}",
-                    str(c.retries),
-                    "yes" if c.verified else "-",
-                ]
-            )
-        headers = [
-            "overlay",
-            "budget",
-            "system",
-            "mean hops",
-            "max",
-            "latency",
-            "maint/event",
-            "retries",
-            "verified",
-        ]
-        return render_table(
-            headers,
-            rows,
-            title="tradeoff: lookup hops/latency vs maintenance bandwidth "
-            "(common random numbers)",
-        )
-
-    def render(self) -> str:
-        out = self.table()
-        out += "\n"
+    def verdict_lines(self) -> list[str]:
+        lines = []
         try:
             worst = max(
                 self.cell("singlehop", "unlimited", s).mean_hops
                 for s in self.systems
             )
-            out += (
-                f"\nsingle-hop @ unlimited budget: worst mean hops "
+            lines.append(
+                f"single-hop @ unlimited budget: worst mean hops "
                 f"{worst:.3f} (gate <= {SINGLEHOP_MEAN_HOPS_GATE:g}: "
                 f"{'ok' if worst <= SINGLEHOP_MEAN_HOPS_GATE else 'MISS'})"
             )
@@ -198,42 +196,14 @@ class TradeoffResult:
             ]
             arrow = " -> ".join(f"{m:.2f}" for m in means)
             mono = all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
-            out += (
-                f"\nReCord mean hops vs fan-out @ unlimited: {arrow} "
+            lines.append(
+                f"ReCord mean hops vs fan-out @ unlimited: {arrow} "
                 f"(monotone: {'ok' if mono else 'MISS'})"
             )
         except KeyError:
-            out += "\n(sweep incomplete: verdict cells missing)"
-        out += f"\nverdict: {'ok' if self.ok else 'GATE MISS'}"
-        if self.notes:
-            out += "\n\n" + "\n".join(f"note: {n}" for n in self.notes)
-        return out
-
-    def save(self, directory) -> Path:
-        """Write ``tradeoff.csv`` + ``tradeoff.txt`` under ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        csv_path = directory / "tradeoff.csv"
-        fields = [
-            "overlay",
-            "budget",
-            "system",
-            "mean_hops",
-            "max_hops",
-            "mean_latency",
-            "maintenance_per_event",
-            "retries",
-            "queries",
-            "lookups",
-            "verified",
-        ]
-        with csv_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(fields)
-            for c in self.cells:
-                writer.writerow([getattr(c, f) for f in fields])
-        (directory / "tradeoff.txt").write_text(self.render() + "\n")
-        return csv_path
+            lines.append("(sweep incomplete: verdict cells missing)")
+        lines.append(f"verdict: {'ok' if self.ok else 'GATE MISS'}")
+        return lines
 
 
 def _measure_cell(
@@ -321,16 +291,7 @@ def run_tradeoff(
     ``ok=False`` unless those survive.
     """
     systems = resolve_systems(systems) if systems else ("LORM", "Mercury", "SWORD", "MAAN")
-    points = overlay_points(config)
-    if overlays is not None:
-        wanted = {o.lower() for o in overlays}
-        points = tuple(p for p in points if p[0].lower() in wanted)
-        unknown = wanted - {p[0].lower() for p in overlay_points(config)}
-        if unknown:
-            raise ValueError(
-                f"unknown tradeoff overlay point(s) {sorted(unknown)}; valid: "
-                f"{', '.join(p[0] for p in overlay_points(config))}"
-            )
+    points = select_points(config, overlays)
     result = TradeoffResult(config=config, systems=systems)
     hop_rtt = 0.0
     for label, overlay, fanout in points:

@@ -20,11 +20,6 @@ Timestamps come from the tracer's clock: the simulation clock when one is
 supplied, otherwise a deterministic logical tick counter (one tick per
 span boundary / hop / event), so replays of a seeded workload produce
 byte-identical exports.
-
-The flat :class:`~repro.sim.trace.TraceRecorder` acts as the event *sink*
-underneath: when one is attached, every completed span is forwarded as a
-flat :class:`~repro.sim.trace.TraceEvent`, so existing recorder-based
-tooling keeps working unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterator
 
-from repro.sim.trace import TraceEventKind, TraceRecorder
 from repro.utils.validation import require
 
 __all__ = ["SpanKind", "SpanEvent", "Span", "QueryTrace", "QueryTracer"]
@@ -50,16 +44,6 @@ class SpanKind(str, Enum):
     WALK = "walk"
     HOP = "hop"
 
-
-#: Span level -> flat event kind used when forwarding to the recorder sink.
-_SINK_KIND: dict[SpanKind, TraceEventKind] = {
-    SpanKind.QUERY: TraceEventKind.QUERY,
-    SpanKind.SUBQUERY: TraceEventKind.QUERY,
-    SpanKind.REGISTER: TraceEventKind.STORE,
-    SpanKind.LOOKUP: TraceEventKind.LOOKUP,
-    SpanKind.WALK: TraceEventKind.RANGE_WALK,
-    SpanKind.HOP: TraceEventKind.HOP,
-}
 
 #: Fault annotation kinds emitted by the overlays' fault paths.
 FAULT_EVENT_KINDS = ("drop", "retry", "timeout", "failover", "truncated", "hedge")
@@ -149,9 +133,6 @@ class QueryTracer:
         Callable returning the current simulation time.  When omitted, a
         deterministic logical tick counter advances by one on every span
         boundary, hop and event — replayable and machine-independent.
-    recorder:
-        Optional flat :class:`TraceRecorder` sink; every completed span is
-        forwarded to it as one :class:`~repro.sim.trace.TraceEvent`.
     max_traces:
         Retained completed+active trace cap; the oldest trace is dropped
         (and counted in :attr:`dropped`) when exceeded.
@@ -161,13 +142,11 @@ class QueryTracer:
         self,
         *,
         clock: Callable[[], float] | None = None,
-        recorder: TraceRecorder | None = None,
         max_traces: int = 256,
     ) -> None:
         require(max_traces >= 1, "max_traces must be >= 1")
         self._clock = clock
         self._ticks = 0
-        self.recorder = recorder
         self.max_traces = max_traces
         self.traces: list[QueryTrace] = []
         #: Traces evicted because :attr:`max_traces` was exceeded.
@@ -213,15 +192,10 @@ class QueryTracer:
         return span
 
     def end(self) -> Span:
-        """Close the innermost open span (stamping its end time) and
-        forward it to the recorder sink when one is attached."""
+        """Close the innermost open span, stamping its end time."""
         require(bool(self._stack), "end() without a matching begin()")
         span = self._stack.pop()
         span.end = self._now()
-        if self.recorder is not None:
-            self.recorder.record(
-                _SINK_KIND[span.kind], span.name, span=span.span_id, **span.attrs
-            )
         return span
 
     @contextmanager
@@ -274,8 +248,4 @@ class QueryTracer:
         )
         self._next_span_id += 1
         self._stack[-1].children.append(span)
-        if self.recorder is not None:
-            self.recorder.record(
-                TraceEventKind.HOP, "hop", span=span.span_id, **span.attrs
-            )
         return span

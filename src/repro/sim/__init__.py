@@ -92,7 +92,6 @@ from repro.sim.maintenance import (
 from repro.sim.metrics import MetricsRegistry, SummaryStats, summarize
 from repro.sim.network import MessageStats, SimulatedNetwork, publish_stats
 from repro.sim.recovery import RecoverySample, RecoveryTracker, replica_deficit
-from repro.sim.trace import TraceEvent, TraceEventKind, TraceRecorder
 
 __all__ = [
     "ADAPTIVE_POLICY",
@@ -164,9 +163,6 @@ __all__ = [
     "SymmetricPlacement",
     "symmetric_replication",
     "top_share",
-    "TraceEvent",
-    "TraceEventKind",
-    "TraceRecorder",
     "UNLIMITED_BUDGET",
     "ZERO_BUDGET",
 ]

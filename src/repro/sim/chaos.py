@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.faults import ArcPartition
+from repro.sim.invariants import overlay_of
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -291,7 +292,7 @@ class ChaosScenario:
         selection apply); flap-ups rejoin through ``service.churn_join``;
         ramps drive ``injector.set_loss_rate``.
         """
-        overlay = getattr(service, "overlay", None) or service.ring
+        overlay = overlay_of(service)
         space = id_space_of(overlay)
         scheduled = 0
 

@@ -104,7 +104,48 @@ class TestMultiQueryInterface:
         assert len(service.metrics.samples("multi_query.total_visited")) == 1
 
 
+#: Substrate plumbing `DiscoveryService` owns once, over `overlay_of(self)`.
+SUBSTRATE_PLUMBING = (
+    "churn_leave", "churn_join", "churn_fail", "stabilize",
+    "configure_faults", "directory_sizes", "outlink_counts", "num_nodes",
+)
+
+
 class TestChurnBookkeeping:
+    def test_substrate_plumbing_is_written_once(self):
+        """Churn, fault wiring and the structure metrics resolve to the one
+        ``DiscoveryService`` definition on every system (Mercury scales
+        ``outlink_counts`` by its hubs), and churn draws its victims and
+        rejoiners from ``_churn_rng`` in the order it always did."""
+        from repro.baselines.base import ChordBackedService
+        from repro.core.lorm import LormService
+
+        for binding in (LormService, ChordBackedService):
+            assert not set(SUBSTRATE_PLUMBING) & set(vars(binding)), binding
+        for system, tier in [(name, None) for name in SYSTEM_NAMES] + [("LORM", "chord")]:
+            service = build_service(SMOKE_CONFIG, system, overlay=tier)
+            for name in SUBSTRATE_PLUMBING:
+                shared = getattr(type(service), name) is getattr(DiscoveryService, name)
+                assert shared != (system == "Mercury" and name == "outlink_counts"), name
+            overlay = overlay_of(service)
+            twin = np.random.Generator(type(service._churn_rng.bit_generator)())
+            twin.bit_generator.state = service._churn_rng.bit_generator.state
+            expected = []
+            for depart in (service.churn_leave, service.churn_fail):
+                ids = overlay.node_ids
+                expected.append(ids[int(twin.integers(len(ids)))])
+                assert depart()
+                assert service._departed == expected
+                assert expected[-1] not in overlay.node_ids
+            rejoined = expected.pop(int(twin.integers(len(expected))))
+            assert service.churn_join()
+            assert service._departed == expected and rejoined in overlay.node_ids
+            assert service.num_nodes() == overlay.num_nodes
+            injector = object()
+            service.configure_faults(injector)
+            assert overlay.network.faults is injector
+            service.configure_faults(None)
+
     def test_leave_then_join_recycles_ids(self, schema):
         service = SwordService.build_full(5, schema, seed=1)
         before = set(service.ring.node_ids)

@@ -283,3 +283,307 @@ class TestOverlayFlags:
         assert code == 0
         out = capsys.readouterr().out
         assert 'choice="membership"' in out
+
+
+# ----------------------------------------------------------------------
+# Contract tests over the experiment registry
+# ----------------------------------------------------------------------
+# (option strings, dest, type name, nargs, default, choices) per flag, in
+# declaration order — captured from build_parser() at commit 619b75e, the
+# last hand-written parser.  A generator that drops, renames or retypes a
+# flag fails here.
+_SCALE_CHOICES = ("paper", "smoke")
+_COMMON = [
+    (("--scale",), "scale", None, None, "smoke", _SCALE_CHOICES),
+    (("--seed",), "seed", "int", None, None, None),
+    (("--out",), "out", None, None, None, None),
+    (("--lph",), "lph", None, None, None, ("cdf", "linear")),
+    (("--invariants",), "invariants", None, 0, False, None),
+]
+_SMOKE = (("--smoke",), "smoke", None, 0, False, None)
+_PARALLEL = (("--parallel",), "parallel", "int", "?", None, None)
+_SYSTEMS = (("--systems",), "systems", None, "+", None, None)
+_QUERIES = (("--queries",), "queries", "int", None, None, None)
+_CHURN_EVENTS = (("--churn-events",), "churn_events", "int", None, None, None)
+_FIGURE_IDS = (
+    "availability", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b",
+    "fig5a", "fig5b", "fig6a", "fig6b", "latency", "maintenance", "recovery",
+    "scale", "staleness", "theorems",
+)
+PARENT_FLAGS = {
+    "list": [],
+    "run": [((), "figures", None, "+", None, _FIGURE_IDS), *_COMMON, _PARALLEL],
+    "all": [*_COMMON, _PARALLEL],
+    "availability": [
+        *_COMMON,
+        (("--loss",), "loss", "float", "+", None, None),
+        (("--replication",), "replication", "int", "+", None, None),
+        _QUERIES,
+    ],
+    "chaos": [*_COMMON, _SMOKE],
+    "durability": [
+        *_COMMON,
+        _SMOKE,
+        (("--policies",), "policies", None, "+", None, None),
+        _SYSTEMS,
+        (("--scenarios",), "scenarios", None, "+", None, ("demo", "crash-storm")),
+    ],
+    "hotspot": [
+        *_COMMON,
+        _SMOKE,
+        _SYSTEMS,
+        (("--zipf-s",), "zipf_s", "float", "+", None, None),
+        _QUERIES,
+        (("--salts",), "salts", "int", None, None, None),
+    ],
+    "tradeoff": [
+        *_COMMON,
+        _SMOKE,
+        _SYSTEMS,
+        (("--overlays",), "overlays", None, "+", None, None),
+        _QUERIES,
+        _CHURN_EVENTS,
+        (("--fanouts",), "fanouts", "int", "+", None, None),
+    ],
+    "tail": [
+        *_COMMON,
+        _SMOKE,
+        (("--fractions",), "fractions", "float", "+", None, None),
+        _QUERIES,
+        (("--slo-p99",), "slo_p99", "float", None, None, None),
+    ],
+    "scale": [
+        (("--scale",), "scale", None, None, "paper", _SCALE_CHOICES),
+        _SMOKE,
+        (("--seed",), "seed", "int", None, None, None),
+        (("--sizes",), "sizes", "int", "+", None, None),
+        _QUERIES,
+        _CHURN_EVENTS,
+        (("--budget-seconds",), "budget_seconds", "float", None, None, None),
+        (("--budget-mb",), "budget_mb", "float", None, None, None),
+        (("--out",), "out", None, None, None, None),
+        _PARALLEL,
+    ],
+    "bench": [
+        (("--scale",), "scale", None, None, "smoke", _SCALE_CHOICES),
+        _SMOKE,
+        (("--seed",), "seed", "int", None, None, None),
+        (("--profile",), "profile", None, None, "all",
+         ("micro", "macro", "figures", "all")),
+        (("--repeats",), "repeats", "int", None, None, None),
+        (("--out",), "out", None, None, ".", None),
+    ],
+    "bench compare": [
+        ((), "baseline", None, None, None, None),
+        ((), "current", None, None, None, None),
+        (("--threshold",), "threshold", "float", None, 0.25, None),
+    ],
+    "trace": [
+        (("--system",), "system", None, None, None,
+         ("lorm", "mercury", "sword", "maan")),
+        (("--overlay",), "overlay", None, None, None, None),
+        (("--fanout",), "fanout", "int", None, 2, None),
+        (("--seed",), "seed", "int", None, 0, None),
+        (("--queries",), "queries", "int", None, 1, None),
+        (("--attributes",), "attributes", "int", None, 2, None),
+        (("--kind",), "kind", None, None, "range", ("point", "range", "at-least")),
+        (("--loss",), "loss", "float", None, 0.0, None),
+        (("--format",), "format", None, None, "tree", ("tree", "jsonl", "chrome")),
+        (("--out",), "out", None, None, None, None),
+    ],
+    "report": [(("--out",), "out", None, None, "results", None)],
+    "check": [
+        (("--systems",), "systems", None, "+", ["all"], None),
+        (("--seed",), "seed", "int", None, 0, None),
+        (("--queries",), "queries", "int", None, 45, None),
+        (("--churn-events",), "churn_events", "int", None, 40, None),
+    ],
+}
+
+#: (pass, fail) words each gated experiment prints; None = never fails on .ok.
+VERDICT_WORDS = {
+    "availability": None,
+    "chaos": ("RECONVERGED", "FAILED TO RECONVERGE"),
+    "durability": ("RECOVERED", "FAILED TO RECOVER"),
+    "hotspot": ("BALANCED", "GATE MISS"),
+    "tradeoff": ("CURVE OK", "GATE MISS"),
+    "tail": ("SLO MET", "SLO MISSED"),
+    "scale": None,
+}
+
+
+def _subparsers(parser, prefix=""):
+    """``{command path: subparser}`` for every (nested) subcommand."""
+    import argparse
+
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[prefix + name] = sub
+                found.update(_subparsers(sub, prefix + name + " "))
+    return found
+
+
+def _flag_rows(subparser):
+    import argparse
+
+    return [
+        (
+            tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None),
+            a.nargs, a.default, None if a.choices is None else tuple(a.choices),
+        )
+        for a in subparser._actions
+        if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+class _StubResult:
+    """What ``_run_experiment`` needs of a result, and nothing else."""
+
+    points = ()  # scale's verdict line counts them
+
+    def __init__(self, ok):
+        self.ok = ok
+        self.saved_to = []
+
+    def over_budget(self, elapsed, budget_seconds, budget_mb):
+        return ["too slow"] if budget_seconds == 0 else []
+
+    def render(self):
+        return "stub report"
+
+    def save(self, directory):
+        self.saved_to.append(directory)
+
+
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Swap every registry runner for a stub; returns its call log, which
+    also sets the next result's ``.ok`` or the error the runner raises."""
+    import dataclasses
+
+    import repro.cli as cli
+
+    log = {"calls": [], "ok": True, "error": None, "results": []}
+
+    def runner(config, **kwargs):
+        log["calls"].append((config, kwargs))
+        if log["error"] is not None:
+            raise log["error"]
+        log["results"].append(_StubResult(log["ok"]))
+        return log["results"][-1]
+
+    monkeypatch.setattr(
+        cli, "EXPERIMENTS",
+        tuple(dataclasses.replace(spec, runner=runner) for spec in cli.EXPERIMENTS),
+    )
+    return log
+
+
+class TestFlagInventory:
+    def test_same_subcommands_as_the_handwritten_parser(self):
+        assert list(_subparsers(build_parser())) == list(PARENT_FLAGS)
+
+    @pytest.mark.parametrize("command", list(PARENT_FLAGS))
+    def test_flags_match_the_handwritten_parser(self, command):
+        assert _flag_rows(_subparsers(build_parser())[command]) == PARENT_FLAGS[command]
+
+    def test_registry_adds_no_experiment_and_no_config_field(self):
+        import dataclasses
+
+        import repro.cli as cli
+        from repro.experiments.config import ExperimentConfig
+
+        assert [spec.name for spec in cli.EXPERIMENTS] == list(VERDICT_WORDS)
+        assert len(dataclasses.fields(ExperimentConfig)) == 52
+
+
+@pytest.mark.parametrize("name", list(VERDICT_WORDS))
+class TestExperimentLoop:
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_exit_code_verdict_and_save(self, name, ok, stubbed, capsys, tmp_path):
+        stubbed["ok"] = ok
+        code = main([name, "--scale", "smoke", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        words = VERDICT_WORDS[name]
+        assert code == (0 if ok or words is None else 1)
+        assert captured.out.startswith("stub report\n")
+        assert stubbed["results"][0].saved_to == [str(tmp_path)]
+        assert f"results written to {tmp_path}/" in captured.err
+        if words is not None:
+            assert f"] {words[0 if ok else 1]} in " in captured.err
+
+    def test_without_out_nothing_is_saved(self, name, stubbed, capsys):
+        assert main([name, "--scale", "smoke"]) == 0
+        assert stubbed["results"][0].saved_to == []
+        assert "results written" not in capsys.readouterr().err
+
+    def test_runner_errors_are_not_usage_errors(self, name, stubbed):
+        stubbed["error"] = ValueError("a bug inside the sweep")
+        with pytest.raises(ValueError, match="inside the sweep"):
+            main([name, "--scale", "smoke"])
+
+
+class TestFlagRouting:
+    @pytest.mark.parametrize(
+        "name", [n for n in VERDICT_WORDS if _SMOKE in PARENT_FLAGS[n]]
+    )
+    def test_smoke_is_scale_smoke(self, name, stubbed, capsys):
+        import repro.cli as cli
+
+        main([name, "--smoke", "--seed", "3"])
+        main([name, "--scale", "smoke", "--seed", "3"])
+        (aliased, _), (spelled, _) = stubbed["calls"]
+        assert aliased == spelled == cli._SCALES["smoke"].scaled(seed=3)
+
+    def test_config_flags_become_overrides(self, stubbed, capsys):
+        main(["hotspot", "--smoke", "--zipf-s", "0", "0.8", "--queries", "8",
+              "--salts", "2", "--lph", "linear", "--invariants"])
+        (config, kwargs), = stubbed["calls"]
+        assert config.hotspot_zipf_s == (0.0, 0.8)
+        assert (config.hotspot_queries, config.hotspot_salts) == (8, 2)
+        assert config.lph_kind == "linear" and config.validate_invariants
+        assert kwargs == {}
+
+    def test_runner_flags_are_resolved_kwargs(self, stubbed, capsys):
+        main(["durability", "--smoke", "--policies", "erasure:2+1",
+              "--systems", "lorm", "--scenarios", "demo"])
+        main(["tradeoff", "--smoke", "--fanouts", "2", "--overlays", "record:f2"])
+        main(["scale", "--smoke", "--parallel"])
+        main(["scale", "--smoke", "--parallel", "3"])
+        durability, tradeoff, scale_auto, scale_three = (k for _, k in stubbed["calls"])
+        assert [p.name for p in durability["policies"]] == ["erasure:2+1"]
+        assert durability["systems"] == ("LORM",)
+        assert [s.name for s in durability["scenarios"]] == ["demo"]
+        assert tradeoff == {"overlays": ("record:f2",)}
+        assert (scale_auto, scale_three) == ({"workers": 0}, {"workers": 3})
+
+    def test_scale_budget_gates_the_exit_code(self, stubbed, capsys):
+        assert main(["scale", "--smoke", "--budget-seconds", "1000"]) == 0
+        assert main(["scale", "--smoke", "--budget-seconds", "0"]) == 1
+        assert "BUDGET EXCEEDED" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Out-of-range values are usage errors (exit 2, one line), raised
+    before any sweep starts — not tracebacks from deep inside one."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["tail", "--smoke", "--queries", "0"], "tail_queries"),
+            (["scale", "--smoke", "--sizes", "2"], "scale_sizes"),
+            (["scale", "--smoke", "--sizes", "8"], "scale_sizes"),
+            (["scale", "--smoke", "--queries", "0"], "scale_queries"),
+            (["hotspot", "--smoke", "--queries", "0"], "hotspot_queries"),
+            (["tradeoff", "--smoke", "--queries", "0"], "tradeoff_queries"),
+        ],
+    )
+    def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: " in err and needle in err
+        assert stubbed["calls"] == []

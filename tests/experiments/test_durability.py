@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 
 import pytest
@@ -72,15 +71,6 @@ class TestRunDurability:
             assert spec in table
         for column in ("TTR", "repair BW", "lost", "overhead"):
             assert column in table
-
-    def test_save_writes_csv_and_text(self, sweep, tmp_path):
-        path = sweep.save(tmp_path)
-        assert path.exists()
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == len(sweep.cells)
-        assert {"policy", "ttr", "repair_bandwidth"} <= set(rows[0])
-        assert (tmp_path / "durability.txt").read_text().startswith("durability")
 
 
 class TestDurabilityCli:

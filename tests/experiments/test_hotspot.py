@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -118,16 +116,6 @@ class TestRunHotspot:
     def test_deterministic_across_runs(self, tiny_result):
         again = run_hotspot(TINY, systems=["SWORD"])
         assert again.cells == tiny_result.cells
-
-    def test_save_writes_csv_and_text(self, tiny_result, tmp_path):
-        tiny_result.save(tmp_path)
-        text = (tmp_path / "hotspot.txt").read_text()
-        assert "verdict" in text
-        with (tmp_path / "hotspot.csv").open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == len(tiny_result.cells)
-        assert rows[0]["system"] == "SWORD"
-        assert {row["mitigation"] for row in rows} == set(MITIGATIONS)
 
     def test_unknown_system_raises(self):
         with pytest.raises(ValueError):

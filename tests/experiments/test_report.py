@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+
+import pytest
+
 from repro.analysis.models import AnalysisCurve
-from repro.experiments.report import DistributionResult, FigureResult
+from repro.experiments.config import SMOKE_CONFIG
+from repro.experiments.durability import DurabilityResult
+from repro.experiments.hotspot import HotspotResult
+from repro.experiments.report import CellTable, DistributionResult, FigureResult
+from repro.experiments.tail import TailResult
+from repro.experiments.tradeoff import TradeoffResult
 
 
 def make_figure() -> FigureResult:
@@ -124,3 +134,60 @@ class TestEmptySeriesEmission:
         path = self.make().save(tmp_path)
         assert "nan" not in path.read_text().lower()
         assert "nan" not in (tmp_path / "figE.txt").read_text().lower()
+
+
+#: One sample value per annotated cell-field type.
+_SAMPLE = {"str": "x", "float": 1.5, "int": 2, "bool": True}
+
+
+def _sample_cell(cell_type, **overrides):
+    values = {f.name: _SAMPLE[f.type] for f in dataclasses.fields(cell_type)}
+    return cell_type(**{**values, **overrides})
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        TailResult(config=SMOKE_CONFIG),
+        HotspotResult(config=SMOKE_CONFIG),
+        TradeoffResult(config=SMOKE_CONFIG, systems=("MAAN",)),
+        DurabilityResult(config=SMOKE_CONFIG),
+    ],
+    ids=lambda result: type(result).__name__,
+)
+class TestCellTableContract:
+    """What every sweep result inherits from :class:`CellTable`."""
+
+    @pytest.fixture(autouse=True)
+    def _fill(self, result):
+        result.cells[:] = [
+            _sample_cell(result.cell_type, system="LORM"),
+            _sample_cell(result.cell_type, system="MAAN"),
+        ]
+        result.notes[:] = ["a note"]
+
+    def test_save_contract(self, result, tmp_path):
+        csv_path = result.save(tmp_path / "nested" / "dir")
+        assert csv_path.name == f"{result.name}.csv"
+        with csv_path.open(newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == [f.name for f in dataclasses.fields(result.cell_type)]
+        assert rows == [
+            [str(getattr(c, name)) for name in header] for c in result.cells
+        ]
+        text = (csv_path.parent / f"{result.name}.txt").read_text()
+        assert text == result.render() + "\n"
+
+    def test_render_is_table_verdict_notes(self, result):
+        text = result.render()
+        assert text.startswith(result.title + "\n")
+        assert text.endswith("\n\nnote: a note")
+        assert all(header in text for header, _ in result.columns)
+        assert isinstance(result, CellTable) and isinstance(result.ok, bool)
+
+    def test_cell_lookup_by_key_fields(self, result):
+        second = result.cells[1]
+        key = tuple(getattr(second, name) for name in result.key_fields)
+        assert result.cell(*key) is second
+        with pytest.raises(KeyError, match="no cell"):
+            result.cell(*("missing",) * len(key))

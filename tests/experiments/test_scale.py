@@ -94,3 +94,12 @@ class TestRunScale:
         assert "scale" in text
         assert "built in" in text
         assert "traced" in text
+
+    def test_over_budget_names_each_blown_budget(self, result):
+        assert result.over_budget(5.0) == []
+        assert result.over_budget(5.0, budget_seconds=10.0, budget_mb=1e6) == []
+        slow, = result.over_budget(5.0, budget_seconds=1.0)
+        assert "5.0s" in slow and "1.0s" in slow
+        worst = max(result.points, key=lambda p: p.peak_tracemalloc_mb)
+        slow, fat = result.over_budget(5.0, budget_seconds=1.0, budget_mb=0.0)
+        assert f"n={worst.num_nodes}" in fat and "0.0 MB" in fat

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -120,14 +118,6 @@ class TestRunTail:
                 tail_result.cell(system, 0.1, "fixed").p99
                 > tail_result.cell(system, 0.0, "fixed").p99
             )
-
-    def test_save_writes_csv_and_text(self, tail_result, tmp_path):
-        csv_path = tail_result.save(tmp_path)
-        assert csv_path.exists()
-        assert (tmp_path / "tail.txt").exists()
-        with csv_path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) == 1 + len(tail_result.cells)
 
     def test_unknown_cell_raises(self, tail_result):
         with pytest.raises(KeyError):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-
 import pytest
 
 from repro.experiments.config import SMOKE_CONFIG, ExperimentConfig
@@ -119,12 +117,3 @@ class TestSweep:
         assert "verdict: ok" in text
         assert "singlehop" in text
 
-    def test_save_writes_csv_and_text(self, result, tmp_path):
-        csv_path = result.save(tmp_path)
-        with csv_path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == len(result.cells)
-        assert {row["overlay"] for row in rows} == {
-            c.overlay for c in result.cells
-        }
-        assert "verdict" in (tmp_path / "tradeoff.txt").read_text()

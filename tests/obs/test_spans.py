@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.spans import QueryTracer, SpanKind
-from repro.sim.trace import TraceEventKind, TraceRecorder
 
 
 class TestSpanLifecycle:
@@ -106,27 +105,3 @@ class TestAnnotations:
             tracer.event("drop", target=3)
         clean, dirty = tracer.traces
         assert not clean.faulted and dirty.faulted
-
-
-class TestRecorderSink:
-    def test_completed_spans_forward_to_recorder(self):
-        recorder = TraceRecorder()
-        tracer = QueryTracer(recorder=recorder)
-        with tracer.span("query", "q"):
-            with tracer.span("lookup", "l", origin=5):
-                tracer.hop(5, 6, "finger")
-        assert recorder.count(TraceEventKind.HOP) == 1
-        assert recorder.count(TraceEventKind.LOOKUP) == 1
-        assert recorder.count(TraceEventKind.QUERY) == 1
-        lookup_event = recorder.events(TraceEventKind.LOOKUP)[0]
-        assert lookup_event.detail["origin"] == 5
-
-    def test_walk_and_register_map_to_legacy_kinds(self):
-        recorder = TraceRecorder()
-        tracer = QueryTracer(recorder=recorder)
-        with tracer.span("walk", "w"):
-            pass
-        with tracer.span("register", "r"):
-            pass
-        assert recorder.count(TraceEventKind.RANGE_WALK) == 1
-        assert recorder.count(TraceEventKind.STORE) == 1
