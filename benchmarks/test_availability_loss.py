@@ -24,13 +24,13 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.experiments.availability import (
     _crash_storm,
-    _query_cases,
     measure_completeness,
     run_availability,
 )
-from repro.experiments.common import build_services
+from repro.experiments.common import build_services, query_cases
 from repro.experiments.config import SMOKE_CONFIG
 from repro.sim.faults import NO_RETRY_POLICY, FaultInjector, FaultPlan
+from repro.sim.invariants import overlay_of
 from repro.utils.formatting import render_table
 
 LOSS = 0.05
@@ -49,17 +49,13 @@ def _sweep():
     # so the only difference from the "LORM r=1" curve is the policy.
     bundle = build_services(CONFIG, register=True, replication=1, seed_offset=1)
     _crash_storm(bundle, CONFIG)
-    cases = _query_cases(bundle, CONFIG)
+    cases = query_cases(bundle, CONFIG.num_availability_queries, "availability")
     no_retry = {}
     dropped = {}
     flagged_ok = {}
     conserved = {}
     for service in bundle.all():
-        network = (
-            service.overlay.network
-            if hasattr(service, "overlay")
-            else service.ring.network
-        )
+        network = overlay_of(service).network
         before = network.stats.snapshot()
         injector = FaultInjector(FaultPlan(loss_rate=LOSS, seed=7_000 + len(no_retry)))
         service.configure_faults(injector, NO_RETRY_POLICY)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
+from itertools import chain
 from typing import Any, ClassVar
 
 import numpy as np
@@ -25,24 +26,50 @@ from repro.core.resource import (
     Query,
     QueryResult,
     ResourceInfo,
+    select_matches,
 )
 from repro.hashing.consistent import ConsistentHash
 from repro.hashing.locality import LocalityPreservingHash
 from repro.hashing.spread import spread_attribute_ids
 from repro.overlay.chord import ChordRing
-from repro.sim.invariants import overlay_of
 from repro.sim.metrics import MetricsRegistry
 from repro.utils.seeding import SeedFactory
 from repro.workloads.attributes import AttributeSchema
 
-__all__ = ["DiscoveryService", "ChordBackedService"]
+__all__ = ["DiscoveryService", "ChordBackedService", "build_ring"]
+
+
+def build_ring(
+    bits: int,
+    num_nodes: int,
+    *,
+    seed: int,
+    stream: str,
+    replication: int = 1,
+    durability: Any | None = None,
+    ring_factory: Any | None = None,
+) -> ChordRing:
+    """A stabilized ``2**bits``-ID ring of ``num_nodes`` nodes placed
+    uniformly from the seeded ``stream`` (every ID when ``num_nodes``
+    reaches the space size); ``ring_factory`` picks the routing tier."""
+    make = ring_factory if ring_factory is not None else ChordRing
+    ring = make(bits, replication=replication, durability=durability)
+    if num_nodes >= ring.space.size:
+        ring.build_full()
+    else:
+        rng = SeedFactory(seed).numpy(stream)
+        ids = rng.choice(ring.space.size, size=num_nodes, replace=False)
+        ring.build(int(i) for i in ids)
+    return ring
 
 
 class DiscoveryService(ABC):
     """Abstract resource-discovery service (one per approach).
 
-    Subclasses bind an overlay substrate and implement the placement and
-    query strategies; accounting conventions are shared:
+    Subclasses bind an overlay substrate and implement placement
+    (``_register_impl`` / ``deregister``) and the sub-query plan
+    (``_plan``); the engine that runs a plan and its accounting
+    conventions are shared:
 
     * ``hops`` — overlay routing messages (Figure 4's logical hops);
     * ``visited_nodes`` — nodes that received the query and checked their
@@ -72,15 +99,85 @@ class DiscoveryService(ABC):
     #: query paths free of load accounting — one ``is None`` check.
     load_stats: Any | None = None
 
-    metrics: MetricsRegistry
-    schema: AttributeSchema
-    #: The query stream's RNG (entry-node draws); set by each substrate
-    #: binding's constructor.
-    _rng: np.random.Generator
-    #: The churn stream's RNG (victim / rejoiner draws) and the departed
-    #: node ids a later :meth:`churn_join` re-admits; same constructors.
-    _churn_rng: np.random.Generator
-    _departed: list
+    def __init__(
+        self,
+        overlay: Any,
+        schema: AttributeSchema,
+        *,
+        attr_bits: int,
+        value_space: int,
+        seed: int = 0,
+        lph_kind: str = "cdf",
+        attr_placement: str = "spread",
+    ) -> None:
+        #: The overlay substrate (a Chord-family ring or Cycloid).
+        self.overlay = overlay
+        self.schema = schema
+        self.lph_kind = lph_kind
+        #: When False, range queries skip gathering the matching infos and
+        #: only produce accounting (hops / visited nodes).  The paper-scale
+        #: range benchmarks measure visited-node counts over millions of
+        #: node visits; collecting matches there is pure overhead.
+        self.collect_matches = True
+        self.metrics = MetricsRegistry()
+        self._seeds = SeedFactory(seed).fork(f"service:{self.name}")
+        #: The query stream's RNG (entry-node draws).
+        self._rng: np.random.Generator = self._seeds.numpy("queries")
+        #: The churn stream's RNG (victim / rejoiner draws) and the departed
+        #: node ids a later :meth:`churn_join` re-admits.
+        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
+        self._departed: list = []
+        #: H — consistent hash of attribute names onto ``2**attr_bits``
+        #: roots (ring IDs; clusters for LORM).
+        self.attr_hash = ConsistentHash(bits=attr_bits)
+        #: "spread" gives every attribute a distinct root ID (the paper's
+        #: model — see repro.hashing.spread; needs m <= 2**attr_bits);
+        #: "hash" is plain consistent hashing with collisions.
+        self.attr_placement = attr_placement
+        self._attr_ids: dict[str, int] | None = None
+        #: Size of the space ℋ maps values onto (ring IDs; the cyclic
+        #: indices ``[0, d)`` for LORM).
+        self._value_space = value_space
+        self._value_hashes: dict[str, LocalityPreservingHash] = {}
+
+    # ------------------------------------------------------------------
+    # ID mapping
+    # ------------------------------------------------------------------
+    def attr_key(self, attribute: str) -> int:
+        """``H(attribute)``: the attribute's root ID (spread or plain)."""
+        if self.attr_placement == "hash":
+            return self.attr_hash(attribute)
+        if self._attr_ids is None:
+            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
+        try:
+            return self._attr_ids[attribute]
+        except KeyError:
+            raise KeyError(
+                f"attribute {attribute!r} is not in the globally-known schema "
+                f"({len(self.schema)} attributes)"
+            ) from None
+
+    def value_hash(self, attribute: str) -> LocalityPreservingHash:
+        """The locality-preserving hash ℋ for ``attribute``."""
+        vh = self._value_hashes.get(attribute)
+        if vh is None:
+            vh = self.schema.spec(attribute).value_hash(
+                size=self._value_space, kind=self.lph_kind
+            )
+            self._value_hashes[attribute] = vh
+        return vh
+
+    def _value_target(self, q: Query) -> tuple[int, tuple[int, int] | None]:
+        """Where ℋ places the queried value(s): ``(key, None)`` for a point
+        query; ``(k1, (k1, k2))`` — route to the low end, walk to the
+        high — for a range."""
+        vh = self.value_hash(q.attribute)
+        constraint = q.constraint
+        if not q.is_range:
+            return vh(constraint.low), None
+        spec = self.schema.spec(q.attribute)
+        arc = vh.hash_range(*constraint.bounds_within(spec.lo, spec.hi))
+        return arc[0], arc
 
     # ------------------------------------------------------------------
     # Tracing
@@ -95,7 +192,7 @@ class DiscoveryService(ABC):
         ones.
         """
         self.tracer = tracer
-        overlay_of(self).tracer = tracer
+        self.overlay.tracer = tracer
 
     def attach_load_stats(self, stats: Any | None) -> None:
         """Attach a :class:`~repro.sim.loadstats.LoadStats` sink (``None``
@@ -188,8 +285,90 @@ class DiscoveryService(ABC):
         return dataclasses.replace(result, latency=elapsed)
 
     @abstractmethod
+    def _plan(self, q: Query) -> tuple:
+        """The sub-query as data: an ordered tuple of routed reads
+        ``(route_key, arc, read)``, ``lookups_per_attribute`` of them.
+
+        ``route_key`` is the key the step's lookup routes to, in the
+        overlay's own key type.  ``arc`` is ``None`` when the key's owner
+        answers alone, or the ``(lo, hi)`` storage-key bounds of the
+        overlay's range walk from the owner (last step only).  ``read`` is
+        ``None`` for a visit that returns nothing (MAAN's attribute root),
+        else ``(namespace, directory_key, ordered)``: the owner's bucket
+        ``directory_key`` — or, on a walk, every visited node's whole
+        ``namespace`` — read through the ordered per-node view
+        (``ordered``) or scanned.
+        """
+
     def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """Approach-specific resolution behind :meth:`query`."""
+        """Run ``_plan(q)``: per step one routed lookup, the optional
+        walk, the directory read, then hop / visited / load accounting.  A
+        lookup that never reaches an owner ends the sub-query as an honest
+        partial: what earlier steps visited, no matches, ``complete=False``.
+        """
+        start = self._resolve_start(start)
+        overlay = self.overlay
+        network = overlay.network
+        stats = self.load_stats
+        matches: tuple = ()
+        hops = visited = retries = 0
+        complete, timed_out = True, False
+        for route_key, arc, read in self._plan(q):
+            lookup = overlay.lookup(start, route_key)
+            hops += lookup.hops
+            retries += lookup.retries
+            if not lookup.complete:
+                matches, complete, timed_out = (), False, lookup.timed_out
+                break
+            if arc is None:
+                nodes = (lookup.owner,)
+            else:
+                # Resolved per call: the walk is published under the
+                # overlay's own name, and callers may wrap the instance.
+                nodes = getattr(overlay, overlay.walk_name)(lookup.owner, *arc)
+                hops += len(nodes) - 1
+                retries += nodes.retries
+                complete, timed_out = not nodes.truncated, nodes.timed_out
+                network.count_hop(len(nodes) - 1)
+            if read is not None and (arc is None or self.collect_matches):
+                namespace, key, ordered = read
+                if ordered:
+                    attribute, (low, high) = q.attribute, q.constraint.bounds
+                    matches = tuple(
+                        lookup.owner.items_at(namespace, key, attribute, low, high)
+                        if arc is None
+                        else chain.from_iterable(
+                            node.items_in(namespace, attribute, low, high)
+                            for node in nodes
+                        )
+                    )
+                else:
+                    matches = select_matches(
+                        (lookup.owner.items_at(namespace, key),)
+                        if arc is None
+                        else (node.items_in(namespace) for node in nodes),
+                        q.constraint,
+                    )
+            visited += len(nodes)
+            network.count_directory_check(len(nodes))
+            if stats is not None:
+                stats.record_serves((node.uid for node in nodes), q.attribute)
+                stats.record_route_path(lookup.path)
+        return self._result(matches, hops, visited, complete, retries, timed_out)
+
+    def _result(
+        self,
+        matches: tuple,
+        hops: int,
+        visited: int,
+        complete: bool,
+        retries: int,
+        timed_out: bool,
+    ) -> QueryResult:
+        """Record the sub-query's ``query.hops`` / ``query.visited`` sample
+        and build the result that reports the same numbers."""
+        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
+        return QueryResult(matches, hops, visited, complete, retries, timed_out)
 
     def multi_query(
         self, mq: MultiAttributeQuery, start: Any | None = None
@@ -246,7 +425,7 @@ class DiscoveryService(ABC):
         While an injector is active, lookups run without oracle
         assistance and can return ``complete=False`` results.
         """
-        overlay = overlay_of(self)
+        overlay = self.overlay
         overlay.network.faults = injector
         if policy is not None:
             overlay.lookup_policy = policy
@@ -261,7 +440,7 @@ class DiscoveryService(ABC):
         pre-latency world.  Attaching resets the RTT book so back-to-back
         measurement cells never share estimator state.
         """
-        net = overlay_of(self).network
+        net = self.overlay.network
         net.latency_model = model
         net.reset_rtt()
         self._latency_net = net if model is not None else None
@@ -271,33 +450,30 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     def random_node(self) -> Any:
         """A uniformly random live node (query entry point)."""
-        overlay = overlay_of(self)
+        overlay = self.overlay
         ids = overlay.node_ids
         return overlay.node(ids[int(self._rng.integers(len(ids)))])
 
     def _resolve_start(self, start: Any | None) -> Any:
         return start if start is not None else self.random_node()
 
-    def _failed_result(self, lookup: Any) -> QueryResult:
-        """A lookup that never reached an owner: honest empty partial."""
-        self.metrics.record_pair("query.hops", lookup.hops, "query.visited", 0)
-        return QueryResult(
-            matches=(), hops=lookup.hops, visited_nodes=0,
-            complete=False, retries=lookup.retries, timed_out=lookup.timed_out,
-        )
-
     def directory_sizes(self) -> list[int]:
         """Per-node resource-information piece counts."""
-        return overlay_of(self).directory_sizes()
+        return self.overlay.directory_sizes()
 
     def outlink_counts(self) -> list[int]:
         """Per-node maintained-neighbour counts (Mercury multiplies by the
         number of hubs, as each node participates in every hub)."""
-        return overlay_of(self).outlink_counts()
+        return self.overlay.outlink_counts()
+
+    def maintenance_scale(self) -> int:
+        """Structural maintenance multiplier: how many full DHTs each node
+        takes part in."""
+        return 1
 
     def num_nodes(self) -> int:
         """Current live population."""
-        return overlay_of(self).num_nodes
+        return self.overlay.num_nodes
 
     def total_info_pieces(self) -> int:
         """System-wide stored pieces (MAAN stores 2 per info, Theorem 4.2)."""
@@ -306,12 +482,12 @@ class DiscoveryService(ABC):
     # ------------------------------------------------------------------
     # Structural bounds (differential-harness support)
     # ------------------------------------------------------------------
-    @abstractmethod
     def structural_hop_bound(self) -> int:
         """Worst-case hops of one routed lookup on the *stabilized*,
         fault-free overlay at its current population.  A hard structural
         ceiling (not the theorem average) — any fault-free lookup
         exceeding it indicates corrupted routing state."""
+        return self.overlay.structural_hop_bound()
 
     @abstractmethod
     def max_visited_per_subquery(self) -> int:
@@ -333,7 +509,7 @@ class DiscoveryService(ABC):
         """Draw a victim from ``_churn_rng`` and remove it through
         ``depart`` (the overlay's ``leave`` or ``fail``); False at a
         population of two."""
-        overlay = overlay_of(self)
+        overlay = self.overlay
         if overlay.num_nodes <= 2:
             return False
         ids = overlay.node_ids
@@ -344,21 +520,21 @@ class DiscoveryService(ABC):
 
     def churn_leave(self) -> bool:
         """A random live node departs gracefully; False if impossible."""
-        return self._churn_depart(overlay_of(self).leave)
+        return self._churn_depart(self.overlay.leave)
 
     def churn_join(self) -> bool:
         """A previously departed node rejoins; False if none is vacant."""
         if not self._departed:
             return False
         idx = int(self._churn_rng.integers(len(self._departed)))
-        overlay_of(self).join(self._departed.pop(idx))
+        self.overlay.join(self._departed.pop(idx))
         return True
 
     def churn_fail(self) -> bool:
         """A random live node *crashes* (no key hand-off); False if
         impossible.  Whether data survives depends on the overlay's
         replication factor."""
-        return self._churn_depart(overlay_of(self).fail)
+        return self._churn_depart(self.overlay.fail)
 
     def stabilize(self, budget: Any | None = None) -> Any:
         """One periodic stabilization round.
@@ -370,7 +546,7 @@ class DiscoveryService(ABC):
         :class:`~repro.sim.maintenance.MaintenanceReport`.
         """
         if budget is None:
-            overlay_of(self).stabilize_all()
+            self.overlay.stabilize_all()
             return None
         return self.maintenance_round().run(budget)
 
@@ -381,17 +557,15 @@ class DiscoveryService(ABC):
 
         round_ = getattr(self, "_maintenance_round", None)
         if round_ is None:
-            round_ = MaintenanceRound(overlay_of(self))
+            round_ = MaintenanceRound(self.overlay)
             self._maintenance_round = round_
         return round_
 
 
 class ChordBackedService(DiscoveryService):
-    """Common machinery for the Chord-based approaches.
-
-    Owns the ring, the consistent hash ``H`` over attribute names, lazily
-    constructed per-attribute locality-preserving hashes ``ℋ``, the query
-    RNG and the churn bookkeeping.
+    """Common machinery for the Chord-based approaches: the seeded ring
+    builders and the attribute-root mitigations (salted roots, hot-root
+    replicas) that SWORD and MAAN share.
     """
 
     #: Optional :class:`~repro.core.hotspot.SaltPlan` spreading attribute
@@ -415,49 +589,21 @@ class ChordBackedService(DiscoveryService):
         attr_placement: str = "spread",
         salting: Any | None = None,
     ) -> None:
+        super().__init__(
+            ring, schema, attr_bits=ring.bits, value_space=ring.space.size,
+            seed=seed, lph_kind=lph_kind, attr_placement=attr_placement,
+        )
+        #: The substrate again, under the name ring-level callers read.
         self.ring = ring
         self.salting = salting
-        self.schema = schema
-        self.lph_kind = lph_kind
-        #: When False, range queries skip gathering the matching infos and
-        #: only produce accounting (hops / visited nodes).  The paper-scale
-        #: range benchmarks measure visited-node counts over millions of
-        #: node visits; collecting matches there is pure overhead.
-        self.collect_matches = True
-        self.metrics = MetricsRegistry()
-        self._seeds = SeedFactory(seed).fork(f"service:{self.name}")
-        self._rng: np.random.Generator = self._seeds.numpy("queries")
-        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
-        self.attr_hash = ConsistentHash(bits=ring.bits)
-        #: "spread" gives every attribute a distinct root ID (the paper's
-        #: model — see repro.hashing.spread); "hash" is plain consistent
-        #: hashing with collisions.
-        self.attr_placement = attr_placement
-        self._attr_ids: dict[str, int] | None = None
-        self._value_hashes: dict[str, LocalityPreservingHash] = {}
-        self._departed: list[int] = []
 
     @classmethod
     def build_full(
-        cls,
-        bits: int,
-        schema: AttributeSchema,
-        *,
-        seed: int = 0,
-        replication: int = 1,
-        durability: Any | None = None,
-        ring_factory: Any | None = None,
-        **kwargs: Any,
+        cls, bits: int, schema: AttributeSchema, **kwargs: Any
     ) -> "ChordBackedService":
-        """A service over a fully populated ``2**bits``-node ring.
-
-        ``ring_factory`` selects the routing tier (plain Chord by
-        default; single-hop and ReCord substrates plug in here).
-        """
-        make = ring_factory if ring_factory is not None else ChordRing
-        ring = make(bits, replication=replication, durability=durability)
-        ring.build_full()
-        return cls(ring, schema, seed=seed, **kwargs)
+        """A service over a fully populated ``2**bits``-node ring
+        (keywords as for :meth:`build`)."""
+        return cls.build(bits, 1 << bits, schema, **kwargs)
 
     @classmethod
     def build(
@@ -472,31 +618,20 @@ class ChordBackedService(DiscoveryService):
         ring_factory: Any | None = None,
         **kwargs: Any,
     ) -> "ChordBackedService":
-        """A service over ``num_nodes`` uniformly placed ring nodes."""
-        rng = SeedFactory(seed).numpy(f"{cls.name}-membership")
-        make = ring_factory if ring_factory is not None else ChordRing
-        ring = make(bits, replication=replication, durability=durability)
-        ids = rng.choice(ring.space.size, size=min(num_nodes, ring.space.size), replace=False)
-        ring.build(int(i) for i in ids)
+        """A service over ``num_nodes`` uniformly placed ring nodes.
+
+        ``ring_factory`` selects the routing tier (plain Chord by
+        default; single-hop and ReCord substrates plug in here).
+        """
+        ring = build_ring(
+            bits, num_nodes, seed=seed, stream=f"{cls.name}-membership",
+            replication=replication, durability=durability, ring_factory=ring_factory,
+        )
         return cls(ring, schema, seed=seed, **kwargs)
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def attr_key(self, attribute: str) -> int:
-        """The ring ID of ``attribute``'s root (``H(a)``, spread or plain)."""
-        if self.attr_placement == "hash":
-            return self.attr_hash(attribute)
-        if self._attr_ids is None:
-            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
-        try:
-            return self._attr_ids[attribute]
-        except KeyError:
-            raise KeyError(
-                f"attribute {attribute!r} is not in the globally-known schema "
-                f"({len(self.schema)} attributes)"
-            ) from None
-
     def attach_hot_replicator(self, replicator: Any | None) -> None:
         """Attach a :class:`~repro.core.hotspot.DynamicReplicator`
         (``None`` detaches; any placed replicas are dropped first so the
@@ -541,22 +676,6 @@ class ChordBackedService(DiscoveryService):
             if target is not None:
                 return target, self.hot_replicator.replica_namespace, key
         return key, namespace, key
-
-    def value_hash(self, attribute: str) -> LocalityPreservingHash:
-        """The locality-preserving hash ℋ for ``attribute`` on this ring."""
-        vh = self._value_hashes.get(attribute)
-        if vh is None:
-            vh = self.schema.spec(attribute).value_hash(
-                size=self.ring.space.size, kind=self.lph_kind
-            )
-            self._value_hashes[attribute] = vh
-        return vh
-
-    def structural_hop_bound(self) -> int:
-        # Closest-preceding-finger routing at least halves the clockwise
-        # distance per hop, so ``bits`` hops reach the key's predecessor
-        # and one more lands on the owner.
-        return self.ring.bits + 1
 
     def max_visited_per_subquery(self) -> int:
         # A range walk can cover the whole ring (Theorem 4.10's worst case).

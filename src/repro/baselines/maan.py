@@ -13,11 +13,10 @@ spread over the whole ring, the walk spans the entire system
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, QueryResult, ResourceInfo
+from repro.core.resource import Query, ResourceInfo
 
 __all__ = ["MaanService"]
 
@@ -79,89 +78,12 @@ class MaanService(ChordBackedService):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """Two lookups per attribute; range queries additionally walk the
-        value arc across the whole ring."""
-        start = self._resolve_start(start)
-        constraint = q.constraint
-        spec = self.schema.spec(q.attribute)
-        vh = self.value_hash(q.attribute)
-
-        # Lookup 1: the attribute root (checks its directory) — under a
-        # mitigation, the requester's stable salted root or hot replica.
+    def _plan(self, q: Query) -> tuple:
+        """Two steps per attribute (Theorems 4.7/4.8): a visit to the
+        attribute root — under a mitigation, the requester's stable salted
+        root or hot replica — which checks its directory but returns
+        nothing, then the value root's read, extended for range queries
+        into a value-arc walk across the whole ring."""
         attr_route, _, _ = self.attr_read_target(q.attribute, q.requester, _ATTR_NS)
-        attr_lookup = self.ring.lookup(start, attr_route)
-        if not attr_lookup.complete:
-            return self._failed_result(attr_lookup)
-        self.ring.network.count_directory_check(1)
-        stats = self.load_stats
-        if stats is not None:
-            stats.record_serve(attr_lookup.owner.uid, q.attribute)
-            stats.record_route_path(attr_lookup.path)
-
-        if not q.is_range:
-            # Lookup 2: the value root answers the point query.
-            value_key = vh(constraint.low)
-            value_lookup = self.ring.lookup(start, value_key)
-            hops = attr_lookup.hops + value_lookup.hops
-            retries = attr_lookup.retries + value_lookup.retries
-            if not value_lookup.complete:
-                self._record(hops, 1)
-                return QueryResult(
-                    matches=(), hops=hops, visited_nodes=1,
-                    complete=False, retries=retries,
-                    timed_out=value_lookup.timed_out,
-                )
-            matches = tuple(
-                value_lookup.owner.items_at(
-                    _VALUE_NS, value_key, q.attribute, *constraint.bounds
-                )
-            )
-            self.ring.network.count_directory_check(1)
-            if stats is not None:
-                stats.record_serve(value_lookup.owner.uid, q.attribute)
-                stats.record_route_path(value_lookup.path)
-            self._record(hops, 2)
-            return QueryResult(
-                matches=matches, hops=hops, visited_nodes=2, retries=retries
-            )
-
-        # Lookup 2 + walk: value roots across the queried arc.
-        low, high = constraint.bounds_within(spec.lo, spec.hi)
-        k1, k2 = vh.hash_range(low, high)
-        value_lookup = self.ring.lookup(start, k1)
-        if not value_lookup.complete:
-            hops = attr_lookup.hops + value_lookup.hops
-            self._record(hops, 1)
-            return QueryResult(
-                matches=(), hops=hops, visited_nodes=1,
-                complete=False,
-                retries=attr_lookup.retries + value_lookup.retries,
-                timed_out=value_lookup.timed_out,
-            )
-        walk = self.ring.walk_arc(value_lookup.owner, k1, k2)
-        matches: tuple = ()
-        if self.collect_matches:
-            attribute = q.attribute
-            low_value, high_value = constraint.bounds
-            matches = tuple(chain.from_iterable(
-                node.items_in(_VALUE_NS, attribute, low_value, high_value)
-                for node in walk
-            ))
-        hops = attr_lookup.hops + value_lookup.hops + (len(walk) - 1)
-        visited = 1 + len(walk)  # attribute root + every walked value node
-        self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
-        if stats is not None:
-            stats.record_serves((node.uid for node in walk), q.attribute)
-            stats.record_route_path(value_lookup.path)
-        self._record(hops, visited)
-        return QueryResult(
-            matches=matches, hops=hops, visited_nodes=visited,
-            complete=not walk.truncated,
-            retries=attr_lookup.retries + value_lookup.retries + walk.retries,
-            timed_out=walk.timed_out,
-        )
-
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
+        key, arc = self._value_target(q)
+        return ((attr_route, None, None), (key, arc, (_VALUE_NS, key, True)))

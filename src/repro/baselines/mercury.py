@@ -20,10 +20,10 @@ and Figure 3(a).
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, QueryResult, ResourceInfo, select_matches
+from repro.core.resource import Query, ResourceInfo
 
 __all__ = ["MercuryService"]
 
@@ -59,64 +59,18 @@ class MercuryService(ChordBackedService):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """One hub lookup; range queries walk hub successors over the arc."""
-        start = self._resolve_start(start)
-        constraint = q.constraint
-        spec = self.schema.spec(q.attribute)
-        vh = self.value_hash(q.attribute)
-        namespace = self._hub(q.attribute)
-
-        if not q.is_range:
-            key = vh(constraint.low)  # point: low == high
-            lookup = self.ring.lookup(start, key)
-            if not lookup.complete:
-                return self._failed_result(lookup)
-            matches = select_matches((lookup.owner.items_at(namespace, key),), constraint)
-            self.ring.network.count_directory_check(1)
-            if self.load_stats is not None:
-                self.load_stats.record_serve(lookup.owner.uid, q.attribute)
-                self.load_stats.record_route_path(lookup.path)
-            self._record(lookup.hops, 1)
-            return QueryResult(
-                matches=matches, hops=lookup.hops, visited_nodes=1,
-                retries=lookup.retries,
-            )
-
-        low, high = constraint.bounds_within(spec.lo, spec.hi)
-        k1, k2 = vh.hash_range(low, high)
-        lookup = self.ring.lookup(start, k1)
-        if not lookup.complete:
-            return self._failed_result(lookup)
-        walk = self.ring.walk_arc(lookup.owner, k1, k2)
-        matches: tuple = ()
-        if self.collect_matches:
-            matches = select_matches(
-                (node.items_in(namespace) for node in walk), constraint
-            )
-        hops = lookup.hops + (len(walk) - 1)
-        self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
-        if self.load_stats is not None:
-            self.load_stats.record_serves((node.uid for node in walk), q.attribute)
-            self.load_stats.record_route_path(lookup.path)
-        self._record(hops, len(walk))
-        return QueryResult(
-            matches=matches, hops=hops, visited_nodes=len(walk),
-            complete=not walk.truncated,
-            retries=lookup.retries + walk.retries,
-            timed_out=walk.timed_out,
-        )
-
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
+    def _plan(self, q: Query) -> tuple:
+        """One hub read at the value's root; range queries walk hub
+        successors over the queried value arc."""
+        key, arc = self._value_target(q)
+        return ((key, arc, (self._hub(q.attribute), key, False)),)
 
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
     def outlink_counts(self) -> list[int]:
         """Each node maintains a routing table in *every* hub (m of them)."""
-        num_hubs = len(self.schema)
+        num_hubs = self.maintenance_scale()
         return [num_hubs * links for links in super().outlink_counts()]
 
     def maintenance_scale(self) -> int:

@@ -23,6 +23,7 @@ from typing import Any, ClassVar
 
 from repro.baselines.mercury import MercuryService
 from repro.core.resource import Query, QueryResult, ResourceInfo
+from repro.overlay.node import WalkResult
 from repro.utils.validation import require
 
 __all__ = ["PointerMercuryService", "RecordEnvelope", "RecordPointer"]
@@ -138,37 +139,43 @@ class PointerMercuryService(MercuryService):
     # Queries
     # ------------------------------------------------------------------
     def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """Mercury query with pointer chasing.
+        """Mercury query with pointer chasing — the one override of the
+        plan engine.
 
         Hub items may be full records (match locally) or pointers (filter
         on the pointer's local value, then chase one lookup to the home
-        record).  Chased lookups add to the hop count — the cost side of
-        the optimisation.
+        record).  A plan cannot say that: the chased lookups are a
+        data-dependent number of extra routes whose hops count — the cost
+        side of the optimisation — but whose targets are not visited
+        nodes, and a failed chase flags the result incomplete without
+        ending the sub-query.
         """
         start = self._resolve_start(start)
         constraint = q.constraint
-        spec = self.schema.spec(q.attribute)
-        vh = self.value_hash(q.attribute)
         namespace = self._hub(q.attribute)
-
-        low, high = constraint.bounds_within(spec.lo, spec.hi)
-        k1, k2 = vh.hash_range(low, high)
-        lookup = self.ring.lookup(start, k1)
+        stats = self.load_stats
+        key, arc = self._value_target(q)
+        lookup = self.ring.lookup(start, key)
         if not lookup.complete:
-            return self._failed_result(lookup)
+            return self._result(
+                (), lookup.hops, 0, False, lookup.retries, lookup.timed_out
+            )
         walk = (
-            [lookup.owner]
-            if not q.is_range
-            else self.ring.walk_arc(lookup.owner, k1, k2)
+            WalkResult([lookup.owner])
+            if arc is None
+            else self.ring.walk_arc(lookup.owner, *arc)
         )
+        if stats is not None:
+            stats.record_serves((node.uid for node in walk), q.attribute)
+            stats.record_route_path(lookup.path)
 
         matches: list[ResourceInfo] = []
-        chase_hops = 0
-        chase_retries = 0
-        chase_incomplete = False
+        hops = lookup.hops + (len(walk) - 1)
+        retries = lookup.retries + walk.retries
+        complete = not walk.truncated
         for node in walk:
             items = (
-                node.items_at(namespace, k1) if not q.is_range
+                node.items_at(namespace, key) if arc is None
                 else node.items_in(namespace)
             )
             for item in items:
@@ -180,13 +187,16 @@ class PointerMercuryService(MercuryService):
                     if not constraint.matches(item.local_value):
                         continue
                     chased = self.ring.lookup(start, item.home_key)
-                    chase_hops += chased.hops
-                    chase_retries += chased.retries
+                    hops += chased.hops
+                    retries += chased.retries
                     if not chased.complete:
                         # The pointed-at record is unreachable: this match
                         # is silently missing unless flagged.
-                        chase_incomplete = True
+                        complete = False
                         continue
+                    if stats is not None:
+                        stats.record_serve(chased.owner.uid, q.attribute)
+                        stats.record_route_path(chased.path)
                     for envelope in chased.owner.items_at(
                         self._hub(item.home_attribute), item.home_key
                     ):
@@ -199,17 +209,10 @@ class PointerMercuryService(MercuryService):
                             )
                             break
 
-        hops = lookup.hops + (len(walk) - 1) + chase_hops
-        walk_truncated = getattr(walk, "truncated", False)
-        walk_retries = getattr(walk, "retries", 0)
         self.ring.network.count_hop(len(walk) - 1)
         self.ring.network.count_directory_check(len(walk))
-        self._record(hops, len(walk))
-        return QueryResult(
-            matches=tuple(matches), hops=hops, visited_nodes=len(walk),
-            complete=not (walk_truncated or chase_incomplete),
-            retries=lookup.retries + walk_retries + chase_retries,
-            timed_out=getattr(walk, "timed_out", False),
+        return self._result(
+            tuple(matches), hops, len(walk), complete, retries, walk.timed_out
         )
 
     # ------------------------------------------------------------------

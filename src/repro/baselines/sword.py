@@ -12,10 +12,10 @@ attributes, all 100k info pieces pile up on 200 of the 2048 nodes
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, QueryResult, ResourceInfo
+from repro.core.resource import Query, ResourceInfo
 
 __all__ = ["SwordService"]
 
@@ -62,26 +62,11 @@ class SwordService(ChordBackedService):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """One lookup; the attribute root answers point and range queries
-        alike from its pooled directory (no forwarding)."""
-        start = self._resolve_start(start)
-        constraint = q.constraint
-        route_key, dir_ns, dir_key = self.attr_read_target(
+    def _plan(self, q: Query) -> tuple:
+        """One read of the attribute root's pooled directory, point and
+        range alike (no forwarding) — under a mitigation, of the
+        requester's stable salted root or hot replica."""
+        route_key, namespace, key = self.attr_read_target(
             q.attribute, q.requester, _NAMESPACE
         )
-        lookup = self.ring.lookup(start, route_key)
-        if not lookup.complete:
-            return self._failed_result(lookup)
-        matches = tuple(
-            lookup.owner.items_at(dir_ns, dir_key, q.attribute, *constraint.bounds)
-        )
-        self.ring.network.count_directory_check(1)
-        if self.load_stats is not None:
-            self.load_stats.record_serve(lookup.owner.uid, q.attribute)
-            self.load_stats.record_route_path(lookup.path)
-        self.metrics.record_pair("query.hops", lookup.hops, "query.visited", 1)
-        return QueryResult(
-            matches=matches, hops=lookup.hops, visited_nodes=1,
-            retries=lookup.retries,
-        )
+        return ((route_key, None, (namespace, key, True)),)

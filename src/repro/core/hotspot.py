@@ -204,7 +204,7 @@ class DynamicReplicator:
         for attr in list(self._replicas.keys() - self._desired):
             key = self.service.attr_key(attr)
             for node_id in self._replicas.pop(attr):
-                if node_id not in ring.node_ids:
+                if node_id not in ring:
                     continue
                 node = ring.node(node_id)
                 for item in node.items_at(self.replica_namespace, key):
@@ -229,7 +229,7 @@ class DynamicReplicator:
         if not placed:
             return []
         ring = self.service.ring
-        return [nid for nid in placed if nid in ring.node_ids]
+        return [nid for nid in placed if nid in ring]
 
     def route_for(self, attribute: str, requester: str) -> int | None:
         """The replica node id this requester should read — ``None`` for

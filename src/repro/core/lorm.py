@@ -22,16 +22,10 @@ from __future__ import annotations
 
 from typing import Any, ClassVar
 
-import numpy as np
-
-from repro.baselines.base import DiscoveryService
-from repro.core.resource import Query, QueryResult, ResourceInfo, select_matches
-from repro.hashing.consistent import ConsistentHash
-from repro.hashing.locality import LocalityPreservingHash
-from repro.hashing.spread import spread_attribute_ids
+from repro.baselines.base import DiscoveryService, build_ring
+from repro.core.resource import Query, ResourceInfo
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
-from repro.sim.metrics import MetricsRegistry
-from repro.utils.seeding import SeedFactory
+from repro.utils.validation import require
 from repro.workloads.attributes import AttributeSchema
 
 __all__ = ["LormService"]
@@ -42,14 +36,14 @@ _NAMESPACE = "lorm"
 class LormService(DiscoveryService):
     """LORM resource discovery on a Cycloid overlay.
 
-    LORM also runs in a *flat* mode over any Chord-family ring substrate
-    (plain Chord, single-hop, ReCord): the two-level resource ID
-    ``(ℋ(value), H(attribute))`` is linearized onto the ring exactly the
-    way Cycloid linearizes it (``cluster * d + cyclic``), so each
-    attribute owns a contiguous ID arc and range queries become successor
-    walks over that arc.  The mode is selected automatically from the
-    substrate (anything without ``walk_cluster``); placement, oracle
-    exactness and the per-cluster visit bound carry over unchanged.
+    LORM also runs *flat* over any Chord-family ring substrate (plain
+    Chord, single-hop, ReCord).  The service always computes the two-level
+    resource ID ``(ℋ(value), H(attribute))`` in the linearized form Cycloid
+    itself stores it under (``cluster * d + cyclic``) and hands the overlay
+    its own key type (``overlay.key_of``): on a ring each attribute then
+    owns a contiguous ID arc and the range walk is a successor walk over
+    that arc.  Placement, oracle exactness and the per-cluster visit bound
+    carry over unchanged.
 
     Examples
     --------
@@ -76,33 +70,17 @@ class LormService(DiscoveryService):
         attr_placement: str = "spread",
         dimension: int | None = None,
     ) -> None:
-        self.overlay = overlay
-        #: Flat mode: the substrate is a Chord-family ring, not Cycloid —
-        #: resource IDs are linearized onto the ring (see class docstring).
-        self._flat = not hasattr(overlay, "walk_cluster")
-        if self._flat:
-            if dimension is None:
-                raise ValueError("flat-substrate LORM needs an explicit dimension")
-            self.dimension = dimension
-        else:
-            self.dimension = overlay.dimension
-        self.schema = schema
-        self.lph_kind = lph_kind
-        #: See ChordBackedService.collect_matches — same accounting-only mode.
-        self.collect_matches = True
-        self.metrics = MetricsRegistry()
-        self._seeds = SeedFactory(seed).fork("service:LORM")
-        self._rng: np.random.Generator = self._seeds.numpy("queries")
-        self._churn_rng: np.random.Generator = self._seeds.numpy("churn")
-        #: H — consistent hash of attribute names onto the 2**d clusters.
-        self.attr_hash = ConsistentHash(bits=self.dimension)
-        #: "spread" assigns each attribute its own cluster (the paper's
-        #: "each cluster is responsible for one attribute" model; requires
-        #: m <= 2**d); "hash" is plain consistent hashing with collisions.
-        self.attr_placement = attr_placement
-        self._attr_ids: dict[str, int] | None = None
-        self._value_hashes: dict[str, LocalityPreservingHash] = {}
-        self._departed: list[CycloidId] = []
+        if dimension is None:
+            dimension = getattr(overlay, "dimension", None)
+        require(dimension is not None, "flat-substrate LORM needs an explicit dimension")
+        #: ``d``: H maps attributes onto the ``2**d`` clusters ("each
+        #: cluster is responsible for one attribute"), ℋ maps values onto
+        #: the cyclic indices ``[0, d)``.
+        self.dimension = dimension
+        super().__init__(
+            overlay, schema, attr_bits=dimension, value_space=dimension,
+            seed=seed, lph_kind=lph_kind, attr_placement=attr_placement,
+        )
 
     @classmethod
     def build_full(
@@ -140,65 +118,31 @@ class LormService(DiscoveryService):
         plain :class:`~repro.overlay.chord.ChordRing`) and membership is
         sampled from the same seeded stream Chord-backed services use.
         """
-        from repro.overlay.chord import ChordRing
-
         capacity = dimension * (1 << dimension)
-        bits = max(2, (capacity - 1).bit_length())
-        make = ring_factory if ring_factory is not None else ChordRing
-        ring = make(bits, replication=replication, durability=durability)
-        population = capacity if population is None else population
-        if population >= ring.space.size:
-            ring.build_full()
-        else:
-            rng = SeedFactory(seed).numpy(f"{cls.name}-membership")
-            ids = rng.choice(ring.space.size, size=population, replace=False)
-            ring.build(int(i) for i in ids)
+        ring = build_ring(
+            max(2, (capacity - 1).bit_length()),
+            capacity if population is None else population,
+            seed=seed, stream=f"{cls.name}-membership",
+            replication=replication, durability=durability, ring_factory=ring_factory,
+        )
         return cls(ring, schema, seed=seed, dimension=dimension, **kwargs)
 
     # ------------------------------------------------------------------
     # ID mapping
     # ------------------------------------------------------------------
-    def value_hash(self, attribute: str) -> LocalityPreservingHash:
-        """ℋ for ``attribute`` — onto the cyclic-index space ``[0, d)``."""
-        vh = self._value_hashes.get(attribute)
-        if vh is None:
-            vh = self.schema.spec(attribute).value_hash(
-                size=self.dimension, kind=self.lph_kind
-            )
-            self._value_hashes[attribute] = vh
-        return vh
-
-    def attr_key(self, attribute: str) -> int:
-        """The cubical (cluster) index of ``attribute``."""
-        if self.attr_placement == "hash":
-            return self.attr_hash(attribute)
-        if self._attr_ids is None:
-            self._attr_ids = spread_attribute_ids(self.schema.names, self.attr_hash)
-        try:
-            return self._attr_ids[attribute]
-        except KeyError:
-            raise KeyError(
-                f"attribute {attribute!r} is not in the globally-known schema "
-                f"({len(self.schema)} attributes)"
-            ) from None
-
     def resc_id(self, attribute: str, value: float) -> CycloidId:
         """``rescID = (ℋ(value), H(attribute))`` (Section III)."""
         return CycloidId(self.value_hash(attribute)(value), self.attr_key(attribute))
 
     def _store_key(self, attribute: str, value: float) -> Any:
-        """The substrate-native storage key for ``(attribute, value)``.
-
-        Native Cycloid uses the two-level rescID; a flat ring gets the
-        same ID linearized the way Cycloid itself would
-        (``cluster * d + cyclic``), so each attribute owns a contiguous
-        arc of ``d`` ring IDs.
-        """
-        cyclic = self.value_hash(attribute)(value)
-        cluster = self.attr_key(attribute)
-        if self._flat:
-            return cluster * self.dimension + cyclic
-        return CycloidId(cyclic, cluster)
+        """The overlay-native storage key for ``(attribute, value)``: the
+        rescID linearized the way Cycloid linearizes it (``cluster * d +
+        cyclic``, so each attribute owns a contiguous arc of ``d`` IDs),
+        handed to the overlay in its own key type."""
+        return self.overlay.key_of(
+            self.attr_key(attribute) * self.dimension
+            + self.value_hash(attribute)(value)
+        )
 
     # ------------------------------------------------------------------
     # Registration
@@ -221,87 +165,20 @@ class LormService(DiscoveryService):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
-        """One Cycloid lookup; range queries walk the attribute's cluster."""
-        start = self._resolve_start(start)
-        constraint = q.constraint
-        spec = self.schema.spec(q.attribute)
-        vh = self.value_hash(q.attribute)
-        cluster = self.attr_key(q.attribute)
-
-        if not q.is_range:
-            if self._flat:
-                key = cluster * self.dimension + vh(constraint.low)
-                stored_at = key
-            else:
-                key = CycloidId(vh(constraint.low), cluster)
-                stored_at = self.overlay.linearize(key)
-            lookup = self.overlay.lookup(start, key)
-            if not lookup.complete:
-                return self._failed_result(lookup)
-            matches = select_matches(
-                (lookup.owner.items_at(_NAMESPACE, stored_at),), constraint
-            )
-            self.overlay.network.count_directory_check(1)
-            if self.load_stats is not None:
-                self.load_stats.record_serve(lookup.owner.uid, q.attribute)
-                self.load_stats.record_route_path(lookup.path)
-            self._record(lookup.hops, 1)
-            return QueryResult(
-                matches=matches, hops=lookup.hops, visited_nodes=1,
-                retries=lookup.retries,
-            )
-
-        low, high = constraint.bounds_within(spec.lo, spec.hi)
-        k1, k2 = vh.hash_range(low, high)
-        if self._flat:
-            # The attribute's cyclic range is a contiguous ring arc under
-            # the linearized ID — a successor walk covers it completely.
-            key1 = cluster * self.dimension + k1
-            key2 = cluster * self.dimension + k2
-            lookup = self.overlay.lookup(start, key1)
-            if not lookup.complete:
-                return self._failed_result(lookup)
-            walk = self.overlay.walk_arc(lookup.owner, key1, key2)
-        else:
-            lookup = self.overlay.lookup(start, CycloidId(k1, cluster))
-            if not lookup.complete:
-                return self._failed_result(lookup)
-            walk = self.overlay.walk_cluster(lookup.owner, k1, k2)
-        matches: tuple = ()
-        if self.collect_matches:
-            matches = select_matches(
-                (node.items_in(_NAMESPACE) for node in walk), constraint
-            )
-        hops = lookup.hops + (len(walk) - 1)
-        self.overlay.network.count_hop(len(walk) - 1)
-        self.overlay.network.count_directory_check(len(walk))
-        if self.load_stats is not None:
-            self.load_stats.record_serves((node.uid for node in walk), q.attribute)
-            self.load_stats.record_route_path(lookup.path)
-        self._record(hops, len(walk))
-        return QueryResult(
-            matches=matches, hops=hops, visited_nodes=len(walk),
-            complete=not walk.truncated,
-            retries=lookup.retries + walk.retries,
-            timed_out=walk.timed_out,
-        )
-
-    def _record(self, hops: int, visited: int) -> None:
-        self.metrics.record_pair("query.hops", hops, "query.visited", visited)
+    def _plan(self, q: Query) -> tuple:
+        """One read at the rescID's root; range queries walk the
+        attribute's cluster (its contiguous ID arc on a flat ring) over
+        the queried cyclic sector."""
+        base = self.attr_key(q.attribute) * self.dimension
+        cyclic, arc = self._value_target(q)
+        if arc is not None:
+            arc = (base + arc[0], base + arc[1])
+        key = base + cyclic
+        return ((self.overlay.key_of(key), arc, (_NAMESPACE, key, False)),)
 
     # ------------------------------------------------------------------
     # Structure metrics
     # ------------------------------------------------------------------
-    def structural_hop_bound(self) -> int:
-        if self._flat:
-            # Chord-family substrate: the classic halving ceiling.
-            return self.overlay.bits + 1
-        # Cycloid's lookup termination ceiling: the adaptive descend plus
-        # the deterministic fallback sweep never exceed this on a live,
-        # stabilized overlay.
-        return 10 * self.overlay.dimension + 3 * self.overlay.num_clusters + 4
-
     def max_visited_per_subquery(self) -> int:
         # A range walk stays inside one cluster (Proposition 3.1), and a
         # cluster holds at most ``d`` nodes; the linearized arc on a flat

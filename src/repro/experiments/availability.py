@@ -18,14 +18,13 @@ replication factor.
 from __future__ import annotations
 
 from repro.analysis.models import AnalysisCurve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import ServiceBundle, build_services, query_cases
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
 from repro.sim.invariants import overlay_of
 from repro.sim.network import publish_stats
 from repro.utils.seeding import SeedFactory
-from repro.workloads.generator import QueryKind
 
 __all__ = ["run_availability", "measure_completeness"]
 
@@ -88,27 +87,6 @@ def _crash_storm(bundle: ServiceBundle, config: ExperimentConfig) -> int:
     return crashes
 
 
-def _query_cases(bundle: ServiceBundle, config: ExperimentConfig) -> list[tuple]:
-    """The shared workload: half point, half range 2-attribute queries,
-    paired with their full-workload ground truth."""
-    count = config.num_availability_queries
-    attrs = min(2, config.num_attributes)
-    n_range = count // 2
-    queries = list(
-        bundle.workload.query_stream(
-            count - n_range, attrs, QueryKind.POINT, label="availability-point"
-        )
-    ) + list(
-        bundle.workload.query_stream(
-            n_range, attrs, QueryKind.RANGE, label="availability-range"
-        )
-    )
-    return [
-        (query, bundle.workload.matching_providers_bruteforce(query))
-        for query in queries
-    ]
-
-
 def run_availability(config: ExperimentConfig) -> FigureResult:
     """Query completeness vs. message-loss rate, per approach × replication."""
     seeds = SeedFactory(config.seed).fork("availability")
@@ -125,7 +103,7 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
             config, register=True, replication=replication, seed_offset=replication
         )
         crashes = _crash_storm(bundle, config)
-        cases = _query_cases(bundle, config)
+        cases = query_cases(bundle, config.num_availability_queries, "availability")
         for service in bundle.all():
             completeness = []
             for loss in config.loss_rates:

@@ -19,7 +19,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
 from repro.sim.invariants import install_churn_guards
-from repro.workloads.generator import GridWorkload
+from repro.workloads.generator import GridWorkload, QueryKind
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sim.durability import DurabilityPolicy
@@ -31,6 +31,7 @@ __all__ = [
     "build_service",
     "build_services",
     "build_workload",
+    "query_cases",
     "resolve_overlay",
     "resolve_overlays",
     "resolve_system",
@@ -157,21 +158,31 @@ def build_service(
     salting=None,
     overlay: str | None = None,
     fanout: int = 2,
+    replication: int = 1,
+    durability: "DurabilityPolicy | None" = None,
+    seed_offset: int = 0,
 ):
-    """One service at ``config`` scale, loaded with the workload.
+    """One service at ``config`` scale, loaded with the workload — the
+    single construction path (:func:`build_services` and ``repro trace``
+    call it per system).
 
-    Cheaper than :func:`build_services` when an experiment only sweeps a
-    subset of approaches (the hotspot sweep builds per-mitigation
-    variants).  ``salting`` forwards a :class:`~repro.core.hotspot.
-    SaltPlan` to Chord-backed services (LORM has no attribute-rooted
-    single directory, so salting it is rejected).
+    ``salting`` forwards a :class:`~repro.core.hotspot.SaltPlan` to
+    Chord-backed services (LORM has no attribute-rooted single directory,
+    so salting it is rejected).
 
     ``overlay`` picks the routing substrate (see :data:`OVERLAY_NAMES`).
     ``None`` keeps each system on its native substrate (Cycloid for LORM,
-    Chord for the rest) with byte-identical construction to earlier
-    releases; a ring-tier name runs the system on that ring (LORM
-    switches to its flat linearized mode).  ``fanout`` is ReCord's
+    Chord for the rest); a ring-tier name runs the system on that ring
+    (LORM flat, over its linearized resource IDs).  ``fanout`` is ReCord's
     per-level finger fan-out, ignored by the other overlays.
+
+    ``replication`` sets the overlay's per-key copy count (1 = the
+    paper's model; >= 2 makes data survive crash failures).
+    ``durability`` instead supplies a full
+    :class:`~repro.sim.durability.DurabilityPolicy` (placement ×
+    redundancy); when ``None`` the overlay defaults to successor-list
+    replication at ``replication`` copies, the seed scheme.
+    ``seed_offset`` de-correlates repeated builds.
     """
     name = resolve_system(name)
     cls = _SYSTEM_CLASSES[name]
@@ -179,42 +190,36 @@ def build_service(
         overlay = resolve_overlay(overlay)
     if workload is None:
         workload = build_workload(config)
-    schema = workload.schema
-    if cls is LormService:
-        if salting is not None:
+    seed = config.seed + seed_offset
+    kwargs = {
+        "seed": seed, "lph_kind": config.lph_kind,
+        "replication": replication, "durability": durability,
+    }
+    if salting is not None:
+        if cls is LormService:
             raise ValueError("key salting applies to Chord-backed services only")
-        if overlay in (None, "cycloid"):
-            service = LormService.build_full(
-                config.dimension, schema, seed=config.seed, lph_kind=config.lph_kind
-            )
-        else:
-            service = LormService.build_flat(
-                config.dimension, schema, seed=config.seed,
-                lph_kind=config.lph_kind,
-                ring_factory=ring_factory_for(overlay, fanout=fanout, seed=config.seed),
-                population=config.population,
-            )
+        kwargs["salting"] = salting
+    if cls is LormService and overlay in (None, "cycloid"):
+        service = cls.build_full(config.dimension, workload.schema, **kwargs)
     else:
         if overlay == "cycloid":
             raise ValueError(
                 f"overlay 'cycloid' is LORM-native; {name} runs on ring "
                 "substrates only (chord, singlehop, record)"
             )
-        kwargs = {"lph_kind": config.lph_kind}
-        if salting is not None:
-            kwargs["salting"] = salting
-        if overlay is not None and overlay != "chord":
-            kwargs["ring_factory"] = ring_factory_for(
-                overlay, fanout=fanout, seed=config.seed
-            )
-        if config.population == (1 << config.chord_bits):
-            service = cls.build_full(
-                config.chord_bits, schema, seed=config.seed, **kwargs
+        if overlay is not None:
+            kwargs["ring_factory"] = ring_factory_for(overlay, fanout=fanout, seed=seed)
+        # The paper runs every DHT with the same population ("each DHT had
+        # 2048 nodes"): at paper scale the 11-bit ring is exactly full,
+        # otherwise it is sparse with population n = d * 2**d.
+        if cls is LormService:
+            service = cls.build_flat(
+                config.dimension, workload.schema,
+                population=config.population, **kwargs,
             )
         else:
             service = cls.build(
-                config.chord_bits, config.population, schema,
-                seed=config.seed, **kwargs,
+                config.chord_bits, config.population, workload.schema, **kwargs
             )
     if register:
         service.register_all(workload.resource_infos(), routed=False)
@@ -234,17 +239,14 @@ def build_services(
 ) -> ServiceBundle:
     """Build all four services at ``config`` scale and load the workload.
 
+    Each service comes from :func:`build_service`, which documents
+    ``seed_offset`` (used by the churn sweep), ``replication`` (the axis
+    swept by the availability experiment), ``durability`` (the axis swept
+    by the durability experiment) and ``overlay`` / ``fanout``.
+
     ``routed_registration=False`` (default) places infos at their roots
     directly — byte-identical placement without paying 400k routed inserts;
-    the registration-cost benchmarks flip it on.  ``seed_offset``
-    de-correlates repeated builds (used by the churn sweep).
-    ``replication`` sets every overlay's per-key copy count (1 = the
-    paper's model; >= 2 makes data survive crash failures, the axis swept
-    by the availability experiment).  ``durability`` instead supplies a
-    full :class:`~repro.sim.durability.DurabilityPolicy` (placement ×
-    redundancy) to every overlay — the axis swept by the durability
-    experiment; when ``None`` the overlays default to successor-list
-    replication at ``replication`` copies, the seed scheme.
+    the registration-cost benchmarks flip it on.
 
     With ``config.validate_invariants`` set, every service's churn entry
     points (and its overlay's ``repair_replication``) are wrapped by a
@@ -253,69 +255,19 @@ def build_services(
     any violation raises
     :class:`~repro.sim.invariants.InvariantViolation` at the offending
     event instead of silently skewing the figures.
-
-    ``overlay``/``fanout`` pick the routing substrate exactly as in
-    :func:`build_service` — ``None`` keeps the native (Cycloid + Chord)
-    substrates byte-identical to earlier releases.
     """
-    seed = config.seed + seed_offset
-    if overlay is not None:
-        overlay = resolve_overlay(overlay)
-    ring_factory = (
-        ring_factory_for(overlay, fanout=fanout, seed=seed)
-        if overlay not in (None, "cycloid")
-        else None
-    )
     workload = build_workload(config)
-    schema = workload.schema
-    if overlay in (None, "cycloid"):
-        lorm = LormService.build_full(
-            config.dimension, schema, seed=seed, lph_kind=config.lph_kind,
-            replication=replication, durability=durability,
-        )
-    else:
-        lorm = LormService.build_flat(
-            config.dimension, schema, seed=seed, lph_kind=config.lph_kind,
-            replication=replication, durability=durability,
-            ring_factory=ring_factory, population=config.population,
-        )
-
-    # The paper runs every DHT with the same population ("each DHT had 2048
-    # nodes"); at paper scale the 11-bit ring is exactly full, otherwise the
-    # ring is sparse with population n = d * 2**d.
-    def chord_service(cls):
-        if overlay == "cycloid":
-            raise ValueError(
-                f"overlay 'cycloid' is LORM-native; {cls.name} runs on ring "
-                "substrates only (chord, singlehop, record)"
-            )
-        extra = {"ring_factory": ring_factory} if ring_factory is not None else {}
-        if config.population == (1 << config.chord_bits):
-            return cls.build_full(
-                config.chord_bits, schema, seed=seed, lph_kind=config.lph_kind,
-                replication=replication, durability=durability, **extra,
-            )
-        return cls.build(
-            config.chord_bits,
-            config.population,
-            schema,
-            seed=seed,
-            lph_kind=config.lph_kind,
-            replication=replication,
-            durability=durability,
-            **extra,
-        )
-
-    mercury = chord_service(MercuryService)
-    sword = chord_service(SwordService)
-    maan = chord_service(MaanService)
     bundle = ServiceBundle(
-        config=config,
-        workload=workload,
-        lorm=lorm,
-        mercury=mercury,
-        sword=sword,
-        maan=maan,
+        config,
+        workload,
+        *(
+            build_service(
+                config, name, workload=workload, register=False,
+                overlay=overlay, fanout=fanout, replication=replication,
+                durability=durability, seed_offset=seed_offset,
+            )
+            for name in SYSTEM_NAMES
+        ),
     )
     if config.validate_invariants:
         for service in bundle.all():
@@ -331,3 +283,18 @@ def build_services(
         for service in bundle.all():
             service.attach_tracer(QueryTracer())
     return bundle
+
+
+def query_cases(bundle: ServiceBundle, count: int, label: str) -> list[tuple]:
+    """``(query, truth)`` pairs shared by every system and sample: half
+    point, half range 2-attribute queries from the ``<label>-point`` /
+    ``<label>-range`` streams, with their full-workload ground truth."""
+    attrs = min(2, bundle.config.num_attributes)
+    n_range = count // 2
+    workload = bundle.workload
+    queries = list(
+        workload.query_stream(count - n_range, attrs, QueryKind.POINT, label=f"{label}-point")
+    ) + list(
+        workload.query_stream(n_range, attrs, QueryKind.RANGE, label=f"{label}-range")
+    )
+    return [(query, workload.matching_providers_bruteforce(query)) for query in queries]

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.experiments.common import build_services
+from repro.experiments.common import build_services, query_cases
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.recovery import _probe_cases, chaos_trial
+from repro.experiments.recovery import chaos_trial
 from repro.experiments.report import CellTable
 from repro.sim.chaos import CRASH_STORM_SCENARIO, DEMO_SCENARIO, ChaosScenario
 from repro.sim.durability import DEFAULT_POLICY_SPECS, DurabilityPolicy, parse_policy
@@ -146,7 +146,7 @@ def run_durability(
         horizon = max(config.recovery_horizon, scenario.horizon() + 4 * interval)
         for policy in policies:
             bundle = build_services(config, register=True, durability=policy)
-            cases = _probe_cases(bundle, config.num_recovery_queries)
+            cases = query_cases(bundle, config.num_recovery_queries, "recovery")
             for name in systems:
                 service = bundle.by_name(name)
                 before = _census_size(service, policy)

@@ -54,8 +54,7 @@ def maintenance_trial(config: ExperimentConfig, rate: float) -> dict[str, float]
             t += _STABILIZE_PERIOD
         sim.run()
         messages = network.stats.maintenance_messages - before
-        scale = service.maintenance_scale() if hasattr(service, "maintenance_scale") else 1
-        out[service.name] = scale * messages / _DURATION
+        out[service.name] = service.maintenance_scale() * messages / _DURATION
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.models import AnalysisCurve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import build_services, query_cases
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.chaos import DEMO_SCENARIO, ChaosScenario
@@ -44,28 +44,8 @@ from repro.sim.network import publish_stats
 from repro.sim.recovery import RecoveryTracker
 from repro.utils.formatting import render_table
 from repro.utils.seeding import SeedFactory
-from repro.workloads.generator import QueryKind
 
 __all__ = ["run_chaos_demo", "run_recovery", "ChaosDemoResult", "chaos_trial"]
-
-
-def _probe_cases(bundle: ServiceBundle, count: int) -> list[tuple]:
-    """``(query, truth)`` probe pairs shared by every sample and system."""
-    attrs = min(2, bundle.config.num_attributes)
-    n_range = count // 2
-    queries = list(
-        bundle.workload.query_stream(
-            count - n_range, attrs, QueryKind.POINT, label="recovery-point"
-        )
-    ) + list(
-        bundle.workload.query_stream(
-            n_range, attrs, QueryKind.RANGE, label="recovery-range"
-        )
-    )
-    return [
-        (query, bundle.workload.matching_providers_bruteforce(query))
-        for query in queries
-    ]
 
 
 def _availability_probe(service, cases: list[tuple]):
@@ -231,7 +211,7 @@ def run_chaos_demo(
         bundle = build_services(
             config, register=True, replication=config.recovery_replication
         )
-        cases = _probe_cases(bundle, config.num_recovery_queries)
+        cases = query_cases(bundle, config.num_recovery_queries, "recovery")
         for service in bundle.all():
             tracker = chaos_trial(
                 service, cases, scenario,
@@ -298,7 +278,7 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
                 replication=config.recovery_replication,
                 seed_offset=int(churn_rate * 100),
             )
-            cases = _probe_cases(bundle, config.num_recovery_queries)
+            cases = query_cases(bundle, config.num_recovery_queries, "recovery")
             for service in bundle.all():
                 tracker = chaos_trial(
                     service, cases, scenario,

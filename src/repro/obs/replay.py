@@ -15,7 +15,7 @@ from repro.baselines.maan import MaanService
 from repro.baselines.mercury import MercuryService
 from repro.baselines.sword import SwordService
 from repro.core.lorm import LormService
-from repro.experiments.common import build_workload
+from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG, ExperimentConfig
 from repro.obs.spans import QueryTracer
 from repro.utils.validation import require
@@ -64,37 +64,11 @@ def build_traced_service(
     slug = system.lower()
     require(slug in SYSTEMS, f"unknown system {system!r}; pick one of {sorted(SYSTEMS)}")
     config = config if config is not None else TRACE_CONFIG
-    cls = SYSTEMS[slug]
     workload: GridWorkload = build_workload(config)
-    schema = workload.schema
-    if overlay is not None:
-        from repro.experiments.common import build_service
-
-        require(
-            replication == 1,
-            "overlay-substrate replay supports replication=1 only",
-        )
-        service = build_service(
-            config, cls.name, workload=workload, register=False,
-            overlay=overlay, fanout=fanout,
-        )
-    elif cls is LormService:
-        service = cls.build_full(
-            config.dimension, schema, seed=config.seed,
-            lph_kind=config.lph_kind, replication=replication,
-        )
-    elif config.population == (1 << config.chord_bits):
-        service = cls.build_full(
-            config.chord_bits, schema, seed=config.seed,
-            lph_kind=config.lph_kind, replication=replication,
-        )
-    else:
-        service = cls.build(
-            config.chord_bits, config.population, schema, seed=config.seed,
-            lph_kind=config.lph_kind, replication=replication,
-        )
-    for info in workload.resource_infos():
-        service.register(info, routed=False)
+    service = build_service(
+        config, slug, workload=workload,
+        overlay=overlay, fanout=fanout, replication=replication,
+    )
     if tracer is None:
         tracer = QueryTracer()
     service.attach_tracer(tracer)

@@ -56,6 +56,9 @@ class Overlay:
     kind: str
     #: The routing-table entry a range-walk step follows (hop attribution).
     walk_edge: str
+    #: The name :meth:`walk` is published under (``walk_arc`` /
+    #: ``walk_cluster``) — callers resolve it on the instance per call.
+    walk_name: str
 
     def __init__(
         self,
@@ -105,6 +108,10 @@ class Overlay:
     def node(self, node_id: Any) -> OverlayNode:
         """The live node with identifier ``node_id``."""
         return self._nodes[node_id]
+
+    def __contains__(self, node_id: Any) -> bool:
+        """Whether ``node_id`` is a live member (O(1))."""
+        return node_id in self._nodes
 
     @property
     def node_ids(self) -> tuple:

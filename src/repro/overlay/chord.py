@@ -110,6 +110,7 @@ class ChordRing(Overlay):
 
     kind = "chord"
     walk_edge = "successor"
+    walk_name = "walk_arc"
 
     def __init__(
         self,
@@ -321,6 +322,13 @@ class ChordRing(Overlay):
         if src.predecessor is dst:
             return "predecessor"
         return "unknown"
+
+    def structural_hop_bound(self) -> int:
+        """Worst-case hops of one fault-free lookup on the stabilized
+        ring: closest-preceding-finger routing at least halves the
+        clockwise distance per hop, so ``bits`` hops reach the key's
+        predecessor and one more lands on the owner."""
+        return self.bits + 1
 
     def _fault_hop_budget(self) -> int:
         """The fault path's give-up point: the plain loop's termination

@@ -142,6 +142,7 @@ class CycloidOverlay(Overlay):
 
     kind = "cycloid"
     walk_edge = "inside-leaf"
+    walk_name = "walk_cluster"
 
     def __init__(
         self,
@@ -449,6 +450,12 @@ class CycloidOverlay(Overlay):
         cyclic_dist = min((node.k - tk) % self.dimension,
                           (tk - node.k) % self.dimension)
         return (cluster_dist, cyclic_dist)
+
+    def structural_hop_bound(self) -> int:
+        """Worst-case hops of one fault-free lookup on the stabilized
+        overlay: the adaptive descend plus the deterministic fallback
+        sweep over the live clusters never exceed this."""
+        return 10 * self.dimension + 3 * self.num_clusters + 4
 
     def _fault_hop_budget(self) -> int:
         """The fault path's give-up point (sized for a full cluster ring)."""

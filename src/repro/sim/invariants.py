@@ -148,8 +148,6 @@ def overlay_of(service: Any) -> Any:
     """The overlay substrate behind a discovery service (ring or Cycloid)."""
     overlay = getattr(service, "overlay", None)
     if overlay is None:
-        overlay = getattr(service, "ring", None)
-    if overlay is None:
         raise TypeError(f"{type(service).__name__} exposes no overlay substrate")
     return overlay
 

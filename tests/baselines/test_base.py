@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.base import DiscoveryService
 from repro.baselines.sword import SwordService
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, ResourceInfo
-from repro.experiments.common import SYSTEM_NAMES, build_service
+from repro.experiments.common import SYSTEM_NAMES, build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
+from repro.sim.faults import NO_RETRY_POLICY, FaultInjector, FaultPlan
 from repro.sim.invariants import overlay_of
 from repro.workloads.attributes import AttributeSchema
+from repro.workloads.generator import QueryKind
+
+#: Every service binding: the four systems on their native substrates plus
+#: flat LORM on each ring tier.
+BINDINGS = [(name, None) for name in SYSTEM_NAMES] + [
+    ("LORM", tier) for tier in ("chord", "singlehop", "record")
+]
 
 
 @pytest.fixture(scope="module")
@@ -65,10 +75,10 @@ class TestRandomNodes:
         """Every system draws its entry node through the one
         ``DiscoveryService`` definition: one ``integers(n)`` draw from the
         query stream, indexing the overlay's per-epoch ``node_ids``."""
-        # ... flat-mode LORM (a ring under ``.overlay``) included.
-        for system, tier in [(name, None) for name in SYSTEM_NAMES] + [("LORM", "chord")]:
+        # ... flat LORM (a ring under ``.overlay``) included.
+        for system, tier in BINDINGS:
             service = build_service(SMOKE_CONFIG, system, overlay=tier)
-            for name in ("random_node", "_resolve_start", "_failed_result"):
+            for name in ("random_node", "_resolve_start", "_query_impl"):
                 assert getattr(type(service), name) is getattr(DiscoveryService, name), name
             overlay = overlay_of(service)
             twin = np.random.Generator(type(service._rng.bit_generator)())
@@ -104,11 +114,28 @@ class TestMultiQueryInterface:
         assert len(service.metrics.samples("multi_query.total_visited")) == 1
 
 
-#: Substrate plumbing `DiscoveryService` owns once, over `overlay_of(self)`.
+#: Substrate plumbing `DiscoveryService` owns once, over `self.overlay`.
 SUBSTRATE_PLUMBING = (
     "churn_leave", "churn_join", "churn_fail", "stabilize",
     "configure_faults", "directory_sizes", "outlink_counts", "num_nodes",
 )
+
+#: The sub-query engine and the ID mapping it runs on, also owned once.
+QUERY_KERNEL = (
+    "_query_impl", "_result", "attr_key", "value_hash", "structural_hop_bound",
+)
+
+#: Instance state `DiscoveryService.__init__` sets for every binding.
+CONSTRUCTOR_STATE = (
+    "overlay", "schema", "lph_kind", "collect_matches", "metrics", "_seeds",
+    "_rng", "_churn_rng", "_departed", "attr_hash", "attr_placement",
+    "_attr_ids", "_value_space", "_value_hashes",
+)
+
+
+def _sub_queries(workload, kind, count=10):
+    stream = workload.query_stream(count, 2, kind, label="contract")
+    return [q for mq in stream for q in mq.sub_queries()]
 
 
 class TestChurnBookkeeping:
@@ -121,12 +148,17 @@ class TestChurnBookkeeping:
         from repro.core.lorm import LormService
 
         for binding in (LormService, ChordBackedService):
-            assert not set(SUBSTRATE_PLUMBING) & set(vars(binding)), binding
-        for system, tier in [(name, None) for name in SYSTEM_NAMES] + [("LORM", "chord")]:
+            assert not set(SUBSTRATE_PLUMBING + QUERY_KERNEL) & set(vars(binding)), binding
+            # ... and neither constructor assigns what the shared one does.
+            stored = set(binding.__init__.__code__.co_names)
+            assert not set(CONSTRUCTOR_STATE) & stored, binding
+        for system, tier in BINDINGS:
             service = build_service(SMOKE_CONFIG, system, overlay=tier)
-            for name in SUBSTRATE_PLUMBING:
+            for name in SUBSTRATE_PLUMBING + QUERY_KERNEL:
                 shared = getattr(type(service), name) is getattr(DiscoveryService, name)
                 assert shared != (system == "Mercury" and name == "outlink_counts"), name
+            assert set(CONSTRUCTOR_STATE) <= set(vars(service))
+            assert service.overlay is overlay_of(service)
             overlay = overlay_of(service)
             twin = np.random.Generator(type(service._churn_rng.bit_generator)())
             twin.bit_generator.state = service._churn_rng.bit_generator.state
@@ -167,3 +199,75 @@ class TestChurnBookkeeping:
         service.churn_leave()
         service.stabilize()
         service.ring.check_invariants()
+
+
+class TestSubQueryEngine:
+    """One engine runs every approach's plan; its accounting is the
+    network's."""
+
+    @pytest.mark.parametrize("system,tier", BINDINGS)
+    def test_plan_length_is_lookups_per_attribute(self, system, tier):
+        """Theorems 4.2 / 4.7 as structure: one routed read per attribute,
+        two for MAAN — point and range alike."""
+        workload = build_workload(SMOKE_CONFIG)
+        service = build_service(SMOKE_CONFIG, system, workload=workload, overlay=tier)
+        for kind in (QueryKind.POINT, QueryKind.RANGE):
+            for q in _sub_queries(workload, kind, count=3):
+                plan = service._plan(q)
+                assert len(plan) == service.lookups_per_attribute
+                assert all(arc is None for _, arc, _ in plan[:-1])
+                assert (plan[-1][1] is not None) == (q.is_range and system != "SWORD")
+
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    @pytest.mark.parametrize("system,tier", BINDINGS)
+    def test_accounting_equals_network_counters(self, system, tier, loss):
+        """Per sub-query, ``hops`` is the network's hop-counter delta,
+        ``visited_nodes`` its directory-check delta, and the recorded
+        ``query.hops`` / ``query.visited`` sample is the result's."""
+        workload = build_workload(SMOKE_CONFIG)
+        service = build_service(SMOKE_CONFIG, system, workload=workload, overlay=tier)
+        if loss:
+            service.configure_faults(
+                FaultInjector(FaultPlan(loss_rate=loss, seed=5)), NO_RETRY_POLICY
+            )
+        stats = service.overlay.network.stats
+        incomplete = 0
+        for kind in (QueryKind.POINT, QueryKind.RANGE):
+            for q in _sub_queries(workload, kind):
+                before = stats.snapshot()
+                result = service.query(q)
+                delta = stats.delta_since(before)
+                assert result.hops == delta.routing_hops
+                assert result.visited_nodes == delta.directory_checks
+                assert service.metrics.last("query.hops") == result.hops
+                assert service.metrics.last("query.visited") == result.visited_nodes
+                incomplete += not result.complete
+        # The lossy leg must really have driven the failure paths.
+        assert bool(incomplete) == bool(loss)
+
+    @pytest.mark.parametrize("kind", [QueryKind.POINT, QueryKind.RANGE])
+    def test_failure_on_maans_second_step_is_an_honest_partial(self, kind):
+        """The attribute root was visited, the value root never reached:
+        visited 1, both lookups' hops, no matches, ``complete=False``."""
+        workload = build_workload(SMOKE_CONFIG)
+        service = build_service(SMOKE_CONFIG, "MAAN", workload=workload)
+        overlay = service.overlay
+        route, routed = overlay.lookup, []
+
+        def second_lookup_fails(start, key, policy=None):
+            routed.append(route(start, key, policy))
+            if len(routed) == 2:
+                return dataclasses.replace(routed[-1], complete=False, timed_out=True)
+            return routed[-1]
+
+        overlay.lookup = second_lookup_fails
+        q = _sub_queries(workload, kind, count=1)[0]
+        before = overlay.network.stats.snapshot()
+        result = service.query(q)
+        delta = overlay.network.stats.delta_since(before)
+        assert len(routed) == 2
+        assert result.matches == () and not result.complete and result.timed_out
+        assert result.visited_nodes == 1 == delta.directory_checks
+        assert result.hops == routed[0].hops + routed[1].hops == delta.routing_hops
+        assert service.metrics.last("query.hops") == result.hops
+        assert service.metrics.last("query.visited") == 1

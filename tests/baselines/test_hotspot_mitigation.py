@@ -171,6 +171,21 @@ class TestDynamicReplicator:
             items = service.ring.node(node_id).items_at(replicator.replica_namespace, key)
             assert any(item.provider == "fresh-provider" for item in items)
 
+    def test_departed_holder_is_skipped_until_it_rejoins(self, service):
+        attribute = service.schema.specs[0].name
+        replicator, _, _, _ = self._replicate(service, attribute)
+        placed = replicator.holders(attribute)
+        gone = placed[0]
+        service.ring.leave(gone)
+        assert gone not in service.ring
+        assert replicator.holders(attribute) == placed[1:]
+        requesters = [f"req-{i:04d}" for i in range(30)]
+        assert gone not in {replicator.route_for(attribute, r) for r in requesters}
+        service.ring.join(gone)
+        assert gone in service.ring
+        assert replicator.holders(attribute) == placed
+        assert gone in {replicator.route_for(attribute, r) for r in requesters}
+
     def test_cold_windows_decay_replicas(self, service):
         attribute = service.schema.specs[0].name
         replicator, _, _, _ = self._replicate(service, attribute)

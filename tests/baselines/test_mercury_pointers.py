@@ -12,6 +12,7 @@ from repro.baselines.mercury_pointers import (
     RecordPointer,
 )
 from repro.core.resource import AttributeConstraint, Query, ResourceInfo
+from repro.sim.loadstats import LoadStats
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
 
@@ -111,6 +112,28 @@ class TestQueries:
         start_p = service.ring.node(service.ring.node_ids[0])
         start_m = plain.ring.node(plain.ring.node_ids[0])
         assert service.query(q, start_p).hops >= plain.query(q, start_m).hops
+
+
+    def test_attached_load_stats_see_serve_and_route_load(self, loaded):
+        """Regression: ``attach_load_stats`` used to succeed and then read
+        zero — the pointer-chase override never fed the sink."""
+        service, wl = loaded
+        stats = LoadStats()
+        service.attach_load_stats(stats)
+        attr = wl.schema.names[1]  # non-home attribute -> pointers are chased
+        spec = wl.schema.spec(attr)
+        q = Query(AttributeConstraint.between(
+            attr, spec.distribution.ppf(0.2), spec.distribution.ppf(0.6)
+        ))
+        result = service.query(q, service.ring.node(service.ring.node_ids[0]))
+        window = stats.take_window()
+        # Every walked hub node served, plus one home node per chased match.
+        assert window.total_serves == result.visited_nodes + len(result.matches)
+        assert window.by_attribute == {attr: window.total_serves}
+        assert sum(window.routes.values()) > 0
+        service.attach_load_stats(None)
+        service.query(q)
+        assert stats.take_window().total_serves == 0
 
 
 class TestStorageSavings:

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import build_services, build_workload
+from repro.experiments.common import (
+    SYSTEM_NAMES,
+    build_service,
+    build_services,
+    build_workload,
+)
+from repro.obs.replay import build_traced_service
+from repro.sim.invariants import overlay_of
+from repro.workloads.generator import QueryKind
 
 
 class TestBuildWorkload:
@@ -68,3 +76,34 @@ class TestBuildServices:
         bundle = build_services(tiny_config, register=False)
         assert bundle.sword.ring.num_nodes == 160
         assert bundle.sword.ring.space.size == 256
+
+
+class TestOneConstructionPath:
+    @pytest.mark.parametrize(
+        "overlay,replication,seed_offset",
+        [(None, 2, 0), ("record", 2, 0), ("singlehop", 1, 5)],
+    )
+    def test_bundle_single_and_traced_builds_agree(
+        self, tiny_config, overlay, replication, seed_offset
+    ):
+        """``build_services`` and ``build_traced_service`` are
+        ``build_service`` per system: same membership, same placement,
+        same first answer."""
+        knobs = {"overlay": overlay, "replication": replication}
+        bundle = build_services(tiny_config, seed_offset=seed_offset, **knobs)
+        mq = next(iter(bundle.workload.query_stream(1, 2, QueryKind.RANGE, label="same")))
+
+        def fingerprint(service):
+            return (
+                overlay_of(service).node_ids,
+                service.directory_sizes(),
+                service.multi_query(mq),
+            )
+
+        for name in SYSTEM_NAMES:
+            expected = fingerprint(bundle.by_name(name))
+            single = build_service(tiny_config, name, seed_offset=seed_offset, **knobs)
+            assert fingerprint(single) == expected, name
+            if seed_offset == 0:  # the trace replay has no seed offset
+                traced, _, _ = build_traced_service(name, tiny_config, **knobs)
+                assert fingerprint(traced) == expected, name

@@ -29,7 +29,8 @@ OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
 #: Every method the skeleton owns; each must resolve to ``Overlay``'s one
 #: definition on every class ...
 SKELETON = (
-    "num_nodes", "node", "node_ids", "faults_active", "lookup", "_lookup_traced",
+    "num_nodes", "node", "__contains__", "node_ids", "faults_active", "lookup",
+    "_lookup_traced",
     "_lookup_faulty", "walk", "_truncate_walk", "replica_set",
     "replica_set_of", "native_holders", "store", "routed_store", "discard",
     "repair_replication", "repair_replication_step", "leave", "fail",
@@ -84,8 +85,8 @@ class TestOneSkeleton:
     def test_walk_is_published_under_the_overlays_own_name(self, cls):
         name = "walk_cluster" if cls is CycloidOverlay else "walk_arc"
         assert getattr(cls, name) is Overlay.walk
-        # LormService picks its flat mode off this attribute's absence.
-        assert hasattr(cls, "walk_cluster") == (cls is CycloidOverlay)
+        # The service engine resolves the walk through this name, per call.
+        assert cls.walk_name == name
 
 
 @pytest.mark.parametrize("cls", OVERLAY_CLASSES)
@@ -109,6 +110,8 @@ class TestMembershipEpoch:
             assert after is not before and after is overlay.node_ids
             assert list(after) == [node.uid for node in overlay.nodes()], change
             assert len(after) == overlay.num_nodes == len(set(after))
+            assert all(node_id in overlay for node_id in after)
+            assert (victim in overlay) == (victim in after), change
 
     def test_fault_free_hops_are_counted_once_each(self, cls):
         overlay = make_overlay(cls)
