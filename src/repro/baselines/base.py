@@ -297,7 +297,9 @@ class DiscoveryService(ABC):
         else ``(namespace, directory_key, ordered)``: the owner's bucket
         ``directory_key`` — or, on a walk, every visited node's whole
         ``namespace`` — read through the ordered per-node view
-        (``ordered``) or scanned.
+        (``ordered``) or scanned.  A walk that came back ``contiguous``
+        (hence complete) is read as one arc of the overlay's arc
+        directory instead of node by node (same items, grouped by holder).
         """
 
     def _query_impl(self, q: Query, start: Any | None = None) -> QueryResult:
@@ -332,7 +334,14 @@ class DiscoveryService(ABC):
                 network.count_hop(len(nodes) - 1)
             if read is not None and (arc is None or self.collect_matches):
                 namespace, key, ordered = read
-                if ordered:
+                if arc is not None and nodes.contiguous:
+                    # The walked nodes are one run of ring members: read
+                    # what they hold as an arc, not node by node.
+                    matches = select_matches(
+                        (overlay.arc_items(nodes, namespace, q.attribute),),
+                        q.constraint,
+                    )
+                elif ordered:
                     attribute, (low, high) = q.attribute, q.constraint.bounds
                     matches = tuple(
                         lookup.owner.items_at(namespace, key, attribute, low, high)

@@ -20,6 +20,7 @@ and Figure 3(a).
 
 from __future__ import annotations
 
+import sys
 from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
@@ -35,7 +36,9 @@ class MercuryService(ChordBackedService):
 
     @staticmethod
     def _hub(attribute: str) -> str:
-        return f"hub:{attribute}"
+        # Interned: every (node, hub) store keys on this string, so one
+        # shared object per hub instead of one copy per store.
+        return sys.intern(f"hub:{attribute}")
 
     # ------------------------------------------------------------------
     # Registration

@@ -29,7 +29,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
-from repro.overlay.node import LookupResult, OverlayNode, WalkResult, trace_fault_step
+from repro.overlay.node import (
+    ArcDirectory,
+    LookupResult,
+    OverlayNode,
+    WalkResult,
+    trace_fault_step,
+)
 from repro.sim.durability import (
     DurabilityPolicy,
     SuccessorPlacement,
@@ -92,6 +98,9 @@ class Overlay:
         #: :attr:`node_ids` of the current membership epoch (``None``:
         #: not derived yet) — flushed with the routing caches.
         self._node_ids: tuple | None = None
+        #: Which node holds what, by integer ring id — shared with every
+        #: node this overlay creates, read by :meth:`arc_items`.
+        self._arcs = ArcDirectory(self.uid_of, self.id_space_size - 1)
         #: Optional hop-level span tracer (:class:`repro.obs.spans.
         #: QueryTracer`).  ``None`` (the default) keeps the routing hot
         #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
@@ -316,6 +325,16 @@ class Overlay:
             result.truncated = True
             result.reason = reason
         self.network.count_walk_truncation()
+
+    def arc_items(self, walk: WalkResult, namespace: str, attribute: str) -> list:
+        """Every ``attribute`` item the nodes of a ``contiguous`` walk hold
+        in ``namespace`` — the multiset their chained
+        ``items_in(namespace)`` reads would yield, grouped by holder in
+        walk order, in time proportional to the answer."""
+        arcs = self._arcs
+        if namespace not in arcs:
+            arcs.index(namespace, self._nodes.values())
+        return arcs.arc(namespace, attribute, self.uid_of(walk[0]), self.uid_of(walk[-1]))
 
     # ------------------------------------------------------------------
     # Key storage (routed through the overlay)

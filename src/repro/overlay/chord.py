@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from repro.overlay.arraystore import RingVector
 from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace
-from repro.overlay.node import LookupResult, OverlayNode, WalkResult
+from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
 from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
@@ -45,8 +45,8 @@ class ChordNode(OverlayNode):
 
     __slots__ = ("bits", "fingers", "predecessor", "successor_list")
 
-    def __init__(self, node_id: int, bits: int) -> None:
-        super().__init__(node_id)
+    def __init__(self, node_id: int, bits: int, arcs: ArcDirectory | None = None) -> None:
+        super().__init__(node_id, arcs)
         self.bits = bits
         #: finger[i] targets successor(id + 2**i); entries may go stale
         #: (dead) between stabilization rounds.
@@ -111,6 +111,12 @@ class ChordRing(Overlay):
     kind = "chord"
     walk_edge = "successor"
     walk_name = "walk_arc"
+    #: Whether every live node's ``successor`` is, at all times, the next
+    #: id of the membership index: ``join`` / ``leave`` / ``fail`` refresh
+    #: the changed node's predecessor before they return, and a node that
+    #: later rejoins is a new object, so a stale list entry stays dead.
+    #: It is what lets a fault-free walk be cut from the index.
+    successors_track_membership = True
 
     def __init__(
         self,
@@ -129,6 +135,9 @@ class ChordRing(Overlay):
         #: arraystore``); the node objects and their routing pointers are
         #: views over this sorted id vector.
         self._sorted_ids: RingVector = RingVector(max_id=self.space.size - 1)
+        #: The node objects in the same order — the index's second column,
+        #: so a run of ring members is one list slice.
+        self._ring: list[ChordNode] = []
         #: Derived-routing caches (pure memoisation, no observable effect):
         #: ``_succ_cache`` memoises :meth:`successor_of` and ``_cpf_cache``
         #: holds each node's deduplicated descending live-finger list for
@@ -168,8 +177,10 @@ class ChordRing(Overlay):
         """Construct a stabilized ring over ``node_ids`` in one shot."""
         ids = sorted(set(self.space.wrap(i) for i in node_ids))
         require(bool(ids), "cannot build an empty ring")
-        self._nodes = {i: ChordNode(i, self.bits) for i in ids}
+        self._nodes = {i: ChordNode(i, self.bits, self._arcs) for i in ids}
         self._sorted_ids = RingVector(ids, max_id=self.space.size - 1)
+        self._ring = list(self._nodes.values())
+        self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
         for node in self._nodes.values():
             self._refresh_routing_state(node)
@@ -496,13 +507,27 @@ class ChordRing(Overlay):
         successors are marked ``truncated`` with a ``reason`` and counted
         in ``MessageStats.walk_truncations`` instead of silently returning
         a short visit list.
+
+        Fault-free with the routing caches on, nothing is stepped: the
+        same visit list is cut from the membership index
+        (:meth:`_walk_slice`) and comes back ``contiguous``.  The pointer
+        loop is the reference (``routing_cache=False``), and the only path
+        under an injector or where ``successors_track_membership`` is off.
         """
-        policy = policy or self.lookup_policy
         fault_mode = self.faults_active
         size = self.space.size
         span = (until_key - from_key) % size
+        if (
+            self.routing_cache
+            and self.successors_track_membership
+            and not fault_mode
+            and self._nodes.get(start.node_id) is start
+        ):
+            return self._walk_slice(start, from_key % size, span)
+        policy = policy or self.lookup_policy
         result = WalkResult([start])
         cur = start
+        num_nodes = self.num_nodes
         # cur covers keys up to cur.node_id; continue while that falls
         # short of the arc end (inlined clockwise_distance — one check
         # per visited node on the range-query hot path).
@@ -528,7 +553,7 @@ class ChordRing(Overlay):
                 break
             cur = nxt
             result.append(cur)
-            if len(result) > self.num_nodes:  # safety: ring corrupted
+            if len(result) > num_nodes:  # safety: ring corrupted
                 self._truncate_walk(result, "ring corruption safety valve")
                 warnings.warn(
                     "walk_arc visited more nodes than the ring holds; "
@@ -538,6 +563,23 @@ class ChordRing(Overlay):
                 )
                 break
         return result
+
+    def _walk_slice(self, start: ChordNode, from_key: int, span: int) -> WalkResult:
+        """The fault-free walk from live member ``start`` over the ``span``
+        keys from ``from_key``, cut from the membership index: the members
+        from ``start`` through the first one at or past the arc's end —
+        or, if none lies between the arc's end and ``from_key``, the whole
+        ring — which is where the pointer loop stops."""
+        ids = self._sorted_ids
+        size = self.space.size
+        first = last = ids.bisect_left(start.node_id)
+        if (start.node_id - from_key) % size < span:
+            last = ids.successor_index((from_key + span) % size)
+            if (ids[last] - from_key) % size < span:
+                last = first - 1 if first else len(ids) - 1
+        ring = self._ring
+        arc = ring[first:last + 1] if first <= last else ring[first:] + ring[:last + 1]
+        return WalkResult(arc, contiguous=True)
 
     def _walk_step_faulty(
         self, cur: ChordNode, policy: LookupPolicy, result: WalkResult
@@ -563,7 +605,7 @@ class ChordRing(Overlay):
         node_id = self._normalize_id(node_id)
         require(node_id not in self._nodes, f"node {node_id} already present")
         had_members = bool(self._sorted_ids)
-        node = ChordNode(node_id, self.bits)
+        node = ChordNode(node_id, self.bits, self._arcs)
         self._nodes[node_id] = node
         self._membership_add(node_id)
         self.invalidate_routing_caches()
@@ -586,9 +628,11 @@ class ChordRing(Overlay):
         return node
 
     def _membership_add(self, node_id: int) -> None:
+        self._ring.insert(self._sorted_ids.bisect_left(node_id), self._nodes[node_id])
         self._sorted_ids.add(node_id)
 
     def _membership_remove(self, node_id: int) -> None:
+        del self._ring[self._sorted_ids.bisect_left(node_id)]
         self._sorted_ids.remove(node_id)
 
     def _heir(self, node: ChordNode, key_id: int) -> ChordNode:
@@ -616,6 +660,7 @@ class ChordRing(Overlay):
         ids = self._sorted_ids
         n = len(ids)
         assert list(ids) == sorted(ids), f"node index not sorted: {list(ids)}"
+        assert [node.node_id for node in self._ring] == list(ids), "node column out of step"
         for idx, nid in enumerate(ids):
             node = self._nodes[nid]
             expected_succ = self._nodes[ids[(idx + 1) % n]]

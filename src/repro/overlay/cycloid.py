@@ -48,7 +48,7 @@ from typing import NamedTuple
 from repro.overlay.arraystore import RingVector
 from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
-from repro.overlay.node import LookupResult, OverlayNode, WalkResult
+from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
 from repro.sim.faults import LookupPolicy, deliver_first
 from repro.sim.network import SimulatedNetwork
@@ -75,8 +75,10 @@ class CycloidNode(OverlayNode):
         "outside_leaf",
     )
 
-    def __init__(self, cid: CycloidId, dimension: int) -> None:
-        super().__init__(cid)
+    def __init__(
+        self, cid: CycloidId, dimension: int, arcs: ArcDirectory | None = None
+    ) -> None:
+        super().__init__(cid, arcs)
         self.dimension = dimension
         self.cubical_neighbor: CycloidNode | None = None
         #: (node in preceding cluster, node in succeeding cluster), both at
@@ -222,12 +224,13 @@ class CycloidOverlay(Overlay):
         ids = sorted({CycloidId(k % self.dimension, a % self.cubical_space.size)
                       for k, a in node_ids})
         require(bool(ids), "cannot build an empty overlay")
-        self._nodes = {cid: CycloidNode(cid, self.dimension) for cid in ids}
+        self._nodes = {cid: CycloidNode(cid, self.dimension, self._arcs) for cid in ids}
         grouped: dict[int, list[int]] = {}
         for cid in ids:
             grouped.setdefault(cid.a, []).append(cid.k)
         self._clusters = {a: RingVector(ks) for a, ks in grouped.items()}
         self._cluster_ids = RingVector(self._clusters)
+        self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
         for node in self._nodes.values():
             self._refresh_routing_state(node)
@@ -679,7 +682,7 @@ class CycloidOverlay(Overlay):
         """A new node joins and takes over the keys now closest to it."""
         cid = self._normalize_id(cid)
         require(cid not in self._nodes, f"node {cid} already present")
-        node = CycloidNode(cid, self.dimension)
+        node = CycloidNode(cid, self.dimension, self._arcs)
         had_members = bool(self._nodes)
 
         self._nodes[cid] = node

@@ -9,14 +9,24 @@ accounting — the quantity plotted throughout Figure 3 — exact.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from math import inf
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
-__all__ = ["LookupResult", "OverlayNode", "WalkResult", "trace_fault_step"]
+__all__ = [
+    "ArcDirectory",
+    "LookupResult",
+    "OverlayNode",
+    "WalkResult",
+    "trace_fault_step",
+]
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,11 @@ class WalkResult(list):
     indexing, equality with plain lists) keeps working; walks cut short by
     dead successor chains or the ring-corruption safety valve set
     ``truncated`` with a ``reason`` instead of silently returning fewer
-    nodes.
+    nodes.  ``contiguous`` is set only by a walk that was cut from the
+    membership index itself, which is never truncated: its nodes are
+    exactly the live members from the first to the last one, clockwise,
+    so a reader may address them as one arc of ids
+    (:meth:`repro.overlay.base.Overlay.arc_items`).
     """
 
     def __init__(
@@ -70,12 +84,14 @@ class WalkResult(list):
         reason: str = "",
         retries: int = 0,
         timed_out: bool = False,
+        contiguous: bool = False,
     ) -> None:
         super().__init__(nodes)
         self.truncated = truncated
         self.reason = reason
         self.retries = retries
         self.timed_out = timed_out
+        self.contiguous = contiguous
 
     @property
     def complete(self) -> bool:
@@ -87,6 +103,96 @@ class WalkResult(list):
 _VIEW_ORDER = attrgetter("attribute", "value")
 
 
+class ArcDirectory(dict):
+    """One overlay's index of *which node holds what*, for arc reads.
+
+    ``namespace -> {attribute -> (holder ids, items)}``: for every
+    attribute of an indexed namespace, each stored copy (replicas
+    included) as a pair of parallel sequences sorted by the integer ring
+    id of the node holding it — ``array('q')`` ids, or a plain list when
+    the id space exceeds 63 bits.  The items a contiguous run of ring
+    members holds are then two bisects and a slice (:meth:`arc`) instead
+    of one directory probe per member.
+
+    Pure derived state, like the nodes' ``_views``, but *maintained*
+    rather than flushed: a namespace is indexed by one pass over the
+    members on its first arc read (:meth:`index`), and from then on the
+    node write paths that flush ``_views`` post every copy they add or
+    drop (:meth:`add` / :meth:`discard`).  Entries are keyed by holder id,
+    not ring position, so a membership change by itself touches nothing —
+    only the stores and removals of the handover it causes do.  An empty
+    directory costs those write paths one truth test.
+    """
+
+    __slots__ = ("uid_of", "_new_ids")
+
+    def __init__(self, uid_of: Callable[[Any], int], max_id: int) -> None:
+        super().__init__()
+        #: The owning overlay's node -> integer ring id mapping.
+        self.uid_of = uid_of
+        self._new_ids: Callable[[], Any] = (
+            partial(array, "q") if max_id < 1 << 63 else list
+        )
+
+    def _table(self, tables: dict, attribute: str) -> tuple:
+        table = tables.get(attribute)
+        if table is None:
+            table = tables[attribute] = (self._new_ids(), [])
+        return table
+
+    def index(self, namespace: str, nodes: Iterable["OverlayNode"]) -> None:
+        """Start indexing ``namespace`` from what ``nodes`` hold now."""
+        tables = self[namespace] = {}
+        uid_of = self.uid_of
+        holders = sorted(
+            ((uid_of(node), node) for node in nodes if namespace in node._store),
+            key=itemgetter(0),
+        )
+        for uid, node in holders:
+            for bucket in node._store[namespace].values():
+                for item in bucket:
+                    ids, items = self._table(tables, item.attribute)
+                    ids.append(uid)
+                    items.append(item)
+
+    def add(self, node: "OverlayNode", namespace: str, item: Any) -> None:
+        """``node`` stored one more copy of ``item`` in ``namespace``."""
+        tables = self.get(namespace)
+        if tables is None:
+            return
+        uid = self.uid_of(node)
+        ids, items = self._table(tables, item.attribute)
+        at = bisect_right(ids, uid)
+        ids.insert(at, uid)
+        items.insert(at, item)
+
+    def discard(self, node: "OverlayNode", namespace: str, dropped: Iterable[Any]) -> None:
+        """``node`` dropped one copy of each of ``dropped`` from ``namespace``."""
+        tables = self.get(namespace)
+        if tables is None:
+            return
+        uid = self.uid_of(node)
+        for item in dropped:
+            ids, items = tables[item.attribute]
+            first = bisect_left(ids, uid)
+            at = items.index(item, first, bisect_right(ids, uid, first))
+            del ids[at], items[at]
+
+    def arc(self, namespace: str, attribute: str, first_id: int, last_id: int) -> list[Any]:
+        """The ``attribute`` items of indexed ``namespace`` held by nodes
+        with ids on the clockwise arc ``[first_id, last_id]`` (the whole
+        ring when ``last_id`` is ``first_id``'s predecessor)."""
+        table = self[namespace].get(attribute)
+        if table is None:
+            return []
+        ids, items = table
+        low = bisect_left(ids, first_id)
+        high = bisect_right(ids, last_id)
+        if first_id <= last_id:
+            return items[low:high]
+        return items[low:] + items[:high]
+
+
 class OverlayNode:
     """A DHT node with namespaced key→items storage.
 
@@ -94,9 +200,9 @@ class OverlayNode:
     Chord, the seven-entry routing table for Cycloid).
     """
 
-    __slots__ = ("uid", "alive", "_store", "_views")
+    __slots__ = ("uid", "alive", "_store", "_views", "_arcs")
 
-    def __init__(self, uid: Any) -> None:
+    def __init__(self, uid: Any, arcs: ArcDirectory | None = None) -> None:
         #: Overlay-specific identifier (int for Chord, (k, a) for Cycloid).
         self.uid = uid
         #: False once the node has left; dead nodes are skipped by routing.
@@ -110,15 +216,24 @@ class OverlayNode:
         #: overlays' ``_succ_cache``): built on the first filtered read,
         #: dropped by every write to the namespace, never observable.
         self._views: dict[str, dict[int | None, tuple[list, list, list]]] = {}
+        #: The overlay's shared :class:`ArcDirectory` (``None`` for a node
+        #: outside any overlay); every write below that flushes ``_views``
+        #: also posts its change there.
+        self._arcs = arcs
 
     # ------------------------------------------------------------------
     # Storage
     # ------------------------------------------------------------------
     def store(self, namespace: str, key_id: int, item: Any) -> None:
         """Store ``item`` under ``key_id`` within ``namespace``."""
-        self._store.setdefault(namespace, defaultdict(list))[key_id].append(item)
+        ns = self._store.get(namespace)
+        if ns is None:
+            ns = self._store[namespace] = defaultdict(list)
+        ns[key_id].append(item)
         if self._views:
             self._views.pop(namespace, None)
+        if self._arcs:
+            self._arcs.add(self, namespace, item)
 
     def has_item(self, namespace: str, key_id: int, item: Any) -> bool:
         """Whether ``item`` is already stored under ``(namespace, key_id)``.
@@ -221,7 +336,10 @@ class OverlayNode:
         if ns is None:
             return []
         self._views.pop(namespace, None)
-        return list(ns.pop(key_id, ()))
+        removed = list(ns.pop(key_id, ()))
+        if self._arcs:
+            self._arcs.discard(self, namespace, removed)
+        return removed
 
     def remove_item(self, namespace: str, key_id: int, item: Any) -> bool:
         """Remove one copy of ``item``; True if a copy was present."""
@@ -235,10 +353,15 @@ class OverlayNode:
         if not bucket:
             del ns[key_id]
         self._views.pop(namespace, None)
+        if self._arcs:
+            self._arcs.discard(self, namespace, (item,))
         return True
 
     def clear_storage(self) -> None:
         """Drop every stored item (used after transfer on departure)."""
+        if self._arcs:
+            for namespace, buckets in self._store.items():
+                self._arcs.discard(self, namespace, chain.from_iterable(buckets.values()))
         self._store.clear()
         self._views.clear()
 

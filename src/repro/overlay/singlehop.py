@@ -54,6 +54,11 @@ class SingleHopRing(ChordRing):
     1
     """
 
+    #: Membership events reach a node only as fast as the dissemination
+    #: budget allows, so a range walk here follows each node's own
+    #: successor pointer, never the ground-truth index.
+    successors_track_membership = False
+
     def __init__(self, bits: int, **kwargs) -> None:
         #: node_id -> {subject_id: True for an unlearned join, False for an
         #: unlearned leave/fail}.  Empty dicts mean the node's membership

@@ -34,6 +34,18 @@ class TestPlacement:
         for node in service.ring.nodes():
             assert node.items_in("hub:disk-gb") == []
 
+    def test_every_store_keys_on_one_hub_string(self, service):
+        """A hub's name is one shared object, not a fresh copy per
+        (node, hub) store."""
+        for i, value in enumerate((1000.0, 2500.0, 3900.0)):
+            service.register(ResourceInfo("cpu-mhz", value, f"p{i}"))
+        names = {
+            id(namespace)
+            for node in service.ring.nodes()
+            for namespace, _, _ in node.stored_entries()
+        }
+        assert len(names) == 1
+
     def test_same_attribute_spreads_over_ring(self, service):
         """Value indexing spreads one attribute's infos over many nodes —
         the opposite of SWORD (basis of Figure 3(d) balance).  Values are
