@@ -55,6 +55,7 @@ from repro.experiments.scale import run_scale
 from repro.experiments.tail import run_tail
 from repro.experiments.tradeoff import run_tradeoff, select_points
 from repro.sim.durability import parse_policy
+from repro.utils.validation import require
 
 __all__ = ["main", "build_parser", "Experiment", "EXPERIMENTS", "Flag"]
 
@@ -548,6 +549,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         overlay = resolve_overlay(args.overlay) if args.overlay is not None else None
+        require(0.0 <= args.loss < 1.0, f"--loss must be in [0, 1), got {args.loss}")
     except ValueError as exc:
         args.subparser.error(str(exc))
     started = time.perf_counter()

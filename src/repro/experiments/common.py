@@ -33,7 +33,6 @@ __all__ = [
     "build_workload",
     "query_cases",
     "resolve_overlay",
-    "resolve_overlays",
     "resolve_system",
     "resolve_systems",
 ]
@@ -86,11 +85,6 @@ def resolve_overlay(name: str) -> str:
     raise ValueError(
         f"unknown overlay {name!r}; valid choices: {', '.join(OVERLAY_NAMES)}"
     )
-
-
-def resolve_overlays(names) -> tuple[str, ...]:
-    """Canonical, de-duplicated overlay names (order of first mention)."""
-    return tuple(dict.fromkeys(resolve_overlay(name) for name in names))
 
 
 def ring_factory_for(overlay: str, *, fanout: int = 2, seed: int = 0):

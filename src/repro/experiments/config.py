@@ -172,6 +172,19 @@ class ExperimentConfig:
             self.hotspot_queries >= self.hotspot_windows,
             "hotspot_queries must cover every window",
         )
+        require(
+            all(0.0 <= rate < 1.0 for rate in self.loss_rates),
+            "every loss_rates entry must be in [0, 1)",
+        )
+        require(
+            all(r >= 1 for r in self.availability_replications),
+            "every availability_replications entry must be >= 1",
+        )
+        require(
+            all(0.0 <= f <= 1.0 for f in self.tail_slow_fractions),
+            "every tail_slow_fractions entry must be in [0, 1]",
+        )
+        require(self.hotspot_salts >= 1, "hotspot_salts must be >= 1")
         require(self.tail_queries >= 1, "tail_queries must be >= 1")
         require(self.tradeoff_queries >= 1, "tradeoff_queries must be >= 1")
         require(self.scale_queries >= 1, "scale_queries must be >= 1")

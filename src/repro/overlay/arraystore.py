@@ -52,19 +52,14 @@ from repro.utils.validation import require
 
 __all__ = ["CompactChordRing", "IndexedDirectory", "RingVector"]
 
-#: Largest identifier ``array('q')`` (signed 64-bit) can hold.
-_INT64_MAX = (1 << 63) - 1
-
-
 class RingVector:
     """A sorted flat vector of integer ring identifiers.
 
     Backed by ``array('q')`` — one machine word per id, no boxed-int
-    objects, cache-friendly bisects — with a transparent plain-list
-    fallback for id spaces beyond 63 bits (:class:`~repro.overlay.idspace.
-    IdSpace` allows up to 160).  The sequence protocol matches a sorted
-    list, so ``bisect.bisect_*`` and :func:`~repro.overlay.idspace.
-    closest_on_ring` work on it directly.
+    objects, cache-friendly bisects; the overlays bound their id spaces
+    to fit.  The sequence protocol matches a sorted list, so
+    ``bisect.bisect_*`` and :func:`~repro.overlay.idspace.closest_on_ring`
+    work on it directly.
 
     Examples
     --------
@@ -85,12 +80,8 @@ class RingVector:
     #: through :meth:`add` / :meth:`remove`.
     __slots__ = ("data",)
 
-    def __init__(self, ids: Iterable[int] = (), *, max_id: int = _INT64_MAX) -> None:
-        ordered = sorted(ids)
-        if max_id <= _INT64_MAX and (not ordered or ordered[-1] <= _INT64_MAX):
-            self.data: array | list[int] = array("q", ordered)
-        else:  # beyond int64: keep Python ints
-            self.data = ordered
+    def __init__(self, ids: Iterable[int] = ()) -> None:
+        self.data = array("q", sorted(ids))
 
     # -- sequence protocol -------------------------------------------------
     def __len__(self) -> int:
@@ -142,16 +133,6 @@ class RingVector:
         """Index of the first id at or after ``key``, wrapping to 0."""
         idx = bisect.bisect_left(self.data, key)
         return 0 if idx == len(self.data) else idx
-
-    def as_list(self) -> list[int]:
-        """The ids as a plain list (ring order)."""
-        return list(self.data)
-
-    def to_numpy(self) -> np.ndarray:
-        """The ids as a sorted ``int64`` numpy vector (bulk consumers)."""
-        return np.frombuffer(self.data, dtype=np.int64).copy() if isinstance(
-            self.data, array
-        ) and len(self.data) else np.asarray(list(self.data), dtype=np.int64)
 
 
 class IndexedDirectory:

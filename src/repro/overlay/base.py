@@ -100,7 +100,7 @@ class Overlay:
         self._node_ids: tuple | None = None
         #: Which node holds what, by integer ring id — shared with every
         #: node this overlay creates, read by :meth:`arc_items`.
-        self._arcs = ArcDirectory(self.uid_of, self.id_space_size - 1)
+        self._arcs = ArcDirectory(self.uid_of)
         #: Optional hop-level span tracer (:class:`repro.obs.spans.
         #: QueryTracer`).  ``None`` (the default) keeps the routing hot
         #: paths untouched beyond one ``is None`` dispatch per lookup/walk.
@@ -152,33 +152,28 @@ class Overlay:
         """Whether the shared network currently injects faults."""
         return self.network.faults_active
 
-    def lookup(
-        self, start: OverlayNode, key: Any, policy: LookupPolicy | None = None
-    ) -> LookupResult:
+    def lookup(self, start: OverlayNode, key: Any) -> LookupResult:
         """Route from ``start`` to the owner of ``key`` using only links.
 
         Fault-free, this is the overlay's own greedy route
         (``_lookup_plain``).  With a fault injector active the route runs
-        under ``policy`` (default :attr:`lookup_policy`): every hop message
-        can be lost, retries and alternate-entry failover apply, the
-        membership oracle is never consulted, and an unfinishable route
-        returns a ``complete=False`` result instead of raising or silently
-        succeeding.
+        under :attr:`lookup_policy`: every hop message can be lost, retries
+        and alternate-entry failover apply, the membership oracle is never
+        consulted, and an unfinishable route returns a ``complete=False``
+        result instead of raising or silently succeeding.
         """
         key = self._route_key(key)
         if self.tracer is not None:
-            return self._lookup_traced(start, key, policy)
+            return self._lookup_traced(start, key)
         if self.faults_active:
-            return self._lookup_faulty(start, key, policy or self.lookup_policy)
+            return self._lookup_faulty(start, key, self.lookup_policy)
         return self._lookup_plain(start, key)
 
     def _route_key(self, key: Any) -> Any:
         """``key`` as the route (and its LOOKUP span) should see it."""
         return key
 
-    def _lookup_traced(
-        self, start: OverlayNode, key: Any, policy: LookupPolicy | None
-    ) -> LookupResult:
+    def _lookup_traced(self, start: OverlayNode, key: Any) -> LookupResult:
         """Route with span tracing: identical result, plus one LOOKUP span
         with per-hop child spans.
 
@@ -192,7 +187,7 @@ class Overlay:
         ) as span:
             if self.faults_active:
                 result = self._lookup_faulty(
-                    start, key, policy or self.lookup_policy, tracer=tracer
+                    start, key, self.lookup_policy, tracer=tracer
                 )
             else:
                 result = self._lookup_plain(start, key)
@@ -229,7 +224,7 @@ class Overlay:
         hops = 0
         retries = 0
         path = [cur.uid]
-        budget = policy.hop_budget or self._fault_hop_budget()
+        budget = self._fault_hop_budget()
         drops: list[tuple[int, int]] = []
         hedges: list[tuple[int, bool]] = []
         on_drop = None if tracer is None else (
@@ -282,13 +277,7 @@ class Overlay:
     # ------------------------------------------------------------------
     # Range walk
     # ------------------------------------------------------------------
-    def walk(
-        self,
-        start: OverlayNode,
-        lo: int,
-        hi: int,
-        policy: LookupPolicy | None = None,
-    ) -> WalkResult:
+    def walk(self, start: OverlayNode, lo: int, hi: int) -> WalkResult:
         """The overlay's range walk from ``start`` over ``[lo, hi]`` — see
         the subclass's ``_walk_impl``; with a tracer attached the walk is
         wrapped in a WALK span whose hop children are the walk steps.
@@ -297,12 +286,12 @@ class Overlay:
         ``walk_cluster``).
         """
         if self.tracer is None:
-            return self._walk_impl(start, lo, hi, policy)
+            return self._walk_impl(start, lo, hi)
         tracer = self.tracer
         with tracer.span(
             "walk", f"{self.kind}.walk", origin=start.uid, **self._walk_attrs(lo, hi)
         ) as span:
-            result = self._walk_impl(start, lo, hi, policy)
+            result = self._walk_impl(start, lo, hi)
             prev = result[0]
             for node in result[1:]:
                 tracer.hop(prev.uid, node.uid, self.walk_edge)

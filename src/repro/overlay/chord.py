@@ -128,13 +128,15 @@ class ChordRing(Overlay):
         durability: DurabilityPolicy | None = None,
     ) -> None:
         require(successor_list_len >= 1, "successor_list_len must be >= 1")
+        # The membership index and arc directory store ids as array('q').
+        require(1 <= bits <= 62, f"ChordRing needs bits in [1, 62], got {bits}")
         self.space = IdSpace(bits)
         self.successor_list_len = successor_list_len
         super().__init__(network, replication, durability)
         #: The flat array-backed membership core (``repro.overlay.
         #: arraystore``); the node objects and their routing pointers are
         #: views over this sorted id vector.
-        self._sorted_ids: RingVector = RingVector(max_id=self.space.size - 1)
+        self._sorted_ids: RingVector = RingVector()
         #: The node objects in the same order — the index's second column,
         #: so a run of ring members is one list slice.
         self._ring: list[ChordNode] = []
@@ -178,7 +180,7 @@ class ChordRing(Overlay):
         ids = sorted(set(self.space.wrap(i) for i in node_ids))
         require(bool(ids), "cannot build an empty ring")
         self._nodes = {i: ChordNode(i, self.bits, self._arcs) for i in ids}
-        self._sorted_ids = RingVector(ids, max_id=self.space.size - 1)
+        self._sorted_ids = RingVector(ids)
         self._ring = list(self._nodes.values())
         self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
@@ -481,11 +483,7 @@ class ChordRing(Overlay):
         }
 
     def _walk_impl(
-        self,
-        start: ChordNode,
-        from_key: int,
-        until_key: int,
-        policy: LookupPolicy | None = None,
+        self, start: ChordNode, from_key: int, until_key: int
     ) -> WalkResult:
         """All live nodes owning keys on the clockwise arc
         ``[from_key, until_key]``, starting at ``start = successor(from_key)``.
@@ -524,7 +522,7 @@ class ChordRing(Overlay):
             and self._nodes.get(start.node_id) is start
         ):
             return self._walk_slice(start, from_key % size, span)
-        policy = policy or self.lookup_policy
+        policy = self.lookup_policy
         result = WalkResult([start])
         cur = start
         num_nodes = self.num_nodes

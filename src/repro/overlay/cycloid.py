@@ -594,13 +594,7 @@ class CycloidOverlay(Overlay):
     def _walk_attrs(self, k_from: int, k_to: int) -> dict[str, int]:
         return {"k_from": k_from % self.dimension, "k_to": k_to % self.dimension}
 
-    def _walk_impl(
-        self,
-        start: CycloidNode,
-        k_from: int,
-        k_to: int,
-        policy: LookupPolicy | None = None,
-    ) -> WalkResult:
+    def _walk_impl(self, start: CycloidNode, k_from: int, k_to: int) -> WalkResult:
         """Nodes of ``start``'s cluster covering cyclic sector [k_from, k_to].
 
         LORM's range query routes to the root of the lower bound and then
@@ -622,7 +616,7 @@ class CycloidOverlay(Overlay):
         by an unreachable cluster successor — is marked ``truncated`` and
         counted in ``MessageStats.walk_truncations``.
         """
-        policy = policy or self.lookup_policy
+        policy = self.lookup_policy
         fault_mode = self.faults_active
         d = self.dimension
         k_from %= d

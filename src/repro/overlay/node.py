@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from math import inf
 from operator import attrgetter, itemgetter
@@ -108,11 +107,10 @@ class ArcDirectory(dict):
 
     ``namespace -> {attribute -> (holder ids, items)}``: for every
     attribute of an indexed namespace, each stored copy (replicas
-    included) as a pair of parallel sequences sorted by the integer ring
-    id of the node holding it — ``array('q')`` ids, or a plain list when
-    the id space exceeds 63 bits.  The items a contiguous run of ring
-    members holds are then two bisects and a slice (:meth:`arc`) instead
-    of one directory probe per member.
+    included) as a pair of parallel sequences — ``array('q')`` ids, a list
+    of items — sorted by the integer ring id of the node holding it.  The
+    items a contiguous run of ring members holds are then two bisects and
+    a slice (:meth:`arc`) instead of one directory probe per member.
 
     Pure derived state, like the nodes' ``_views``, but *maintained*
     rather than flushed: a namespace is indexed by one pass over the
@@ -124,20 +122,17 @@ class ArcDirectory(dict):
     directory costs those write paths one truth test.
     """
 
-    __slots__ = ("uid_of", "_new_ids")
+    __slots__ = ("uid_of",)
 
-    def __init__(self, uid_of: Callable[[Any], int], max_id: int) -> None:
+    def __init__(self, uid_of: Callable[[Any], int]) -> None:
         super().__init__()
         #: The owning overlay's node -> integer ring id mapping.
         self.uid_of = uid_of
-        self._new_ids: Callable[[], Any] = (
-            partial(array, "q") if max_id < 1 << 63 else list
-        )
 
     def _table(self, tables: dict, attribute: str) -> tuple:
         table = tables.get(attribute)
         if table is None:
-            table = tables[attribute] = (self._new_ids(), [])
+            table = tables[attribute] = (array("q"), [])
         return table
 
     def index(self, namespace: str, nodes: Iterable["OverlayNode"]) -> None:

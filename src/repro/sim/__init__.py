@@ -18,14 +18,10 @@ placement × replication/erasure redundancy (:mod:`~repro.sim.durability`).
 from repro.sim.chaos import (
     CRASH_STORM_SCENARIO,
     DEMO_SCENARIO,
-    GRAY_FAILURE_SCENARIO,
     ChaosScenario,
     CrashBurst,
-    GrayFailureWindow,
-    LossRamp,
     NodeFlap,
     PartitionWindow,
-    SlowBurst,
 )
 from repro.sim.churn import ChurnEvent, ChurnProcess
 from repro.sim.durability import (
@@ -47,15 +43,11 @@ from repro.sim.faults import (
     HEDGED_POLICY,
     NO_RETRY_POLICY,
     ArcPartition,
-    CrashStorm,
-    DegradedLink,
     FaultInjector,
     FaultPlan,
     LookupPolicy,
-    SlowNode,
 )
 from repro.sim.latency import (
-    BoundedParetoLatency,
     ConstantLatency,
     LatencyModel,
     LognormalLatency,
@@ -96,14 +88,12 @@ from repro.sim.recovery import RecoverySample, RecoveryTracker, replica_deficit
 __all__ = [
     "ADAPTIVE_POLICY",
     "ArcPartition",
-    "BoundedParetoLatency",
     "ChaosScenario",
     "ChurnEvent",
     "ChurnGuard",
     "ChurnProcess",
     "ConstantLatency",
     "CrashBurst",
-    "CrashStorm",
     "check_overlay",
     "check_replica_placement",
     "critical_path_latency",
@@ -111,7 +101,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_POLICY",
     "DEFAULT_POLICY_SPECS",
-    "DegradedLink",
     "DEMO_SCENARIO",
     "decodable_level",
     "directory_census",
@@ -120,8 +109,6 @@ __all__ = [
     "Event",
     "FaultInjector",
     "FaultPlan",
-    "GRAY_FAILURE_SCENARIO",
-    "GrayFailureWindow",
     "HEDGED_POLICY",
     "install_churn_guards",
     "InvariantViolation",
@@ -132,7 +119,6 @@ __all__ = [
     "LoadWindow",
     "LognormalLatency",
     "LookupPolicy",
-    "LossRamp",
     "max_mean_ratio",
     "MaintenanceBudget",
     "MaintenanceReport",
@@ -154,8 +140,6 @@ __all__ = [
     "RttEstimator",
     "SimulatedNetwork",
     "Simulator",
-    "SlowBurst",
-    "SlowNode",
     "SuccessorPlacement",
     "successor_replication",
     "SummaryStats",

@@ -1,11 +1,11 @@
 """Declarative chaos-scenario timelines for the discovery services.
 
-The seed's :class:`~repro.sim.faults.FaultPlan` is *static*: a loss rate
-that holds for the whole run, partitions that never heal, crash storms
-bound by hand.  A :class:`ChaosScenario` is the timeline form — faults
-that switch on and off at declared simulated times, compiled onto a
+A :class:`~repro.sim.faults.FaultPlan` is *static*: a loss rate that
+holds for the whole run.  A :class:`ChaosScenario` is the timeline form —
+faults that switch on and off at declared simulated times, compiled onto a
 :class:`~repro.sim.engine.Simulator` and driven through the runtime
-switches of a :class:`~repro.sim.faults.FaultInjector`:
+switches of a :class:`~repro.sim.faults.FaultInjector` and the service's
+seeded churn entry points:
 
 * :class:`PartitionWindow` — an identifier-arc partition armed at
   ``starts_at`` and disarmed (healed) at ``heals_at``.  Arcs are
@@ -13,11 +13,9 @@ switches of a :class:`~repro.sim.faults.FaultInjector`:
   applies unchanged to a ``2**bits`` Chord ring and a ``d·2**d``
   linearized Cycloid overlay.
 * :class:`CrashBurst` — a correlated batch of crash failures at one
-  instant (the injector's storm, in timeline clothing).
+  instant.
 * :class:`NodeFlap` — a node that repeatedly crashes and rejoins on a
   fixed cadence (down/up cycles).
-* :class:`LossRamp` — the per-message loss rate climbs stepwise to a
-  peak and resets when the ramp window closes.
 
 Everything is deterministic given the service's seeds: the *times* are
 declared, and *which* node crashes or flaps is drawn from the service's
@@ -27,7 +25,7 @@ as many (simulator, injector, service) triples as needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.faults import ArcPartition
@@ -42,24 +40,12 @@ __all__ = [
     "PartitionWindow",
     "CrashBurst",
     "NodeFlap",
-    "LossRamp",
-    "SlowBurst",
-    "GrayFailureWindow",
     "ChaosScenario",
-    "id_space_of",
     "network_ids_of",
     "slow_victims",
     "DEMO_SCENARIO",
     "CRASH_STORM_SCENARIO",
-    "GRAY_FAILURE_SCENARIO",
 ]
-
-
-def id_space_of(overlay: Any) -> int:
-    """The integer identifier-space size of an overlay substrate
-    (``2**bits`` on a Chord ring; ``d * 2**d``, the linearized key space,
-    on Cycloid)."""
-    return overlay.id_space_size
 
 
 def network_ids_of(overlay: Any) -> list[int]:
@@ -78,9 +64,9 @@ def slow_victims(overlay: Any, fraction: float) -> list[int]:
     """The deterministic gray-failure victim set: ``fraction`` of the live
     population, evenly strided across the sorted identifier list.
 
-    Deterministic (no RNG) so one scenario marks comparable victim sets
-    on every overlay it is installed on — the times are declared, the
-    victims are a pure function of membership.
+    Deterministic (no RNG) so the tail sweeps ``mark_slow`` comparable
+    victim sets on every overlay — the victims are a pure function of
+    membership.
     """
     require(0.0 <= fraction <= 1.0, "slow fraction must be in [0, 1]")
     ids = network_ids_of(overlay)
@@ -154,84 +140,6 @@ class NodeFlap:
 
 
 @dataclass(frozen=True)
-class LossRamp:
-    """Loss rate climbing stepwise to ``peak`` over ``[starts_at, ends_at)``.
-
-    ``steps`` evenly spaced set-points reach the peak; at ``ends_at`` the
-    injector's plan rate is restored.
-    """
-
-    starts_at: float
-    ends_at: float
-    peak: float
-    steps: int = 4
-
-    def __post_init__(self) -> None:
-        require(self.starts_at >= 0, "ramps cannot start before t=0")
-        require(self.ends_at > self.starts_at, "ends_at must follow starts_at")
-        require(0.0 <= self.peak < 1.0, "peak loss rate must be in [0, 1)")
-        require(self.steps >= 1, "a ramp needs at least one step")
-
-    def set_points(self) -> list[tuple[float, float]]:
-        """The ``(time, rate)`` set-points, ending with the plan reset."""
-        span = self.ends_at - self.starts_at
-        return [
-            (self.starts_at + i * span / self.steps, self.peak * (i + 1) / self.steps)
-            for i in range(self.steps)
-        ]
-
-
-@dataclass(frozen=True)
-class SlowBurst:
-    """A transient straggler spike: ``fraction`` of the live population
-    turns gray (latency × ``multiplier``) at ``at`` and heals after
-    ``duration`` seconds.  The short, severe form of fail-slow — think a
-    co-located batch job or a network brown-out."""
-
-    at: float
-    duration: float
-    fraction: float
-    multiplier: float = 10.0
-    intermittency: float = 1.0
-
-    def __post_init__(self) -> None:
-        require(self.at >= 0, "bursts cannot strike before t=0")
-        require(self.duration > 0, "burst duration must be positive")
-        require(0.0 < self.fraction <= 1.0, "fraction must be in (0, 1]")
-        require(self.multiplier >= 1.0, "multiplier must be >= 1")
-        require(0.0 < self.intermittency <= 1.0, "intermittency must be in (0, 1]")
-
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration
-
-
-@dataclass(frozen=True)
-class GrayFailureWindow:
-    """A sustained gray failure: ``fraction`` of the population is
-    *intermittently* degraded during ``[starts_at, heals_at)`` — each
-    message to a victim is slowed with probability ``intermittency``.
-
-    The long, sneaky form of fail-slow: victims pass health checks (most
-    messages are fine) while the latency tail quietly grows — exactly the
-    regime where fixed timeouts bleed and hedging pays.
-    """
-
-    starts_at: float
-    heals_at: float
-    fraction: float
-    multiplier: float = 10.0
-    intermittency: float = 0.6
-
-    def __post_init__(self) -> None:
-        require(self.starts_at >= 0, "windows cannot start before t=0")
-        require(self.heals_at > self.starts_at, "heals_at must follow starts_at")
-        require(0.0 < self.fraction <= 1.0, "fraction must be in (0, 1]")
-        require(self.multiplier >= 1.0, "multiplier must be >= 1")
-        require(0.0 < self.intermittency <= 1.0, "intermittency must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class ChaosScenario:
     """A seeded, declarative fault timeline.
 
@@ -244,9 +152,6 @@ class ChaosScenario:
     partitions: tuple[PartitionWindow, ...] = ()
     bursts: tuple[CrashBurst, ...] = ()
     flaps: tuple[NodeFlap, ...] = ()
-    ramps: tuple[LossRamp, ...] = field(default=())
-    slow_bursts: tuple[SlowBurst, ...] = ()
-    gray_windows: tuple[GrayFailureWindow, ...] = ()
 
     def fault_times(self) -> list[float]:
         """Every fault *onset* instant, sorted (recovery clocks start here)."""
@@ -255,9 +160,6 @@ class ChaosScenario:
         times.update(b.at for b in self.bursts)
         for flap in self.flaps:
             times.update(flap.down_times())
-        times.update(r.starts_at for r in self.ramps)
-        times.update(s.at for s in self.slow_bursts)
-        times.update(g.starts_at for g in self.gray_windows)
         return sorted(times)
 
     def heal_times(self) -> list[float]:
@@ -266,9 +168,6 @@ class ChaosScenario:
         times.update(w.heals_at for w in self.partitions)
         for flap in self.flaps:
             times.update(flap.up_times())
-        times.update(r.ends_at for r in self.ramps)
-        times.update(s.heals_at for s in self.slow_bursts)
-        times.update(g.heals_at for g in self.gray_windows)
         return sorted(times)
 
     def horizon(self) -> float:
@@ -289,11 +188,9 @@ class ChaosScenario:
         Partitions arm/disarm on the injector, sized to the service's
         overlay identifier space; bursts and flap-downs crash through
         ``service.churn_fail`` (so churn guards and seeded victim
-        selection apply); flap-ups rejoin through ``service.churn_join``;
-        ramps drive ``injector.set_loss_rate``.
+        selection apply); flap-ups rejoin through ``service.churn_join``.
         """
-        overlay = overlay_of(service)
-        space = id_space_of(overlay)
+        space = overlay_of(service).id_space_size
         scheduled = 0
 
         for window in self.partitions:
@@ -323,57 +220,6 @@ class ChaosScenario:
                 sim.schedule_at(t, service.churn_join, name=f"{self.name}:flap-up")
                 scheduled += 1
 
-        for ramp in self.ramps:
-            for t, rate in ramp.set_points():
-                sim.schedule_at(
-                    t,
-                    (lambda r=rate: injector.set_loss_rate(r)),
-                    name=f"{self.name}:loss-ramp",
-                )
-                scheduled += 1
-            sim.schedule_at(
-                ramp.ends_at, injector.reset_loss_rate, name=f"{self.name}:loss-reset"
-            )
-            scheduled += 1
-
-        def mark(victims: list[int], multiplier: float, intermittency: float) -> None:
-            for victim in victims:
-                injector.mark_slow(victim, multiplier, intermittency)
-
-        def heal(victims: list[int]) -> None:
-            for victim in victims:
-                injector.clear_slow(victim)
-
-        # Victim sets are materialised at install time from the current
-        # membership; overlapping windows heal only their own victims.
-        for slow in self.slow_bursts:
-            victims = slow_victims(overlay, slow.fraction)
-            sim.schedule_at(
-                slow.at,
-                (lambda v=victims, s=slow: mark(v, s.multiplier, s.intermittency)),
-                name=f"{self.name}:slow-burst",
-            )
-            sim.schedule_at(
-                slow.heals_at,
-                (lambda v=victims: heal(v)),
-                name=f"{self.name}:slow-heal",
-            )
-            scheduled += 2
-
-        for gray in self.gray_windows:
-            victims = slow_victims(overlay, gray.fraction)
-            sim.schedule_at(
-                gray.starts_at,
-                (lambda v=victims, g=gray: mark(v, g.multiplier, g.intermittency)),
-                name=f"{self.name}:gray-onset",
-            )
-            sim.schedule_at(
-                gray.heals_at,
-                (lambda v=victims: heal(v)),
-                name=f"{self.name}:gray-heal",
-            )
-            scheduled += 2
-
         return scheduled
 
 
@@ -396,19 +242,4 @@ CRASH_STORM_SCENARIO = ChaosScenario(
     name="crash-storm",
     bursts=(CrashBurst(at=2.0, count=12), CrashBurst(at=10.0, count=12)),
     flaps=(NodeFlap(first_down=16.0, period=4.0, cycles=1),),
-)
-
-#: Pure fail-slow pressure, nothing crashes and nothing drops: a sharp
-#: straggler spike followed by a long intermittent gray-failure window.
-#: Every query still succeeds — only the latency distribution moves, which
-#: is what the tail experiment's requester policies defend against.
-GRAY_FAILURE_SCENARIO = ChaosScenario(
-    name="gray-failure",
-    slow_bursts=(SlowBurst(at=2.0, duration=4.0, fraction=0.2, multiplier=20.0),),
-    gray_windows=(
-        GrayFailureWindow(
-            starts_at=8.0, heals_at=20.0, fraction=0.1,
-            multiplier=20.0, intermittency=0.6,
-        ),
-    ),
 )

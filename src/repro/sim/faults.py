@@ -1,49 +1,48 @@
-"""Fault injection: message loss, crash storms, ID-arc partitions.
+"""Fault injection: message loss, ID-arc partitions, fail-slow nodes.
 
 The paper's churn study (Section V-C) models only *graceful* joins and
 departures on a perfectly reliable network.  This module adds the missing
-failure modes so the query path can be exercised under adversity:
+network-side failure modes so the query path can be exercised under
+adversity, each declared in exactly one place:
 
-* **per-message loss** — every overlay message consults the injector and is
-  dropped with a seeded probability (the sender observes a timeout);
-* **ID-arc partitions** — a contiguous arc of the identifier space is cut
-  off from the rest; messages crossing the cut are dropped
-  deterministically while the partition is armed;
-* **crash storms** — batches of crash failures scheduled at simulated
-  times, to be bound to an overlay's ``fail``/``churn_fail`` by the
-  experiment harness.
+* **per-message loss** — :class:`FaultPlan`'s ``loss_rate``: every overlay
+  message consults the injector and is dropped with a seeded probability
+  (the sender observes a timeout);
+* **ID-arc partitions** — ``arm_partition`` / ``disarm_partition``: a
+  contiguous arc of the identifier space is cut off from the rest;
+  messages crossing the cut are dropped deterministically while armed;
+* **fail-slow (gray) nodes** — ``mark_slow`` / ``clear_slow``: a node that
+  is alive and answering, but slow.
 
-:class:`FaultPlan` is the immutable, seedable description of a fault
-scenario; :class:`FaultInjector` is its runtime form, consulted by
+Crash failures are not declared here: they are membership events, driven
+through the service's seeded ``churn_fail`` (the chaos timeline's
+:class:`~repro.sim.chaos.CrashBurst`).
+
+:class:`FaultPlan` is the immutable, seedable part of a fault scenario;
+:class:`FaultInjector` is its runtime form, consulted by
 :class:`~repro.sim.network.SimulatedNetwork` on every message.  A ``None``
-injector (the default everywhere) — or a null plan — is a *strict
-identity*: no randomness is drawn and no behaviour changes, so every
-existing figure reproduces unchanged.
+injector (the default everywhere) — or one that cannot currently affect a
+message — is a *strict identity*: no randomness is drawn and no behaviour
+changes, so every existing figure reproduces unchanged.
 
 :class:`LookupPolicy` describes how a requester copes with the injected
 faults: how many retransmission rounds it attempts per hop, its timeout and
 backoff accounting, and whether it fails over across successor-list entries
-and alternate fingers.  The overlays thread it through ``lookup`` and the
-range-walk primitives.
+and alternate fingers.  An overlay's fault-path ``lookup`` and range walk
+read it from ``overlay.lookup_policy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
 from repro.utils.validation import require
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
-    from repro.sim.engine import Simulator
-
 __all__ = [
     "ArcPartition",
-    "CrashStorm",
-    "SlowNode",
-    "DegradedLink",
     "FaultPlan",
     "FaultInjector",
     "LookupPolicy",
@@ -88,82 +87,18 @@ class ArcPartition:
 
 
 @dataclass(frozen=True)
-class CrashStorm:
-    """``count`` crash failures striking at simulated time ``at``."""
-
-    at: float
-    count: int
-
-    def __post_init__(self) -> None:
-        require(self.count >= 1, "a crash storm needs at least one crash")
-        require(self.at >= 0, "storms cannot strike before t=0")
-
-
-@dataclass(frozen=True)
-class SlowNode:
-    """A gray-failing node: alive, answering, but *slow*.
-
-    Messages to or from ``node_id`` have their sampled latency multiplied
-    by ``multiplier``.  ``intermittency`` is the probability any given
-    message is degraded (1.0 = persistently slow; below 1.0 models the
-    transient stalls — GC pauses, queue buildup — that make gray failures
-    hard to detect and hedging effective).  IDs live in the network's
-    linearized identifier space, like :class:`ArcPartition` bounds.
-    """
-
-    node_id: int
-    multiplier: float
-    intermittency: float = 1.0
-
-    def __post_init__(self) -> None:
-        require(self.multiplier >= 1.0, "slow-node multiplier must be >= 1")
-        require(
-            0.0 < self.intermittency <= 1.0,
-            "intermittency must be in (0, 1]",
-        )
-
-
-@dataclass(frozen=True)
-class DegradedLink:
-    """A directed ``src → dst`` link whose latency is multiplied."""
-
-    src: int
-    dst: int
-    multiplier: float
-
-    def __post_init__(self) -> None:
-        require(self.multiplier >= 1.0, "link multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Immutable, seedable description of a fault scenario.
 
-    ``loss_rate`` is the per-message drop probability; ``partitions`` and
-    ``crash_storms`` are the deterministic components.  ``seed`` pins the
-    loss stream, so a plan + seed reproduces the exact same drop pattern.
+    ``loss_rate`` is the per-message drop probability; ``seed`` pins the
+    loss stream, so a plan reproduces the exact same drop pattern.
     """
 
     loss_rate: float = 0.0
-    partitions: tuple[ArcPartition, ...] = ()
-    crash_storms: tuple[CrashStorm, ...] = ()
-    slow_nodes: tuple[SlowNode, ...] = ()
-    degraded_links: tuple[DegradedLink, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
         require(0.0 <= self.loss_rate < 1.0, "loss_rate must be in [0, 1)")
-
-    @property
-    def is_null(self) -> bool:
-        """True when the plan injects nothing (the identity plan)."""
-        return not (
-            self.loss_rate > 0.0
-            or self.partitions
-            or self.crash_storms
-            or self.slow_nodes
-            or self.degraded_links
-        )
 
 
 class FaultInjector:
@@ -171,58 +106,27 @@ class FaultInjector:
 
     ``delivered(src, dst)`` is the single question the network asks; it is
     answered from the armed partitions first (deterministic) and the seeded
-    loss stream second.  Partitions can be armed/disarmed mid-run to model
-    transient splits; ``enabled`` gates the whole injector.
+    loss stream second.  Partitions are armed/disarmed and nodes marked
+    slow/cleared mid-run — by an experiment or the chaos timeline — to
+    model transient splits and gray failures.
     """
 
-    def __init__(self, plan: FaultPlan | None = None, *,
-                 rng: np.random.Generator | None = None) -> None:
-        self.plan = plan if plan is not None else FaultPlan()
-        self._rng = rng if rng is not None else np.random.default_rng(self.plan.seed)
-        self.enabled = True
-        self._partitions: list[ArcPartition] = list(self.plan.partitions)
-        self._loss_rate = self.plan.loss_rate
-        self._slow: dict[int, tuple[float, float]] = {
-            s.node_id: (s.multiplier, s.intermittency)
-            for s in self.plan.slow_nodes
-        }
-        self._degraded: dict[tuple[int, int], float] = {
-            (link.src, link.dst): link.multiplier
-            for link in self.plan.degraded_links
-        }
+    def __init__(self, plan: FaultPlan) -> None:
+        self._loss_rate = plan.loss_rate
+        self._rng = np.random.default_rng(plan.seed)
+        self._partitions: list[ArcPartition] = []
+        self._slow: dict[int, tuple[float, float]] = {}
 
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
     @property
     def active(self) -> bool:
-        """Whether any fault source is currently live."""
-        return self.enabled and (
-            self._loss_rate > 0.0
-            or bool(self._partitions)
-            or bool(self.plan.crash_storms)
-            or bool(self._slow)
-            or bool(self._degraded)
-        )
+        """Whether the injector can currently affect a message: it drops
+        (loss, an armed partition) or slows (a marked node) something.
+        Everything else stays on the fault-free fast paths."""
+        return self._loss_rate > 0.0 or bool(self._partitions) or bool(self._slow)
 
-    @property
-    def loss_rate(self) -> float:
-        """Current per-message drop probability (plan default, or overridden)."""
-        return self._loss_rate
-
-    def set_loss_rate(self, rate: float) -> None:
-        """Override the per-message drop probability mid-run.
-
-        Loss-rate ramps in a chaos timeline use this; the seeded stream is
-        untouched, so identical scenarios keep identical drop patterns.
-        """
-        require(0.0 <= rate < 1.0, "loss_rate must be in [0, 1)")
-        self._loss_rate = float(rate)
-
-    def reset_loss_rate(self) -> None:
-        """Restore the plan's loss rate after a ramp."""
-        self._loss_rate = self.plan.loss_rate
-
+    # ------------------------------------------------------------------
+    # Partitions
+    # ------------------------------------------------------------------
     @property
     def partitions(self) -> tuple[ArcPartition, ...]:
         """Currently armed partitions."""
@@ -235,32 +139,28 @@ class FaultInjector:
     def disarm_partition(self, partition: ArcPartition) -> bool:
         """Disarm one armed partition (that split heals); returns whether it
         was armed.  Scenario timelines heal partitions individually while
-        others stay armed; :meth:`heal_partitions` stays the heal-everything
-        case."""
+        others stay armed."""
         try:
             self._partitions.remove(partition)
         except ValueError:
             return False
         return True
 
-    def heal_partitions(self) -> None:
-        """Disarm every partition (the split heals)."""
-        self._partitions.clear()
-
     # ------------------------------------------------------------------
     # Fail-slow state (gray failures)
     # ------------------------------------------------------------------
-    @property
-    def slow_nodes(self) -> dict[int, tuple[float, float]]:
-        """Currently gray nodes: ``node_id → (multiplier, intermittency)``."""
-        return dict(self._slow)
-
     def mark_slow(
         self, node_id: int, multiplier: float, intermittency: float = 1.0
     ) -> None:
-        """Turn ``node_id`` gray: its messages slow down by ``multiplier``
-        with probability ``intermittency`` each (chaos timelines flip this
-        mid-run; the loss stream is untouched)."""
+        """Turn ``node_id`` gray: alive, answering, but *slow*.
+
+        Messages to ``node_id`` have their sampled latency multiplied by
+        ``multiplier`` with probability ``intermittency`` each (1.0 =
+        persistently slow; below 1.0 models the transient stalls — GC
+        pauses, queue buildup — that make gray failures hard to detect and
+        hedging effective).  IDs live in the network's linearized
+        identifier space, like :class:`ArcPartition` bounds.  The loss
+        stream is untouched."""
         require(multiplier >= 1.0, "slow-node multiplier must be >= 1")
         require(0.0 < intermittency <= 1.0, "intermittency must be in (0, 1]")
         self._slow[node_id] = (float(multiplier), float(intermittency))
@@ -272,76 +172,40 @@ class FaultInjector:
         else:
             self._slow.pop(node_id, None)
 
-    def degrade_link(self, src: int, dst: int, multiplier: float) -> None:
-        """Degrade the directed ``src → dst`` link by ``multiplier``."""
-        require(multiplier >= 1.0, "link multiplier must be >= 1")
-        self._degraded[(src, dst)] = float(multiplier)
-
-    def restore_link(self, src: int, dst: int) -> None:
-        """Restore one degraded link to full speed."""
-        self._degraded.pop((src, dst), None)
-
     def latency_factor(
         self, src: int | None, dst: int | None, rng: np.random.Generator
     ) -> float:
         """Multiplier applied to one delivered message's sampled latency.
 
-        The worst applicable degradation wins: a gray *destination*
-        contributes its multiplier with its intermittency probability
-        (a fail-slow node is slow to *serve* — messages sent to it come
-        back late; its own outbound requests are answered by healthy
-        peers at full speed, which is what makes requester-side defenses
-        meaningful), a degraded ``src → dst`` link always contributes.
-        ``rng`` is the *latency* stream (the model's own generator) —
-        intermittency draws must never perturb the seeded loss stream,
-        or requester policies would change which messages drop.
+        A gray *destination* contributes its multiplier with its
+        intermittency probability; ``src`` is ignored on purpose (a
+        fail-slow node is slow to *serve* — messages sent to it come back
+        late; its own outbound requests are answered by healthy peers at
+        full speed, which is what makes requester-side defenses
+        meaningful).  ``rng`` is the *latency* stream (the model's own
+        generator) — intermittency draws must never perturb the seeded
+        loss stream, or requester policies would change which messages
+        drop.
         """
-        if not self.enabled or not (self._slow or self._degraded):
+        spec = self._slow.get(dst)
+        if spec is None:
             return 1.0
-        factor = 1.0
-        if self._slow and dst is not None:
-            spec = self._slow.get(dst)
-            if spec is not None:
-                multiplier, intermittency = spec
-                if intermittency >= 1.0 or float(rng.random()) < intermittency:
-                    factor = max(factor, multiplier)
-        if self._degraded and src is not None and dst is not None:
-            link = self._degraded.get((src, dst))
-            if link is not None:
-                factor = max(factor, link)
-        return factor
+        multiplier, intermittency = spec
+        if intermittency >= 1.0 or float(rng.random()) < intermittency:
+            return multiplier
+        return 1.0
 
     # ------------------------------------------------------------------
     # The per-message question
     # ------------------------------------------------------------------
     def delivered(self, src: int | None = None, dst: int | None = None) -> bool:
         """Whether one ``src → dst`` message survives the fault plan."""
-        if not self.enabled:
-            return True
         for partition in self._partitions:
             if partition.severs(src, dst):
                 return False
         if self._loss_rate > 0.0:
             return float(self._rng.random()) >= self._loss_rate
         return True
-
-    # ------------------------------------------------------------------
-    # Crash storms
-    # ------------------------------------------------------------------
-    def install_storms(
-        self, sim: "Simulator", crash_one: Callable[[], Any]
-    ) -> int:
-        """Schedule every planned crash storm on ``sim``.
-
-        ``crash_one`` is invoked once per crash (typically bound to the
-        service's ``churn_fail``).  Returns the number of crashes scheduled.
-        """
-        scheduled = 0
-        for storm in self.plan.crash_storms:
-            for _ in range(storm.count):
-                sim.schedule_at(storm.at, crash_one, name="crash-storm")
-                scheduled += 1
-        return scheduled
 
 
 @dataclass(frozen=True)
@@ -366,9 +230,6 @@ class LookupPolicy:
     finger_fallback:
         Try alternate (lower) fingers / alternate routing-table entries
         when the best one is unreachable.
-    hop_budget:
-        Per-lookup hop ceiling before the attempt is declared timed out;
-        ``None`` uses the overlay's structural bound.
     adaptive_timeout:
         Replace the fixed ``timeout`` with the requester's
         :class:`~repro.sim.latency.RttEstimator`-derived timeout (never
@@ -390,7 +251,6 @@ class LookupPolicy:
     backoff_factor: float = 2.0
     successor_failover: bool = True
     finger_fallback: bool = True
-    hop_budget: int | None = None
     adaptive_timeout: bool = False
     hedge: bool = False
     hedge_quantile: float = 0.95
@@ -404,10 +264,6 @@ class LookupPolicy:
         require(self.timeout > 0, "timeout must be positive")
         require(self.backoff_base >= 0, "backoff_base must be >= 0")
         require(self.backoff_factor >= 1.0, "backoff_factor must be >= 1")
-        require(
-            self.hop_budget is None or self.hop_budget >= 1,
-            "hop_budget must be >= 1 when given",
-        )
         require(
             0.0 < self.hedge_quantile < 1.0,
             "hedge_quantile must be in (0, 1)",

@@ -8,9 +8,7 @@ fail-slow substrate:
 
 * :class:`LatencyModel` — a pluggable, seeded per-message latency source.
   :class:`ConstantLatency` reproduces the seed behaviour exactly;
-  :class:`LognormalLatency` is the classic WAN RTT shape;
-  :class:`BoundedParetoLatency` reuses the paper's own
-  :class:`~repro.workloads.pareto.BoundedPareto` for a power-law tail.
+  :class:`LognormalLatency` is the classic WAN RTT shape.
 * :class:`RttEstimator` / :class:`RttBook` — the requester-side defenses:
   an EWMA (Jacobson/Karels) smoothed-RTT tracker plus a sliding-window
   quantile tracker, from which :class:`~repro.sim.faults.LookupPolicy`
@@ -31,13 +29,11 @@ from collections import deque
 import numpy as np
 
 from repro.utils.validation import require, require_positive
-from repro.workloads.pareto import BoundedPareto
 
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
     "LognormalLatency",
-    "BoundedParetoLatency",
     "RttEstimator",
     "RttBook",
     "critical_path_latency",
@@ -127,37 +123,6 @@ class LognormalLatency(LatencyModel):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LognormalLatency(median={self.median}, sigma={self.sigma})"
-
-
-class BoundedParetoLatency(LatencyModel):
-    """Bounded-Pareto per-message latency on ``[low, high]`` seconds.
-
-    Reuses the paper's :class:`~repro.workloads.pareto.BoundedPareto` —
-    the same distribution that generates resource values generates the
-    power-law latency tail, so its CDF/quantile machinery (and tests)
-    carry over unchanged.
-    """
-
-    def __init__(
-        self, alpha: float, low: float, high: float, seed: int = 0
-    ) -> None:
-        self.dist = BoundedPareto(alpha=alpha, low=low, high=high)
-        self.rng = np.random.default_rng(seed)
-
-    def sample(self) -> float:
-        return float(self.dist.sample(self.rng))
-
-    def route(self, hops: int) -> float:
-        if hops <= 0:
-            return 0.0
-        return float(np.asarray(self.dist.sample(self.rng, hops)).sum())
-
-    def mean(self) -> float:
-        return self.dist.mean()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        d = self.dist
-        return f"BoundedParetoLatency(alpha={d.alpha}, low={d.low}, high={d.high})"
 
 
 class RttEstimator:
@@ -299,23 +264,18 @@ class RttBook:
     warmup queries instead of per-node sample counts.
     """
 
-    def __init__(self, **estimator_kwargs) -> None:
-        self._kwargs = dict(estimator_kwargs)
-        self.aggregate = RttEstimator(**self._kwargs)
+    def __init__(self) -> None:
+        self.aggregate = RttEstimator()
         self._per: dict = {}
 
     def for_requester(self, src_id) -> _RequesterRtt:
-        own = self._per.get(src_id)
-        if own is None:
-            own = RttEstimator(**self._kwargs)
-            self._per[src_id] = own
-        return _RequesterRtt(own, self.aggregate)
+        return _RequesterRtt(self.estimator(src_id), self.aggregate)
 
     def estimator(self, src_id) -> RttEstimator:
         """The raw per-requester estimator (tests and reporting)."""
         own = self._per.get(src_id)
         if own is None:
-            own = RttEstimator(**self._kwargs)
+            own = RttEstimator()
             self._per[src_id] = own
         return own
 
@@ -326,7 +286,7 @@ class RttBook:
 
     def reset(self) -> None:
         """Drop every estimator (fresh measurement window)."""
-        self.aggregate = RttEstimator(**self._kwargs)
+        self.aggregate = RttEstimator()
         self._per.clear()
 
 

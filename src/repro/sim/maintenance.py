@@ -350,12 +350,8 @@ class MaintenanceScheduler:
 
     def tick(self, now: float) -> MaintenanceReport:
         """Run one maintenance round at simulated time ``now``."""
-        round_ = getattr(self.service, "maintenance_round", None)
-        if callable(round_):
-            round_().clock = now
+        self.service.maintenance_round().clock = now
         report = self.service.stabilize(self.budget)
-        if report is None:  # a service that predates budgeted rounds
-            report = MaintenanceReport(full_sweep=True)
         self.reports.append((now, report))
         return report
 

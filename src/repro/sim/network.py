@@ -19,7 +19,7 @@ reliable and the extra counters stay zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel, RttBook
@@ -71,59 +71,17 @@ class MessageStats:
 
     def as_dict(self) -> dict[str, float]:
         """Flat field → value mapping (counter publication and CSV rows)."""
-        return {
-            "messages": self.messages,
-            "routing_hops": self.routing_hops,
-            "directory_checks": self.directory_checks,
-            "maintenance_messages": self.maintenance_messages,
-            "dropped": self.dropped,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "walk_truncations": self.walk_truncations,
-            "timeout_seconds": self.timeout_seconds,
-            "backoff_seconds": self.backoff_seconds,
-            "latency_seconds": self.latency_seconds,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
-            "hedges_cancelled": self.hedges_cancelled,
-        }
+        return asdict(self)
 
     def snapshot(self) -> "MessageStats":
         """An independent copy of the current totals."""
-        return MessageStats(
-            messages=self.messages,
-            routing_hops=self.routing_hops,
-            directory_checks=self.directory_checks,
-            maintenance_messages=self.maintenance_messages,
-            dropped=self.dropped,
-            timeouts=self.timeouts,
-            retries=self.retries,
-            walk_truncations=self.walk_truncations,
-            timeout_seconds=self.timeout_seconds,
-            backoff_seconds=self.backoff_seconds,
-            latency_seconds=self.latency_seconds,
-            hedges=self.hedges,
-            hedges_won=self.hedges_won,
-            hedges_cancelled=self.hedges_cancelled,
-        )
+        return replace(self)
 
     def delta_since(self, earlier: "MessageStats") -> "MessageStats":
         """Totals accumulated since ``earlier`` was snapshotted."""
+        then = asdict(earlier)
         return MessageStats(
-            messages=self.messages - earlier.messages,
-            routing_hops=self.routing_hops - earlier.routing_hops,
-            directory_checks=self.directory_checks - earlier.directory_checks,
-            maintenance_messages=self.maintenance_messages - earlier.maintenance_messages,
-            dropped=self.dropped - earlier.dropped,
-            timeouts=self.timeouts - earlier.timeouts,
-            retries=self.retries - earlier.retries,
-            walk_truncations=self.walk_truncations - earlier.walk_truncations,
-            timeout_seconds=self.timeout_seconds - earlier.timeout_seconds,
-            backoff_seconds=self.backoff_seconds - earlier.backoff_seconds,
-            latency_seconds=self.latency_seconds - earlier.latency_seconds,
-            hedges=self.hedges - earlier.hedges,
-            hedges_won=self.hedges_won - earlier.hedges_won,
-            hedges_cancelled=self.hedges_cancelled - earlier.hedges_cancelled,
+            **{name: value - then[name] for name, value in asdict(self).items()}
         )
 
 
@@ -185,7 +143,7 @@ class SimulatedNetwork:
     def sample_latency(self, src: int | None, dst: int | None) -> float:
         """One message's latency under the attached model and fail-slow
         faults: a model draw scaled by the injector's ``latency_factor``
-        (slow nodes, degraded links).  Accumulates ``latency_seconds``."""
+        (slow nodes).  Accumulates ``latency_seconds``."""
         latency = self.latency_model.sample()
         if self.faults is not None:
             latency *= self.faults.latency_factor(src, dst, self.latency_model.rng)
@@ -265,10 +223,6 @@ class SimulatedNetwork:
         """Publish the running totals into a metrics registry (see
         :func:`publish_stats`)."""
         publish_stats(self.stats, registry, prefix)
-
-    def latency_of(self, hops: int) -> float:
-        """Simulated completion latency of a ``hops``-hop route."""
-        return hops * self.hop_latency
 
     def reset(self) -> None:
         """Zero all counters (RTT estimators are kept; see

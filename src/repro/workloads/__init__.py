@@ -11,7 +11,6 @@ from repro.workloads.attributes import AttributeSchema, AttributeSpec
 from repro.workloads.generator import GridWorkload, QueryKind
 from repro.workloads.pareto import BoundedPareto
 from repro.workloads.popularity import (
-    FlashCrowdPopularity,
     PopularityModel,
     UniformPopularity,
     ZipfPopularity,
@@ -22,7 +21,6 @@ __all__ = [
     "AttributeSchema",
     "AttributeSpec",
     "BoundedPareto",
-    "FlashCrowdPopularity",
     "GridWorkload",
     "PopularityModel",
     "QueryKind",

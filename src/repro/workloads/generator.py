@@ -60,7 +60,7 @@ class GridWorkload:
         ``[0, 2 * mean_span_fraction]``.
     popularity:
         Optional :class:`~repro.workloads.popularity.PopularityModel`
-        skewing attribute/value selection (Zipf, flash crowds).  ``None``
+        skewing attribute/value selection (Zipf).  ``None``
         (the default) keeps the paper's uniform sampling byte-identical
         to the pre-popularity code path; when set, query streams derive
         one rng per query *index* so sharded generation reproduces the
@@ -194,7 +194,7 @@ class GridWorkload:
 
         Uniformly chosen without a :attr:`popularity` model (the paper's
         workload); otherwise the model weights the draw and ``index``
-        positions the query in time (flash-crowd windows).
+        positions the query in the stream.
         """
         require(
             1 <= num_attributes <= len(self.schema),
@@ -227,8 +227,8 @@ class GridWorkload:
         sequential rng (the seed behaviour, byte-identical).  With one,
         every query index derives its own rng, so ``start`` can shard the
         stream: generating ``[0, n)`` in one pass is identical to
-        concatenating ``[0, k)`` and ``[k, n)`` passes — flash-crowd
-        onsets land on the same queries under ``--parallel`` sharding.
+        concatenating ``[0, k)`` and ``[k, n)`` passes, which is what
+        ``--parallel`` sharding relies on.
         """
         if self.popularity is None:
             require(start == 0, "sharded streams need a popularity model")

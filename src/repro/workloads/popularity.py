@@ -2,18 +2,14 @@
 
 The paper samples query attributes *uniformly* (Section V), which makes
 every system look balanced by construction.  Production resource-discovery
-traffic is nothing like that: attribute popularity follows a Zipf law, and
-sudden flash crowds concentrate a large share of all queries on one or two
-attributes for a bounded time window.  This module supplies those models
-as drop-in strategies for :class:`~repro.workloads.generator.GridWorkload`:
+traffic is nothing like that: attribute popularity follows a Zipf law.
+This module supplies both models as drop-in strategies for
+:class:`~repro.workloads.generator.GridWorkload`:
 
 * :class:`UniformPopularity` — the paper's model, made explicit;
 * :class:`ZipfPopularity` — rank-``r`` attribute drawn with probability
   proportional to ``1 / (r + 1) ** s``, with an optional *value-level*
-  Zipf (hot provider values / hot quantile cells for range queries);
-* :class:`FlashCrowdPopularity` — a base model plus a time-windowed crowd:
-  for query indices inside ``[onset, onset + duration)`` each query
-  targets the hot attribute set with probability ``crowd_share``.
+  Zipf (hot provider values / hot quantile cells for range queries).
 
 Every decision is a pure function of ``(model, per-query rng, index)``;
 the workload derives one rng per query index, so streams are reproducible
@@ -33,7 +29,6 @@ __all__ = [
     "PopularityModel",
     "UniformPopularity",
     "ZipfPopularity",
-    "FlashCrowdPopularity",
     "stable_seed",
     "zipf_weights",
 ]
@@ -172,63 +167,3 @@ class ZipfPopularity(PopularityModel):
         if self.value_s > 0.0:
             out += f" x value-zipf(s={self.value_s:g})"
         return out
-
-
-@dataclass(frozen=True)
-class FlashCrowdPopularity(PopularityModel):
-    """A base model plus a time-windowed flash crowd.
-
-    Query indices in ``[onset, onset + duration)`` are crowd queries with
-    probability ``crowd_share``; a crowd query draws all its attributes
-    from the ``hot_attributes`` hottest ranks of the base model (uniform
-    base: the first ranks of a seeded permutation).  Outside the window —
-    and for the non-crowd share inside it — the base model applies
-    unchanged, so the onset is visible as a step in per-node load.
-    """
-
-    base: PopularityModel = field(default_factory=UniformPopularity)
-    onset: int = 0
-    duration: int = 0
-    crowd_share: float = 0.8
-    hot_attributes: int = 1
-
-    def __post_init__(self) -> None:
-        require(self.onset >= 0, "onset must be >= 0")
-        require(self.duration >= 0, "duration must be >= 0")
-        require(0.0 <= self.crowd_share <= 1.0, "crowd_share must be in [0, 1]")
-        require(self.hot_attributes >= 1, "need at least one hot attribute")
-
-    def in_window(self, index: int) -> bool:
-        """Whether query ``index`` falls inside the crowd window."""
-        return self.onset <= index < self.onset + self.duration
-
-    def _hot_set(self, num_attributes: int) -> tuple[int, ...]:
-        count = min(self.hot_attributes, num_attributes)
-        if isinstance(self.base, ZipfPopularity):
-            return self.base.hot_attributes(num_attributes, count)
-        rng = np.random.default_rng(stable_seed("flash-hot", self.seed, num_attributes))
-        return tuple(int(i) for i in rng.permutation(num_attributes)[:count])
-
-    def choose_attributes(
-        self, rng: np.random.Generator, num_attributes: int, count: int, index: int
-    ) -> np.ndarray:
-        if self.in_window(index) and float(rng.uniform()) < self.crowd_share:
-            hot = self._hot_set(num_attributes)
-            if count <= len(hot):
-                return rng.choice(np.asarray(hot), size=count, replace=False)
-            # Crowd queries over more attributes than the hot set: the hot
-            # set plus uniform filler from the remaining attributes.
-            rest = np.setdiff1d(np.arange(num_attributes), np.asarray(hot))
-            filler = rng.choice(rest, size=count - len(hot), replace=False)
-            return np.concatenate([np.asarray(hot), filler])
-        return self.base.choose_attributes(rng, num_attributes, count, index)
-
-    def value_quantile(self, rng: np.random.Generator, index: int) -> float | None:
-        return self.base.value_quantile(rng, index)
-
-    def describe(self) -> str:
-        return (
-            f"flash-crowd(onset={self.onset}, duration={self.duration}, "
-            f"share={self.crowd_share:g}, hot={self.hot_attributes}) "
-            f"over {self.base.describe()}"
-        )

@@ -254,8 +254,8 @@ class TestSubQueryEngine:
         overlay = service.overlay
         route, routed = overlay.lookup, []
 
-        def second_lookup_fails(start, key, policy=None):
-            routed.append(route(start, key, policy))
+        def second_lookup_fails(start, key):
+            routed.append(route(start, key))
             if len(routed) == 2:
                 return dataclasses.replace(routed[-1], complete=False, timed_out=True)
             return routed[-1]

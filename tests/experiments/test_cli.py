@@ -578,6 +578,11 @@ class TestBadInput:
             (["scale", "--smoke", "--queries", "0"], "scale_queries"),
             (["hotspot", "--smoke", "--queries", "0"], "hotspot_queries"),
             (["tradeoff", "--smoke", "--queries", "0"], "tradeoff_queries"),
+            (["availability", "--loss", "1.5"], "loss_rates"),
+            (["availability", "--replication", "0"], "availability_replications"),
+            (["tail", "--smoke", "--fractions", "1.5"], "tail_slow_fractions"),
+            (["hotspot", "--smoke", "--salts", "0"], "hotspot_salts"),
+            (["trace", "--system", "lorm", "--loss", "1.5"], "--loss"),
         ],
     )
     def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):

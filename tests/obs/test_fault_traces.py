@@ -41,8 +41,9 @@ class TestChordFaultTraces:
         ring.network.faults = FaultInjector(FaultPlan(loss_rate=loss, seed=seed))
         tracer = QueryTracer()
         ring.tracer = tracer
+        ring.lookup_policy = policy or LookupPolicy(max_retries=3)
         start = ring.node(0)
-        result = ring.lookup(start, 47, policy or LookupPolicy(max_retries=3))
+        result = ring.lookup(start, 47)
         return ring, tracer, result
 
     def test_retry_annotations_equal_lookup_retries(self):
@@ -98,9 +99,10 @@ class TestCycloidFaultTraces:
         overlay.network.faults = FaultInjector(FaultPlan(loss_rate=loss, seed=seed))
         tracer = QueryTracer()
         overlay.tracer = tracer
+        overlay.lookup_policy = LookupPolicy(max_retries=3)
         nodes = list(overlay.nodes())
         start, target = nodes[0], nodes[-1].cid
-        result = overlay.lookup(start, target, LookupPolicy(max_retries=3))
+        result = overlay.lookup(start, target)
         return overlay, tracer, result
 
     def test_retry_annotations_equal_lookup_retries(self):
@@ -136,7 +138,8 @@ class TestHedgeTraces:
             net.rtt_for(0).observe(net.hop_latency)
         tracer = QueryTracer()
         ring.tracer = tracer
-        result = ring.lookup(ring.node(0), 47, HEDGED_POLICY)
+        ring.lookup_policy = HEDGED_POLICY
+        result = ring.lookup(ring.node(0), 47)
         return ring, tracer, result
 
     def test_hedge_events_reconcile_with_network_stats(self):

@@ -114,12 +114,16 @@ class TestWritePathsMaintain:
         check_arcs(ring)
 
     def test_id_space_beyond_int64(self):
-        ring = ChordRing(70)
-        ring.build([3, 1 << 65, (1 << 69) + 5])
-        ring.node(1 << 65).store(NS, 9, info("cpu", 2.0))
-        walk = ring.walk_arc(ring.node(3), 3, 1 << 65)
+        # Holder ids are array('q'): wider rings are refused, the widest
+        # admitted one fits.
+        with pytest.raises(ValueError):
+            ChordRing(70)
+        ring = ChordRing(62)
+        ring.build([3, 1 << 60, (1 << 61) + 5])
+        ring.node(1 << 60).store(NS, 9, info("cpu", 2.0))
+        walk = ring.walk_arc(ring.node(3), 3, 1 << 60)
         assert ring.arc_items(walk, NS, "cpu") == [info("cpu", 2.0)]
-        ring.node((1 << 69) + 5).store(NS, 1 << 66, info("cpu", 3.0))
+        ring.node((1 << 61) + 5).store(NS, 1 << 61, info("cpu", 3.0))
         check_arcs(ring)
 
     def test_node_outside_any_overlay_posts_nowhere(self):

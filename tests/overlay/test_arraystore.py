@@ -20,7 +20,7 @@ from repro.overlay.chord import ChordRing
 
 class TestRingVector:
     def test_init_sorts(self):
-        assert RingVector([9, 1, 5]).as_list() == [1, 5, 9]
+        assert list(RingVector([9, 1, 5])) == [1, 5, 9]
 
     def test_sequence_protocol(self):
         v = RingVector([2, 4, 6])
@@ -42,12 +42,12 @@ class TestRingVector:
         v = RingVector([1, 9])
         v.add(5)
         v.add(0)
-        assert v.as_list() == [0, 1, 5, 9]
+        assert list(v) == [0, 1, 5, 9]
 
     def test_remove(self):
         v = RingVector([1, 5, 9])
         v.remove(5)
-        assert v.as_list() == [1, 9]
+        assert list(v) == [1, 9]
 
     def test_eq_against_list_tuple_and_self(self):
         v = RingVector([3, 1])
@@ -71,29 +71,8 @@ class TestRingVector:
             assert v.bisect_left(key) == bisect.bisect_left(v, key)
             assert v.bisect_right(key) == bisect.bisect_right(v, key)
 
-    def test_to_numpy(self):
-        arr = RingVector([9, 1, 5]).to_numpy()
-        assert arr.dtype == np.int64
-        assert arr.tolist() == [1, 5, 9]
-        assert RingVector().to_numpy().tolist() == []
-
     def test_machine_width_backing_by_default(self):
         assert isinstance(RingVector([1, 2, 3]).data, array)
-
-    def test_list_fallback_beyond_int64(self):
-        # 160-bit id spaces (IdSpace allows them) exceed array('q').
-        big = 1 << 100
-        v = RingVector([big, 7], max_id=(1 << 160) - 1)
-        assert isinstance(v.data, list)
-        assert v.as_list() == [7, big]
-        v.add(big + 1)
-        assert big + 1 in v
-        assert v.successor_index(big + 2) == 0
-
-    def test_auto_fallback_when_values_exceed_int64(self):
-        v = RingVector([1 << 70])
-        assert isinstance(v.data, list)
-        assert v.as_list() == [1 << 70]
 
 
 class TestIndexedDirectory:

@@ -20,16 +20,22 @@ from repro.sim.faults import (
     DEFAULT_POLICY,
     NO_RETRY_POLICY,
     ArcPartition,
-    CrashStorm,
     FaultInjector,
     FaultPlan,
 )
 
 
-def storm_only_injector() -> FaultInjector:
-    """Active (a storm is planned) but lossless: every message delivers,
-    yet ``faults_active`` is True so the fault code path runs."""
-    return FaultInjector(FaultPlan(crash_storms=(CrashStorm(1e9, 1),)))
+def partitioned(arc: ArcPartition) -> FaultInjector:
+    injector = FaultInjector(FaultPlan())
+    injector.arm_partition(arc)
+    return injector
+
+
+def empty_arc_injector() -> FaultInjector:
+    """Active (a partition is armed) but lossless: the armed arc holds no
+    node of any fixture overlay, so every message delivers, yet
+    ``faults_active`` is True and the fault code path runs."""
+    return partitioned(ArcPartition(1 << 40, 1 << 40, space=1 << 41))
 
 
 def lossy_injector(rate: float, seed: int = 0) -> FaultInjector:
@@ -45,7 +51,7 @@ class TestChordParity:
             (full_ring.node(r.randrange(64)), r.randrange(64))
             for _ in range(80)
         ]
-        full_ring.network.faults = storm_only_injector()
+        full_ring.network.faults = empty_arc_injector()
         faulty = [full_ring.lookup(s, k) for s, k in cases]
         full_ring.network.faults = None
         legacy = [full_ring.lookup(s, k) for s, k in cases]
@@ -61,7 +67,7 @@ class TestChordParity:
             (sparse_ring.node(r.choice(sparse_ring.node_ids)), r.randrange(128))
             for _ in range(80)
         ]
-        sparse_ring.network.faults = storm_only_injector()
+        sparse_ring.network.faults = empty_arc_injector()
         faulty = [sparse_ring.lookup(s, k) for s, k in cases]
         sparse_ring.network.faults = None
         legacy = [sparse_ring.lookup(s, k) for s, k in cases]
@@ -69,7 +75,7 @@ class TestChordParity:
             assert (f.owner, f.hops, f.path) == (l.owner, l.hops, l.path)
 
     def test_walk_identical_to_legacy(self, full_ring):
-        full_ring.network.faults = storm_only_injector()
+        full_ring.network.faults = empty_arc_injector()
         faulty = full_ring.walk_arc(full_ring.node(10), 10, 30)
         full_ring.network.faults = None
         legacy = full_ring.walk_arc(full_ring.node(10), 10, 30)
@@ -93,7 +99,7 @@ class TestChordParity:
 class TestCycloidParity:
     def test_greedy_fault_route_finds_true_owner(self, full_overlay):
         r = random.Random(3)
-        full_overlay.network.faults = storm_only_injector()
+        full_overlay.network.faults = empty_arc_injector()
         try:
             for _ in range(80):
                 start = full_overlay.node(
@@ -110,7 +116,7 @@ class TestCycloidParity:
         """On a sparse overlay ties exist; the believed owner must be
         exactly as close to the key as the oracle's choice."""
         r = random.Random(4)
-        sparse_overlay.network.faults = storm_only_injector()
+        sparse_overlay.network.faults = empty_arc_injector()
         try:
             for _ in range(80):
                 start = sparse_overlay.node(r.choice(sparse_overlay.node_ids))
@@ -127,7 +133,7 @@ class TestCycloidParity:
 
     def test_walk_identical_to_legacy(self, full_overlay):
         start = full_overlay.node(CycloidId(0, 5))
-        full_overlay.network.faults = storm_only_injector()
+        full_overlay.network.faults = empty_arc_injector()
         faulty = full_overlay.walk_cluster(start, 0, 3)
         full_overlay.network.faults = None
         legacy = full_overlay.walk_cluster(start, 0, 3)
@@ -178,9 +184,7 @@ class TestHonestFailure:
     def test_partition_makes_lookup_fail_not_raise(self):
         ring = ChordRing(6)
         ring.build_full()
-        ring.network.faults = FaultInjector(
-            FaultPlan(partitions=(ArcPartition(32, 63, space=64),))
-        )
+        ring.network.faults = partitioned(ArcPartition(32, 63, space=64))
         result = ring.lookup(ring.node(0), 40)
         assert not result.complete
         assert result.timed_out
@@ -226,9 +230,7 @@ class TestHonestFailure:
         overlay = CycloidOverlay(4)
         overlay.build_full()
         # Cut off clusters 8..15 (linearized ids 32..63).
-        overlay.network.faults = FaultInjector(
-            FaultPlan(partitions=(ArcPartition(32, 63, space=64),))
-        )
+        overlay.network.faults = partitioned(ArcPartition(32, 63, space=64))
         result = overlay.lookup(overlay.node(CycloidId(0, 0)), CycloidId(2, 10))
         assert not result.complete
         assert result.timed_out
@@ -239,9 +241,7 @@ class TestWalkTruncation:
         ring = ChordRing(6)
         ring.build_full()
         before = ring.network.stats.walk_truncations
-        ring.network.faults = FaultInjector(
-            FaultPlan(partitions=(ArcPartition(32, 63, space=64),))
-        )
+        ring.network.faults = partitioned(ArcPartition(32, 63, space=64))
         walk = ring.walk_arc(ring.node(20), 20, 40)
         assert walk.truncated and not walk.complete
         assert walk.reason == "unreachable successor chain"
@@ -254,9 +254,7 @@ class TestWalkTruncation:
         overlay.build_full()
         before = overlay.network.stats.walk_truncations
         # Sever cyclic positions 2..3 of cluster 0 (linearized ids 2..3).
-        overlay.network.faults = FaultInjector(
-            FaultPlan(partitions=(ArcPartition(2, 3, space=64),))
-        )
+        overlay.network.faults = partitioned(ArcPartition(2, 3, space=64))
         walk = overlay.walk_cluster(overlay.node(CycloidId(0, 0)), 0, 3)
         assert walk.truncated
         assert walk.reason == "unreachable cluster successor"

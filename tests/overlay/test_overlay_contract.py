@@ -155,10 +155,9 @@ class TestTracedEqualsUntraced:
                 )
                 tracer = QueryTracer() if traced else None
                 overlay.tracer = tracer
+                overlay.lookup_policy = policy
                 nodes = list(overlay.nodes())
-                results.append(
-                    overlay.lookup(nodes[0], overlay.key_of(47), policy)
-                )
+                results.append(overlay.lookup(nodes[0], overlay.key_of(47)))
             plain, traced_result = results
             # Same seeded drops, same route: compare by value (the two
             # overlays hold distinct node objects).

@@ -70,9 +70,8 @@ class TestTruncationAccounting:
         ring = _ring()
         # Cut the [32, 63] arc off: the walk cannot cross 24 -> 32, and
         # every failover candidate lies inside the partition too.
-        injector = FaultInjector(
-            FaultPlan(partitions=(ArcPartition(32, 63, space=64),), seed=1)
-        )
+        injector = FaultInjector(FaultPlan(seed=1))
+        injector.arm_partition(ArcPartition(32, 63, space=64))
         ring.network.faults = injector
         try:
             assert ring.faults_active

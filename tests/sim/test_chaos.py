@@ -9,15 +9,10 @@ from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidOverlay
 from repro.sim.chaos import (
     DEMO_SCENARIO,
-    GRAY_FAILURE_SCENARIO,
     ChaosScenario,
     CrashBurst,
-    GrayFailureWindow,
-    LossRamp,
     NodeFlap,
     PartitionWindow,
-    SlowBurst,
-    id_space_of,
     network_ids_of,
     slow_victims,
 )
@@ -26,11 +21,13 @@ from repro.sim.faults import FaultInjector, FaultPlan
 
 
 class TestIdSpaceOf:
+    """The identifier space partition arcs are sized to."""
+
     def test_chord_space(self):
-        assert id_space_of(ChordRing(6)) == 64
+        assert ChordRing(6).id_space_size == 64
 
     def test_cycloid_linearized_capacity(self):
-        assert id_space_of(CycloidOverlay(3)) == 3 * 2**3
+        assert CycloidOverlay(3).id_space_size == 3 * 2**3
 
 
 class TestPartitionWindow:
@@ -63,33 +60,15 @@ class TestNodeFlap:
             NodeFlap(first_down=1.0, period=2.0, cycles=0)
 
 
-class TestLossRamp:
-    def test_set_points_climb_to_peak(self):
-        ramp = LossRamp(starts_at=4.0, ends_at=8.0, peak=0.4, steps=4)
-        assert ramp.set_points() == [
-            (4.0, 0.1),
-            (5.0, 0.2),
-            (6.0, pytest.approx(0.3)),
-            (7.0, 0.4),
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LossRamp(starts_at=4.0, ends_at=4.0, peak=0.5)
-        with pytest.raises(ValueError):
-            LossRamp(starts_at=0.0, ends_at=1.0, peak=1.0)
-
-
 class TestChaosScenario:
     def test_fault_and_heal_times(self):
         scenario = ChaosScenario(
             partitions=(PartitionWindow(0.0, 0.25, starts_at=2.0, heals_at=6.0),),
             bursts=(CrashBurst(at=8.0, count=3),),
             flaps=(NodeFlap(first_down=10.0, period=4.0, cycles=1),),
-            ramps=(LossRamp(starts_at=1.0, ends_at=5.0, peak=0.3),),
         )
-        assert scenario.fault_times() == [1.0, 2.0, 8.0, 10.0]
-        assert scenario.heal_times() == [5.0, 6.0, 12.0]
+        assert scenario.fault_times() == [2.0, 8.0, 10.0]
+        assert scenario.heal_times() == [6.0, 12.0]
         assert scenario.horizon() == 12.0
 
     def test_empty_scenario_is_inert(self):
@@ -109,11 +88,10 @@ class TestChaosScenario:
             partitions=(PartitionWindow(0.0, 0.25, starts_at=2.0, heals_at=6.0),),
             bursts=(CrashBurst(at=8.0, count=3),),
             flaps=(NodeFlap(first_down=10.0, period=4.0, cycles=2),),
-            ramps=(LossRamp(starts_at=1.0, ends_at=5.0, peak=0.3, steps=4),),
         )
-        # 2 partition switches + 3 crashes + 2*(down+up) + 4 set-points + reset.
-        assert scenario.install(sim, injector, service) == 2 + 3 + 4 + 5
-        assert sim.pending == 14
+        # 2 partition switches + 3 crashes + 2*(down+up).
+        assert scenario.install(sim, injector, service) == 2 + 3 + 4
+        assert sim.pending == 9
 
     def test_partition_arms_then_heals_at_declared_times(self, schema):
         service = self._service(schema)
@@ -130,19 +108,6 @@ class TestChaosScenario:
         sim.run_until(6.0)
         assert not injector.active
         assert injector.partitions == ()
-
-    def test_loss_ramp_drives_and_resets_the_injector(self, schema):
-        service = self._service(schema)
-        injector = FaultInjector(FaultPlan(loss_rate=0.05))
-        sim = Simulator()
-        scenario = ChaosScenario(
-            ramps=(LossRamp(starts_at=1.0, ends_at=5.0, peak=0.4, steps=4),)
-        )
-        scenario.install(sim, injector, service)
-        sim.run_until(4.5)
-        assert injector.loss_rate == 0.4
-        sim.run_until(5.0)
-        assert injector.loss_rate == 0.05  # plan rate restored
 
     def test_burst_and_flap_drive_seeded_churn(self, schema):
         service = self._service(schema)
@@ -165,24 +130,6 @@ class TestChaosScenario:
 
 
 class TestSlowEvents:
-    def test_slow_burst_validation_and_heal_time(self):
-        burst = SlowBurst(at=2.0, duration=4.0, fraction=0.2)
-        assert burst.heals_at == 6.0
-        with pytest.raises(ValueError):
-            SlowBurst(at=2.0, duration=0.0, fraction=0.2)
-        with pytest.raises(ValueError):
-            SlowBurst(at=2.0, duration=4.0, fraction=0.0)
-        with pytest.raises(ValueError):
-            SlowBurst(at=2.0, duration=4.0, fraction=0.2, multiplier=0.5)
-
-    def test_gray_window_validation(self):
-        with pytest.raises(ValueError):
-            GrayFailureWindow(starts_at=5.0, heals_at=5.0, fraction=0.1)
-        with pytest.raises(ValueError):
-            GrayFailureWindow(
-                starts_at=0.0, heals_at=1.0, fraction=0.1, intermittency=0.0
-            )
-
     def test_network_ids_linearize_cycloid(self):
         overlay = CycloidOverlay(3)
         overlay.build_full()
@@ -200,37 +147,3 @@ class TestSlowEvents:
 
     def test_zero_fraction_marks_nobody(self, full_ring):
         assert slow_victims(full_ring, 0.0) == []
-
-    def test_slow_timeline_marks_and_heals(self, schema):
-        service = MercuryService.build(6, 24, schema, seed=11, replication=2)
-        injector = FaultInjector(FaultPlan())
-        sim = Simulator()
-        scenario = ChaosScenario(
-            slow_bursts=(SlowBurst(at=1.0, duration=2.0, fraction=0.25, multiplier=8.0),),
-            gray_windows=(
-                GrayFailureWindow(
-                    starts_at=4.0, heals_at=6.0, fraction=0.125,
-                    multiplier=20.0, intermittency=0.6,
-                ),
-            ),
-        )
-        assert scenario.fault_times() == [1.0, 4.0]
-        assert scenario.heal_times() == [3.0, 6.0]
-        assert scenario.install(sim, injector, service) == 4
-        sim.run_until(1.0)
-        assert injector.active
-        marked = injector.slow_nodes
-        assert len(marked) == round(0.25 * service.ring.num_nodes)
-        assert all(spec == (8.0, 1.0) for spec in marked.values())
-        sim.run_until(3.0)
-        assert not injector.slow_nodes  # burst healed
-        sim.run_until(4.0)
-        gray = injector.slow_nodes
-        assert len(gray) == round(0.125 * service.ring.num_nodes)
-        assert all(spec == (20.0, 0.6) for spec in gray.values())
-        sim.run_until(6.0)
-        assert not injector.active
-
-    def test_gray_failure_scenario_shape(self):
-        assert GRAY_FAILURE_SCENARIO.fault_times() == [2.0, 8.0]
-        assert GRAY_FAILURE_SCENARIO.horizon() == 20.0

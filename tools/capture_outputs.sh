@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Capture every seeded, deterministic output of the `repro` CLI into DIR.
+#
+#   tools/capture_outputs.sh DIR
+#
+# Drives `python -m repro` under the caller's PYTHONPATH, so the one
+# script captures any checkout:
+#
+#   PYTHONPATH=/path/to/parent-clone/src tools/capture_outputs.sh /tmp/a
+#   PYTHONPATH=src                       tools/capture_outputs.sh /tmp/b
+#   diff -r /tmp/a /tmp/b      # empty = byte-identical vs parent
+#
+# Two runs of the same checkout are the determinism check CI makes.
+# Each command's stdout lands in DIR/<name>.stdout, its exit code in
+# DIR/exit_codes, its --out tree in DIR/<name>/.  stderr is dropped: it
+# carries only the "[scale, seed] done in 1.2s" progress lines.  The
+# wall-clock and memory readings of the `scale` figure and the timing half
+# of the bench report are stripped; everything left must not move under a
+# refactor.
+set -uo pipefail
+
+out=${1:?usage: tools/capture_outputs.sh DIR}
+mkdir -p "$out"
+out=$(cd "$out" && pwd)
+
+# capture NAME ARGS...: stdout + exit code of `repro ARGS...`.
+: >"$out/exit_codes"
+capture() {
+    local name=$1
+    shift
+    python -m repro "$@" >"$out/$name.stdout" 2>/dev/null
+    echo "$name $?" >>"$out/exit_codes"
+}
+
+capture list list
+capture check check --systems all --seed 0
+capture all all --scale smoke --out "$out/all"
+capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
+for gate in chaos durability tail hotspot tradeoff; do
+    capture "$gate" "$gate" --smoke --seed 0 --out "$out/$gate"
+done
+capture availability availability --scale smoke --out "$out/availability"
+
+# Traces: every system on its native substrate, flat LORM, one lossy replay.
+for format in tree jsonl chrome; do
+    for system in lorm mercury sword maan; do
+        capture "trace-$system.$format" trace --system "$system" --seed 0 --format "$format"
+    done
+    capture "trace-lorm-chord.$format" \
+        trace --system lorm --overlay chord --seed 0 --format "$format"
+    capture "trace-lorm-loss.$format" \
+        trace --system lorm --seed 0 --loss 0.1 --format "$format"
+done
+
+# Bench: one "<op> <checksum>" line per op; the timing half is wall-clock.
+bench=$(mktemp -d)
+python -m repro bench --smoke --seed 0 --out "$bench" >/dev/null 2>&1
+python - "$bench" >"$out/bench.checksums" <<'EOF'
+import glob, json, sys
+(report,) = glob.glob(sys.argv[1] + "/BENCH_*.json")
+for op in json.load(open(report))["ops"]:
+    print(op["name"], op["checksum"])
+EOF
+rm -rf "$bench"
+
+# The `scale` figure reports wall-clock and memory beside its seeded columns.
+rm -f "$out/all/scale_table.json"
+sed -i '/^note: n=[0-9]*: built in /d' "$out/all.stdout" "$out/all/scale.txt"
