@@ -20,8 +20,6 @@ Examples
     repro tradeoff --overlays singlehop record:f4 --out results/
     repro trace --system maan --overlay singlehop --format jsonl
     repro check --systems all --seed 0
-    repro bench --smoke --seed 0
-    repro bench compare benchmarks/baseline.json BENCH_20260805T120000Z.json
 
 Every sweep experiment is one :class:`Experiment` row in
 :data:`EXPERIMENTS` — name, help, runner, its flags and its verdict
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -130,6 +129,12 @@ _PARALLEL = Flag(
     "longer share service bundles, so total CPU rises while "
     "wall-clock drops; WORKERS defaults to the CPU count)",
 )
+
+
+def _workers(config: ExperimentConfig, workers: int) -> int:
+    """``--parallel [WORKERS]``: 0 (the bare flag) means the CPU count."""
+    require(workers >= 0, f"--parallel WORKERS must be >= 0, got {workers}")
+    return workers
 
 
 def _systems_flag(help_text: str) -> Flag:
@@ -297,7 +302,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                  "this many MB (peak RSS is reported alongside)"),
             Flag("--out", help="directory for CSV/text/JSON output"),
             Flag("--parallel", to="workers", nargs="?", type=int, const=0,
-                 metavar="WORKERS",
+                 metavar="WORKERS", resolve=_workers,
                  help="shard population points over worker processes (results are "
                  "identical to a serial run; WORKERS defaults to the CPU count)"),
         ),
@@ -309,24 +314,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
 # ----------------------------------------------------------------------
 # The other subcommands' flags
 # ----------------------------------------------------------------------
-_BENCH_FLAGS = (
-    Flag("--scale", choices=sorted(_SCALES), default="smoke",
-         help="paper = Section V parameters; smoke = laptop-fast (default)"),
-    _SMOKE,
-    _SEED,
-    Flag("--profile", choices=["micro", "macro", "figures", "all"], default="all",
-         help="op groups to time (default: all)"),
-    Flag("--repeats", type=int, help="override every op's timed repeat count"),
-    Flag("--out", default=".",
-         help="output JSON file, or a directory for BENCH_<timestamp>.json "
-         "(default: current directory)"),
-)
-_BENCH_COMPARE_FLAGS = (
-    Flag("baseline", help="baseline BENCH_*.json"),
-    Flag("current", help="current BENCH_*.json"),
-    Flag("--threshold", type=float, default=0.25,
-         help="relative p50 regression tolerance (default: 0.25 = +25%%)"),
-)
 _TRACE_FLAGS = (
     Flag("--system", required=True, choices=["lorm", "mercury", "sword", "maan"],
          help="which discovery system to trace"),
@@ -372,46 +359,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(smoke=False)  # for the subcommands without the alias
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(into, name: str, help_text: str, flags, handler) -> argparse.ArgumentParser:
-        p = into.add_parser(name, help=help_text)
+    def add(name: str, help_text: str, flags, handler) -> None:
+        p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(*flag.names, **flag.kwargs)
         # The subparser rides along so a handler's usage errors read
         # "repro <command>: error: ..." like argparse's own.
         p.set_defaults(handler=handler, subparser=p)
-        return p
 
-    add(sub, "list", "list available figures", (), _cmd_list)
+    add("list", "list available figures", (), _cmd_list)
     figures = Flag("figures", nargs="+", choices=sorted(FIGURES), metavar="FIGURE")
-    add(sub, "run", "run one or more figures",
+    add("run", "run one or more figures",
         (figures,) + _COMMON + (_PARALLEL,), _cmd_figures)
-    add(sub, "all", "run every figure", _COMMON + (_PARALLEL,), _cmd_figures)
+    add("all", "run every figure", _COMMON + (_PARALLEL,), _cmd_figures)
     for spec in EXPERIMENTS:
-        add(sub, spec.name, spec.help, spec.flags, partial(_run_experiment, spec=spec))
-    bench_p = add(
-        sub, "bench",
-        "wall-clock benchmark: time overlay/system hot paths into a "
-        "schema-versioned BENCH_<timestamp>.json, or compare two reports",
-        (), _cmd_bench,
-    )
-    # Declared before bench's own flags: usage lists `{compare}` first.
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=False)
-    for flag in _BENCH_FLAGS:
-        bench_p.add_argument(*flag.names, **flag.kwargs)
-    add(bench_sub, "compare",
-        "diff two BENCH_*.json reports; exits non-zero when any op "
-        "regresses beyond the threshold (calibration-normalised p50)",
-        _BENCH_COMPARE_FLAGS, _cmd_bench_compare)
-    add(sub, "trace",
+        add(spec.name, spec.help, spec.flags, partial(_run_experiment, spec=spec))
+    add("trace",
         "replay a seeded multi-attribute query with hop-level span "
         "tracing on and print the trace (tree, JSONL or Chrome "
         "trace_event JSON); deterministic for a given seed",
         _TRACE_FLAGS, _cmd_trace)
-    add(sub, "report", "assemble results/REPORT.md from existing artifacts",
+    add("report", "assemble results/REPORT.md from existing artifacts",
         (Flag("--out", default="results",
               help="results directory (default: results/)"),),
         _cmd_report)
-    add(sub, "check",
+    add("check",
         "differential/invariant correctness check (oracle replay + "
         "guarded churn storm); exits non-zero on any divergence",
         _CHECK_FLAGS, _cmd_check)
@@ -487,7 +459,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     """``run FIGURE...`` and ``all``: each figure saved as it finishes."""
-    config = _config_from(args, _COMMON)
+    try:
+        config = _config_from(args, _COMMON)
+        if args.parallel is not None:
+            _workers(config, args.parallel)
+    except ValueError as exc:
+        args.subparser.error(str(exc))
     figure_ids = args.figures if args.command == "run" else sorted(FIGURES)
     started = time.perf_counter()
     results: dict[str, Any] = {}
@@ -506,50 +483,19 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench
-
-    config = _config_from(args, _BENCH_FLAGS)
-    started = time.perf_counter()
-    bench_report = run_bench(
-        config,
-        scale=args.scale,
-        profile=args.profile,
-        repeats=args.repeats,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
-    print(bench_report.render())
-    path = bench_report.save(args.out)
-    elapsed = time.perf_counter() - started
-    print(
-        f"[{args.scale} scale, seed {config.seed}] benched in "
-        f"{elapsed:.1f}s -> {path}",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import compare_reports
-    from repro.bench.report import BenchReport
-
-    result = compare_reports(
-        BenchReport.load(args.baseline),
-        BenchReport.load(args.current),
-        threshold=args.threshold,
-    )
-    print(result.render())
-    return 0 if result.ok else 1
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
-    from repro.obs.replay import replay_queries
+    from repro.obs.replay import TRACE_CONFIG, replay_queries
     from repro.workloads.generator import QueryKind
 
     try:
         overlay = resolve_overlay(args.overlay) if args.overlay is not None else None
         require(0.0 <= args.loss < 1.0, f"--loss must be in [0, 1), got {args.loss}")
+        require(args.queries >= 1, f"--queries must be >= 1, got {args.queries}")
+        schema_size = TRACE_CONFIG.num_attributes
+        require(1 <= args.attributes <= schema_size,
+                f"--attributes must be in [1, {schema_size}], got {args.attributes}")
+        require(args.fanout >= 1, f"--fanout must be >= 1, got {args.fanout}")
     except ValueError as exc:
         args.subparser.error(str(exc))
     started = time.perf_counter()
@@ -590,6 +536,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.consolidate import write_report
 
+    if not os.path.isdir(args.out):
+        args.subparser.error(f"--out must be an existing directory, got {args.out!r}")
     path = write_report(args.out)
     print(f"wrote {path}")
     return 0
@@ -602,6 +550,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         systems = (
             ALL_SYSTEMS if "all" in args.systems else resolve_systems(args.systems)
         )
+        # An empty replay and storm would pass having checked nothing.
+        require(args.queries >= 1, f"--queries must be >= 1, got {args.queries}")
+        require(args.churn_events >= 0,
+                f"--churn-events must be >= 0, got {args.churn_events}")
     except ValueError as exc:
         args.subparser.error(str(exc))
     started = time.perf_counter()

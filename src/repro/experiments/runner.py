@@ -60,14 +60,12 @@ def run_figure(
     config: ExperimentConfig,
     *,
     save_dir: str | Path | None = None,
-    invariants: bool = False,
 ):
     """Run one figure; optionally persist CSV/text under ``save_dir``.
 
-    ``invariants=True`` (the CLI's ``--invariants`` flag) sets
-    ``config.validate_invariants``, so every churn event in the figure's
-    simulation is validated by a
-    :class:`~repro.sim.invariants.ChurnGuard` — a violation aborts the
+    With ``config.validate_invariants`` set (the CLI's ``--invariants``
+    flag), every churn event in the figure's simulation is validated by
+    a :class:`~repro.sim.invariants.ChurnGuard` — a violation aborts the
     run at the offending event instead of skewing the figure.
     """
     try:
@@ -76,8 +74,6 @@ def run_figure(
         raise KeyError(
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
         ) from None
-    if invariants and not config.validate_invariants:
-        config = config.scaled(validate_invariants=True)
     result = runner(config)
     if save_dir is not None:
         result.save(save_dir)
@@ -88,7 +84,6 @@ def run_all_figures(
     config: ExperimentConfig,
     *,
     save_dir: str | Path | None = None,
-    invariants: bool = False,
 ) -> dict[str, object]:
     """Run every figure, sharing expensive state where possible.
 
@@ -98,8 +93,6 @@ def run_all_figures(
     the moment it is computed, so an interrupted multi-hour paper-scale
     run keeps every finished figure on disk.
     """
-    if invariants and not config.validate_invariants:
-        config = config.scaled(validate_invariants=True)
     results: dict[str, object] = {}
 
     def emit(figure_id: str, result: object) -> None:
@@ -134,15 +127,10 @@ def run_all_figures(
 
 
 def _parallel_job(
-    figure_id: str,
-    config: ExperimentConfig,
-    save_dir: str | None,
-    invariants: bool,
+    figure_id: str, config: ExperimentConfig, save_dir: str | None
 ) -> tuple[str, object]:
     """Worker entry point (module-level so it pickles)."""
-    return figure_id, run_figure(
-        figure_id, config, save_dir=save_dir, invariants=invariants
-    )
+    return figure_id, run_figure(figure_id, config, save_dir=save_dir)
 
 
 def run_figures_parallel(
@@ -150,7 +138,6 @@ def run_figures_parallel(
     config: ExperimentConfig,
     *,
     save_dir: str | Path | None = None,
-    invariants: bool = False,
     max_workers: int | None = None,
 ) -> dict[str, object]:
     """Fan independent figure runs out over worker processes.
@@ -169,7 +156,7 @@ def run_figures_parallel(
     results: dict[str, object] = {}
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = [
-            pool.submit(_parallel_job, figure_id, config, save_arg, invariants)
+            pool.submit(_parallel_job, figure_id, config, save_arg)
             for figure_id in figure_ids
         ]
         for future in as_completed(futures):

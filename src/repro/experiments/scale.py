@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -28,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.models import AnalysisCurve
-from repro.bench.harness import max_rss_kb
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.overlay.arraystore import CompactChordRing
@@ -52,6 +52,17 @@ class ScalePoint:
     state_mb: float
     peak_tracemalloc_mb: float
     rss_max_mb: float | None
+
+
+def _max_rss_kb() -> int | None:
+    """Peak RSS of this process in KiB (None where unsupported)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS reports bytes.
+    return rss // 1024 if platform.system() == "Darwin" else rss
 
 
 def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
@@ -102,7 +113,7 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
     finally:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    rss = max_rss_kb()
+    rss = _max_rss_kb()
     return ScalePoint(
         num_nodes=num_nodes,
         bits=ring.bits,

@@ -364,20 +364,6 @@ PARENT_FLAGS = {
         (("--out",), "out", None, None, None, None),
         _PARALLEL,
     ],
-    "bench": [
-        (("--scale",), "scale", None, None, "smoke", _SCALE_CHOICES),
-        _SMOKE,
-        (("--seed",), "seed", "int", None, None, None),
-        (("--profile",), "profile", None, None, "all",
-         ("micro", "macro", "figures", "all")),
-        (("--repeats",), "repeats", "int", None, None, None),
-        (("--out",), "out", None, None, ".", None),
-    ],
-    "bench compare": [
-        ((), "baseline", None, None, None, None),
-        ((), "current", None, None, None, None),
-        (("--threshold",), "threshold", "float", None, 0.25, None),
-    ],
     "trace": [
         (("--system",), "system", None, None, None,
          ("lorm", "mercury", "sword", "maan")),
@@ -583,6 +569,17 @@ class TestBadInput:
             (["tail", "--smoke", "--fractions", "1.5"], "tail_slow_fractions"),
             (["hotspot", "--smoke", "--salts", "0"], "hotspot_salts"),
             (["trace", "--system", "lorm", "--loss", "1.5"], "--loss"),
+            (["trace", "--system", "lorm", "--queries", "0"], "--queries"),
+            (["trace", "--system", "lorm", "--attributes", "0"], "--attributes"),
+            (["trace", "--system", "lorm", "--attributes", "99"], "--attributes"),
+            (["trace", "--system", "sword", "--overlay", "record", "--fanout", "0"],
+             "--fanout"),
+            (["check", "--queries", "0", "--churn-events", "0"], "--queries"),
+            (["check", "--churn-events", "-5"], "--churn-events"),
+            (["run", "fig4a", "--parallel", "-1"], "--parallel"),
+            (["all", "--parallel", "-1"], "--parallel"),
+            (["scale", "--smoke", "--parallel", "-1"], "--parallel"),
+            (["report", "--out", "no/such/directory"], "--out"),
         ],
     )
     def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):

@@ -12,9 +12,14 @@ transcripts.  A divergence means a cache outlived its epoch.
 from __future__ import annotations
 
 import random
+from functools import partial
+
+import pytest
 
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.overlay.record import ReCordOverlay
+from repro.overlay.singlehop import SingleHopRing
 
 _STORM_EVENTS = 40
 _PROBES_PER_EVENT = 6
@@ -133,24 +138,36 @@ def _cycloid_storm(overlay: CycloidOverlay, seed: int) -> list:
     return transcript
 
 
+#: Every ring tier built on the Chord machinery shares its routing caches.
+_ring_tiers = pytest.mark.parametrize(
+    "ring_class",
+    [ChordRing, SingleHopRing, partial(ReCordOverlay, fanout=4, seed=7)],
+    ids=["chord", "singlehop", "record"],
+)
+
+
 class TestChordCacheEquivalence:
-    def _rings(self) -> tuple[ChordRing, ChordRing]:
+    def _rings(self, ring_class=ChordRing) -> tuple[ChordRing, ChordRing]:
         node_ids = random.Random(11).sample(range(128), 48)
-        cached = ChordRing(7, routing_cache=True)
+        cached = ring_class(7, routing_cache=True)
         cached.build(node_ids)
-        plain = ChordRing(7, routing_cache=False)
+        plain = ring_class(7, routing_cache=False)
         plain.build(node_ids)
         return cached, plain
 
-    def test_storm_transcripts_identical(self):
-        cached, plain = self._rings()
+    @_ring_tiers
+    def test_storm_transcripts_identical(self, ring_class):
+        cached, plain = self._rings(ring_class)
         assert _chord_storm(cached, seed=23) == _chord_storm(plain, seed=23)
 
-    def test_caches_actually_engage(self):
-        cached, plain = self._rings()
+    @_ring_tiers
+    def test_caches_actually_engage(self, ring_class):
+        cached, plain = self._rings(ring_class)
         _chord_storm(cached, seed=23)
         _chord_storm(plain, seed=23)
-        assert cached._succ_cache and cached._cpf_cache
+        assert cached._succ_cache
+        # Single-hop jumps to the believed owner: no finger scan to memoise.
+        assert bool(cached._cpf_cache) == (ring_class is not SingleHopRing)
         assert not plain._succ_cache and not plain._cpf_cache
 
     def test_invalidation_on_membership_change(self):

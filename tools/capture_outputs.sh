@@ -14,9 +14,8 @@
 # Each command's stdout lands in DIR/<name>.stdout, its exit code in
 # DIR/exit_codes, its --out tree in DIR/<name>/.  stderr is dropped: it
 # carries only the "[scale, seed] done in 1.2s" progress lines.  The
-# wall-clock and memory readings of the `scale` figure and the timing half
-# of the bench report are stripped; everything left must not move under a
-# refactor.
+# wall-clock and memory readings of the `scale` figure are stripped;
+# everything left must not move under a refactor.
 set -uo pipefail
 
 out=${1:?usage: tools/capture_outputs.sh DIR}
@@ -41,7 +40,8 @@ for gate in chaos durability tail hotspot tradeoff; do
 done
 capture availability availability --scale smoke --out "$out/availability"
 
-# Traces: every system on its native substrate, flat LORM, one lossy replay.
+# Traces: every system on its native substrate, flat LORM, one lossy replay,
+# and the single-hop and ReCord routing tiers hop by hop.
 for format in tree jsonl chrome; do
     for system in lorm mercury sword maan; do
         capture "trace-$system.$format" trace --system "$system" --seed 0 --format "$format"
@@ -50,18 +50,11 @@ for format in tree jsonl chrome; do
         trace --system lorm --overlay chord --seed 0 --format "$format"
     capture "trace-lorm-loss.$format" \
         trace --system lorm --seed 0 --loss 0.1 --format "$format"
+    capture "trace-maan-singlehop.$format" \
+        trace --system maan --overlay singlehop --seed 0 --format "$format"
+    capture "trace-sword-record.$format" \
+        trace --system sword --overlay record --fanout 4 --seed 0 --format "$format"
 done
-
-# Bench: one "<op> <checksum>" line per op; the timing half is wall-clock.
-bench=$(mktemp -d)
-python -m repro bench --smoke --seed 0 --out "$bench" >/dev/null 2>&1
-python - "$bench" >"$out/bench.checksums" <<'EOF'
-import glob, json, sys
-(report,) = glob.glob(sys.argv[1] + "/BENCH_*.json")
-for op in json.load(open(report))["ops"]:
-    print(op["name"], op["checksum"])
-EOF
-rm -rf "$bench"
 
 # The `scale` figure reports wall-clock and memory beside its seeded columns.
 rm -f "$out/all/scale_table.json"
