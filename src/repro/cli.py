@@ -44,12 +44,7 @@ from repro.experiments.config import PAPER_CONFIG, SMOKE_CONFIG, ExperimentConfi
 from repro.experiments.durability import DEFAULT_SCENARIOS, run_durability
 from repro.experiments.hotspot import run_hotspot
 from repro.experiments.recovery import run_chaos_demo
-from repro.experiments.runner import (
-    FIGURES,
-    run_all_figures,
-    run_figure,
-    run_figures_parallel,
-)
+from repro.experiments.runner import FIGURES, run_figures
 from repro.experiments.scale import run_scale
 from repro.experiments.tail import run_tail
 from repro.experiments.tradeoff import run_tradeoff, select_points
@@ -125,9 +120,8 @@ _COMMON = (
 )
 _PARALLEL = Flag(
     "--parallel", nargs="?", type=int, const=0, metavar="WORKERS",
-    help="fan figures out over worker processes (opt-in; figures no "
-    "longer share service bundles, so total CPU rises while "
-    "wall-clock drops; WORKERS defaults to the CPU count)",
+    help="fan figure runs out over worker processes (results are identical "
+    "to a serial run; WORKERS defaults to the CPU count)",
 )
 
 
@@ -452,8 +446,7 @@ def _run_experiment(args: argparse.Namespace, spec: Experiment) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     for figure_id in sorted(FIGURES):
-        doc = (FIGURES[figure_id].__doc__ or "").strip().splitlines()[0]
-        print(f"{figure_id:7s} {doc}")
+        print(f"{figure_id:7s} {dict(FIGURES[figure_id].panels)[figure_id]}")
     return 0
 
 
@@ -467,16 +460,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         args.subparser.error(str(exc))
     figure_ids = args.figures if args.command == "run" else sorted(FIGURES)
     started = time.perf_counter()
-    results: dict[str, Any] = {}
-    if args.parallel is not None:
-        results = run_figures_parallel(
-            figure_ids, config, save_dir=args.out, max_workers=args.parallel or None
-        )
-    elif args.command == "all":
-        results = run_all_figures(config, save_dir=args.out)
+    results = run_figures(figure_ids, config, save_dir=args.out, workers=args.parallel)
     for figure_id in figure_ids:
-        if figure_id not in results:
-            results[figure_id] = run_figure(figure_id, config, save_dir=args.out)
         print(results[figure_id].render())
         print()
     _report_done(args, config, "done", time.perf_counter() - started)

@@ -28,6 +28,9 @@ from repro.utils.seeding import SeedFactory
 
 __all__ = ["run_availability", "measure_completeness"]
 
+#: Fraction of nodes crashed before querying.
+CRASH_FRACTION = 0.05
+
 
 def measure_completeness(
     service,
@@ -72,7 +75,7 @@ def _crash_storm(bundle: ServiceBundle, config: ExperimentConfig) -> int:
     way periodic replica maintenance would in a live system, then a final
     stabilize + repair pass restores routing state and replica counts.
     """
-    crashes = max(1, round(config.availability_crash_fraction * config.population))
+    crashes = max(1, round(CRASH_FRACTION * config.population))
     repair_every = max(1, crashes // 4)
     for service in bundle.all():
         overlay = overlay_of(service)
@@ -125,7 +128,7 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
             )
     result.notes.append(
         f"{crashes} crash failures per overlay before querying "
-        f"({config.availability_crash_fraction:.0%} of n={config.population}); "
+        f"({CRASH_FRACTION:.0%} of n={config.population}); "
         "periodic + final replica repair and stabilization."
     )
     result.notes.append(

@@ -13,7 +13,6 @@ copy with the same *shape* for tests and quick runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from repro.utils.validation import require
@@ -45,8 +44,6 @@ class ExperimentConfig:
     num_churn_requests: int = 10000
     #: Figure 6: churn rates R (events/second per stream).
     churn_rates: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    #: Query arrival rate (req/s) in the churn experiment.
-    churn_query_rate: float = 10.0
     #: Expected hashed-span fraction of range queries (Theorem 4.9's
     #: average case corresponds to 0.25).
     mean_span_fraction: float = 0.25
@@ -64,22 +61,15 @@ class ExperimentConfig:
     availability_replications: tuple[int, ...] = (1, 2, 3)
     #: Availability experiment: multi-attribute queries per cell.
     num_availability_queries: int = 120
-    #: Availability experiment: fraction of nodes crashed before querying.
-    availability_crash_fraction: float = 0.05
     #: Recovery experiment: maintenance-round intervals (seconds) swept.
     maintenance_intervals: tuple[float, ...] = (2.0, 5.0, 10.0)
     #: Recovery experiment: background churn rates R layered under the
     #: chaos timeline (0.0 = faults only).
     recovery_churn_rates: tuple[float, ...] = (0.0, 0.1)
-    #: Recovery experiment: simulated horizon of one chaos trial (s).
-    recovery_horizon: float = 60.0
     #: Recovery experiment: health-sampling cadence (s).
     recovery_sample_interval: float = 2.0
     #: Recovery experiment: probe multi-attribute queries per sample.
     num_recovery_queries: int = 10
-    #: Recovery experiment: replication factor.  Must be >= 2 so crash
-    #: bursts leave surviving copies that witness the replica deficit.
-    recovery_replication: int = 2
     #: Scale experiment: populations swept on the compact array core
     #: (``repro scale``).  The paper stops at n=2048; these reach the
     #: 10^5–10^6 regime of the single-hop / ReCord literature.
@@ -104,8 +94,6 @@ class ExperimentConfig:
     tail_intermittency: float = 0.6
     #: Tail experiment: lognormal sigma of the base latency distribution.
     tail_sigma: float = 0.35
-    #: Tail experiment: attributes per measured query.
-    tail_query_attributes: int = 3
     #: Tail experiment: p99 response-time SLO (seconds) the defended
     #: policy must meet under gray failure.
     tail_slo_p99: float = 1.5
@@ -119,21 +107,8 @@ class ExperimentConfig:
     #: warm-up (dynamic replication needs one observed window before it
     #: can react) and is excluded from every cell's imbalance metrics.
     hotspot_windows: int = 4
-    #: Hotspot experiment: attributes per measured query.
-    hotspot_query_attributes: int = 2
     #: Hotspot experiment: salted roots per attribute (S).
     hotspot_salts: int = 4
-    #: Hotspot experiment: dynamic-replication trigger — an attribute is
-    #: hot when its window serve count exceeds this multiple of the mean
-    #: per-node load.
-    hotspot_trigger_ratio: float = 4.0
-    #: Hotspot experiment: replicas placed per hot directory.
-    hotspot_max_replicas: int = 3
-    #: Hotspot experiment: consecutive cold windows before replicas decay.
-    hotspot_decay_windows: int = 2
-    #: Hotspot experiment: value-level Zipf exponent (0 = uniform values,
-    #: the attribute-level sweep's default).
-    hotspot_value_s: float = 0.0
     #: Tradeoff experiment (``repro tradeoff``): measured multi-attribute
     #: queries per overlay × budget cell.
     tradeoff_queries: int = 200
@@ -211,16 +186,6 @@ class ExperimentConfig:
         """
         return self.dimension * (1 << self.dimension)
 
-    @property
-    def cycloid_nodes(self) -> int:
-        """Alias of :attr:`population` (Cycloid capacity ``d * 2**d``)."""
-        return self.population
-
-    @property
-    def log_n(self) -> float:
-        """``log2`` of the population."""
-        return math.log2(self.population)
-
     def schema(self) -> AttributeSchema:
         """The attribute schema this configuration implies."""
         return AttributeSchema.synthetic(
@@ -253,7 +218,6 @@ SMOKE_CONFIG = ExperimentConfig(
     num_availability_queries=40,
     maintenance_intervals=(2.0, 5.0),
     recovery_churn_rates=(0.0,),
-    recovery_horizon=60.0,
     num_recovery_queries=8,
     scale_sizes=(2048, 8192),
     scale_queries=200,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.experiments.common import build_services, query_cases
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.recovery import chaos_trial
+from repro.experiments.recovery import HORIZON, chaos_trial
 from repro.experiments.report import CellTable
 from repro.sim.chaos import CRASH_STORM_SCENARIO, DEMO_SCENARIO, ChaosScenario
 from repro.sim.durability import DEFAULT_POLICY_SPECS, DurabilityPolicy, parse_policy
@@ -143,7 +143,7 @@ def run_durability(
     interval = min(config.maintenance_intervals)
     result = DurabilityResult(config=config)
     for scenario in scenarios:
-        horizon = max(config.recovery_horizon, scenario.horizon() + 4 * interval)
+        horizon = max(HORIZON, scenario.horizon() + 4 * interval)
         for policy in policies:
             bundle = build_services(config, register=True, durability=policy)
             cases = query_cases(bundle, config.num_recovery_queries, "recovery")

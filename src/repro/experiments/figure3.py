@@ -25,7 +25,7 @@ from repro.overlay.cycloid import CycloidOverlay
 from repro.sim.metrics import summarize
 from repro.utils.seeding import SeedFactory
 
-__all__ = ["run_fig3a", "run_fig3b", "run_fig3c", "run_fig3d"]
+__all__ = ["run_fig3a", "run_fig3b", "run_fig3c", "run_fig3d", "run_fig3bcd"]
 
 
 def run_fig3a(config: ExperimentConfig) -> FigureResult:
@@ -175,3 +175,15 @@ def run_fig3d(
         f"n/(dm) = {balance:.2f} (Thm 4.5)"
     )
     return result
+
+
+def run_fig3bcd(
+    config: ExperimentConfig, bundle: ServiceBundle | None = None
+) -> tuple[DistributionResult, DistributionResult, DistributionResult]:
+    """The three directory-size panels from one loaded bundle."""
+    bundle = bundle if bundle is not None else build_services(config)
+    return (
+        run_fig3b(config, bundle),
+        run_fig3c(config, bundle),
+        run_fig3d(config, bundle),
+    )

@@ -19,7 +19,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.generator import QueryKind
 
-__all__ = ["run_fig4", "run_fig4a", "run_fig4b", "sweep_nonrange_hops"]
+__all__ = ["run_fig4", "sweep_nonrange_hops"]
 
 _APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 
@@ -106,13 +106,3 @@ def run_fig4(
         _build_results(config, samples, total=False),
         _build_results(config, samples, total=True),
     )
-
-
-def run_fig4a(config: ExperimentConfig, bundle: ServiceBundle | None = None) -> FigureResult:
-    """Figure 4(a): average hops per query vs attributes per query."""
-    return run_fig4(config, bundle)[0]
-
-
-def run_fig4b(config: ExperimentConfig, bundle: ServiceBundle | None = None) -> FigureResult:
-    """Figure 4(b): total hops vs attributes per query."""
-    return run_fig4(config, bundle)[1]

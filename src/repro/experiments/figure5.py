@@ -20,7 +20,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.generator import QueryKind
 
-__all__ = ["run_fig5", "run_fig5a", "run_fig5b", "sweep_range_visits"]
+__all__ = ["run_fig5", "sweep_range_visits"]
 
 _APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 
@@ -117,13 +117,3 @@ def run_fig5(
         f"SWORD m; LORM's measurement sits slightly below its analysis, as in the paper"
     )
     return panel_a, panel_b
-
-
-def run_fig5a(config: ExperimentConfig, bundle: ServiceBundle | None = None) -> FigureResult:
-    """Figure 5(a): system-wide range discovery (MAAN / Mercury)."""
-    return run_fig5(config, bundle)[0]
-
-
-def run_fig5b(config: ExperimentConfig, bundle: ServiceBundle | None = None) -> FigureResult:
-    """Figure 5(b): SWORD and LORM."""
-    return run_fig5(config, bundle)[1]

@@ -30,11 +30,13 @@ from repro.sim.engine import Simulator
 from repro.utils.seeding import SeedFactory
 from repro.workloads.generator import QueryKind
 
-__all__ = ["ChurnTrialResult", "run_churn_trial", "run_fig6", "run_fig6a", "run_fig6b"]
+__all__ = ["ChurnTrialResult", "run_churn_trial", "run_fig6"]
 
 _APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 #: Simulated seconds between periodic stabilization rounds.
 _STABILIZE_PERIOD = 30.0
+#: Query arrival rate (requests per simulated second).
+QUERY_RATE = 10.0
 
 
 class ChurnTrialResult(dict):
@@ -56,7 +58,7 @@ def run_churn_trial(
     Each approach runs its own event-driven simulation with an identically
     seeded churn stream: joins/leaves fire as Poisson events, a
     stabilization round runs every 30 simulated seconds, and queries are
-    issued at ``config.churn_query_rate``/s, alternating non-range (hops
+    issued at :data:`QUERY_RATE`/s, alternating non-range (hops
     metric) and range (visited-nodes metric).
     """
     bundle = build_services(config, seed_offset=int(rate * 1000))
@@ -67,7 +69,7 @@ def run_churn_trial(
     total_churn_events = 0
 
     num_queries = config.num_churn_requests
-    horizon = num_queries / config.churn_query_rate
+    horizon = num_queries / QUERY_RATE
     point_queries = list(
         bundle.workload.query_stream(
             (num_queries + 1) // 2, attributes_per_query, QueryKind.POINT,
@@ -112,7 +114,7 @@ def run_churn_trial(
                 sink.append(getattr(outcome, metric))
             return action
 
-        interval = 1.0 / config.churn_query_rate
+        interval = 1.0 / QUERY_RATE
         t = interval
         point_iter = iter(point_queries)
         range_iter = iter(range_queries)
@@ -206,13 +208,3 @@ def run_fig6(
         "Mercury and MAAN (and their analyses) overlap, as in the paper"
     )
     return panel_a, panel_b
-
-
-def run_fig6a(config: ExperimentConfig) -> FigureResult:
-    """Figure 6(a): hops under churn."""
-    return run_fig6(config)[0]
-
-
-def run_fig6b(config: ExperimentConfig) -> FigureResult:
-    """Figure 6(b): visited nodes under churn."""
-    return run_fig6(config)[1]

@@ -65,6 +65,23 @@ HEADLINE_SYSTEM = "SWORD"
 #: Required imbalance cut of the best mitigation at the headline s.
 REQUIRED_CUT = 2.0
 
+#: Attributes per measured query.
+QUERY_ATTRIBUTES = 2
+
+#: Dynamic-replication trigger — an attribute is hot when its window
+#: serve count exceeds this multiple of the mean per-node load.
+TRIGGER_RATIO = 4.0
+
+#: Replicas placed per hot directory.
+MAX_REPLICAS = 3
+
+#: Consecutive cold windows before replicas decay.
+DECAY_WINDOWS = 2
+
+#: Value-level Zipf exponent (0 = uniform values: the sweep skews
+#: attribute popularity only).
+VALUE_S = 0.0
+
 
 @dataclass(frozen=True)
 class HotspotCell:
@@ -193,7 +210,7 @@ def _skewed_workload(config: ExperimentConfig, s: float) -> GridWorkload:
         infos_per_attribute=config.infos_per_attribute,
         seed=config.seed,
         mean_span_fraction=config.mean_span_fraction,
-        popularity=ZipfPopularity(s=s, value_s=config.hotspot_value_s, seed=config.seed),
+        popularity=ZipfPopularity(s=s, value_s=VALUE_S, seed=config.seed),
     )
 
 
@@ -238,7 +255,7 @@ def _measure_cell(
     budget = MaintenanceBudget(
         stabilize_nodes=0,
         refresh_nodes=0,
-        repair_keys=config.infos_per_attribute * config.hotspot_max_replicas,
+        repair_keys=config.infos_per_attribute * MAX_REPLICAS,
     )
     population = service.num_nodes()
     per_window = len(queries) // config.hotspot_windows
@@ -318,7 +335,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
             queries = list(
                 workload.query_stream(
                     total,
-                    config.hotspot_query_attributes,
+                    QUERY_ATTRIBUTES,
                     QueryKind.RANGE,
                     label=f"hotspot:{s:g}",
                 )
@@ -332,9 +349,9 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
             replicator = DynamicReplicator(
                 base,
                 _directory_namespace(base),
-                trigger_ratio=config.hotspot_trigger_ratio,
-                max_replicas=config.hotspot_max_replicas,
-                decay_windows=config.hotspot_decay_windows,
+                trigger_ratio=TRIGGER_RATIO,
+                max_replicas=MAX_REPLICAS,
+                decay_windows=DECAY_WINDOWS,
             )
             base.attach_hot_replicator(replicator)
             try:
@@ -353,10 +370,10 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
     result.notes.append(
         f"{total} range queries/cell over {config.hotspot_windows} windows "
         f"(first = warm-up, excluded from imbalance); "
-        f"{config.hotspot_query_attributes} attributes/query; "
+        f"{QUERY_ATTRIBUTES} attributes/query; "
         f"salting S={config.hotspot_salts}; dynamic trigger "
-        f"{config.hotspot_trigger_ratio:g}x mean, {config.hotspot_max_replicas} "
-        f"replicas, decay after {config.hotspot_decay_windows} cold windows."
+        f"{TRIGGER_RATIO:g}x mean, {MAX_REPLICAS} "
+        f"replicas, decay after {DECAY_WINDOWS} cold windows."
     )
     result.notes.append(
         "LORM and Mercury spread directories by value hashing and run "

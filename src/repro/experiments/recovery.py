@@ -47,6 +47,14 @@ from repro.utils.seeding import SeedFactory
 
 __all__ = ["run_chaos_demo", "run_recovery", "ChaosDemoResult", "chaos_trial"]
 
+#: Simulated horizon of one chaos trial (s); a scenario that runs longer
+#: extends it.
+HORIZON = 60.0
+
+#: Replication factor.  Must be >= 2 so crash bursts leave surviving
+#: copies that witness the replica deficit.
+REPLICATION = 2
+
 
 def _availability_probe(service, cases: list[tuple]):
     """A probe closure: exact-answer fraction under the *current* faults.
@@ -198,7 +206,7 @@ def run_chaos_demo(
     *only* in maintenance), the same scenario installed on every service.
     """
     interval = min(config.maintenance_intervals)
-    horizon = max(config.recovery_horizon, scenario.horizon() + 4 * interval)
+    horizon = max(HORIZON, scenario.horizon() + 4 * interval)
     figure = FigureResult(
         figure_id="chaos",
         title=f"Lookup availability timeline under chaos ({scenario.name})",
@@ -208,9 +216,7 @@ def run_chaos_demo(
     result = ChaosDemoResult(figure=figure)
     for budget, into in ((DEFAULT_BUDGET, result.budgeted),
                          (ZERO_BUDGET, result.unbudgeted)):
-        bundle = build_services(
-            config, register=True, replication=config.recovery_replication
-        )
+        bundle = build_services(config, register=True, replication=REPLICATION)
         cases = query_cases(bundle, config.num_recovery_queries, "recovery")
         for service in bundle.all():
             tracker = chaos_trial(
@@ -237,7 +243,7 @@ def run_chaos_demo(
     fault_times = ", ".join(f"{t:g}s" for t in scenario.fault_times())
     figure.notes.append(
         f"scenario {scenario.name!r}: fault onsets at {fault_times}; "
-        f"replication={config.recovery_replication}, maintenance every "
+        f"replication={REPLICATION}, maintenance every "
         f"{interval:g}s at the default budget, horizon {horizon:g}s."
     )
     figure.notes.append(
@@ -264,7 +270,7 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
         y_label="Time to reconverge (s; horizon+ = never)",
     )
     horizon = max(
-        config.recovery_horizon,
+        HORIZON,
         scenario.horizon() + 4 * max(config.maintenance_intervals),
     )
     #: Plot-able stand-in for "never recovered within the horizon".
@@ -275,7 +281,7 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
         for interval in config.maintenance_intervals:
             bundle = build_services(
                 config, register=True,
-                replication=config.recovery_replication,
+                replication=REPLICATION,
                 seed_offset=int(churn_rate * 100),
             )
             cases = query_cases(bundle, config.num_recovery_queries, "recovery")
@@ -307,7 +313,7 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
             ))
     result.notes.append(
         f"Chaos scenario {scenario.name!r} under default per-round budgets; "
-        f"replication={config.recovery_replication}; horizon {horizon:g}s; "
+        f"replication={REPLICATION}; horizon {horizon:g}s; "
         f"cells that never reconverged are plotted at {never:g}s."
     )
     if stuck_cells:

@@ -64,6 +64,9 @@ MAX_HEDGE_OVERHEAD = 0.25
 #: Required p99 improvement of hedged over fixed at the headline fraction.
 HEADLINE_SPEEDUP = 2.0
 
+#: Attributes per measured query.
+QUERY_ATTRIBUTES = 3
+
 
 @dataclass(frozen=True)
 class TailCell:
@@ -266,7 +269,7 @@ def run_tail(
     total = config.tail_warmup + config.tail_queries
     queries = list(
         bundle.workload.query_stream(
-            total, config.tail_query_attributes, QueryKind.RANGE, label="tail"
+            total, QUERY_ATTRIBUTES, QueryKind.RANGE, label="tail"
         )
     )
     result = TailResult(config=config)

@@ -482,7 +482,25 @@ class TestFlagInventory:
         from repro.experiments.config import ExperimentConfig
 
         assert [spec.name for spec in cli.EXPERIMENTS] == list(VERDICT_WORDS)
-        assert len(dataclasses.fields(ExperimentConfig)) == 52
+        # A positive list: a knob that comes back, or a new one, fails here
+        # by name.  Single-valued knobs live beside their one reader as
+        # module constants (``tail.MAX_HEDGE_OVERHEAD`` style).
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "dimension", "chord_bits", "num_attributes", "infos_per_attribute",
+            "max_query_attributes", "num_requesters", "queries_per_requester",
+            "num_range_queries", "num_churn_requests", "churn_rates",
+            "mean_span_fraction", "lph_kind", "pareto_shape", "seed",
+            "fig3a_dimensions", "loss_rates", "availability_replications",
+            "num_availability_queries", "maintenance_intervals",
+            "recovery_churn_rates", "recovery_sample_interval",
+            "num_recovery_queries", "scale_sizes", "scale_queries",
+            "scale_churn_events", "tail_slow_fractions", "tail_queries",
+            "tail_warmup", "tail_slow_multiplier", "tail_intermittency",
+            "tail_sigma", "tail_slo_p99", "hotspot_zipf_s", "hotspot_queries",
+            "hotspot_windows", "hotspot_salts", "tradeoff_queries",
+            "tradeoff_churn_events", "tradeoff_fanouts", "tradeoff_budgets",
+            "validate_invariants", "trace",
+        ]  # 42
 
 
 @pytest.mark.parametrize("name", list(VERDICT_WORDS))

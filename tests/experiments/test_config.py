@@ -21,9 +21,8 @@ class TestPaperConfig:
         assert PAPER_CONFIG.churn_rates == (0.1, 0.2, 0.3, 0.4, 0.5)
 
     def test_derived_populations(self):
-        assert PAPER_CONFIG.cycloid_nodes == 2048
         assert PAPER_CONFIG.population == 2048
-        assert PAPER_CONFIG.log_n == pytest.approx(11.0)
+        assert math.log2(PAPER_CONFIG.population) == PAPER_CONFIG.chord_bits
 
     def test_fig4_query_volume(self):
         assert PAPER_CONFIG.num_requesters * PAPER_CONFIG.queries_per_requester == 1000
@@ -56,5 +55,5 @@ class TestSchema:
         assert len(SMOKE_CONFIG.schema()) == SMOKE_CONFIG.num_attributes
 
     def test_smoke_is_smaller_but_same_shape(self):
-        assert SMOKE_CONFIG.cycloid_nodes < PAPER_CONFIG.cycloid_nodes
+        assert SMOKE_CONFIG.population < PAPER_CONFIG.population
         assert SMOKE_CONFIG.population <= (1 << SMOKE_CONFIG.chord_bits)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.consolidate import build_report, write_report
+from repro.experiments.runner import FIGURES
 
 
 @pytest.fixture()
@@ -38,6 +39,18 @@ class TestBuildReport:
 
     def test_empty_directory(self, tmp_path):
         assert build_report(tmp_path) == []
+
+    def test_every_registered_figure_has_a_section(self, tmp_path):
+        """The inventory is the registry: no registered id is a leftover."""
+        for figure_id in FIGURES:
+            (tmp_path / f"{figure_id}.txt").write_text(f"{figure_id} body\n")
+        sections = {s.header: [a for a, _ in s.artifacts] for s in build_report(tmp_path)}
+        assert "Other artifacts" not in sections
+        assert sorted(a for ids in sections.values() for a in ids) == sorted(FIGURES)
+        assert sections["Figure 3 — maintenance overhead"] == [
+            "fig3a", "fig3b", "fig3c", "fig3d",
+        ]
+        assert {"availability", "recovery", "scale"} <= set(sections["Extension figures"])
 
 
 class TestWriteReport:

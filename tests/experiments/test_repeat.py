@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.experiments import figure4
 from repro.experiments.repeat import run_repeated
+from repro.experiments.runner import run_figure
+
+fig4a_runner = partial(run_figure, "fig4a")
 
 
 @pytest.fixture(scope="module")
 def repeated(tiny_config):
     cfg = tiny_config.scaled(max_query_attributes=2, num_requesters=4)
-    return run_repeated(figure4.run_fig4a, cfg, repeats=3)
+    return run_repeated(fig4a_runner, cfg, repeats=3)
 
 
 class TestRunRepeated:
@@ -46,10 +50,10 @@ class TestRunRepeated:
 
     def test_single_repeat_identity(self, tiny_config):
         cfg = tiny_config.scaled(max_query_attributes=1, num_requesters=3)
-        single = run_repeated(figure4.run_fig4a, cfg, repeats=1)
-        direct = figure4.run_fig4a(cfg)
+        single = run_repeated(fig4a_runner, cfg, repeats=1)
+        direct = fig4a_runner(cfg)
         assert single.mean_curve("LORM").y == direct.curve("LORM").y
 
     def test_invalid_repeats(self, tiny_config):
         with pytest.raises(ValueError):
-            run_repeated(figure4.run_fig4a, tiny_config, repeats=0)
+            run_repeated(fig4a_runner, tiny_config, repeats=0)

@@ -1,10 +1,28 @@
-"""Tests for the figure registry and runner."""
+"""Tests for the figure registry and the one figure loop."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import FIGURES, run_all_figures, run_figure
+from repro.experiments import runner
+from repro.experiments.runner import FIGURES, run_figure, run_figures
+
+
+@pytest.fixture(scope="module")
+def all_config(tiny_config):
+    return tiny_config.scaled(fig3a_dimensions=(3, 4))
+
+
+@pytest.fixture(scope="module")
+def serial_all(all_config, tmp_path_factory):
+    """Every figure, serially, saved — computed once for the module."""
+    save_dir = tmp_path_factory.mktemp("all")
+    return run_figures(sorted(FIGURES), all_config, save_dir=save_dir), save_dir
+
+
+def _rendered(figure_id: str, result) -> str:
+    # The scale figure's notes carry wall-clock and memory readings.
+    return result.to_csv() if figure_id == "scale" else result.render()
 
 
 class TestRegistry:
@@ -32,12 +50,67 @@ class TestRunFigure:
     def test_distribution_figure_saves_too(self, tiny_config, tmp_path):
         run_figure("fig3c", tiny_config, save_dir=tmp_path)
         assert (tmp_path / "fig3c.csv").exists()
+        # Only the panel asked for is persisted, not its run's siblings.
+        assert not (tmp_path / "fig3b.csv").exists()
 
 
 class TestRunAll:
-    def test_all_figures_produced_and_saved(self, tiny_config, tmp_path):
-        cfg = tiny_config.scaled(fig3a_dimensions=(3, 4))
-        results = run_all_figures(cfg, save_dir=tmp_path)
+    def test_all_figures_produced_and_saved(self, serial_all):
+        results, save_dir = serial_all
         assert set(results) == set(FIGURES)
         for figure_id in FIGURES:
-            assert (tmp_path / f"{figure_id}.csv").exists(), figure_id
+            assert (save_dir / f"{figure_id}.csv").exists(), figure_id
+
+
+class TestEntryPointIdentity:
+    """A figure has one output per (config, seed), whatever produced it."""
+
+    def test_parallel_renders_what_serial_renders(self, serial_all, all_config):
+        serial, _ = serial_all
+        parallel = run_figures(sorted(FIGURES), all_config, workers=2)
+        assert set(parallel) == set(FIGURES)
+        for figure_id in FIGURES:
+            assert _rendered(figure_id, parallel[figure_id]) == _rendered(
+                figure_id, serial[figure_id]
+            ), figure_id
+
+    # theorems / latency once rode a bundle that fig4 and fig5 had already
+    # queried inside `all`; fig5b / fig6b are second panels of a sweep.
+    @pytest.mark.parametrize("figure_id", ["theorems", "latency", "fig5b", "fig6b"])
+    def test_one_figure_renders_what_all_renders(self, figure_id, serial_all, all_config):
+        serial, _ = serial_all
+        assert run_figure(figure_id, all_config).render() == serial[figure_id].render()
+
+
+class TestRunOnce:
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize(
+        "figure_ids", [("fig6a", "fig6b"), ("fig3b", "fig3c", "fig3d")]
+    )
+    def test_panels_of_one_run_share_its_execution(
+        self, figure_ids, workers, tiny_config, tmp_path, monkeypatch
+    ):
+        run = FIGURES[figure_ids[0]]
+        calls = tmp_path / "calls"  # a file: the worker is another process
+
+        def counting(config):
+            with calls.open("a") as fh:
+                fh.write("call\n")
+            return tuple(f"result of {figure_id}" for figure_id, _ in run.panels)
+
+        monkeypatch.setattr(run, "runner", counting)
+        results = run_figures(figure_ids, tiny_config, workers=workers)
+        assert results == {i: f"result of {i}" for i in figure_ids}
+        assert calls.read_text() == "call\n"
+
+    def test_all_fans_out_one_job_per_run(self, tiny_config, monkeypatch):
+        submitted = []
+
+        def record(job, points, config, *, max_workers=None):
+            submitted.extend(points)
+            return [{} for _ in points]
+
+        monkeypatch.setattr(runner, "run_points_parallel", record)
+        run_figures(sorted(FIGURES), tiny_config, workers=2)
+        assert len(submitted) == 12  # not one per panel (17)
+        assert sorted(i for ids, _ in submitted for i in ids) == sorted(FIGURES)

@@ -1,15 +1,10 @@
-"""Incremental saving and the opt-in parallel figure runner."""
+"""Incremental saving and the opt-in parallel fan-out of ``run_figures``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figure4
-from repro.experiments.runner import (
-    run_all_figures,
-    run_figure,
-    run_figures_parallel,
-)
+from repro.experiments.runner import FIGURES, run_figure, run_figures
 
 
 class TestIncrementalSave:
@@ -19,10 +14,10 @@ class TestIncrementalSave:
         def explode(*args, **kwargs):
             raise RuntimeError("simulated mid-run crash")
 
-        monkeypatch.setattr(figure4, "run_fig4", explode)
+        monkeypatch.setattr(FIGURES["fig4a"], "runner", explode)
         cfg = tiny_config.scaled(fig3a_dimensions=(3, 4))
         with pytest.raises(RuntimeError, match="simulated mid-run crash"):
-            run_all_figures(cfg, save_dir=tmp_path)
+            run_figures(sorted(FIGURES), cfg, save_dir=tmp_path)
         # Everything computed before the crash is already on disk.
         for figure_id in ("fig3a", "fig3b", "fig3c", "fig3d"):
             assert (tmp_path / f"{figure_id}.csv").exists(), figure_id
@@ -32,21 +27,17 @@ class TestIncrementalSave:
 class TestParallelRunner:
     def test_results_identical_to_serial(self, tiny_config, tmp_path):
         serial = run_figure("fig4a", tiny_config)
-        parallel = run_figures_parallel(
-            ["fig4a"], tiny_config, save_dir=tmp_path, max_workers=1
-        )
+        parallel = run_figures(["fig4a"], tiny_config, save_dir=tmp_path, workers=1)
         assert set(parallel) == {"fig4a"}
         assert parallel["fig4a"].render() == serial.render()
         # Workers persist their own results as they finish.
         assert (tmp_path / "fig4a.csv").exists()
 
     def test_multiple_figures_fan_out(self, tiny_config):
-        results = run_figures_parallel(
-            ["fig4a", "fig5a"], tiny_config, max_workers=2
-        )
+        results = run_figures(["fig4a", "fig5a"], tiny_config, workers=2)
         assert set(results) == {"fig4a", "fig5a"}
         assert results["fig5a"].render() == run_figure("fig5a", tiny_config).render()
 
     def test_unknown_figure_rejected_before_spawning(self, tiny_config):
         with pytest.raises(KeyError, match="unknown figures"):
-            run_figures_parallel(["fig99"], tiny_config)
+            run_figures(["fig99"], tiny_config, workers=2)

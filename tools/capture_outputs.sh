@@ -16,6 +16,11 @@
 # carries only the "[scale, seed] done in 1.2s" progress lines.  The
 # wall-clock and memory readings of the `scale` figure are stripped;
 # everything left must not move under a refactor.
+#
+# `all` is captured twice, serially and with `--parallel 2`: the two --out
+# trees must be the same bytes (a figure has one output per seed, whatever
+# produced it).  The status of that `diff -r` is the last line of
+# DIR/exit_codes and this script's own exit status.
 set -uo pipefail
 
 out=${1:?usage: tools/capture_outputs.sh DIR}
@@ -34,6 +39,7 @@ capture() {
 capture list list
 capture check check --systems all --seed 0
 capture all all --scale smoke --out "$out/all"
+capture all-parallel all --scale smoke --parallel 2 --out "$out/all-parallel"
 capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
 for gate in chaos durability tail hotspot tradeoff; do
     capture "$gate" "$gate" --smoke --seed 0 --out "$out/$gate"
@@ -57,5 +63,13 @@ for format in tree jsonl chrome; do
 done
 
 # The `scale` figure reports wall-clock and memory beside its seeded columns.
-rm -f "$out/all/scale_table.json"
-sed -i '/^note: n=[0-9]*: built in /d' "$out/all.stdout" "$out/all/scale.txt"
+for run in all all-parallel; do
+    rm -f "$out/$run/scale_table.json"
+    sed -i '/^note: n=[0-9]*: built in /d' "$out/$run.stdout" "$out/$run/scale.txt"
+done
+
+# Serial == parallel, file for file.
+diff -r "$out/all" "$out/all-parallel" >&2
+status=$?
+echo "all-vs-all-parallel $status" >>"$out/exit_codes"
+exit $status
