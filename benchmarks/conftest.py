@@ -1,10 +1,17 @@
-"""Benchmark fixtures: paper-scale services, shared across figure benches.
+"""Paper-scale benches: the paper's shapes, asserted on the artifacts' own runs.
 
-Every bench runs at the paper's Section V scale (n = 2048, m = 200,
-k = 500) unless stated otherwise, regenerates one figure, writes its CSV
-and text rendering under ``results/``, and asserts the paper's qualitative
-shape.  ``pytest benchmarks/ --benchmark-only`` therefore both measures the
-harness and reproduces the evaluation.
+``python -m pytest benchmarks --ignore=benchmarks/e2e`` asserts the
+paper's shapes at paper scale (Section V: n = 2048, m = 200, k = 500),
+checks ``results/`` is current, and writes the nine ablation tables.
+
+Every registered figure comes from the one :func:`figures` fixture —
+``run_figures`` on ``PAPER_CONFIG``, the rows and the config behind
+``repro run <id> --scale paper --out results/`` — so a bench asserts on
+exactly what ``results/<id>.*`` holds and never writes it;
+``test_results_current.py`` compares the two byte for byte.  The tables
+that are not registered figures (``ablation_*.txt``,
+``failure_injection.txt``, ``registration_cost.txt``,
+``availability_loss.txt``) are written by their bench, their one producer.
 """
 
 from __future__ import annotations
@@ -13,11 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import ServiceBundle, build_services
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
+from repro.experiments.runner import FIGURES, run_figures
 
-#: Where figure outputs land (CSV + rendered text).
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+#: The registered figures ``results/`` holds: all but ``recovery`` (never
+#: committed) and ``scale`` (its notes are wall-clock and memory readings).
+COMMITTED_FIGURES = tuple(i for i in FIGURES if i not in ("recovery", "scale"))
 
 
 @pytest.fixture(scope="session")
@@ -27,21 +37,12 @@ def paper_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def paper_bundle(paper_config) -> ServiceBundle:
-    """All four services at paper scale, fully loaded (built once)."""
-    return build_services(paper_config)
+def figures(paper_config) -> dict:
+    """Every committed figure, each registry row executed once (~5 min)."""
+    return run_figures(COMMITTED_FIGURES, paper_config)
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    """Where the bench-owned tables land."""
     return RESULTS_DIR
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run a heavyweight experiment exactly once under the benchmark timer.
-
-    Figure sweeps are minutes-scale; pedantic single-round mode measures
-    them without pytest-benchmark's default multi-round calibration.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.lorm import LormService
 from repro.experiments.common import build_workload
 from repro.sim.metrics import summarize
@@ -36,8 +35,8 @@ def _measure(config):
     return stats
 
 
-def test_attr_placement_tail(benchmark, paper_config, results_dir):
-    stats = run_once(benchmark, _measure, paper_config)
+def test_attr_placement_tail(paper_config, results_dir):
+    stats = _measure(paper_config)
 
     d = paper_config.dimension
     table = render_table(

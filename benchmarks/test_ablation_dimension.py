@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.analysis import theorems
 from repro.core.lorm import LormService
 from repro.sim.metrics import summarize
@@ -51,8 +50,8 @@ def _sweep():
     return rows
 
 
-def test_dimension_tradeoff(benchmark, results_dir):
-    rows = run_once(benchmark, _sweep)
+def test_dimension_tradeoff(results_dir):
+    rows = _sweep()
 
     table = render_table(
         ["d", "nodes", "avg hops", "avg visited", "dir p99", "outlinks"],

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.experiments.common import build_services
 from repro.sim.metrics import summarize
 from repro.utils.formatting import render_table
@@ -35,8 +34,8 @@ def _build_both(config):
     }
 
 
-def test_lph_flavour_directory_balance(benchmark, ablation_config, results_dir):
-    bundles = run_once(benchmark, _build_both, ablation_config)
+def test_lph_flavour_directory_balance(ablation_config, results_dir):
+    bundles = _build_both(ablation_config)
 
     rows = []
     stats = {}

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.baselines.mercury import MercuryService
 from repro.baselines.mercury_pointers import PointerMercuryService
 from repro.core.resource import ResourceInfo
@@ -57,8 +56,8 @@ def _measure(setup):
     }
 
 
-def test_pointer_strategy_tradeoff(benchmark, setup, results_dir):
-    out = run_once(benchmark, _measure, setup)
+def test_pointer_strategy_tradeoff(setup, results_dir):
+    out = _measure(setup)
     wl = out["wl"]
     m = len(wl.schema)
 

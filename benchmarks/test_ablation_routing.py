@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.utils.formatting import render_table
 from repro.utils.seeding import SeedFactory
@@ -44,8 +43,8 @@ def _measure():
     return results
 
 
-def test_routing_mode_ablation(benchmark, results_dir):
-    results = run_once(benchmark, _measure)
+def test_routing_mode_ablation(results_dir):
+    results = _measure()
 
     table = render_table(
         ["mode", "mean hops", "p99", "max"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.experiments.common import build_services
 from repro.utils.formatting import render_table
 from repro.workloads.generator import QueryKind
@@ -42,8 +41,8 @@ def span_config(paper_config):
     )
 
 
-def test_span_scaling(benchmark, span_config, results_dir):
-    results = run_once(benchmark, _sweep, span_config)
+def test_span_scaling(span_config, results_dir):
+    results = _sweep(span_config)
 
     rows = [
         [span, vals["LORM"], vals["Mercury"], vals["SWORD"], vals["MAAN"]]

@@ -11,23 +11,20 @@ measured at 5% loss:
 * retries and failover disabled (``NO_RETRY_POLICY``), where every hop
   gambles on delivery and completeness measurably collapses.
 
-The benchmark also checks the accounting: at positive loss the injector
+The bench also checks the accounting: at positive loss the injector
 must actually drop messages and the retry counters must move, and every
 failed query must come back flagged ``complete=False`` — never as an
 exception, never silently wrong.
+
+That sweep runs at smoke scale and this bench is the one producer of its
+table, ``availability_loss.txt``; the registered ``availability`` figure
+(``results/availability.*``, paper scale) is asserted to the same shape.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import run_once
-from repro.experiments.availability import (
-    _crash_storm,
-    measure_completeness,
-    run_availability,
-)
-from repro.experiments.common import build_services, query_cases
+from repro.experiments.availability import _crash_storm, run_availability
+from repro.experiments.common import SYSTEM_NAMES, build_services, query_cases
 from repro.experiments.config import SMOKE_CONFIG
 from repro.sim.faults import NO_RETRY_POLICY, FaultInjector, FaultPlan
 from repro.sim.invariants import overlay_of
@@ -83,31 +80,45 @@ def _sweep():
     return figure, no_retry, dropped, flagged_ok, conserved
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    return _sweep()
+def _completeness(figure, name: str, r: int, loss: float) -> float:
+    curve = figure.curve(f"{name} r={r}")
+    return dict(zip(curve.x, curve.y))[loss]
 
 
-def test_availability_loss(benchmark, sweep, results_dir):
-    figure, no_retry, dropped, flagged_ok, conserved = run_once(benchmark, lambda: sweep)
-    figure.save(results_dir)
+def _assert_loss_is_masked(figure, loss_rates) -> None:
+    """The figure's shape, at whatever scale it was swept."""
+    for name in SYSTEM_NAMES:
+        # With retries + failover + replication, 5% loss is fully masked.
+        for r in (2, 3):
+            assert _completeness(figure, name, r, LOSS) >= 0.99, (name, r)
+        # Completeness is monotone in the replication factor at every loss.
+        for loss in loss_rates:
+            by_r = [_completeness(figure, name, r, loss) for r in (1, 2, 3)]
+            assert by_r == sorted(by_r), (name, loss, by_r)
+    # With the default retry/failover policy, 5% loss costs (almost) no
+    # completeness relative to the lossless network at the same replication.
+    for curve in figure.curves:
+        cells = dict(zip(curve.x, curve.y))
+        assert cells[LOSS] >= cells[0.0] - 0.02, (curve.name, cells)
 
-    def completeness(name: str, r: int, loss: float) -> float:
-        curve = figure.curve(f"{name} r={r}")
-        return dict(zip(curve.x, curve.y))[loss]
 
-    names = ("LORM", "Mercury", "SWORD", "MAAN")
+def test_availability_figure(paper_config, figures):
+    _assert_loss_is_masked(figures["availability"], paper_config.loss_rates)
+
+
+def test_availability_loss(results_dir):
+    figure, no_retry, dropped, flagged_ok, conserved = _sweep()
     rows = [
         [
             name,
-            completeness(name, 1, 0.0),
-            completeness(name, 1, LOSS),
+            _completeness(figure, name, 1, 0.0),
+            _completeness(figure, name, 1, LOSS),
             no_retry[name],
-            completeness(name, 2, LOSS),
-            completeness(name, 3, LOSS),
+            _completeness(figure, name, 2, LOSS),
+            _completeness(figure, name, 3, LOSS),
             dropped[name],
         ]
-        for name in names
+        for name in SYSTEM_NAMES
     ]
     table = render_table(
         [
@@ -124,17 +135,11 @@ def test_availability_loss(benchmark, sweep, results_dir):
     )
     (results_dir / "availability_loss.txt").write_text(table + "\n")
 
-    for name in names:
-        # With retries + failover + replication, 5% loss is fully masked.
-        for r in (2, 3):
-            assert completeness(name, r, LOSS) >= 0.99, (name, r)
-        # Completeness is monotone in the replication factor at every loss.
-        for loss in CONFIG.loss_rates:
-            by_r = [completeness(name, r, loss) for r in (1, 2, 3)]
-            assert by_r == sorted(by_r), (name, loss, by_r)
+    _assert_loss_is_masked(figure, CONFIG.loss_rates)
+    for name in SYSTEM_NAMES:
         # Stripping retries and failover measurably degrades r=1: at least
         # ten points of completeness lost versus the default policy.
-        assert no_retry[name] <= completeness(name, 1, LOSS) - 0.10, (
+        assert no_retry[name] <= _completeness(figure, name, 1, LOSS) - 0.10, (
             name,
             no_retry[name],
         )
@@ -146,12 +151,3 @@ def test_availability_loss(benchmark, sweep, results_dir):
         # maintenance message, or a drop — nothing uncounted.
         messages, accounted = conserved[name]
         assert messages == accounted, (name, messages, accounted)
-
-
-def test_default_policy_masks_loss(sweep):
-    """With the default retry/failover policy, 5% loss costs (almost) no
-    completeness relative to the lossless network at the same replication."""
-    figure, _, _, _, _ = sweep
-    for curve in figure.curves:
-        cells = dict(zip(curve.x, curve.y))
-        assert cells[LOSS] >= cells[0.0] - 0.02, (curve.name, cells)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.core.lorm import LormService
 from repro.utils.formatting import render_table
 from repro.workloads.attributes import AttributeSchema
@@ -61,20 +60,18 @@ def sweep():
     return [_availability(r) for r in REPLICATION_FACTORS]
 
 
-def test_failure_injection(benchmark, sweep, results_dir):
-    rows = run_once(benchmark, lambda: sweep)
-
+def test_failure_injection(sweep, results_dir):
     table = render_table(
         ["replication", "queries complete", "infos surviving", "nodes left"],
         [
             [r["replication"], r["complete_fraction"], r["surviving_fraction"], r["nodes_left"]]
-            for r in rows
+            for r in sweep
         ],
         title=f"Failure injection: {CRASHES} crashes, repair every {REPAIR_EVERY}",
     )
     (results_dir / "failure_injection.txt").write_text(table + "\n")
 
-    by_r = {r["replication"]: r for r in rows}
+    by_r = {r["replication"]: r for r in sweep}
     # Without replication a crash storm visibly loses data and answers.
     assert by_r[1]["surviving_fraction"] < 1.0
     assert by_r[1]["complete_fraction"] < 1.0

@@ -1,6 +1,6 @@
 """Figure 3 benches — maintenance overhead at paper scale.
 
-Regenerates all four panels and asserts the paper's claims:
+Asserts the paper's claims on all four panels:
 
 * 3(a): LORM's outlinks are constant (≤7) and at least m times below
   Mercury's (Theorem 4.1);
@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments import figure3
-
 
 class TestFig3a:
-    def test_fig3a(self, benchmark, paper_config, results_dir):
-        result = run_once(benchmark, figure3.run_fig3a, paper_config)
-        result.save(results_dir)
+    def test_fig3a(self, figures):
+        result = figures["fig3a"]
 
         lorm = result.curve("LORM")
         mercury = result.curve("Mercury")
@@ -37,9 +33,8 @@ class TestFig3a:
 
 
 class TestFig3bcd:
-    def test_fig3b(self, benchmark, paper_config, paper_bundle, results_dir):
-        result = run_once(benchmark, figure3.run_fig3b, paper_config, paper_bundle)
-        result.save(results_dir)
+    def test_fig3b(self, figures):
+        result = figures["fig3b"]
 
         maan, lorm = result.row("MAAN"), result.row("LORM")
         analysis = result.row("Analysis-LORM")
@@ -54,9 +49,8 @@ class TestFig3bcd:
         # tail sits ~d(1+m/n) = 8.78x above LORM's (Theorem 4.3).
         assert maan.p99 > 5 * lorm.p99
 
-    def test_fig3c(self, benchmark, paper_config, paper_bundle, results_dir):
-        result = run_once(benchmark, figure3.run_fig3c, paper_config, paper_bundle)
-        result.save(results_dir)
+    def test_fig3c(self, figures):
+        result = figures["fig3c"]
 
         sword, lorm = result.row("SWORD"), result.row("LORM")
         analysis = result.row("Analysis-LORM")
@@ -67,9 +61,8 @@ class TestFig3bcd:
         assert lorm.p99 == pytest.approx(analysis.p99, rel=1.0)
         assert lorm.p99 < sword.p99 / 3
 
-    def test_fig3d(self, benchmark, paper_config, paper_bundle, results_dir):
-        result = run_once(benchmark, figure3.run_fig3d, paper_config, paper_bundle)
-        result.save(results_dir)
+    def test_fig3d(self, figures):
+        result = figures["fig3d"]
 
         mercury, lorm = result.row("Mercury"), result.row("LORM")
         # Equal averages (Theorem 4.2)...

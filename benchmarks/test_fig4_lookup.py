@@ -9,19 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments import figure4
 
-
-@pytest.fixture(scope="module")
-def fig4_panels(paper_config, paper_bundle):
-    """Run the sweep once for both panels (shared)."""
-    return figure4.run_fig4(paper_config, paper_bundle)
-
-
-def test_fig4a(benchmark, paper_config, fig4_panels, results_dir):
-    avg = run_once(benchmark, lambda: fig4_panels[0])
-    avg.save(results_dir)
+def test_fig4a(figures):
+    avg = figures["fig4a"]
 
     n_attrs = avg.curve("MAAN").x
     maan, lorm = avg.curve("MAAN").y, avg.curve("LORM").y
@@ -41,9 +31,8 @@ def test_fig4a(benchmark, paper_config, fig4_panels, results_dir):
     assert maan[-1] == pytest.approx(maan[0] * n_attrs[-1], rel=0.05)
 
 
-def test_fig4b(benchmark, paper_config, fig4_panels, results_dir):
-    total = run_once(benchmark, lambda: fig4_panels[1])
-    total.save(results_dir)
+def test_fig4b(paper_config, figures):
+    total = figures["fig4b"]
 
     num_queries = paper_config.num_requesters * paper_config.queries_per_requester
     avg_first = total.curve("MAAN").y[0] / num_queries

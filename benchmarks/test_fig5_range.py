@@ -9,18 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments import figure5
 
-
-@pytest.fixture(scope="module")
-def fig5_panels(paper_config, paper_bundle):
-    return figure5.run_fig5(paper_config, paper_bundle)
-
-
-def test_fig5a(benchmark, paper_config, fig5_panels, results_dir):
-    panel = run_once(benchmark, lambda: fig5_panels[0])
-    panel.save(results_dir)
+def test_fig5a(paper_config, figures):
+    panel = figures["fig5a"]
 
     nq = paper_config.num_range_queries
     for name, analysis in (("MAAN", "Analysis-MAAN"), ("Mercury", "Analysis-Mercury")):
@@ -38,9 +29,8 @@ def test_fig5a(benchmark, paper_config, fig5_panels, results_dir):
         assert a >= b  # MAAN's extra attribute-root visit
 
 
-def test_fig5b(benchmark, paper_config, fig5_panels, results_dir):
-    panel = run_once(benchmark, lambda: fig5_panels[1])
-    panel.save(results_dir)
+def test_fig5b(paper_config, figures):
+    panel = figures["fig5b"]
 
     nq = paper_config.num_range_queries
     sword = panel.curve("SWORD")
@@ -56,10 +46,10 @@ def test_fig5b(benchmark, paper_config, fig5_panels, results_dir):
         assert lorm.y[i] - sword.y[i] <= nq * m * paper_config.dimension
 
 
-def test_fig5_headline_gap(fig5_panels, paper_config):
+def test_fig5_headline_gap(figures):
     """The paper's headline: system-wide approaches visit ~500x more nodes
     than LORM for range discovery."""
-    a, b = fig5_panels
+    a, b = figures["fig5a"], figures["fig5b"]
     mercury = a.curve("Mercury").y[0]
     lorm = b.curve("LORM").y[0]
     assert mercury / lorm > 100

@@ -14,18 +14,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.experiments import figure6
 
-
-@pytest.fixture(scope="module")
-def fig6_panels(paper_config):
-    return figure6.run_fig6(paper_config)
-
-
-def test_fig6a(benchmark, paper_config, fig6_panels, results_dir):
-    panel = run_once(benchmark, lambda: fig6_panels[0])
-    panel.save(results_dir)
+def test_fig6a(figures):
+    panel = figures["fig6a"]
 
     # "There were no failures in all test cases."
     assert any("no failures" in note for note in panel.notes), panel.notes
@@ -43,14 +34,14 @@ def test_fig6a(benchmark, paper_config, fig6_panels, results_dir):
         assert max(measured) - min(measured) < 0.2 * max(measured)
 
     # Ordering preserved under churn.
-    a = fig6_panels[0]
-    for i in range(len(a.curve("MAAN").x)):
-        assert a.curve("Mercury").y[i] < a.curve("LORM").y[i] < a.curve("MAAN").y[i]
+    for mercury, lorm, maan in zip(
+        panel.curve("Mercury").y, panel.curve("LORM").y, panel.curve("MAAN").y
+    ):
+        assert mercury < lorm < maan
 
 
-def test_fig6b(benchmark, paper_config, fig6_panels, results_dir):
-    panel = run_once(benchmark, lambda: fig6_panels[1])
-    panel.save(results_dir)
+def test_fig6b(paper_config, figures):
+    panel = figures["fig6b"]
 
     n, d = paper_config.population, paper_config.dimension
     mercury_level = 1 + n / 4

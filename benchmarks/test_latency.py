@@ -8,13 +8,9 @@ units.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments.latency import run_latency
 
-
-def test_latency_figure(benchmark, paper_config, paper_bundle, results_dir):
-    figure = run_once(benchmark, run_latency, paper_config, paper_bundle)
-    figure.save(results_dir)
+def test_latency_figure(figures):
+    figure = figures["latency"]
 
     lorm = figure.curve("LORM").y
     mercury = figure.curve("Mercury").y

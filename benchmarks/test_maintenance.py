@@ -7,14 +7,9 @@ of each other — Theorem 4.1's practical consequence in message units.
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments.maintenance import run_maintenance
 
-
-def test_maintenance_figure(benchmark, paper_config, results_dir):
-    config = paper_config.scaled(churn_rates=(0.1, 0.3, 0.5))
-    figure = run_once(benchmark, run_maintenance, config)
-    figure.save(results_dir)
+def test_maintenance_figure(figures):
+    figure = figures["maintenance"]
 
     mercury = figure.curve("Mercury").y
     sword = figure.curve("SWORD").y

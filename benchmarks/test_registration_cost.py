@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.analysis import theorems
 from repro.experiments.common import build_services
 from repro.utils.formatting import render_table
@@ -33,8 +32,8 @@ def _measure(config):
     return means
 
 
-def test_registration_cost(benchmark, paper_config, results_dir):
-    means = run_once(benchmark, _measure, paper_config)
+def test_registration_cost(paper_config, results_dir):
+    means = _measure(paper_config)
 
     table = render_table(
         ["approach", "avg hops per routed insert"],

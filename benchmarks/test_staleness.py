@@ -1,22 +1,14 @@
-"""Staleness extension figure at a representative scale.
+"""Staleness extension figure at paper scale.
 
 Provider churn makes unexpired directory entries lie; lease TTLs bound the
-lie.  Uses a quarter-scale grid (the dynamics are per-provider, so the
-result is scale-insensitive; the paper-scale bundle is not needed).
+lie.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_once
-from repro.experiments.staleness import run_staleness
 
-
-def test_staleness_figure(benchmark, paper_config, results_dir):
-    config = paper_config.scaled(
-        dimension=6, chord_bits=9, num_attributes=32, infos_per_attribute=64
-    )
-    figure = run_once(benchmark, run_staleness, config)
-    figure.save(results_dir)
+def test_staleness_figure(figures):
+    figure = figures["staleness"]
 
     leased = figure.curve("with expiry").y
     baseline = figure.curve("no expiry (baseline)").y[0]

@@ -8,13 +8,8 @@ n=2048, m=200, k=500, d=8.
 from __future__ import annotations
 
 
-from benchmarks.conftest import run_once
-from repro.experiments.theorem_table import run_theorem_table
-
-
-def test_theorem_table(benchmark, paper_config, paper_bundle, results_dir):
-    table = run_once(benchmark, run_theorem_table, paper_config, paper_bundle)
-    table.save(results_dir)
+def test_theorem_table(paper_config, figures):
+    table = figures["theorems"]
 
     # Exact identities.
     assert table.row("4.2").measured == 2.0

@@ -19,17 +19,21 @@ The package provides:
 * :mod:`repro.experiments` — regenerates every figure of the paper
   (Figures 3a–d, 4a–b, 5a–b, 6a–b).
 
-Quickstart::
+Quickstart — a toy-scale LORM grid, seeded end to end:
 
-    from repro import LormService, GridWorkload, ExperimentConfig
-
-    cfg = ExperimentConfig(dimension=8, num_attributes=20, infos_per_attribute=50)
-    service = LormService.build(cfg.dimension, seed=1)
-    workload = GridWorkload.from_config(cfg, seed=2)
-    for info in workload.resource_infos():
-        service.register(info)
-    result = service.multi_query(workload.sample_multi_query(num_attributes=3))
-    print(result.matches, result.visited_nodes)
+>>> from repro import ExperimentConfig, GridWorkload, LormService
+>>> cfg = ExperimentConfig(dimension=4, chord_bits=6, num_attributes=6,
+...                        infos_per_attribute=20, max_query_attributes=3)
+>>> service = LormService.build_full(cfg.dimension, cfg.schema(), seed=1)
+>>> workload = GridWorkload(schema=cfg.schema(),
+...                         infos_per_attribute=cfg.infos_per_attribute, seed=2)
+>>> routed_hops = service.register_all(workload.resource_infos())
+>>> query = workload.sample_multi_query(num_attributes=3)
+>>> result = service.multi_query(query)
+>>> sorted(result.providers), result.total_visited
+(['grid-node-00000', 'grid-node-00019'], 7)
+>>> result.providers == workload.matching_providers_bruteforce(query)
+True
 """
 
 from repro.baselines.base import DiscoveryService

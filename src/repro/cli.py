@@ -39,7 +39,7 @@ from functools import partial
 from typing import Any
 
 from repro.experiments.availability import run_availability
-from repro.experiments.common import resolve_overlay, resolve_systems
+from repro.experiments.common import SYSTEM_NAMES, resolve_overlay, resolve_systems
 from repro.experiments.config import PAPER_CONFIG, SMOKE_CONFIG, ExperimentConfig
 from repro.experiments.durability import DEFAULT_SCENARIOS, run_durability
 from repro.experiments.hotspot import run_hotspot
@@ -48,6 +48,7 @@ from repro.experiments.runner import FIGURES, run_figures
 from repro.experiments.scale import run_scale
 from repro.experiments.tail import run_tail
 from repro.experiments.tradeoff import run_tradeoff, select_points
+from repro.obs.replay import SYSTEMS, TRACE_CONFIG, replay_queries
 from repro.sim.durability import parse_policy
 from repro.utils.validation import require
 
@@ -135,13 +136,6 @@ def _systems_flag(help_text: str) -> Flag:
     return Flag("--systems", to="systems", nargs="+", metavar="SYSTEM",
                 resolve=lambda config, names: resolve_systems(names),
                 help=help_text)
-
-
-def _run_scale(config: ExperimentConfig, *, workers: int | None = None):
-    """``run_scale`` under the CLI's ``--parallel [WORKERS]`` convention."""
-    return run_scale(
-        config, parallel=workers is not None, max_workers=workers or None
-    )
 
 
 def _judge_scale(result, args: argparse.Namespace, elapsed: float) -> tuple[bool, str]:
@@ -277,7 +271,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "n-scaling sweep on the compact array core: hops and "
         "maintenance messages at 100k-1M nodes with wall-clock and peak "
         "memory per point; exits non-zero when a --budget is exceeded",
-        _run_scale,
+        run_scale,
         (
             Flag("--scale", choices=sorted(_SCALES), default="paper",
                  help="paper = 100k-1M nodes (default); smoke = small, CI-fast"),
@@ -309,7 +303,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
 # The other subcommands' flags
 # ----------------------------------------------------------------------
 _TRACE_FLAGS = (
-    Flag("--system", required=True, choices=["lorm", "mercury", "sword", "maan"],
+    Flag("--system", required=True, choices=SYSTEMS,
          help="which discovery system to trace"),
     Flag("--overlay", metavar="OVERLAY",
          help="routing substrate: chord, cycloid (LORM only), singlehop, "
@@ -470,7 +464,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import render_tree, traces_to_chrome, traces_to_jsonl
-    from repro.obs.replay import TRACE_CONFIG, replay_queries
     from repro.workloads.generator import QueryKind
 
     try:
@@ -529,11 +522,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.testing.differential import ALL_SYSTEMS, run_check
+    from repro.testing.differential import run_check
 
     try:
         systems = (
-            ALL_SYSTEMS if "all" in args.systems else resolve_systems(args.systems)
+            SYSTEM_NAMES if "all" in args.systems else resolve_systems(args.systems)
         )
         # An empty replay and storm would pass having checked nothing.
         require(args.queries >= 1, f"--queries must be >= 1, got {args.queries}")

@@ -5,48 +5,3 @@ by every discovery approach; :mod:`repro.core.lorm` implements LORM on
 Cycloid; :mod:`repro.core.join` is the database-like join the requester
 performs over per-attribute sub-query results.
 """
-
-from repro.core.join import join_on_provider
-from repro.core.resource import (
-    AttributeConstraint,
-    MultiAttributeQuery,
-    MultiQueryResult,
-    Query,
-    QueryResult,
-    ResourceInfo,
-)
-
-__all__ = [
-    "AttributeConstraint",
-    "join_on_provider",
-    "LormService",
-    "MultiAttributeQuery",
-    "MultiQueryResult",
-    "Query",
-    "QueryResult",
-    "ResourceInfo",
-]
-
-
-#: Lazily imported members: these modules depend on repro.baselines.base
-#: (for the DiscoveryService ABC), which itself uses the resource/join
-#: modules of this package — a cycle if resolved at package-import time.
-_LAZY = {
-    "LormService": ("repro.core.lorm", "LormService"),
-    "Ontology": ("repro.core.semantic", "Ontology"),
-    "SemanticResolver": ("repro.core.semantic", "SemanticResolver"),
-    "RefreshManager": ("repro.core.refresh", "RefreshManager"),
-    "Lease": ("repro.core.refresh", "Lease"),
-}
-
-__all__ += ["Lease", "Ontology", "RefreshManager", "SemanticResolver"]
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -8,7 +8,8 @@ requesters × 10 queries over 1–10 attributes; Figure 5 uses 1000 range
 queries; Figure 6 uses 10000 requests under churn rates R = 0.1 … 0.5.
 
 ``PAPER_CONFIG`` encodes those numbers; ``SMOKE_CONFIG`` is a scaled-down
-copy with the same *shape* for tests and quick runs.
+copy with the same *shape* for tests and quick runs, ``CHECK_CONFIG`` the
+smaller one behind ``repro check`` and ``repro trace``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from repro.utils.validation import require
 from repro.workloads.attributes import AttributeSchema
 
-__all__ = ["ExperimentConfig", "PAPER_CONFIG", "SMOKE_CONFIG"]
+__all__ = ["ExperimentConfig", "PAPER_CONFIG", "SMOKE_CONFIG", "CHECK_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -228,4 +229,15 @@ SMOKE_CONFIG = ExperimentConfig(
     tradeoff_queries=60,
     tradeoff_churn_events=16,
     tradeoff_fanouts=(1, 4, 16),
+)
+
+#: Scale of ``repro check`` and (with ``trace=True``) ``repro trace``: big
+#: enough for a sparse ring, several-hop lookups, range walks over several
+#: nodes and replica repair; small enough for sub-second builds.
+CHECK_CONFIG = SMOKE_CONFIG.scaled(
+    dimension=4,
+    chord_bits=7,
+    num_attributes=8,
+    infos_per_attribute=25,
+    max_query_attributes=3,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis import theorems
 from repro.analysis.models import AnalysisCurve, derive_curve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import DistributionResult, FigureResult
 from repro.overlay.chord import ChordRing
@@ -25,7 +25,7 @@ from repro.overlay.cycloid import CycloidOverlay
 from repro.sim.metrics import summarize
 from repro.utils.seeding import SeedFactory
 
-__all__ = ["run_fig3a", "run_fig3b", "run_fig3c", "run_fig3d", "run_fig3bcd"]
+__all__ = ["run_fig3a", "run_fig3bcd"]
 
 
 def run_fig3a(config: ExperimentConfig) -> FigureResult:
@@ -78,19 +78,8 @@ def run_fig3a(config: ExperimentConfig) -> FigureResult:
     return result
 
 
-def _directory_summaries(bundle: ServiceBundle) -> dict[str, object]:
-    return {
-        service.name: summarize(service.directory_sizes())
-        for service in bundle.all()
-    }
-
-
-def run_fig3b(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> DistributionResult:
+def _fig3b(config: ExperimentConfig, stats: dict) -> DistributionResult:
     """Directory sizes: MAAN vs LORM (Figure 3(b))."""
-    bundle = bundle if bundle is not None else build_services(config)
-    stats = _directory_summaries(bundle)
     n, m, d = config.population, config.num_attributes, config.dimension
     pct_factor = theorems.thm43_directory_reduction_vs_maan(n, m, d)
     avg_factor = theorems.thm42_total_info_ratio_maan()
@@ -116,12 +105,8 @@ def run_fig3b(
     return result
 
 
-def run_fig3c(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> DistributionResult:
+def _fig3c(config: ExperimentConfig, stats: dict) -> DistributionResult:
     """Directory sizes: SWORD vs LORM (Figure 3(c))."""
-    bundle = bundle if bundle is not None else build_services(config)
-    stats = _directory_summaries(bundle)
     d = config.dimension
 
     result = DistributionResult(
@@ -144,12 +129,8 @@ def run_fig3c(
     return result
 
 
-def run_fig3d(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> DistributionResult:
+def _fig3d(config: ExperimentConfig, stats: dict) -> DistributionResult:
     """Directory sizes: Mercury vs LORM (Figure 3(d))."""
-    bundle = bundle if bundle is not None else build_services(config)
-    stats = _directory_summaries(bundle)
     n, m, d = config.population, config.num_attributes, config.dimension
     balance = theorems.thm45_balance_ratio_mercury_vs_lorm(n, m, d)
 
@@ -178,12 +159,12 @@ def run_fig3d(
 
 
 def run_fig3bcd(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
+    config: ExperimentConfig,
 ) -> tuple[DistributionResult, DistributionResult, DistributionResult]:
-    """The three directory-size panels from one loaded bundle."""
-    bundle = bundle if bundle is not None else build_services(config)
-    return (
-        run_fig3b(config, bundle),
-        run_fig3c(config, bundle),
-        run_fig3d(config, bundle),
-    )
+    """The three directory-size panels from one loaded bundle's
+    per-approach directory-size summaries."""
+    stats = {
+        service.name: summarize(service.directory_sizes())
+        for service in build_services(config).all()
+    }
+    return _fig3b(config, stats), _fig3c(config, stats), _fig3d(config, stats)

@@ -14,28 +14,24 @@ import numpy as np
 
 from repro.analysis import theorems
 from repro.analysis.models import AnalysisCurve, derive_curve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import SYSTEM_NAMES, build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.generator import QueryKind
 
 __all__ = ["run_fig4", "sweep_nonrange_hops"]
 
-_APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 
-
-def sweep_nonrange_hops(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> dict[str, dict[int, list[int]]]:
+def sweep_nonrange_hops(config: ExperimentConfig) -> dict[str, dict[int, list[int]]]:
     """Per-approach, per-attribute-count samples of total query hops.
 
     Returns ``{approach: {m_query: [total hops of each query]}}`` for
     ``m_query`` in ``1..max_query_attributes``.
     """
-    bundle = bundle if bundle is not None else build_services(config)
+    bundle = build_services(config)
     num_queries = config.num_requesters * config.queries_per_requester
     samples: dict[str, dict[int, list[int]]] = {
-        name: {} for name in _APPROACHES
+        name: {} for name in SYSTEM_NAMES
     }
     for m_query in range(1, config.max_query_attributes + 1):
         queries = list(
@@ -68,7 +64,7 @@ def _build_results(
         y_label="total hops" if total else "average hops",
     )
     curves: dict[str, AnalysisCurve] = {}
-    for name in _APPROACHES:
+    for name in SYSTEM_NAMES:
         ys = tuple(reduce_fn(samples[name][int(m)]) for m in xs)
         curves[name] = AnalysisCurve(name, xs, ys)
     # Plot order mirrors the paper: MAAN worst, then LORM, then
@@ -97,11 +93,9 @@ def _build_results(
     return result
 
 
-def run_fig4(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> tuple[FigureResult, FigureResult]:
+def run_fig4(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:
     """Both panels of Figure 4 from one query sweep."""
-    samples = sweep_nonrange_hops(config, bundle)
+    samples = sweep_nonrange_hops(config)
     return (
         _build_results(config, samples, total=False),
         _build_results(config, samples, total=True),

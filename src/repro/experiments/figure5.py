@@ -15,39 +15,30 @@ import numpy as np
 
 from repro.analysis import theorems
 from repro.analysis.models import AnalysisCurve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import SYSTEM_NAMES, build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.generator import QueryKind
 
 __all__ = ["run_fig5", "sweep_range_visits"]
 
-_APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 
-
-def sweep_range_visits(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> dict[str, dict[int, list[int]]]:
+def sweep_range_visits(config: ExperimentConfig) -> dict[str, dict[int, list[int]]]:
     """Per-approach, per-attribute-count samples of visited nodes per query."""
-    bundle = bundle if bundle is not None else build_services(config)
+    bundle = build_services(config)
     bundle.set_collect_matches(False)  # accounting-only: the metric is visits
-    try:
-        samples: dict[str, dict[int, list[int]]] = {
-            name: {} for name in _APPROACHES
-        }
-        for m_query in range(1, config.max_query_attributes + 1):
-            queries = list(
-                bundle.workload.query_stream(
-                    config.num_range_queries, m_query, QueryKind.RANGE, label="fig5"
-                )
+    samples: dict[str, dict[int, list[int]]] = {name: {} for name in SYSTEM_NAMES}
+    for m_query in range(1, config.max_query_attributes + 1):
+        queries = list(
+            bundle.workload.query_stream(
+                config.num_range_queries, m_query, QueryKind.RANGE, label="fig5"
             )
-            for service in bundle.all():
-                samples[service.name][m_query] = [
-                    service.multi_query(q).total_visited for q in queries
-                ]
-        return samples
-    finally:
-        bundle.set_collect_matches(True)
+        )
+        for service in bundle.all():
+            samples[service.name][m_query] = [
+                service.multi_query(q).total_visited for q in queries
+            ]
+    return samples
 
 
 def _measured_curves(
@@ -58,7 +49,7 @@ def _measured_curves(
         name: AnalysisCurve(
             name, xs, tuple(float(np.sum(samples[name][int(m)])) for m in xs)
         )
-        for name in _APPROACHES
+        for name in SYSTEM_NAMES
     }
     return xs, curves
 
@@ -78,11 +69,9 @@ def _analysis_curve(
     return AnalysisCurve(name, xs, ys, derived_from="Theorem 4.9")
 
 
-def run_fig5(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> tuple[FigureResult, FigureResult]:
+def run_fig5(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:
     """Both panels of Figure 5 from one range-query sweep."""
-    samples = sweep_range_visits(config, bundle)
+    samples = sweep_range_visits(config)
     xs, curves = _measured_curves(samples)
     nq = config.num_range_queries
 

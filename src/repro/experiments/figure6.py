@@ -32,11 +32,13 @@ from repro.workloads.generator import QueryKind
 
 __all__ = ["ChurnTrialResult", "run_churn_trial", "run_fig6"]
 
-_APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 #: Simulated seconds between periodic stabilization rounds.
 _STABILIZE_PERIOD = 30.0
 #: Query arrival rate (requests per simulated second).
 QUERY_RATE = 10.0
+#: Attributes per request: the analysis lines are the theorems'
+#: per-attribute values.
+_ATTRIBUTES_PER_QUERY = 1
 
 
 class ChurnTrialResult(dict):
@@ -47,12 +49,7 @@ class ChurnTrialResult(dict):
     churn_events: int = 0
 
 
-def run_churn_trial(
-    config: ExperimentConfig,
-    rate: float,
-    *,
-    attributes_per_query: int = 1,
-) -> ChurnTrialResult:
+def run_churn_trial(config: ExperimentConfig, rate: float) -> ChurnTrialResult:
     """Simulate one churn rate across all four approaches.
 
     Each approach runs its own event-driven simulation with an identically
@@ -72,13 +69,13 @@ def run_churn_trial(
     horizon = num_queries / QUERY_RATE
     point_queries = list(
         bundle.workload.query_stream(
-            (num_queries + 1) // 2, attributes_per_query, QueryKind.POINT,
+            (num_queries + 1) // 2, _ATTRIBUTES_PER_QUERY, QueryKind.POINT,
             label=f"fig6-point:{rate}",
         )
     )
     range_queries = list(
         bundle.workload.query_stream(
-            num_queries // 2, attributes_per_query, QueryKind.RANGE,
+            num_queries // 2, _ATTRIBUTES_PER_QUERY, QueryKind.RANGE,
             label=f"fig6-range:{rate}",
         )
     )
@@ -134,24 +131,18 @@ def run_churn_trial(
             float(np.mean(range_visits)) if range_visits else float("nan"),
         )
 
-    bundle.set_collect_matches(True)
     result.failures = total_failures
     result.churn_events = total_churn_events
     return result
 
 
-def run_fig6(
-    config: ExperimentConfig, *, attributes_per_query: int = 1
-) -> tuple[FigureResult, FigureResult]:
+def run_fig6(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:
     """Both panels of Figure 6 across ``config.churn_rates``."""
     rates = tuple(float(r) for r in config.churn_rates)
-    trials = {
-        rate: run_churn_trial(config, rate, attributes_per_query=attributes_per_query)
-        for rate in rates
-    }
+    trials = {rate: run_churn_trial(config, rate) for rate in rates}
     total_failures = sum(t.failures for t in trials.values())
 
-    n, d, mq = config.population, config.dimension, attributes_per_query
+    n, d, mq = config.population, config.dimension, _ATTRIBUTES_PER_QUERY
 
     panel_a = FigureResult(
         figure_id="fig6a",

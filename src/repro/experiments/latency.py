@@ -16,33 +16,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.models import AnalysisCurve
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import SYSTEM_NAMES, build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
-from repro.sim.latency import ConstantLatency, LatencyModel, critical_path_latency
+from repro.sim.latency import ConstantLatency, critical_path_latency
 from repro.workloads.generator import QueryKind
 
 __all__ = ["run_latency"]
 
-_APPROACHES = ("LORM", "Mercury", "SWORD", "MAAN")
 
-
-def run_latency(
-    config: ExperimentConfig,
-    bundle: ServiceBundle | None = None,
-    model: LatencyModel | None = None,
-) -> FigureResult:
+def run_latency(config: ExperimentConfig) -> FigureResult:
     """Mean simulated response latency of range queries vs attribute count."""
-    bundle = bundle if bundle is not None else build_services(config)
+    bundle = build_services(config)
     bundle.set_collect_matches(False)
-    hop_latency = bundle.lorm.overlay.network.hop_latency
-    if model is None:
-        # The seed's model — under it critical_path_latency reproduces
-        # ``latency_hops × hop_latency`` byte-for-byte.
-        model = ConstantLatency(hop_latency)
+    # Under a constant model critical_path_latency is exactly
+    # ``latency_hops × hop_latency``.
+    model = ConstantLatency(bundle.lorm.overlay.network.hop_latency)
 
     xs = tuple(float(m) for m in range(1, config.max_query_attributes + 1))
-    mean_latency: dict[str, list[float]] = {name: [] for name in _APPROACHES}
+    mean_latency: dict[str, list[float]] = {name: [] for name in SYSTEM_NAMES}
     for m_query in range(1, config.max_query_attributes + 1):
         queries = list(
             bundle.workload.query_stream(
@@ -60,7 +52,6 @@ def run_latency(
                 for q in queries
             ]
             mean_latency[service.name].append(float(np.mean(samples)))
-    bundle.set_collect_matches(True)
 
     result = FigureResult(
         figure_id="latency",

@@ -196,15 +196,13 @@ class ChaosDemoResult:
         return path
 
 
-def run_chaos_demo(
-    config: ExperimentConfig,
-    scenario: ChaosScenario = DEMO_SCENARIO,
-) -> ChaosDemoResult:
+def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
     """The seeded acceptance demo over all four systems.
 
     One bundle per budget regime (identical seeds, so the two runs differ
     *only* in maintenance), the same scenario installed on every service.
     """
+    scenario = DEMO_SCENARIO
     interval = min(config.maintenance_intervals)
     horizon = max(HORIZON, scenario.horizon() + 4 * interval)
     figure = FigureResult(

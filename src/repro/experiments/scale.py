@@ -181,22 +181,22 @@ class ScaleResult(FigureResult):
         return csv_path
 
 
-def run_scale(
-    config: ExperimentConfig,
-    *,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> ScaleResult:
-    """Hops and maintenance cost vs population n on the compact core."""
+def run_scale(config: ExperimentConfig, *, workers: int | None = None) -> ScaleResult:
+    """Hops and maintenance cost vs population n on the compact core.
+
+    ``workers`` shards the population points over processes under
+    :func:`~repro.experiments.runner.run_figures`' convention: ``None``
+    serial, 0 = the CPU count.
+    """
     sizes = [int(n) for n in config.scale_sizes]
-    if parallel:
+    if workers is None:
+        points = [scale_point(config, n) for n in sizes]
+    else:
         from repro.experiments.runner import run_points_parallel
 
         points = run_points_parallel(
-            scale_point, sizes, config, max_workers=max_workers
+            scale_point, sizes, config, max_workers=workers or None
         )
-    else:
-        points = [scale_point(config, n) for n in sizes]
 
     xs = tuple(float(p.num_nodes) for p in points)
     result = ScaleResult(

@@ -39,6 +39,11 @@ _QUERY_RATE = 5.0
 _DURATION = 200.0
 #: Expiry sweep period.
 _EXPIRY_PERIOD = 1.0
+#: Lease TTLs swept (simulated seconds).
+_TTLS = (7.5, 15.0, 30.0, 60.0)
+#: Share of the providers that departs over a run, whatever the scale —
+#: so the baseline staleness is scale-independent.
+_DEPARTED_SHARE = 0.4
 
 
 def staleness_trial(
@@ -140,26 +145,15 @@ def staleness_trial(
     }
 
 
-def run_staleness(
-    config: ExperimentConfig,
-    ttls: tuple[float, ...] = (7.5, 15.0, 30.0, 60.0),
-    *,
-    departure_rate: float | None = None,
-) -> FigureResult:
-    """Stale-answer fraction vs lease TTL, with the no-expiry baseline.
-
-    ``departure_rate`` defaults to losing roughly 40% of the providers over
-    the run, so the baseline staleness is scale-independent.
-    """
-    if departure_rate is None:
-        departure_rate = 0.4 * config.infos_per_attribute / _DURATION
+def run_staleness(config: ExperimentConfig) -> FigureResult:
+    """Stale-answer fraction vs lease TTL, with the no-expiry baseline."""
+    departure_rate = _DEPARTED_SHARE * config.infos_per_attribute / _DURATION
     trials = {
         ttl: staleness_trial(config, ttl, departure_rate=departure_rate)
-        for ttl in ttls
+        for ttl in _TTLS
     }
     baseline = staleness_trial(config, None, departure_rate=departure_rate)
 
-    xs = tuple(float(t) for t in ttls)
     result = FigureResult(
         figure_id="staleness",
         title="Stale answers vs lease TTL (provider churn, LORM)",
@@ -168,18 +162,18 @@ def run_staleness(
     )
     result.add(
         AnalysisCurve(
-            "with expiry", xs, tuple(trials[t]["stale_fraction"] for t in ttls)
+            "with expiry", _TTLS, tuple(trials[t]["stale_fraction"] for t in _TTLS)
         )
     )
     result.add(
         AnalysisCurve(
             "no expiry (baseline)",
-            xs,
-            tuple(baseline["stale_fraction"] for _ in ttls),
+            _TTLS,
+            tuple(baseline["stale_fraction"] for _ in _TTLS),
         )
     )
     result.notes.append(
         f"departed share by end of run: {baseline['departed_share']:.0%}; "
-        f"renewal messages per trial ~{trials[xs[0]]['renewals']:.0f}"
+        f"renewal messages per trial ~{trials[_TTLS[0]]['renewals']:.0f}"
     )
     return result

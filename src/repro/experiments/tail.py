@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import CellTable
 from repro.sim.chaos import slow_victims
@@ -254,9 +254,7 @@ def _measure_cell(
     )
 
 
-def run_tail(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> TailResult:
+def run_tail(config: ExperimentConfig) -> TailResult:
     """Sweep system × slow-node fraction × requester policy.
 
     One shared bundle (queries don't mutate the overlays); per cell a
@@ -264,7 +262,7 @@ def run_tail(
     cell of one system replays the identical ``(query, entry-node)``
     pairs, so policies are compared on exactly the same work.
     """
-    bundle = bundle if bundle is not None else build_services(config)
+    bundle = build_services(config)
     bundle.set_collect_matches(False)
     total = config.tail_warmup + config.tail_queries
     queries = list(
@@ -282,7 +280,6 @@ def run_tail(
                     service, queries, starts, config,
                     fraction, policy_name, policy,
                 ))
-    bundle.set_collect_matches(True)
     result.notes.append(
         f"lognormal latency, median {bundle.lorm.overlay.network.hop_latency * 1000:.0f} "
         f"ms/hop, sigma {config.tail_sigma:g}; gray nodes x{config.tail_slow_multiplier:g} "

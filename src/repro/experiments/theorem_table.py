@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import theorems
-from repro.experiments.common import ServiceBundle, build_services
+from repro.experiments.common import build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import with_notes, write_result
 from repro.utils.formatting import render_table
@@ -82,11 +82,9 @@ class TheoremTable:
         return write_result(directory, self.figure_id, self.to_csv(), self.render())
 
 
-def run_theorem_table(
-    config: ExperimentConfig, bundle: ServiceBundle | None = None
-) -> TheoremTable:
+def run_theorem_table(config: ExperimentConfig) -> TheoremTable:
     """Measure every theorem's constant on one loaded bundle."""
-    bundle = bundle if bundle is not None else build_services(config)
+    bundle = build_services(config)
     wl = bundle.workload
     n, m, d = config.population, config.num_attributes, config.dimension
     table = TheoremTable(
@@ -158,13 +156,12 @@ def run_theorem_table(
     ))
 
     # ---- Theorem 4.9: average-case visited nodes -------------------------
-    bundle.set_collect_matches(False)
+    bundle.set_collect_matches(False)  # visits only, from here to the end
     range_queries = list(wl.query_stream(300, 1, QueryKind.RANGE, label="thm-table-r"))
     visit_means = {
         s.name: float(np.mean([s.multi_query(q).total_visited for q in range_queries]))
         for s in bundle.all()
     }
-    bundle.set_collect_matches(True)
     for approach in ("Mercury", "MAAN", "LORM", "SWORD"):
         table.rows.append(TheoremRow(
             "4.9", f"{approach} visited/range query",
@@ -177,9 +174,7 @@ def run_theorem_table(
 
     spec = wl.schema.specs[0]
     full_q = Query(AttributeConstraint.between(spec.name, spec.lo, spec.hi))
-    bundle.set_collect_matches(False)
     worst = {s.name: s.query(full_q).visited_nodes for s in bundle.all()}
-    bundle.set_collect_matches(True)
     table.rows.append(TheoremRow(
         "4.10", "Mercury worst-case visited (~n)",
         predicted=float(n), measured=float(worst["Mercury"]),

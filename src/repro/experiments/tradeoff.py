@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import build_services, resolve_systems
+from repro.experiments.common import SYSTEM_NAMES, build_services, resolve_systems
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import CellTable
 from repro.obs.spans import QueryTracer, SpanKind
@@ -290,7 +290,7 @@ def run_tradeoff(
     every ReCord point at unlimited budget, so restricted sweeps report
     ``ok=False`` unless those survive.
     """
-    systems = resolve_systems(systems) if systems else ("LORM", "Mercury", "SWORD", "MAAN")
+    systems = resolve_systems(systems) if systems else SYSTEM_NAMES
     points = select_points(config, overlays)
     result = TradeoffResult(config=config, systems=systems)
     hop_rtt = 0.0

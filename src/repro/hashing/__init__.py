@@ -9,17 +9,3 @@ map attribute *values* onto an ID space while preserving order, which is
 what makes successor-walk range queries correct (MAAN's construction, also
 used by Mercury hubs and by LORM's cyclic-index dimension).
 """
-
-from repro.hashing.consistent import ConsistentHash
-from repro.hashing.locality import (
-    CdfLocalityHash,
-    LinearLocalityHash,
-    LocalityPreservingHash,
-)
-
-__all__ = [
-    "CdfLocalityHash",
-    "ConsistentHash",
-    "LinearLocalityHash",
-    "LocalityPreservingHash",
-]

@@ -11,36 +11,18 @@ traces and the CI byte-identity check rely on.
 
 from __future__ import annotations
 
-from repro.baselines.maan import MaanService
-from repro.baselines.mercury import MercuryService
-from repro.baselines.sword import SwordService
-from repro.core.lorm import LormService
-from repro.experiments.common import build_service, build_workload
-from repro.experiments.config import SMOKE_CONFIG, ExperimentConfig
+from repro.experiments.common import SYSTEM_NAMES, build_service, build_workload
+from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
 from repro.obs.spans import QueryTracer
-from repro.utils.validation import require
 from repro.workloads.generator import GridWorkload, QueryKind
 
 __all__ = ["TRACE_CONFIG", "SYSTEMS", "build_traced_service", "replay_queries"]
 
-#: Replay scale: small enough for sub-second builds, big enough that
-#: lookups take several hops and range walks visit several nodes.
-TRACE_CONFIG = SMOKE_CONFIG.scaled(
-    dimension=4,
-    chord_bits=7,
-    num_attributes=8,
-    infos_per_attribute=25,
-    max_query_attributes=3,
-    trace=True,
-)
+#: Replay scale: the differential harness's, with tracing on.
+TRACE_CONFIG = CHECK_CONFIG.scaled(trace=True)
 
-#: CLI system slug -> service class.
-SYSTEMS = {
-    "lorm": LormService,
-    "mercury": MercuryService,
-    "sword": SwordService,
-    "maan": MaanService,
-}
+#: The ``repro trace --system`` slugs.
+SYSTEMS = tuple(name.lower() for name in SYSTEM_NAMES)
 
 
 def build_traced_service(
@@ -61,12 +43,10 @@ def build_traced_service(
     system's native substrate, byte-identical to earlier releases.
     Returns ``(service, workload, tracer)``.
     """
-    slug = system.lower()
-    require(slug in SYSTEMS, f"unknown system {system!r}; pick one of {sorted(SYSTEMS)}")
     config = config if config is not None else TRACE_CONFIG
     workload: GridWorkload = build_workload(config)
     service = build_service(
-        config, slug, workload=workload,
+        config, system, workload=workload,
         overlay=overlay, fanout=fanout, replication=replication,
     )
     if tracer is None:

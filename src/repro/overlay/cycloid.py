@@ -12,7 +12,7 @@ pair of indices ``(k, a)``:
 Each node maintains the seven-entry constant-degree routing table of the
 Cycloid paper:
 
-==================  =============================================when=====
+==================  ========================================================
 entry               target
 ==================  ========================================================
 cubical neighbour   ``((k-1) mod d,  a XOR 2**((k-1) mod d))`` — flips the

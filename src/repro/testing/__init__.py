@@ -7,8 +7,6 @@ the experiment runner's ``--invariants`` flag) relies on.
 """
 
 from repro.testing.differential import (
-    ALL_SYSTEMS,
-    CHECK_CONFIG,
     CheckReport,
     DifferentialReport,
     Divergence,
@@ -18,8 +16,6 @@ from repro.testing.differential import (
 from repro.testing.traces import TraceBoundViolation, assert_trace_bounds
 
 __all__ = [
-    "ALL_SYSTEMS",
-    "CHECK_CONFIG",
     "CheckReport",
     "DifferentialReport",
     "Divergence",

@@ -37,8 +37,8 @@ import numpy as np
 
 from repro.analysis.theorems import nonrange_query_hops_avg
 from repro.core.resource import ResourceInfo
-from repro.experiments.common import ServiceBundle, build_services
-from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
+from repro.experiments.common import SYSTEM_NAMES, ServiceBundle, build_services
+from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
 from repro.sim.durability import parse_policy
 from repro.sim.invariants import (
     InvariantViolation,
@@ -49,8 +49,6 @@ from repro.sim.invariants import (
 from repro.workloads.generator import QueryKind
 
 __all__ = [
-    "ALL_SYSTEMS",
-    "CHECK_CONFIG",
     "OVERLAY_LEGS",
     "CheckReport",
     "DifferentialReport",
@@ -58,19 +56,6 @@ __all__ = [
     "run_check",
     "run_differential",
 ]
-
-#: Report order, matching the rest of the harness.
-ALL_SYSTEMS = ("LORM", "Mercury", "SWORD", "MAAN")
-
-#: Scale for ``repro check``: big enough to exercise a sparse ring, range
-#: walks and replica repair; small enough for a few seconds in CI.
-CHECK_CONFIG = SMOKE_CONFIG.scaled(
-    dimension=4,
-    chord_bits=7,
-    num_attributes=8,
-    infos_per_attribute=25,
-    max_query_attributes=3,
-)
 
 #: Mean point-query hops may exceed the theorem average by this factor
 #: before the harness flags it (small populations are noisy).
@@ -180,7 +165,7 @@ def _query_mix(workload, num_queries: int, config: ExperimentConfig, label: str)
 def run_differential(
     config: ExperimentConfig | None = None,
     *,
-    systems: tuple[str, ...] = ALL_SYSTEMS,
+    systems: tuple[str, ...] = SYSTEM_NAMES,
     seed: int | None = None,
     num_queries: int = 60,
     churn_ops: tuple[str, ...] = (),
@@ -396,77 +381,49 @@ def _churn_storm(
 
 @dataclass
 class CheckReport:
-    """Outcome of ``repro check``: replay + graceful churn + churn storms
-    (the default successor-replication storm plus one per non-default
-    durability policy)."""
+    """Outcome of ``repro check``: its legs, in report order.
 
-    fault_free: DifferentialReport
-    graceful: DifferentialReport
-    storm_divergences: list[Divergence]
-    storm_events: int
-    #: (policy name, divergences, guarded events) per extra policy storm.
-    policy_storms: list[tuple[str, list[Divergence], int]] = field(
-        default_factory=list
-    )
-    #: Per alternative routing tier: its fault-free differential replay.
-    overlay_replays: list[tuple[str, DifferentialReport]] = field(
-        default_factory=list
-    )
-    #: (overlay name, divergences, guarded events) per overlay storm.
-    overlay_storms: list[tuple[str, list[Divergence], int]] = field(
-        default_factory=list
-    )
+    A leg is ``(section title, outcome)``; the outcome of a differential
+    replay is its :class:`DifferentialReport`, that of a guarded churn
+    storm its ``(divergences, guarded events)``.
+    """
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.fault_free.ok
-            and self.graceful.ok
-            and not self.storm_divergences
-            and all(not divs for _, divs, _ in self.policy_storms)
-            and all(report.ok for _, report in self.overlay_replays)
-            and all(not divs for _, divs, _ in self.overlay_storms)
-        )
+    legs: list[tuple[str, DifferentialReport | tuple[list[Divergence], int]]]
 
     @property
     def divergences(self) -> list[Divergence]:
-        return (
-            list(self.fault_free.divergences)
-            + list(self.graceful.divergences)
-            + list(self.storm_divergences)
-            + [d for _, divs, _ in self.policy_storms for d in divs]
-            + [d for _, report in self.overlay_replays for d in report.divergences]
-            + [d for _, divs, _ in self.overlay_storms for d in divs]
+        found: list[Divergence] = []
+        for _, outcome in self.legs:
+            if isinstance(outcome, DifferentialReport):
+                found += outcome.divergences
+            else:
+                found += outcome[0]
+        return found
+
+    @property
+    def ok(self) -> bool:
+        return not self.divergences
+
+    @property
+    def storm_events(self) -> int:
+        """Guarded events of the first (successor-replication) churn storm."""
+        return next(
+            outcome[1]
+            for _, outcome in self.legs
+            if not isinstance(outcome, DifferentialReport)
         )
 
     def render(self) -> str:
-        lines = ["== fault-free differential replay =="]
-        lines.append(self.fault_free.render())
-        lines.append("== graceful-churn differential replay ==")
-        lines.append(self.graceful.render())
-        lines.append(
-            f"== churn storm (replication 2): {self.storm_events} guarded "
-            f"events =="
-        )
-        if self.storm_divergences:
-            lines.extend(f"  !! {d.render()}" for d in self.storm_divergences)
-        else:
-            lines.append("  all invariants held")
-        for name, divs, events in self.policy_storms:
-            lines.append(f"== churn storm ({name}): {events} guarded events ==")
-            if divs:
-                lines.extend(f"  !! {d.render()}" for d in divs)
-            else:
-                lines.append("  all invariants held")
-        for name, report in self.overlay_replays:
-            lines.append(f"== fault-free differential replay (overlay {name}) ==")
-            lines.append(report.render())
-        for name, divs, events in self.overlay_storms:
-            lines.append(
-                f"== churn storm (overlay {name}): {events} guarded events =="
-            )
-            if divs:
-                lines.extend(f"  !! {d.render()}" for d in divs)
+        lines = []
+        for title, outcome in self.legs:
+            if isinstance(outcome, DifferentialReport):
+                lines.append(f"== {title} ==")
+                lines.append(outcome.render())
+                continue
+            divergences, events = outcome
+            lines.append(f"== {title}: {events} guarded events ==")
+            if divergences:
+                lines.extend(f"  !! {d.render()}" for d in divergences)
             else:
                 lines.append("  all invariants held")
         lines.append(f"result: {'OK' if self.ok else 'DIVERGED'}")
@@ -476,60 +433,48 @@ class CheckReport:
 def run_check(
     config: ExperimentConfig | None = None,
     *,
-    systems: tuple[str, ...] = ALL_SYSTEMS,
+    systems: tuple[str, ...] = SYSTEM_NAMES,
     seed: int = 0,
     num_queries: int = 45,
     churn_events: int = 40,
 ) -> CheckReport:
     """The full correctness check behind ``repro check``."""
     config = config if config is not None else CHECK_CONFIG
-    fault_free = run_differential(
-        config, systems=systems, seed=seed, num_queries=num_queries,
-        label="check-fault-free",
-    )
     rng = np.random.default_rng(seed + 1)
     graceful_ops = tuple(
         _GRACEFUL_OPS[int(i)]
         for i in rng.integers(0, len(_GRACEFUL_OPS), size=max(1, churn_events // 2))
     )
-    graceful = run_differential(
-        config, systems=systems, seed=seed, num_queries=max(1, num_queries // 3),
-        churn_ops=graceful_ops, label="check-graceful",
-    )
-    storm_divergences, storm_events = _churn_storm(
-        config.scaled(seed=config.seed + seed), systems, churn_events, seed
-    )
-    policy_storms = []
-    for spec in ("symmetric:2", "erasure:2+1"):
-        divs, events = _churn_storm(
-            config.scaled(seed=config.seed + seed), systems, churn_events, seed,
-            durability=parse_policy(spec),
+    storm_config = config.scaled(seed=config.seed + seed)
+    third = max(1, num_queries // 3)
+
+    def replay(label: str, count: int, **kwargs):
+        return run_differential(
+            config, systems=systems, seed=seed, num_queries=count,
+            label=label, **kwargs,
         )
-        policy_storms.append((spec, divs, events))
-    overlay_replays = []
-    overlay_storms = []
-    for overlay in OVERLAY_LEGS:
-        overlay_replays.append(
-            (
-                overlay,
-                run_differential(
-                    config, systems=systems, seed=seed,
-                    num_queries=max(1, num_queries // 3),
-                    label=f"check-{overlay}", overlay=overlay,
-                ),
-            )
-        )
-        divs, events = _churn_storm(
-            config.scaled(seed=config.seed + seed), systems, churn_events, seed,
-            overlay=overlay,
-        )
-        overlay_storms.append((overlay, divs, events))
-    return CheckReport(
-        fault_free=fault_free,
-        graceful=graceful,
-        storm_divergences=storm_divergences,
-        storm_events=storm_events,
-        policy_storms=policy_storms,
-        overlay_replays=overlay_replays,
-        overlay_storms=overlay_storms,
-    )
+
+    def storm(**kwargs):
+        return _churn_storm(storm_config, systems, churn_events, seed, **kwargs)
+
+    legs = [
+        ("fault-free differential replay",
+         replay("check-fault-free", num_queries)),
+        ("graceful-churn differential replay",
+         replay("check-graceful", third, churn_ops=graceful_ops)),
+        ("churn storm (replication 2)", storm()),
+    ]
+    legs += [
+        (f"churn storm ({spec})", storm(durability=parse_policy(spec)))
+        for spec in ("symmetric:2", "erasure:2+1")
+    ]
+    legs += [
+        (f"fault-free differential replay (overlay {overlay})",
+         replay(f"check-{overlay}", third, overlay=overlay))
+        for overlay in OVERLAY_LEGS
+    ]
+    legs += [
+        (f"churn storm (overlay {overlay})", storm(overlay=overlay))
+        for overlay in OVERLAY_LEGS
+    ]
+    return CheckReport(legs)

@@ -1,15 +1,1 @@
 """Shared helpers: deterministic seeding, validation, text formatting."""
-
-from repro.utils.formatting import format_count, format_float, render_table
-from repro.utils.seeding import SeedFactory
-from repro.utils.validation import require, require_in_range, require_positive
-
-__all__ = [
-    "SeedFactory",
-    "format_count",
-    "format_float",
-    "render_table",
-    "require",
-    "require_in_range",
-    "require_positive",
-]

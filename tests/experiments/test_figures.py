@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import figure3, figure4, figure5, figure6
-from repro.experiments.common import build_services
+from repro.experiments import figure3, figure6
+from repro.experiments.runner import run_figures
 
 
 @pytest.fixture(scope="module")
-def bundle(tiny_config):
-    return build_services(tiny_config)
+def figures(tiny_config):
+    """Figures 3(b)-(d), 4 and 5 through the registry's own rows, once."""
+    return run_figures(
+        ["fig3b", "fig3c", "fig3d", "fig4a", "fig4b", "fig5a", "fig5b"], tiny_config
+    )
 
 
 class TestFig3a:
@@ -39,8 +42,8 @@ class TestFig3a:
 
 
 class TestFig3bcd:
-    def test_fig3b_shape(self, tiny_config, bundle):
-        result = figure3.run_fig3b(tiny_config, bundle)
+    def test_fig3b_shape(self, figures):
+        result = figures["fig3b"]
         maan, lorm = result.row("MAAN"), result.row("LORM")
         analysis = result.row("Analysis-LORM")
         # Theorem 4.2: LORM's average is half MAAN's.
@@ -49,15 +52,15 @@ class TestFig3bcd:
         # LORM's spread is far tighter than MAAN's.
         assert lorm.p99 < maan.p99
 
-    def test_fig3c_shape(self, tiny_config, bundle):
-        result = figure3.run_fig3c(tiny_config, bundle)
+    def test_fig3c_shape(self, figures):
+        result = figures["fig3c"]
         sword, lorm = result.row("SWORD"), result.row("LORM")
         # Same total info => same average (Theorem 4.2).
         assert lorm.mean == pytest.approx(sword.mean, rel=0.01)
         assert lorm.p99 < sword.p99
 
-    def test_fig3d_shape(self, tiny_config, bundle):
-        result = figure3.run_fig3d(tiny_config, bundle)
+    def test_fig3d_shape(self, figures):
+        result = figures["fig3d"]
         mercury, lorm = result.row("Mercury"), result.row("LORM")
         assert lorm.mean == pytest.approx(mercury.mean, rel=0.01)
         # Mercury at least as balanced as LORM (Theorem 4.5).
@@ -66,8 +69,8 @@ class TestFig3bcd:
 
 class TestFig4:
     @pytest.fixture(scope="class")
-    def panels(self, tiny_config, bundle):
-        return figure4.run_fig4(tiny_config, bundle)
+    def panels(self, figures):
+        return figures["fig4a"], figures["fig4b"]
 
     def test_both_panels_produced(self, panels):
         assert panels[0].figure_id == "fig4a"
@@ -103,8 +106,8 @@ class TestFig4:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def panels(self, tiny_config, bundle):
-        return figure5.run_fig5(tiny_config, bundle)
+    def panels(self, figures):
+        return figures["fig5a"], figures["fig5b"]
 
     def test_panel_a_systemwide_overlap(self, panels):
         a = panels[0]

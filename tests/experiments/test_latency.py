@@ -8,8 +8,8 @@ from repro.experiments.latency import run_latency
 
 
 @pytest.fixture(scope="module")
-def figure(tiny_config, loaded_bundle):
-    return run_latency(tiny_config, loaded_bundle)
+def figure(tiny_config):
+    return run_latency(tiny_config)
 
 
 class TestLatencyFigure:

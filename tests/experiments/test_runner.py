@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.experiments import runner
 from repro.experiments.runner import FIGURES, run_figure, run_figures
 
@@ -37,6 +40,32 @@ class TestRegistry:
     def test_unknown_figure_rejected(self, tiny_config):
         with pytest.raises(KeyError, match="unknown figure"):
             run_figure("fig99", tiny_config)
+
+
+def _flag_fed_parameters(spec: cli.Experiment) -> set[str]:
+    """The runner keyword arguments ``spec``'s flags feed (non-config ``to=``)."""
+    return {
+        flag.to
+        for flag in spec.flags
+        if flag.to is not None and flag.to not in cli._CONFIG_FIELDS
+    }
+
+
+class TestRunnerSignatures:
+    """A registered runner is a function of its config: every other
+    parameter it has is one a CLI flag feeds."""
+
+    @pytest.mark.parametrize("spec", cli.EXPERIMENTS, ids=lambda spec: spec.name)
+    def test_experiment_runner_takes_config_and_its_flags(self, spec):
+        config, *rest = inspect.signature(spec.runner).parameters
+        assert set(rest) == _flag_fed_parameters(spec)
+
+    @pytest.mark.parametrize("figure_id", [run.panels[0][0] for run in runner._RUNS])
+    def test_figure_runner_takes_config_and_nothing_else(self, figure_id):
+        """``run_figures`` calls ``runner(config)``.  ``scale`` is also a
+        subcommand, whose ``--parallel`` feeds ``workers`` (test above)."""
+        config, *rest = inspect.signature(FIGURES[figure_id].runner).parameters
+        assert rest == (["workers"] if figure_id == "scale" else [])
 
 
 class TestRunFigure:

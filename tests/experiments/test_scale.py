@@ -63,7 +63,7 @@ class TestRunScale:
         assert result.curve("Chord hops").x == (64.0, 256.0)
 
     def test_parallel_matches_serial(self, result, scale_config):
-        parallel = run_scale(scale_config, parallel=True, max_workers=2)
+        parallel = run_scale(scale_config, workers=2)
         for serial_point, parallel_point in zip(result.points, parallel.points):
             assert serial_point.num_nodes == parallel_point.num_nodes
             assert serial_point.mean_hops == parallel_point.mean_hops

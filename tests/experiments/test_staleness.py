@@ -33,7 +33,7 @@ class TestStalenessTrial:
 class TestStalenessFigure:
     @pytest.fixture(scope="class")
     def figure(self, small_config):
-        return run_staleness(small_config, ttls=(7.5, 30.0))
+        return run_staleness(small_config)
 
     def test_curves_present(self, figure):
         assert figure.curve_names == ["with expiry", "no expiry (baseline)"]

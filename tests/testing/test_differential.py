@@ -12,9 +12,9 @@ import dataclasses
 from collections import Counter
 
 from repro.baselines.sword import SwordService
+from repro.experiments.common import SYSTEM_NAMES
 from repro.overlay.chord import ChordRing
 from repro.testing.differential import (
-    ALL_SYSTEMS,
     Divergence,
     run_check,
     run_differential,
@@ -25,7 +25,7 @@ class TestRunDifferential:
     def test_fault_free_replay_is_oracle_exact(self):
         report = run_differential(num_queries=10)
         assert report.ok, report.render()
-        assert set(report.stats) == set(ALL_SYSTEMS)
+        assert set(report.stats) == set(SYSTEM_NAMES)
         assert all(st.queries == 10 for st in report.stats.values())
 
     def test_graceful_churn_stays_exact(self):
@@ -45,7 +45,7 @@ class TestRunDifferential:
     def test_render_mentions_every_system(self):
         report = run_differential(num_queries=6)
         text = report.render()
-        for name in ALL_SYSTEMS:
+        for name in SYSTEM_NAMES:
             assert name in text
 
 
