@@ -548,8 +548,8 @@ class DiscoveryService(ABC):
     def stabilize(self, budget: Any | None = None) -> Any:
         """One periodic stabilization round.
 
-        ``budget=None`` is the seed behaviour — a global sweep re-deriving
-        every node's routing state.  A :class:`~repro.sim.maintenance.
+        ``budget=None`` is the seed behaviour — a global sweep bringing
+        every node's routing state up to date.  A :class:`~repro.sim.maintenance.
         MaintenanceBudget` instead spends one bounded maintenance round
         (stabilize / refresh / replica-repair caps) and returns its
         :class:`~repro.sim.maintenance.MaintenanceReport`.

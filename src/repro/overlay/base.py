@@ -15,7 +15,8 @@ hop loop ``_lookup_plain``, the fault path's ``_owns_local`` stop test and
 ``_hop_candidates`` preference list, ``edge_kind``, the range walk
 ``_walk_impl``, the two routing-table refresh halves ``_refresh_near`` /
 ``_refresh_far``, ``join`` with ``_membership_add`` / ``_membership_remove``
-and ``_repair_neighbourhood``, and ``check_invariants``.
+(which also mark the stale set ``stabilize_all`` re-derives) and
+``_repair_neighbourhood``, and ``check_invariants``.
 ``docs/architecture.md`` ("The overlays") tabulates skeleton vs hooks.
 
 The fault-free hop loops stay in the subclasses on purpose: Chord's local
@@ -98,6 +99,12 @@ class Overlay:
         #: :attr:`node_ids` of the current membership epoch (``None``:
         #: not derived yet) — flushed with the routing caches.
         self._node_ids: tuple | None = None
+        #: The stale set: ids of the nodes whose routing entries a
+        #: membership event since the last :meth:`stabilize_all` can have
+        #: left behind the membership oracle; ``None`` means every node.
+        #: ``_membership_add`` / ``_membership_remove`` grow it (geometry),
+        #: ``build`` and the sweep empty it.
+        self._stale: set | None = None
         #: Which node holds what, by integer ring id — shared with every
         #: node this overlay creates, read by :meth:`arc_items`.
         self._arcs = ArcDirectory(self.uid_of)
@@ -536,10 +543,18 @@ class Overlay:
         self.network.count_maintenance(1)
 
     def stabilize_all(self) -> None:
-        """Periodic stabilization: every node re-derives its routing state."""
-        for node in self._nodes.values():
+        """Periodic stabilization: every node exchanges one maintenance
+        message, and those in the stale set — the only ones whose routing
+        state can differ from a fresh derivation — re-derive it."""
+        nodes = self._nodes
+        stale = self._stale
+        for node in (
+            nodes.values() if stale is None
+            else [nodes[uid] for uid in stale if uid in nodes]
+        ):
             self._refresh_routing_state(node)
-            self.network.count_maintenance(1)
+        self.network.count_maintenance(len(nodes))
+        self._stale = set()
 
     # ------------------------------------------------------------------
     # Introspection

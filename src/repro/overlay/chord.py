@@ -186,6 +186,7 @@ class ChordRing(Overlay):
         self.invalidate_routing_caches()
         for node in self._nodes.values():
             self._refresh_routing_state(node)
+        self._stale = set()
 
     def build_full(self) -> None:
         """Construct a ring occupying every identifier (the paper's 2048)."""
@@ -597,8 +598,8 @@ class ChordRing(Overlay):
 
         Models Chord's join: the newcomer builds correct routing state, its
         neighbours learn about it immediately (predecessor/successor
-        pointers and successor lists), and other nodes' fingers are
-        refreshed lazily by :meth:`stabilize_all`.
+        pointers and successor lists), and the other nodes it made stale
+        (:meth:`_mark_stale`) are refreshed lazily by :meth:`stabilize_all`.
         """
         node_id = self._normalize_id(node_id)
         require(node_id not in self._nodes, f"node {node_id} already present")
@@ -628,10 +629,49 @@ class ChordRing(Overlay):
     def _membership_add(self, node_id: int) -> None:
         self._ring.insert(self._sorted_ids.bisect_left(node_id), self._nodes[node_id])
         self._sorted_ids.add(node_id)
+        self._mark_stale(node_id)
 
     def _membership_remove(self, node_id: int) -> None:
         del self._ring[self._sorted_ids.bisect_left(node_id)]
         self._sorted_ids.remove(node_id)
+        self._mark_stale(node_id)
+
+    def _mark_stale(self, node_id: int) -> None:
+        """Add to the stale set every node whose routing state the join or
+        departure of ``node_id`` (already applied to the index) can have
+        invalidated.
+
+        The event moves ownership of the arc ``(pred, node_id]`` and of
+        nothing else, so finger ``i`` changes exactly at the members of
+        ``(pred - 2**i, node_id - 2**i]`` — one slice of the index per
+        level — and successor lists and predecessors change only within
+        ``successor_list_len + 1`` positions of the event.  A ring too
+        small to keep those two sides apart, and the full-sweep reference
+        ``routing_cache=False``, mark everything.
+        """
+        stale = self._stale
+        if stale is None:
+            return
+        ids = self._sorted_ids.data
+        n = len(ids)
+        reach = self.successor_list_len + 1
+        if not self.routing_cache or n <= 2 * reach:
+            self._stale = None
+            return
+        size = self.space.size
+        at = bisect.bisect_left(ids, node_id)
+        pred = ids[at - 1]
+        for level in range(self.bits):
+            step = 1 << level
+            after, upto = (pred - step) % size, (node_id - step) % size
+            lo, hi = bisect.bisect_right(ids, after), bisect.bisect_right(ids, upto)
+            if after < upto:
+                stale.update(ids[lo:hi])
+            else:  # the arc wraps past zero
+                stale.update(ids[lo:])
+                stale.update(ids[:hi])
+        for offset in range(-reach, reach + 1):
+            stale.add(ids[(at + offset) % n])
 
     def _heir(self, node: ChordNode, key_id: int) -> ChordNode:
         """A departing node's keys all move to its successor."""

@@ -234,6 +234,7 @@ class CycloidOverlay(Overlay):
         self.invalidate_routing_caches()
         for node in self._nodes.values():
             self._refresh_routing_state(node)
+        self._stale = set()
 
     def build_full(self) -> None:
         """Construct the complete ``d * 2**d`` overlay (the paper's 2048)."""
@@ -729,6 +730,9 @@ class CycloidOverlay(Overlay):
         ks.add(cid.k)
         if len(ks) == 1:
             self._cluster_ids.add(cid.a)
+            self._stale = None  # a new cluster re-draws the nearest-cluster cells
+        else:
+            self._mark_stale(cid.a)
 
     def _membership_remove(self, cid: CycloidId) -> None:
         ks = self._clusters[cid.a]
@@ -736,14 +740,47 @@ class CycloidOverlay(Overlay):
         if not ks:
             del self._clusters[cid.a]
             self._cluster_ids.remove(cid.a)
+            self._stale = None  # so does an emptied one
+        else:
+            self._mark_stale(cid.a)
+
+    def _mark_stale(self, a: int) -> None:
+        """Add to the stale set every node a membership change inside the
+        surviving cluster ``a`` can have invalidated, beyond the three
+        clusters :meth:`_repair_neighbourhood` re-derives on the spot.
+
+        Leaf sets and cyclic neighbours only reach the own and the two
+        adjacent clusters, so what is left are the cubical links resolved
+        through ``a``: for each cubical index ``t`` whose nearest cluster
+        is ``a`` and each level ``j``, the node one level up in the
+        cluster differing from ``t`` at bit ``j``.  The full-sweep
+        reference ``routing_cache=False`` marks everything.
+        """
+        stale = self._stale
+        if stale is None:
+            return
+        if not self.routing_cache:
+            self._stale = None
+            return
+        d = self.dimension
+        size = self.cubical_space.size
+        cells = [a]
+        for step in (1, -1):
+            t = (a + step) % size
+            while t != a and self.nearest_cluster(t) == a:
+                cells.append(t)
+                t = (t + step) % size
+        stale.update(
+            CycloidId((j + 1) % d, t ^ (1 << j)) for t in cells for j in range(d)
+        )
 
     def _repair_neighbourhood(self, node: CycloidNode) -> None:
         """Refresh routing state around a membership change.
 
         Cycloid's self-organization repairs the leaf sets of affected
         cluster members and the outside leaf sets / cyclic links of the
-        adjacent clusters; distant cubical links are refreshed lazily by
-        :meth:`stabilize_all`.
+        adjacent clusters; distant cubical links (:meth:`_mark_stale`) are
+        refreshed lazily by :meth:`stabilize_all`.
         """
         affected: list[CycloidNode] = []
         if node.a in self._clusters:

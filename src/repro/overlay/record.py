@@ -24,7 +24,8 @@ and overrides only finger construction:
   inherited closest-preceding-finger scan relies on.
 
 Everything else — lookups, walks, storage, churn, maintenance budgets,
-invariant checks — is inherited unchanged.
+invariant checks — is inherited unchanged, except that ``stabilize_all``
+keeps re-deriving every node (``_mark_stale``).
 """
 
 from __future__ import annotations
@@ -85,3 +86,8 @@ class ReCordOverlay(ChordRing):
         entries.sort(key=lambda e: e[0])
         node.fingers = [n for _, n in entries]
         self._cpf_cache.pop(nid, None)
+
+    def _mark_stale(self, node_id: int) -> None:
+        # The sampled offsets are hashed per node, so no arc of the index
+        # bounds who targets the changed sector: the sweep stays full.
+        self._stale = None

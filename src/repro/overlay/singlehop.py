@@ -77,8 +77,7 @@ class SingleHopRing(ChordRing):
     def _refresh_routing_state(self, node: ChordNode) -> None:
         # Re-deriving a node's routing state means it has caught up with
         # every membership event — its pending set empties.  This makes
-        # stabilize_all and the inherited neighbourhood repair flush
-        # staleness for free.
+        # the inherited neighbourhood repair flush staleness for free.
         super()._refresh_routing_state(node)
         pending = self._pending.get(node.node_id)
         if pending:
@@ -138,10 +137,14 @@ class SingleHopRing(ChordRing):
             deltas.clear()
 
     def stabilize_all(self) -> None:
-        extra = sum(len(d) for d in self._pending.values())
+        extra = self.pending_events()
         if extra:
             self.network.count_maintenance(extra)
-        super().stabilize_all()  # clears pending via _refresh_routing_state
+            # The sweep re-derives only the stale nodes; every node's
+            # outstanding events are delivered all the same.
+            for deltas in self._pending.values():
+                deltas.clear()
+        super().stabilize_all()
 
     # ------------------------------------------------------------------
     # Single-hop routing

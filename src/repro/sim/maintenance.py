@@ -1,7 +1,7 @@
 """Budgeted self-healing maintenance for the overlay substrates.
 
 The seed repo heals churn damage with *global* sweeps —
-``stabilize_all()`` re-derives every node's routing state and
+``stabilize_all()`` brings every node's routing state up to date and
 ``repair_replication()`` restores every key to its replica set in one
 call.  Real DHT maintenance is neither free nor instantaneous: each
 periodic round touches a bounded number of neighbours and keys, so
@@ -241,7 +241,7 @@ class MaintenanceRound:
     the same scenario with the same seed spends its budget on the same
     nodes every run.
 
-    The overlay is duck-typed; it must provide ``nodes()``,
+    The overlay is duck-typed; it must provide ``nodes()``, ``num_nodes``,
     ``stabilize_step(node)``, ``refresh_routing_step(node)``,
     ``repair_replication_step(budget, after)``, ``stabilize_all()`` and
     ``repair_replication()``.
@@ -295,7 +295,7 @@ class MaintenanceRound:
             moved = self.overlay.repair_replication()
             for node in self.overlay.nodes():
                 self._last_refresh[node.uid] = self.clock
-            n = sum(1 for _ in self.overlay.nodes())
+            n = self.overlay.num_nodes
             return MaintenanceReport(
                 stabilized=n, refreshed=n, copies_moved=moved, full_sweep=True
             )

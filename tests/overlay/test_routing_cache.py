@@ -7,6 +7,12 @@ through identical seeded churn storms — joins, graceful leaves, crash
 failures, stabilization sweeps — probing owners, hop counts, full routed
 paths and range walks after every event, and require byte-identical
 transcripts.  A divergence means a cache outlived its epoch.
+
+The twins also pin the incremental stabilization sweep against the full
+one: the cached overlay's ``stabilize_all`` re-derives only its stale set,
+the uncached twin's sweeps everything, and the storm sweeps directly after
+every rejoin of a crashed id (a new node object under an id the stale
+entries still name) as well as every fifth event.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ def _chord_storm(ring: ChordRing, seed: int) -> list:
             departed.append(victim)
         elif departed:
             ring.join(departed.pop(rng.randrange(len(departed))))
+            ring.stabilize_all()
         else:
             newcomer = rng.randrange(size)
             if newcomer in set(ids):
@@ -127,6 +134,7 @@ def _cycloid_storm(overlay: CycloidOverlay, seed: int) -> list:
             departed.append(victim)
         elif departed:
             overlay.join(departed.pop(rng.randrange(len(departed))))
+            overlay.stabilize_all()
         else:
             cid = CycloidId(rng.randrange(d), rng.randrange(num_clusters))
             if cid in set(overlay.node_ids):
