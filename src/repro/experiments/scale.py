@@ -100,7 +100,7 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
         for i in range(events):
             if i % 3 == 0:
                 node_id = int(churn_rng.integers(ring.size))
-                while node_id in ring.ids:
+                while node_id in ring:
                     node_id = int(churn_rng.integers(ring.size))
                 ring.join(node_id)
             else:

@@ -29,15 +29,22 @@ View contract / cache invalidation
 ``RingVector`` is the single source of truth for membership; everything
 derived from it — the object overlays' routing pointers and memo caches,
 ``CompactChordRing``'s finger table, ``IndexedDirectory`` placements — is
-a cache keyed on the membership epoch.  Mutating the vector (``add`` /
-``remove``) therefore invalidates: the object overlays already funnel
-every mutation through their churn entry points (which flush their
-caches), and ``CompactChordRing`` marks its finger table dirty and
-rebuilds it lazily before the next routed operation (the stabilized-ring
-semantics of ``build`` + ``stabilize_all``).  Directories are placed by
-node *index*, so a membership change invalidates placements too;
-:meth:`IndexedDirectory.place` recomputes from keys, which the scale
-experiment does after churn settles.
+a cache keyed on the membership it was derived from.  The object overlays
+funnel every mutation through their churn entry points (which flush their
+caches).  ``CompactChordRing`` never mutates its id vector in place —
+``join`` / ``leave`` / ``fail`` replace ``ring.ids`` with a new array — so
+"derived from this membership" is an identity test: the finger table
+remembers the ``ids`` array it is current for, and the next routed
+operation or ``stabilize_all`` *repairs* it from the diff of that array
+against ``ring.ids`` (:meth:`CompactChordRing.repair_fingers`), rebuilding
+only when the diff is a sizeable share of the ring.  What a repair may
+never change: any finger entry (the repaired table equals a from-scratch
+``build_fingers`` element for element, dtype included), any maintenance
+message count, any hop.  Directories are placed by node *index*, so a
+membership change invalidates placements too: :class:`IndexedDirectory`
+remembers the ``ids`` array its counts were placed against and refuses to
+be read or accumulated against another one — ``clear()`` it and ``place``
+the keys again.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ import numpy as np
 from repro.utils.validation import require
 
 __all__ = ["CompactChordRing", "IndexedDirectory", "RingVector"]
+
+#: Survivor rows re-indexed per step of a finger repair: bounds the
+#: temporaries to a few MB whatever the ring size.
+_REPAIR_BLOCK_ROWS = 1 << 16
+
 
 class RingVector:
     """A sorted flat vector of integer ring identifiers.
@@ -135,6 +147,16 @@ class RingVector:
         return 0 if idx == len(self.data) else idx
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array — ``np.unique``'s result by
+    sort + adjacent-inequality mask (numpy's hash-based unique is ~50x
+    slower on the 10^5–10^6 int64 vectors this module builds)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 class IndexedDirectory:
     """Index-keyed directory storage for the compact core.
 
@@ -143,14 +165,39 @@ class IndexedDirectory:
     struct-of-arrays replacement for per-node ``dict`` stores.  Placement
     is vectorised: a batch of key ids maps to owner indices with one
     ``searchsorted`` and accumulates with one ``bincount``.
+
+    Counts are only meaningful against the membership they were placed
+    on: the directory remembers that ``ids`` array, and once the ring's
+    membership has changed :meth:`place` and :meth:`sizes` raise until
+    :meth:`clear` drops the stale counts (then ``place`` the keys again).
     """
 
     def __init__(self, ring: "CompactChordRing") -> None:
         self._ring = ring
         self._counts: dict[str, np.ndarray] = {}
+        #: The ``ring.ids`` array the counts are indexed by (None = empty).
+        self._placed_ids: np.ndarray | None = None
+
+    def _require_current(self) -> None:
+        require(
+            self._placed_ids is None or self._placed_ids is self._ring.ids,
+            "directory counts were placed before the ring's membership "
+            "changed and are indexed by the old node positions; call "
+            "clear() and then place() the keys again",
+        )
+
+    def clear(self) -> None:
+        """Drop every namespace's counts (the remedy after churn)."""
+        self._counts.clear()
+        self._placed_ids = None
 
     def place(self, namespace: str, keys: np.ndarray) -> None:
-        """Store one piece per key id in ``keys`` at each key's owner."""
+        """Store one piece per key id in ``keys`` at each key's owner.
+
+        Repeated calls on one namespace accumulate.
+        """
+        self._require_current()
+        self._placed_ids = self._ring.ids
         owners = self._ring.owner_indices(keys)
         counts = np.bincount(owners, minlength=self._ring.num_nodes)
         existing = self._counts.get(namespace)
@@ -161,6 +208,7 @@ class IndexedDirectory:
 
     def sizes(self, namespace: str | None = None) -> np.ndarray:
         """Per-node directory sizes (the Figure 3 metric), by node index."""
+        self._require_current()
         n = self._ring.num_nodes
         if namespace is not None:
             counts = self._counts.get(namespace)
@@ -185,9 +233,13 @@ class CompactChordRing:
     test, same greedy closest-preceding-finger scan, same termination
     guard — so measured hop counts at any ``n`` extend the paper's Figure
     4 curves rather than approximating them.  Churn (:meth:`join` /
-    :meth:`leave` / :meth:`fail`) mutates the id vector, counts the same
-    maintenance messages the object ring counts, and lazily rebuilds the
-    finger table before the next routed operation.
+    :meth:`leave` / :meth:`fail`) replaces the id vector and counts the
+    same maintenance messages the object ring counts; the finger table is
+    then repaired from the membership diff (:meth:`repair_fingers`) by the
+    next routed operation or :meth:`stabilize_all`, at a cost proportional
+    to what changed.  A repair never changes a finger entry (the table
+    equals a from-scratch :meth:`build_fingers`, dtype included), a
+    message count or a hop.
 
     Examples
     --------
@@ -211,11 +263,17 @@ class CompactChordRing:
         self.bits = bits
         self.size = 1 << bits
         self.successor_list_len = successor_list_len
-        unique = np.unique(np.asarray(list(ids), dtype=np.int64) % self.size)
+        if not isinstance(ids, np.ndarray):
+            ids = list(ids)
+        unique = _sorted_unique(np.asarray(ids, dtype=np.int64) % self.size)
         require(unique.size > 0, "cannot build an empty ring")
-        self.ids: np.ndarray = unique  # sorted ascending
+        #: Sorted ascending.  Never mutated in place: churn replaces it,
+        #: which is what lets derived state remember the array it is for.
+        self.ids: np.ndarray = unique
         self.fingers: np.ndarray | None = None  # built lazily, (n, bits)
-        self._fingers_dirty = True
+        #: The ``ids`` array ``fingers`` is current for — ``self.ids``
+        #: itself exactly when the table needs no repair.
+        self._fingers_ids: np.ndarray | None = None
         #: Maintenance-message accounting (same formulas as the object
         #: ring's ``count_maintenance`` call sites).
         self.maintenance_messages = 0
@@ -240,10 +298,10 @@ class CompactChordRing:
         # Sampling without replacement from 2**bits directly would
         # materialise the whole space; sample with replacement and top up
         # the (rare, sparse-space) collisions instead.
-        ids = np.unique(rng.integers(size, size=num_nodes, dtype=np.int64))
+        ids = _sorted_unique(rng.integers(size, size=num_nodes, dtype=np.int64))
         while ids.size < num_nodes:
             extra = rng.integers(size, size=num_nodes - ids.size, dtype=np.int64)
-            ids = np.unique(np.concatenate([ids, extra]))
+            ids = _sorted_unique(np.concatenate([ids, extra]))
         return cls(bits, ids)
 
     # ------------------------------------------------------------------
@@ -254,13 +312,18 @@ class CompactChordRing:
         """Current population."""
         return int(self.ids.size)
 
+    def _position(self, node_id: int) -> tuple[int, bool]:
+        """Sorted position of ``node_id`` and whether a node holds it."""
+        idx = int(np.searchsorted(self.ids, node_id))
+        return idx, idx < self.ids.size and int(self.ids[idx]) == node_id
+
+    def __contains__(self, node_id: int) -> bool:
+        return self._position(node_id)[1]
+
     def index_of(self, node_id: int) -> int:
         """Index of the node with identifier ``node_id``."""
-        idx = int(np.searchsorted(self.ids, node_id))
-        require(
-            idx < self.ids.size and int(self.ids[idx]) == node_id,
-            f"node {node_id} not present",
-        )
+        idx, present = self._position(node_id)
+        require(present, f"node {node_id} not present")
         return idx
 
     def owner_index(self, key: int) -> int:
@@ -276,6 +339,9 @@ class CompactChordRing:
     # ------------------------------------------------------------------
     # Finger table
     # ------------------------------------------------------------------
+    def _finger_dtype(self) -> type:
+        return np.int32 if self.ids.size < (1 << 31) else np.int64
+
     def build_fingers(self) -> None:
         """(Re)build the full ``(n, bits)`` finger table, column-wise.
 
@@ -283,23 +349,83 @@ class CompactChordRing:
         node's ``id + 2**j`` target — the array equivalent of a global
         ``stabilize_all`` + ``fix_fingers`` sweep.
         """
-        n = self.ids.size
-        dtype = np.int32 if n < (1 << 31) else np.int64
-        fingers = np.empty((n, self.bits), dtype=dtype)
+        ids = self.ids
+        n = ids.size
+        fingers = np.empty((n, self.bits), dtype=self._finger_dtype())
         for j in range(self.bits):
-            targets = (self.ids + (1 << j)) % self.size
-            idx = np.searchsorted(self.ids, targets)
+            targets = (ids + (1 << j)) % self.size
+            idx = np.searchsorted(ids, targets)
             fingers[:, j] = idx % n
         self.fingers = fingers
-        self._fingers_dirty = False
+        self._fingers_ids = ids
 
-    def _ensure_fingers(self) -> None:
-        if self._fingers_dirty or self.fingers is None:
+    def repair_fingers(self) -> None:
+        """Bring the finger table up to date with ``self.ids``.
+
+        Diffs the id array the table was built for against the current
+        one and rewrites only what the diff can have changed; the result
+        equals a fresh :meth:`build_fingers` element for element.  Falls
+        back to that rebuild when there is no table yet, when the index
+        dtype would change, or when the diff is large enough
+        (``changed * bits >= n``) that patching would not be cheaper.
+        """
+        old_ids, ids = self._fingers_ids, self.ids
+        if old_ids is ids:
+            return
+        old = self.fingers
+        n, bits, size = ids.size, self.bits, self.size
+        dtype = self._finger_dtype()
+        if old is None or old.dtype != dtype:
             self.build_fingers()
+            return
+        # (1) Old index -> new index of the successor of the old id: a
+        # survivor's own new position, and exactly what a finger that
+        # pointed at a departed node must now point at.
+        remap = np.searchsorted(ids, old_ids)
+        remap[remap == n] = 0
+        survived = np.flatnonzero(ids[remap] == old_ids)
+        is_joiner = np.ones(n, dtype=bool)
+        is_joiner[remap[survived]] = False
+        joined = np.flatnonzero(is_joiner)
+        changed = (old_ids.size - survived.size) + joined.size
+        if changed * bits >= n:
+            self.build_fingers()
+            return
+        remap = remap.astype(dtype)
+        fingers = np.empty((n, bits), dtype=dtype)
+        # (2) Survivors keep their rows, re-indexed.  Block-wise, so the
+        # peak stays at two finger tables plus one block of temporaries.
+        for lo in range(0, survived.size, _REPAIR_BLOCK_ROWS):
+            rows = survived[lo : lo + _REPAIR_BLOCK_ROWS]
+            fingers[remap[rows]] = remap[old[rows]]
+        joined_ids = ids[joined]
+        steps = np.left_shift(1, np.arange(bits, dtype=np.int64))
+        # (3) A joiner's own row is built from scratch.
+        targets = (joined_ids[:, None] + steps) % size
+        fingers[joined] = np.searchsorted(ids, targets) % n
+        # (4) Joiner x with ring predecessor q takes over the targets
+        # in (q, x]: at level j those belong to the members with id in
+        # [q + 1 - 2**j, x - 2**j] mod size, a slice of the sorted ids
+        # (two slices when the interval wraps past zero).
+        pred_ids = ids[joined - 1]
+        first = (pred_ids[:, None] + 1 - steps) % size
+        last = first + ((joined_ids - pred_ids) % size - 1)[:, None]
+        wraps = last >= size
+        start = np.searchsorted(ids, first)
+        stop = np.searchsorted(ids, last % size, side="right")
+        for k, j in zip(*np.nonzero(wraps | (start < stop))):
+            a, b, x = start[k, j], stop[k, j], joined[k]
+            if wraps[k, j]:
+                fingers[a:, j] = x
+                fingers[:b, j] = x
+            else:
+                fingers[a:b, j] = x
+        self.fingers = fingers
+        self._fingers_ids = ids
 
     def state_bytes(self) -> int:
         """Bytes held by the flat ring state (id vector + finger table)."""
-        self._ensure_fingers()
+        self.repair_fingers()
         assert self.fingers is not None
         return int(self.ids.nbytes + self.fingers.nbytes)
 
@@ -313,7 +439,7 @@ class CompactChordRing:
         the same (stabilized) membership — the equivalence tests diff the
         two implementations query by query.
         """
-        self._ensure_fingers()
+        self.repair_fingers()
         ids = self.ids
         fingers = self.fingers
         n = ids.size
@@ -339,7 +465,10 @@ class CompactChordRing:
                 # Closest preceding finger: highest finger in (cur, key).
                 span = dist_key or size
                 nxt = succ
-                for f in fingers[cur, ::-1].tolist():
+                # A level-j finger sits at clockwise distance >= 2**j, so
+                # levels with 2**j >= span cannot pass the test below.
+                top = (span - 1).bit_length()
+                for f in fingers[cur, top - 1 :: -1].tolist():
                     if f != cur and 0 < (int(ids[f]) - cur_id) % size < span:
                         nxt = f
                         break
@@ -356,7 +485,7 @@ class CompactChordRing:
         starts = rng.integers(n, size=num_queries)
         keys = rng.integers(self.size, size=num_queries, dtype=np.int64)
         return np.array(
-            [self.lookup(int(s), int(k))[1] for s, k in zip(starts, keys)],
+            [self.lookup(s, k)[1] for s, k in zip(starts.tolist(), keys.tolist())],
             dtype=np.int64,
         )
 
@@ -369,36 +498,30 @@ class CompactChordRing:
         return min(self.successor_list_len + 1, self.num_nodes) + 1
 
     def join(self, node_id: int) -> None:
-        """A node joins: id vector grows, fingers go stale, messages count.
+        """A node joins: id vector grows, fingers await repair, messages count.
 
         Cost model is the object ring's: ``bits`` messages to build the
         newcomer's state plus the neighbourhood repair sweep.
         """
         node_id %= self.size
-        idx = int(np.searchsorted(self.ids, node_id))
-        require(
-            idx >= self.ids.size or int(self.ids[idx]) != node_id,
-            f"node {node_id} already present",
-        )
+        idx, present = self._position(node_id)
+        require(not present, f"node {node_id} already present")
         self.ids = np.insert(self.ids, idx, node_id)
-        self._fingers_dirty = True
         self.maintenance_messages += self.bits + self._neighbourhood_repair_cost()
 
     def leave(self, node_id: int) -> None:
         """Graceful departure: two departure notifications + repair."""
         require(self.num_nodes > 1, "cannot remove the last ring node")
         self.ids = np.delete(self.ids, self.index_of(node_id))
-        self._fingers_dirty = True
         self.maintenance_messages += 2 + self._neighbourhood_repair_cost()
 
     def fail(self, node_id: int) -> None:
         """Crash: neighbours detect and repair; no departure handoff."""
         require(self.num_nodes > 1, "cannot remove the last ring node")
         self.ids = np.delete(self.ids, self.index_of(node_id))
-        self._fingers_dirty = True
         self.maintenance_messages += self._neighbourhood_repair_cost()
 
     def stabilize_all(self) -> None:
-        """Full stabilization sweep: rebuild fingers, one message per node."""
-        self.build_fingers()
+        """Full stabilization sweep: fingers current, one message per node."""
+        self.repair_fingers()
         self.maintenance_messages += self.num_nodes

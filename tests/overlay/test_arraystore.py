@@ -100,6 +100,36 @@ class TestIndexedDirectory:
         ring.directory.place("a", keys)
         assert int(ring.directory.sizes("a").sum()) == 4
 
+    def test_membership_change_fails_cleanly_until_cleared(self):
+        ring = CompactChordRing(bits=6, ids=[3, 17, 30, 45, 60])
+        keys = np.arange(64, dtype=np.int64)
+        ring.directory.place("resource", keys)
+        ring.join(50)
+        # Counts are indexed by the old node positions: every read and
+        # every accumulation names the remedy instead of misattributing
+        # (or dying inside numpy's broadcasting).
+        for stale_use in (
+            lambda: ring.directory.sizes(),
+            lambda: ring.directory.sizes("resource"),
+            lambda: ring.directory.sizes("missing"),
+            lambda: ring.directory.place("resource", keys),
+            lambda: ring.directory.place("other", keys),
+        ):
+            with pytest.raises(ValueError, match=r"clear\(\).*place\(\)"):
+                stale_use()
+        ring.directory.clear()
+        assert ring.directory.sizes().tolist() == [0] * 6
+        ring.directory.place("resource", keys)
+        expected = np.bincount(ring.owner_indices(keys), minlength=6)
+        assert ring.directory.sizes("resource").tolist() == expected.tolist()
+
+    def test_empty_directory_follows_the_membership(self):
+        ring = CompactChordRing(bits=6, ids=[3, 17, 30])
+        ring.leave(17)
+        assert ring.directory.sizes().tolist() == [0, 0]
+        ring.directory.place("a", np.array([1], dtype=np.int64))
+        assert ring.directory.sizes("a").tolist() == [1, 0]
+
     def test_matches_object_ring_directory(self):
         bits = 8
         rng = np.random.default_rng(11)
@@ -162,7 +192,9 @@ class TestCompactChordRingEquivalence:
     def test_equivalence_survives_churn(self):
         obj, compact, rng = self._paired_rings(seed=7)
         members = set(int(i) for i in compact.ids)
-        # A joined/left/failed mix, then re-stabilize both representations.
+        # A joined/left/failed mix.  Between events the compact ring routes
+        # with no stabilize_all of its own (the lazy repair path) and must
+        # still agree with the re-stabilized object ring.
         for event in range(9):
             if event % 3 == 0:
                 node_id = int(rng.integers(1 << self.BITS))
@@ -180,10 +212,127 @@ class TestCompactChordRingEquivalence:
                 else:
                     obj.fail(node_id)
                     compact.fail(node_id)
+            obj.stabilize_all()
+            self._assert_routes_match(obj, compact, rng, queries=40)
         obj.stabilize_all()
         compact.stabilize_all()
         assert compact.ids.tolist() == list(obj.node_ids)
         self._assert_routes_match(obj, compact, rng, queries=100)
+
+
+def _full_scan_lookup(ring: CompactChordRing, start_index: int, key: int) -> tuple[int, int]:
+    """The hop loop with the full reversed finger scan — the reference
+    ``CompactChordRing.lookup`` must match now that it starts the scan
+    below the levels whose ``2**j`` reaches the remaining distance."""
+    ring.repair_fingers()
+    ids, fingers, n, size = ring.ids, ring.fingers, ring.ids.size, ring.size
+    key %= size
+    cur = start_index
+    hops = 0
+    while hops < 8 * ring.bits + n:
+        cur_id = int(ids[cur])
+        pred_id = int(ids[cur - 1])
+        dist_cur = (cur_id - pred_id) % size
+        if dist_cur == 0 or 0 < (key - pred_id) % size <= dist_cur:
+            break
+        succ = (cur + 1) % n
+        dist_key = (key - cur_id) % size
+        dist_succ = (int(ids[succ]) - cur_id) % size
+        if dist_succ == 0 or 0 < dist_key <= dist_succ:
+            cur = succ
+        else:
+            span = dist_key or size
+            nxt = succ
+            for f in fingers[cur, ::-1].tolist():
+                if f != cur and 0 < (int(ids[f]) - cur_id) % size < span:
+                    nxt = f
+                    break
+            cur = nxt
+        hops += 1
+    return cur, hops
+
+
+def _small_rings():
+    """Every shape of ring with ``bits`` <= 6 worth an exhaustive sweep:
+    full, one node, two nodes (adjacent and opposite) and scattered."""
+    rng = np.random.default_rng(17)
+    for bits in range(1, 7):
+        size = 1 << bits
+        shapes = {
+            "full": list(range(size)),
+            "one": [size - 1],
+            "adjacent-pair": [0, 1],
+            "opposite-pair": [0, size // 2],
+        }
+        for count in sorted({max(1, size // 4), max(1, size // 2), size - 1}):
+            shapes[f"scattered-{count}"] = rng.choice(size, size=count, replace=False).tolist()
+        for label, ids in shapes.items():
+            yield pytest.param(bits, ids, id=f"bits{bits}-{label}")
+
+
+class TestLookupScanStart:
+    """``lookup`` skips finger levels that cannot lie inside ``(cur, key)``;
+    owners and hop counts must be those of the full scan."""
+
+    @pytest.mark.parametrize("bits,ids", list(_small_rings()))
+    def test_every_start_and_key_on_small_rings(self, bits, ids):
+        ring = CompactChordRing(bits=bits, ids=ids)
+        for start in range(ring.num_nodes):
+            for key in range(ring.size):
+                assert ring.lookup(start, key) == _full_scan_lookup(ring, start, key), (
+                    start, key,
+                )
+
+    def test_drawn_cases_on_a_wide_ring(self):
+        ring = CompactChordRing.sampled(3000, bits=20, seed=4)
+        rng = np.random.default_rng(5)
+        starts = rng.integers(ring.num_nodes, size=2000).tolist()
+        keys = rng.integers(ring.size, size=2000).tolist()
+        # Keys at and just around members: exact hits and off-by-one spans.
+        members = ring.ids[rng.integers(ring.num_nodes, size=300)]
+        for offset in (-1, 0, 1):
+            starts += rng.integers(ring.num_nodes, size=300).tolist()
+            keys += (members + offset).tolist()
+        before = ring.routing_hops
+        total = 0
+        for start, key in zip(starts, keys):
+            owner, hops = ring.lookup(start, key)
+            assert (owner, hops) == _full_scan_lookup(ring, start, key), (start, key)
+            assert owner == ring.owner_index(key)
+            total += hops
+        assert ring.routing_hops - before == total
+
+    def test_key_is_the_start_node_itself(self):
+        # key == ids[cur]: the stop test answers before any scan (the
+        # ``span = size`` / ``top = bits`` arm is the full-circle fallback).
+        ring = CompactChordRing(bits=5, ids=[2, 9, 20, 27])
+        for start in range(4):
+            assert ring.lookup(start, int(ring.ids[start])) == (start, 0)
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_remaining_distance_at_a_power_of_two(self, level):
+        # On the full ring the level-j finger sits at distance exactly
+        # 2**j.  Distance 2**j: top = j, that finger fails ``dist < span``
+        # and must not be taken (levels j-1 .. 0, then the successor step).
+        # Distance 2**j + 1: top = j + 1, it is the closest preceding
+        # finger and must be (then the successor step).
+        ring = CompactChordRing(bits=6, ids=range(64))
+        for start in (0, 37, 63):
+            for distance in ((1 << level), (1 << level) + 1):
+                key = (start + distance) % 64
+                got = ring.lookup(start, key)
+                assert got == _full_scan_lookup(ring, start, key)
+                assert got == (key, bin(distance - 1).count("1") + 1)
+
+    def test_one_and_two_node_rings(self):
+        one = CompactChordRing(bits=6, ids=[40])
+        for key in range(64):
+            assert one.lookup(0, key) == (0, 0)
+        two = CompactChordRing(bits=6, ids=[10, 50])
+        for start in (0, 1):
+            for key in range(64):
+                owner = 0 if key <= 10 or key > 50 else 1
+                assert two.lookup(start, key) == (owner, int(owner != start))
 
 
 class TestMaintenanceParity:
@@ -267,6 +416,27 @@ class TestCompactChordRingValidation:
         assert a.num_nodes == 500
         assert a.bits == b.bits
         assert a.ids.tolist() == b.ids.tolist()
+
+    def test_sampled_ids_are_sorted_distinct_and_in_range(self):
+        # bits=9 forces collisions, so the top-up loop runs.
+        ring = CompactChordRing.sampled(400, bits=9, seed=3)
+        ids = ring.ids
+        assert ids.dtype == np.int64 and ids.size == 400
+        assert bool(np.all(ids[1:] > ids[:-1]))
+        assert 0 <= int(ids[0]) and int(ids[-1]) < 512
+
+    def test_init_dedups_any_iterable(self):
+        want = [1, 5, 9]
+        for ids in ([9, 1, 5, 1, 25], np.array([9, 1, 5, 1, 25]), iter([9, 1, 5, 1, 25])):
+            assert CompactChordRing(bits=4, ids=ids).ids.tolist() == want
+
+    def test_contains(self):
+        ring = CompactChordRing(bits=4, ids=[1, 5, 15])
+        assert 5 in ring and 15 in ring
+        assert 0 not in ring and 6 not in ring and 16 not in ring
+        ring.join(6)
+        ring.leave(5)
+        assert 6 in ring and 5 not in ring
 
     def test_state_bytes_counts_ids_and_fingers(self):
         ring = CompactChordRing.sampled(100, seed=1)
