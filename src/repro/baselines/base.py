@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from typing import Any, ClassVar
 
@@ -66,10 +66,10 @@ def build_ring(
 class DiscoveryService(ABC):
     """Abstract resource-discovery service (one per approach).
 
-    Subclasses bind an overlay substrate and implement placement
-    (``_register_impl`` / ``deregister``) and the sub-query plan
-    (``_plan``); the engine that runs a plan and its accounting
-    conventions are shared:
+    Subclasses bind an overlay substrate and state where an info lives
+    (``_placer``) and the sub-query plan (``_plan``); registration,
+    withdrawal and the bulk load that read the placements, the engine
+    that runs a plan, and the accounting conventions are shared:
 
     * ``hops`` — overlay routing messages (Figure 4's logical hops);
     * ``visited_nodes`` — nodes that received the query and checked their
@@ -139,6 +139,9 @@ class DiscoveryService(ABC):
         #: indices ``[0, d)`` for LORM).
         self._value_space = value_space
         self._value_hashes: dict[str, LocalityPreservingHash] = {}
+        #: ``_placer(attribute)`` per attribute seen (the root ID, ℋ and
+        #: the namespace are fixed for the service's life).
+        self._placers: dict[str, Callable[[float], tuple]] = {}
 
     # ------------------------------------------------------------------
     # ID mapping
@@ -223,21 +226,80 @@ class DiscoveryService(ABC):
         return hops
 
     @abstractmethod
+    def _placer(self, attribute: str) -> Callable[[float], tuple]:
+        """Where infos of ``attribute`` live, as a function of the value:
+        ``value -> ((namespace, key), ...)``, every overlay key a
+        registration writes, in write order, ``key`` in the overlay's own
+        key type.  The binding's one statement of its placement — all the
+        per-attribute work (root ID, ℋ, namespace) is done here, once per
+        attribute, so the returned function costs the value hash alone."""
+
+    def _placements(self, info: ResourceInfo) -> tuple:
+        """The ``(namespace, key)`` pairs ``info`` is stored under —
+        what :meth:`register`, :meth:`deregister` and the bulk
+        :meth:`register_all` all read."""
+        place = self._placers.get(info.attribute)
+        if place is None:
+            place = self._placers[info.attribute] = self._placer(info.attribute)
+        return place(info.value)
+
     def _register_impl(self, info: ResourceInfo, *, routed: bool = True) -> int:
-        """Approach-specific placement behind :meth:`register`."""
+        """One insertion per placement behind :meth:`register`: stored
+        directly, or routed from one random origin."""
+        placements = self._placements(info)
+        overlay = self.overlay
+        hops = 0
+        if not routed:
+            for namespace, key in placements:
+                overlay.store(namespace, key, info)
+        else:
+            origin = self.random_node()
+            for namespace, key in placements:
+                hops += overlay.routed_store(origin, namespace, key, info).hops
+            self.metrics.record("register.hops", hops)
+        self._on_registered(info, placements)
+        return hops
+
+    def _on_registered(self, info: ResourceInfo, placements: tuple) -> None:
+        """Called after ``info`` was stored under ``placements``."""
 
     def register_all(self, infos: Iterable[ResourceInfo], *, routed: bool = True) -> int:
-        """Register many infos; returns total hops."""
-        return sum(self.register(info, routed=routed) for info in infos)
+        """Register many infos, in order; returns total hops.
 
-    @abstractmethod
+        Unrouted and untraced — a bulk load — the placements go to the
+        overlay as one stream (:meth:`~repro.overlay.base.Overlay.
+        store_all`), which resolves each distinct key once.
+        Ordering contract: the outcome is that of ``register(info,
+        routed=False)`` per info, observably — per node the same namespace
+        order, key order and bucket order (placements are streamed info by
+        info in the order given, never regrouped by attribute), and the
+        same message counts.
+        """
+        if routed or self.tracer is not None:
+            return sum(self.register(info, routed=routed) for info in infos)
+        self.overlay.store_all(self._placement_stream(infos))
+        return 0
+
+    def _placement_stream(self, infos: Iterable[ResourceInfo]) -> Iterator[tuple]:
+        """``(namespace, key, info)`` per placement of each of ``infos``."""
+        placements_of = self._placements
+        registered = self._on_registered
+        for info in infos:
+            placements = placements_of(info)
+            for namespace, key in placements:
+                yield namespace, key, info
+            registered(info, placements)
+
     def deregister(self, info: ResourceInfo) -> int:
-        """Withdraw one previously registered info piece.
+        """Withdraw one previously registered info piece from every
+        placement (owner and replicas).
 
         Returns the number of stored copies removed (0 if absent).  Used
         by lease expiry: the paper's nodes "report available resources
         periodically", so reports that stop being renewed age out.
         """
+        discard = self.overlay.discard
+        return sum(discard(namespace, key, info) for namespace, key in self._placements(info))
 
     # ------------------------------------------------------------------
     # Queries
@@ -648,6 +710,12 @@ class ChordBackedService(DiscoveryService):
         if replicator is None and self.hot_replicator is not None:
             self.hot_replicator.clear()
         self.hot_replicator = replicator
+
+    def _on_registered(self, info: ResourceInfo, placements: tuple) -> None:
+        """Mirror the registration onto the attribute's hot replicas, under
+        its root key — an attribute-rooted binding's first placement."""
+        if self.hot_replicator is not None:
+            self.hot_replicator.on_register(info, placements[0][1])
 
     def attr_store_keys(self, attribute: str) -> tuple[int, ...]:
         """Every ring key a registration for ``attribute``'s directory

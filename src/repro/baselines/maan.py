@@ -13,10 +13,11 @@ spread over the whole ring, the walk spans the entire system
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, ResourceInfo
+from repro.core.resource import Query
 
 __all__ = ["MaanService"]
 
@@ -40,40 +41,17 @@ class MaanService(ChordBackedService):
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _register_impl(self, info: ResourceInfo, *, routed: bool = True) -> int:
-        """Two insertions: attribute map and value map (two pieces stored).
+    def _placer(self, attribute: str) -> Callable[[float], tuple]:
+        """Two insertions (two pieces stored): attribute map, then value
+        map.
 
         A salting plan spreads the attribute-map insertion over all ``S``
         salted roots; the value map is untouched (its load spreads by
         value hashing already).
         """
-        attr_keys = self.attr_store_keys(info.attribute)
-        value_key = self.value_hash(info.attribute)(info.value)
-        if not routed:
-            for attr_key in attr_keys:
-                self.ring.store(_ATTR_NS, attr_key, info)
-            self.ring.store(_VALUE_NS, value_key, info)
-            hops = 0
-        else:
-            origin = self.random_node()
-            hops = 0
-            for attr_key in attr_keys:
-                hops += self.ring.routed_store(origin, _ATTR_NS, attr_key, info).hops
-            hops += self.ring.routed_store(origin, _VALUE_NS, value_key, info).hops
-            self.metrics.record("register.hops", hops)
-        if self.hot_replicator is not None:
-            self.hot_replicator.on_register(info, attr_keys[0])
-        return hops
-
-    def deregister(self, info: ResourceInfo) -> int:
-        """Withdraw all stored copies (attribute map roots and value map)."""
-        removed = sum(
-            self.ring.discard(_ATTR_NS, attr_key, info)
-            for attr_key in self.attr_store_keys(info.attribute)
-        )
-        value_key = self.value_hash(info.attribute)(info.value)
-        removed += self.ring.discard(_VALUE_NS, value_key, info)
-        return removed
+        roots = tuple((_ATTR_NS, key) for key in self.attr_store_keys(attribute))
+        value_hash = self.value_hash(attribute)
+        return lambda value: (*roots, (_VALUE_NS, value_hash(value)))
 
     # ------------------------------------------------------------------
     # Queries

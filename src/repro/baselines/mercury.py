@@ -21,10 +21,11 @@ and Figure 3(a).
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, ResourceInfo
+from repro.core.resource import Query
 
 __all__ = ["MercuryService"]
 
@@ -43,21 +44,11 @@ class MercuryService(ChordBackedService):
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _register_impl(self, info: ResourceInfo, *, routed: bool = True) -> int:
-        """Insert into the attribute's hub at the value's root."""
-        key = self.value_hash(info.attribute)(info.value)
-        namespace = self._hub(info.attribute)
-        if not routed:
-            self.ring.store(namespace, key, info)
-            return 0
-        result = self.ring.routed_store(self.random_node(), namespace, key, info)
-        self.metrics.record("register.hops", result.hops)
-        return result.hops
-
-    def deregister(self, info: ResourceInfo) -> int:
-        """Withdraw the info from its hub (owner and replicas)."""
-        key = self.value_hash(info.attribute)(info.value)
-        return self.ring.discard(self._hub(info.attribute), key, info)
+    def _placer(self, attribute: str) -> Callable[[float], tuple]:
+        """One insertion, into the attribute's hub at the value's root."""
+        hub = self._hub(attribute)
+        value_hash = self.value_hash(attribute)
+        return lambda value: ((hub, value_hash(value)),)
 
     # ------------------------------------------------------------------
     # Queries

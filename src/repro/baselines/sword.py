@@ -12,10 +12,11 @@ attributes, all 100k info pieces pile up on 200 of the 2048 nodes
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import ClassVar
 
 from repro.baselines.base import ChordBackedService
-from repro.core.resource import Query, ResourceInfo
+from repro.core.resource import Query
 
 __all__ = ["SwordService"]
 
@@ -34,30 +35,12 @@ class SwordService(ChordBackedService):
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _register_impl(self, info: ResourceInfo, *, routed: bool = True) -> int:
-        """Insert at the attribute root, ``successor(H(attribute))`` —
-        or at all ``S`` salted roots under a salting plan."""
-        keys = self.attr_store_keys(info.attribute)
-        if not routed:
-            for key in keys:
-                self.ring.store(_NAMESPACE, key, info)
-            hops = 0
-        else:
-            origin = self.random_node()
-            hops = 0
-            for key in keys:
-                hops += self.ring.routed_store(origin, _NAMESPACE, key, info).hops
-            self.metrics.record("register.hops", hops)
-        if self.hot_replicator is not None:
-            self.hot_replicator.on_register(info, keys[0])
-        return hops
-
-    def deregister(self, info: ResourceInfo) -> int:
-        """Withdraw the info from the attribute root(s)."""
-        return sum(
-            self.ring.discard(_NAMESPACE, key, info)
-            for key in self.attr_store_keys(info.attribute)
-        )
+    def _placer(self, attribute: str) -> Callable[[float], tuple]:
+        """One insertion at the attribute root, ``successor(H(attribute))``
+        — or one at each of the ``S`` salted roots under a salting plan —
+        whatever the value."""
+        roots = tuple((_NAMESPACE, key) for key in self.attr_store_keys(attribute))
+        return lambda value: roots
 
     # ------------------------------------------------------------------
     # Queries

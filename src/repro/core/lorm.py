@@ -20,6 +20,7 @@ in parallel and join on provider address.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any, ClassVar
 
 from repro.baselines.base import DiscoveryService, build_ring
@@ -134,33 +135,18 @@ class LormService(DiscoveryService):
         """``rescID = (ℋ(value), H(attribute))`` (Section III)."""
         return CycloidId(self.value_hash(attribute)(value), self.attr_key(attribute))
 
-    def _store_key(self, attribute: str, value: float) -> Any:
-        """The overlay-native storage key for ``(attribute, value)``: the
-        rescID linearized the way Cycloid linearizes it (``cluster * d +
-        cyclic``, so each attribute owns a contiguous arc of ``d`` IDs),
-        handed to the overlay in its own key type."""
-        return self.overlay.key_of(
-            self.attr_key(attribute) * self.dimension
-            + self.value_hash(attribute)(value)
-        )
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _register_impl(self, info: ResourceInfo, *, routed: bool = True) -> int:
-        """``Insert(rescID, rescInfo)`` — one Cycloid insertion."""
-        key = self._store_key(info.attribute, info.value)
-        if not routed:
-            self.overlay.store(_NAMESPACE, key, info)
-            return 0
-        result = self.overlay.routed_store(self.random_node(), _NAMESPACE, key, info)
-        self.metrics.record("register.hops", result.hops)
-        return result.hops
-
-    def deregister(self, info: ResourceInfo) -> int:
-        """Withdraw the info from its rescID root (and replicas)."""
-        key = self._store_key(info.attribute, info.value)
-        return self.overlay.discard(_NAMESPACE, key, info)
+    def _placer(self, attribute: str) -> Callable[[float], tuple]:
+        """``Insert(rescID, rescInfo)`` — one insertion, at the rescID
+        linearized the way Cycloid linearizes it (``cluster * d + cyclic``,
+        so each attribute owns a contiguous arc of ``d`` IDs) and handed to
+        the overlay in its own key type."""
+        base = self.attr_key(attribute) * self.dimension
+        value_hash = self.value_hash(attribute)
+        key_of = self.overlay.key_of
+        return lambda value: ((_NAMESPACE, key_of(base + value_hash(value))),)
 
     # ------------------------------------------------------------------
     # Queries

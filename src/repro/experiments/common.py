@@ -240,7 +240,11 @@ def build_services(
 
     ``routed_registration=False`` (default) places infos at their roots
     directly — byte-identical placement without paying 400k routed inserts;
-    the registration-cost benchmarks flip it on.
+    the registration-cost benchmarks flip it on.  Either way each service
+    is loaded by its own ``register_all`` over the one provider-major
+    info sequence (ordering contract there): the services share no state,
+    so loading them one after the other leaves what interleaving them
+    info by info did.
 
     With ``config.validate_invariants`` set, every service's churn entry
     points (and its overlay's ``repair_replication``) are wrapped by a
@@ -267,9 +271,10 @@ def build_services(
         for service in bundle.all():
             install_churn_guards(service)
     if register:
-        for info in workload.resource_infos():
-            for service in bundle.all():
-                service.register(info, routed=routed_registration)
+        # Materialised once, so the four services store the same objects.
+        infos = tuple(workload.resource_infos())
+        for service in bundle.all():
+            service.register_all(infos, routed=routed_registration)
     if config.trace:
         # Attached *after* the bulk load so traces start with the queries.
         from repro.obs import QueryTracer

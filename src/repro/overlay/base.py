@@ -28,6 +28,7 @@ lines in the simulator.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from typing import Any
 
 from repro.overlay.node import (
@@ -39,7 +40,6 @@ from repro.overlay.node import (
 )
 from repro.sim.durability import (
     DurabilityPolicy,
-    SuccessorPlacement,
     decodable_level,
     successor_replication,
 )
@@ -72,8 +72,15 @@ class Overlay:
         network: SimulatedNetwork | None,
         replication: int,
         durability: DurabilityPolicy | None,
+        routing_cache: bool = True,
     ) -> None:
         self.network = network if network is not None else SimulatedNetwork()
+        #: Whether the caches derived from the membership are kept at all
+        #: (the subclasses' owner / finger caches and :attr:`_holders`
+        #: here).  ``False`` is the reference path the equivalence tests
+        #: diff against: every answer is re-derived from the membership
+        #: index.
+        self.routing_cache = routing_cache
         #: The durability policy governing where a key's copies/fragments
         #: live and when a piece still decodes.  The default — successor
         #: replication at ``replication`` copies — is byte-identical to the
@@ -87,17 +94,22 @@ class Overlay:
         #: survive *crash* failures (see :meth:`fail`).
         self.replication = self.durability.fragments
         self.durability.validate(self)
-        #: Hot-path flag: the seed's successor placement short-circuits
-        #: the policy dispatch in :meth:`replica_set` (store and lookup
-        #: fall-back call it per key, so the indirection is measurable).
-        self._native_placement = type(self.durability.placement) is SuccessorPlacement
+        #: :meth:`replica_set_of` per storage key id, for the current
+        #: membership epoch — a placement is a pure function of (key id,
+        #: membership), so :meth:`invalidate_routing_caches` flushes it and
+        #: nothing else has to.  A workload stores under far fewer distinct
+        #: key ids than it stores copies.
+        self._holders: dict[int, tuple] = {}
         #: Requester behaviour under injected faults (retries, timeouts,
         #: failover).  Irrelevant — and never consulted — while the network
         #: has no active fault injector.
         self.lookup_policy: LookupPolicy = DEFAULT_POLICY
         self._nodes: dict[Any, OverlayNode] = {}
-        #: :attr:`node_ids` of the current membership epoch (``None``:
-        #: not derived yet) — flushed with the routing caches.
+        #: :attr:`node_ids` of the current membership (``None``: not
+        #: derived yet).  Part of the membership index, so kept by whoever
+        #: edits that — ``build`` and the ``_membership_add`` /
+        #: ``_membership_remove`` hooks reset it, or patch it in place of a
+        #: re-derivation that costs more than the event did.
         self._node_ids: tuple | None = None
         #: The stale set: ids of the nodes whose routing entries a
         #: membership event since the last :meth:`stabilize_all` can have
@@ -132,8 +144,8 @@ class Overlay:
     @property
     def node_ids(self) -> tuple:
         """Live node IDs in the overlay's native order (``_ordered_ids``),
-        derived once per membership epoch: entry-node selection reads this
-        on every query."""
+        one tuple per membership: entry-node selection reads this on every
+        query."""
         ids = self._node_ids
         if ids is None:
             ids = self._node_ids = tuple(self._ordered_ids())
@@ -149,7 +161,7 @@ class Overlay:
         fingers) can restore cache coherence.  Subclasses extend it with
         their own derived-routing caches.
         """
-        self._node_ids = None
+        self._holders.clear()
 
     # ------------------------------------------------------------------
     # Routed lookup
@@ -335,17 +347,22 @@ class Overlay:
     # ------------------------------------------------------------------
     # Key storage (routed through the overlay)
     # ------------------------------------------------------------------
-    def replica_set(self, key: Any) -> list:
+    def replica_set(self, key: Any) -> tuple:
         """The nodes that should hold ``key`` under the durability policy
         (default: its owner plus the next ``replication - 1`` native
         successors), owner first."""
-        if self._native_placement:
-            return self._native_holders(key, self.replication)
-        return self.durability.holders(self, self.key_id(key))
+        return self.replica_set_of(self.key_id(key))
 
-    def replica_set_of(self, key_id: int) -> list:
-        """:meth:`replica_set` addressed by integer storage key."""
-        return self.replica_set(self.key_of(key_id))
+    def replica_set_of(self, key_id: int) -> tuple:
+        """:meth:`replica_set` addressed by integer storage key: derived
+        by the durability policy once per membership epoch, then answered
+        from :attr:`_holders` (a tuple, so no caller can edit the memo)."""
+        holders = self._holders.get(key_id)
+        if holders is None:
+            holders = tuple(self.durability.holders(self, key_id))
+            if self.routing_cache:
+                self._holders[key_id] = holders
+        return holders
 
     def native_holders(self, key_id: int, count: int) -> list:
         """``count`` native successor holders of storage key ``key_id`` —
@@ -360,12 +377,44 @@ class Overlay:
         the replica set (counted as maintenance messages).
         """
         key_id = self.key_id(key)
-        replicas = self.replica_set(key)
+        replicas = self.replica_set_of(key_id)
         for holder in replicas:
             holder.store(namespace, key_id, item)
         if len(replicas) > 1:
             self.network.count_maintenance(len(replicas) - 1)
         return replicas[0]
+
+    def store_all(self, entries: Iterable[tuple[str, Any, Any]]) -> None:
+        """:meth:`store` every ``(namespace, key, item)`` of ``entries``, in
+        order, resolving each distinct ``key`` once — to its storage id and
+        its holders — however many items and namespaces are stored under it.
+
+        Ordering contract: what every node ends up holding is what the
+        same stream through :meth:`store` leaves, observably — the same
+        namespace order in its ``_store``, the same key order inside a
+        namespace, the same item order inside a bucket, the same view
+        flushes and arc-directory posts.  By construction: every copy goes
+        through :meth:`OverlayNode.store` on the same holder at the same
+        point of the stream; only the resolution and the maintenance
+        count — posted once, with the total — are shared.
+        """
+        copies = 0
+        resolved: dict[Any, tuple[int, tuple]] = {}
+        try:
+            for namespace, key, item in entries:
+                try:
+                    key_id, holders = resolved[key]
+                except KeyError:
+                    key_id = self.key_id(key)
+                    holders = self.replica_set_of(key_id)
+                    resolved[key] = key_id, holders
+                for holder in holders:
+                    holder.store(namespace, key_id, item)
+                copies += len(holders) - 1
+        finally:
+            # Also when the stream raises: count what was stored.
+            if copies:
+                self.network.count_maintenance(copies)
 
     def routed_store(
         self, start: OverlayNode, namespace: str, key: Any, item: Any
@@ -374,7 +423,7 @@ class Overlay:
         result = self.lookup(start, key)
         key_id = self.key_id(key)
         result.owner.store(namespace, key_id, item)
-        for holder in self.replica_set(key)[1:]:
+        for holder in self.replica_set_of(key_id)[1:]:
             if holder is not result.owner:
                 holder.store(namespace, key_id, item)
                 self.network.count_maintenance(1)
@@ -389,7 +438,7 @@ class Overlay:
         """
         key_id = self.key_id(key)
         removed = 0
-        for holder in self.replica_set(key):
+        for holder in self.replica_set_of(key_id):
             if holder.remove_item(namespace, key_id, item):
                 removed += 1
         return removed

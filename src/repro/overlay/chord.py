@@ -132,7 +132,7 @@ class ChordRing(Overlay):
         require(1 <= bits <= 62, f"ChordRing needs bits in [1, 62], got {bits}")
         self.space = IdSpace(bits)
         self.successor_list_len = successor_list_len
-        super().__init__(network, replication, durability)
+        super().__init__(network, replication, durability, routing_cache)
         #: The flat array-backed membership core (``repro.overlay.
         #: arraystore``); the node objects and their routing pointers are
         #: views over this sorted id vector.
@@ -150,7 +150,6 @@ class ChordRing(Overlay):
         #: and :meth:`_refresh_far` (stabilize/refresh paths) drops the
         #: touched node's entry.  ``routing_cache=False`` disables the
         #: caches entirely (the equivalence tests diff the two modes).
-        self.routing_cache = routing_cache
         self._succ_cache: dict[int, ChordNode] = {}
         self._cpf_cache: dict[int, list[ChordNode]] = {}
 
@@ -182,6 +181,7 @@ class ChordRing(Overlay):
         self._nodes = {i: ChordNode(i, self.bits, self._arcs) for i in ids}
         self._sorted_ids = RingVector(ids)
         self._ring = list(self._nodes.values())
+        self._node_ids = None
         self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
         for node in self._nodes.values():
@@ -629,11 +629,13 @@ class ChordRing(Overlay):
     def _membership_add(self, node_id: int) -> None:
         self._ring.insert(self._sorted_ids.bisect_left(node_id), self._nodes[node_id])
         self._sorted_ids.add(node_id)
+        self._node_ids = None
         self._mark_stale(node_id)
 
     def _membership_remove(self, node_id: int) -> None:
         del self._ring[self._sorted_ids.bisect_left(node_id)]
         self._sorted_ids.remove(node_id)
+        self._node_ids = None
         self._mark_stale(node_id)
 
     def _mark_stale(self, node_id: int) -> None:

@@ -64,6 +64,10 @@ class CycloidId(NamedTuple):
     a: int
 
 
+#: The order of :meth:`CycloidOverlay._ordered_ids`: cluster, then cyclic.
+_ORDERED_BY = itemgetter(1, 0)
+
+
 class CycloidNode(OverlayNode):
     """A Cycloid node with the seven-entry constant-degree routing table."""
 
@@ -173,7 +177,7 @@ class CycloidOverlay(Overlay):
         self.routing_mode = routing_mode
         self.dimension = dimension
         self.cubical_space = IdSpace(dimension)  # ring of 2**d clusters
-        super().__init__(network, replication, durability)
+        super().__init__(network, replication, durability, routing_cache)
         #: cluster -> sorted flat vector of present cyclic indices (the
         #: array-backed membership core, ``repro.overlay.arraystore``)
         self._clusters: dict[int, RingVector] = {}
@@ -185,7 +189,6 @@ class CycloidOverlay(Overlay):
         #: :meth:`leave` / :meth:`fail` / :meth:`build` — what ChurnGuard
         #: wraps at the service level) clears it.  ``routing_cache=False``
         #: disables memoisation (equivalence tests diff the two modes).
-        self.routing_cache = routing_cache
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
 
     def invalidate_routing_caches(self) -> None:
@@ -230,6 +233,7 @@ class CycloidOverlay(Overlay):
             grouped.setdefault(cid.a, []).append(cid.k)
         self._clusters = {a: RingVector(ks) for a, ks in grouped.items()}
         self._cluster_ids = RingVector(self._clusters)
+        self._node_ids = None
         self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
         for node in self._nodes.values():
@@ -725,7 +729,18 @@ class CycloidOverlay(Overlay):
     def _normalize_id(self, cid: CycloidId) -> CycloidId:
         return CycloidId(cid.k % self.dimension, cid.a % self.cubical_space.size)
 
+    def _splice_node_ids(self, cid: CycloidId, joined: bool) -> None:
+        """Patch :attr:`node_ids` for one join or departure: re-deriving
+        it builds ``n`` fresh ``CycloidId`` tuples for the next entry-node
+        draw, the splice copies ``n`` references."""
+        ids = self._node_ids
+        if ids is None:
+            return
+        at = bisect.bisect_left(ids, (cid.a, cid.k), key=_ORDERED_BY)
+        self._node_ids = ids[:at] + (cid,) + ids[at:] if joined else ids[:at] + ids[at + 1:]
+
     def _membership_add(self, cid: CycloidId) -> None:
+        self._splice_node_ids(cid, joined=True)
         ks = self._clusters.setdefault(cid.a, RingVector())
         ks.add(cid.k)
         if len(ks) == 1:
@@ -735,6 +750,7 @@ class CycloidOverlay(Overlay):
             self._mark_stale(cid.a)
 
     def _membership_remove(self, cid: CycloidId) -> None:
+        self._splice_node_ids(cid, joined=False)
         ks = self._clusters[cid.a]
         ks.remove(cid.k)
         if not ks:

@@ -48,6 +48,7 @@ __all__ = [
     "check_overlay",
     "check_replica_placement",
     "directory_census",
+    "directory_layout",
     "install_churn_guards",
     "overlay_of",
 ]
@@ -111,6 +112,28 @@ def directory_census(overlay: Any, policy: Any = None) -> Counter:
     return decodable
 
 
+def directory_layout(overlay: Any) -> list:
+    """Every node's directory exactly as it is stored: per node the
+    namespaces in ``_store`` order, per namespace the keys in dict order,
+    per key the bucket in item order.
+
+    Finer than the census on purpose.  Handover, repair and the arc index
+    iterate these dicts and lists, so two load paths that agree only on
+    the census can still diverge after the first churn event; load paths
+    are compared on this.
+    """
+    return [
+        (
+            node.uid,
+            [
+                (namespace, [(key_id, list(bucket)) for key_id, bucket in buckets.items()])
+                for namespace, buckets in node._store.items()
+            ],
+        )
+        for node in overlay.nodes()
+    ]
+
+
 # ----------------------------------------------------------------------
 # Structural checks
 # ----------------------------------------------------------------------
@@ -166,7 +189,9 @@ def check_replica_placement(overlay: Any) -> None:
         for bucket_key, pieces in node.bucket_counts().items():
             holders.setdefault(bucket_key, {})[node.uid] = pieces
     for (namespace, key_id), per_key in holders.items():
-        expected = {n.uid for n in overlay.replica_set_of(key_id)}
+        # Derived afresh from the policy, never read from the overlay's
+        # per-epoch holders memo: the checker polices that memo.
+        expected = {n.uid for n in overlay.durability.holders(overlay, key_id)}
         actual = set(per_key)
         _check(
             actual == expected,

@@ -73,7 +73,9 @@ def replica_deficit(overlay: Any, policy: Any = None) -> int:
 
     deficit = 0
     for (namespace, key_id), pieces in holders.items():
-        target_holders = len(overlay.replica_set_of(key_id))
+        # A fresh derivation, like the placement check's: the deficit is
+        # an oracle's number, not the overlay's own memo read back.
+        target_holders = len(overlay.durability.holders(overlay, key_id))
         for item, counts in pieces.items():
             level = decodable_level(counts, threshold)
             for j in range(1, level + 1):

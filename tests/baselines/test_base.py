@@ -129,7 +129,12 @@ QUERY_KERNEL = (
 CONSTRUCTOR_STATE = (
     "overlay", "schema", "lph_kind", "collect_matches", "metrics", "_seeds",
     "_rng", "_churn_rng", "_departed", "attr_hash", "attr_placement",
-    "_attr_ids", "_value_space", "_value_hashes",
+    "_attr_ids", "_value_space", "_value_hashes", "_placers",
+)
+
+#: What reads a binding's placements (``_placer``), owned once as well.
+REGISTRATION = (
+    "register", "_register_impl", "register_all", "deregister", "_placements",
 )
 
 
@@ -199,6 +204,32 @@ class TestChurnBookkeeping:
         service.churn_leave()
         service.stabilize()
         service.ring.check_invariants()
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("system,tier", BINDINGS)
+    def test_a_binding_states_its_placement_once(self, system, tier):
+        """``_placer`` is the binding's only word on where an info lives:
+        registration, withdrawal and the bulk load are the shared ones, and
+        a stored info sits under exactly its ``_placements``."""
+        service = build_service(SMOKE_CONFIG, system, overlay=tier, register=False)
+        for name in REGISTRATION:
+            assert getattr(type(service), name) is getattr(DiscoveryService, name), name
+        assert "_placer" in vars(type(service))
+        spec = service.schema.specs[0]
+        info = ResourceInfo(spec.name, (spec.lo + spec.hi) / 2, "p")
+        placements = service._placements(info)
+        assert len(placements) == service.lookups_per_attribute
+        service.register(info)
+        overlay = service.overlay
+        stored = {
+            (namespace, key_id)
+            for node in overlay.nodes()
+            for namespace, key_id, item in node.stored_entries()
+        }
+        assert stored == {(ns, overlay.key_id(key)) for ns, key in placements}
+        assert service.deregister(info) == len(placements)
+        assert service.total_info_pieces() == 0
 
 
 class TestSubQueryEngine:

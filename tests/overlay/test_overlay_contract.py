@@ -108,6 +108,8 @@ class TestMembershipEpoch:
                 getattr(overlay, change)(victim)
             after = overlay.node_ids
             assert after is not before and after is overlay.node_ids
+            # ... patched across the event or derived afresh, the same tuple:
+            assert after == tuple(overlay._ordered_ids()), change
             assert list(after) == [node.uid for node in overlay.nodes()], change
             assert len(after) == overlay.num_nodes == len(set(after))
             assert all(node_id in overlay for node_id in after)

@@ -13,6 +13,12 @@ one: the cached overlay's ``stabilize_all`` re-derives only its stale set,
 the uncached twin's sweeps everything, and the storm sweeps directly after
 every rejoin of a crashed id (a new node object under an id the stale
 entries still name) as well as every fifth event.
+
+The replica sets are memoised the same way (``Overlay._holders``); their
+twins are services, because the memo's readers are the write paths —
+``register`` / ``deregister`` between membership and repair events, with
+every node's directory, every withdrawal's count and the message counts
+compared after each step.
 """
 
 from __future__ import annotations
@@ -22,10 +28,15 @@ from functools import partial
 
 import pytest
 
+from repro.baselines.maan import MaanService
+from repro.core.lorm import LormService
+from repro.core.resource import ResourceInfo
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
+from repro.sim.invariants import directory_layout
+from repro.workloads.attributes import AttributeSchema
 
 _STORM_EVENTS = 40
 _PROBES_PER_EVENT = 6
@@ -230,3 +241,121 @@ class TestCycloidCacheEquivalence:
         assert cached.closest_node(joiner).cid != joiner
         cached.join(joiner)
         assert cached.closest_node(joiner).cid == joiner
+
+
+# ----------------------------------------------------------------------
+# The holders memo (``Overlay._holders``): replica sets per membership epoch
+# ----------------------------------------------------------------------
+_SCHEMA = AttributeSchema.synthetic(6)
+
+
+def _chord_service(replication: int, routing_cache: bool) -> MaanService:
+    ring = ChordRing(7, replication=replication, routing_cache=routing_cache)
+    ring.build(random.Random(11).sample(range(128), 48))
+    return MaanService(ring, _SCHEMA, seed=3)
+
+
+def _cycloid_service(replication: int, routing_cache: bool) -> LormService:
+    overlay = CycloidOverlay(4, replication=replication, routing_cache=routing_cache)
+    all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
+    overlay.build(random.Random(5).sample(all_ids, 48))
+    return LormService(overlay, _SCHEMA, seed=3)
+
+
+def _write_storm(service, seed: int) -> list:
+    """A seeded interleaving of every membership and repair entry point
+    with registrations and withdrawals in between; the transcript is what
+    a caller can observe after each step."""
+    rng = random.Random(seed)
+    overlay = service.overlay
+    specs = _SCHEMA.specs
+    live: list[ResourceInfo] = []
+    departed: list = []
+    transcript = []
+    for step in range(60):
+        for _ in range(3):
+            spec = specs[rng.randrange(len(specs))]
+            info = ResourceInfo(
+                spec.name, rng.uniform(spec.lo, spec.hi), f"p{rng.randrange(12)}"
+            )
+            service.register(info, routed=False)
+            live.append(info)
+        removed = [
+            service.deregister(live.pop(rng.randrange(len(live))))
+            for _ in range(min(2, len(live)))
+        ]
+        # Withdrawing what is not there touches the same holders.
+        removed.append(service.deregister(ResourceInfo(specs[0].name, specs[0].lo, "nobody")))
+        roll = rng.random()
+        ids = overlay.node_ids
+        if roll < 0.2 and len(ids) > 8:
+            victim = ids[rng.randrange(len(ids))]
+            overlay.leave(victim)
+            departed.append(victim)
+        elif roll < 0.4 and len(ids) > 8:
+            victim = ids[rng.randrange(len(ids))]
+            overlay.fail(victim)
+            departed.append(victim)
+        elif roll < 0.6 and departed:
+            overlay.join(departed.pop(rng.randrange(len(departed))))
+        elif roll < 0.8:
+            overlay.stabilize_all()
+        else:
+            overlay.repair_replication()
+        transcript.append(
+            (step, removed, directory_layout(overlay), overlay.network.stats.as_dict())
+        )
+    return transcript
+
+
+class TestHoldersMemo:
+    @pytest.mark.parametrize("replication", (1, 2, 3))
+    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
+    def test_write_storm_transcripts_identical(self, build, replication):
+        cached = _write_storm(build(replication, True), seed=41)
+        plain = _write_storm(build(replication, False), seed=41)
+        for with_memo, without in zip(cached, plain):
+            assert with_memo == without, with_memo[0]
+
+    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
+    def test_memo_engages_only_with_the_routing_cache(self, build):
+        info = ResourceInfo(_SCHEMA.specs[0].name, _SCHEMA.specs[0].lo, "p0")
+        cached, plain = build(2, True), build(2, False)
+        for service in (cached, plain):
+            service.register(info, routed=False)
+        assert cached.overlay._holders
+        assert not plain.overlay._holders
+
+    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
+    def test_every_membership_entry_point_empties_it(self, build):
+        overlay = build(2, True).overlay
+        key_ids = range(0, overlay.id_space_size, 3)
+
+        def fill() -> None:
+            for key_id in key_ids:
+                overlay.replica_set_of(key_id)
+            assert len(overlay._holders) == len(key_ids)
+
+        ids = overlay.node_ids
+        fill()
+        overlay.leave(ids[0])
+        assert not overlay._holders
+        fill()
+        overlay.fail(ids[1])
+        assert not overlay._holders
+        fill()
+        overlay.join(ids[0])
+        assert not overlay._holders
+        fill()
+        overlay.build(ids)
+        assert not overlay._holders
+
+    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
+    def test_a_caller_cannot_edit_the_memo(self, build):
+        overlay = build(3, True).overlay
+        key = overlay.key_of(5)
+        holders = overlay.replica_set(key)
+        assert isinstance(holders, tuple) and len(holders) == 3
+        assert overlay.replica_set(key) is holders
+        assert overlay.replica_set_of(5) is holders
+        assert list(holders) == overlay.durability.holders(overlay, 5)
