@@ -430,7 +430,8 @@ class CompactChordRing:
         return int(self.ids.nbytes + self.fingers.nbytes)
 
     # ------------------------------------------------------------------
-    # Routing (mirrors ChordRing._lookup_plain / _closest_preceding)
+    # Routing (mirrors ChordRing._lookup_plain; the level scan picks the
+    # finger the object ring's finger-row bisect picks)
     # ------------------------------------------------------------------
     def lookup(self, start_index: int, key: int) -> tuple[int, int]:
         """Greedy closest-preceding-finger route; returns (owner_index, hops).

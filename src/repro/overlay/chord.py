@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import warnings
+from array import array
 from collections.abc import Iterable
 
 from repro.overlay.arraystore import RingVector
@@ -82,6 +83,12 @@ class ChordNode(OverlayNode):
             links.add(self.predecessor.node_id)
         links.discard(self.node_id)
         return links
+
+
+#: One node's finger row: clockwise distances (``array('q')``), the finger
+#: at each distance, and whether the distances ascend — see
+#: :meth:`ChordRing._finger_row`.
+FingerRow = tuple[array, tuple[ChordNode, ...], bool]
 
 
 class ChordRing(Overlay):
@@ -142,16 +149,17 @@ class ChordRing(Overlay):
         self._ring: list[ChordNode] = []
         #: Derived-routing caches (pure memoisation, no observable effect):
         #: ``_succ_cache`` memoises :meth:`successor_of` and ``_cpf_cache``
-        #: holds each node's deduplicated descending live-finger list for
-        #: :meth:`_closest_preceding`.  Both are valid only for the current
-        #: membership + alive flags, so every churn entry point
-        #: (:meth:`join` / :meth:`leave` / :meth:`fail` / :meth:`build` —
-        #: the methods ChurnGuard wraps at the service level) clears them,
-        #: and :meth:`_refresh_far` (stabilize/refresh paths) drops the
-        #: touched node's entry.  ``routing_cache=False`` disables the
-        #: caches entirely (the equivalence tests diff the two modes).
+        #: holds each node's *finger row* (:meth:`_finger_row`), what the
+        #: closest-preceding-finger step of :meth:`_lookup_plain` reads.
+        #: Both are valid only for the current membership + alive flags,
+        #: so every churn entry point (:meth:`join` / :meth:`leave` /
+        #: :meth:`fail` / :meth:`build` — the methods ChurnGuard wraps at
+        #: the service level) clears them, and :meth:`_refresh_far`
+        #: (stabilize/refresh paths) drops the touched node's row.
+        #: ``routing_cache=False`` disables the caches entirely (the
+        #: equivalence tests diff the two modes).
         self._succ_cache: dict[int, ChordNode] = {}
-        self._cpf_cache: dict[int, list[ChordNode]] = {}
+        self._cpf_cache: dict[int, FingerRow] = {}
 
     def invalidate_routing_caches(self) -> None:
         super().invalidate_routing_caches()
@@ -292,31 +300,104 @@ class ChordRing(Overlay):
         Greedy closest-preceding-finger routing; stale (dead) fingers are
         skipped, and the successor list is the fallback, so lookups remain
         correct between stabilization rounds under graceful churn.
+
+        The hottest loop in the simulator, so a hop is integer work on
+        the ids: the ``(pred, cur]`` stop test (:meth:`_owns`), the
+        first-live-successor pick (:attr:`ChordNode.successor`) and the
+        finger step are inline and read ``uid`` / ``predecessor`` /
+        ``successor_list`` live; only the fingers come from a memo, the
+        node's :meth:`_finger_row`, where the highest finger inside
+        ``(cur, key)`` is one bisect.
         """
-        cur = start
-        hops = 0
-        path = [cur.node_id]
-        max_hops = 8 * self.bits + self.num_nodes  # termination guard
         size = self.space.size
+        rows = self._cpf_cache
+        cur = start
+        nid = cur.uid
+        hops = 0
+        path = [nid]
+        max_hops = 8 * self.bits + self.num_nodes  # termination guard
         while hops < max_hops:
-            if self._owns(cur, key):
+            pred = cur.predecessor
+            if pred is None or not pred.alive:
+                # Degenerate/repairing state: fall back to the oracle check.
+                if self.successor_of(key) is cur:
+                    break
+            else:
+                pid = pred.uid
+                dist_cur = (nid - pid) % size
+                if dist_cur == 0 or 0 < (key - pid) % size <= dist_cur:
+                    break
+            for succ in cur.successor_list:
+                if succ.alive:
+                    break
+            else:
                 break
-            succ = cur.successor
-            if succ is None or succ is cur:
+            if succ is cur:
                 break
-            # Inlined in_interval(key, cur, succ] — this check runs once
-            # per hop on the hottest path in the simulator.
-            dist_key = (key - cur.node_id) % size
-            dist_succ = (succ.node_id - cur.node_id) % size
-            if dist_succ == 0 or 0 < dist_key <= dist_succ:
+            span = (key - nid) % size
+            dist_succ = (succ.uid - nid) % size
+            if dist_succ == 0 or 0 < span <= dist_succ:
                 # Key lies between us and our successor: successor owns it.
                 cur = succ
             else:
-                cur = self._closest_preceding(cur, key)
+                row = rows.get(nid)
+                if row is None:
+                    row = self._finger_row(cur)
+                dists, fingers, ascending = row
+                # The open interval (cur, key); when cur == key it is the
+                # whole ring minus the point.
+                span = span or size
+                cur = succ
+                if ascending:
+                    at = bisect.bisect_left(dists, span)
+                    if at:
+                        cur = fingers[at - 1]
+                else:
+                    for dist, finger in zip(dists, fingers):
+                        if dist < span:
+                            cur = finger
+                            break
+            nid = cur.uid
             hops += 1
-            path.append(cur.node_id)
+            path.append(nid)
         self.network.count_hop(hops)
         return LookupResult(owner=cur, hops=hops, path=tuple(path))
+
+    def _finger_row(self, node: ChordNode) -> FingerRow:
+        """``node``'s live fingers — dead entries, self-references and
+        duplicates dropped — with their clockwise distances from it,
+        memoised in ``_cpf_cache`` per membership epoch.
+
+        A finger table holds ``bits`` entries but only ``O(log n)``
+        distinct targets, and liveness cannot change between cache
+        invalidations.  The row memoises finger state only: the stop test
+        and the successor pick of :meth:`_lookup_plain` stay live reads.
+
+        The next hop is the *first* finger, scanning the table from its
+        top, that lies inside ``(node, key)``.  In a table whose distances
+        grow with the level — any that one :meth:`_refresh_far` derived —
+        that is also the *furthest* such finger, so the row is stored
+        ascending and the step is a bisect.  A table written out of
+        distance order (a test staging stale fingers) has no such
+        shortcut: its row stays in scan order, flagged, and is scanned.
+        """
+        nid = node.uid
+        size = self.space.size
+        seen = {nid}
+        fingers: list[ChordNode] = []
+        for finger in reversed(node.fingers):
+            if finger is not None and finger.alive and finger.uid not in seen:
+                seen.add(finger.uid)
+                fingers.append(finger)
+        dists = [(finger.uid - nid) % size for finger in fingers]
+        ascending = all(far > near for far, near in zip(dists, dists[1:]))
+        if ascending:
+            dists.reverse()
+            fingers.reverse()
+        row = array("q", dists), tuple(fingers), ascending
+        if self.routing_cache:
+            self._cpf_cache[nid] = row
+        return row
 
     def edge_kind(self, src: ChordNode, dst: ChordNode) -> str:
         """Which routing-table entry of ``src`` reaches ``dst``.
@@ -434,41 +515,6 @@ class ChordRing(Overlay):
                 seen.add(entry.node_id)
                 entries.append((entry.node_id, entry))
         return entries if policy.successor_failover else entries[:1]
-
-    def _closest_preceding(self, node: ChordNode, key: int) -> ChordNode:
-        """Best live next hop: highest finger in ``(node, key)``.
-
-        The per-node scan list — fingers in descending order, dead entries,
-        self-references and duplicates dropped — is cached per membership
-        epoch: finger tables hold ``bits`` entries but only ``O(log n)``
-        distinct targets, and liveness cannot change between cache
-        invalidations, so the cached scan returns exactly what the seed's
-        full reversed scan returns.
-        """
-        fingers = self._cpf_cache.get(node.node_id)
-        if fingers is None:
-            fingers = []
-            seen: set[int] = {node.node_id}
-            for finger in reversed(node.fingers):
-                if (
-                    finger is not None
-                    and finger.alive
-                    and finger.node_id not in seen
-                ):
-                    seen.add(finger.node_id)
-                    fingers.append(finger)
-            if self.routing_cache:
-                self._cpf_cache[node.node_id] = fingers
-        # Inlined in_interval over the open interval (node, key); when
-        # node == key the open interval is the whole ring minus the point.
-        size = self.space.size
-        nid = node.node_id
-        span = (key - nid) % size or size
-        for finger in fingers:
-            if 0 < (finger.node_id - nid) % size < span:
-                return finger
-        succ = node.successor
-        return succ if succ is not None else node
 
     # ------------------------------------------------------------------
     # Successor walk (range-query primitive)

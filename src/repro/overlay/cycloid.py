@@ -395,33 +395,67 @@ class CycloidOverlay(Overlay):
         inside leaf set otherwise — then walk the final cluster's small
         cycle to the owner.  Every hop follows a maintained routing-table
         link; the membership oracle is used only to know when to stop.
+
+        The final-phase and adaptive steps are inline, on the ``(k, a)``
+        of ``cur.uid`` unpacked once per hop; what is off the fault-free
+        stabilised path (:meth:`_next_hop_msb`, :meth:`_greedy_fallback`,
+        :meth:`_clockwise_hop`) stays a method.
         """
         owner = self.closest_node(target)
+        ok, oa = owner.uid
+        d = self.dimension
+        msb = self.routing_mode == "msb"
         cur = start
+        cid = cur.uid
         hops = 0
-        path = [cur.cid]
-        visited = {cur.cid}
+        path = [cid]
+        visited = {cid}
         # Fallback big-cycle traversal mode: entered when the CCC/greedy
         # steps revisit a node (possible while routing state is being
         # repaired under churn).  It walks strictly clockwise — outside
         # leaf sets across clusters, then inside leaf successors within the
         # owner's cluster — which terminates unconditionally.
         deterministic = False
-        max_hops = 10 * self.dimension + 3 * len(self._cluster_ids) + 4
+        max_hops = 10 * d + 3 * len(self._cluster_ids) + 4
         while cur is not owner and hops < max_hops:
             if deterministic:
                 nxt = self._clockwise_hop(cur, owner)
             else:
-                nxt = self._next_hop(cur, owner)
-                if nxt is None or nxt is cur or nxt.cid in visited:
+                # The link the CCC discipline names; the whole table where
+                # that one is missing or dead.
+                ck, ca = cid
+                if ca == oa:
+                    # Final phase: walk the cluster's small cycle the
+                    # short way.
+                    pred, succ = cur.inside_leaf
+                    if (ok - ck) % d <= (ck - ok) % d:
+                        nxt, other = succ, pred
+                    else:
+                        nxt, other = pred, succ
+                    if nxt is None or not nxt.alive:
+                        nxt = other
+                elif msb:
+                    nxt = self._next_hop_msb(cur, owner)
+                elif (ca ^ oa) >> (ck - 1) % d & 1:
+                    nxt = cur.cubical_neighbor
+                    if nxt is not None and nxt.uid[1] == ca:
+                        nxt = None
+                else:
+                    nxt = cur.inside_leaf[0]
+                    if nxt is None or not nxt.alive:
+                        nxt = cur.cubical_neighbor  # singleton cluster: leave via cube
+                if nxt is None or not nxt.alive:
+                    nxt = self._greedy_fallback(cur, owner)
+                if nxt is None or nxt is cur or nxt.uid in visited:
                     deterministic = True
                     nxt = self._clockwise_hop(cur, owner)
             if nxt is None or nxt is cur:
                 break
             cur = nxt
+            cid = cur.uid
             hops += 1
-            path.append(cur.cid)
-            visited.add(cur.cid)
+            path.append(cid)
+            visited.add(cid)
         self.network.count_hop(hops)
         if cur is not owner:
             raise RuntimeError(
@@ -499,39 +533,9 @@ class CycloidOverlay(Overlay):
             improving = improving[:1]
         return [(self.linearize(n.cid), n) for _, n in improving]
 
-    def _next_hop(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
-        d = self.dimension
-        if cur.a == owner.a:
-            # Final phase: walk the cluster's small cycle the short way.
-            pred, succ = cur.inside_leaf
-            forward = (owner.k - cur.k) % d
-            backward = (cur.k - owner.k) % d
-            primary, secondary = (succ, pred) if forward <= backward else (pred, succ)
-            for cand in (primary, secondary):
-                if cand is not None and cand.alive:
-                    return cand
-            return self._greedy_fallback(cur, owner)
-
-        if self.routing_mode == "msb":
-            return self._next_hop_msb(cur, owner)
-
-        j = (cur.k - 1) % d
-        differing = (cur.a ^ owner.a) >> j & 1
-        if differing:
-            cand = cur.cubical_neighbor
-            if cand is not None and cand.alive and cand.a != cur.a:
-                return cand
-        else:
-            pred = cur.inside_leaf[0]
-            if pred is not None and pred.alive:
-                return pred
-            cand = cur.cubical_neighbor  # singleton cluster: leave via cube
-            if cand is not None and cand.alive:
-                return cand
-        return self._greedy_fallback(cur, owner)
-
     def _next_hop_msb(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
-        """The Cycloid paper's MSB-first step (clusters still disagree).
+        """The link the Cycloid paper's MSB-first step names (clusters
+        still disagree) — possibly missing or dead; the caller falls back.
 
         Let ``l`` be the most significant differing bit.  Ascend (inside
         leaf successor) while the node's level is too low to fix it, flip
@@ -542,15 +546,8 @@ class CycloidOverlay(Overlay):
         pred, succ = cur.inside_leaf
         if cur.k == (l + 1) % self.dimension or (cur.k - 1) % self.dimension == l:
             cand = cur.cubical_neighbor
-            if cand is not None and cand.alive and cand.a != cur.a:
-                return cand
-        elif cur.k < l + 1:
-            if succ is not None and succ.alive:
-                return succ  # ascending phase
-        else:
-            if pred is not None and pred.alive:
-                return pred  # descending phase
-        return self._greedy_fallback(cur, owner)
+            return cand if cand is None or cand.a != cur.a else None
+        return succ if cur.k < l + 1 else pred  # ascending / descending phase
 
     def _clockwise_hop(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
         """Strictly clockwise progress: next cluster's top node until the

@@ -21,7 +21,7 @@ and overrides only finger construction:
   table is a superset of the fan-out-``h-1`` table (which is what makes
   mean hops monotone in the fan-out under common random numbers);
 * the assembled list is sorted by clockwise distance, the order the
-  inherited closest-preceding-finger scan relies on.
+  inherited closest-preceding-finger step relies on.
 
 Everything else — lookups, walks, storage, churn, maintenance budgets,
 invariant checks — is inherited unchanged, except that ``stabilize_all``
@@ -81,8 +81,9 @@ class ReCordOverlay(ChordRing):
                     nid + base + self._sample_offset(nid, level, j)
                 )
                 entries.append(((target.node_id - nid) % size, target))
-        # Ascending clockwise distance: _closest_preceding scans the
-        # reversed list expecting the furthest useful finger first.
+        # Ascending clockwise distance: the order in which the furthest
+        # finger short of the key is the first one a scan from the top
+        # meets, i.e. in which the finger row is one bisect.
         entries.sort(key=lambda e: e[0])
         node.fingers = [n for _, n in entries]
         self._cpf_cache.pop(nid, None)

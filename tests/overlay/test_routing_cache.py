@@ -14,6 +14,12 @@ the uncached twin's sweeps everything, and the storm sweeps directly after
 every rejoin of a crashed id (a new node object under an id the stale
 entries still name) as well as every fifth event.
 
+Chord's finger step reads a per-node *finger row* (``_cpf_cache``): the
+live, de-duplicated fingers with their clockwise distances, one bisect per
+hop.  ``TestFingerRow`` holds it against the seed's reversed table scan,
+written out here as the reference, through a storm that also runs the
+per-node maintenance steps and on hand-staged tables no figure reaches.
+
 The replica sets are memoised the same way (``Overlay._holders``); their
 twins are services, because the memo's readers are the write paths —
 ``register`` / ``deregister`` between membership and repair events, with
@@ -24,6 +30,7 @@ compared after each step.
 from __future__ import annotations
 
 import random
+import sys
 from functools import partial
 
 import pytest
@@ -165,14 +172,18 @@ _ring_tiers = pytest.mark.parametrize(
 )
 
 
+def _twin_rings(ring_class, bits: int, node_ids) -> tuple[ChordRing, ChordRing]:
+    """The same ring twice: with the routing caches, and without."""
+    cached = ring_class(bits, routing_cache=True)
+    cached.build(node_ids)
+    plain = ring_class(bits, routing_cache=False)
+    plain.build(node_ids)
+    return cached, plain
+
+
 class TestChordCacheEquivalence:
     def _rings(self, ring_class=ChordRing) -> tuple[ChordRing, ChordRing]:
-        node_ids = random.Random(11).sample(range(128), 48)
-        cached = ring_class(7, routing_cache=True)
-        cached.build(node_ids)
-        plain = ring_class(7, routing_cache=False)
-        plain.build(node_ids)
-        return cached, plain
+        return _twin_rings(ring_class, 7, random.Random(11).sample(range(128), 48))
 
     @_ring_tiers
     def test_storm_transcripts_identical(self, ring_class):
@@ -241,6 +252,190 @@ class TestCycloidCacheEquivalence:
         assert cached.closest_node(joiner).cid != joiner
         cached.join(joiner)
         assert cached.closest_node(joiner).cid == joiner
+
+
+# ----------------------------------------------------------------------
+# The finger row (``ChordRing._cpf_cache``) against the reference scan
+# ----------------------------------------------------------------------
+def _reference_route(ring: ChordRing, start, key: int) -> tuple:
+    """The seed's greedy loop, straight from the definitions: the
+    ``(pred, node]`` stop test, the first live successor, and for the
+    finger step a scan of the table from its top for the first live
+    finger inside ``(node, key)``.  Reads no cache and counts nothing."""
+    in_interval = ring.space.in_interval
+    cur, hops, path = start, 0, [start.uid]
+    while hops < 8 * ring.bits + ring.num_nodes:
+        pred = cur.predecessor
+        if pred is None or not pred.alive:
+            if ring.successor_of(key) is cur:
+                break
+        elif in_interval(key, pred.uid, cur.uid):
+            break
+        succ = cur.successor
+        if succ is None or succ is cur:
+            break
+        nxt = succ
+        if not in_interval(key, cur.uid, succ.uid):
+            for finger in reversed(cur.fingers):
+                if (
+                    finger is not None
+                    and finger.alive
+                    and finger.uid != cur.uid
+                    and in_interval(finger.uid, cur.uid, key, closed_right=False)
+                ):
+                    nxt = finger
+                    break
+        cur = nxt
+        hops += 1
+        path.append(cur.uid)
+    return cur.uid, hops, tuple(path)
+
+
+def _routes(ring: ChordRing, pairs) -> list[tuple]:
+    """``(owner, hops, path)`` of every ``(start, key)``; on a finger-routed
+    tier each is first held against the reference scan."""
+    routes = []
+    for start, key in pairs:
+        result = ring.lookup(start, key)
+        route = (result.owner.uid, result.hops, tuple(result.path))
+        if not isinstance(ring, SingleHopRing):
+            assert route == _reference_route(ring, start, key), (start.uid, key)
+        routes.append(route)
+    return routes
+
+
+def _maintenance_storm(ring: ChordRing, seed: int) -> list:
+    """A seeded interleaving of every entry point that edits routing state
+    — the three membership events, the two per-node maintenance steps and
+    the sweep — with a batch of lookups after each: some from random
+    nodes, some from the node the step touched."""
+    rng = random.Random(seed)
+    size = ring.space.size
+    departed: list[int] = []
+    transcript = []
+    for step in range(60):
+        ids = ring.node_ids
+        touched = ring.node(ids[rng.randrange(len(ids))])
+        roll = rng.randrange(6)
+        if roll == 0 and len(ids) > 8:
+            ring.leave(touched.uid)
+        elif roll == 1 and len(ids) > 8:
+            ring.fail(touched.uid)
+            departed.append(touched.uid)
+        elif roll == 2:
+            free = [i for i in range(size) if i not in ring]
+            touched = ring.join(
+                departed.pop() if departed else free[rng.randrange(len(free))]
+            )
+        elif roll == 3:
+            ring.stabilize_step(touched)
+        elif roll == 4:
+            ring.refresh_routing_step(touched)
+        else:
+            ring.stabilize_all()
+        ids = ring.node_ids
+        pairs = [
+            (ring.node(ids[rng.randrange(len(ids))]), rng.randrange(size))
+            for _ in range(12)
+        ]
+        if touched.alive:
+            pairs += [(touched, rng.randrange(size)) for _ in range(6)]
+        transcript.append((step, _routes(ring, pairs), ring.network.stats.as_dict()))
+    return transcript
+
+
+class TestFingerRow:
+    @_ring_tiers
+    def test_maintenance_storm_twins_agree(self, ring_class):
+        node_ids = random.Random(3).sample(range(64), 24)
+        cached, plain = _twin_rings(ring_class, 6, node_ids)
+        with_rows = _maintenance_storm(cached, seed=29)
+        without = _maintenance_storm(plain, seed=29)
+        for row_step, plain_step in zip(with_rows, without):
+            assert row_step == plain_step, row_step[0]
+        assert not plain._cpf_cache
+
+    def _check_everywhere(self, rings, starts=None) -> None:
+        """Every ``(start, key)`` agrees with the reference scan on both
+        twins, and the twins with each other, message counts included."""
+        observed = []
+        for ring in rings:
+            nodes = list(ring.nodes()) if starts is None else starts(ring)
+            pairs = [(node, key) for node in nodes for key in range(ring.space.size)]
+            observed.append((_routes(ring, pairs), ring.network.stats.as_dict()))
+        assert observed[0] == observed[1]
+
+    @pytest.mark.parametrize(
+        "ring_class",
+        [ChordRing, partial(ReCordOverlay, fanout=4, seed=7)],
+        ids=["chord", "record"],
+    )
+    def test_staged_tables(self, ring_class):
+        node_ids = random.Random(3).sample(range(64), 24)
+        rings = _twin_rings(ring_class, 6, node_ids)
+        self._check_everywhere(rings)
+        assert all(ascending for _, _, ascending in rings[0]._cpf_cache.values())
+
+        # Fingers written out of distance order: the first finger the scan
+        # meets inside (node, key) is no longer the furthest one.
+        for ring in rings:
+            for node in ring.nodes():
+                random.Random(node.uid).shuffle(node.fingers)
+            ring.invalidate_routing_caches()
+        self._check_everywhere(rings)
+        assert not all(ascending for _, _, ascending in rings[0]._cpf_cache.values())
+
+        # Dead, missing and self fingers, in and out of order.
+        doomed = sorted(node_ids)[::5]
+        corpses = {ring: [ring.node(uid) for uid in doomed] for ring in rings}
+        for ring in rings:
+            for uid in doomed:
+                ring.fail(uid)
+            for node in ring.nodes():
+                rng = random.Random(node.uid)
+                for level in rng.sample(range(len(node.fingers)), 3):
+                    node.fingers[level] = rng.choice([None, node, *corpses[ring]])
+            ring.invalidate_routing_caches()
+        self._check_everywhere(rings)
+
+        # predecessor / successor_list are live reads: no flush after these.
+        for ring in rings:
+            nodes = list(ring.nodes())
+            nodes[1].predecessor = None  # the oracle stop test
+            nodes[2].predecessor = corpses[ring][0]
+            nodes[3].successor_list = list(corpses[ring])  # nowhere to go
+            nodes[4].successor_list = [corpses[ring][1], *nodes[4].successor_list]
+            nodes[5].successor_list = [nodes[5]]  # believes it is alone
+        self._check_everywhere(rings)
+
+        # key == node id past the stop test (span == size): a departed
+        # requester that lost its predecessor asks for its own old id.
+        for ring in rings:
+            for corpse in corpses[ring]:
+                corpse.predecessor = None
+        self._check_everywhere(rings, starts=corpses.get)
+
+    @pytest.mark.parametrize("node_ids", ([9], [9, 40]), ids=["one-node", "two-nodes"])
+    def test_tiny_rings(self, node_ids):
+        self._check_everywhere(_twin_rings(ChordRing, 6, node_ids))
+
+    def test_row_memory_budget(self):
+        """At paper scale a row is 360 B (11 distances in an
+        ``array('q')``, 11 nodes in a tuple); two lists of boxed ints
+        would be ~670 B, +0.65 MiB of ``peak_rss_mb`` (bound: 5%) for each
+        of the three Chord-backed services."""
+        ring = ChordRing(11)
+        ring.build_full()
+        size = ring.space.size
+        for node in ring.nodes():
+            ring.lookup(node, (node.uid + size // 2 + 1) % size)
+        rows = ring._cpf_cache
+        assert len(rows) == ring.num_nodes
+        held = sum(
+            sys.getsizeof(row) + sys.getsizeof(row[0]) + sys.getsizeof(row[1])
+            for row in rows.values()
+        )
+        assert held / len(rows) <= 400
 
 
 # ----------------------------------------------------------------------
