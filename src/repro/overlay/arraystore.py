@@ -441,25 +441,28 @@ class CompactChordRing:
         two implementations query by query.
         """
         self.repair_fingers()
-        ids = self.ids
-        fingers = self.fingers
-        n = ids.size
+        # Buffer views, made per call and never stored: indexing one is a
+        # C-level read that returns a Python int, where indexing the array
+        # builds a numpy scalar.  A stored view would need invalidating when
+        # churn replaces the arrays, and would pin the replaced ones.
+        ids = memoryview(self.ids)
+        fingers = memoryview(self.fingers)
+        n = len(ids)
         size = self.size
         key %= size
         cur = start_index
         hops = 0
         max_hops = 8 * self.bits + n  # termination guard (as ChordRing)
         while hops < max_hops:
-            cur_id = int(ids[cur])
-            pred_id = int(ids[cur - 1]) if cur else int(ids[n - 1])
+            cur_id = ids[cur]
+            pred_id = ids[cur - 1]  # index -1 wraps to the last node
             # Stop test: key in (pred, cur] — the stabilized _owns check.
             dist_cur = (cur_id - pred_id) % size
             if dist_cur == 0 or 0 < (key - pred_id) % size <= dist_cur:
                 break
             succ = cur + 1 if cur + 1 < n else 0
-            succ_id = int(ids[succ])
             dist_key = (key - cur_id) % size
-            dist_succ = (succ_id - cur_id) % size
+            dist_succ = (ids[succ] - cur_id) % size
             if dist_succ == 0 or 0 < dist_key <= dist_succ:
                 cur = succ
             else:
@@ -468,9 +471,11 @@ class CompactChordRing:
                 nxt = succ
                 # A level-j finger sits at clockwise distance >= 2**j, so
                 # levels with 2**j >= span cannot pass the test below.
-                top = (span - 1).bit_length()
-                for f in fingers[cur, top - 1 :: -1].tolist():
-                    if f != cur and 0 < (int(ids[f]) - cur_id) % size < span:
+                # span > dist_succ >= 1 here, so top >= 1 and the scan
+                # always covers level 0.
+                for j in range((span - 1).bit_length() - 1, -1, -1):
+                    f = fingers[cur, j]
+                    if f != cur and 0 < (ids[f] - cur_id) % size < span:
                         nxt = f
                         break
                 cur = nxt

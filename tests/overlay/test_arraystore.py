@@ -9,6 +9,9 @@ ones.
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import weakref
 from array import array
 
 import numpy as np
@@ -221,9 +224,11 @@ class TestCompactChordRingEquivalence:
 
 
 def _full_scan_lookup(ring: CompactChordRing, start_index: int, key: int) -> tuple[int, int]:
-    """The hop loop with the full reversed finger scan — the reference
-    ``CompactChordRing.lookup`` must match now that it starts the scan
-    below the levels whose ``2**j`` reaches the remaining distance."""
+    """The numpy-scalar reference loop that stays the oracle: every id is
+    an ``int(ids[i])`` and every finger step scans the whole reversed row
+    through ``.tolist()``.  ``CompactChordRing.lookup`` reads buffer views
+    instead and starts its scan below the levels whose ``2**j`` reaches
+    the remaining distance; owners and hop counts must be this loop's."""
     ring.repair_fingers()
     ids, fingers, n, size = ring.ids, ring.fingers, ring.ids.size, ring.size
     key %= size
@@ -335,6 +340,90 @@ class TestLookupScanStart:
                 assert two.lookup(start, key) == (owner, int(owner != start))
 
 
+#: sha256 over the ``(owner, hops)`` pairs of 20,000 seeded lookups on
+#: ``CompactChordRing.sampled(50_000, seed=3)``, recorded while ``lookup``
+#: still read numpy scalars.  The oracles above stop at 3,000 nodes; these
+#: pin a ring with 20 finger levels, stabilized and after lazy repairs.  A
+#: digest that moves means some lookup now ends elsewhere or takes another
+#: number of hops.  To re-record after an *intended* routing change, run
+#: this file as a script and paste the printed table.
+_LARGE_RING_DIGESTS = {
+    "stabilized": "9908e29f242f208ac638e23521fd16cf91fb8cab28addc76950b83243ab83967",
+    "churned": "884644c545ee65fbd00bad6d8e22effe9cddd59baf26cc5cb4dc2d0467e4973d",
+}
+
+
+def _large_ring_digest(family: str) -> str:
+    ring = CompactChordRing.sampled(50_000, seed=3)
+    rng = np.random.default_rng(8)
+    if family == "stabilized":
+        ring.stabilize_all()
+    else:
+        # 25 join/leave pairs, each followed by a lookup and none by
+        # stabilize_all: every table routed on is a repair_fingers patch.
+        for _ in range(25):
+            joiner = int(rng.integers(ring.size))
+            while joiner in ring:
+                joiner = int(rng.integers(ring.size))
+            ring.join(joiner)
+            ring.leave(int(ring.ids[rng.integers(ring.num_nodes)]))
+            ring.lookup(int(rng.integers(ring.num_nodes)), int(rng.integers(ring.size)))
+    starts = rng.integers(ring.num_nodes, size=20_000).tolist()
+    keys = rng.integers(ring.size, size=20_000).tolist()
+    pairs = np.array([ring.lookup(s, k) for s, k in zip(starts, keys)], dtype=np.int64)
+    assert pairs[:, 0].tolist() == ring.owner_indices(np.array(keys)).tolist()
+    return hashlib.sha256(pairs.tobytes()).hexdigest()
+
+
+class TestLargeRingDigests:
+    @pytest.mark.parametrize("family", sorted(_LARGE_RING_DIGESTS))
+    def test_pairs_match_the_digest_recorded_on_numpy_scalars(self, family):
+        assert _large_ring_digest(family) == _LARGE_RING_DIGESTS[family]
+
+
+class TestLookupBuffers:
+    """``lookup`` indexes buffer views of ``ids`` and ``fingers``."""
+
+    def test_int64_finger_table_routes_like_int32(self, monkeypatch):
+        # The layout of rings with 2**31 nodes or more: an int64 table,
+        # whose view format is 'l' or 'q' rather than 'i'.
+        ids = np.random.default_rng(21).choice(256, size=40, replace=False)
+        narrow = CompactChordRing(bits=8, ids=ids)
+        wide = CompactChordRing(bits=8, ids=ids)
+        monkeypatch.setattr(wide, "_finger_dtype", lambda: np.int64)
+        for step in ("built", "churned"):
+            if step == "churned":
+                for ring in (narrow, wide):
+                    ring.join(int(np.setdiff1d(np.arange(256), ring.ids)[7]))
+                    ring.leave(int(ring.ids[11]))
+            routes = {
+                name: [ring.lookup(s, k) for s in range(ring.num_nodes) for k in range(256)]
+                for name, ring in (("narrow", narrow), ("wide", wide))
+            }
+            assert narrow.fingers.dtype == np.int32
+            assert wide.fingers.dtype == np.int64
+            assert memoryview(wide.fingers).format in ("l", "q")
+            assert routes["wide"] == routes["narrow"], step
+
+    @pytest.mark.parametrize("repair", ["lookup", "stabilize_all"])
+    def test_no_replaced_array_outlives_the_churn(self, repair):
+        # A view kept past its call would pin the arrays churn replaces
+        # (the repair by stabilize_all never refreshes one).
+        ring = CompactChordRing.sampled(2_000, seed=1)
+        ring.lookup(0, 5)
+        assert not any(isinstance(v, memoryview) for v in vars(ring).values())
+        old_ids, old_fingers = weakref.ref(ring.ids), weakref.ref(ring.fingers)
+        ring.join(int(np.setdiff1d(np.arange(ring.size), ring.ids)[0]))
+        ring.leave(int(ring.ids[1_000]))
+        if repair == "lookup":
+            ring.lookup(3, 77)
+        else:
+            ring.stabilize_all()
+        gc.collect()
+        assert old_ids() is None
+        assert old_fingers() is None
+
+
 class TestMaintenanceParity:
     """Per-event maintenance messages match the object ring's accounting."""
 
@@ -442,3 +531,8 @@ class TestCompactChordRingValidation:
         ring = CompactChordRing.sampled(100, seed=1)
         expected = ring.ids.nbytes + 100 * ring.bits * 4  # int32 fingers
         assert ring.state_bytes() == expected
+
+
+if __name__ == "__main__":
+    for family in _LARGE_RING_DIGESTS:
+        print(f'    "{family}": "{_large_ring_digest(family)}",')
