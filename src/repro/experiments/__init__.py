@@ -21,7 +21,17 @@ the run that produces it and is the programmatic entry point
 
 from repro.experiments.config import ExperimentConfig, PAPER_CONFIG, SMOKE_CONFIG
 from repro.experiments.report import FigureResult
-from repro.experiments.runner import FIGURES, run_figure, run_figures
+
+
+def __getattr__(name: str):
+    # The registry imports every experiment module, so it loads on first
+    # use rather than with the package (which ``import repro`` imports).
+    if name in ("FIGURES", "run_figure", "run_figures"):
+        from repro.experiments import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExperimentConfig",

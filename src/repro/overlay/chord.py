@@ -85,10 +85,9 @@ class ChordNode(OverlayNode):
         return links
 
 
-#: One node's finger row: clockwise distances (``array('q')``), the finger
-#: at each distance, and whether the distances ascend — see
-#: :meth:`ChordRing._finger_row`.
-FingerRow = tuple[array, tuple[ChordNode, ...], bool]
+#: One node's finger row: ascending clockwise distances (``array('q')``)
+#: and the finger at each distance — see :meth:`ChordRing._finger_row`.
+FingerRow = tuple[array, tuple[ChordNode, ...]]
 
 
 class ChordRing(Overlay):
@@ -343,20 +342,11 @@ class ChordRing(Overlay):
                 row = rows.get(nid)
                 if row is None:
                     row = self._finger_row(cur)
-                dists, fingers, ascending = row
+                dists, fingers = row
                 # The open interval (cur, key); when cur == key it is the
                 # whole ring minus the point.
-                span = span or size
-                cur = succ
-                if ascending:
-                    at = bisect.bisect_left(dists, span)
-                    if at:
-                        cur = fingers[at - 1]
-                else:
-                    for dist, finger in zip(dists, fingers):
-                        if dist < span:
-                            cur = finger
-                            break
+                at = bisect.bisect_left(dists, span or size)
+                cur = fingers[at - 1] if at else succ
             nid = cur.uid
             hops += 1
             path.append(nid)
@@ -374,12 +364,12 @@ class ChordRing(Overlay):
         and the successor pick of :meth:`_lookup_plain` stay live reads.
 
         The next hop is the *first* finger, scanning the table from its
-        top, that lies inside ``(node, key)``.  In a table whose distances
-        grow with the level — any that one :meth:`_refresh_far` derived —
-        that is also the *furthest* such finger, so the row is stored
-        ascending and the step is a bisect.  A table written out of
-        distance order (a test staging stale fingers) has no such
-        shortcut: its row stays in scan order, flagged, and is scanned.
+        top, that lies inside ``(node, key)``.  Every table a
+        :meth:`_refresh_far` derives has distances that grow with the
+        level, and dropping entries keeps them growing, so that is also
+        the *furthest* such finger and the step is one bisect.  A table
+        written out of distance order has no such shortcut and raises
+        ``ValueError`` here.
         """
         nid = node.uid
         size = self.space.size
@@ -389,12 +379,13 @@ class ChordRing(Overlay):
             if finger is not None and finger.alive and finger.uid not in seen:
                 seen.add(finger.uid)
                 fingers.append(finger)
+        fingers.reverse()
         dists = [(finger.uid - nid) % size for finger in fingers]
-        ascending = all(far > near for far, near in zip(dists, dists[1:]))
-        if ascending:
-            dists.reverse()
-            fingers.reverse()
-        row = array("q", dists), tuple(fingers), ascending
+        require(
+            all(near < far for near, far in zip(dists, dists[1:])),
+            "finger distances must ascend with the table level",
+        )
+        row = array("q", dists), tuple(fingers)
         if self.routing_cache:
             self._cpf_cache[nid] = row
         return row

@@ -144,6 +144,26 @@ class TestMain:
         assert "Query completeness" in out
         assert (tmp_path / "availability.csv").exists()
 
+    def test_availability_subcommand_writes_what_run_writes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Both routes to the one ``availability`` row: same stdout, same files."""
+        import repro.cli as cli
+
+        small = cli._SCALES["smoke"].scaled(
+            num_attributes=6, infos_per_attribute=20, loss_rates=(0.0, 0.05),
+            availability_replications=(1,), num_availability_queries=10,
+        )
+        monkeypatch.setitem(cli._SCALES, "smoke", small)
+        written = []
+        for argv in (["availability"], ["run", "availability"]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--scale", "smoke", "--out", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            written.append((capsys.readouterr().out, files))
+        assert written[0] == written[1]
+        assert set(written[0][1]) == {"availability.csv", "availability.txt"}
+
     def test_check_exits_zero_on_clean_run(self, capsys):
         code = main(
             ["check", "--systems", "all", "--seed", "0",
@@ -425,7 +445,7 @@ def _flag_rows(subparser):
 
 
 class _StubResult:
-    """What ``_run_experiment`` needs of a result, and nothing else."""
+    """What ``_cmd_run`` needs of a sweep's result, and nothing else."""
 
     points = ()  # scale's verdict line counts them
 
@@ -461,8 +481,7 @@ def stubbed(monkeypatch):
         return log["results"][-1]
 
     monkeypatch.setattr(
-        cli, "EXPERIMENTS",
-        tuple(dataclasses.replace(spec, runner=runner) for spec in cli.EXPERIMENTS),
+        cli, "_RUNS", tuple(dataclasses.replace(row, runner=runner) for row in cli._RUNS)
     )
     return log
 
@@ -481,7 +500,7 @@ class TestFlagInventory:
         import repro.cli as cli
         from repro.experiments.config import ExperimentConfig
 
-        assert [spec.name for spec in cli.EXPERIMENTS] == list(VERDICT_WORDS)
+        assert [row.name for row in cli._RUNS if row.name] == list(VERDICT_WORDS)
         # A positive list: a knob that comes back, or a new one, fails here
         # by name.  Single-valued knobs live beside their one reader as
         # module constants (``tail.MAX_HEDGE_OVERHEAD`` style).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -42,25 +43,30 @@ class TestRegistry:
             run_figure("fig99", tiny_config)
 
 
-def _flag_fed_parameters(spec: cli.Experiment) -> set[str]:
-    """The runner keyword arguments ``spec``'s flags feed (non-config ``to=``)."""
-    return {
+def _flag_fed_parameters(row: runner.Run) -> list[str]:
+    """The runner keyword arguments ``row``'s flags feed (non-config ``to=``)."""
+    return [
         flag.to
-        for flag in spec.flags
+        for flag in row.flags
         if flag.to is not None and flag.to not in cli._CONFIG_FIELDS
-    }
+    ]
 
 
 class TestRunnerSignatures:
     """A registered runner is a function of its config: every other
-    parameter it has is one a CLI flag feeds."""
+    parameter it has is one a CLI flag feeds.  ``run_figures`` calls
+    ``runner(config)``, so a figure-only row's runner takes nothing else."""
 
-    @pytest.mark.parametrize("spec", cli.EXPERIMENTS, ids=lambda spec: spec.name)
-    def test_experiment_runner_takes_config_and_its_flags(self, spec):
-        config, *rest = inspect.signature(spec.runner).parameters
-        assert set(rest) == _flag_fed_parameters(spec)
+    @pytest.mark.parametrize(
+        "row", runner._RUNS, ids=lambda row: row.name or row.panels[0][0]
+    )
+    def test_experiment_runner_takes_config_and_its_flags(self, row):
+        config, *rest = inspect.signature(row.runner).parameters
+        assert sorted(rest) == sorted(_flag_fed_parameters(row))
 
-    @pytest.mark.parametrize("figure_id", [run.panels[0][0] for run in runner._RUNS])
+    @pytest.mark.parametrize(
+        "figure_id", [run.panels[0][0] for run in runner._RUNS if run.panels]
+    )
     def test_figure_runner_takes_config_and_nothing_else(self, figure_id):
         """``run_figures`` calls ``runner(config)``.  ``scale`` is also a
         subcommand, whose ``--parallel`` feeds ``workers`` (test above)."""
@@ -127,7 +133,9 @@ class TestRunOnce:
                 fh.write("call\n")
             return tuple(f"result of {figure_id}" for figure_id, _ in run.panels)
 
-        monkeypatch.setattr(run, "runner", counting)
+        counted = dataclasses.replace(run, runner=counting)
+        for figure_id, _ in run.panels:
+            monkeypatch.setitem(FIGURES, figure_id, counted)
         results = run_figures(figure_ids, tiny_config, workers=workers)
         assert results == {i: f"result of {i}" for i in figure_ids}
         assert calls.read_text() == "call\n"

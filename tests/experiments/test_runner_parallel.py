@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import FIGURES, run_figure, run_figures
@@ -14,7 +16,9 @@ class TestIncrementalSave:
         def explode(*args, **kwargs):
             raise RuntimeError("simulated mid-run crash")
 
-        monkeypatch.setattr(FIGURES["fig4a"], "runner", explode)
+        monkeypatch.setitem(
+            FIGURES, "fig4a", dataclasses.replace(FIGURES["fig4a"], runner=explode)
+        )
         cfg = tiny_config.scaled(fig3a_dimensions=(3, 4))
         with pytest.raises(RuntimeError, match="simulated mid-run crash"):
             run_figures(sorted(FIGURES), cfg, save_dir=tmp_path)

@@ -374,18 +374,23 @@ class TestFingerRow:
         node_ids = random.Random(3).sample(range(64), 24)
         rings = _twin_rings(ring_class, 6, node_ids)
         self._check_everywhere(rings)
-        assert all(ascending for _, _, ascending in rings[0]._cpf_cache.values())
 
         # Fingers written out of distance order: the first finger the scan
-        # meets inside (node, key) is no longer the furthest one.
+        # meets inside (node, key) is no longer the furthest one, so no
+        # bisect answers for it and the row build refuses the table.
         for ring in rings:
+            tables = {node: list(node.fingers) for node in ring.nodes()}
             for node in ring.nodes():
                 random.Random(node.uid).shuffle(node.fingers)
             ring.invalidate_routing_caches()
-        self._check_everywhere(rings)
-        assert not all(ascending for _, _, ascending in rings[0]._cpf_cache.values())
+            with pytest.raises(ValueError, match="must ascend"):
+                for node in ring.nodes():
+                    ring._finger_row(node)
+            for node, table in tables.items():
+                node.fingers = table
+            ring.invalidate_routing_caches()
 
-        # Dead, missing and self fingers, in and out of order.
+        # Dead, missing and self fingers: each only drops out of a row.
         doomed = sorted(node_ids)[::5]
         corpses = {ring: [ring.node(uid) for uid in doomed] for ring in rings}
         for ring in rings:

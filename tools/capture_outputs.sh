@@ -14,8 +14,9 @@
 # Each command's stdout lands in DIR/<name>.stdout, its exit code in
 # DIR/exit_codes, its --out tree in DIR/<name>/.  stderr is dropped: it
 # carries only the "[scale, seed] done in 1.2s" progress lines.  The
-# wall-clock and memory readings of the `scale` figure are stripped;
-# everything left must not move under a refactor.
+# wall-clock and memory readings of the `scale` figure and subcommand are
+# stripped; everything left must not move under a refactor.  `--help` of
+# the parser and of every subcommand is captured at COLUMNS=100.
 #
 # `all` is captured twice, serially and with `--parallel 2`: the two --out
 # trees must be the same bytes (a figure has one output per seed, whatever
@@ -45,6 +46,13 @@ for gate in chaos durability tail hotspot tradeoff; do
     capture "$gate" "$gate" --smoke --seed 0 --out "$out/$gate"
 done
 capture availability availability --scale smoke --out "$out/availability"
+capture scale scale --smoke --seed 0 --out "$out/scale"
+
+# Help text: the top-level parser and every subcommand, at a fixed width.
+for cmd in "" list run all availability chaos durability hotspot tradeoff tail \
+    scale trace report check; do
+    COLUMNS=100 capture "help${cmd:+-$cmd}" $cmd --help
+done
 
 # Traces: every system on its native substrate, flat LORM, one lossy replay,
 # and the single-hop and ReCord routing tiers hop by hop.
@@ -63,7 +71,7 @@ for format in tree jsonl chrome; do
 done
 
 # The `scale` figure reports wall-clock and memory beside its seeded columns.
-for run in all all-parallel; do
+for run in all all-parallel scale; do
     rm -f "$out/$run/scale_table.json"
     sed -i '/^note: n=[0-9]*: built in /d' "$out/$run.stdout" "$out/$run/scale.txt"
 done
