@@ -7,6 +7,6 @@ curves from measured reference series exactly the way Section V does
 """
 
 from repro.analysis import theorems
-from repro.analysis.models import AnalysisCurve, curve_from_points, derive_curve
+from repro.analysis.models import AnalysisCurve, derive_curve
 
-__all__ = ["AnalysisCurve", "curve_from_points", "derive_curve", "theorems"]
+__all__ = ["AnalysisCurve", "derive_curve", "theorems"]

@@ -11,12 +11,11 @@ does.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.utils.validation import require
 
-__all__ = ["AnalysisCurve", "curve_from_points", "derive_curve"]
+__all__ = ["AnalysisCurve", "derive_curve"]
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,6 @@ class AnalysisCurve:
 
     def __post_init__(self) -> None:
         require(len(self.x) == len(self.y), f"{self.name}: x/y length mismatch")
-
-    def as_rows(self) -> list[tuple[float, float]]:
-        """The series as (x, y) row pairs for CSV emission."""
-        return list(zip(self.x, self.y))
 
 
 def derive_curve(
@@ -72,8 +67,3 @@ def derive_curve(
         factor=factor,
     )
 
-
-def curve_from_points(name: str, points: Sequence[tuple[float, float]]) -> AnalysisCurve:
-    """Build a curve from (x, y) pairs."""
-    xs, ys = zip(*points) if points else ((), ())
-    return AnalysisCurve(name=name, x=tuple(xs), y=tuple(ys))

@@ -201,7 +201,7 @@ class PointerMercuryService(MercuryService):
                         complete = False
                         continue
                     if stats is not None:
-                        stats.record_serve(chased.owner.uid, q.attribute)
+                        stats.record_serves((chased.owner.uid,), q.attribute)
                         stats.record_route_path(chased.path)
                     for envelope in chased.owner.items_at(
                         self._hub(item.home_attribute), item.home_key

@@ -147,13 +147,14 @@ def _cmd_run(args: argparse.Namespace, row: Run | None = None) -> int:
             # `is`: an unset store_true flag overrides nothing, but 0 does.
             if value is not None and value is not False:
                 overrides[flag.to] = tuple(value) if isinstance(value, list) else value
-        elif flag.to is not None and value is not None:
+        elif (flag.to is not None or flag.resolve) and value is not None:
             fed.append((flag, value))
     try:
         config = _SCALES[args.scale].scaled(**overrides)
-        kwargs = {f.to: f.resolve(config, v) if f.resolve else v for f, v in fed}
+        resolved = [(f.to, f.resolve(config, v) if f.resolve else v) for f, v in fed]
     except ValueError as exc:
         args.subparser.error(str(exc))
+    kwargs = {to: value for to, value in resolved if to is not None}
     started = time.perf_counter()
     if row is None:
         figure_ids = args.figures if args.command == "run" else sorted(FIGURES)

@@ -80,10 +80,6 @@ class SaltPlan:
         """Which salted root this requester reads (stable per requester)."""
         return route_choice(attribute, requester, self.salts)
 
-    def describe(self) -> str:
-        scope = "all" if self.attributes is None else f"{len(self.attributes)} attrs"
-        return f"salt(S={self.salts}, {scope})"
-
 
 class DynamicReplicator:
     """Load-driven replication of hot attribute directories.
@@ -251,9 +247,3 @@ class DynamicReplicator:
         for node_id in holders:
             ring.node(node_id).store(self.replica_namespace, key, info)
         ring.network.count_maintenance(len(holders))
-
-    def describe(self) -> str:
-        return (
-            f"dynamic(trigger={self.trigger_ratio:g}x, "
-            f"replicas={self.max_replicas}, decay={self.decay_windows})"
-        )

@@ -25,7 +25,7 @@ from typing import Any, ClassVar
 
 from repro.baselines.base import DiscoveryService, build_ring
 from repro.core.resource import Query, ResourceInfo
-from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.overlay.cycloid import CycloidOverlay
 from repro.utils.validation import require
 from repro.workloads.attributes import AttributeSchema
 
@@ -131,10 +131,6 @@ class LormService(DiscoveryService):
     # ------------------------------------------------------------------
     # ID mapping
     # ------------------------------------------------------------------
-    def resc_id(self, attribute: str, value: float) -> CycloidId:
-        """``rescID = (ℋ(value), H(attribute))`` (Section III)."""
-        return CycloidId(self.value_hash(attribute)(value), self.attr_key(attribute))
-
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------

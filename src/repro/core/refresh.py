@@ -85,14 +85,6 @@ class RefreshManager:
         self._leases[key] = Lease(info=info, expires_at=now + self.ttl)
         return hops
 
-    def withdraw(self, provider: str, attribute: str) -> bool:
-        """Explicitly withdraw one report; True if it existed."""
-        lease = self._leases.pop((provider, attribute), None)
-        if lease is None:
-            return False
-        self.service.deregister(lease.info)
-        return True
-
     # ------------------------------------------------------------------
     # Expiry
     # ------------------------------------------------------------------
@@ -119,15 +111,3 @@ class RefreshManager:
             t += period
             count += 1
         return count
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def live_leases(self) -> int:
-        """Number of currently tracked reports."""
-        return len(self._leases)
-
-    def lease_of(self, provider: str, attribute: str) -> Lease | None:
-        """The current lease for (provider, attribute), if any."""
-        return self._leases.get((provider, attribute))

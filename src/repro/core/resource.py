@@ -98,11 +98,6 @@ class AttributeConstraint:
         return cls(attribute, value, None)
 
     @classmethod
-    def at_most(cls, attribute: str, value: float) -> "AttributeConstraint":
-        """Upper-bounded half-range."""
-        return cls(attribute, None, value)
-
-    @classmethod
     def between(cls, attribute: str, low: float, high: float) -> "AttributeConstraint":
         """Doubly-bounded range, e.g. ``1GHz <= CPU <= 1.8GHz``."""
         return cls(attribute, low, high)
@@ -286,26 +281,3 @@ class MultiQueryResult:
     def retries(self) -> int:
         """Total retransmission rounds spent across sub-queries."""
         return sum(r.retries for r in self.sub_results)
-
-    @property
-    def timed_out(self) -> bool:
-        """Whether any sub-query died waiting on unreachable nodes."""
-        return any(r.timed_out for r in self.sub_results)
-
-
-def effective_span_fraction(
-    constraint: AttributeConstraint, lo: float, hi: float, cdf=None
-) -> float:
-    """Fraction of the (hashed) value space a constraint covers.
-
-    With a CDF-calibrated LPH the covered ID-space fraction equals
-    ``F(high) - F(low)``; without a CDF the linear fraction is returned.
-    Used by tests and the span ablation to verify the workload generator
-    produces the paper's average-case regime (spans averaging 1/4).
-    """
-    low, high = constraint.bounds_within(lo, hi)
-    if cdf is not None:
-        return max(0.0, min(1.0, cdf(high) - cdf(low)))
-    if math.isclose(hi, lo):
-        return 0.0
-    return max(0.0, min(1.0, (high - low) / (hi - lo)))

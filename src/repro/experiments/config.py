@@ -21,6 +21,13 @@ from repro.workloads.attributes import AttributeSchema
 
 __all__ = ["ExperimentConfig", "PAPER_CONFIG", "SMOKE_CONFIG", "CHECK_CONFIG"]
 
+#: Hotspot experiment: load windows per cell.  The first window is warm-up
+#: (dynamic replication needs one observed window before it can react) and
+#: is excluded from every cell's imbalance metrics.  Defined here, not in
+#: :mod:`~repro.experiments.hotspot`, because ``hotspot_queries`` is
+#: validated against it and that module imports this one.
+HOTSPOT_WINDOWS = 4
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,8 +61,6 @@ class ExperimentConfig:
     pareto_shape: float = 2.0
     #: Master seed.
     seed: int = 2009
-    #: Network sizes (Cycloid dimensions) swept in Figure 3(a).
-    fig3a_dimensions: tuple[int, ...] = (5, 6, 7, 8, 9)
     #: Availability experiment: per-message loss rates swept.
     loss_rates: tuple[float, ...] = (0.0, 0.02, 0.05, 0.1)
     #: Availability experiment: replication factors swept.
@@ -67,8 +72,6 @@ class ExperimentConfig:
     #: Recovery experiment: background churn rates R layered under the
     #: chaos timeline (0.0 = faults only).
     recovery_churn_rates: tuple[float, ...] = (0.0, 0.1)
-    #: Recovery experiment: health-sampling cadence (s).
-    recovery_sample_interval: float = 2.0
     #: Recovery experiment: probe multi-attribute queries per sample.
     num_recovery_queries: int = 10
     #: Scale experiment: populations swept on the compact array core
@@ -102,12 +105,8 @@ class ExperimentConfig:
     #: exponents swept (0.0 = the paper's uniform control).
     hotspot_zipf_s: tuple[float, ...] = (0.0, 1.1)
     #: Hotspot experiment: measured multi-attribute queries per cell,
-    #: split evenly into :attr:`hotspot_windows` load windows.
+    #: split evenly into :data:`HOTSPOT_WINDOWS` load windows.
     hotspot_queries: int = 2000
-    #: Hotspot experiment: load windows per cell.  The first window is
-    #: warm-up (dynamic replication needs one observed window before it
-    #: can react) and is excluded from every cell's imbalance metrics.
-    hotspot_windows: int = 4
     #: Hotspot experiment: salted roots per attribute (S).
     hotspot_salts: int = 4
     #: Tradeoff experiment (``repro tradeoff``): measured multi-attribute
@@ -120,9 +119,6 @@ class ExperimentConfig:
     #: Tradeoff experiment: ReCord per-level fan-outs swept (1 = exactly
     #: deterministic Chord, larger = closer to a full table).
     tradeoff_fanouts: tuple[int, ...] = (1, 4, 16)
-    #: Tradeoff experiment: maintenance budgets swept, by registry name
-    #: ("zero", "default", "unlimited").
-    tradeoff_budgets: tuple[str, ...] = ("zero", "default", "unlimited")
     #: Install :class:`~repro.sim.invariants.ChurnGuard` on every built
     #: service, validating overlay invariants and directory conservation
     #: after each churn event (the runner's ``--invariants`` flag).
@@ -143,9 +139,8 @@ class ExperimentConfig:
             self.population <= (1 << self.chord_bits),
             f"chord_bits={self.chord_bits} cannot host {self.population} nodes",
         )
-        require(self.hotspot_windows >= 2, "hotspot needs a warm-up window + one measured")
         require(
-            self.hotspot_queries >= self.hotspot_windows,
+            self.hotspot_queries >= HOTSPOT_WINDOWS,
             "hotspot_queries must cover every window",
         )
         require(
@@ -160,6 +155,17 @@ class ExperimentConfig:
             all(0.0 <= f <= 1.0 for f in self.tail_slow_fractions),
             "every tail_slow_fractions entry must be in [0, 1]",
         )
+        require(
+            all(s >= 0.0 for s in self.hotspot_zipf_s),
+            "every hotspot_zipf_s entry must be >= 0",
+        )
+        require(
+            all(f >= 1 for f in self.tradeoff_fanouts),
+            "every tradeoff_fanouts entry must be >= 1",
+        )
+        require(self.num_availability_queries >= 1, "num_availability_queries must be >= 1")
+        require(self.tradeoff_churn_events >= 0, "tradeoff_churn_events must be >= 0")
+        require(self.tail_slo_p99 > 0.0, "tail_slo_p99 must be > 0")
         require(self.hotspot_salts >= 1, "hotspot_salts must be >= 1")
         require(self.tail_queries >= 1, "tail_queries must be >= 1")
         require(self.tradeoff_queries >= 1, "tradeoff_queries must be >= 1")

@@ -155,7 +155,6 @@ def run_durability(
                     service, cases, scenario,
                     interval=interval,
                     horizon=horizon,
-                    sample_interval=config.recovery_sample_interval,
                     injector_seed=config.seed,
                     availability_floor=0.0,
                     scheduler=scheduler,

@@ -27,11 +27,14 @@ from repro.utils.seeding import SeedFactory
 
 __all__ = ["run_fig3a", "run_fig3bcd"]
 
+#: Network sizes (Cycloid dimensions) swept in Figure 3(a).
+FIG3A_DIMENSIONS = (5, 6, 7, 8, 9)
+
 
 def run_fig3a(config: ExperimentConfig) -> FigureResult:
     """Outlinks per node vs network size (Figure 3(a)).
 
-    Sweeps Cycloid dimensions from ``config.fig3a_dimensions``; for each,
+    Sweeps the Cycloid dimensions :data:`FIG3A_DIMENSIONS`; for each,
     the Chord/Mercury comparison point uses the same population placed on a
     ``ceil(log2 n)``-bit ring.  Mercury's per-node outlinks are the per-hub
     routing table times the m hubs each node participates in.
@@ -41,7 +44,7 @@ def run_fig3a(config: ExperimentConfig) -> FigureResult:
     xs: list[float] = []
     mercury_y: list[float] = []
     lorm_y: list[float] = []
-    for d in config.fig3a_dimensions:
+    for d in FIG3A_DIMENSIONS:
         n = d * (1 << d)
         xs.append(float(n))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.core.hotspot import DynamicReplicator, SaltPlan
 from repro.experiments.common import SYSTEM_NAMES, build_service, resolve_systems
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import HOTSPOT_WINDOWS, ExperimentConfig
 from repro.experiments.report import CellTable
 from repro.sim.invariants import overlay_of
 from repro.sim.loadstats import LoadStats, LoadWindow, max_mean_ratio
@@ -258,7 +258,7 @@ def _measure_cell(
         repair_keys=config.infos_per_attribute * MAX_REPLICAS,
     )
     population = service.num_nodes()
-    per_window = len(queries) // config.hotspot_windows
+    per_window = len(queries) // HOTSPOT_WINDOWS
     answers = []
     measured = LoadWindow()
     copies_before = replicator.copies_sent if replicator is not None else 0
@@ -267,7 +267,7 @@ def _measure_cell(
     total_hops = 0
     sub_count = 0
     try:
-        for w in range(config.hotspot_windows):
+        for w in range(HOTSPOT_WINDOWS):
             chunk = queries[w * per_window : (w + 1) * per_window]
             for j, q in enumerate(chunk):
                 result = service.multi_query(q, starts[w * per_window + j])
@@ -320,7 +320,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
     names = resolve_systems(systems) if systems else SYSTEM_NAMES
     result = HotspotResult(config=config)
     salt_plan = SaltPlan(salts=config.hotspot_salts)
-    total = (config.hotspot_queries // config.hotspot_windows) * config.hotspot_windows
+    total = (config.hotspot_queries // HOTSPOT_WINDOWS) * HOTSPOT_WINDOWS
     for name in names:
         base = build_service(config, name)
         indices = _entry_indices(config, name, total, base.num_nodes())
@@ -368,7 +368,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
                 base.attach_hot_replicator(None)
             result.cells.append(_with_transparency(cell, answers == reference))
     result.notes.append(
-        f"{total} range queries/cell over {config.hotspot_windows} windows "
+        f"{total} range queries/cell over {HOTSPOT_WINDOWS} windows "
         f"(first = warm-up, excluded from imbalance); "
         f"{QUERY_ATTRIBUTES} attributes/query; "
         f"salting S={config.hotspot_salts}; dynamic trigger "

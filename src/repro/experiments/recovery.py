@@ -51,6 +51,9 @@ __all__ = ["run_chaos_demo", "run_recovery", "ChaosDemoResult", "chaos_trial"]
 #: extends it.
 HORIZON = 60.0
 
+#: Health-sampling cadence of a chaos trial (s).
+SAMPLE_INTERVAL = 2.0
+
 #: Replication factor.  Must be >= 2 so crash bursts leave surviving
 #: copies that witness the replica deficit.
 REPLICATION = 2
@@ -83,7 +86,6 @@ def chaos_trial(
     budget: MaintenanceBudget = DEFAULT_BUDGET,
     interval: float = 2.0,
     horizon: float = 40.0,
-    sample_interval: float = 2.0,
     churn_rate: float = 0.0,
     churn_seed: int = 0,
     injector_seed: int = 0,
@@ -128,7 +130,7 @@ def chaos_trial(
         if scheduler is None:
             scheduler = MaintenanceScheduler(service, budget, interval)
         scheduler.install(sim, horizon)
-        tracker.install(sim, horizon, sample_interval)
+        tracker.install(sim, horizon, SAMPLE_INTERVAL)
         sim.run_until(horizon)
     finally:
         service.configure_faults(None)
@@ -222,7 +224,6 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
                 budget=budget,
                 interval=interval,
                 horizon=horizon,
-                sample_interval=config.recovery_sample_interval,
                 injector_seed=config.seed,
             )
             into[service.name] = tracker
@@ -289,7 +290,6 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
                     budget=DEFAULT_BUDGET,
                     interval=interval,
                     horizon=horizon,
-                    sample_interval=config.recovery_sample_interval,
                     churn_rate=churn_rate,
                     churn_seed=seeds.child_seed(
                         f"{service.name}:R{churn_rate}:i{interval}"

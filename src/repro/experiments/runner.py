@@ -35,7 +35,7 @@ from repro.experiments.tail import run_tail
 from repro.experiments.theorem_table import run_theorem_table
 from repro.experiments.tradeoff import run_tradeoff, select_points
 from repro.sim.durability import parse_policy
-from repro.utils.validation import require
+from repro.utils.validation import require, require_positive
 
 __all__ = ["FIGURES", "Flag", "Run", "run_figure", "run_figures", "run_points_parallel"]
 
@@ -50,7 +50,8 @@ class Flag:
     field (a list becomes a tuple) or, for any other name, a keyword
     argument of the experiment's runner — after ``resolve(config, value)``
     when the raw strings need validating.  ``to=None`` leaves the value on
-    the namespace for the command itself.  Everything else is argparse's.
+    the namespace for the command itself (a ``resolve`` then only validates
+    it).  Everything else is argparse's.
     """
 
     def __init__(
@@ -326,8 +327,10 @@ _RUNS: tuple[Run, ...] = (
             Flag("--churn-events", to="scale_churn_events", type=int,
                  help="churn events (join/leave/fail round-robin) measured per point"),
             Flag("--budget-seconds", type=float,
+                 resolve=lambda config, seconds: require_positive(seconds, "--budget-seconds"),
                  help="fail (exit 1) when the whole sweep takes longer than this"),
             Flag("--budget-mb", type=float,
+                 resolve=lambda config, mb: require_positive(mb, "--budget-mb"),
                  help="fail (exit 1) when any point's peak traced memory exceeds "
                  "this many MB (peak RSS is reported alongside)"),
             Flag("--out", help="directory for CSV/text/JSON output"),

@@ -9,7 +9,7 @@ populations up to that regime and reports, per point:
   regime Figure 4's curves are built on),
 * maintenance messages per churn event (the object ring's cost model),
 * construction + query wall-clock and peak memory (tracemalloc across
-  build + directory placement + the query batch, plus process peak RSS),
+  build + the query batch + churn, plus process peak RSS),
 
 so the first 100k–1M-node figure of the repo is directly comparable with
 the n=2048 object-overlay results and carries its own resource budget for
@@ -80,12 +80,6 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
             num_nodes, seed=seeds.child_seed("construct")
         )
         ring.build_fingers()
-        # Directory load at the paper's density: one piece per node on
-        # average, placed with one vectorised searchsorted + bincount.
-        keys = seeds.numpy("directory").integers(
-            ring.size, size=num_nodes, dtype=np.int64
-        )
-        ring.directory.place("resource", keys)
         build_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

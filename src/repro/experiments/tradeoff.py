@@ -295,7 +295,7 @@ def run_tradeoff(
     result = TradeoffResult(config=config, systems=systems)
     hop_rtt = 0.0
     for label, overlay, fanout in points:
-        for budget_name in config.tradeoff_budgets:
+        for budget_name in BUDGETS:
             cells, hop_rtt = _measure_cell(
                 config, label, overlay, fanout, budget_name, systems
             )

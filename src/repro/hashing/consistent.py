@@ -54,9 +54,3 @@ class ConsistentHash:
         # SHA-1 gives 160 bits; take the top `bits` of them.
         value = int.from_bytes(digest, "big")
         return value >> (160 - self.bits)
-
-    def digest_full(self, key: str | bytes) -> int:
-        """Full 160-bit SHA-1 value (used by tests for uniformity checks)."""
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        return int.from_bytes(hashlib.sha1(self.salt.encode("utf-8") + key).digest(), "big")

@@ -19,20 +19,18 @@ Two flavours are provided:
     end of the ID space.
 
 :class:`CdfLocalityHash`
-    Calibrated against the value distribution's CDF (given either
-    analytically or as an empirical sample), so hashed values are
-    near-uniform on the ID space while order is still preserved.  This is
-    MAAN's "uniform locality preserving hashing" refinement and is the
-    default in the paper-scale experiments; the linear/CDF choice is one of
-    the ablation benches (see DESIGN.md §4).
+    Calibrated against the value distribution's analytic CDF, so hashed
+    values are near-uniform on the ID space while order is still
+    preserved.  This is MAAN's "uniform locality preserving hashing"
+    refinement and is the default in the paper-scale experiments; the
+    linear/CDF choice is one of the ablation benches (see DESIGN.md §4).
 """
 
 from __future__ import annotations
 
-import bisect
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.utils.validation import require
 
@@ -103,52 +101,16 @@ class CdfLocalityHash(LocalityPreservingHash):
     ``F(V)`` is uniform for ``V ~ F``, hashed values are uniform on the ID
     space, which balances directory load under skewed (e.g. Bounded-Pareto)
     value distributions.
-
-    Construct either from an analytic CDF (``cdf=``) or from an empirical
-    value sample (:meth:`from_samples`), in which case the empirical CDF
-    with linear interpolation between order statistics is used.
     """
 
     size: int
     lo: float
     hi: float
     cdf: Callable[[float], float]
-    _knots: tuple[float, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         require(self.size >= 1, f"size must be >= 1, got {self.size}")
         require(self.hi > self.lo, f"need hi > lo, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def from_samples(
-        cls,
-        size: int,
-        samples: Sequence[float],
-        lo: float | None = None,
-        hi: float | None = None,
-    ) -> "CdfLocalityHash":
-        """Build from an empirical value sample.
-
-        The sample's order statistics become interpolation knots of the
-        empirical CDF; ``lo``/``hi`` default to the sample extremes.
-        """
-        require(len(samples) >= 2, "need at least two samples to calibrate a CDF")
-        knots = tuple(sorted(float(s) for s in samples))
-        lo = knots[0] if lo is None else lo
-        hi = knots[-1] if hi is None else hi
-
-        def empirical_cdf(value: float, _knots: tuple[float, ...] = knots) -> float:
-            n = len(_knots)
-            if value <= _knots[0]:
-                return 0.0
-            if value >= _knots[-1]:
-                return 1.0
-            j = bisect.bisect_right(_knots, value)
-            left, right = _knots[j - 1], _knots[j]
-            frac = 0.0 if right == left else (value - left) / (right - left)
-            return (j - 1 + frac) / (n - 1)
-
-        return cls(size=size, lo=lo, hi=hi, cdf=empirical_cdf, _knots=knots)
 
     def __call__(self, value: float) -> int:
         value = self._clamp(value)

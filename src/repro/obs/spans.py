@@ -214,11 +214,6 @@ class QueryTracer:
     # ------------------------------------------------------------------
     # Annotations
     # ------------------------------------------------------------------
-    def annotate(self, **attrs: Any) -> None:
-        """Merge attributes into the innermost open span."""
-        require(bool(self._stack), "annotate() outside any span")
-        self._stack[-1].attrs.update(attrs)
-
     def event(self, kind: str, span: Span | None = None, **detail: Any) -> SpanEvent:
         """Attach a point annotation to ``span`` (default: the innermost
         open span) — fault markers: drop / retry / timeout / failover."""

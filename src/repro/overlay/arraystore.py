@@ -17,8 +17,7 @@ ceiling in two layers:
 * :class:`CompactChordRing` — the full struct-of-arrays representation
   used by the ``repro scale`` experiment: node state is *only* flat
   integer arrays (sorted id vector, implicit successor/predecessor by
-  index adjacency, an ``(n, bits)`` finger table of node indices) plus
-  :class:`IndexedDirectory` for index-keyed directory storage.  Routing
+  index adjacency, an ``(n, bits)`` finger table of node indices).  Routing
   replays :meth:`ChordRing._lookup_plain` hop for hop (the equivalence is
   pinned by tests), and churn accounting mirrors the object ring's
   maintenance-message formulas, so large-n figures are directly
@@ -28,23 +27,19 @@ View contract / cache invalidation
 ----------------------------------
 ``RingVector`` is the single source of truth for membership; everything
 derived from it — the object overlays' routing pointers and memo caches,
-``CompactChordRing``'s finger table, ``IndexedDirectory`` placements — is
-a cache keyed on the membership it was derived from.  The object overlays
-funnel every mutation through their churn entry points (which flush their
-caches).  ``CompactChordRing`` never mutates its id vector in place —
-``join`` / ``leave`` / ``fail`` replace ``ring.ids`` with a new array — so
-"derived from this membership" is an identity test: the finger table
-remembers the ``ids`` array it is current for, and the next routed
-operation or ``stabilize_all`` *repairs* it from the diff of that array
-against ``ring.ids`` (:meth:`CompactChordRing.repair_fingers`), rebuilding
-only when the diff is a sizeable share of the ring.  What a repair may
-never change: any finger entry (the repaired table equals a from-scratch
-``build_fingers`` element for element, dtype included), any maintenance
-message count, any hop.  Directories are placed by node *index*, so a
-membership change invalidates placements too: :class:`IndexedDirectory`
-remembers the ``ids`` array its counts were placed against and refuses to
-be read or accumulated against another one — ``clear()`` it and ``place``
-the keys again.
+``CompactChordRing``'s finger table — is a cache keyed on the membership
+it was derived from.  The object overlays funnel every mutation through
+their churn entry points (which flush their caches).  ``CompactChordRing``
+never mutates its id vector in place — ``join`` / ``leave`` / ``fail``
+replace ``ring.ids`` with a new array — so "derived from this membership"
+is an identity test: the finger table remembers the ``ids`` array it is
+current for, and the next routed operation or ``stabilize_all`` *repairs*
+it from the diff of that array against ``ring.ids``
+(:meth:`CompactChordRing.repair_fingers`), rebuilding only when the diff
+is a sizeable share of the ring.  What a repair may never change: any
+finger entry (the repaired table equals a from-scratch ``build_fingers``
+element for element, dtype included), any maintenance message count, any
+hop.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ import numpy as np
 
 from repro.utils.validation import require
 
-__all__ = ["CompactChordRing", "IndexedDirectory", "RingVector"]
+__all__ = ["CompactChordRing", "RingVector"]
 
 #: Survivor rows re-indexed per step of a finger repair: bounds the
 #: temporaries to a few MB whatever the ring size.
@@ -108,10 +103,6 @@ class RingVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self.data)
 
-    def __contains__(self, value: int) -> bool:
-        idx = bisect.bisect_left(self.data, value)
-        return idx < len(self.data) and self.data[idx] == value
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RingVector):
             return list(self.data) == list(other.data)
@@ -137,10 +128,6 @@ class RingVector:
         """``bisect.bisect_left`` over the vector."""
         return bisect.bisect_left(self.data, value)
 
-    def bisect_right(self, value: int) -> int:
-        """``bisect.bisect_right`` over the vector."""
-        return bisect.bisect_right(self.data, value)
-
     def successor_index(self, key: int) -> int:
         """Index of the first id at or after ``key``, wrapping to 0."""
         idx = bisect.bisect_left(self.data, key)
@@ -157,75 +144,12 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class IndexedDirectory:
-    """Index-keyed directory storage for the compact core.
-
-    Per-node directory load is a counts vector indexed by node *index*
-    (position in the sorted id vector), one vector per namespace — the
-    struct-of-arrays replacement for per-node ``dict`` stores.  Placement
-    is vectorised: a batch of key ids maps to owner indices with one
-    ``searchsorted`` and accumulates with one ``bincount``.
-
-    Counts are only meaningful against the membership they were placed
-    on: the directory remembers that ``ids`` array, and once the ring's
-    membership has changed :meth:`place` and :meth:`sizes` raise until
-    :meth:`clear` drops the stale counts (then ``place`` the keys again).
-    """
-
-    def __init__(self, ring: "CompactChordRing") -> None:
-        self._ring = ring
-        self._counts: dict[str, np.ndarray] = {}
-        #: The ``ring.ids`` array the counts are indexed by (None = empty).
-        self._placed_ids: np.ndarray | None = None
-
-    def _require_current(self) -> None:
-        require(
-            self._placed_ids is None or self._placed_ids is self._ring.ids,
-            "directory counts were placed before the ring's membership "
-            "changed and are indexed by the old node positions; call "
-            "clear() and then place() the keys again",
-        )
-
-    def clear(self) -> None:
-        """Drop every namespace's counts (the remedy after churn)."""
-        self._counts.clear()
-        self._placed_ids = None
-
-    def place(self, namespace: str, keys: np.ndarray) -> None:
-        """Store one piece per key id in ``keys`` at each key's owner.
-
-        Repeated calls on one namespace accumulate.
-        """
-        self._require_current()
-        self._placed_ids = self._ring.ids
-        owners = self._ring.owner_indices(keys)
-        counts = np.bincount(owners, minlength=self._ring.num_nodes)
-        existing = self._counts.get(namespace)
-        if existing is None:
-            self._counts[namespace] = counts.astype(np.int64)
-        else:
-            existing += counts
-
-    def sizes(self, namespace: str | None = None) -> np.ndarray:
-        """Per-node directory sizes (the Figure 3 metric), by node index."""
-        self._require_current()
-        n = self._ring.num_nodes
-        if namespace is not None:
-            counts = self._counts.get(namespace)
-            return counts.copy() if counts is not None else np.zeros(n, np.int64)
-        total = np.zeros(n, np.int64)
-        for counts in self._counts.values():
-            total += counts
-        return total
-
-
 class CompactChordRing:
     """A stabilized Chord ring as flat integer arrays — no node objects.
 
-    State is exactly three arrays: the sorted id vector, the ``(n, bits)``
+    State is exactly two arrays: the sorted id vector and the ``(n, bits)``
     finger table of node indices (``fingers[i, j]`` = index of
-    ``successor(ids[i] + 2**j)``) and the per-namespace directory counts
-    in :class:`IndexedDirectory`.  Successor and predecessor are index
+    ``successor(ids[i] + 2**j)``).  Successor and predecessor are index
     adjacency (``i ± 1 mod n``) — the ring is always in its stabilized
     state, which is the regime every paper figure measures.
 
@@ -278,7 +202,6 @@ class CompactChordRing:
         #: ring's ``count_maintenance`` call sites).
         self.maintenance_messages = 0
         self.routing_hops = 0
-        self.directory = IndexedDirectory(self)
 
     @classmethod
     def sampled(

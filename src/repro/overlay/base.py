@@ -347,16 +347,12 @@ class Overlay:
     # ------------------------------------------------------------------
     # Key storage (routed through the overlay)
     # ------------------------------------------------------------------
-    def replica_set(self, key: Any) -> tuple:
-        """The nodes that should hold ``key`` under the durability policy
-        (default: its owner plus the next ``replication - 1`` native
-        successors), owner first."""
-        return self.replica_set_of(self.key_id(key))
-
     def replica_set_of(self, key_id: int) -> tuple:
-        """:meth:`replica_set` addressed by integer storage key: derived
-        by the durability policy once per membership epoch, then answered
-        from :attr:`_holders` (a tuple, so no caller can edit the memo)."""
+        """The nodes that should hold storage key ``key_id`` under the
+        durability policy (default: its owner plus the next ``replication -
+        1`` native successors), owner first.  Derived by the policy once
+        per membership epoch, then answered from :attr:`_holders` (a
+        tuple, so no caller can edit the memo)."""
         holders = self._holders.get(key_id)
         if holders is None:
             holders = tuple(self.durability.holders(self, key_id))

@@ -120,7 +120,7 @@ class IdSpace:
         Ties are broken clockwise (the candidate reached first when walking
         clockwise from ``target``), which keeps key ownership deterministic.
         Candidates need not be sorted; callers that maintain a sorted index
-        should prefer :meth:`closest_sorted`.
+        use :func:`closest_on_ring` instead.
         """
         require(bool(candidates), "closest() needs at least one candidate")
         best = candidates[0]
@@ -130,11 +130,6 @@ class IdSpace:
             if key < best_key:
                 best, best_key = cand, key
         return best
-
-    def closest_sorted(self, target: int, candidates: list[int]) -> int:
-        """:meth:`closest` over an already-sorted candidate list, via bisect."""
-        require(bool(candidates), "closest_sorted() needs at least one candidate")
-        return closest_on_ring(target, candidates, self.size)
 
     def _closeness_key(self, target: int, candidate: int) -> tuple[int, int]:
         return (

@@ -92,11 +92,6 @@ class WalkResult(list):
         self.timed_out = timed_out
         self.contiguous = contiguous
 
-    @property
-    def complete(self) -> bool:
-        """Whether the walk covered its full arc."""
-        return not self.truncated
-
 
 #: A view's sort key (stable, so equal keys keep their bucket order).
 _VIEW_ORDER = attrgetter("attribute", "value")
@@ -229,16 +224,6 @@ class OverlayNode:
             self._views.pop(namespace, None)
         if self._arcs:
             self._arcs.add(self, namespace, item)
-
-    def has_item(self, namespace: str, key_id: int, item: Any) -> bool:
-        """Whether ``item`` is already stored under ``(namespace, key_id)``.
-
-        Used by replication-aware transfers to avoid duplicating copies.
-        """
-        ns = self._store.get(namespace)
-        if ns is None:
-            return False
-        return item in ns.get(key_id, ())
 
     def items_at(
         self,

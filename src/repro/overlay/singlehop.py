@@ -242,18 +242,6 @@ class SingleHopRing(ChordRing):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def outlink_counts(self) -> list[int]:
-        """Per-node believed-membership degree: nearly ``n - 1`` links each
-        — the memory/maintenance price of single-hop routing."""
-        n = self.num_nodes
-        counts = []
-        for nid in self._sorted_ids:
-            deltas = self._pending.get(nid) or {}
-            unlearned_joins = sum(1 for is_join in deltas.values() if is_join)
-            unlearned_leaves = len(deltas) - unlearned_joins
-            counts.append(max(0, n - 1 - unlearned_joins + unlearned_leaves))
-        return counts
-
     def pending_events(self) -> int:
         """Total outstanding (node, event) notifications — 0 means every
         node's view matches ground truth (fully disseminated)."""

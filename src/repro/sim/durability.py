@@ -48,7 +48,6 @@ __all__ = [
     "SymmetricPlacement",
     "DurabilityPolicy",
     "successor_replication",
-    "symmetric_replication",
     "erasure_code",
     "decodable_level",
     "parse_policy",
@@ -224,16 +223,6 @@ def successor_replication(copies: int) -> DurabilityPolicy:
     return DurabilityPolicy(
         name=f"replication:{copies}",
         placement=SuccessorPlacement(),
-        fragments=copies,
-        threshold=1,
-    )
-
-
-def symmetric_replication(copies: int) -> DurabilityPolicy:
-    """``copies`` replicas spread at equidistant identifier offsets."""
-    return DurabilityPolicy(
-        name=f"symmetric:{copies}",
-        placement=SymmetricPlacement(),
         fragments=copies,
         threshold=1,
     )

@@ -39,8 +39,8 @@ class Simulator:
     --------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule(2.0, lambda: fired.append("b"))
-    >>> _ = sim.schedule(1.0, lambda: fired.append("a"))
+    >>> _ = sim.schedule_at(2.0, lambda: fired.append("b"))
+    >>> _ = sim.schedule_at(1.0, lambda: fired.append("a"))
     >>> sim.run()
     2
     >>> fired
@@ -51,24 +51,12 @@ class Simulator:
         self._now = 0.0
         self._queue: list[Event] = []
         self._seq = itertools.count()
-        self._cancelled: set[int] = set()
-        self._pending: set[int] = set()
         self.events_processed = 0
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
-        return len(self._queue)
-
-    def schedule(self, delay: float, action: Callable[[], None], name: str = "") -> Event:
-        """Schedule ``action`` to fire ``delay`` time units from now."""
-        require(delay >= 0, f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, action, name)
 
     def schedule_at(self, time: float, action: Callable[[], None], name: str = "") -> Event:
         """Schedule ``action`` at absolute simulation time ``time``.
@@ -84,58 +72,31 @@ class Simulator:
         )
         event = Event(time=time, seq=next(self._seq), action=action, name=name)
         heapq.heappush(self._queue, event)
-        self._pending.add(event.seq)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (lazy removal).
-
-        Cancelling an event that already fired — or was already cancelled —
-        is a no-op: tombstones are only kept for events still in the queue,
-        so they cannot accumulate across a long run.
-        """
-        if event.seq in self._pending:
-            self._pending.discard(event.seq)
-            self._cancelled.add(event.seq)
-
     def step(self) -> Event | None:
-        """Fire the next event; returns it, or ``None`` if queue is empty.
-
-        Cancelled events are skipped silently: they advance neither the
-        clock nor ``events_processed``.
-        """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.seq in self._cancelled:
-                self._cancelled.discard(event.seq)
-                continue
-            self._pending.discard(event.seq)
-            self._now = event.time
-            event.action()
-            self.events_processed += 1
-            return event
-        return None
+        """Fire the next event; returns it, or ``None`` if queue is empty."""
+        if not self._queue:
+            return None
+        event = heapq.heappop(self._queue)
+        self._now = event.time
+        event.action()
+        self.events_processed += 1
+        return event
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the queue drains (or ``max_events`` fire); returns count."""
         fired = 0
         while self._queue and (max_events is None or fired < max_events):
-            if self.step() is not None:
-                fired += 1
+            self.step()
+            fired += 1
         return fired
 
     def run_until(self, time: float) -> int:
         """Fire all events with timestamp ≤ ``time``; advance clock to ``time``."""
         fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.seq in self._cancelled:
-                heapq.heappop(self._queue)
-                self._cancelled.discard(head.seq)
-                continue
-            if head.time > time:
-                break
-            if self.step() is not None:
-                fired += 1
+        while self._queue and self._queue[0].time <= time:
+            self.step()
+            fired += 1
         self._now = max(self._now, time)
         return fired

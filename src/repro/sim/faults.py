@@ -11,7 +11,7 @@ adversity, each declared in exactly one place:
 * **ID-arc partitions** — ``arm_partition`` / ``disarm_partition``: a
   contiguous arc of the identifier space is cut off from the rest;
   messages crossing the cut are dropped deterministically while armed;
-* **fail-slow (gray) nodes** — ``mark_slow`` / ``clear_slow``: a node that
+* **fail-slow (gray) nodes** — ``mark_slow``: a node that
   is alive and answering, but slow.
 
 Crash failures are not declared here: they are membership events, driven
@@ -127,11 +127,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
-    @property
-    def partitions(self) -> tuple[ArcPartition, ...]:
-        """Currently armed partitions."""
-        return tuple(self._partitions)
-
     def arm_partition(self, partition: ArcPartition) -> None:
         """Activate an additional ID-arc partition."""
         self._partitions.append(partition)
@@ -164,13 +159,6 @@ class FaultInjector:
         require(multiplier >= 1.0, "slow-node multiplier must be >= 1")
         require(0.0 < intermittency <= 1.0, "intermittency must be in (0, 1]")
         self._slow[node_id] = (float(multiplier), float(intermittency))
-
-    def clear_slow(self, node_id: int | None = None) -> None:
-        """Heal one gray node — or all of them when ``node_id`` is None."""
-        if node_id is None:
-            self._slow.clear()
-        else:
-            self._slow.pop(node_id, None)
 
     def latency_factor(
         self, src: int | None, dst: int | None, rng: np.random.Generator

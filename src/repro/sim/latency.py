@@ -59,10 +59,6 @@ class LatencyModel(ABC):
     def route(self, hops: int) -> float:
         """Total latency of ``hops`` serial messages."""
 
-    @abstractmethod
-    def mean(self) -> float:
-        """Analytic mean per-message latency (reporting/normalisation)."""
-
 
 class ConstantLatency(LatencyModel):
     """The seed's model: every message takes exactly ``hop_latency`` seconds.
@@ -88,6 +84,7 @@ class ConstantLatency(LatencyModel):
         return hops * self.hop_latency
 
     def mean(self) -> float:
+        """The per-message latency (reporting)."""
         return self.hop_latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -117,9 +114,6 @@ class LognormalLatency(LatencyModel):
             return 0.0
         draws = np.exp(self.sigma * self.rng.standard_normal(hops))
         return self.median * float(draws.sum())
-
-    def mean(self) -> float:
-        return self.median * float(np.exp(0.5 * self.sigma**2))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LognormalLatency(median={self.median}, sigma={self.sigma})"
@@ -219,12 +213,6 @@ class RttEstimator:
             candidates.append(self.margin * q95)
         return max(self.floor, min(candidates))
 
-    def reset(self) -> None:
-        """Forget everything (fresh measurement window)."""
-        self._srtt = None
-        self._rttvar = 0.0
-        self._window.clear()
-
 
 class _RequesterRtt:
     """One requester's view into a :class:`RttBook`.
@@ -278,11 +266,6 @@ class RttBook:
             own = RttEstimator()
             self._per[src_id] = own
         return own
-
-    @property
-    def requesters(self) -> tuple:
-        """Requester IDs with at least one dedicated estimator."""
-        return tuple(self._per)
 
     def reset(self) -> None:
         """Drop every estimator (fresh measurement window)."""

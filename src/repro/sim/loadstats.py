@@ -11,9 +11,9 @@ module measures that concentration:
   single ``is None`` check and draw nothing);
 * :class:`LoadWindow` — a frozen snapshot of one query window (serve
   counts per node, routing counts per node, serve counts per attribute);
-* reducers — :func:`max_mean_ratio`, :func:`gini`, :func:`top_share` and
-  :func:`load_histogram` over a count mapping, always including the
-  zero-load members of the population.
+* reducers — :func:`max_mean_ratio`, :func:`gini` and :func:`top_share`
+  over a count mapping, always including the zero-load members of the
+  population.
 
 *Serve* load counts directory answers (the node resolved a sub-query
 from its directory — one count per visited node); *route* load counts
@@ -35,7 +35,6 @@ __all__ = [
     "LoadStats",
     "LoadWindow",
     "gini",
-    "load_histogram",
     "max_mean_ratio",
     "top_share",
 ]
@@ -92,15 +91,6 @@ def top_share(counts: Mapping[object, float], k: int) -> float:
     return float(values[-k:].sum() / total)
 
 
-def load_histogram(
-    counts: Mapping[object, float], population: int, bins: int = 10
-) -> list[tuple[float, float, int]]:
-    """``(lo, hi, members)`` buckets of the per-member load distribution."""
-    values = _fill(counts, population)
-    hist, edges = np.histogram(values, bins=bins)
-    return [(float(edges[i]), float(edges[i + 1]), int(hist[i])) for i in range(len(hist))]
-
-
 @dataclass(frozen=True)
 class LoadWindow:
     """One sampled query window of per-node load."""
@@ -143,24 +133,18 @@ class LoadWindow:
 class LoadStats:
     """Per-node load sink, sampled in windows.
 
-    Services write through :meth:`record_serve` / :meth:`record_route`
-    while attached via ``service.attach_load_stats``; an experiment calls
-    :meth:`take_window` once per query window to harvest (and reset) the
-    window counters.  Cumulative totals survive window harvesting.
+    Services write through :meth:`record_serves` /
+    :meth:`record_route_path` while attached via
+    ``service.attach_load_stats``; an experiment calls :meth:`take_window`
+    once per query window to harvest (and reset) the window counters.
     """
 
     def __init__(self) -> None:
         self._serves: Counter = Counter()
         self._routes: Counter = Counter()
         self._attrs: Counter = Counter()
-        self._total = LoadWindow()
 
     # -- recording (hot path while attached) ---------------------------
-    def record_serve(self, node_uid: object, attribute: str, count: int = 1) -> None:
-        """Node ``node_uid`` answered a sub-query on ``attribute``."""
-        self._serves[node_uid] += count
-        self._attrs[attribute] += count
-
     def record_serves(self, node_uids: Iterable[object], attribute: str) -> None:
         """Every node of ``node_uids`` answered (a range walk's visits)."""
         serves = self._serves
@@ -180,17 +164,9 @@ class LoadStats:
 
     # -- harvesting ----------------------------------------------------
     def take_window(self) -> LoadWindow:
-        """The current window's counts; resets the window, keeps totals."""
+        """The current window's counts; resets the window."""
         window = LoadWindow(dict(self._serves), dict(self._routes), dict(self._attrs))
-        self._total = self._total.merged(window)
         self._serves.clear()
         self._routes.clear()
         self._attrs.clear()
         return window
-
-    @property
-    def total(self) -> LoadWindow:
-        """All load recorded since construction (harvested windows plus
-        the currently open one)."""
-        open_window = LoadWindow(dict(self._serves), dict(self._routes), dict(self._attrs))
-        return self._total.merged(open_window)

@@ -39,7 +39,7 @@ from repro.sim.durability import decodable_level
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.sim.engine import Event, Simulator
+    from repro.sim.engine import Simulator
 
 __all__ = [
     "RepairProgress",
@@ -69,11 +69,6 @@ class RepairProgress:
     keys_repaired: int
     copies_moved: int
     next_after: tuple[str, int] | None
-
-    @property
-    def done(self) -> bool:
-        """Whether the scan completed a full sweep of the key space."""
-        return self.next_after is None
 
 
 def repair_buckets(
@@ -197,11 +192,6 @@ class MaintenanceBudget:
             and self.refresh_nodes is None
             and self.repair_keys is None
         )
-
-    @property
-    def is_zero(self) -> bool:
-        """Whether the round can do no work at all (maintenance disabled)."""
-        return self.stabilize_nodes == 0 and self.refresh_nodes == 0 and self.repair_keys == 0
 
 
 #: Sensible per-round caps for the recovery experiments.
@@ -346,7 +336,6 @@ class MaintenanceScheduler:
         self.budget = budget
         self.interval = interval
         self.reports: list[tuple[float, MaintenanceReport]] = []
-        self._events: list["Event"] = []
 
     def tick(self, now: float) -> MaintenanceReport:
         """Run one maintenance round at simulated time ``now``."""
@@ -362,18 +351,10 @@ class MaintenanceScheduler:
         (faults striking at t=0 are not healed for free).  Returns the
         number of rounds scheduled.
         """
-        self._events = []
+        rounds = 0
         t = sim.now + self.interval
         while t <= horizon:
-            event = sim.schedule_at(
-                t, (lambda at=t: self.tick(at)), name="maintenance"
-            )
-            self._events.append(event)
+            sim.schedule_at(t, (lambda at=t: self.tick(at)), name="maintenance")
+            rounds += 1
             t += self.interval
-        return len(self._events)
-
-    def uninstall(self, sim: "Simulator") -> None:
-        """Cancel any rounds still pending on ``sim``."""
-        for event in self._events:
-            sim.cancel(event)
-        self._events = []
+        return rounds

@@ -34,30 +34,6 @@ class SummaryStats:
     maximum: float
     total: float
 
-    def as_dict(self) -> dict[str, float | None]:
-        """Flat dict form for CSV/JSON emission.
-
-        Non-finite values (the NaN statistics of an empty series) come
-        out as ``None`` — ``csv`` renders that as an empty cell and
-        ``json`` as ``null``, whereas a raw NaN would serialise as the
-        ``NaN`` token, which is not valid JSON.
-        """
-
-        def emit(value: float) -> float | None:
-            return value if np.isfinite(value) else None
-
-        return {
-            "count": self.count,
-            "mean": emit(self.mean),
-            "std": emit(self.std),
-            "min": emit(self.minimum),
-            "p01": emit(self.p01),
-            "median": emit(self.median),
-            "p99": emit(self.p99),
-            "max": emit(self.maximum),
-            "total": emit(self.total),
-        }
-
 
 def summarize(samples: Sequence[float]) -> SummaryStats:
     """Summary statistics of ``samples`` (1st/99th percentiles included).

@@ -219,14 +219,3 @@ class SimulatedNetwork:
         self.stats.maintenance_messages += n
         self.stats.messages += n
 
-    def publish_stats(self, registry, prefix: str = "network") -> None:
-        """Publish the running totals into a metrics registry (see
-        :func:`publish_stats`)."""
-        publish_stats(self.stats, registry, prefix)
-
-    def reset(self) -> None:
-        """Zero all counters (RTT estimators are kept; see
-        :meth:`reset_rtt`)."""
-        self.stats = MessageStats()
-        self.route_clock = 0.0
-        self.last_latency = 0.0

@@ -104,10 +104,6 @@ class DifferentialReport:
     divergences: list[Divergence] = field(default_factory=list)
     stats: dict[str, _SystemStats] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
     def render(self) -> str:
         substrate = f", overlay {self.overlay}" if self.overlay else ""
         lines = [
@@ -403,15 +399,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.divergences
-
-    @property
-    def storm_events(self) -> int:
-        """Guarded events of the first (successor-replication) churn storm."""
-        return next(
-            outcome[1]
-            for _, outcome in self.legs
-            if not isinstance(outcome, DifferentialReport)
-        )
 
     def render(self) -> str:
         lines = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +50,11 @@ class SeedFactory:
     """
 
     root_seed: int
-    _issued: dict[str, int] = field(default_factory=dict, repr=False)
 
     def child_seed(self, label: str) -> int:
-        """Return the derived integer seed for ``label``.
-
-        Repeated calls with the same label return the same seed; the label
-        registry is kept so callers can introspect what was issued.
-        """
-        seed = (_label_to_entropy(label) ^ (self.root_seed * 0x9E3779B97F4A7C15)) % (1 << 63)
-        self._issued[label] = seed
-        return seed
+        """Return the derived integer seed for ``label``; repeated calls
+        with the same label return the same seed."""
+        return (_label_to_entropy(label) ^ (self.root_seed * 0x9E3779B97F4A7C15)) % (1 << 63)
 
     def numpy(self, label: str) -> np.random.Generator:
         """A NumPy :class:`~numpy.random.Generator` keyed by ``label``."""
@@ -73,8 +67,3 @@ class SeedFactory:
     def fork(self, label: str) -> "SeedFactory":
         """A child factory whose streams are independent of the parent's."""
         return SeedFactory(self.child_seed(label))
-
-    @property
-    def issued_labels(self) -> tuple[str, ...]:
-        """Labels for which seeds have been handed out, in issue order."""
-        return tuple(self._issued)

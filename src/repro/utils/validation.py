@@ -6,9 +6,7 @@ parameters surface as obscure failures deep inside a simulation run.
 
 from __future__ import annotations
 
-from typing import Any
-
-__all__ = ["require", "require_positive", "require_in_range"]
+__all__ = ["require", "require_positive"]
 
 
 def require(condition: bool, message: str) -> None:
@@ -22,8 +20,3 @@ def require_positive(value: float, name: str) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
-
-def require_in_range(value: Any, lo: Any, hi: Any, name: str) -> None:
-    """Raise unless ``lo <= value <= hi`` (inclusive both ends)."""
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must be in [{lo!r}, {hi!r}], got {value!r}")

@@ -7,9 +7,9 @@ attribute (its value domain and Bounded-Pareto value distribution);
 :class:`AttributeSchema` is the globally-known collection plus the factory
 for per-attribute locality-preserving hashes.
 
-String-valued attributes (``OS=Linux``) are modelled as a small categorical
-domain whose categories are encoded to evenly spaced numeric codes — the
-paper likewise funnels "value or string description" through the same
+String-valued attributes (``OS=Linux``) carry their category labels but
+are sampled and hashed as numeric codes on their domain — the paper
+likewise funnels "value or string description" through the same
 locality-preserving hash.
 """
 
@@ -36,7 +36,7 @@ class AttributeSpec:
     Examples
     --------
     >>> spec = AttributeSpec("cpu-mhz", 100.0, 5000.0, pareto_shape=2.0)
-    >>> 100.0 <= spec.distribution.mean() <= 5000.0
+    >>> 100.0 <= spec.distribution.ppf(0.5) <= 5000.0
     True
     """
 
@@ -55,18 +55,6 @@ class AttributeSpec:
     def distribution(self) -> BoundedPareto:
         """The Bounded-Pareto value distribution on [lo, hi]."""
         return BoundedPareto(alpha=self.pareto_shape, low=self.lo, high=self.hi)
-
-    @property
-    def is_categorical(self) -> bool:
-        """Whether values are string categories encoded to numeric codes."""
-        return bool(self.categories)
-
-    def encode_category(self, label: str) -> float:
-        """Numeric code of a category label, evenly spaced over [lo, hi]."""
-        require(self.is_categorical, f"{self.name} is not categorical")
-        idx = self.categories.index(label)
-        step = (self.hi - self.lo) / len(self.categories)
-        return self.lo + (idx + 0.5) * step
 
     def value_hash(self, size: int, kind: str = "cdf") -> LocalityPreservingHash:
         """The locality-preserving hash ℋ for this attribute.
@@ -145,9 +133,6 @@ class AttributeSchema:
 
     def __iter__(self) -> Iterator[AttributeSpec]:
         return iter(self.specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
     @property
     def names(self) -> tuple[str, ...]:

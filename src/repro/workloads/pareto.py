@@ -6,7 +6,7 @@ resource values owned by a node and requested by a node."  The bounded
 
     f(x) = alpha * L^alpha * x^(-alpha-1) / (1 - (L/H)^alpha)
 
-Implemented from scratch (CDF, quantile function, moments, sampling) so the
+Implemented from scratch (CDF, quantile function, sampling) so the
 CDF-calibrated locality-preserving hash can be driven analytically.
 """
 
@@ -56,17 +56,6 @@ class BoundedPareto:
             return 1.0
         return (1.0 - (self.low / x) ** self.alpha) / self._norm
 
-    def pdf(self, x: float) -> float:
-        """Probability density f(x); zero outside ``[low, high]``."""
-        if x < self.low or x > self.high:
-            return 0.0
-        return (
-            self.alpha
-            * self.low**self.alpha
-            * x ** (-self.alpha - 1.0)
-            / self._norm
-        )
-
     def ppf(self, q):
         """Quantile function (inverse CDF); exact inverse of :meth:`cdf`.
 
@@ -89,23 +78,6 @@ class BoundedPareto:
         if q >= 1.0:
             return self.high
         return self.low / (1.0 - q * self._norm) ** (1.0 / self.alpha)
-
-    def mean(self) -> float:
-        """Analytic mean of the bounded distribution.
-
-        For ``alpha != 1`` the mean is ``a*L*(1 - (L/H)^(a-1)) / ((a-1)
-        * (1 - (L/H)^a))``; the textbook form cancels catastrophically
-        as ``alpha -> 1``, so the numerator is evaluated as ``-expm1((a-1)
-        * log(L/H))``, which keeps full precision arbitrarily close to 1
-        and converges to the exact ``alpha == 1`` branch, ``L*log(H/L) /
-        (1 - L/H)``.
-        """
-        a, lo, hi = self.alpha, self.low, self.high
-        log_ratio = float(np.log(lo / hi))
-        if a == 1.0:
-            return -lo * log_ratio / self._norm
-        num = a * lo * -float(np.expm1((a - 1.0) * log_ratio)) / (a - 1.0)
-        return num / self._norm
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw samples via inverse-transform sampling.

@@ -89,10 +89,6 @@ class PopularityModel:
             return rng.choice(num_attributes, size=count, replace=False)
         return rng.choice(num_attributes, size=count, replace=False, p=weights)
 
-    def describe(self) -> str:
-        """One-line human-readable summary for reports."""
-        return "uniform"
-
 
 @dataclass(frozen=True)
 class UniformPopularity(PopularityModel):
@@ -138,10 +134,6 @@ class ZipfPopularity(PopularityModel):
         """Attribute indices from hottest to coldest (seeded permutation)."""
         return self._permutation("attributes", num_attributes)
 
-    def hot_attributes(self, num_attributes: int, count: int = 1) -> tuple[int, ...]:
-        """The ``count`` hottest attribute indices under this model."""
-        return tuple(int(i) for i in self.rank_order(num_attributes)[:count])
-
     def attribute_weights(self, num_attributes: int, index: int) -> np.ndarray | None:
         if self.s == 0.0:
             return None
@@ -161,9 +153,3 @@ class ZipfPopularity(PopularityModel):
         cell_order = self._permutation("values", VALUE_CELLS)
         cell = int(cell_order[int(rng.choice(VALUE_CELLS, p=by_rank))])
         return (cell + float(rng.uniform(0.0, 1.0))) / VALUE_CELLS
-
-    def describe(self) -> str:
-        out = f"zipf(s={self.s:g})"
-        if self.value_s > 0.0:
-            out += f" x value-zipf(s={self.value_s:g})"
-        return out

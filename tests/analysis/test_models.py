@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.models import AnalysisCurve, curve_from_points, derive_curve
+from repro.analysis.models import AnalysisCurve, derive_curve
 
 
 @pytest.fixture
@@ -16,18 +16,6 @@ class TestAnalysisCurve:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AnalysisCurve("bad", (1.0,), (1.0, 2.0))
-
-    def test_as_rows(self, measured):
-        assert measured.as_rows() == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
-
-    def test_curve_from_points(self):
-        c = curve_from_points("c", [(1.0, 5.0), (2.0, 6.0)])
-        assert c.x == (1.0, 2.0)
-        assert c.y == (5.0, 6.0)
-
-    def test_curve_from_points_empty(self):
-        c = curve_from_points("empty", [])
-        assert c.x == () and c.y == ()
 
 
 class TestDerive:

@@ -95,7 +95,7 @@ class TestSwordRedirectedReads:
         for _ in range(30):
             service.multi_query(hot)
         service.attach_load_stats(None)
-        replicator.observe(stats.total, service.num_nodes())
+        replicator.observe(stats.take_window(), service.num_nodes())
         replicator.tick(MaintenanceBudget(0, 0, 10_000))
         assert len(replicator.holders(attribute)) == 2
         namespaces = set()

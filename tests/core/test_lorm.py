@@ -22,9 +22,16 @@ def service(schema) -> LormService:
     return LormService.build_full(dimension=4, schema=schema, seed=3)
 
 
+def _resc_id(service, attribute, value):
+    """The key LORM stores ``(attribute, value)`` under: its rescID
+    ``(ℋ(value), H(attribute))`` (Section III)."""
+    ((_, key),) = service._placements(ResourceInfo(attribute, value, "probe"))
+    return key
+
+
 class TestIdMapping:
     def test_resc_id_structure(self, service):
-        rid = service.resc_id("cpu-mhz", 2500.0)
+        rid = _resc_id(service, "cpu-mhz", 2500.0)
         assert 0 <= rid.k < 4
         assert 0 <= rid.a < 16
 
@@ -32,7 +39,7 @@ class TestIdMapping:
         """All information of one attribute maps to one cluster (Section III)."""
         spec = service.schema.spec("cpu-mhz")
         clusters = {
-            service.resc_id("cpu-mhz", v).a
+            _resc_id(service, "cpu-mhz", v).a
             for v in np.linspace(spec.lo, spec.hi, 50)
         }
         assert len(clusters) == 1
@@ -40,7 +47,7 @@ class TestIdMapping:
     def test_value_hash_monotone_within_cluster(self, service):
         spec = service.schema.spec("cpu-mhz")
         ks = [
-            service.resc_id("cpu-mhz", float(v)).k
+            _resc_id(service, "cpu-mhz", float(v)).k
             for v in np.linspace(spec.lo, spec.hi, 100)
         ]
         assert ks == sorted(ks)
@@ -54,7 +61,7 @@ class TestRegistration:
     def test_register_places_at_root(self, service):
         info = ResourceInfo("cpu-mhz", 2500.0, "node-a")
         service.register(info)
-        rid = service.resc_id("cpu-mhz", 2500.0)
+        rid = _resc_id(service, "cpu-mhz", 2500.0)
         owner = service.overlay.closest_node(rid)
         assert info in owner.items_in("lorm")
 

@@ -198,14 +198,15 @@ class TestMain:
 
     def test_chaos_command_exits_zero_and_saves(self, capsys, tmp_path, monkeypatch):
         import repro.cli as cli
+        from repro.experiments import recovery
 
         small = cli._SCALES["smoke"].scaled(
             infos_per_attribute=25,
             num_recovery_queries=6,
-            recovery_sample_interval=4.0,
             maintenance_intervals=(2.0,),
         )
         monkeypatch.setitem(cli._SCALES, "smoke", small)
+        monkeypatch.setattr(recovery, "SAMPLE_INTERVAL", 4.0)
         code = main(["chaos", "--smoke", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
@@ -222,9 +223,7 @@ class TestMain:
     def test_all_command(self, capsys, tmp_path, tiny_config, monkeypatch):
         import repro.cli as cli
 
-        monkeypatch.setitem(
-            cli._SCALES, "smoke", tiny_config.scaled(fig3a_dimensions=(3, 4))
-        )
+        monkeypatch.setitem(cli._SCALES, "smoke", tiny_config)
         assert main(["all", "--scale", "smoke", "--out", str(tmp_path)]) == 0
         produced = {p.name for p in tmp_path.glob("*.csv")}
         assert "fig6b.csv" in produced and "theorems.csv" in produced
@@ -454,7 +453,7 @@ class _StubResult:
         self.saved_to = []
 
     def over_budget(self, elapsed, budget_seconds, budget_mb):
-        return ["too slow"] if budget_seconds == 0 else []
+        return ["too slow"] if budget_seconds is not None and elapsed > budget_seconds else []
 
     def render(self):
         return "stub report"
@@ -509,17 +508,17 @@ class TestFlagInventory:
             "max_query_attributes", "num_requesters", "queries_per_requester",
             "num_range_queries", "num_churn_requests", "churn_rates",
             "mean_span_fraction", "lph_kind", "pareto_shape", "seed",
-            "fig3a_dimensions", "loss_rates", "availability_replications",
+            "loss_rates", "availability_replications",
             "num_availability_queries", "maintenance_intervals",
-            "recovery_churn_rates", "recovery_sample_interval",
+            "recovery_churn_rates",
             "num_recovery_queries", "scale_sizes", "scale_queries",
             "scale_churn_events", "tail_slow_fractions", "tail_queries",
             "tail_warmup", "tail_slow_multiplier", "tail_intermittency",
             "tail_sigma", "tail_slo_p99", "hotspot_zipf_s", "hotspot_queries",
-            "hotspot_windows", "hotspot_salts", "tradeoff_queries",
-            "tradeoff_churn_events", "tradeoff_fanouts", "tradeoff_budgets",
+            "hotspot_salts", "tradeoff_queries",
+            "tradeoff_churn_events", "tradeoff_fanouts",
             "validate_invariants", "trace",
-        ]  # 42
+        ]  # 38
 
 
 @pytest.mark.parametrize("name", list(VERDICT_WORDS))
@@ -584,7 +583,7 @@ class TestFlagRouting:
 
     def test_scale_budget_gates_the_exit_code(self, stubbed, capsys):
         assert main(["scale", "--smoke", "--budget-seconds", "1000"]) == 0
-        assert main(["scale", "--smoke", "--budget-seconds", "0"]) == 1
+        assert main(["scale", "--smoke", "--budget-seconds", "1e-9"]) == 1
         assert "BUDGET EXCEEDED" in capsys.readouterr().err
 
 
@@ -626,3 +625,28 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: " in err and needle in err
         assert stubbed["calls"] == []
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["hotspot", "--smoke", "--zipf-s", "-1"], "hotspot_zipf_s"),
+            (["tradeoff", "--smoke", "--fanouts", "0"], "tradeoff_fanouts"),
+            (["availability", "--scale", "smoke", "--queries", "0"],
+             "num_availability_queries"),
+            (["tradeoff", "--smoke", "--churn-events", "-1"], "tradeoff_churn_events"),
+            (["tail", "--smoke", "--slo-p99", "0"], "tail_slo_p99"),
+            (["tail", "--smoke", "--slo-p99", "-1"], "tail_slo_p99"),
+            (["scale", "--smoke", "--budget-seconds", "-1"], "--budget-seconds"),
+            (["scale", "--smoke", "--budget-mb", "0"], "--budget-mb"),
+        ],
+    )
+    def test_sweep_inputs_are_usage_errors(self, argv, needle, capsys):
+        """Inputs that used to crash inside a runner or print numbers over
+        nothing: each is refused before the sweep starts, without a
+        traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: " in err and needle in err
+        assert "Traceback" not in err

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import recovery
 from repro.experiments.config import SMOKE_CONFIG
 from repro.experiments.durability import (
     DEFAULT_SYSTEMS,
@@ -21,10 +22,17 @@ from repro.sim.durability import DEFAULT_POLICY_SPECS, parse_policy
 TINY = SMOKE_CONFIG.scaled(
     infos_per_attribute=25,
     num_recovery_queries=6,
-    recovery_sample_interval=4.0,
     maintenance_intervals=(2.0,),
     recovery_churn_rates=(0.0,),
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _sparse_sampling():
+    """Lighter probing still: a health sample every 4 s, not every 2 s."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "SAMPLE_INTERVAL", 4.0)
+        yield
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ def figures(tiny_config):
 class TestFig3a:
     @pytest.fixture(scope="class")
     def result(self, tiny_config):
-        return figure3.run_fig3a(tiny_config.scaled(fig3a_dimensions=(3, 4, 5)))
+        return figure3.run_fig3a(tiny_config)
 
     def test_curves_present(self, result):
         assert result.curve_names == ["Mercury", "Analysis>LORM", "LORM"]

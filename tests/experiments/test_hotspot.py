@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import hotspot
 from repro.experiments.config import ExperimentConfig, SMOKE_CONFIG
 from repro.experiments.hotspot import (
     HEADLINE_SYSTEM,
@@ -19,7 +20,6 @@ TINY = SMOKE_CONFIG.scaled(
     num_attributes=8,
     infos_per_attribute=16,
     hotspot_queries=180,
-    hotspot_windows=3,
     hotspot_zipf_s=(1.3,),
     hotspot_salts=3,
 )
@@ -88,9 +88,16 @@ class TestVerdict:
         assert "GATE MISS" in _result(salt=39.0, dynamic=39.0).render()
 
 
+def _run_tiny(systems):
+    """``run_hotspot`` on TINY over three load windows instead of four."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hotspot, "HOTSPOT_WINDOWS", 3)
+        return run_hotspot(TINY, systems=systems)
+
+
 @pytest.fixture(scope="module")
 def tiny_result():
-    return run_hotspot(TINY, systems=["SWORD"])
+    return _run_tiny(["SWORD"])
 
 
 class TestRunHotspot:
@@ -114,12 +121,12 @@ class TestRunHotspot:
         assert dynamic.replicas_created > 0
 
     def test_deterministic_across_runs(self, tiny_result):
-        again = run_hotspot(TINY, systems=["SWORD"])
+        again = _run_tiny(["SWORD"])
         assert again.cells == tiny_result.cells
 
     def test_unknown_system_raises(self):
         with pytest.raises(ValueError):
-            run_hotspot(TINY, systems=["Pastry"])
+            _run_tiny(["Pastry"])
 
 
 class TestHotspotCli:

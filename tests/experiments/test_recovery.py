@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.experiments import recovery
 from repro.experiments.config import SMOKE_CONFIG
 from repro.experiments.recovery import run_chaos_demo, run_recovery
 from repro.experiments.runner import FIGURES
@@ -17,10 +18,17 @@ SYSTEMS = ("LORM", "Mercury", "SWORD", "MAAN")
 TINY = SMOKE_CONFIG.scaled(
     infos_per_attribute=25,
     num_recovery_queries=6,
-    recovery_sample_interval=4.0,
     maintenance_intervals=(2.0,),
     recovery_churn_rates=(0.0,),
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _sparse_sampling():
+    """Lighter probing still: a health sample every 4 s, not every 2 s."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "SAMPLE_INTERVAL", 4.0)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +84,16 @@ class TestChaosDemo:
         assert (tmp_path / "chaos.csv").exists()
         assert (tmp_path / "chaos_slo.txt").exists()
 
-    def test_render_is_deterministic(self):
-        fast = TINY.scaled(num_recovery_queries=4, recovery_sample_interval=8.0)
+    def test_render_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(recovery, "SAMPLE_INTERVAL", 8.0)
+        fast = TINY.scaled(num_recovery_queries=4)
         assert run_chaos_demo(fast).render() == run_chaos_demo(fast).render()
 
 
 class TestRunRecovery:
-    def test_figure_shape_and_registration(self):
-        config = TINY.scaled(num_recovery_queries=4, recovery_sample_interval=8.0)
+    def test_figure_shape_and_registration(self, monkeypatch):
+        monkeypatch.setattr(recovery, "SAMPLE_INTERVAL", 8.0)
+        config = TINY.scaled(num_recovery_queries=4)
         figure = run_recovery(config)
         assert "recovery" in FIGURES
         assert figure.curve_names == [f"{name} R=0" for name in SYSTEMS]

@@ -13,15 +13,10 @@ from repro.experiments.runner import FIGURES, run_figure, run_figures
 
 
 @pytest.fixture(scope="module")
-def all_config(tiny_config):
-    return tiny_config.scaled(fig3a_dimensions=(3, 4))
-
-
-@pytest.fixture(scope="module")
-def serial_all(all_config, tmp_path_factory):
+def serial_all(tiny_config, tmp_path_factory):
     """Every figure, serially, saved — computed once for the module."""
     save_dir = tmp_path_factory.mktemp("all")
-    return run_figures(sorted(FIGURES), all_config, save_dir=save_dir), save_dir
+    return run_figures(sorted(FIGURES), tiny_config, save_dir=save_dir), save_dir
 
 
 def _rendered(figure_id: str, result) -> str:
@@ -76,8 +71,7 @@ class TestRunnerSignatures:
 
 class TestRunFigure:
     def test_runs_and_saves(self, tiny_config, tmp_path):
-        cfg = tiny_config.scaled(fig3a_dimensions=(3, 4))
-        result = run_figure("fig3a", cfg, save_dir=tmp_path)
+        result = run_figure("fig3a", tiny_config, save_dir=tmp_path)
         assert result.figure_id == "fig3a"
         assert (tmp_path / "fig3a.csv").exists()
         assert (tmp_path / "fig3a.txt").exists()
@@ -100,9 +94,9 @@ class TestRunAll:
 class TestEntryPointIdentity:
     """A figure has one output per (config, seed), whatever produced it."""
 
-    def test_parallel_renders_what_serial_renders(self, serial_all, all_config):
+    def test_parallel_renders_what_serial_renders(self, serial_all, tiny_config):
         serial, _ = serial_all
-        parallel = run_figures(sorted(FIGURES), all_config, workers=2)
+        parallel = run_figures(sorted(FIGURES), tiny_config, workers=2)
         assert set(parallel) == set(FIGURES)
         for figure_id in FIGURES:
             assert _rendered(figure_id, parallel[figure_id]) == _rendered(
@@ -112,9 +106,9 @@ class TestEntryPointIdentity:
     # theorems / latency once rode a bundle that fig4 and fig5 had already
     # queried inside `all`; fig5b / fig6b are second panels of a sweep.
     @pytest.mark.parametrize("figure_id", ["theorems", "latency", "fig5b", "fig6b"])
-    def test_one_figure_renders_what_all_renders(self, figure_id, serial_all, all_config):
+    def test_one_figure_renders_what_all_renders(self, figure_id, serial_all, tiny_config):
         serial, _ = serial_all
-        assert run_figure(figure_id, all_config).render() == serial[figure_id].render()
+        assert run_figure(figure_id, tiny_config).render() == serial[figure_id].render()
 
 
 class TestRunOnce:

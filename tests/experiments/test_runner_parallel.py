@@ -19,9 +19,8 @@ class TestIncrementalSave:
         monkeypatch.setitem(
             FIGURES, "fig4a", dataclasses.replace(FIGURES["fig4a"], runner=explode)
         )
-        cfg = tiny_config.scaled(fig3a_dimensions=(3, 4))
         with pytest.raises(RuntimeError, match="simulated mid-run crash"):
-            run_figures(sorted(FIGURES), cfg, save_dir=tmp_path)
+            run_figures(sorted(FIGURES), tiny_config, save_dir=tmp_path)
         # Everything computed before the crash is already on disk.
         for figure_id in ("fig3a", "fig3b", "fig3c", "fig3d"):
             assert (tmp_path / f"{figure_id}.csv").exists(), figure_id

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import tradeoff
 from repro.experiments.config import SMOKE_CONFIG, ExperimentConfig
 from repro.experiments.tradeoff import (
     SINGLEHOP_MEAN_HOPS_GATE,
@@ -19,7 +20,6 @@ TINY = SMOKE_CONFIG.scaled(
     tradeoff_queries=12,
     tradeoff_churn_events=4,
     tradeoff_fanouts=(1, 2),
-    tradeoff_budgets=("unlimited",),
 )
 
 
@@ -89,14 +89,13 @@ class TestOverlayPoints:
 class TestSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_tradeoff(TINY, systems=("MAAN",))
+        """The sweep at the unlimited budget alone."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tradeoff, "BUDGETS", {"unlimited": tradeoff.BUDGETS["unlimited"]})
+            return run_tradeoff(TINY, systems=("MAAN",))
 
     def test_every_point_measured_for_every_budget(self, result):
-        expected = {
-            (label, budget, "MAAN")
-            for label, _, _ in overlay_points(TINY)
-            for budget in TINY.tradeoff_budgets
-        }
+        expected = {(label, "unlimited", "MAAN") for label, _, _ in overlay_points(TINY)}
         got = {(c.overlay, c.budget, c.system) for c in result.cells}
         assert got == expected
 

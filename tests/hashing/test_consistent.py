@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,13 +68,10 @@ class TestUniformity:
 
 
 class TestDigest:
-    def test_digest_full_is_160_bits(self):
-        h = ConsistentHash(8)
-        assert 0 <= h.digest_full("abc") < (1 << 160)
-
     def test_call_matches_digest_top_bits(self):
         h = ConsistentHash(12)
-        assert h("xyz") == h.digest_full("xyz") >> (160 - 12)
+        full = int.from_bytes(hashlib.sha1((h.salt + "xyz").encode("utf-8")).digest(), "big")
+        assert h("xyz") == full >> (160 - 12)
 
     @pytest.mark.parametrize("bits", [1, 8, 11, 32, 160])
     def test_all_widths_work(self, bits):

@@ -84,29 +84,3 @@ class TestCdfAnalytic:
         hashed = [h(float(v)) for v in dist.sample(rng, 4000)]
         low_quarter = sum(1 for x in hashed if x < 64) / 4000
         assert low_quarter > 0.9
-
-
-class TestCdfEmpirical:
-    def test_from_samples_endpoints(self):
-        h = CdfLocalityHash.from_samples(16, [1.0, 2.0, 4.0, 8.0])
-        assert h(1.0) == 0
-        assert h(8.0) == 15
-
-    def test_from_samples_monotone_on_grid(self):
-        h = CdfLocalityHash.from_samples(64, [1.0, 3.0, 10.0, 30.0, 100.0])
-        grid = np.linspace(1.0, 100.0, 200)
-        hashed = [h(float(v)) for v in grid]
-        assert hashed == sorted(hashed)
-
-    def test_from_samples_interpolates_between_knots(self):
-        h = CdfLocalityHash.from_samples(100, [0.0, 10.0])
-        assert h(5.0) == 50
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            CdfLocalityHash.from_samples(8, [1.0])
-
-    def test_explicit_domain_overrides_sample_extremes(self):
-        h = CdfLocalityHash.from_samples(8, [2.0, 3.0], lo=0.0, hi=10.0)
-        assert h(0.0) == 0  # clamped into domain, below first knot
-        assert h(10.0) == 7

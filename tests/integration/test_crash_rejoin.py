@@ -54,7 +54,7 @@ class TestChordCrashRejoin:
             for _, key_id, item in node.stored_entries()
             if item == "payload"
         }
-        assert holders == {n.node_id for n in ring.replica_set(key)}
+        assert holders == {n.node_id for n in ring.replica_set_of(ring.key_id(key))}
         assert 20 in holders
 
     def test_crashed_node_object_stays_dead_after_rejoin(self):
@@ -100,4 +100,4 @@ class TestCycloidCrashRejoin:
             for _, _, item in node.stored_entries()
             if item == "payload"
         }
-        assert holders == {n.cid for n in overlay.replica_set(key)}
+        assert holders == {n.cid for n in overlay.replica_set_of(overlay.key_id(key))}

@@ -72,12 +72,6 @@ class TestSpanLifecycle:
 
 
 class TestAnnotations:
-    def test_annotate_merges_into_innermost(self):
-        tracer = QueryTracer()
-        with tracer.span("query", "q") as span:
-            tracer.annotate(hops=3)
-        assert span.attrs["hops"] == 3
-
     def test_event_defaults_to_innermost(self):
         tracer = QueryTracer()
         with tracer.span("lookup", "l"):

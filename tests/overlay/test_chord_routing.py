@@ -85,10 +85,10 @@ class TestReplicaSets:
     def test_replica_set_distinct_nodes(self):
         ring = ChordRing(6, replication=3)
         ring.build([1, 20, 40])
-        replicas = ring.replica_set(5)
+        replicas = ring.replica_set_of(5)
         assert len({n.node_id for n in replicas}) == 3
 
     def test_replica_set_capped_by_population(self):
         ring = ChordRing(6, replication=3)
         ring.build([1, 20])
-        assert len(ring.replica_set(5)) == 2
+        assert len(ring.replica_set_of(5)) == 2

@@ -81,7 +81,7 @@ class TestRepairMultiplicity:
         before = directory_census(ring)
         ring.repair_replication()
         assert directory_census(ring) == before
-        for holder in ring.replica_set(5):
+        for holder in ring.replica_set_of(5):
             assert holder.items_at("ns", 5) == ["x", "x"]
 
     def test_cycloid_repair_preserves_duplicates(self):
@@ -94,7 +94,7 @@ class TestRepairMultiplicity:
         overlay.repair_replication()
         assert directory_census(overlay) == before
         key_id = overlay.linearize(key)
-        for holder in overlay.replica_set(key):
+        for holder in overlay.replica_set_of(overlay.key_id(key)):
             assert holder.items_at("ns", key_id) == ["x", "x"]
 
 

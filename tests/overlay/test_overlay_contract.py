@@ -31,21 +31,17 @@ OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
 SKELETON = (
     "num_nodes", "node", "__contains__", "node_ids", "faults_active", "lookup",
     "_lookup_traced",
-    "_lookup_faulty", "walk", "_truncate_walk", "replica_set",
-    "replica_set_of", "native_holders", "store", "routed_store", "discard",
+    "_lookup_faulty", "walk", "_truncate_walk", "replica_set_of",
+    "native_holders", "store", "routed_store", "discard",
     "repair_replication", "repair_replication_step", "leave", "fail",
     "_depart", "_refresh_routing_state", "stabilize_step",
     "refresh_routing_step", "stabilize_all", "outlink_counts",
     "directory_sizes",
 )
 #: ... except where the single-hop tier changes the *accounting*: it
-#: disseminates membership events through the stabilize machinery and
-#: counts its full membership table as outlinks.
+#: disseminates membership events through the stabilize machinery.
 PERMITTED_OVERRIDES = {
-    SingleHopRing: {
-        "_refresh_routing_state", "stabilize_step", "stabilize_all",
-        "outlink_counts",
-    },
+    SingleHopRing: {"_refresh_routing_state", "stabilize_step", "stabilize_all"},
 }
 
 
@@ -191,7 +187,7 @@ class TestStorageAndRepair:
         key = native_key(overlay, random.Random(3))
         owner = overlay.store("ns", key, "item")
         key_id = overlay.key_id(key)
-        replicas = overlay.replica_set(key)
+        replicas = overlay.replica_set_of(overlay.key_id(key))
         assert owner is replicas[0] is overlay.owner_of(key_id)
         assert replicas == overlay.replica_set_of(key_id)
         for holder in replicas:

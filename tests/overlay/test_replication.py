@@ -28,13 +28,13 @@ class TestChordReplication:
 
     def test_replica_set_size(self):
         ring = self.make_ring(3)
-        assert len(ring.replica_set(10)) == 3
-        assert ring.replica_set(10)[0] is ring.successor_of(10)
+        assert len(ring.replica_set_of(10)) == 3
+        assert ring.replica_set_of(10)[0] is ring.successor_of(10)
 
     def test_store_places_on_all_replicas(self):
         ring = self.make_ring(3)
         ring.store("ns", 10, "item")
-        for holder in ring.replica_set(10):
+        for holder in ring.replica_set_of(10):
             assert holder.items_at("ns", 10) == ["item"]
 
     def test_invalid_replication_rejected(self):
@@ -62,11 +62,11 @@ class TestChordReplication:
         ring.fail(20)
         ring.repair_replication()
         holders = [
-            node for node in ring.nodes() if node.has_item("ns", 20, "x")
+            node for node in ring.nodes() if "x" in node.items_at("ns", 20)
         ]
         assert len(holders) == 3
         assert set(h.node_id for h in holders) == {
-            n.node_id for n in ring.replica_set(20)
+            n.node_id for n in ring.replica_set_of(20)
         }
 
     def test_survives_sequential_crashes_with_repair(self):
@@ -109,7 +109,7 @@ class TestCycloidReplication:
     def test_replica_set_within_cluster(self):
         overlay = self.make_overlay(3)
         key = CycloidId(1, 5)
-        replicas = overlay.replica_set(key)
+        replicas = overlay.replica_set_of(overlay.key_id(key))
         assert len(replicas) == 3
         assert all(r.a == 5 for r in replicas)
         assert replicas[0] is overlay.closest_node(key)
@@ -117,7 +117,7 @@ class TestCycloidReplication:
     def test_replica_set_capped_by_cluster_size(self):
         overlay = CycloidOverlay(4, replication=3)
         overlay.build([CycloidId(0, 1), CycloidId(2, 1), CycloidId(0, 9)])
-        replicas = overlay.replica_set(CycloidId(0, 1))
+        replicas = overlay.replica_set_of(overlay.key_id(CycloidId(0, 1)))
         assert len(replicas) == 2  # cluster 1 only has two members
 
     def test_invalid_replication_rejected(self):
@@ -139,7 +139,7 @@ class TestCycloidReplication:
         overlay.store("ns", key, "kept")
         overlay.fail(key)
         new_owner = overlay.closest_node(key)
-        assert new_owner.has_item("ns", overlay.linearize(key), "kept")
+        assert "kept" in new_owner.items_at("ns", overlay.linearize(key))
 
     def test_repair_restores_replica_count(self):
         overlay = self.make_overlay(2)
@@ -149,7 +149,7 @@ class TestCycloidReplication:
         overlay.repair_replication()
         holders = [
             node for node in overlay.nodes()
-            if node.has_item("ns", overlay.linearize(key), "x")
+            if "x" in node.items_at("ns", overlay.linearize(key))
         ]
         assert len(holders) == 2
 
@@ -164,7 +164,7 @@ class TestCycloidReplication:
             overlay.repair_replication()
             for key in keys:
                 owner = overlay.closest_node(key)
-                assert owner.has_item("ns", overlay.linearize(key), str(key)), key
+                assert str(key) in owner.items_at("ns", overlay.linearize(key)), key
 
     def test_routing_correct_after_crashes(self):
         overlay = self.make_overlay(2)

@@ -553,9 +553,7 @@ class TestHoldersMemo:
     @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
     def test_a_caller_cannot_edit_the_memo(self, build):
         overlay = build(3, True).overlay
-        key = overlay.key_of(5)
-        holders = overlay.replica_set(key)
+        holders = overlay.replica_set_of(5)
         assert isinstance(holders, tuple) and len(holders) == 3
-        assert overlay.replica_set(key) is holders
         assert overlay.replica_set_of(5) is holders
         assert list(holders) == overlay.durability.holders(overlay, 5)

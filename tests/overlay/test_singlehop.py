@@ -135,12 +135,6 @@ def test_edge_kind_attributes_long_jumps_to_the_membership_table():
     assert ring.edge_kind(src, src.successor) == "successor"
 
 
-def test_outlink_counts_reflect_full_membership():
-    ring = build_ring(bits=6, step=3)
-    n = ring.num_nodes
-    assert ring.outlink_counts() == [n - 1] * n
-
-
 def test_ring_invariants_hold_through_churn():
     ring = build_ring(bits=6, step=3)
     ring.leave(ring.node_ids[2])

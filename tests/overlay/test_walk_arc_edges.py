@@ -19,7 +19,7 @@ class TestWrapAround:
         start = ring.successor_of(60)
         walk = ring.walk_arc(start, 60, 12)
         assert [n.node_id for n in walk] == [0, 8, 16]
-        assert walk.complete and not walk.timed_out
+        assert not walk.truncated and not walk.timed_out
 
     def test_wrapping_arc_covers_every_owner(self):
         ring = _ring()
@@ -34,7 +34,7 @@ class TestWrapAround:
         ring = _ring()
         walk = ring.walk_arc(ring.successor_of(8), 8, 7)
         assert len(walk) == ring.num_nodes
-        assert walk.complete
+        assert not walk.truncated
 
 
 class TestDegenerateArcs:
@@ -43,7 +43,7 @@ class TestDegenerateArcs:
         start = ring.successor_of(20)
         walk = ring.walk_arc(start, 20, 20)
         assert list(walk) == [start]
-        assert walk.complete
+        assert not walk.truncated
 
     def test_single_node_ring_short_arc(self):
         ring = ChordRing(4)
@@ -52,7 +52,7 @@ class TestDegenerateArcs:
         # dist(9, 5) >= span: the loop never starts.
         walk = ring.walk_arc(node, 9, 3)
         assert list(walk) == [node]
-        assert walk.complete
+        assert not walk.truncated
 
     def test_single_node_ring_self_successor_terminates(self):
         ring = ChordRing(4)
@@ -62,7 +62,7 @@ class TestDegenerateArcs:
         # must stop at the wrap instead of spinning.
         walk = ring.walk_arc(node, 4, 14)
         assert list(walk) == [node]
-        assert walk.complete
+        assert not walk.truncated
 
 
 class TestTruncationAccounting:
@@ -77,7 +77,7 @@ class TestTruncationAccounting:
             assert ring.faults_active
             before = ring.network.stats.walk_truncations
             walk = ring.walk_arc(ring.successor_of(0), 0, 40)
-            assert walk.truncated and not walk.complete
+            assert walk.truncated
             assert walk.timed_out
             assert walk.reason == "unreachable successor chain"
             assert ring.network.stats.walk_truncations == before + 1

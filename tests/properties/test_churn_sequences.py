@@ -83,7 +83,7 @@ class TestChordChurnSequences:
         # Repair re-homes every surviving copy onto exactly its replica set.
         ring.repair_replication()
         for (_, key_id), holders in _stored_placement(ring).items():
-            expected = {n.node_id for n in ring.replica_set(key_id)}
+            expected = {n.node_id for n in ring.replica_set_of(key_id)}
             assert holders == expected, (key_id, holders, expected)
 
 
@@ -111,6 +111,6 @@ class TestCycloidChurnSequences:
         overlay.repair_replication()
         for (_, key_id), holders in _stored_placement(overlay).items():
             expected = {
-                n.cid for n in overlay.replica_set(overlay.delinearize(key_id))
+                n.cid for n in overlay.replica_set_of(key_id)
             }
             assert holders == expected, (key_id, holders, expected)

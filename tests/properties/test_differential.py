@@ -28,7 +28,7 @@ class TestDifferentialProperties:
     @settings(deadline=None)
     def test_fault_free_replay_is_exact_for_any_seed(self, seed):
         report = run_differential(seed=seed, num_queries=6)
-        assert report.ok, report.render()
+        assert not report.divergences, report.render()
 
     @given(ops=graceful_ops, seed=st.integers(0, 2**10))
     @settings(deadline=None)
@@ -36,7 +36,7 @@ class TestDifferentialProperties:
         report = run_differential(
             seed=seed, num_queries=6, churn_ops=tuple(ops), expect="exact"
         )
-        assert report.ok, report.render()
+        assert not report.divergences, report.render()
 
     @given(ops=crashy_ops, seed=st.integers(0, 2**10))
     @settings(deadline=None)
@@ -48,4 +48,4 @@ class TestDifferentialProperties:
             replication=2,
             expect="subset",
         )
-        assert report.ok, report.render()
+        assert not report.divergences, report.render()

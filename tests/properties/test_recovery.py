@@ -23,11 +23,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.chord import ChordRing
-from repro.sim.durability import (
-    erasure_code,
-    successor_replication,
-    symmetric_replication,
-)
+from repro.sim.durability import erasure_code, parse_policy, successor_replication
 from repro.sim.invariants import (
     check_overlay,
     check_replica_placement,
@@ -48,7 +44,7 @@ slow = settings(
 #: One policy per placement × redundancy kind the engine supports.
 POLICIES = [
     successor_replication(2),
-    symmetric_replication(2),
+    parse_policy("symmetric:2"),
     erasure_code(2, 1),
 ]
 

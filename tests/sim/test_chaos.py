@@ -91,7 +91,7 @@ class TestChaosScenario:
         )
         # 2 partition switches + 3 crashes + 2*(down+up).
         assert scenario.install(sim, injector, service) == 2 + 3 + 4
-        assert sim.pending == 9
+        assert sim.run() == 9
 
     def test_partition_arms_then_heals_at_declared_times(self, schema):
         service = self._service(schema)
@@ -103,11 +103,11 @@ class TestChaosScenario:
         scenario.install(sim, injector, service)
         sim.run_until(2.0)
         assert injector.active
-        assert len(injector.partitions) == 1
-        assert injector.partitions[0].space == 64
+        assert len(injector._partitions) == 1
+        assert injector._partitions[0].space == 64
         sim.run_until(6.0)
         assert not injector.active
-        assert injector.partitions == ()
+        assert injector._partitions == []
 
     def test_burst_and_flap_drive_seeded_churn(self, schema):
         service = self._service(schema)

@@ -15,7 +15,6 @@ from repro.sim.durability import (
     erasure_code,
     parse_policy,
     successor_replication,
-    symmetric_replication,
 )
 from repro.sim.invariants import (
     check_replica_placement,
@@ -84,7 +83,7 @@ class TestPolicyConstruction:
             ChordRing(6, durability=successor_replication(100))
 
     def test_symmetric_placement_not_bounded_at_ctor_time(self):
-        ring = ChordRing(6, durability=symmetric_replication(100))
+        ring = ChordRing(6, durability=parse_policy("symmetric:100"))
         ring.build_full()  # degraded placements report via deficit, not ctor
 
 
@@ -115,8 +114,8 @@ class TestDefaultPolicyByteIdentity:
         explicit = ChordRing(6, durability=successor_replication(2))
         explicit.build_full()
         for key in range(64):
-            assert [n.node_id for n in legacy.replica_set(key)] == [
-                n.node_id for n in explicit.replica_set(key)
+            assert [n.node_id for n in legacy.replica_set_of(legacy.key_id(key))] == [
+                n.node_id for n in explicit.replica_set_of(explicit.key_id(key))
             ]
 
     def test_cycloid_replica_sets_unchanged(self):
@@ -126,28 +125,28 @@ class TestDefaultPolicyByteIdentity:
         explicit.build_full()
         for key_id in range(legacy.capacity):
             key = legacy.delinearize(key_id)
-            assert [n.cid for n in legacy.replica_set(key)] == [
-                n.cid for n in explicit.replica_set(key)
+            assert [n.cid for n in legacy.replica_set_of(legacy.key_id(key))] == [
+                n.cid for n in explicit.replica_set_of(explicit.key_id(key))
             ]
 
 
 class TestSymmetricPlacement:
     def test_owner_first_and_spread(self):
-        ring = _loaded_ring(symmetric_replication(2))
+        ring = _loaded_ring(parse_policy("symmetric:2"))
         for key in range(0, 64, 4):
-            holders = ring.replica_set(key)
+            holders = ring.replica_set_of(ring.key_id(key))
             assert holders[0].node_id == key
             assert holders[1].node_id == (key + 32) % 64
 
     def test_sparse_ring_pads_with_distinct_successors(self):
-        ring = ChordRing(6, durability=symmetric_replication(3))
+        ring = ChordRing(6, durability=parse_policy("symmetric:3"))
         ring.build([0, 1, 2])  # every offset resolves near the same arc
-        holders = ring.replica_set(5)
+        holders = ring.replica_set_of(5)
         ids = [n.node_id for n in holders]
         assert len(ids) == len(set(ids)) == 3
 
     def test_placement_survives_repair_and_validates(self):
-        ring = _loaded_ring(symmetric_replication(2))
+        ring = _loaded_ring(parse_policy("symmetric:2"))
         ring.repair_replication()
         check_replica_placement(ring)
         assert replica_deficit(ring) == 0
@@ -176,7 +175,7 @@ class TestErasureEdgeCases:
         ring = _loaded_ring(erasure_code(2, 1))  # 3 fragments, any 2 decode
         ring.repair_replication()
         before = directory_census(ring, ring.durability)
-        holders = ring.replica_set(8)
+        holders = ring.replica_set_of(8)
         ring.fail(holders[-1].node_id)  # m = 1 holder lost
         assert directory_census(ring, ring.durability)[("ns", 8, "v8")] == 1
         assert replica_deficit(ring) > 0
@@ -187,7 +186,7 @@ class TestErasureEdgeCases:
     def test_losing_m_plus_one_fragments_loses_the_piece(self):
         ring = _loaded_ring(erasure_code(2, 1))
         ring.repair_replication()
-        holders = ring.replica_set(8)
+        holders = ring.replica_set_of(8)
         for node in holders[-2:]:  # m + 1 = 2 holders lost: k - 1 remain
             ring.fail(node.node_id)
         census = directory_census(ring, ring.durability)

@@ -11,9 +11,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule(3.0, lambda: fired.append("c"))
-        sim.schedule(1.0, lambda: fired.append("a"))
-        sim.schedule(2.0, lambda: fired.append("b"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(2.0, lambda: fired.append("b"))
         sim.run()
         assert fired == ["a", "b", "c"]
 
@@ -21,25 +21,25 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for tag in "abc":
-            sim.schedule(1.0, lambda t=tag: fired.append(t))
+            sim.schedule_at(1.0, lambda t=tag: fired.append(t))
         sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         times = []
-        sim.schedule(2.5, lambda: times.append(sim.now))
+        sim.schedule_at(2.5, lambda: times.append(sim.now))
         sim.run()
         assert times == [2.5]
         assert sim.now == 2.5
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Simulator().schedule(-1.0, lambda: None)
+            Simulator().schedule_at(-1.0, lambda: None)
 
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(5.0, lambda: None)
+        sim.schedule_at(5.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
             sim.schedule_at(1.0, lambda: None)
@@ -70,9 +70,9 @@ class TestScheduling:
         def chain(n: int) -> None:
             fired.append(n)
             if n < 3:
-                sim.schedule(1.0, lambda: chain(n + 1))
+                sim.schedule_at(sim.now + 1.0, lambda: chain(n + 1))
 
-        sim.schedule(0.0, lambda: chain(0))
+        sim.schedule_at(0.0, lambda: chain(0))
         sim.run()
         assert fired == [0, 1, 2, 3]
         assert sim.now == 3.0
@@ -82,21 +82,21 @@ class TestRunModes:
     def test_run_returns_fired_count(self):
         sim = Simulator()
         for i in range(5):
-            sim.schedule(float(i), lambda: None)
+            sim.schedule_at(float(i), lambda: None)
         assert sim.run() == 5
 
     def test_run_max_events(self):
         sim = Simulator()
         for i in range(5):
-            sim.schedule(float(i), lambda: None)
+            sim.schedule_at(float(i), lambda: None)
         assert sim.run(max_events=2) == 2
-        assert sim.pending == 3
+        assert sim.run() == 3
 
     def test_run_until_stops_at_boundary(self):
         sim = Simulator()
         fired = []
         for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda t=t: fired.append(t))
+            sim.schedule_at(t, lambda t=t: fired.append(t))
         assert sim.run_until(2.0) == 2
         assert fired == [1.0, 2.0]
         assert sim.now == 2.0
@@ -108,68 +108,3 @@ class TestRunModes:
 
     def test_step_on_empty_returns_none(self):
         assert Simulator().step() is None
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append("x"))
-        sim.cancel(event)
-        sim.run()
-        assert fired == []
-
-    def test_cancel_counts_not_processed(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.cancel(event)
-        assert sim.run() == 1
-        assert sim.events_processed == 1
-
-    def test_run_until_skips_cancelled_head(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.cancel(event)
-        assert sim.run_until(5.0) == 0
-
-    def test_cancel_after_fire_is_noop(self):
-        # A stale cancel must not tombstone anything still pending.
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.events_processed == 1
-        sim.cancel(event)  # already fired — no-op
-        sim.schedule(1.0, lambda: None)
-        assert sim.run() == 1
-        assert sim.events_processed == 2
-
-    def test_double_cancel_is_noop(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.cancel(event)
-        sim.cancel(event)
-        sim.schedule(2.0, lambda: None)
-        assert sim.run() == 1
-        assert sim.events_processed == 1
-
-    def test_cancel_preserves_same_timestamp_ordering(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("a"))
-        middle = sim.schedule(1.0, lambda: fired.append("b"))
-        sim.schedule(1.0, lambda: fired.append("c"))
-        sim.cancel(middle)
-        sim.run()
-        assert fired == ["a", "c"]
-
-    def test_no_tombstone_accumulation_across_long_runs(self):
-        sim = Simulator()
-        for i in range(50):
-            event = sim.schedule(float(i), lambda: None)
-            if i % 2:
-                sim.cancel(event)
-        sim.run()
-        assert sim.events_processed == 25
-        assert sim._cancelled == set()
-        assert sim._pending == set()

@@ -50,22 +50,6 @@ class TestFailSlowSpecs:
             injector.mark_slow(1, multiplier=2.0, intermittency=1.5)
         assert not injector.active
 
-    def test_mark_and_clear_slow(self):
-        injector = FaultInjector(FaultPlan())
-        assert not injector.active
-        injector.mark_slow(3, 10.0, 0.6)
-        assert injector.active
-        injector.clear_slow(3)
-        assert not injector.active
-
-    def test_clear_slow_all(self):
-        injector = FaultInjector(FaultPlan())
-        injector.mark_slow(1, 2.0)
-        injector.mark_slow(2, 2.0)
-        assert injector.active
-        injector.clear_slow()
-        assert not injector.active
-
 
 class TestLatencyFactor:
     def _rng(self):

@@ -37,11 +37,9 @@ def test_fault_injector_public_names():
         "active",
         "delivered",
         "latency_factor",
-        "partitions",
         "arm_partition",
         "disarm_partition",
         "mark_slow",
-        "clear_slow",
     }
     assert _parameters(FaultInjector) == ("plan",)
 

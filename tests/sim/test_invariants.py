@@ -84,7 +84,7 @@ class TestReplicaPlacement:
         ring = _small_ring(replication=2)
         ring.store("ns", 5, "x")
         stray = ring.node(1)
-        assert stray not in ring.replica_set(5)
+        assert stray not in ring.replica_set_of(5)
         stray.store("ns", 5, "x")
         with pytest.raises(InvariantViolation, match="replica drift"):
             check_replica_placement(ring)
@@ -93,7 +93,7 @@ class TestReplicaPlacement:
         ring = _small_ring(replication=2)
         ring.store("ns", 5, "x")
         # One holder gains an extra copy: same holder set, different contents.
-        ring.replica_set(5)[1].store("ns", 5, "x")
+        ring.replica_set_of(5)[1].store("ns", 5, "x")
         with pytest.raises(InvariantViolation, match="replica divergence"):
             check_replica_placement(ring)
 

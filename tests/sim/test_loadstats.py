@@ -10,7 +10,6 @@ from repro.sim.loadstats import (
     LoadStats,
     LoadWindow,
     gini,
-    load_histogram,
     max_mean_ratio,
     top_share,
 )
@@ -71,17 +70,6 @@ class TestTopShare:
             top_share({"a": 1.0}, 0)
 
 
-class TestLoadHistogram:
-    def test_members_sum_to_population(self):
-        buckets = load_histogram({"a": 5.0, "b": 1.0}, population=10, bins=5)
-        assert sum(members for _, _, members in buckets) == 10
-
-    def test_zero_load_members_in_first_bucket(self):
-        buckets = load_histogram({"a": 10.0}, population=4, bins=2)
-        assert buckets[0][2] == 3
-        assert buckets[-1][2] == 1
-
-
 class TestLoadWindow:
     def test_total_serves(self):
         window = LoadWindow(serves={"a": 2, "b": 3})
@@ -103,14 +91,6 @@ class TestLoadWindow:
 
 
 class TestLoadStats:
-    def test_record_serve_counts_node_and_attribute(self):
-        stats = LoadStats()
-        stats.record_serve("n1", "cpu")
-        stats.record_serve("n1", "cpu", count=2)
-        window = stats.take_window()
-        assert window.serves == {"n1": 3}
-        assert window.by_attribute == {"cpu": 3}
-
     def test_record_serves_counts_every_visited_node(self):
         stats = LoadStats()
         stats.record_serves(["n1", "n2", "n3"], "mem")
@@ -125,20 +105,12 @@ class TestLoadStats:
         window = stats.take_window()
         assert window.routes == {"mid1": 1, "mid2": 1}
 
-    def test_take_window_resets_but_total_accumulates(self):
+    def test_take_window_resets(self):
         stats = LoadStats()
-        stats.record_serve("n1", "cpu")
+        stats.record_serves(["n1"], "cpu")
         first = stats.take_window()
         assert first.serves == {"n1": 1}
-        stats.record_serve("n2", "cpu")
+        stats.record_serves(["n2"], "cpu")
         second = stats.take_window()
         assert second.serves == {"n2": 1}
         assert stats.take_window().serves == {}
-        assert stats.total.serves == {"n1": 1, "n2": 1}
-
-    def test_total_includes_open_window(self):
-        stats = LoadStats()
-        stats.record_serve("n1", "cpu")
-        stats.take_window()
-        stats.record_serve("n1", "cpu")
-        assert stats.total.serves == {"n1": 2}

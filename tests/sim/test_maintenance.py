@@ -44,12 +44,12 @@ class TestMaintenanceBudget:
             MaintenanceBudget(repair_keys=-5)
 
     def test_unbounded_and_zero_predicates(self):
-        assert UNLIMITED_BUDGET.unbounded and not UNLIMITED_BUDGET.is_zero
-        assert ZERO_BUDGET.is_zero and not ZERO_BUDGET.unbounded
-        assert not DEFAULT_BUDGET.unbounded and not DEFAULT_BUDGET.is_zero
-        # A partially capped budget is neither.
+        assert UNLIMITED_BUDGET.unbounded
+        assert not ZERO_BUDGET.unbounded
+        assert not DEFAULT_BUDGET.unbounded
+        # A partially capped budget is not unbounded.
         mixed = MaintenanceBudget(stabilize_nodes=None, refresh_nodes=0, repair_keys=4)
-        assert not mixed.unbounded and not mixed.is_zero
+        assert not mixed.unbounded
 
 
 class TestRepairBuckets:
@@ -57,23 +57,23 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)
         cursor = ("ns", 8)
-        progress = repair_buckets(ring, ring.replica_set, budget=0, after=cursor)
+        progress = repair_buckets(ring, ring.replica_set_of, budget=0, after=cursor)
         assert progress.keys_repaired == 0
         assert progress.copies_moved == 0
         assert progress.next_after == cursor
-        assert not progress.done
+        assert progress.next_after is not None
 
     def test_negative_budget_rejected(self):
         ring = _loaded_ring()
         with pytest.raises(ValueError):
-            repair_buckets(ring, ring.replica_set, budget=-1)
+            repair_buckets(ring, ring.replica_set_of, budget=-1)
 
     def test_unbounded_sweep_matches_global_repair(self):
         ring = _loaded_ring()
         before = directory_census(ring)
         ring.fail(20)
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
-        assert progress.done
+        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
+        assert progress.next_after is None
         assert progress.keys_repaired == 16  # every stored bucket visited
         check_replica_placement(ring)
         assert directory_census(ring) == before
@@ -88,13 +88,13 @@ class TestRepairBuckets:
         passes = 0
         visited = 0
         while True:
-            progress = repair_buckets(ring, ring.replica_set, budget=5, after=cursor)
+            progress = repair_buckets(ring, ring.replica_set_of, budget=5, after=cursor)
             # Census is conserved even mid-sweep (strays drop only after
             # their copies are merged onto the replica set).
             assert directory_census(ring) == before
             passes += 1
             visited += progress.keys_repaired
-            if progress.done:
+            if progress.next_after is None:
                 break
             cursor = progress.next_after
         assert passes == 4  # ceil(16 buckets / 5 per pass)
@@ -104,7 +104,7 @@ class TestRepairBuckets:
     def test_clean_bucket_costs_no_messages(self):
         ring = _loaded_ring()
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
+        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
         assert progress.copies_moved == 0
         assert ring.network.stats.maintenance_messages == baseline
 
@@ -112,7 +112,7 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)  # crash-time neighbourhood repair counts separately
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set, budget=None)
+        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
         assert progress.copies_moved > 0
         assert (
             ring.network.stats.maintenance_messages
@@ -222,16 +222,6 @@ class TestMaintenanceScheduler:
         scheduler.install(sim, horizon=8.0)
         sim.run()
         assert [at for at, _ in scheduler.reports] == [7.0]
-
-    def test_uninstall_cancels_pending_rounds(self, schema, workload):
-        service = self._service(schema, workload)
-        scheduler = MaintenanceScheduler(service, interval=5.0)
-        sim = Simulator()
-        scheduler.install(sim, horizon=20.0)
-        sim.run_until(10.0)
-        scheduler.uninstall(sim)
-        sim.run()
-        assert len(scheduler.reports) == 2
 
     def test_budgeted_round_passes_churn_guard(self, schema, workload):
         service = self._service(schema, workload)

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.network import MessageStats, SimulatedNetwork
+from repro.sim.network import MessageStats, SimulatedNetwork, publish_stats
 
 
 class TestCounting:
@@ -28,12 +28,6 @@ class TestCounting:
         net.count_maintenance(4)
         assert net.stats.maintenance_messages == 4
         assert net.stats.messages == 4
-
-    def test_reset(self):
-        net = SimulatedNetwork()
-        net.count_hop()
-        net.reset()
-        assert net.stats.messages == 0
 
     def test_dropped_messages_count_as_messages(self):
         net = SimulatedNetwork(faults=FaultInjector(FaultPlan(loss_rate=0.5, seed=3)))
@@ -105,7 +99,7 @@ class TestPublishStats:
         registry = self._registry()
         net = SimulatedNetwork()
         net.count_hop(3)  # leaves retries/timeouts/... at zero
-        net.publish_stats(registry)
+        publish_stats(net.stats, registry)
         expected = {f"network.{name}" for name in MessageStats().as_dict()}
         assert set(registry.counter_names) == expected
         assert registry.counter("network.retries") == 0
@@ -117,8 +111,6 @@ class TestPublishStats:
         registry = self._registry()
         net = SimulatedNetwork()
         delta = net.stats.delta_since(MessageStats())
-        from repro.sim.network import publish_stats
-
         publish_stats(delta, registry, prefix="window")
         assert len(registry.counter_names) == len(MessageStats().as_dict())
         assert registry.counter("window.messages") == 0
@@ -127,7 +119,7 @@ class TestPublishStats:
         registry = self._registry()
         net = SimulatedNetwork()
         net.count_retry(0.5)
-        net.publish_stats(registry)
-        net.publish_stats(registry)
+        publish_stats(net.stats, registry)
+        publish_stats(net.stats, registry)
         assert registry.counter("network.retries") == 2
         assert registry.counter("network.backoff_seconds") == 1.0

@@ -25,12 +25,6 @@ class TestChildSeeds:
             seed = SeedFactory(123456789).child_seed(label)
             assert 0 <= seed < (1 << 63)
 
-    def test_issued_labels_tracked_in_order(self):
-        f = SeedFactory(1)
-        f.child_seed("one")
-        f.child_seed("two")
-        assert f.issued_labels == ("one", "two")
-
 
 class TestGenerators:
     def test_numpy_streams_reproducible(self):

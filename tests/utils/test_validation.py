@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.validation import require, require_in_range, require_positive
+from repro.utils.validation import require, require_positive
 
 
 class TestRequire:
@@ -25,18 +25,3 @@ class TestRequirePositive:
     def test_rejects_nonpositive(self, value):
         with pytest.raises(ValueError, match="x must be > 0"):
             require_positive(value, "x")
-
-
-class TestRequireInRange:
-    def test_accepts_bounds_inclusively(self):
-        require_in_range(0, 0, 10, "v")
-        require_in_range(10, 0, 10, "v")
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError, match="v must be in"):
-            require_in_range(11, 0, 10, "v")
-
-    def test_works_for_floats(self):
-        require_in_range(0.5, 0.0, 1.0, "f")
-        with pytest.raises(ValueError):
-            require_in_range(-0.01, 0.0, 1.0, "f")

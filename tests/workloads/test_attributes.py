@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hashing.locality import CdfLocalityHash, LinearLocalityHash
-from repro.workloads.attributes import (
-    REALISTIC_GRID_ATTRIBUTES,
-    AttributeSchema,
-    AttributeSpec,
-)
+from repro.workloads.attributes import AttributeSchema, AttributeSpec
 
 
 class TestAttributeSpec:
@@ -35,16 +31,6 @@ class TestAttributeSpec:
         spec = AttributeSpec("cpu", 1.0, 10.0)
         h = spec.value_hash(5, "cdf")  # non-power-of-two (LORM cyclic space)
         assert h(10.0) == 4
-
-    def test_categorical_encoding(self):
-        spec = next(s for s in REALISTIC_GRID_ATTRIBUTES if s.is_categorical)
-        codes = [spec.encode_category(c) for c in spec.categories]
-        assert codes == sorted(codes)
-        assert all(spec.lo <= c <= spec.hi for c in codes)
-
-    def test_encode_category_on_numeric_rejected(self):
-        with pytest.raises(ValueError):
-            AttributeSpec("cpu", 1.0, 2.0).encode_category("linux")
 
 
 class TestAttributeSchema:
@@ -72,9 +58,9 @@ class TestAttributeSchema:
 
     def test_lookup_and_membership(self):
         schema = AttributeSchema.synthetic(5)
-        assert "cpu-mhz" in schema
+        assert "cpu-mhz" in schema.names
         assert schema.spec("cpu-mhz").name == "cpu-mhz"
-        assert "nonexistent" not in schema
+        assert "nonexistent" not in schema.names
 
     def test_iteration_order_stable(self):
         schema = AttributeSchema.synthetic(12)

@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.resource import effective_span_fraction
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
+
+
+def _cdf_mass(constraint, spec) -> float:
+    """Value-CDF mass a constraint covers: its share of the hashed space
+    under the CDF locality-preserving hash."""
+    low, high = constraint.bounds_within(spec.lo, spec.hi)
+    return spec.distribution.cdf(high) - spec.distribution.cdf(low)
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +88,7 @@ class TestConstraintSampling:
         rng = np.random.default_rng(3)
         spec = wl.schema.spec("cpu-mhz")
         fractions = [
-            effective_span_fraction(
-                wl.sample_constraint("cpu-mhz", QueryKind.RANGE, rng),
-                spec.lo, spec.hi, cdf=spec.distribution.cdf,
-            )
+            _cdf_mass(wl.sample_constraint("cpu-mhz", QueryKind.RANGE, rng), spec)
             for _ in range(3000)
         ]
         assert np.mean(fractions) == pytest.approx(0.25, abs=0.02)
@@ -94,10 +97,7 @@ class TestConstraintSampling:
         rng = np.random.default_rng(4)
         spec = wl.schema.spec("cpu-mhz")
         fractions = [
-            effective_span_fraction(
-                wl.sample_constraint("cpu-mhz", QueryKind.AT_LEAST, rng),
-                spec.lo, spec.hi, cdf=spec.distribution.cdf,
-            )
+            _cdf_mass(wl.sample_constraint("cpu-mhz", QueryKind.AT_LEAST, rng), spec)
             for _ in range(3000)
         ]
         assert np.mean(fractions) == pytest.approx(0.25, abs=0.02)
@@ -112,10 +112,7 @@ class TestConstraintSampling:
         rng = np.random.default_rng(5)
         spec = wl.schema.spec("cpu-mhz")
         fractions = [
-            effective_span_fraction(
-                wl.sample_constraint("cpu-mhz", QueryKind.RANGE, rng),
-                spec.lo, spec.hi, cdf=spec.distribution.cdf,
-            )
+            _cdf_mass(wl.sample_constraint("cpu-mhz", QueryKind.RANGE, rng), spec)
             for _ in range(3000)
         ]
         assert np.mean(fractions) == pytest.approx(0.1, abs=0.01)

@@ -46,37 +46,6 @@ class TestPpf:
             DIST.ppf(1.5)
 
 
-class TestPdf:
-    def test_zero_outside_domain(self):
-        assert DIST.pdf(0.5) == 0.0
-        assert DIST.pdf(101.0) == 0.0
-
-    def test_integrates_to_one(self):
-        xs = np.linspace(1.0, 100.0, 200_001)
-        ys = [DIST.pdf(float(x)) for x in xs]
-        integral = np.trapezoid(ys, xs)
-        assert integral == pytest.approx(1.0, rel=1e-3)
-
-    def test_decreasing_density(self):
-        assert DIST.pdf(1.5) > DIST.pdf(10.0) > DIST.pdf(90.0)
-
-
-class TestMoments:
-    def test_mean_matches_monte_carlo(self):
-        rng = np.random.default_rng(0)
-        samples = DIST.sample(rng, 200_000)
-        assert DIST.mean() == pytest.approx(float(np.mean(samples)), rel=0.02)
-
-    def test_mean_alpha_one_special_case(self):
-        d = BoundedPareto(alpha=1.0, low=1.0, high=10.0)
-        rng = np.random.default_rng(1)
-        samples = d.sample(rng, 200_000)
-        assert d.mean() == pytest.approx(float(np.mean(samples)), rel=0.02)
-
-    def test_mean_within_bounds(self):
-        assert 1.0 < DIST.mean() < 100.0
-
-
 class TestSampling:
     def test_samples_within_bounds(self):
         rng = np.random.default_rng(2)
@@ -112,53 +81,6 @@ class TestValidation:
             BoundedPareto(alpha=1.0, low=0.0, high=2.0)
         with pytest.raises(ValueError):
             BoundedPareto(alpha=1.0, low=2.0, high=2.0)
-
-
-class TestMeanNearAlphaOne:
-    """Regression: the textbook mean formula cancels catastrophically as
-    alpha -> 1 (and divides by zero at exactly 1)."""
-
-    LOW, HIGH = 1.0, 100.0
-
-    def _mean(self, alpha: float) -> float:
-        return BoundedPareto(alpha=alpha, low=self.LOW, high=self.HIGH).mean()
-
-    def test_finite_and_positive_at_one(self):
-        value = self._mean(1.0)
-        assert np.isfinite(value)
-        # Exact alpha == 1 value: L*log(H/L) / (1 - L/H).
-        assert value == pytest.approx(
-            self.LOW * np.log(self.HIGH / self.LOW) / (1 - self.LOW / self.HIGH)
-        )
-
-    def test_continuous_across_one(self):
-        at_one = self._mean(1.0)
-        for eps in (1e-12, 1e-9):
-            assert self._mean(1.0 - eps) == pytest.approx(at_one, rel=1e-6)
-            assert self._mean(1.0 + eps) == pytest.approx(at_one, rel=1e-6)
-
-    def test_monotone_decreasing_in_alpha_near_one(self):
-        # More shape mass at low values => smaller mean; the unstable
-        # formula violates this on both sides of 1.
-        assert self._mean(1.0 - 1e-9) > self._mean(1.0) > self._mean(1.0 + 1e-9)
-
-    @pytest.mark.parametrize("alpha", [1.0, 1.0 - 1e-9, 1.0 + 1e-9])
-    def test_analytic_mean_matches_monte_carlo(self, alpha):
-        dist = BoundedPareto(alpha=alpha, low=self.LOW, high=self.HIGH)
-        rng = np.random.default_rng(42)
-        samples = dist.sample(rng, 200_000)
-        assert dist.mean() == pytest.approx(float(samples.mean()), rel=0.02)
-
-    def test_far_from_one_unchanged(self):
-        # The stable form agrees with the textbook formula where the
-        # latter is well-conditioned.
-        a, lo, hi = 2.5, 1.0, 100.0
-        textbook = (
-            a * lo * (1 - (lo / hi) ** (a - 1)) / ((a - 1) * (1 - (lo / hi) ** a))
-        )
-        assert BoundedPareto(alpha=a, low=lo, high=hi).mean() == pytest.approx(
-            textbook, rel=1e-12
-        )
 
 
 class TestSampleUnified:

@@ -9,7 +9,6 @@ from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
 from repro.workloads.popularity import (
     VALUE_CELLS,
-    UniformPopularity,
     ZipfPopularity,
     stable_seed,
     zipf_weights,
@@ -64,7 +63,7 @@ class TestZipfPopularity:
     def test_hottest_rank_gets_max_weight(self):
         model = ZipfPopularity(s=1.1, seed=3)
         weights = model.attribute_weights(10, 0)
-        assert int(np.argmax(weights)) == model.hot_attributes(10)[0]
+        assert int(np.argmax(weights)) == model.rank_order(10)[0]
 
     def test_rank_order_is_seeded(self):
         a = ZipfPopularity(s=1.1, seed=3).rank_order(20)
@@ -131,10 +130,3 @@ class TestStreamDeterminism:
             return max(names.count(n) for n in set(names))
 
         assert top_count(skewed) > top_count(uniform)
-
-
-class TestDescriptions:
-    def test_describe_strings(self):
-        assert UniformPopularity().describe() == "uniform"
-        assert "zipf" in ZipfPopularity(s=1.1).describe()
-        assert "value-zipf" in ZipfPopularity(s=1.1, value_s=0.8).describe()

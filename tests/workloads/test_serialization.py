@@ -46,7 +46,7 @@ class TestRoundTrip:
         wl = GridWorkload(AttributeSchema.synthetic(6), infos_per_attribute=5, seed=1)
         loaded = load_workload(save_workload(wl, tmp_path / "c.json"))
         os_spec = loaded.schema.spec("os")
-        assert os_spec.is_categorical
+        assert os_spec.categories
         assert os_spec.categories == wl.schema.spec("os").categories
 
 

@@ -39,6 +39,7 @@ capture() {
 
 capture list list
 capture check check --systems all --seed 0
+capture check-named check --systems lorm sword --seed 0
 capture all all --scale smoke --out "$out/all"
 capture all-parallel all --scale smoke --parallel 2 --out "$out/all-parallel"
 capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
@@ -66,6 +67,8 @@ for format in tree jsonl chrome; do
         trace --system lorm --seed 0 --loss 0.1 --format "$format"
     capture "trace-maan-singlehop.$format" \
         trace --system maan --overlay singlehop --seed 0 --format "$format"
+    capture "trace-maan-singlehop-loss.$format" \
+        trace --system maan --overlay singlehop --seed 0 --loss 0.1 --format "$format"
     capture "trace-sword-record.$format" \
         trace --system sword --overlay record --fanout 4 --seed 0 --format "$format"
 done
@@ -75,6 +78,14 @@ for run in all all-parallel scale; do
     rm -f "$out/$run/scale_table.json"
     sed -i '/^note: n=[0-9]*: built in /d' "$out/$run.stdout" "$out/$run/scale.txt"
 done
+
+# `report` over a copy of the stripped `all` tree; only REPORT.md is kept,
+# and the path it prints is made relative to DIR.
+rm -rf "$out/report"
+cp -r "$out/all" "$out/report"
+capture report report --out "$out/report"
+find "$out/report" -type f ! -name REPORT.md -delete
+sed -i "s|$out/||" "$out/report.stdout"
 
 # Serial == parallel, file for file.
 diff -r "$out/all" "$out/all-parallel" >&2
