@@ -55,7 +55,7 @@ class ResourceInfo:
             raise ValueError(f"NaN value for attribute {self.attribute!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeConstraint:
     """A sub-query ``π_a`` on one attribute: a point or a (half-)range.
 
@@ -147,7 +147,7 @@ def select_matches(
     ])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """A single-attribute resource request, ``⟨a, π_a, ip_addr(j)⟩``."""
 
@@ -165,7 +165,7 @@ class Query:
         return self.constraint.is_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiAttributeQuery:
     """An m-attribute request: one constraint per attribute, resolved as
     parallel sub-queries whose results are joined on provider address."""
@@ -193,7 +193,7 @@ class MultiAttributeQuery:
         return tuple(Query(c, self.requester) for c in self.constraints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     """Outcome and accounting of one single-attribute query.
 
@@ -227,7 +227,7 @@ class QueryResult:
         return frozenset(info.provider for info in self.matches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiQueryResult:
     """Joined outcome of an m-attribute query.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
@@ -202,10 +202,12 @@ class OverlayNode:
         #: namespace) -> (items, attributes, values)}``: the bucket's items
         #: stably sorted by ``(attribute, value)`` with the two sort keys
         #: as parallel lists, so an attribute/range read is four bisects
-        #: and a slice.  Pure derived state (the same idiom as the
-        #: overlays' ``_succ_cache``): built on the first filtered read,
-        #: dropped by every write to the namespace, never observable.
-        self._views: dict[str, dict[int | None, tuple[list, list, list]]] = {}
+        #: and a slice (``attributes`` is ``None`` when the bucket holds a
+        #: single attribute: two bisects).  Pure derived state (the same
+        #: idiom as the overlays' ``_succ_cache``): built on the first
+        #: filtered read, dropped by every write to the namespace, never
+        #: observable.
+        self._views: dict[str, dict[int | None, tuple[list, list | None, list]]] = {}
         #: The overlay's shared :class:`ArcDirectory` (``None`` for a node
         #: outside any overlay); every write below that flushes ``_views``
         #: also posts its change there.
@@ -218,8 +220,15 @@ class OverlayNode:
         """Store ``item`` under ``key_id`` within ``namespace``."""
         ns = self._store.get(namespace)
         if ns is None:
-            ns = self._store[namespace] = defaultdict(list)
-        ns[key_id].append(item)
+            self._store[namespace] = {key_id: [item]}
+        else:
+            bucket = ns.get(key_id)
+            if bucket is None:
+                # Most buckets hold one item: an exact-size list, not an
+                # appended one with spare capacity.
+                ns[key_id] = [item]
+            else:
+                bucket.append(item)
         if self._views:
             self._views.pop(namespace, None)
         if self._arcs:
@@ -269,13 +278,20 @@ class OverlayNode:
             items, attributes, values = self._views[namespace][key_id]
         except KeyError:
             items, attributes, values = self._build_view(namespace, key_id)
-        first = bisect_left(attributes, attribute)
-        last = bisect_right(attributes, attribute, first)
+        if attributes is None:
+            if not items or items[0].attribute != attribute:
+                return []
+            first, last = 0, len(items)
+        else:
+            first = bisect_left(attributes, attribute)
+            last = bisect_right(attributes, attribute, first)
         return items[
             bisect_left(values, low, first, last):bisect_right(values, high, first, last)
         ]
 
-    def _build_view(self, namespace: str, key_id: int | None) -> tuple[list, list, list]:
+    def _build_view(
+        self, namespace: str, key_id: int | None
+    ) -> tuple[list, list | None, list]:
         """Derive (and keep until the next write to ``namespace``) the
         ordered view of one bucket, or of the whole namespace."""
         ns = self._store.get(namespace, {})
@@ -284,9 +300,10 @@ class OverlayNode:
         else:
             bucket = ns.get(key_id, ())
         items = sorted(bucket, key=_VIEW_ORDER)
+        single = not items or items[0].attribute == items[-1].attribute
         view = (
             items,
-            [item.attribute for item in items],
+            None if single else [item.attribute for item in items],
             [item.value for item in items],
         )
         self._views.setdefault(namespace, {})[key_id] = view

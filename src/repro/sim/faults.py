@@ -373,7 +373,7 @@ def _fire_hedge(
     hedge_at: float,
     primary: float,
     on_hedge: Callable[[int, bool], None] | None,
-) -> float:
+) -> tuple[float, float]:
     """Fire one backup request at ``hedge_at`` and race the primary.
 
     The backup is a fresh transmission to the *same* destination (an iid

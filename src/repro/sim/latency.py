@@ -24,7 +24,7 @@ randomness is drawn and no behaviour changes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
+from array import array
 
 import numpy as np
 
@@ -124,46 +124,45 @@ class RttEstimator:
 
     Two complementary views of the same sample stream:
 
-    * Jacobson/Karels smoothing — ``srtt`` (EWMA, gain ``alpha``) and
-      ``rttvar`` (mean absolute deviation, gain ``beta``), giving the
-      classic retransmission timeout ``srtt + k * rttvar``;
-    * a bounded window of raw samples, giving empirical quantiles — the
-      p95 at which hedges fire, and a robust timeout ``margin * q`` that
-      stays tight even when a few accepted stragglers inflate ``rttvar``.
+    * Jacobson/Karels smoothing — ``srtt`` (EWMA, gain :attr:`ALPHA`) and
+      ``rttvar`` (mean absolute deviation, gain :attr:`BETA`), giving the
+      classic retransmission timeout ``srtt + K * rttvar``;
+    * a FIFO window of the last :attr:`WINDOW` raw samples, giving
+      empirical quantiles — the p95 at which hedges fire, and a robust
+      timeout ``MARGIN * q`` that stays tight even when a few accepted
+      stragglers inflate ``rttvar``.
 
     :meth:`timeout` takes the *tighter* of the two (never above the
-    policy's fixed fallback, never below ``floor``), so a gray-failure
+    policy's fixed fallback, never below :attr:`FLOOR`), so a gray-failure
     burst cannot talk the estimator into waiting longer than a fixed
     timeout would have.
+
+    One delivered message asks for the same quantile twice (the adaptive
+    timeout and the hedge delay both read p95), so the last quantile is
+    kept until the next :meth:`observe`.
     """
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
-        margin: float = 1.5,
-        window: int = 128,
-        min_samples: int = 8,
-        floor: float = 1e-3,
-    ) -> None:
-        require(0.0 < alpha <= 1.0, "alpha must be in (0, 1]")
-        require(0.0 < beta <= 1.0, "beta must be in (0, 1]")
-        require_positive(k, "k")
-        require_positive(margin, "margin")
-        require(window >= 2, "window must be >= 2")
-        require(min_samples >= 1, "min_samples must be >= 1")
-        require_positive(floor, "floor")
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-        self.margin = margin
-        self.min_samples = min_samples
-        self.floor = floor
+    __slots__ = ("_srtt", "_rttvar", "_window", "_cached_q", "_cached")
+
+    ALPHA = 0.125
+    BETA = 0.25
+    K = 4.0
+    MARGIN = 1.5
+    WINDOW = 128
+    #: Samples the window needs before its quantiles are trusted.
+    MIN_SAMPLES = 8
+    FLOOR = 1e-3
+
+    def __init__(self) -> None:
         self._srtt: float | None = None
         self._rttvar = 0.0
-        self._window: deque[float] = deque(maxlen=window)
+        #: The last ``WINDOW`` samples, oldest first.
+        self._window = array("d")
+        #: ``quantile_estimate(q)`` of the current window for ``q ==
+        #: _cached_q`` (``None``: nothing cached).  Two slots, not a tuple:
+        #: thousands of estimators keep one.
+        self._cached_q: float | None = None
+        self._cached = 0.0
 
     @property
     def srtt(self) -> float | None:
@@ -183,7 +182,7 @@ class RttEstimator:
     @property
     def ready(self) -> bool:
         """Whether the window holds enough samples to trust quantiles."""
-        return len(self._window) >= self.min_samples
+        return len(self._window) >= self.MIN_SAMPLES
 
     def observe(self, rtt: float) -> None:
         """Fold one requester-observed response time into both trackers."""
@@ -193,25 +192,47 @@ class RttEstimator:
             self._rttvar = rtt / 2.0
         else:
             err = rtt - self._srtt
-            self._rttvar += self.beta * (abs(err) - self._rttvar)
-            self._srtt += self.alpha * err
-        self._window.append(rtt)
+            self._rttvar += self.BETA * (abs(err) - self._rttvar)
+            self._srtt += self.ALPHA * err
+        window = self._window
+        if len(window) == self.WINDOW:
+            del window[0]
+        window.append(rtt)
+        self._cached_q = None
 
     def quantile_estimate(self, q: float) -> float | None:
-        """Empirical ``q``-quantile of the window (None until warm)."""
-        if not self.ready:
+        """Empirical ``q``-quantile of the window (None until warm).
+
+        ``np.quantile``'s default ``linear`` method written out, float for
+        float: the virtual index ``(n - 1) * q`` between two order
+        statistics, interpolated as numpy's ``_lerp`` does (from the upper
+        neighbour once the weight reaches 0.5)."""
+        if q == self._cached_q:
+            return self._cached
+        n = len(self._window)
+        if n < self.MIN_SAMPLES:
             return None
-        return float(np.quantile(np.asarray(self._window), q))
+        ordered = sorted(self._window)
+        at = (n - 1) * q
+        if at >= n - 1:
+            value = ordered[-1]
+        else:
+            i = int(at)
+            a, b = ordered[i], ordered[i + 1]
+            t = at - i
+            value = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+        self._cached_q, self._cached = q, value
+        return value
 
     def timeout(self, fallback: float) -> float:
         """Adaptive timeout: tightest of EWMA, quantile and ``fallback``."""
-        candidates = [fallback]
+        best = fallback
         if self._srtt is not None:
-            candidates.append(self._srtt + self.k * self._rttvar)
+            best = min(best, self._srtt + self.K * self._rttvar)
         q95 = self.quantile_estimate(0.95)
         if q95 is not None:
-            candidates.append(self.margin * q95)
-        return max(self.floor, min(candidates))
+            best = min(best, self.MARGIN * q95)
+        return max(self.FLOOR, best)
 
 
 class _RequesterRtt:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import inf
+from operator import attrgetter
 
 import pytest
 
-from repro.core.resource import ResourceInfo
+from repro.core.resource import AttributeConstraint, ResourceInfo, select_matches
 from repro.overlay.node import OverlayNode
 from tests.overlay.test_overlay_contract import OVERLAY_CLASSES, make_overlay
 
@@ -71,6 +72,47 @@ class TestWritePathsFlush:
         assert node.items_at(NS, 99, "cpu") == []
         node.store(NS, 99, info("cpu", 1.0))
         assert node.items_at(NS, 99, "cpu") == [info("cpu", 1.0)]
+
+
+class TestViewsAgreeWithTheScan:
+    """A filtered read is ``select_matches`` over the raw bucket, in value
+    order — for single-attribute buckets (whose view keeps no attribute
+    list) and mixed ones alike."""
+
+    BOUNDS = ((-inf, inf), (3.0, 3.0), (2.0, 6.0), (6.5, 7.5), (8.0, inf), (-inf, -1.0))
+
+    @staticmethod
+    def _node(attributes: tuple[str, ...], seed: int) -> OverlayNode:
+        rng = random.Random(seed)
+        node = OverlayNode("n")
+        for i in range(40):
+            # Values from a small range, so buckets hold ties.
+            item = info(rng.choice(attributes), float(rng.randrange(8)), f"p{i}")
+            node.store(NS, rng.randrange(4), item)
+        return node
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("attributes", [("cpu",), ("cpu", "mem"), ("cpu", "disk", "mem")])
+    def test_filtered_reads_equal_the_scan(self, attributes, seed):
+        node = self._node(attributes, seed)
+        keys = sorted({key_id for _, key_id in node.bucket_counts()})
+        for attribute in (*ATTRIBUTES, "disk", "absent"):
+            for low, high in self.BOUNDS:
+                constraint = AttributeConstraint(
+                    attribute, None if low == -inf else low, None if high == inf else high
+                )
+                for key_id in keys:
+                    want = sorted(
+                        select_matches([node.items_at(NS, key_id)], constraint),
+                        key=attrgetter("value"),
+                    )
+                    assert node.items_at(NS, key_id, attribute, low, high) == want
+                want = sorted(
+                    select_matches([node.items_in(NS)], constraint), key=attrgetter("value")
+                )
+                assert node.items_in(NS, attribute, low, high) == want
+        single = len(attributes) == 1
+        assert all((view[1] is None) == single for view in node._views[NS].values())
 
 
 def load(overlay, count: int = 120) -> list[ResourceInfo]:

@@ -70,14 +70,15 @@ class TestRttEstimator:
         assert RttEstimator().timeout(0.5) == 0.5
 
     def test_quantiles_need_min_samples(self):
-        est = RttEstimator(min_samples=4)
-        for _ in range(3):
+        assert RttEstimator.MIN_SAMPLES == 8
+        est = RttEstimator()
+        for _ in range(7):
             est.observe(0.1)
         assert not est.ready
         assert est.quantile_estimate(0.95) is None
         est.observe(0.1)
         assert est.ready
-        assert est.quantile_estimate(0.95) == pytest.approx(0.1)
+        assert est.quantile_estimate(0.95) == 0.1
 
     def test_timeout_tightens_on_a_stable_stream(self):
         est = RttEstimator()
@@ -93,16 +94,65 @@ class TestRttEstimator:
         assert est.timeout(0.5) == 0.5
 
     def test_timeout_floor(self):
-        est = RttEstimator(floor=0.01)
+        est = RttEstimator()
         for _ in range(20):
             est.observe(1e-9)
-        assert est.timeout(0.5) == 0.01
+        assert est.timeout(0.5) == RttEstimator.FLOOR
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RttEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            RttEstimator(window=1)
+    def test_window_keeps_the_last_samples_in_arrival_order(self):
+        est = RttEstimator()
+        for i in range(RttEstimator.WINDOW + 5):
+            est.observe(float(i))
+        assert est.samples_seen == RttEstimator.WINDOW
+        assert list(est._window) == [float(i) for i in range(5, RttEstimator.WINDOW + 5)]
+
+    def test_observe_invalidates_the_cached_quantile(self):
+        est = RttEstimator()
+        for _ in range(10):
+            est.observe(0.1)
+        assert est.quantile_estimate(0.95) == 0.1
+        est.observe(5.0)  # a new maximum: p95 sits between it and 0.1
+        assert est.quantile_estimate(0.95) > 0.1
+        assert est.quantile_estimate(0.95) == float(np.quantile(np.asarray(est._window), 0.95))
+
+    def test_cache_answers_only_the_quantile_it_holds(self):
+        est = RttEstimator()
+        for value in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            est.observe(value)
+        assert est.quantile_estimate(0.95) == float(np.quantile(np.asarray(est._window), 0.95))
+        assert est.quantile_estimate(0.5) == 0.5
+
+    #: Quantiles the requester policies read, plus the extremes.
+    _QS = (0.01, 0.5, 0.95, 0.99)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quantile_is_numpys_linear_quantile_float_for_float(self, seed):
+        # Lognormal RTTs with ties injected (repeats of earlier samples and
+        # runs of one constant), through the fill and across the window
+        # wrap: every estimate must be the exact float np.quantile returns.
+        rng = np.random.default_rng(seed)
+        est = RttEstimator()
+        steps = 3 * RttEstimator.WINDOW + 40
+        compared = 0
+        for step in range(steps):
+            draw = rng.random()
+            if draw < 0.15 and est.samples_seen:
+                rtt = est._window[int(rng.integers(est.samples_seen))]
+            elif draw < 0.2:
+                rtt = 0.05
+            else:
+                rtt = 0.05 * float(np.exp(0.35 * rng.standard_normal()))
+                if draw > 0.97:
+                    rtt *= 20.0
+            est.observe(rtt)
+            if not est.ready:
+                assert all(est.quantile_estimate(q) is None for q in self._QS)
+                continue
+            window = np.asarray(list(est._window))
+            for q in self._QS:
+                assert est.quantile_estimate(q) == float(np.quantile(window, q)), (step, q)
+                compared += 1
+        assert compared == len(self._QS) * (steps - RttEstimator.MIN_SAMPLES + 1)
 
 
 class TestRttBook:
