@@ -44,7 +44,7 @@ def _sweep():
     # The extra cell: r=1, 5% loss, retries/failover disabled.  Rebuilt the
     # same way run_availability builds its r=1 bundle (same seed offset),
     # so the only difference from the "LORM r=1" curve is the policy.
-    bundle = build_services(CONFIG, register=True, replication=1, seed_offset=1)
+    bundle = build_services(CONFIG, register=True, seed_offset=1)
     _crash_storm(bundle, CONFIG)
     cases = query_cases(bundle, CONFIG.num_availability_queries, "availability")
     no_retry = {}

@@ -13,12 +13,15 @@ node, SWORD roots of 500 items, ~2,000 distinct key ids per overlay.
 from __future__ import annotations
 
 from repro.experiments.common import build_services
+from repro.sim.durability import successor_replication
 from repro.sim.invariants import directory_layout
 
 
 def test_bulk_load_equals_per_info_load_at_paper_scale(paper_config):
-    bulk = build_services(paper_config, replication=2)
-    per_info = build_services(paper_config, replication=2, register=False)
+    bulk = build_services(paper_config, durability=successor_replication(2))
+    per_info = build_services(
+        paper_config, durability=successor_replication(2), register=False
+    )
     for info in per_info.workload.resource_infos():
         for service in per_info.all():
             service.register(info, routed=False)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.lorm import LormService
+from repro.sim.durability import successor_replication
 from repro.utils.formatting import render_table
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
@@ -26,7 +27,7 @@ REPAIR_EVERY = 5
 def _availability(replication: int) -> dict[str, float]:
     schema = AttributeSchema.synthetic(16)
     service = LormService.build_full(
-        6, schema, seed=50 + replication, replication=replication
+        6, schema, seed=50 + replication, durability=successor_replication(replication)
     )
     wl = GridWorkload(schema, infos_per_attribute=64, seed=60)
     for info in wl.resource_infos():
@@ -88,7 +89,7 @@ def test_crash_storm_never_breaks_routing(sweep):
     """Whatever happens to the data, lookups must keep terminating on the
     correct owner (routing state repairs are independent of replication)."""
     schema = AttributeSchema.synthetic(8)
-    service = LormService.build_full(5, schema, seed=99, replication=1)
+    service = LormService.build_full(5, schema, seed=99)
     rng = np.random.default_rng(1)
     for _ in range(50):
         service.churn_fail()

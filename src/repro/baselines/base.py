@@ -45,7 +45,6 @@ def build_ring(
     *,
     seed: int,
     stream: str,
-    replication: int = 1,
     durability: Any | None = None,
     ring_factory: Any | None = None,
 ) -> ChordRing:
@@ -53,7 +52,7 @@ def build_ring(
     uniformly from the seeded ``stream`` (every ID when ``num_nodes``
     reaches the space size); ``ring_factory`` picks the routing tier."""
     make = ring_factory if ring_factory is not None else ChordRing
-    ring = make(bits, replication=replication, durability=durability)
+    ring = make(bits, durability=durability)
     if num_nodes >= ring.space.size:
         ring.build_full()
     else:
@@ -684,7 +683,6 @@ class ChordBackedService(DiscoveryService):
         schema: AttributeSchema,
         *,
         seed: int = 0,
-        replication: int = 1,
         durability: Any | None = None,
         ring_factory: Any | None = None,
         **kwargs: Any,
@@ -696,7 +694,7 @@ class ChordBackedService(DiscoveryService):
         """
         ring = build_ring(
             bits, num_nodes, seed=seed, stream=f"{cls.name}-membership",
-            replication=replication, durability=durability, ring_factory=ring_factory,
+            durability=durability, ring_factory=ring_factory,
         )
         return cls(ring, schema, seed=seed, **kwargs)
 
@@ -722,7 +720,7 @@ class ChordBackedService(DiscoveryService):
         writes: the native root, or all ``S`` salted roots.  Salted roots
         use the plain consistent hash of the salted name (spread
         placement only covers schema attributes)."""
-        if self.salting is not None and self.salting.applies_to(attribute):
+        if self.salting is not None:
             return tuple(
                 self.attr_hash(name) for name in self.salting.salted_names(attribute)
             )
@@ -742,7 +740,7 @@ class ChordBackedService(DiscoveryService):
         root (replica copies live under the replicator's namespace).
         """
         key = self.attr_key(attribute)
-        if self.salting is not None and self.salting.applies_to(attribute):
+        if self.salting is not None:
             name = self.salting.salted_names(attribute)[
                 self.salting.choose(attribute, requester)
             ]

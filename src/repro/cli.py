@@ -38,9 +38,9 @@ from collections.abc import Sequence
 from functools import partial
 
 from repro.experiments.common import SYSTEM_NAMES, resolve_overlay, resolve_systems
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
 from repro.experiments.runner import _FIGURE_FLAGS, _RUNS, _SCALES, FIGURES, Flag, Run, run_figures
-from repro.obs.replay import SYSTEMS, TRACE_CONFIG, replay_queries
+from repro.obs.replay import SYSTEMS, replay_queries
 from repro.utils.validation import require
 
 __all__ = ["main", "build_parser"]
@@ -130,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # The command loop
 # ----------------------------------------------------------------------
+def _require_seed(seed: int | None) -> None:
+    """``--seed`` seeds numpy generators, which reject negative seeds."""
+    require(seed is None or seed >= 0, f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_run(args: argparse.Namespace, row: Run | None = None) -> int:
     """Config, resolve, run, render, verdict word, save, exit code.
 
@@ -150,6 +155,7 @@ def _cmd_run(args: argparse.Namespace, row: Run | None = None) -> int:
         elif (flag.to is not None or flag.resolve) and value is not None:
             fed.append((flag, value))
     try:
+        _require_seed(args.seed)
         config = _SCALES[args.scale].scaled(**overrides)
         resolved = [(f.to, f.resolve(config, v) if f.resolve else v) for f, v in fed]
     except ValueError as exc:
@@ -195,9 +201,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         overlay = resolve_overlay(args.overlay) if args.overlay is not None else None
+        _require_seed(args.seed)
         require(0.0 <= args.loss < 1.0, f"--loss must be in [0, 1), got {args.loss}")
         require(args.queries >= 1, f"--queries must be >= 1, got {args.queries}")
-        schema_size = TRACE_CONFIG.num_attributes
+        schema_size = CHECK_CONFIG.num_attributes
         require(1 <= args.attributes <= schema_size,
                 f"--attributes must be in [1, {schema_size}], got {args.attributes}")
         require(args.fanout >= 1, f"--fanout must be >= 1, got {args.fanout}")
@@ -255,6 +262,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         systems = (
             SYSTEM_NAMES if "all" in args.systems else resolve_systems(args.systems)
         )
+        _require_seed(args.seed)
         # An empty replay and storm would pass having checked nothing.
         require(args.queries >= 1, f"--queries must be >= 1, got {args.queries}")
         require(args.churn_events >= 0,

@@ -20,12 +20,12 @@ hops.  We implement the read-spreading form.)
 **Dynamic replication** (:class:`DynamicReplicator`) — reactive.  An
 observer watches the per-attribute serve counts of each harvested
 :class:`~repro.sim.loadstats.LoadWindow`; an attribute whose window load
-exceeds ``trigger_ratio`` times the population-mean node load is *hot*
-and gets its directory copied to the next ``max_replicas`` ring
+exceeds ``TRIGGER_RATIO`` times the population-mean node load is *hot*
+and gets its directory copied to the next ``MAX_REPLICAS`` ring
 successors of its root.  Copies are charged as maintenance messages and
 capped per tick by the existing :class:`~repro.sim.maintenance.
 MaintenanceBudget` (``repair_keys``); an attribute that stays cold for
-``decay_windows`` consecutive windows has its replicas dropped.  Queries
+``DECAY_WINDOWS`` consecutive windows has its replicas dropped.  Queries
 then spread reads over the root plus its live replicas with the same
 stable ``(attribute, requester)`` hash.
 """
@@ -52,25 +52,13 @@ def route_choice(attribute: str, requester: str, fanout: int) -> int:
 class SaltPlan:
     """Static key salting of attribute roots.
 
-    Parameters
-    ----------
-    salts:
-        ``S`` — salted roots per attribute.
-    attributes:
-        Restrict salting to these attribute names (``None`` salts every
-        attribute).  Salting only the known-hot attributes keeps the
-        registration amplification (``S`` stored copies per info piece)
-        confined to where it pays.
+    Every attribute's root is salted: ``salts`` (``S``) salted roots per
+    attribute.
     """
 
-    def __init__(self, salts: int = 4, attributes: Any = None) -> None:
+    def __init__(self, salts: int = 4) -> None:
         require(salts >= 1, f"salts must be >= 1, got {salts}")
         self.salts = salts
-        self.attributes = None if attributes is None else frozenset(attributes)
-
-    def applies_to(self, attribute: str) -> bool:
-        """Whether ``attribute``'s root is salted under this plan."""
-        return self.attributes is None or attribute in self.attributes
 
     def salted_names(self, attribute: str) -> tuple[str, ...]:
         """The ``S`` salted directory names of ``attribute``."""
@@ -92,24 +80,18 @@ class DynamicReplicator:
     directories never go stale.
     """
 
-    def __init__(
-        self,
-        service: Any,
-        namespace: str,
-        *,
-        trigger_ratio: float = 4.0,
-        max_replicas: int = 3,
-        decay_windows: int = 2,
-    ) -> None:
-        require(trigger_ratio > 1.0, "trigger_ratio must exceed 1 (the mean)")
-        require(max_replicas >= 1, "max_replicas must be >= 1")
-        require(decay_windows >= 1, "decay_windows must be >= 1")
+    #: An attribute is hot when its window serve count exceeds this many
+    #: times the mean per-node load.
+    TRIGGER_RATIO = 4.0
+    #: Ring successors of the root a hot attribute's directory is copied to.
+    MAX_REPLICAS = 3
+    #: Consecutive cold windows before a hot attribute's replicas go.
+    DECAY_WINDOWS = 2
+
+    def __init__(self, service: Any, namespace: str) -> None:
         self.service = service
         self.namespace = namespace
         self.replica_namespace = f"{namespace}:hot"
-        self.trigger_ratio = trigger_ratio
-        self.max_replicas = max_replicas
-        self.decay_windows = decay_windows
         #: Attributes currently marked hot (replicas wanted).
         self._desired: set[str] = set()
         #: Placed replicas: attribute -> node ids holding a directory copy.
@@ -130,7 +112,7 @@ class DynamicReplicator:
         """Digest one load window; returns the attributes marked hot.
 
         An attribute is hot when its serve count exceeds
-        ``trigger_ratio`` times the mean per-node load — i.e. its single
+        :attr:`TRIGGER_RATIO` times the mean per-node load — i.e. its single
         root is demonstrably an outlier against the balance target.
         """
         require(population >= 1, "population must be >= 1")
@@ -138,14 +120,14 @@ class DynamicReplicator:
         self._loads = dict(window.by_attribute)
         hot: set[str] = set()
         if total > 0.0:
-            threshold = self.trigger_ratio * total / population
+            threshold = self.TRIGGER_RATIO * total / population
             hot = {attr for attr, count in window.by_attribute.items() if count > threshold}
         self._desired |= hot
         for attr in hot:
             self._cold[attr] = 0
         for attr in list(self._desired - hot):
             self._cold[attr] = self._cold.get(attr, 0) + 1
-            if self._cold[attr] >= self.decay_windows:
+            if self._cold[attr] >= self.DECAY_WINDOWS:
                 self._desired.discard(attr)
         return hot
 
@@ -175,7 +157,7 @@ class DynamicReplicator:
             key = self.service.attr_key(attr)
             root = ring.successor_of(key)
             items = root.items_at(self.namespace, key)
-            targets = ring.native_holders(key, 1 + self.max_replicas)[1:]
+            targets = ring.native_holders(key, 1 + self.MAX_REPLICAS)[1:]
             targets = [t for t in targets if t.node_id != root.node_id]
             if not targets:
                 continue

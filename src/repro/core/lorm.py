@@ -90,12 +90,11 @@ class LormService(DiscoveryService):
         schema: AttributeSchema,
         *,
         seed: int = 0,
-        replication: int = 1,
         durability: Any | None = None,
         **kwargs: Any,
     ) -> "LormService":
         """LORM over a fully populated ``d * 2**d``-node Cycloid."""
-        overlay = CycloidOverlay(dimension, replication=replication, durability=durability)
+        overlay = CycloidOverlay(dimension, durability=durability)
         overlay.build_full()
         return cls(overlay, schema, seed=seed, **kwargs)
 
@@ -106,7 +105,6 @@ class LormService(DiscoveryService):
         schema: AttributeSchema,
         *,
         seed: int = 0,
-        replication: int = 1,
         durability: Any | None = None,
         ring_factory: Any | None = None,
         population: int | None = None,
@@ -124,7 +122,7 @@ class LormService(DiscoveryService):
             max(2, (capacity - 1).bit_length()),
             capacity if population is None else population,
             seed=seed, stream=f"{cls.name}-membership",
-            replication=replication, durability=durability, ring_factory=ring_factory,
+            durability=durability, ring_factory=ring_factory,
         )
         return cls(ring, schema, seed=seed, dimension=dimension, **kwargs)
 

@@ -65,25 +65,23 @@ class RefreshManager:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(self, info: ResourceInfo, now: float, *, routed: bool = False) -> int:
-        """Register or renew ``info``; returns routing hops spent.
+    def report(self, info: ResourceInfo, now: float) -> None:
+        """Register or renew ``info``, placed at its roots (unrouted).
 
         A renewal with an unchanged value only extends the lease; a changed
         value withdraws the stale report and registers the new one.
         """
         key = (info.provider, info.attribute)
         existing = self._leases.get(key)
-        hops = 0
         if existing is None:
-            hops = self.service.register(info, routed=routed)
+            self.service.register(info, routed=False)
         elif existing.info.value != info.value:
             self.service.deregister(existing.info)
-            hops = self.service.register(info, routed=routed)
+            self.service.register(info, routed=False)
             self.replacements += 1
         else:
             self.renewals += 1
         self._leases[key] = Lease(info=info, expires_at=now + self.ttl)
-        return hops
 
     # ------------------------------------------------------------------
     # Expiry

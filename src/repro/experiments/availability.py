@@ -21,7 +21,8 @@ from repro.analysis.models import AnalysisCurve
 from repro.experiments.common import ServiceBundle, build_services, query_cases
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
-from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
+from repro.sim.durability import successor_replication
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.invariants import overlay_of
 from repro.sim.network import publish_stats
 from repro.utils.seeding import SeedFactory
@@ -36,13 +37,12 @@ def measure_completeness(
     service,
     cases: list[tuple],
     injector: FaultInjector | None,
-    policy: LookupPolicy | None = None,
 ) -> float:
     """Fraction of ``(query, truth)`` cases answered exactly right.
 
-    Attaches ``injector`` (and optional ``policy``) to the service for the
-    duration of the measurement and always detaches it afterwards, so the
-    service comes back fault-free.  The requester-side fault accounting
+    Attaches ``injector`` to the service (under its own lookup policy) for
+    the duration of the measurement and always detaches it afterwards, so
+    the service comes back fault-free.  The requester-side fault accounting
     the measurement produced — retries, timeouts, dropped messages,
     backoff waits — is published into ``service.metrics`` as ``faults.*``
     counters (one measurement window per call), so the report tables can
@@ -53,7 +53,7 @@ def measure_completeness(
         return 1.0
     overlay = overlay_of(service)
     before = overlay.network.stats.snapshot()
-    service.configure_faults(injector, policy)
+    service.configure_faults(injector)
     try:
         exact = sum(
             1 for query, truth in cases
@@ -61,10 +61,7 @@ def measure_completeness(
         )
     finally:
         service.configure_faults(None)
-        publish_stats(
-            overlay.network.stats.delta_since(before), service.metrics,
-            prefix="faults",
-        )
+        publish_stats(overlay.network.stats.delta_since(before), service.metrics)
     return exact / len(cases)
 
 
@@ -103,7 +100,8 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
     bundle = None
     for replication in config.availability_replications:
         bundle = build_services(
-            config, register=True, replication=replication, seed_offset=replication
+            config, register=True, seed_offset=replication,
+            durability=successor_replication(replication),
         )
         crashes = _crash_storm(bundle, config)
         cases = query_cases(bundle, config.num_availability_queries, "availability")

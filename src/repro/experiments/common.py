@@ -152,7 +152,6 @@ def build_service(
     salting=None,
     overlay: str | None = None,
     fanout: int = 2,
-    replication: int = 1,
     durability: "DurabilityPolicy | None" = None,
     seed_offset: int = 0,
 ):
@@ -170,12 +169,11 @@ def build_service(
     (LORM flat, over its linearized resource IDs).  ``fanout`` is ReCord's
     per-level finger fan-out, ignored by the other overlays.
 
-    ``replication`` sets the overlay's per-key copy count (1 = the
-    paper's model; >= 2 makes data survive crash failures).
-    ``durability`` instead supplies a full
+    ``durability`` is the overlay's
     :class:`~repro.sim.durability.DurabilityPolicy` (placement ×
-    redundancy); when ``None`` the overlay defaults to successor-list
-    replication at ``replication`` copies, the seed scheme.
+    redundancy); ``None`` is the paper's model, one copy per key
+    (``successor_replication(1)``); ``successor_replication(R)`` with
+    ``R >= 2`` makes data survive crash failures.
     ``seed_offset`` de-correlates repeated builds.
     """
     name = resolve_system(name)
@@ -185,10 +183,7 @@ def build_service(
     if workload is None:
         workload = build_workload(config)
     seed = config.seed + seed_offset
-    kwargs = {
-        "seed": seed, "lph_kind": config.lph_kind,
-        "replication": replication, "durability": durability,
-    }
+    kwargs = {"seed": seed, "lph_kind": config.lph_kind, "durability": durability}
     if salting is not None:
         if cls is LormService:
             raise ValueError("key salting applies to Chord-backed services only")
@@ -224,9 +219,7 @@ def build_services(
     config: ExperimentConfig,
     *,
     register: bool = True,
-    routed_registration: bool = False,
     seed_offset: int = 0,
-    replication: int = 1,
     durability: "DurabilityPolicy | None" = None,
     overlay: str | None = None,
     fanout: int = 2,
@@ -234,17 +227,16 @@ def build_services(
     """Build all four services at ``config`` scale and load the workload.
 
     Each service comes from :func:`build_service`, which documents
-    ``seed_offset`` (used by the churn sweep), ``replication`` (the axis
-    swept by the availability experiment), ``durability`` (the axis swept
-    by the durability experiment) and ``overlay`` / ``fanout``.
+    ``seed_offset`` (used by the churn sweep), ``durability`` (the axis
+    swept by the availability and durability experiments) and
+    ``overlay`` / ``fanout``.
 
-    ``routed_registration=False`` (default) places infos at their roots
-    directly — byte-identical placement without paying 400k routed inserts;
-    the registration-cost benchmarks flip it on.  Either way each service
-    is loaded by its own ``register_all`` over the one provider-major
-    info sequence (ordering contract there): the services share no state,
-    so loading them one after the other leaves what interleaving them
-    info by info did.
+    Infos are placed at their roots directly (unrouted) — byte-identical
+    placement without paying 400k routed inserts.  Each service is loaded
+    by its own ``register_all`` over the one provider-major info sequence
+    (ordering contract there): the services share no state, so loading
+    them one after the other leaves what interleaving them info by info
+    did.
 
     With ``config.validate_invariants`` set, every service's churn entry
     points (and its overlay's ``repair_replication``) are wrapped by a
@@ -261,8 +253,8 @@ def build_services(
         *(
             build_service(
                 config, name, workload=workload, register=False,
-                overlay=overlay, fanout=fanout, replication=replication,
-                durability=durability, seed_offset=seed_offset,
+                overlay=overlay, fanout=fanout, durability=durability,
+                seed_offset=seed_offset,
             )
             for name in SYSTEM_NAMES
         ),
@@ -274,13 +266,7 @@ def build_services(
         # Materialised once, so the four services store the same objects.
         infos = tuple(workload.resource_infos())
         for service in bundle.all():
-            service.register_all(infos, routed=routed_registration)
-    if config.trace:
-        # Attached *after* the bulk load so traces start with the queries.
-        from repro.obs import QueryTracer
-
-        for service in bundle.all():
-            service.attach_tracer(QueryTracer())
+            service.register_all(infos, routed=False)
     return bundle
 
 

@@ -123,12 +123,9 @@ class ExperimentConfig:
     #: service, validating overlay invariants and directory conservation
     #: after each churn event (the runner's ``--invariants`` flag).
     validate_invariants: bool = False
-    #: Attach a hop-level :class:`~repro.obs.QueryTracer` to every built
-    #: service (``repro.obs``).  Off by default: the traced code paths are
-    #: bypassed entirely so benchmark figures are unaffected.
-    trace: bool = False
 
     def __post_init__(self) -> None:
+        require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         require(self.dimension >= 2, "dimension must be >= 2")
         require(self.chord_bits >= 2, "chord_bits must be >= 2")
         require(
@@ -237,9 +234,9 @@ SMOKE_CONFIG = ExperimentConfig(
     tradeoff_fanouts=(1, 4, 16),
 )
 
-#: Scale of ``repro check`` and (with ``trace=True``) ``repro trace``: big
-#: enough for a sparse ring, several-hop lookups, range walks over several
-#: nodes and replica repair; small enough for sub-second builds.
+#: Scale of ``repro check`` and ``repro trace``: big enough for a sparse
+#: ring, several-hop lookups, range walks over several nodes and replica
+#: repair; small enough for sub-second builds.
 CHECK_CONFIG = SMOKE_CONFIG.scaled(
     dimension=4,
     chord_bits=7,

@@ -68,16 +68,6 @@ REQUIRED_CUT = 2.0
 #: Attributes per measured query.
 QUERY_ATTRIBUTES = 2
 
-#: Dynamic-replication trigger — an attribute is hot when its window
-#: serve count exceeds this multiple of the mean per-node load.
-TRIGGER_RATIO = 4.0
-
-#: Replicas placed per hot directory.
-MAX_REPLICAS = 3
-
-#: Consecutive cold windows before replicas decay.
-DECAY_WINDOWS = 2
-
 #: Value-level Zipf exponent (0 = uniform values: the sweep skews
 #: attribute popularity only).
 VALUE_S = 0.0
@@ -255,7 +245,7 @@ def _measure_cell(
     budget = MaintenanceBudget(
         stabilize_nodes=0,
         refresh_nodes=0,
-        repair_keys=config.infos_per_attribute * MAX_REPLICAS,
+        repair_keys=config.infos_per_attribute * DynamicReplicator.MAX_REPLICAS,
     )
     population = service.num_nodes()
     per_window = len(queries) // HOTSPOT_WINDOWS
@@ -346,13 +336,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
                 continue
             cell, answers = _measure_cell(salted, "salt", s, queries, salted_starts, config)
             result.cells.append(_with_transparency(cell, answers == reference))
-            replicator = DynamicReplicator(
-                base,
-                _directory_namespace(base),
-                trigger_ratio=TRIGGER_RATIO,
-                max_replicas=MAX_REPLICAS,
-                decay_windows=DECAY_WINDOWS,
-            )
+            replicator = DynamicReplicator(base, _directory_namespace(base))
             base.attach_hot_replicator(replicator)
             try:
                 cell, answers = _measure_cell(
@@ -372,8 +356,8 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
         f"(first = warm-up, excluded from imbalance); "
         f"{QUERY_ATTRIBUTES} attributes/query; "
         f"salting S={config.hotspot_salts}; dynamic trigger "
-        f"{TRIGGER_RATIO:g}x mean, {MAX_REPLICAS} "
-        f"replicas, decay after {DECAY_WINDOWS} cold windows."
+        f"{DynamicReplicator.TRIGGER_RATIO:g}x mean, {DynamicReplicator.MAX_REPLICAS} "
+        f"replicas, decay after {DynamicReplicator.DECAY_WINDOWS} cold windows."
     )
     result.notes.append(
         "LORM and Mercury spread directories by value hashing and run "

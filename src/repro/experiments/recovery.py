@@ -32,6 +32,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
 from repro.sim.chaos import DEMO_SCENARIO, ChaosScenario
 from repro.sim.churn import ChurnProcess
+from repro.sim.durability import successor_replication
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.maintenance import (
@@ -113,10 +114,7 @@ def chaos_trial(
     injector = FaultInjector(FaultPlan(seed=injector_seed))
     service.configure_faults(injector)
     tracker = RecoveryTracker(
-        service,
-        _availability_probe(service, cases),
-        maintenance_round=service.maintenance_round(),
-        availability_floor=availability_floor,
+        service, _availability_probe(service, cases), availability_floor=availability_floor
     )
     for onset in scenario.fault_times():
         tracker.note_fault(onset)
@@ -216,7 +214,9 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
     result = ChaosDemoResult(figure=figure)
     for budget, into in ((DEFAULT_BUDGET, result.budgeted),
                          (ZERO_BUDGET, result.unbudgeted)):
-        bundle = build_services(config, register=True, replication=REPLICATION)
+        bundle = build_services(
+            config, register=True, durability=successor_replication(REPLICATION)
+        )
         cases = query_cases(bundle, config.num_recovery_queries, "recovery")
         for service in bundle.all():
             tracker = chaos_trial(
@@ -229,9 +229,7 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
             into[service.name] = tracker
             # Surface the requester-side fault accounting (satellite:
             # retries/timeouts otherwise stay trapped in MessageStats).
-            publish_stats(
-                tracker.overlay.network.stats, service.metrics, prefix="faults"
-            )
+            publish_stats(tracker.overlay.network.stats, service.metrics)
             if budget is DEFAULT_BUDGET:
                 timeline = tracker.availability_timeline()
                 figure.add(AnalysisCurve(
@@ -280,7 +278,7 @@ def run_recovery(config: ExperimentConfig) -> FigureResult:
         for interval in config.maintenance_intervals:
             bundle = build_services(
                 config, register=True,
-                replication=REPLICATION,
+                durability=successor_replication(REPLICATION),
                 seed_offset=int(churn_rate * 100),
             )
             cases = query_cases(bundle, config.num_recovery_queries, "recovery")

@@ -1,7 +1,8 @@
 """Seeded query replay with tracing on — the engine behind ``repro trace``.
 
 Builds *one* discovery system at a small deterministic scale
-(:data:`TRACE_CONFIG`, the same shape the differential harness uses),
+(:data:`~repro.experiments.config.CHECK_CONFIG`, the differential
+harness's),
 loads the seeded workload with direct (unrouted) placement, attaches a
 :class:`~repro.obs.spans.QueryTracer`, and replays a deterministic
 multi-attribute query stream.  Everything downstream of the seed is pure,
@@ -16,10 +17,7 @@ from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
 from repro.obs.spans import QueryTracer
 from repro.workloads.generator import GridWorkload, QueryKind
 
-__all__ = ["TRACE_CONFIG", "SYSTEMS", "build_traced_service", "replay_queries"]
-
-#: Replay scale: the differential harness's, with tracing on.
-TRACE_CONFIG = CHECK_CONFIG.scaled(trace=True)
+__all__ = ["SYSTEMS", "build_traced_service", "replay_queries"]
 
 #: The ``repro trace --system`` slugs.
 SYSTEMS = tuple(name.lower() for name in SYSTEM_NAMES)
@@ -27,10 +25,8 @@ SYSTEMS = tuple(name.lower() for name in SYSTEM_NAMES)
 
 def build_traced_service(
     system: str,
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     *,
-    tracer: QueryTracer | None = None,
-    replication: int = 1,
     overlay: str | None = None,
     fanout: int = 2,
 ) -> tuple:
@@ -43,14 +39,9 @@ def build_traced_service(
     system's native substrate, byte-identical to earlier releases.
     Returns ``(service, workload, tracer)``.
     """
-    config = config if config is not None else TRACE_CONFIG
     workload: GridWorkload = build_workload(config)
-    service = build_service(
-        config, system, workload=workload,
-        overlay=overlay, fanout=fanout, replication=replication,
-    )
-    if tracer is None:
-        tracer = QueryTracer()
+    service = build_service(config, system, workload=workload, overlay=overlay, fanout=fanout)
+    tracer = QueryTracer()
     service.attach_tracer(tracer)
     return service, workload, tracer
 
@@ -62,9 +53,7 @@ def replay_queries(
     num_queries: int = 1,
     num_attributes: int = 2,
     kind: QueryKind = QueryKind.RANGE,
-    config: ExperimentConfig | None = None,
     loss: float = 0.0,
-    replication: int = 1,
     overlay: str | None = None,
     fanout: int = 2,
 ) -> tuple:
@@ -76,9 +65,9 @@ def replay_queries(
     (``None`` = native).  Returns ``(service, traces)`` — one
     :class:`~repro.obs.spans.QueryTrace` per query, in stream order.
     """
-    config = (config if config is not None else TRACE_CONFIG).scaled(seed=seed)
+    config = CHECK_CONFIG.scaled(seed=seed)
     service, workload, tracer = build_traced_service(
-        system, config, replication=replication, overlay=overlay, fanout=fanout
+        system, config, overlay=overlay, fanout=fanout
     )
     if loss:
         from repro.sim.faults import FaultInjector, FaultPlan

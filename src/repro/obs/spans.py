@@ -16,8 +16,7 @@ cubical vs cyclic vs leaf-set edge on Cycloid).  Fault outcomes from the
 :mod:`repro.sim.faults` path — drops, retransmission rounds, failover and
 timeouts — attach to spans as point :class:`SpanEvent` annotations.
 
-Timestamps come from the tracer's clock: the simulation clock when one is
-supplied, otherwise a deterministic logical tick counter (one tick per
+Timestamps come from a deterministic logical tick counter (one tick per
 span boundary / hop / event), so replays of a seeded workload produce
 byte-identical exports.
 """
@@ -27,7 +26,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.utils.validation import require
 
@@ -127,25 +126,19 @@ class QueryTrace:
 class QueryTracer:
     """Builds span trees from begin/end calls on a stack.
 
+    Timestamps are a deterministic logical tick counter that advances by
+    one on every span boundary, hop and event — replayable and
+    machine-independent.
+
     Parameters
     ----------
-    clock:
-        Callable returning the current simulation time.  When omitted, a
-        deterministic logical tick counter advances by one on every span
-        boundary, hop and event — replayable and machine-independent.
     max_traces:
         Retained completed+active trace cap; the oldest trace is dropped
         (and counted in :attr:`dropped`) when exceeded.
     """
 
-    def __init__(
-        self,
-        *,
-        clock: Callable[[], float] | None = None,
-        max_traces: int = 256,
-    ) -> None:
+    def __init__(self, *, max_traces: int = 256) -> None:
         require(max_traces >= 1, "max_traces must be >= 1")
-        self._clock = clock
         self._ticks = 0
         self.max_traces = max_traces
         self.traces: list[QueryTrace] = []
@@ -156,8 +149,6 @@ class QueryTracer:
         self._next_trace_id = 0
 
     def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
         self._ticks += 1
         return self._ticks
 

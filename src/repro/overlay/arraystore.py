@@ -2,136 +2,46 @@
 
 The paper stops every figure at n = 2048 because an object-per-node,
 dict-routed simulation thrashes long before the 10^5–10^6-peer regime the
-single-hop and ReCord literature argues about.  This module breaks that
-ceiling in two layers:
-
-* :class:`RingVector` — a sorted, machine-width flat vector of ring
-  identifiers (``array('q')``).  It is the membership index *both* object
-  overlays now keep: :class:`~repro.overlay.chord.ChordRing` and
-  :class:`~repro.overlay.cycloid.CycloidOverlay` are thin views over it
-  (their node objects and routing pointers are materialised views of this
-  vector), so the invariant, differential-replay, trace and durability
-  harnesses all pass unchanged while the sorted index itself stops being a
-  list of boxed Python ints.
-
-* :class:`CompactChordRing` — the full struct-of-arrays representation
-  used by the ``repro scale`` experiment: node state is *only* flat
-  integer arrays (sorted id vector, implicit successor/predecessor by
-  index adjacency, an ``(n, bits)`` finger table of node indices).  Routing
-  replays :meth:`ChordRing._lookup_plain` hop for hop (the equivalence is
-  pinned by tests), and churn accounting mirrors the object ring's
-  maintenance-message formulas, so large-n figures are directly
-  comparable with the paper-scale ones.
+single-hop and ReCord literature argues about.  :class:`CompactChordRing`
+breaks that ceiling: it is the full struct-of-arrays representation used
+by the ``repro scale`` experiment — node state is *only* flat integer
+arrays (sorted id vector, implicit successor/predecessor by index
+adjacency, an ``(n, bits)`` finger table of node indices).  Routing
+replays :meth:`ChordRing._lookup_plain` hop for hop (the equivalence is
+pinned by tests), and churn accounting mirrors the object ring's
+maintenance-message formulas, so large-n figures are directly comparable
+with the paper-scale ones.
 
 View contract / cache invalidation
 ----------------------------------
-``RingVector`` is the single source of truth for membership; everything
-derived from it — the object overlays' routing pointers and memo caches,
-``CompactChordRing``'s finger table — is a cache keyed on the membership
-it was derived from.  The object overlays funnel every mutation through
-their churn entry points (which flush their caches).  ``CompactChordRing``
-never mutates its id vector in place — ``join`` / ``leave`` / ``fail``
-replace ``ring.ids`` with a new array — so "derived from this membership"
-is an identity test: the finger table remembers the ``ids`` array it is
-current for, and the next routed operation or ``stabilize_all`` *repairs*
-it from the diff of that array against ``ring.ids``
-(:meth:`CompactChordRing.repair_fingers`), rebuilding only when the diff
-is a sizeable share of the ring.  What a repair may never change: any
-finger entry (the repaired table equals a from-scratch ``build_fingers``
-element for element, dtype included), any maintenance message count, any
-hop.
+The id vector is the single source of truth for membership; the finger
+table is a cache keyed on the membership it was derived from.
+``CompactChordRing`` never mutates its id vector in place — ``join`` /
+``leave`` / ``fail`` replace ``ring.ids`` with a new array — so "derived
+from this membership" is an identity test: the finger table remembers
+the ``ids`` array it is current for, and the next routed operation or
+``stabilize_all`` *repairs* it from the diff of that array against
+``ring.ids`` (:meth:`CompactChordRing.repair_fingers`), rebuilding only
+when the diff is a sizeable share of the ring.  What a repair may never
+change: any finger entry (the repaired table equals a from-scratch
+``build_fingers`` element for element, dtype included), any maintenance
+message count, any hop.
 """
 
 from __future__ import annotations
 
-import bisect
-from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
+from repro.overlay.chord import ChordRing
 from repro.utils.validation import require
 
-__all__ = ["CompactChordRing", "RingVector"]
+__all__ = ["CompactChordRing"]
 
 #: Survivor rows re-indexed per step of a finger repair: bounds the
 #: temporaries to a few MB whatever the ring size.
 _REPAIR_BLOCK_ROWS = 1 << 16
-
-
-class RingVector:
-    """A sorted flat vector of integer ring identifiers.
-
-    Backed by ``array('q')`` — one machine word per id, no boxed-int
-    objects, cache-friendly bisects; the overlays bound their id spaces
-    to fit.  The sequence protocol matches a sorted list, so
-    ``bisect.bisect_*`` and :func:`~repro.overlay.idspace.closest_on_ring`
-    work on it directly.
-
-    Examples
-    --------
-    >>> v = RingVector([9, 1, 5])
-    >>> list(v), len(v), 5 in v, 4 in v
-    ([1, 5, 9], 3, True, False)
-    >>> v.add(4); v.remove(9); list(v)
-    [1, 4, 5]
-    >>> v.successor_index(6)  # wraps past the end
-    0
-    """
-
-    #: The raw backing storage (sorted), exposed for hot-path reads: C
-    #: bisect probes a ``RingVector`` through Python ``__getitem__`` calls
-    #: (~5x a plain list), so hot callers bisect ``v.data`` directly and
-    #: stay in C.  A slot attribute, not a property — the descriptor read
-    #: itself must be free on these paths.  Treat it as read-only; mutate
-    #: through :meth:`add` / :meth:`remove`.
-    __slots__ = ("data",)
-
-    def __init__(self, ids: Iterable[int] = ()) -> None:
-        self.data = array("q", sorted(ids))
-
-    # -- sequence protocol -------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __bool__(self) -> bool:
-        return bool(self.data)
-
-    def __getitem__(self, index):
-        return self.data[index]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.data)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RingVector):
-            return list(self.data) == list(other.data)
-        if isinstance(other, (list, tuple)):
-            return list(self.data) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RingVector({list(self.data)!r})"
-
-    # -- sorted-set mutation ----------------------------------------------
-    def add(self, value: int) -> None:
-        """Insert ``value`` keeping the vector sorted."""
-        bisect.insort(self.data, value)
-
-    def remove(self, value: int) -> None:
-        """Remove ``value`` (which must be present)."""
-        idx = bisect.bisect_left(self.data, value)
-        del self.data[idx]
-
-    # -- ring queries ------------------------------------------------------
-    def bisect_left(self, value: int) -> int:
-        """``bisect.bisect_left`` over the vector."""
-        return bisect.bisect_left(self.data, value)
-
-    def successor_index(self, key: int) -> int:
-        """Index of the first id at or after ``key``, wrapping to 0."""
-        idx = bisect.bisect_left(self.data, key)
-        return 0 if idx == len(self.data) else idx
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -175,18 +85,13 @@ class CompactChordRing:
     9
     """
 
-    def __init__(
-        self,
-        bits: int,
-        ids: Iterable[int],
-        *,
-        successor_list_len: int = 4,
-    ) -> None:
+    #: The object ring's successor-list length (the repair-cost formula).
+    successor_list_len = ChordRing.successor_list_len
+
+    def __init__(self, bits: int, ids: Iterable[int]) -> None:
         require(1 <= bits <= 62, f"compact core needs bits in [1, 62], got {bits}")
-        require(successor_list_len >= 1, "successor_list_len must be >= 1")
         self.bits = bits
         self.size = 1 << bits
-        self.successor_list_len = successor_list_len
         if not isinstance(ids, np.ndarray):
             ids = list(ids)
         unique = _sorted_unique(np.asarray(ids, dtype=np.int64) % self.size)
@@ -204,18 +109,15 @@ class CompactChordRing:
         self.routing_hops = 0
 
     @classmethod
-    def sampled(
-        cls, num_nodes: int, *, bits: int | None = None, seed: int = 0
-    ) -> "CompactChordRing":
+    def sampled(cls, num_nodes: int, *, seed: int = 0) -> "CompactChordRing":
         """A ring of ``num_nodes`` ids sampled uniformly without replacement.
 
-        ``bits`` defaults to ``ceil(log2(n)) + 4`` — a 16x-sparse id space,
-        enough headroom that collisions stay negligible while the finger
-        table stays ``O(n log n)`` ints.
+        The id space has ``ceil(log2(n)) + 4`` bits — 16x sparse, enough
+        headroom that collisions stay rare while the finger table stays
+        ``O(n log n)`` ints.
         """
         require(num_nodes >= 1, "num_nodes must be >= 1")
-        if bits is None:
-            bits = max(1, int(num_nodes - 1).bit_length()) + 4
+        bits = max(1, int(num_nodes - 1).bit_length()) + 4
         rng = np.random.default_rng(seed)
         size = 1 << bits
         # Sampling without replacement from 2**bits directly would

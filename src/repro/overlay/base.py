@@ -55,8 +55,9 @@ class Overlay:
     """Geometry-independent skeleton of a simulated DHT overlay.
 
     Subclasses set whatever attributes the durability policy's
-    ``validate`` reads (``successor_list_len`` / ``dimension``) *before*
-    calling this constructor.
+    ``validate`` reads (Cycloid's ``dimension``; Chord's
+    ``successor_list_len`` is a class constant) *before* calling this
+    constructor.
     """
 
     #: Span-name prefix (``"<kind>.lookup"`` / ``"<kind>.walk"``).
@@ -67,14 +68,8 @@ class Overlay:
     #: ``walk_cluster``) — callers resolve it on the instance per call.
     walk_name: str
 
-    def __init__(
-        self,
-        network: SimulatedNetwork | None,
-        replication: int,
-        durability: DurabilityPolicy | None,
-        routing_cache: bool = True,
-    ) -> None:
-        self.network = network if network is not None else SimulatedNetwork()
+    def __init__(self, durability: DurabilityPolicy | None, routing_cache: bool) -> None:
+        self.network = SimulatedNetwork()
         #: Whether the caches derived from the membership are kept at all
         #: (the subclasses' owner / finger caches and :attr:`_holders`
         #: here).  ``False`` is the reference path the equivalence tests
@@ -82,12 +77,11 @@ class Overlay:
         #: index.
         self.routing_cache = routing_cache
         #: The durability policy governing where a key's copies/fragments
-        #: live and when a piece still decodes.  The default — successor
-        #: replication at ``replication`` copies — is byte-identical to the
-        #: pre-policy hard-coded scheme: the owner plus ``replication - 1``
-        #: native successors, any surviving copy readable.
+        #: live and when a piece still decodes.  ``None`` is the paper's
+        #: model, ``successor_replication(1)``: every key on its owner
+        #: alone.
         self.durability = (
-            durability if durability is not None else successor_replication(replication)
+            durability if durability is not None else successor_replication(1)
         )
         #: Copies (fragments) kept per key.  With the default policy at 1
         #: behaviour matches the paper exactly; higher values make data
@@ -516,7 +510,7 @@ class Overlay:
         """Crash failure: the node vanishes *without* handing off its keys.
 
         Keys whose only copy lived on the crashed node are lost (the
-        ``replication=1`` configuration); with ``replication >= 2`` the
+        default one copy per key); with ``replication >= 2`` the
         surviving replicas keep every key readable, and the next
         :meth:`repair_replication` restores the full replica count.
         """
@@ -608,6 +602,6 @@ class Overlay:
         """Per-node count of distinct live neighbours (Figure 3a)."""
         return [len(node.outlinks()) for node in self.nodes()]
 
-    def directory_sizes(self, namespace: str | None = None) -> list[int]:
+    def directory_sizes(self) -> list[int]:
         """Per-node directory sizes (Figure 3b–d)."""
-        return [node.directory_size(namespace) for node in self.nodes()]
+        return [node.directory_size() for node in self.nodes()]

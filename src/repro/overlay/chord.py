@@ -29,13 +29,11 @@ import warnings
 from array import array
 from collections.abc import Iterable
 
-from repro.overlay.arraystore import RingVector
 from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace
 from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
 from repro.sim.faults import LookupPolicy, deliver_first
-from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
 __all__ = ["ChordNode", "ChordRing"]
@@ -97,11 +95,11 @@ class ChordRing(Overlay):
     ----------
     bits:
         Width of the ID space (the paper uses 11, so 2048 IDs).
-    network:
-        Shared hop/message accounting sink; a private one is created when
-        omitted.
-    successor_list_len:
-        Length of each node's successor list (resilience under churn).
+    routing_cache:
+        Keep the caches derived from the membership (``False`` is the
+        reference path the equivalence tests diff against).
+    durability:
+        Where a key's copies live (``None``: on its owner alone).
 
     Examples
     --------
@@ -123,26 +121,23 @@ class ChordRing(Overlay):
     #: later rejoins is a new object, so a stale list entry stays dead.
     #: It is what lets a fault-free walk be cut from the index.
     successors_track_membership = True
+    #: Length of each node's successor list (resilience under churn).
+    successor_list_len = 4
 
     def __init__(
         self,
         bits: int,
-        network: SimulatedNetwork | None = None,
-        successor_list_len: int = 4,
-        replication: int = 1,
         routing_cache: bool = True,
         durability: DurabilityPolicy | None = None,
     ) -> None:
-        require(successor_list_len >= 1, "successor_list_len must be >= 1")
         # The membership index and arc directory store ids as array('q').
         require(1 <= bits <= 62, f"ChordRing needs bits in [1, 62], got {bits}")
         self.space = IdSpace(bits)
-        self.successor_list_len = successor_list_len
-        super().__init__(network, replication, durability, routing_cache)
-        #: The flat array-backed membership core (``repro.overlay.
-        #: arraystore``); the node objects and their routing pointers are
-        #: views over this sorted id vector.
-        self._sorted_ids: RingVector = RingVector()
+        super().__init__(durability, routing_cache)
+        #: The membership index: live ids, sorted, one machine word each —
+        #: the node objects and their routing pointers are views over it.
+        #: Hot callers bisect it directly, in C.
+        self._sorted_ids = array("q")
         #: The node objects in the same order — the index's second column,
         #: so a run of ring members is one list slice.
         self._ring: list[ChordNode] = []
@@ -186,7 +181,7 @@ class ChordRing(Overlay):
         ids = sorted(set(self.space.wrap(i) for i in node_ids))
         require(bool(ids), "cannot build an empty ring")
         self._nodes = {i: ChordNode(i, self.bits, self._arcs) for i in ids}
-        self._sorted_ids = RingVector(ids)
+        self._sorted_ids = array("q", ids)
         self._ring = list(self._nodes.values())
         self._node_ids = None
         self._arcs.clear()  # the new nodes hold nothing yet
@@ -209,11 +204,11 @@ class ChordRing(Overlay):
         ``id + 2**i`` targets from many nodes, so the cache turns the
         stabilization sweep's repeated bisects into dict hits.
         """
-        require(bool(self._sorted_ids.data), "ring is empty")
+        require(bool(self._sorted_ids), "ring is empty")
         key = self.space.wrap(key)
         node = self._succ_cache.get(key)
         if node is None:
-            ids = self._sorted_ids.data
+            ids = self._sorted_ids
             idx = bisect.bisect_left(ids, key)
             node = self._nodes[ids[idx if idx < len(ids) else 0]]
             if self.routing_cache:
@@ -222,18 +217,18 @@ class ChordRing(Overlay):
 
     def predecessor_of(self, key: int) -> ChordNode:
         """The last live node strictly before ``key`` on the ring."""
-        require(bool(self._sorted_ids.data), "ring is empty")
+        require(bool(self._sorted_ids), "ring is empty")
         key = self.space.wrap(key)
-        ids = self._sorted_ids.data
+        ids = self._sorted_ids
         idx = bisect.bisect_left(ids, key) - 1
         return self._nodes[ids[idx]]
 
     def _successors_from(self, key: int, count: int) -> list[ChordNode]:
         """Up to ``count`` distinct live nodes clockwise from ``key``."""
         result: list[ChordNode] = []
-        if not self._sorted_ids.data:
+        if not self._sorted_ids:
             return result
-        ids = self._sorted_ids.data
+        ids = self._sorted_ids
         idx = bisect.bisect_left(ids, self.space.wrap(key))
         n = len(ids)
         for offset in range(min(count, n)):
@@ -485,7 +480,7 @@ class ChordRing(Overlay):
                 closed_left=False, closed_right=False,
             )
         ]
-        if not policy.finger_fallback:
+        if not policy.failover:
             # Exactly the fault-free greedy choice, nothing else.
             add(fingers[0] if fingers else succ)
             return out
@@ -498,14 +493,14 @@ class ChordRing(Overlay):
         self, cur: ChordNode, policy: LookupPolicy
     ) -> list[tuple[int, ChordNode]]:
         """``cur``'s live successor-list entries, nearest first — only the
-        nearest without ``policy.successor_failover``."""
+        nearest without ``policy.failover``."""
         entries: list[tuple[int, ChordNode]] = []
         seen = {cur.node_id}
         for entry in cur.successor_list:
             if entry.alive and entry.node_id not in seen:
                 seen.add(entry.node_id)
                 entries.append((entry.node_id, entry))
-        return entries if policy.successor_failover else entries[:1]
+        return entries if policy.failover else entries[:1]
 
     # ------------------------------------------------------------------
     # Successor walk (range-query primitive)
@@ -608,9 +603,11 @@ class ChordRing(Overlay):
         ring — which is where the pointer loop stops."""
         ids = self._sorted_ids
         size = self.space.size
-        first = last = ids.bisect_left(start.node_id)
+        first = last = bisect.bisect_left(ids, start.node_id)
         if (start.node_id - from_key) % size < span:
-            last = ids.successor_index((from_key + span) % size)
+            last = bisect.bisect_left(ids, (from_key + span) % size)
+            if last == len(ids):
+                last = 0  # wraps past the end
             if (ids[last] - from_key) % size < span:
                 last = first - 1 if first else len(ids) - 1
         ring = self._ring
@@ -664,14 +661,16 @@ class ChordRing(Overlay):
         return node
 
     def _membership_add(self, node_id: int) -> None:
-        self._ring.insert(self._sorted_ids.bisect_left(node_id), self._nodes[node_id])
-        self._sorted_ids.add(node_id)
+        at = bisect.bisect_left(self._sorted_ids, node_id)
+        self._sorted_ids.insert(at, node_id)
+        self._ring.insert(at, self._nodes[node_id])
         self._node_ids = None
         self._mark_stale(node_id)
 
     def _membership_remove(self, node_id: int) -> None:
-        del self._ring[self._sorted_ids.bisect_left(node_id)]
-        self._sorted_ids.remove(node_id)
+        at = bisect.bisect_left(self._sorted_ids, node_id)
+        del self._sorted_ids[at]
+        del self._ring[at]
         self._node_ids = None
         self._mark_stale(node_id)
 
@@ -691,7 +690,7 @@ class ChordRing(Overlay):
         stale = self._stale
         if stale is None:
             return
-        ids = self._sorted_ids.data
+        ids = self._sorted_ids
         n = len(ids)
         reach = self.successor_list_len + 1
         if not self.routing_cache or n <= 2 * reach:

@@ -40,18 +40,17 @@ behind Proposition 3.1's intra-cluster range walk.
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from operator import itemgetter
 from typing import NamedTuple
 
-from repro.overlay.arraystore import RingVector
 from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
 from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
 from repro.sim.faults import LookupPolicy, deliver_first
-from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
 __all__ = ["CycloidId", "CycloidNode", "CycloidOverlay"]
@@ -153,8 +152,6 @@ class CycloidOverlay(Overlay):
     def __init__(
         self,
         dimension: int,
-        network: SimulatedNetwork | None = None,
-        replication: int = 1,
         routing_mode: str = "adaptive",
         routing_cache: bool = True,
         durability: DurabilityPolicy | None = None,
@@ -177,12 +174,12 @@ class CycloidOverlay(Overlay):
         self.routing_mode = routing_mode
         self.dimension = dimension
         self.cubical_space = IdSpace(dimension)  # ring of 2**d clusters
-        super().__init__(network, replication, durability, routing_cache)
-        #: cluster -> sorted flat vector of present cyclic indices (the
-        #: array-backed membership core, ``repro.overlay.arraystore``)
-        self._clusters: dict[int, RingVector] = {}
-        #: sorted flat vector of non-empty cluster cubical indices
-        self._cluster_ids: RingVector = RingVector()
+        super().__init__(durability, routing_cache)
+        #: cluster -> its present cyclic indices, a sorted ``array('q')``
+        #: (the membership index; hot callers bisect it directly)
+        self._clusters: dict[int, array] = {}
+        #: the non-empty clusters' cubical indices, a sorted ``array('q')``
+        self._cluster_ids = array("q")
         #: Memoised :meth:`closest_node` resolution (normalised key ->
         #: owner).  Pure derived state: valid only for the current
         #: membership, so every churn entry point (:meth:`join` /
@@ -231,8 +228,8 @@ class CycloidOverlay(Overlay):
         grouped: dict[int, list[int]] = {}
         for cid in ids:
             grouped.setdefault(cid.a, []).append(cid.k)
-        self._clusters = {a: RingVector(ks) for a, ks in grouped.items()}
-        self._cluster_ids = RingVector(self._clusters)
+        self._clusters = {a: array("q", ks) for a, ks in grouped.items()}
+        self._cluster_ids = array("q", sorted(self._clusters))
         self._node_ids = None
         self._arcs.clear()  # the new nodes hold nothing yet
         self.invalidate_routing_caches()
@@ -257,11 +254,11 @@ class CycloidOverlay(Overlay):
         Bisect over the maintained sorted cluster index — with ``2**d``
         clusters a linear closest-scan dominated every lookup.
         """
-        require(bool(self._cluster_ids.data), "overlay is empty")
+        require(bool(self._cluster_ids), "overlay is empty")
         a = self.cubical_space.wrap(a)
         if a in self._clusters:
             return a
-        return closest_on_ring(a, self._cluster_ids.data, self.cubical_space.size)
+        return closest_on_ring(a, self._cluster_ids, self.cubical_space.size)
 
     def closest_node(self, target: CycloidId) -> CycloidNode:
         """The live node owning key ``target`` (cluster-first closeness).
@@ -277,7 +274,7 @@ class CycloidOverlay(Overlay):
         node = self._owner_cache.get(key)
         if node is None:
             cluster = self.nearest_cluster(key.a)
-            best = closest_on_ring(key.k, self._clusters[cluster].data, d)
+            best = closest_on_ring(key.k, self._clusters[cluster], d)
             node = self._nodes[CycloidId(best, cluster)]
             if self.routing_cache:
                 self._owner_cache[key] = node
@@ -289,7 +286,7 @@ class CycloidOverlay(Overlay):
         Wraps around the large cycle; returns ``None`` only when ``a`` is
         the sole non-empty cluster.
         """
-        ids = self._cluster_ids.data
+        ids = self._cluster_ids
         if not ids:
             return None
         if len(ids) == 1:
@@ -305,7 +302,7 @@ class CycloidOverlay(Overlay):
         k, a = node.cid
 
         # Inside leaf set: cyclic predecessor and successor in own cluster.
-        ks = self._clusters[a].data
+        ks = self._clusters[a]
         if len(ks) == 1:
             node.inside_leaf = (None, None)
         else:
@@ -319,11 +316,11 @@ class CycloidOverlay(Overlay):
         prev_cluster = self._cluster_neighbor(a, -1)
         next_cluster = self._cluster_neighbor(a, +1)
         out_prev = (
-            self._nodes[CycloidId(self._clusters[prev_cluster].data[-1], prev_cluster)]
+            self._nodes[CycloidId(self._clusters[prev_cluster][-1], prev_cluster)]
             if prev_cluster is not None else None
         )
         out_next = (
-            self._nodes[CycloidId(self._clusters[next_cluster].data[-1], next_cluster)]
+            self._nodes[CycloidId(self._clusters[next_cluster][-1], next_cluster)]
             if next_cluster is not None else None
         )
         node.outside_leaf = (
@@ -520,7 +517,7 @@ class CycloidOverlay(Overlay):
     ) -> list[tuple[int, CycloidNode]]:
         """Ordered next-hop preference list for the fault-path route:
         ``cur``'s strictly key-closer table entries, nearest first (only
-        the nearest without ``policy.finger_fallback``).
+        the nearest without ``policy.failover``).
 
         Strict improvement bounds the route without any oracle termination
         check.
@@ -529,7 +526,7 @@ class CycloidOverlay(Overlay):
         own = self._key_badness(cur, tk, ta)
         scored = [(self._key_badness(n, tk, ta), n) for n in cur.table_entries()]
         improving = sorted((e for e in scored if e[0] < own), key=itemgetter(0))
-        if not policy.finger_fallback:
+        if not policy.failover:
             improving = improving[:1]
         return [(self.linearize(n.cid), n) for _, n in improving]
 
@@ -667,7 +664,7 @@ class CycloidOverlay(Overlay):
         placement."""
         owner = self.closest_node(key)
         members = self.cluster_members(owner.a)
-        idx = bisect.bisect_left(self._clusters[owner.a].data, owner.k)
+        idx = bisect.bisect_left(self._clusters[owner.a], owner.k)
         count = min(count, len(members))
         return [members[(idx + offset) % len(members)] for offset in range(count)]
 
@@ -738,10 +735,10 @@ class CycloidOverlay(Overlay):
 
     def _membership_add(self, cid: CycloidId) -> None:
         self._splice_node_ids(cid, joined=True)
-        ks = self._clusters.setdefault(cid.a, RingVector())
-        ks.add(cid.k)
+        ks = self._clusters.setdefault(cid.a, array("q"))
+        bisect.insort(ks, cid.k)
         if len(ks) == 1:
-            self._cluster_ids.add(cid.a)
+            bisect.insort(self._cluster_ids, cid.a)
             self._stale = None  # a new cluster re-draws the nearest-cluster cells
         else:
             self._mark_stale(cid.a)
@@ -749,10 +746,10 @@ class CycloidOverlay(Overlay):
     def _membership_remove(self, cid: CycloidId) -> None:
         self._splice_node_ids(cid, joined=False)
         ks = self._clusters[cid.a]
-        ks.remove(cid.k)
+        del ks[bisect.bisect_left(ks, cid.k)]
         if not ks:
             del self._clusters[cid.a]
-            self._cluster_ids.remove(cid.a)
+            del self._cluster_ids[bisect.bisect_left(self._cluster_ids, cid.a)]
             self._stale = None  # so does an emptied one
         else:
             self._mark_stale(cid.a)
@@ -817,7 +814,7 @@ class CycloidOverlay(Overlay):
             f"{sorted(self._clusters)}"
         )
         for a, ks in self._clusters.items():
-            assert ks == sorted(ks), f"cluster {a} not ordered"
+            assert list(ks) == sorted(ks), f"cluster {a} not ordered"
             members = self.cluster_members(a)
             for idx, member in enumerate(members):
                 if len(members) == 1:

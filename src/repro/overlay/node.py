@@ -75,21 +75,13 @@ class WalkResult(list):
     (:meth:`repro.overlay.base.Overlay.arc_items`).
     """
 
-    def __init__(
-        self,
-        nodes: Any = (),
-        *,
-        truncated: bool = False,
-        reason: str = "",
-        retries: int = 0,
-        timed_out: bool = False,
-        contiguous: bool = False,
-    ) -> None:
+    def __init__(self, nodes: Any = (), *, contiguous: bool = False) -> None:
         super().__init__(nodes)
-        self.truncated = truncated
-        self.reason = reason
-        self.retries = retries
-        self.timed_out = timed_out
+        #: Set by the walk as it goes (:meth:`Overlay._truncate_walk`).
+        self.truncated = False
+        self.reason = ""
+        self.retries = 0
+        self.timed_out = False
         self.contiguous = contiguous
 
 

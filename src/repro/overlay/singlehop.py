@@ -7,8 +7,8 @@ every node.  :class:`SingleHopRing` reproduces that routing tier on top of
 the existing :class:`~repro.overlay.chord.ChordRing` machinery so the four
 discovery systems run on it unchanged:
 
-* **Ground truth** stays in the array-backed membership core
-  (``RingVector``); what is modelled per node is *staleness* — the set of
+* **Ground truth** stays in Chord's sorted membership index
+  (``array('q')``); what is modelled per node is *staleness* — the set of
   membership events a node has not yet learned (:attr:`_pending`).  This
   keeps memory at O(n + outstanding events) instead of the O(n²) of
   materialising every node's table.
@@ -160,7 +160,7 @@ class SingleHopRing(ChordRing):
         if not deltas:
             return self.successor_of(key).node_id
         size = self.space.size
-        ids = self._sorted_ids.data
+        ids = self._sorted_ids
         idx = bisect.bisect_left(ids, key)
         n = len(ids)
         best = None

@@ -84,10 +84,10 @@ class Simulator:
         self.events_processed += 1
         return event
 
-    def run(self, max_events: int | None = None) -> int:
-        """Run until the queue drains (or ``max_events`` fire); returns count."""
+    def run(self) -> int:
+        """Run until the queue drains; returns the events fired."""
         fired = 0
-        while self._queue and (max_events is None or fired < max_events):
+        while self._queue:
             self.step()
             fired += 1
         return fired

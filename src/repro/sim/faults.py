@@ -205,19 +205,14 @@ class LookupPolicy:
     max_retries:
         Retransmission rounds per hop after the first attempt.  Within one
         round every failover candidate is tried once.
-    timeout:
-        Simulated seconds the sender waits before declaring one message
-        lost (accounting only; accumulated in ``MessageStats``).
-    backoff_base / backoff_factor:
+    backoff_base:
         Exponential backoff accounting between retransmission rounds:
         round ``i`` waits ``backoff_base * backoff_factor**(i-1)`` seconds.
-    successor_failover:
-        Fail over across successor-list entries (Chord) when the preferred
-        next hop is unreachable — with replication ``r >= 2`` the failover
-        target holds the data, keeping queries complete.
-    finger_fallback:
-        Try alternate (lower) fingers / alternate routing-table entries
-        when the best one is unreachable.
+    failover:
+        Fail over to alternate next hops when the preferred one is
+        unreachable: further successor-list entries (Chord — with
+        replication ``r >= 2`` the failover target holds the data, keeping
+        queries complete) and lower fingers / other routing-table entries.
     adaptive_timeout:
         Replace the fixed ``timeout`` with the requester's
         :class:`~repro.sim.latency.RttEstimator`-derived timeout (never
@@ -228,34 +223,29 @@ class LookupPolicy:
         one backup copy of the message and take whichever response lands
         first.  Hedging is *result-transparent*: the backup goes to the
         same destination, so only latency and hedge counters can change.
-    hedge_quantile:
-        Observed response-time quantile at which the hedge fires (the
-        "tail at scale" p95 rule).
     """
 
     max_retries: int = 2
-    timeout: float = 0.5
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    successor_failover: bool = True
-    finger_fallback: bool = True
+    failover: bool = True
     adaptive_timeout: bool = False
     hedge: bool = False
-    hedge_quantile: float = 0.95
 
+    #: Simulated seconds the sender waits before declaring one message
+    #: lost (accounting only; accumulated in ``MessageStats``).
+    timeout: ClassVar[float] = 0.5
+    #: The growth factor of the backoff between retransmission rounds.
+    backoff_factor: ClassVar[float] = 2.0
+    #: Observed response-time quantile at which the hedge fires (the "tail
+    #: at scale" p95 rule).
+    hedge_quantile: ClassVar[float] = 0.95
     #: Exponent ceiling for :meth:`backoff_for` — far beyond any plausible
     #: retry budget, small enough that ``factor ** cap`` stays finite.
     _BACKOFF_EXPONENT_CAP: ClassVar[int] = 32
 
     def __post_init__(self) -> None:
         require(self.max_retries >= 0, "max_retries must be >= 0")
-        require(self.timeout > 0, "timeout must be positive")
         require(self.backoff_base >= 0, "backoff_base must be >= 0")
-        require(self.backoff_factor >= 1.0, "backoff_factor must be >= 1")
-        require(
-            0.0 < self.hedge_quantile < 1.0,
-            "hedge_quantile must be in (0, 1)",
-        )
 
     def backoff_for(self, round_index: int) -> float:
         """Backoff seconds before retransmission round ``round_index >= 1``.
@@ -291,9 +281,7 @@ DEFAULT_POLICY = LookupPolicy()
 
 #: A brittle requester: one shot per hop, no failover — the ablation
 #: baseline showing what retry + failover buy.
-NO_RETRY_POLICY = LookupPolicy(
-    max_retries=0, successor_failover=False, finger_fallback=False
-)
+NO_RETRY_POLICY = LookupPolicy(max_retries=0, failover=False)
 
 #: Adaptive timeouts only: the estimator replaces the fixed timeout.
 #: Adaptive rounds are cheap (the window is the observed RTT picture, not

@@ -63,13 +63,17 @@ def _check(condition: bool, message: str) -> None:
         raise InvariantViolation(message)
 
 
-def _describe(diff: Counter, limit: int = 4) -> str:
+#: Census differences a violation message spells out.
+_SHOWN = 4
+
+
+def _describe(diff: Counter) -> str:
     """A short human-readable sample of a census difference."""
     shown = ", ".join(
         f"{ns}:{key}:{item!r}×{count}"
-        for (ns, key, item), count in list(diff.items())[:limit]
+        for (ns, key, item), count in list(diff.items())[:_SHOWN]
     )
-    more = len(diff) - limit
+    more = len(diff) - _SHOWN
     return shown + (f" (+{more} more)" if more > 0 else "")
 
 

@@ -72,10 +72,10 @@ class ConstantLatency(LatencyModel):
     0.35000000000000003
     """
 
-    def __init__(self, hop_latency: float, seed: int = 0) -> None:
+    def __init__(self, hop_latency: float) -> None:
         require_positive(hop_latency, "hop_latency")
         self.hop_latency = float(hop_latency)
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(0)
 
     def sample(self) -> float:
         return self.hop_latency

@@ -20,29 +20,29 @@ reliable and the extra counters stay zero.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel, RttBook
-from repro.utils.validation import require_positive
 
 __all__ = ["MessageStats", "SimulatedNetwork", "publish_stats"]
 
 
-def publish_stats(stats: "MessageStats", registry, prefix: str = "network") -> None:
+def publish_stats(stats: "MessageStats", registry) -> None:
     """Accumulate ``stats`` into a :class:`~repro.sim.metrics.MetricsRegistry`.
 
-    Each :class:`MessageStats` field becomes the counter ``<prefix>.<field>``.
+    Each :class:`MessageStats` field becomes the counter ``faults.<field>``.
     The requester-side fault accounting (retries, timeouts, backoff waits)
     otherwise stays trapped in the network object; publishing it lets the
     experiment report tables show what the lookup policy actually paid.
     Pass a ``delta_since`` result to publish one measurement window.
 
     Every field is published, including zero values: a window with zero
-    retries must yield a ``<prefix>.retries`` counter that *reads* 0, so
+    retries must yield a ``faults.retries`` counter that *reads* 0, so
     report tables can distinguish "measured zero" from "never measured".
     """
     for field_name, value in stats.as_dict().items():
-        registry.incr(f"{prefix}.{field_name}", value)
+        registry.incr(f"faults.{field_name}", value)
 
 
 @dataclass
@@ -91,9 +91,6 @@ class SimulatedNetwork:
 
     Parameters
     ----------
-    hop_latency:
-        Simulated one-way latency of a single overlay hop, in seconds.
-        Only consumed by the event-driven churn harness.
     faults:
         Optional :class:`~repro.sim.faults.FaultInjector` consulted per
         message by ``try_deliver``.  ``None`` (the default) keeps the
@@ -105,7 +102,9 @@ class SimulatedNetwork:
         latency counters stay zero and every fast path is byte-identical.
     """
 
-    hop_latency: float = 0.05
+    #: Simulated one-way latency of a single overlay hop, in seconds (the
+    #: constant-latency world, and the lognormal models' median).
+    hop_latency: ClassVar[float] = 0.05
     stats: MessageStats = field(default_factory=MessageStats)
     faults: FaultInjector | None = None
     latency_model: LatencyModel | None = None
@@ -118,7 +117,6 @@ class SimulatedNetwork:
     route_clock: float = 0.0
 
     def __post_init__(self) -> None:
-        require_positive(self.hop_latency, "hop_latency")
         self._rtt = RttBook()
 
     @property
@@ -185,9 +183,9 @@ class SimulatedNetwork:
         self.stats.retries += 1
         self.stats.backoff_seconds += backoff
 
-    def count_walk_truncation(self, n: int = 1) -> None:
-        """Record ``n`` range walks cut short (dead chain / safety valve)."""
-        self.stats.walk_truncations += n
+    def count_walk_truncation(self) -> None:
+        """Record one range walk cut short (dead chain / safety valve)."""
+        self.stats.walk_truncations += 1
 
     def count_hedge(self, won: bool, delivered: bool = True) -> None:
         """Record one hedged (backup) request.

@@ -34,12 +34,11 @@ from repro.utils.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.sim.engine import Simulator
-    from repro.sim.maintenance import MaintenanceRound
 
 __all__ = ["replica_deficit", "RecoverySample", "RecoveryTracker"]
 
 
-def replica_deficit(overlay: Any, policy: Any = None) -> int:
+def replica_deficit(overlay: Any) -> int:
     """Redundancy missing from surviving pieces, by surviving evidence.
 
     For every decodable level of every surviving piece, the policy's
@@ -59,11 +58,11 @@ def replica_deficit(overlay: Any, policy: Any = None) -> int:
     surviving holders) contribute nothing — nothing survives to witness
     them, and repair purges rather than resurrects them.
 
-    ``policy=None`` uses the overlay's own durability policy (always
-    present); the default successor replication has ``threshold=1`` and
-    a target of ``replication`` holders per piece.
+    The policy is the overlay's own durability policy; the default
+    successor replication has ``threshold=1`` and a target of
+    ``replication`` holders per piece.
     """
-    threshold = (overlay.durability if policy is None else policy).threshold
+    threshold = overlay.durability.threshold
     holders: dict[tuple[str, int], dict[Any, list[int]]] = {}
     for node in list(overlay.nodes()):
         for bucket_key, pieces in node.bucket_counts().items():
@@ -118,7 +117,7 @@ class RecoveryTracker:
 
     ``availability_probe`` runs the probe workload under whatever faults
     are live *now* and returns the exactly-answered fraction; the tracker
-    adds replica deficit, structural checks, staleness (when given a
+    adds replica deficit, structural checks, staleness (of the service's
     :class:`~repro.sim.maintenance.MaintenanceRound`) and the
     requester-side retry/timeout spend between samples.
     """
@@ -128,7 +127,6 @@ class RecoveryTracker:
         service: Any,
         availability_probe: Callable[[], float],
         *,
-        maintenance_round: "MaintenanceRound | None" = None,
         availability_floor: float = 1.0,
     ) -> None:
         # floor 0.0 tracks *data* recovery alone (deficit + structure):
@@ -139,7 +137,7 @@ class RecoveryTracker:
         self.service = service
         self.overlay = overlay_of(service)
         self.availability_probe = availability_probe
-        self.maintenance_round = maintenance_round
+        self.maintenance_round = service.maintenance_round()
         self.availability_floor = availability_floor
         self.samples: list[RecoverySample] = []
         self.fault_times: list[float] = []
@@ -164,11 +162,6 @@ class RecoveryTracker:
         before = self._last_stats
         availability = self.availability_probe()
         after = stats.snapshot()
-        staleness = (
-            self.maintenance_round.max_staleness()
-            if self.maintenance_round is not None
-            else 0.0
-        )
         point = RecoverySample(
             time=now,
             availability=availability,
@@ -176,7 +169,7 @@ class RecoveryTracker:
             structurally_clean=clean,
             retries=after.retries - before.retries,
             timeouts=after.timeouts - before.timeouts,
-            max_staleness=staleness,
+            max_staleness=self.maintenance_round.max_staleness(),
         )
         self._last_stats = after
         self.samples.append(point)

@@ -6,8 +6,7 @@ every answer is compared against the brute-force oracle
 
 * **exactness** — fault-free, every routed point / range /
   multi-attribute query must return exactly the oracle's provider set
-  (after graceful churn too); under crashes answers may only
-  *under*-approximate, never invent providers;
+  (after graceful churn too);
 * **hop/visited bounds** — every sub-query stays within the service's
   structural ceilings (:meth:`DiscoveryService.subquery_hop_bound`), and
   the mean point-query hop count stays within 2x the theorem average
@@ -39,7 +38,7 @@ from repro.analysis.theorems import nonrange_query_hops_avg
 from repro.core.resource import ResourceInfo
 from repro.experiments.common import SYSTEM_NAMES, ServiceBundle, build_services
 from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
-from repro.sim.durability import parse_policy
+from repro.sim.durability import parse_policy, successor_replication
 from repro.sim.invariants import (
     InvariantViolation,
     check_overlay,
@@ -74,7 +73,7 @@ class Divergence:
     """One observed disagreement between a system and the oracle/bounds."""
 
     system: str
-    kind: str  # result-set | spurious-provider | incomplete | hop-bound |
+    kind: str  # result-set | incomplete | hop-bound |
     #            visited-bound | mean-hops | invariant
     detail: str
     query_index: int = -1
@@ -99,7 +98,6 @@ class DifferentialReport:
     systems: tuple[str, ...]
     num_queries: int
     churn_ops: tuple[str, ...]
-    replication: int
     overlay: str | None = None
     divergences: list[Divergence] = field(default_factory=list)
     stats: dict[str, _SystemStats] = field(default_factory=dict)
@@ -109,7 +107,7 @@ class DifferentialReport:
         lines = [
             f"differential replay: {self.num_queries} queries x "
             f"{len(self.systems)} systems, {len(self.churn_ops)} churn ops, "
-            f"replication {self.replication}{substrate}"
+            f"replication 1{substrate}"
         ]
         for name in self.systems:
             st = self.stats.get(name, _SystemStats())
@@ -159,47 +157,34 @@ def _query_mix(workload, num_queries: int, config: ExperimentConfig, label: str)
 
 
 def run_differential(
-    config: ExperimentConfig | None = None,
     *,
     systems: tuple[str, ...] = SYSTEM_NAMES,
     seed: int | None = None,
     num_queries: int = 60,
     churn_ops: tuple[str, ...] = (),
-    replication: int = 1,
-    expect: str = "exact",
-    guard: bool = True,
     label: str = "differential",
     overlay: str | None = None,
 ) -> DifferentialReport:
-    """Replay one seeded workload through ``systems`` against the oracle.
+    """Replay one seeded workload, at ``CHECK_CONFIG`` scale, through
+    ``systems`` against the oracle.
 
     ``churn_ops`` (names from leave/join/fail/stabilize) run before the
-    replay, followed by a stabilization round (plus replica repair when
-    ``replication > 1``).  ``expect='exact'`` requires every answer to
-    equal the oracle set — correct for fault-free runs and graceful churn;
-    ``expect='subset'`` (for runs including crashes) only forbids spurious
-    providers.  With ``guard=True`` every churn event is validated by a
+    replay, followed by a stabilization round.  Every answer must equal
+    the oracle set — correct for fault-free runs and graceful churn — and
+    every churn event is validated by a
     :class:`~repro.sim.invariants.ChurnGuard`.  ``overlay`` runs every
     system on an alternative routing tier (``None`` = native substrates).
     """
-    if expect not in ("exact", "subset"):
-        raise ValueError(f"expect must be 'exact' or 'subset', got {expect!r}")
-    config = config if config is not None else CHECK_CONFIG
-    if seed is not None:
-        config = config.scaled(seed=seed)
-    bundle: ServiceBundle = build_services(
-        config, replication=replication, overlay=overlay
-    )
+    config = CHECK_CONFIG if seed is None else CHECK_CONFIG.scaled(seed=seed)
+    bundle: ServiceBundle = build_services(config, overlay=overlay)
     services = [bundle.by_name(name) for name in systems]
-    if guard:
-        for service in services:
-            install_churn_guards(service)
+    for service in services:
+        install_churn_guards(service)
 
     report = DifferentialReport(
         systems=tuple(systems),
         num_queries=num_queries,
         churn_ops=tuple(churn_ops),
-        replication=replication,
         overlay=overlay,
         stats={name: _SystemStats() for name in systems},
     )
@@ -224,8 +209,6 @@ def run_differential(
             continue
         try:
             service.stabilize()
-            if replication > 1:
-                overlay_of(service).repair_replication()
         except InvariantViolation as exc:
             invariant_divergence(service, exc)
 
@@ -247,21 +230,13 @@ def run_differential(
                     )
                 )
                 continue
-            if expect == "exact" and result.providers != truth:
+            if result.providers != truth:
                 missing = sorted(truth - result.providers)[:3]
                 spurious = sorted(result.providers - truth)[:3]
                 report.divergences.append(
                     Divergence(
                         system=service.name, kind="result-set", query_index=qi,
                         detail=f"missing {missing}, spurious {spurious}",
-                    )
-                )
-            elif expect == "subset" and not result.providers <= truth:
-                report.divergences.append(
-                    Divergence(
-                        system=service.name, kind="spurious-provider",
-                        query_index=qi,
-                        detail=f"invented {sorted(result.providers - truth)[:3]}",
                     )
                 )
             hop_bound = service.subquery_hop_bound()
@@ -336,7 +311,8 @@ def _churn_storm(
     Returns (divergences, events validated).
     """
     bundle = build_services(
-        config, replication=2, durability=durability, overlay=overlay
+        config, overlay=overlay,
+        durability=durability if durability is not None else successor_replication(2),
     )
     services = [bundle.by_name(name) for name in systems]
     guards = {s.name: install_churn_guards(s) for s in services}
@@ -418,7 +394,6 @@ class CheckReport:
 
 
 def run_check(
-    config: ExperimentConfig | None = None,
     *,
     systems: tuple[str, ...] = SYSTEM_NAMES,
     seed: int = 0,
@@ -426,19 +401,17 @@ def run_check(
     churn_events: int = 40,
 ) -> CheckReport:
     """The full correctness check behind ``repro check``."""
-    config = config if config is not None else CHECK_CONFIG
     rng = np.random.default_rng(seed + 1)
     graceful_ops = tuple(
         _GRACEFUL_OPS[int(i)]
         for i in rng.integers(0, len(_GRACEFUL_OPS), size=max(1, churn_events // 2))
     )
-    storm_config = config.scaled(seed=config.seed + seed)
+    storm_config = CHECK_CONFIG.scaled(seed=CHECK_CONFIG.seed + seed)
     third = max(1, num_queries // 3)
 
     def replay(label: str, count: int, **kwargs):
         return run_differential(
-            config, systems=systems, seed=seed, num_queries=count,
-            label=label, **kwargs,
+            systems=systems, seed=seed, num_queries=count, label=label, **kwargs
         )
 
     def storm(**kwargs):

@@ -17,7 +17,7 @@ import pytest
 from repro.core.hotspot import SaltPlan
 from repro.experiments.common import SYSTEM_NAMES, build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
-from repro.sim.durability import DEFAULT_POLICY_SPECS, parse_policy
+from repro.sim.durability import DEFAULT_POLICY_SPECS, parse_policy, successor_replication
 from repro.sim.invariants import directory_layout
 from repro.workloads.generator import QueryKind
 
@@ -26,9 +26,9 @@ INFOS = tuple(WORKLOAD.resource_infos())
 
 #: Copies per key: plain successor replication, then the durability sweep's
 #: policies (symmetric placement and erasure coding included).
-REDUNDANCY = [{"replication": r} for r in (1, 2, 3)] + [
-    {"durability": parse_policy(spec)} for spec in DEFAULT_POLICY_SPECS
-]
+REDUNDANCY = [
+    pytest.param({"durability": successor_replication(r)}, id=str(r)) for r in (1, 2, 3)
+] + [{"durability": parse_policy(spec)} for spec in DEFAULT_POLICY_SPECS]
 #: ``None`` is each system's native substrate (Cycloid under LORM); on a
 #: ring tier LORM runs flat.
 OVERLAYS = (None, "chord", "singlehop", "record")
@@ -66,7 +66,9 @@ def test_bulk_load_equals_per_info_load(system, redundancy, overlay):
 @pytest.mark.parametrize("replication", (1, 2))
 @pytest.mark.parametrize("system", ("SWORD", "MAAN"))
 def test_bulk_load_equals_per_info_load_under_salting(system, replication):
-    per_info, bulk = _twins(system, salting=SaltPlan(salts=3), replication=replication)
+    per_info, bulk = _twins(
+        system, salting=SaltPlan(salts=3), durability=successor_replication(replication)
+    )
     for info in INFOS:
         per_info.register(info, routed=False)
     bulk.register_all(INFOS, routed=False)
@@ -79,7 +81,7 @@ def test_bulk_load_onto_live_views_and_arc_index(system):
     against built ``_views`` (SWORD's and MAAN's ordered reads) and an
     indexed arc directory (Mercury's and MAAN's range walks), and must
     flush the one and post to the other as ``OverlayNode.store`` does."""
-    per_info, bulk = _twins(system, replication=2)
+    per_info, bulk = _twins(system, durability=successor_replication(2))
     half = len(INFOS) // 2
     queries = [
         *WORKLOAD.query_stream(6, 2, QueryKind.RANGE, label="bulk-range"),
@@ -128,7 +130,7 @@ def test_routed_or_traced_register_all_stays_the_per_info_loop(monkeypatch):
 
 
 def test_store_all_counts_what_it_stored_when_the_stream_raises():
-    service, reference = _twins("MAAN", replication=2)
+    service, reference = _twins("MAAN", durability=successor_replication(2))
     unknown = dataclasses.replace(INFOS[0], attribute="no-such-attribute")
     with pytest.raises(KeyError):
         service.register_all([*INFOS[:10], unknown], routed=False)

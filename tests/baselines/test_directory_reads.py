@@ -77,15 +77,17 @@ class TestSwordRedirectedReads:
         whole = Query(AttributeConstraint(attribute), requester="req-000")
         assert len(service.query(whole).matches) == workload.infos_per_attribute
 
-    def test_hot_replicas(self, schema, workload):
+    def test_hot_replicas(self, schema, workload, monkeypatch):
         service = SwordService.build_full(6, schema, seed=3)
         for info in workload.resource_infos():
             service.register(info, routed=False)
         attribute = schema.specs[0].name
         spec = schema.spec(attribute)
-        replicator = DynamicReplicator(
-            service, _NAMESPACE, trigger_ratio=2.0, max_replicas=2, decay_windows=1
-        )
+        # React faster than the experiment: hot at 2x the mean, two replicas.
+        monkeypatch.setattr(DynamicReplicator, "TRIGGER_RATIO", 2.0)
+        monkeypatch.setattr(DynamicReplicator, "MAX_REPLICAS", 2)
+        monkeypatch.setattr(DynamicReplicator, "DECAY_WINDOWS", 1)
+        replicator = DynamicReplicator(service, _NAMESPACE)
         service.attach_hot_replicator(replicator)
         stats = LoadStats()
         service.attach_load_stats(stats)

@@ -9,7 +9,7 @@ from repro.core.hotspot import DynamicReplicator, SaltPlan, route_choice
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, ResourceInfo
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
-from repro.sim.loadstats import LoadStats
+from repro.sim.loadstats import LoadStats, LoadWindow
 from repro.sim.maintenance import MaintenanceBudget
 
 CONFIG = SMOKE_CONFIG.scaled(num_attributes=6, infos_per_attribute=12)
@@ -68,13 +68,10 @@ class TestSaltPlan:
     def test_salted_names(self):
         assert SaltPlan(salts=3).salted_names("cpu") == ("cpu#s0", "cpu#s1", "cpu#s2")
 
-    def test_applies_to_all_by_default(self):
-        assert SaltPlan().applies_to("anything")
-
-    def test_restricted_scope(self):
-        plan = SaltPlan(salts=2, attributes=["cpu"])
-        assert plan.applies_to("cpu")
-        assert not plan.applies_to("mem")
+    def test_applies_to_all_by_default(self, salted):
+        # A plan salts every attribute's root: S store keys each.
+        for attribute in salted.schema.names:
+            assert len(set(salted.attr_store_keys(attribute))) == 3, attribute
 
     def test_choose_within_fanout(self):
         plan = SaltPlan(salts=4)
@@ -119,6 +116,16 @@ class TestSaltedService:
         assert max(salt_load.serves.values()) < max(base_load.serves.values())
 
 
+@pytest.fixture()
+def fast_replicator(monkeypatch):
+    """A faster-reacting replicator than the experiment's: hot at 2x the
+    mean load, two replicas, gone after one cold window."""
+    monkeypatch.setattr(DynamicReplicator, "TRIGGER_RATIO", 2.0)
+    monkeypatch.setattr(DynamicReplicator, "MAX_REPLICAS", 2)
+    monkeypatch.setattr(DynamicReplicator, "DECAY_WINDOWS", 1)
+
+
+@pytest.mark.usefixtures("fast_replicator")
 class TestDynamicReplicator:
     @pytest.fixture()
     def service(self, workload):
@@ -126,9 +133,7 @@ class TestDynamicReplicator:
         return build_service(CONFIG, "SWORD", workload=workload)
 
     def _replicate(self, service, attribute, queries=30):
-        replicator = DynamicReplicator(
-            service, _NAMESPACE, trigger_ratio=2.0, max_replicas=2, decay_windows=1
-        )
+        replicator = DynamicReplicator(service, _NAMESPACE)
         service.attach_hot_replicator(replicator)
         window, answers = _hammer(service, attribute, queries)
         hot = replicator.observe(window, service.num_nodes())
@@ -205,8 +210,4 @@ class TestDynamicReplicator:
 
     def test_validation(self, service):
         with pytest.raises(ValueError):
-            DynamicReplicator(service, _NAMESPACE, trigger_ratio=1.0)
-        with pytest.raises(ValueError):
-            DynamicReplicator(service, _NAMESPACE, max_replicas=0)
-        with pytest.raises(ValueError):
-            DynamicReplicator(service, _NAMESPACE, decay_windows=0)
+            DynamicReplicator(service, _NAMESPACE).observe(LoadWindow(), population=0)

@@ -10,6 +10,7 @@ from repro.baselines.sword import SwordService
 from repro.core.lorm import LormService
 from repro.core.refresh import RefreshManager
 from repro.core.resource import AttributeConstraint, Query, ResourceInfo
+from repro.sim.durability import successor_replication
 from repro.sim.engine import Simulator
 from repro.workloads.attributes import AttributeSchema
 
@@ -47,7 +48,7 @@ class TestDeregister:
         assert service.deregister(ResourceInfo("cpu-mhz", 1.0, "ghost")) == 0
 
     def test_deregister_with_replication_removes_all_copies(self):
-        service = LormService.build_full(4, SCHEMA, seed=2, replication=2)
+        service = LormService.build_full(4, SCHEMA, seed=2, durability=successor_replication(2))
         info = ResourceInfo("cpu-mhz", 2000.0, "p1")
         service.register(info, routed=False)
         assert service.total_info_pieces() == 2
@@ -119,7 +120,7 @@ class TestSimIntegration:
         """Combine crashes with leases: a crashed provider's reports are
         not renewed, so its stale availability disappears after the TTL
         even though nobody deregistered explicitly."""
-        service = LormService.build_full(4, SCHEMA, seed=3, replication=2)
+        service = LormService.build_full(4, SCHEMA, seed=3, durability=successor_replication(2))
         manager = RefreshManager(service, ttl=10.0)
         manager.report(ResourceInfo("cpu-mhz", 2222.0, "dead-box"), now=0.0)
         # (the provider machine crashes; its directory entries survive on

@@ -89,7 +89,8 @@ class TestMeasureCompleteness:
         baseline = measure_completeness(service, cases, None)
         assert baseline == 1.0  # no crashes, no loss: everything answered
         injector = FaultInjector(FaultPlan(loss_rate=0.5, seed=2))
-        degraded = measure_completeness(service, cases, injector, NO_RETRY_POLICY)
+        service.ring.lookup_policy = NO_RETRY_POLICY
+        degraded = measure_completeness(service, cases, injector)
         assert degraded < baseline  # 50% loss, one shot per hop: no chance
         # And the degradation was *flagged*, not silent: re-attach and
         # check the results announce incompleteness.

@@ -517,8 +517,8 @@ class TestFlagInventory:
             "tail_sigma", "tail_slo_p99", "hotspot_zipf_s", "hotspot_queries",
             "hotspot_salts", "tradeoff_queries",
             "tradeoff_churn_events", "tradeoff_fanouts",
-            "validate_invariants", "trace",
-        ]  # 38
+            "validate_invariants",
+        ]  # 37
 
 
 @pytest.mark.parametrize("name", list(VERDICT_WORDS))
@@ -616,6 +616,13 @@ class TestBadInput:
             (["all", "--parallel", "-1"], "--parallel"),
             (["scale", "--smoke", "--parallel", "-1"], "--parallel"),
             (["report", "--out", "no/such/directory"], "--out"),
+            # numpy's seeded generators reject negative seeds.
+            (["chaos", "--smoke", "--seed", "-1"], "--seed"),
+            (["durability", "--smoke", "--seed", "-1"], "--seed"),
+            (["check", "--seed", "-1"], "--seed"),
+            (["run", "recovery", "--scale", "smoke", "--seed", "-1"], "--seed"),
+            (["all", "--seed", "-1"], "--seed"),
+            (["trace", "--system", "lorm", "--seed", "-1", "--loss", "0.1"], "--seed"),
         ],
     )
     def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):

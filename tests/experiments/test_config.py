@@ -33,6 +33,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dimension=1)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+
     def test_query_attributes_bounded_by_schema(self):
         with pytest.raises(ValueError):
             ExperimentConfig(num_attributes=5, max_query_attributes=6)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.sim.durability import successor_replication
 
 
 class TestChordCrashRejoin:
@@ -37,7 +38,7 @@ class TestChordCrashRejoin:
         ]
 
     def test_rejoin_receives_data_only_via_replicas(self):
-        ring = ChordRing(6, replication=2)
+        ring = ChordRing(6, durability=successor_replication(2))
         ring.build(range(0, 64, 4))
         key = 17
         ring.store("ns", key, "payload")  # at node 20, replica at 24
@@ -85,7 +86,7 @@ class TestCycloidCrashRejoin:
         assert rejoined.directory_size() == 0
 
     def test_rejoin_receives_data_only_via_replicas(self):
-        overlay = CycloidOverlay(4, replication=2)
+        overlay = CycloidOverlay(4, durability=successor_replication(2))
         overlay.build_full()
         key = CycloidId(2, 5)
         owner = overlay.store("ns", key, "payload")

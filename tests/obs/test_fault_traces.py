@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.config import CHECK_CONFIG
 from repro.obs.replay import SYSTEMS, build_traced_service, replay_queries
 from repro.obs.spans import QueryTracer, SpanKind
 from repro.overlay.chord import ChordRing
@@ -76,9 +77,7 @@ class TestChordFaultTraces:
         for seed in range(40):
             _, tracer, result = self._traced_lookup(
                 seed=seed, loss=0.9,
-                policy=LookupPolicy(
-                    max_retries=0, successor_failover=False, finger_fallback=False
-                ),
+                policy=LookupPolicy(max_retries=0, failover=False),
             )
             if result.timed_out:
                 assert tracer.traces[0].events_of("timeout")
@@ -197,7 +196,7 @@ def test_latency_spans_reconcile_with_metrics_and_route_clock():
     """Under a gray-failure replay every query span carries a measured
     ``latency`` attribute; the per-sub metric samples sum to the network's
     requester clock, and each multi-query's latency is its critical path."""
-    service, workload, tracer = build_traced_service("lorm")
+    service, workload, tracer = build_traced_service("lorm", CHECK_CONFIG)
     overlay = overlay_of(service)
     net = overlay.network
     injector = FaultInjector(FaultPlan(seed=3))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import build_workload
-from repro.obs.replay import TRACE_CONFIG, SYSTEMS, build_traced_service, replay_queries
+from repro.experiments.config import CHECK_CONFIG
+from repro.obs.replay import SYSTEMS, build_traced_service, replay_queries
 from repro.obs.spans import SpanKind
 from repro.testing import TraceBoundViolation, assert_trace_bounds
 from repro.workloads.generator import QueryKind
@@ -54,7 +55,7 @@ def test_trace_totals_match_metrics_samples(system):
 def test_tracing_does_not_change_results(system):
     """The traced query path returns byte-identical results and metrics
     to the untraced one."""
-    config = TRACE_CONFIG.scaled(seed=0)
+    config = CHECK_CONFIG.scaled(seed=0)
     traced, workload, _ = build_traced_service(system, config)
     untraced, _, _ = build_traced_service(system, config)
     untraced.attach_tracer(None)
@@ -102,14 +103,14 @@ def test_bounds_oracle_rejects_tampered_trace():
 
 
 def test_untraced_service_has_no_tracer_branches():
-    """config.trace=False leaves service and overlay tracer-free."""
+    """A detached tracer leaves service and overlay tracer-free."""
     from repro.sim.invariants import overlay_of
 
-    service, _, tracer = build_traced_service("mercury", TRACE_CONFIG)
+    service, _, tracer = build_traced_service("mercury", CHECK_CONFIG)
     service.attach_tracer(None)
     assert service.tracer is None
     assert overlay_of(service).tracer is None
     service.multi_query(
-        next(iter(build_workload(TRACE_CONFIG).query_stream(1, 2, QueryKind.RANGE)))
+        next(iter(build_workload(CHECK_CONFIG).query_stream(1, 2, QueryKind.RANGE)))
     )
     assert len(tracer.traces) == 0

@@ -18,6 +18,7 @@ import pytest
 from repro.core.resource import ResourceInfo
 from repro.overlay.chord import ChordRing
 from repro.overlay.node import OverlayNode
+from repro.sim.durability import successor_replication
 
 NS = "dir"
 ATTRIBUTES = ("cpu", "mem")
@@ -156,7 +157,7 @@ class TestOverlayWritesLandInIndexedNamespace:
             check_arcs(ring)
 
     def test_repair_after_crash(self):
-        ring = ChordRing(6, replication=2)
+        ring = ChordRing(6, durability=successor_replication(2))
         ring.build_full()
         load(ring)
         check_arcs(ring)

@@ -12,69 +12,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import weakref
-from array import array
 
 import numpy as np
 import pytest
 
-from repro.overlay.arraystore import CompactChordRing, RingVector
+from repro.overlay.arraystore import CompactChordRing
 from repro.overlay.chord import ChordRing
-
-
-class TestRingVector:
-    def test_init_sorts(self):
-        assert list(RingVector([9, 1, 5])) == [1, 5, 9]
-
-    def test_sequence_protocol(self):
-        v = RingVector([2, 4, 6])
-        assert len(v) == 3
-        assert bool(v)
-        assert not RingVector()
-        assert v[1] == 4
-        assert v[-1] == 6
-        assert list(v) == [2, 4, 6]
-
-    def test_contains_is_exact(self):
-        v = RingVector([2, 4, 6])
-        assert 4 in v
-        assert 5 not in v
-        assert 1 not in v
-        assert 7 not in v
-
-    def test_add_keeps_sorted(self):
-        v = RingVector([1, 9])
-        v.add(5)
-        v.add(0)
-        assert list(v) == [0, 1, 5, 9]
-
-    def test_remove(self):
-        v = RingVector([1, 5, 9])
-        v.remove(5)
-        assert list(v) == [1, 9]
-
-    def test_eq_against_list_tuple_and_self(self):
-        v = RingVector([3, 1])
-        assert v == [1, 3]
-        assert v == (1, 3)
-        assert v == RingVector([1, 3])
-        assert v != [1, 2]
-
-    def test_successor_index_wraps(self):
-        v = RingVector([2, 8, 12])
-        assert v.successor_index(8) == 1   # exact hit
-        assert v.successor_index(9) == 2
-        assert v.successor_index(13) == 0  # past the end wraps
-        assert v.successor_index(0) == 0
-
-    def test_bisect_helpers_match_module_bisect(self):
-        import bisect
-
-        v = RingVector([1, 5, 5, 9])
-        for key in (0, 1, 5, 6, 9, 10):
-            assert v.bisect_left(key) == bisect.bisect_left(v, key)
-
-    def test_machine_width_backing_by_default(self):
-        assert isinstance(RingVector([1, 2, 3]).data, array)
 
 
 def _object_hops(ring: ChordRing, start_id: int, key: int) -> tuple[int, int]:
@@ -213,7 +156,8 @@ class TestLookupScanStart:
                 )
 
     def test_drawn_cases_on_a_wide_ring(self):
-        ring = CompactChordRing.sampled(3000, bits=20, seed=4)
+        members = np.random.default_rng(4).choice(1 << 20, size=3000, replace=False)
+        ring = CompactChordRing(bits=20, ids=members)
         rng = np.random.default_rng(5)
         starts = rng.integers(ring.num_nodes, size=2000).tolist()
         keys = rng.integers(ring.size, size=2000).tolist()
@@ -431,12 +375,13 @@ class TestCompactChordRingValidation:
         assert a.ids.tolist() == b.ids.tolist()
 
     def test_sampled_ids_are_sorted_distinct_and_in_range(self):
-        # bits=9 forces collisions, so the top-up loop runs.
-        ring = CompactChordRing.sampled(400, bits=9, seed=3)
+        # 400 draws from 2**13 ids collide ~10 times: the top-up loop runs.
+        ring = CompactChordRing.sampled(400, seed=3)
         ids = ring.ids
+        assert ring.bits == 13
         assert ids.dtype == np.int64 and ids.size == 400
         assert bool(np.all(ids[1:] > ids[:-1]))
-        assert 0 <= int(ids[0]) and int(ids[-1]) < 512
+        assert 0 <= int(ids[0]) and int(ids[-1]) < 1 << 13
 
     def test_init_dedups_any_iterable(self):
         want = [1, 5, 9]

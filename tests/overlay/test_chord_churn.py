@@ -131,7 +131,7 @@ class TestChurnStorm:
         r = random.Random(17)
         for key in range(128):
             ring.store("conserve", key, key)
-        total_before = sum(ring.directory_sizes("conserve"))
+        total_before = sum(n.directory_size("conserve") for n in ring.nodes())
         departed = []
         for _ in range(60):
             if r.random() < 0.5 and ring.num_nodes > 4:
@@ -140,7 +140,7 @@ class TestChurnStorm:
                 departed.append(victim)
             elif departed:
                 ring.join(departed.pop())
-        assert sum(ring.directory_sizes("conserve")) == total_before
+        assert sum(n.directory_size("conserve") for n in ring.nodes()) == total_before
 
     def test_maintenance_messages_counted(self, ring):
         before = ring.network.stats.maintenance_messages

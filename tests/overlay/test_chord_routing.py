@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.overlay.chord import ChordRing
+from repro.sim.durability import successor_replication
 
 
 class TestClosestPrecedingFinger:
@@ -70,7 +71,7 @@ class TestStaleFingerTolerance:
             assert ring.lookup(start, key).owner is ring.successor_of(key)
 
     def test_crashes_without_stabilize_still_resolve(self):
-        ring = ChordRing(7, replication=2)
+        ring = ChordRing(7, durability=successor_replication(2))
         ring.build(random.Random(8).sample(range(128), 60))
         r = random.Random(9)
         for _ in range(15):
@@ -83,12 +84,12 @@ class TestStaleFingerTolerance:
 
 class TestReplicaSets:
     def test_replica_set_distinct_nodes(self):
-        ring = ChordRing(6, replication=3)
+        ring = ChordRing(6, durability=successor_replication(3))
         ring.build([1, 20, 40])
         replicas = ring.replica_set_of(5)
         assert len({n.node_id for n in replicas}) == 3
 
     def test_replica_set_capped_by_population(self):
-        ring = ChordRing(6, replication=3)
+        ring = ChordRing(6, durability=successor_replication(3))
         ring.build([1, 20])
         assert len(ring.replica_set_of(5)) == 2

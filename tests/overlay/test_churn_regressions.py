@@ -17,11 +17,12 @@ import pytest
 
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.sim.durability import successor_replication
 from repro.sim.invariants import check_overlay, directory_census
 
 
 def _small_ring(replication: int = 1) -> ChordRing:
-    ring = ChordRing(5, replication=replication)
+    ring = ChordRing(5, durability=successor_replication(replication))
     ring.build([1, 9, 17, 25])
     return ring
 
@@ -85,7 +86,7 @@ class TestRepairMultiplicity:
             assert holder.items_at("ns", 5) == ["x", "x"]
 
     def test_cycloid_repair_preserves_duplicates(self):
-        overlay = CycloidOverlay(3, replication=2)
+        overlay = CycloidOverlay(3, durability=successor_replication(2))
         overlay.build_full()
         key = CycloidId(1, 2)
         overlay.store("ns", key, "x")
@@ -100,7 +101,7 @@ class TestRepairMultiplicity:
 
 class TestCycloidJoinTransfer:
     def test_join_does_not_duplicate_replicated_pieces(self):
-        overlay = CycloidOverlay(3, replication=2)
+        overlay = CycloidOverlay(3, durability=successor_replication(2))
         overlay.build_full()
         key = CycloidId(0, 4)
         owner_cid = overlay.closest_node(key).cid

@@ -95,7 +95,7 @@ class TestChurnStorm:
         r = random.Random(8)
         for cid in _all_ids(4)[::2]:
             overlay.store("storm", cid, overlay.linearize(cid))
-        total = sum(overlay.directory_sizes("storm"))
+        total = sum(n.directory_size("storm") for n in overlay.nodes())
         departed: list[CycloidId] = []
         for step in range(120):
             if (r.random() < 0.5 or not departed) and overlay.num_nodes > 8:
@@ -106,7 +106,7 @@ class TestChurnStorm:
                 overlay.join(departed.pop(r.randrange(len(departed))))
             if step % 25 == 0:
                 overlay.stabilize_all()
-        assert sum(overlay.directory_sizes("storm")) == total
+        assert sum(n.directory_size("storm") for n in overlay.nodes()) == total
         overlay.check_invariants()
         live = overlay.node_ids
         for _ in range(150):

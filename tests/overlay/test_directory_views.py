@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.resource import AttributeConstraint, ResourceInfo, select_matches
 from repro.overlay.node import OverlayNode
+from repro.sim.durability import successor_replication
 from tests.overlay.test_overlay_contract import OVERLAY_CLASSES, make_overlay
 
 NS = "dir"
@@ -162,7 +163,7 @@ class TestOverlayWritesLandOnViewedNodes:
             assert filtered_census(overlay) == want
 
     def test_repair_after_crash(self, cls):
-        overlay = make_overlay(cls, full=True, replication=2)
+        overlay = make_overlay(cls, full=True, durability=successor_replication(2))
         infos = load(overlay)
         want = Counter(i for i in infos if 5.0 <= i.value <= 15.0)
         doubled = Counter({item: 2 * count for item, count in want.items()})

@@ -263,7 +263,8 @@ class TestWalkTruncation:
         assert overlay.network.stats.walk_truncations == before + 1
 
     def test_walk_result_is_a_list(self):
-        walk = WalkResult(["a", "b"], truncated=True, reason="test", retries=2)
+        walk = WalkResult(["a", "b"])
+        walk.truncated, walk.reason, walk.retries = True, "test", 2
         assert list(walk) == ["a", "b"]
         assert len(walk) == 2
         assert walk.truncated

@@ -22,6 +22,7 @@ from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
+from repro.sim.durability import successor_replication
 from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
 
 OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
@@ -183,7 +184,7 @@ class TestTracedEqualsUntraced:
 @pytest.mark.parametrize("cls", OVERLAY_CLASSES)
 class TestStorageAndRepair:
     def test_store_places_on_the_replica_set(self, cls):
-        overlay = make_overlay(cls, replication=3)
+        overlay = make_overlay(cls, durability=successor_replication(3))
         key = native_key(overlay, random.Random(3))
         owner = overlay.store("ns", key, "item")
         key_id = overlay.key_id(key)
@@ -193,20 +194,22 @@ class TestStorageAndRepair:
         for holder in replicas:
             assert holder.items_at("ns", key_id) == ["item"]
         assert overlay.discard("ns", key, "item") == len(replicas)
-        assert sum(overlay.directory_sizes("ns")) == 0
+        assert sum(n.directory_size("ns") for n in overlay.nodes()) == 0
 
     def test_routed_store_matches_oracle_placement(self, cls):
-        oracle, routed = (make_overlay(cls, replication=2) for _ in range(2))
+        oracle, routed = (make_overlay(cls, durability=successor_replication(2)) for _ in range(2))
         rng = random.Random(5)
         for i in range(20):
             key = native_key(oracle, rng)
             oracle.store("ns", key, i)
             result = routed.routed_store(next(iter(routed.nodes())), "ns", key, i)
             assert result.owner.uid == oracle.owner_of(oracle.key_id(key)).uid
-        assert routed.directory_sizes("ns") == oracle.directory_sizes("ns")
+        assert [n.directory_size("ns") for n in routed.nodes()] == [
+            n.directory_size("ns") for n in oracle.nodes()
+        ]
 
     def test_repair_leaves_every_bucket_exactly_on_its_replica_set(self, cls):
-        overlay = make_overlay(cls, replication=3)
+        overlay = make_overlay(cls, durability=successor_replication(3))
         rng = random.Random(9)
         for i in range(60):
             overlay.store("ns", native_key(overlay, rng), f"v{i}")

@@ -18,11 +18,12 @@ import pytest
 
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.sim.durability import successor_replication
 
 
 class TestChordReplication:
     def make_ring(self, replication: int) -> ChordRing:
-        ring = ChordRing(6, replication=replication)
+        ring = ChordRing(6, durability=successor_replication(replication))
         ring.build_full()
         return ring
 
@@ -39,15 +40,18 @@ class TestChordReplication:
 
     def test_invalid_replication_rejected(self):
         with pytest.raises(ValueError):
-            ChordRing(6, replication=0)
+            ChordRing(6, durability=successor_replication(0))
+        # Replicas live on the successor list: at most 4 + 1 copies.
+        assert ChordRing.successor_list_len == 4
+        ChordRing(6, durability=successor_replication(5))
         with pytest.raises(ValueError):
-            ChordRing(6, successor_list_len=2, replication=4)
+            ChordRing(6, durability=successor_replication(6))
 
     def test_crash_without_replication_loses_keys(self):
         ring = self.make_ring(1)
         ring.store("ns", 20, "doomed")
         ring.fail(20)
-        assert sum(ring.directory_sizes("ns")) == 0
+        assert sum(n.directory_size("ns") for n in ring.nodes()) == 0
 
     def test_crash_with_replication_preserves_reads(self):
         ring = self.make_ring(2)
@@ -86,7 +90,7 @@ class TestChordReplication:
         ring.store("ns", 30, "once")
         ring.leave(30)  # successor already held the replica
         ring.repair_replication()
-        total = sum(ring.directory_sizes("ns"))
+        total = sum(n.directory_size("ns") for n in ring.nodes())
         assert total == 2  # exactly the replica count
 
     def test_lookup_correct_after_crashes_before_stabilize(self):
@@ -102,7 +106,7 @@ class TestChordReplication:
 
 class TestCycloidReplication:
     def make_overlay(self, replication: int) -> CycloidOverlay:
-        overlay = CycloidOverlay(4, replication=replication)
+        overlay = CycloidOverlay(4, durability=successor_replication(replication))
         overlay.build_full()
         return overlay
 
@@ -115,23 +119,23 @@ class TestCycloidReplication:
         assert replicas[0] is overlay.closest_node(key)
 
     def test_replica_set_capped_by_cluster_size(self):
-        overlay = CycloidOverlay(4, replication=3)
+        overlay = CycloidOverlay(4, durability=successor_replication(3))
         overlay.build([CycloidId(0, 1), CycloidId(2, 1), CycloidId(0, 9)])
         replicas = overlay.replica_set_of(overlay.key_id(CycloidId(0, 1)))
         assert len(replicas) == 2  # cluster 1 only has two members
 
     def test_invalid_replication_rejected(self):
         with pytest.raises(ValueError):
-            CycloidOverlay(4, replication=0)
+            CycloidOverlay(4, durability=successor_replication(0))
         with pytest.raises(ValueError):
-            CycloidOverlay(4, replication=5)
+            CycloidOverlay(4, durability=successor_replication(5))
 
     def test_crash_without_replication_loses_keys(self):
         overlay = self.make_overlay(1)
         key = CycloidId(2, 7)
         overlay.store("ns", key, "doomed")
         overlay.fail(key)
-        assert sum(overlay.directory_sizes("ns")) == 0
+        assert sum(n.directory_size("ns") for n in overlay.nodes()) == 0
 
     def test_crash_with_replication_preserves_reads(self):
         overlay = self.make_overlay(2)

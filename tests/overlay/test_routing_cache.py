@@ -42,6 +42,7 @@ from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
+from repro.sim.durability import successor_replication
 from repro.sim.invariants import directory_layout
 from repro.workloads.attributes import AttributeSchema
 
@@ -450,13 +451,15 @@ _SCHEMA = AttributeSchema.synthetic(6)
 
 
 def _chord_service(replication: int, routing_cache: bool) -> MaanService:
-    ring = ChordRing(7, replication=replication, routing_cache=routing_cache)
+    ring = ChordRing(7, durability=successor_replication(replication), routing_cache=routing_cache)
     ring.build(random.Random(11).sample(range(128), 48))
     return MaanService(ring, _SCHEMA, seed=3)
 
 
 def _cycloid_service(replication: int, routing_cache: bool) -> LormService:
-    overlay = CycloidOverlay(4, replication=replication, routing_cache=routing_cache)
+    overlay = CycloidOverlay(
+        4, durability=successor_replication(replication), routing_cache=routing_cache
+    )
     all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
     overlay.build(random.Random(5).sample(all_ids, 48))
     return LormService(overlay, _SCHEMA, seed=3)

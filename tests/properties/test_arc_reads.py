@@ -26,6 +26,7 @@ from repro.baselines.mercury import MercuryService
 from repro.core.resource import AttributeConstraint, Query, ResourceInfo
 from repro.overlay.chord import ChordRing
 from repro.overlay.singlehop import SingleHopRing
+from repro.sim.durability import successor_replication
 from repro.workloads.attributes import AttributeSchema
 
 SCHEMA = AttributeSchema.synthetic(3)
@@ -111,7 +112,7 @@ def check_query(service, query: Query, start) -> None:
     ops=st.lists(op_st, max_size=30),
 )
 def test_arc_reads_equal_per_node_reads(service_cls, replication, ring_cls, members, ops):
-    ring = ring_cls(BITS, replication=replication)
+    ring = ring_cls(BITS, durability=successor_replication(replication))
     ring.build(members)
     service = service_cls(ring, SCHEMA, seed=0)
     registered: list[ResourceInfo] = []

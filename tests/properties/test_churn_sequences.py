@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.baselines.mercury import MercuryService
 from repro.core.lorm import LormService
 from repro.core.resource import ResourceInfo
+from repro.sim.durability import successor_replication
 from repro.workloads.attributes import AttributeSchema
 
 SCHEMA = AttributeSchema.synthetic(4)
@@ -66,7 +67,9 @@ class TestChordChurnSequences:
     @slow
     @given(ops=op_sequences, seed=st.integers(0, 1 << 20))
     def test_ring_routable_and_replicas_restored(self, ops, seed):
-        service = MercuryService.build(6, 40, SCHEMA, seed=seed, replication=2)
+        service = MercuryService.build(
+            6, 40, SCHEMA, seed=seed, durability=successor_replication(2)
+        )
         _register_some(service)
         for op in ops:
             _apply(service, op)
@@ -91,7 +94,7 @@ class TestCycloidChurnSequences:
     @slow
     @given(ops=op_sequences, seed=st.integers(0, 1 << 20))
     def test_overlay_routable_and_replicas_restored(self, ops, seed):
-        service = LormService.build_full(3, SCHEMA, seed=seed, replication=2)
+        service = LormService.build_full(3, SCHEMA, seed=seed, durability=successor_replication(2))
         _register_some(service)
         for op in ops:
             _apply(service, op)

@@ -61,7 +61,7 @@ class TestChordProperties:
         )
         for _ in range(leaves):
             ring.leave(ring.node_ids[0])
-        assert sum(ring.directory_sizes("ns")) == len(keys)
+        assert sum(n.directory_size("ns") for n in ring.nodes()) == len(keys)
         for key in keys:
             assert key in ring.successor_of(key).items_at("ns", key)
 
@@ -115,7 +115,7 @@ class TestCycloidProperties:
             overlay.store("ns", key, str(key))
         for _ in range(min(leave_count, overlay.num_nodes - 1)):
             overlay.leave(overlay.node_ids[0])
-        assert sum(overlay.directory_sizes("ns")) == len(keys)
+        assert sum(n.directory_size("ns") for n in overlay.nodes()) == len(keys)
         for key in keys:
             owner = overlay.closest_node(key)
             assert str(key) in owner.items_at("ns", overlay.linearize(key))

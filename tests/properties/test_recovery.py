@@ -58,7 +58,7 @@ def _stormed_ring(keys, crash_seq, policy=None) -> ChordRing:
     then strikes a ring repaired into that policy's placement).
     """
     ring = (
-        ChordRing(6, replication=2)
+        ChordRing(6, durability=successor_replication(2))
         if policy is None
         else ChordRing(6, durability=policy)
     )

@@ -16,6 +16,7 @@ from repro.sim.chaos import (
     network_ids_of,
     slow_victims,
 )
+from repro.sim.durability import successor_replication
 from repro.sim.engine import Simulator
 from repro.sim.faults import FaultInjector, FaultPlan
 
@@ -78,7 +79,7 @@ class TestChaosScenario:
         assert scenario.horizon() == 0.0
 
     def _service(self, schema) -> MercuryService:
-        return MercuryService.build(6, 24, schema, seed=11, replication=2)
+        return MercuryService.build(6, 24, schema, seed=11, durability=successor_replication(2))
 
     def test_install_schedules_every_declared_event(self, schema):
         service = self._service(schema)

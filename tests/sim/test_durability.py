@@ -26,7 +26,7 @@ from repro.sim.recovery import replica_deficit
 
 def _loaded_ring(policy=None, replication: int = 2) -> ChordRing:
     if policy is None:
-        ring = ChordRing(6, replication=replication)
+        ring = ChordRing(6, durability=successor_replication(replication))
     else:
         ring = ChordRing(6, durability=policy)
     ring.build_full()
@@ -109,9 +109,10 @@ class TestParsePolicy:
 
 class TestDefaultPolicyByteIdentity:
     def test_chord_replica_sets_unchanged(self):
-        legacy = ChordRing(6, replication=2)
+        # No policy is the paper's model: one copy, on the owner.
+        legacy = ChordRing(6)
         legacy.build_full()
-        explicit = ChordRing(6, durability=successor_replication(2))
+        explicit = ChordRing(6, durability=successor_replication(1))
         explicit.build_full()
         for key in range(64):
             assert [n.node_id for n in legacy.replica_set_of(legacy.key_id(key))] == [
@@ -119,9 +120,9 @@ class TestDefaultPolicyByteIdentity:
             ]
 
     def test_cycloid_replica_sets_unchanged(self):
-        legacy = CycloidOverlay(3, replication=2)
+        legacy = CycloidOverlay(3)
         legacy.build_full()
-        explicit = CycloidOverlay(3, durability=successor_replication(2))
+        explicit = CycloidOverlay(3, durability=successor_replication(1))
         explicit.build_full()
         for key_id in range(legacy.capacity):
             key = legacy.delinearize(key_id)

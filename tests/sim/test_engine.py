@@ -85,13 +85,6 @@ class TestRunModes:
             sim.schedule_at(float(i), lambda: None)
         assert sim.run() == 5
 
-    def test_run_max_events(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule_at(float(i), lambda: None)
-        assert sim.run(max_events=2) == 2
-        assert sim.run() == 3
-
     def test_run_until_stops_at_boundary(self):
         sim = Simulator()
         fired = []

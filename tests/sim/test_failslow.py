@@ -77,12 +77,12 @@ class TestBackoffOverflowRegression:
     def test_huge_round_index_stays_finite(self):
         # Uncapped ``base * factor**(k-1)`` overflows to inf around
         # round 1100 and one inf poisons every backoff_seconds total.
-        policy = LookupPolicy(backoff_base=0.05, backoff_factor=2.0)
+        policy = LookupPolicy(backoff_base=0.05)
         assert math.isfinite(policy.backoff_for(1024))
         assert math.isfinite(policy.backoff_for(10**6))
 
     def test_cap_freezes_the_schedule(self):
-        policy = LookupPolicy(backoff_base=0.05, backoff_factor=2.0)
+        policy = LookupPolicy(backoff_base=0.05)
         capped = policy.backoff_for(policy._BACKOFF_EXPONENT_CAP + 1)
         assert policy.backoff_for(10**9) == capped
 

@@ -51,14 +51,10 @@ def test_chaos_scenario_fields():
 def test_lookup_policy_fields():
     assert _fields(LookupPolicy) == (
         "max_retries",
-        "timeout",
         "backoff_base",
-        "backoff_factor",
-        "successor_failover",
-        "finger_fallback",
+        "failover",
         "adaptive_timeout",
         "hedge",
-        "hedge_quantile",
     )
 
 

@@ -136,16 +136,15 @@ class TestFaultInjector:
 class TestLookupPolicy:
     def test_defaults(self):
         assert DEFAULT_POLICY.max_retries == 2
-        assert DEFAULT_POLICY.successor_failover
-        assert DEFAULT_POLICY.finger_fallback
+        assert DEFAULT_POLICY.failover
+        assert (DEFAULT_POLICY.timeout, DEFAULT_POLICY.backoff_factor) == (0.5, 2.0)
 
     def test_no_retry_policy_is_brittle(self):
         assert NO_RETRY_POLICY.max_retries == 0
-        assert not NO_RETRY_POLICY.successor_failover
-        assert not NO_RETRY_POLICY.finger_fallback
+        assert not NO_RETRY_POLICY.failover
 
     def test_backoff_schedule(self):
-        policy = LookupPolicy(backoff_base=0.1, backoff_factor=2.0)
+        policy = LookupPolicy(backoff_base=0.1)
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(2) == pytest.approx(0.2)
         assert policy.backoff_for(3) == pytest.approx(0.4)
@@ -154,9 +153,7 @@ class TestLookupPolicy:
         with pytest.raises(ValueError):
             LookupPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            LookupPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            LookupPolicy(backoff_factor=0.5)
+            LookupPolicy(backoff_base=-0.1)
 
 
 class TestDeliverFirst:

@@ -10,6 +10,7 @@ from repro.baselines.mercury import MercuryService
 from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.sim.durability import successor_replication
 from repro.sim.invariants import (
     InvariantViolation,
     check_overlay,
@@ -22,7 +23,7 @@ from repro.testing.differential import run_check
 
 
 def _small_ring(replication: int = 1) -> ChordRing:
-    ring = ChordRing(5, replication=replication)
+    ring = ChordRing(5, durability=successor_replication(replication))
     ring.build([1, 9, 17, 25])
     return ring
 
@@ -101,7 +102,7 @@ class TestReplicaPlacement:
 class TestChurnGuard:
     def _service(self, schema, workload, *, replication: int = 2):
         service = MercuryService.build(
-            6, 24, schema, seed=11, replication=replication
+            6, 24, schema, seed=11, durability=successor_replication(replication)
         )
         for info in workload.resource_infos():
             service.register(info, routed=False)
@@ -179,7 +180,7 @@ class TestHoldersMemoIsPoliced:
             check_replica_placement(ring)
 
     def test_guard_raises_on_join_register_leave(self, flush_lost, schema, workload):
-        service = MercuryService.build(6, 24, schema, seed=11, replication=2)
+        service = MercuryService.build(6, 24, schema, seed=11, durability=successor_replication(2))
         infos = list(workload.resource_infos())
         service.register_all(infos[::2], routed=False)
         install_churn_guards(service)
@@ -205,7 +206,7 @@ class TestHoldersMemoIsPoliced:
 
 class TestCycloidConservation:
     def test_leave_and_rejoin_conserve_census(self):
-        overlay = CycloidOverlay(3, replication=2)
+        overlay = CycloidOverlay(3, durability=successor_replication(2))
         overlay.build_full()
         key = CycloidId(1, 2)
         owner = overlay.closest_node(key)

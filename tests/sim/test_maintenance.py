@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines.mercury import MercuryService
 from repro.overlay.chord import ChordRing
+from repro.sim.durability import successor_replication
 from repro.sim.engine import Simulator
 from repro.sim.invariants import (
     check_overlay,
@@ -29,7 +30,7 @@ from repro.sim.recovery import replica_deficit
 
 
 def _loaded_ring(replication: int = 2) -> ChordRing:
-    ring = ChordRing(6, replication=replication)
+    ring = ChordRing(6, durability=successor_replication(replication))
     ring.build_full()
     for key in range(0, 64, 4):
         ring.store("ns", key, f"v{key}")
@@ -193,7 +194,7 @@ class TestMaintenanceRound:
 
 class TestMaintenanceScheduler:
     def _service(self, schema, workload) -> MercuryService:
-        service = MercuryService.build(6, 24, schema, seed=11, replication=2)
+        service = MercuryService.build(6, 24, schema, seed=11, durability=successor_replication(2))
         for info in workload.resource_infos():
             service.register(info, routed=False)
         return service

