@@ -25,23 +25,13 @@ class AnalysisCurve:
     name: str
     x: tuple[float, ...]
     y: tuple[float, ...]
-    derived_from: str | None = None
-    factor: float | None = None
 
     def __post_init__(self) -> None:
         require(len(self.x) == len(self.y), f"{self.name}: x/y length mismatch")
 
 
-def derive_curve(
-    name: str,
-    reference: AnalysisCurve,
-    *,
-    divide_by: float | None = None,
-    multiply_by: float | None = None,
-) -> AnalysisCurve:
-    """Scale a measured reference series by a theorem's factor.
-
-    Exactly one of ``divide_by`` / ``multiply_by`` must be given.
+def derive_curve(name: str, reference: AnalysisCurve, *, divide_by: float) -> AnalysisCurve:
+    """Divide a measured reference series by a theorem's factor.
 
     Examples
     --------
@@ -49,21 +39,11 @@ def derive_curve(
     >>> derive_curve("Analysis>LORM", mercury, divide_by=200.0).y
     (1.0, 2.0)
     """
-    require(
-        (divide_by is None) != (multiply_by is None),
-        "give exactly one of divide_by / multiply_by",
-    )
-    if divide_by is not None:
-        require(divide_by != 0, "cannot divide by zero")
-        factor = 1.0 / divide_by
-    else:
-        assert multiply_by is not None
-        factor = multiply_by
+    require(divide_by != 0, "cannot divide by zero")
+    # Multiplying by the reciprocal, not dividing: the committed curves
+    # were computed this way, and the two can differ in the last ulp.
+    factor = 1.0 / divide_by
     return AnalysisCurve(
-        name=name,
-        x=reference.x,
-        y=tuple(v * factor for v in reference.y),
-        derived_from=reference.name,
-        factor=factor,
+        name=name, x=reference.x, y=tuple(v * factor for v in reference.y)
     )
 

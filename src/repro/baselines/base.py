@@ -420,7 +420,6 @@ class DiscoveryService(ABC):
                         q.constraint,
                     )
             visited += len(nodes)
-            network.count_directory_check(len(nodes))
             if stats is not None:
                 stats.record_serves((node.uid for node in nodes), q.attribute)
                 stats.record_route_path(lookup.path)
@@ -477,8 +476,6 @@ class DiscoveryService(ABC):
             "multi_query.total_visited", sum(r.visited_nodes for r in sub_results),
         )
         result = MultiQueryResult(providers=providers, sub_results=sub_results)
-        if not result.complete:
-            self.metrics.incr("multi_query.incomplete")
         if result.retries:
             self.metrics.record("multi_query.retries", result.retries)
         if self._latency_net is not None:
@@ -606,14 +603,14 @@ class DiscoveryService(ABC):
         replication factor."""
         return self._churn_depart(self.overlay.fail)
 
-    def stabilize(self, budget: Any | None = None) -> Any:
+    def stabilize(self, budget: Any | None = None) -> int | None:
         """One periodic stabilization round.
 
         ``budget=None`` is the seed behaviour — a global sweep bringing
         every node's routing state up to date.  A :class:`~repro.sim.maintenance.
         MaintenanceBudget` instead spends one bounded maintenance round
-        (stabilize / refresh / replica-repair caps) and returns its
-        :class:`~repro.sim.maintenance.MaintenanceReport`.
+        (stabilize / refresh / replica-repair caps) and returns the number
+        of replica copies it moved.
         """
         if budget is None:
             self.overlay.stabilize_all()

@@ -216,7 +216,6 @@ class PointerMercuryService(MercuryService):
                             break
 
         self.ring.network.count_hop(len(walk) - 1)
-        self.ring.network.count_directory_check(len(walk))
         return self._result(
             tuple(matches), hops, len(walk), complete, retries, walk.timed_out
         )

@@ -36,6 +36,7 @@ import sys
 import time
 from collections.abc import Sequence
 from functools import partial
+from pathlib import Path
 
 from repro.experiments.common import SYSTEM_NAMES, resolve_overlay, resolve_systems
 from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
@@ -135,6 +136,27 @@ def _require_seed(seed: int | None) -> None:
     require(seed is None or seed >= 0, f"--seed must be >= 0, got {seed}")
 
 
+def _require_out_dir(out: str | None) -> None:
+    """``--out`` of a command that writes a directory: the path, or the
+    nearest part of it that exists, must be a directory."""
+    if out is None:
+        return
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    require(existing.is_dir(),
+            f"--out must name a directory, but {str(existing)!r} is a file")
+
+
+def _require_out_file(out: str | None) -> None:
+    """``--out`` of a command that writes one file: not a directory, and
+    in a directory that exists."""
+    if out is None:
+        return
+    require(not os.path.isdir(out), f"--out must name a file, got directory {out!r}")
+    parent = os.path.dirname(out) or "."
+    require(os.path.isdir(parent), f"--out's directory {parent!r} does not exist")
+
+
 def _cmd_run(args: argparse.Namespace, row: Run | None = None) -> int:
     """Config, resolve, run, render, verdict word, save, exit code.
 
@@ -156,6 +178,7 @@ def _cmd_run(args: argparse.Namespace, row: Run | None = None) -> int:
             fed.append((flag, value))
     try:
         _require_seed(args.seed)
+        _require_out_dir(args.out)
         config = _SCALES[args.scale].scaled(**overrides)
         resolved = [(f.to, f.resolve(config, v) if f.resolve else v) for f, v in fed]
     except ValueError as exc:
@@ -208,6 +231,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         require(1 <= args.attributes <= schema_size,
                 f"--attributes must be in [1, {schema_size}], got {args.attributes}")
         require(args.fanout >= 1, f"--fanout must be >= 1, got {args.fanout}")
+        require(overlay != "cycloid" or args.system == "lorm",
+                f"--overlay cycloid is LORM-native; {args.system} runs on ring "
+                "substrates only (chord, singlehop, record)")
+        _require_out_file(args.out)
     except ValueError as exc:
         args.subparser.error(str(exc))
     started = time.perf_counter()

@@ -103,7 +103,6 @@ class DynamicReplicator:
         #: Lifetime counters (reported by the experiment).
         self.copies_sent = 0
         self.replicas_created = 0
-        self.replicas_dropped = 0
 
     # ------------------------------------------------------------------
     # Observation and placement
@@ -173,7 +172,6 @@ class DynamicReplicator:
         dropped = self._drop_decayed()
         self.copies_sent += sent
         self.replicas_created += created
-        self.replicas_dropped += dropped
         return {"copies": sent, "created": created, "dropped": dropped}
 
     def _drop_decayed(self) -> int:

@@ -54,9 +54,8 @@ class RefreshManager:
     ttl: float
     #: (provider, attribute) -> current lease.
     _leases: dict[tuple[str, str], Lease] = field(default_factory=dict, repr=False)
-    #: Monotone counters for tests/telemetry.
+    #: Monotone counters (reported by the staleness experiment).
     renewals: int = 0
-    replacements: int = 0
     expirations: int = 0
 
     def __post_init__(self) -> None:
@@ -78,7 +77,6 @@ class RefreshManager:
         elif existing.info.value != info.value:
             self.service.deregister(existing.info)
             self.service.register(info, routed=False)
-            self.replacements += 1
         else:
             self.renewals += 1
         self._leases[key] = Lease(info=info, expires_at=now + self.ttl)

@@ -24,7 +24,7 @@ from repro.experiments.report import FigureResult
 from repro.sim.durability import successor_replication
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.invariants import overlay_of
-from repro.sim.network import publish_stats
+from repro.sim.network import MessageStats
 from repro.utils.seeding import SeedFactory
 
 __all__ = ["run_availability", "measure_completeness"]
@@ -42,17 +42,10 @@ def measure_completeness(
 
     Attaches ``injector`` to the service (under its own lookup policy) for
     the duration of the measurement and always detaches it afterwards, so
-    the service comes back fault-free.  The requester-side fault accounting
-    the measurement produced — retries, timeouts, dropped messages,
-    backoff waits — is published into ``service.metrics`` as ``faults.*``
-    counters (one measurement window per call), so the report tables can
-    show what the lookup policy paid instead of leaving it trapped in the
-    network's :class:`~repro.sim.network.MessageStats`.
+    the service comes back fault-free.
     """
     if not cases:
         return 1.0
-    overlay = overlay_of(service)
-    before = overlay.network.stats.snapshot()
     service.configure_faults(injector)
     try:
         exact = sum(
@@ -61,7 +54,6 @@ def measure_completeness(
         )
     finally:
         service.configure_faults(None)
-        publish_stats(overlay.network.stats.delta_since(before), service.metrics)
     return exact / len(cases)
 
 
@@ -97,7 +89,7 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
         y_label="Fraction of exactly-answered queries",
     )
     crashes = None
-    bundle = None
+    spend: dict[str, MessageStats] = {}
     for replication in config.availability_replications:
         bundle = build_services(
             config, register=True, seed_offset=replication,
@@ -105,7 +97,10 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
         )
         crashes = _crash_storm(bundle, config)
         cases = query_cases(bundle, config.num_availability_queries, "availability")
+        spend.clear()
         for service in bundle.all():
+            stats = overlay_of(service).network.stats
+            before = stats.snapshot()
             completeness = []
             for loss in config.loss_rates:
                 plan = FaultPlan(
@@ -117,6 +112,9 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
                 completeness.append(
                     measure_completeness(service, cases, FaultInjector(plan))
                 )
+            # Only the loss windows run between the snapshots, so the
+            # delta is the requester's fault spend across them.
+            spend[service.name] = stats.delta_since(before)
             result.add(
                 AnalysisCurve(
                     name=f"{service.name} r={replication}",
@@ -135,15 +133,14 @@ def run_availability(config: ExperimentConfig) -> FigureResult:
         "killed by message loss (retry/failover axis).  Loss 0 runs the "
         "fault-free code path."
     )
-    if bundle is not None:
-        spend = "; ".join(
-            f"{service.name}: {service.metrics.counter('faults.retries'):.0f} "
-            f"retries, {service.metrics.counter('faults.timeouts'):.0f} timeouts, "
-            f"{service.metrics.counter('faults.dropped'):.0f} drops"
-            for service in bundle.all()
+    if spend:
+        spent = "; ".join(
+            f"{name}: {delta.retries} retries, {delta.timeouts} timeouts, "
+            f"{delta.dropped} drops"
+            for name, delta in spend.items()
         )
         result.notes.append(
             f"requester fault spend across the r={replication} sweep "
-            f"(faults.* counters): {spend}."
+            f"(faults.* counters): {spent}."
         )
     return result

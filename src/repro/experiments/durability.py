@@ -160,7 +160,6 @@ def run_durability(
                     scheduler=scheduler,
                 )
                 after = _census_size(service, policy)
-                copies = sum(r.copies_moved for _, r in scheduler.reports)
                 timeline = tracker.availability_timeline()
                 result.cells.append(DurabilityCell(
                     system=name,
@@ -172,8 +171,8 @@ def run_durability(
                     deficit_area=tracker.deficit_area(),
                     min_availability=min(a for _, a in timeline),
                     final_availability=timeline[-1][1],
-                    repair_copies=copies,
-                    repair_bandwidth=copies * policy.fragment_weight,
+                    repair_copies=scheduler.copies_moved,
+                    repair_bandwidth=scheduler.copies_moved * policy.fragment_weight,
                     storage_overhead=policy.storage_overhead,
                     recovered=tracker.reconverged,
                 ))

@@ -66,7 +66,7 @@ def _analysis_curve(
         num_queries * theorems.thm49_visited_nodes_avg(approach, n, d, int(m))
         for m in xs
     )
-    return AnalysisCurve(name, xs, ys, derived_from="Theorem 4.9")
+    return AnalysisCurve(name, xs, ys)
 
 
 def run_fig5(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:

@@ -46,7 +46,6 @@ class ChurnTrialResult(dict):
     ``{approach: (mean point-query hops, mean range-query visited)}``."""
 
     failures: int = 0
-    churn_events: int = 0
 
 
 def run_churn_trial(config: ExperimentConfig, rate: float) -> ChurnTrialResult:
@@ -63,7 +62,6 @@ def run_churn_trial(config: ExperimentConfig, rate: float) -> ChurnTrialResult:
     seeds = SeedFactory(config.seed).fork(f"fig6:{rate}")
     result = ChurnTrialResult()
     total_failures = 0
-    total_churn_events = 0
 
     num_queries = config.num_churn_requests
     horizon = num_queries / QUERY_RATE
@@ -84,7 +82,7 @@ def run_churn_trial(config: ExperimentConfig, rate: float) -> ChurnTrialResult:
         sim = Simulator()
 
         churn = ChurnProcess(rate=rate, rng=seeds.numpy(f"churn:{service.name}"))
-        total_churn_events += churn.install(
+        churn.install(
             sim,
             horizon,
             on_join=service.churn_join,
@@ -132,7 +130,6 @@ def run_churn_trial(config: ExperimentConfig, rate: float) -> ChurnTrialResult:
         )
 
     result.failures = total_failures
-    result.churn_events = total_churn_events
     return result
 
 
@@ -161,8 +158,7 @@ def run_fig6(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:
     ):
         level = theorems.nonrange_query_hops_avg(approach, n, d, mq)
         panel_a.add(
-            AnalysisCurve(name, rates, tuple(level for _ in rates),
-                          derived_from="Theorems 4.7/4.8")
+            AnalysisCurve(name, rates, tuple(level for _ in rates))
         )
     if total_failures == 0:
         panel_a.notes.append(
@@ -192,8 +188,7 @@ def run_fig6(config: ExperimentConfig) -> tuple[FigureResult, FigureResult]:
     ):
         level = theorems.thm49_visited_nodes_avg(approach, n, d, mq)
         panel_b.add(
-            AnalysisCurve(name, rates, tuple(level for _ in rates),
-                          derived_from="Theorem 4.9")
+            AnalysisCurve(name, rates, tuple(level for _ in rates))
         )
     panel_b.notes.append(
         "Mercury and MAAN (and their analyses) overlap, as in the paper"

@@ -68,10 +68,6 @@ REQUIRED_CUT = 2.0
 #: Attributes per measured query.
 QUERY_ATTRIBUTES = 2
 
-#: Value-level Zipf exponent (0 = uniform values: the sweep skews
-#: attribute popularity only).
-VALUE_S = 0.0
-
 
 @dataclass(frozen=True)
 class HotspotCell:
@@ -200,7 +196,7 @@ def _skewed_workload(config: ExperimentConfig, s: float) -> GridWorkload:
         infos_per_attribute=config.infos_per_attribute,
         seed=config.seed,
         mean_span_fraction=config.mean_span_fraction,
-        popularity=ZipfPopularity(s=s, value_s=VALUE_S, seed=config.seed),
+        popularity=ZipfPopularity(s=s, seed=config.seed),
     )
 
 

@@ -19,7 +19,7 @@ from repro.analysis.models import AnalysisCurve
 from repro.experiments.common import SYSTEM_NAMES, build_services
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import FigureResult
-from repro.sim.latency import ConstantLatency, critical_path_latency
+from repro.sim.latency import ConstantLatency
 from repro.workloads.generator import QueryKind
 
 __all__ = ["run_latency"]
@@ -29,9 +29,11 @@ def run_latency(config: ExperimentConfig) -> FigureResult:
     """Mean simulated response latency of range queries vs attribute count."""
     bundle = build_services(config)
     bundle.set_collect_matches(False)
-    # Under a constant model critical_path_latency is exactly
-    # ``latency_hops × hop_latency``.
+    # Fault-free, each sub-query's measured latency is exactly
+    # ``hops × hop_latency``.
     model = ConstantLatency(bundle.lorm.overlay.network.hop_latency)
+    for service in bundle.all():
+        service.configure_latency(model)
 
     xs = tuple(float(m) for m in range(1, config.max_query_attributes + 1))
     mean_latency: dict[str, list[float]] = {name: [] for name in SYSTEM_NAMES}
@@ -47,10 +49,7 @@ def run_latency(config: ExperimentConfig) -> FigureResult:
         for service in bundle.all():
             # Sub-queries run in parallel; a sub-query's own hops (routing
             # plus any sequential range-walk forwarding) are serial.
-            samples = [
-                critical_path_latency(service.multi_query(q), model)
-                for q in queries
-            ]
+            samples = [service.multi_query(q).latency for q in queries]
             mean_latency[service.name].append(float(np.mean(samples)))
 
     result = FigureResult(

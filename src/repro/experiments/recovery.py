@@ -41,7 +41,6 @@ from repro.sim.maintenance import (
     MaintenanceBudget,
     MaintenanceScheduler,
 )
-from repro.sim.network import publish_stats
 from repro.sim.recovery import RecoveryTracker
 from repro.utils.formatting import render_table
 from repro.utils.seeding import SeedFactory
@@ -107,8 +106,8 @@ def chaos_trial(
     experiment uses, since a policy that genuinely lost pieces can still
     heal its redundancy.  A caller-supplied ``scheduler`` (budget and
     interval pre-bound; this function installs it) lets the caller read
-    ``scheduler.reports`` afterwards — the per-round repair accounting
-    behind the durability experiment's bandwidth column.
+    ``scheduler.copies_moved`` afterwards — the repair traffic behind the
+    durability experiment's bandwidth column.
     """
     sim = Simulator()
     injector = FaultInjector(FaultPlan(seed=injector_seed))
@@ -227,9 +226,6 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
                 injector_seed=config.seed,
             )
             into[service.name] = tracker
-            # Surface the requester-side fault accounting (satellite:
-            # retries/timeouts otherwise stay trapped in MessageStats).
-            publish_stats(tracker.overlay.network.stats, service.metrics)
             if budget is DEFAULT_BUDGET:
                 timeline = tracker.availability_timeline()
                 figure.add(AnalysisCurve(

@@ -21,9 +21,6 @@ class ConsistentHash:
     """SHA-1 based uniform hash into an ``bits``-wide ID space.
 
     Deterministic across processes and platforms (unlike built-in ``hash``).
-    An optional ``salt`` derives independent hash functions from the same
-    family, used when one experiment needs several uncorrelated mappings
-    (e.g. MAAN's attribute map vs. SWORD's).
 
     Examples
     --------
@@ -35,7 +32,6 @@ class ConsistentHash:
     """
 
     bits: int
-    salt: str = ""
     _space: IdSpace = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -50,7 +46,7 @@ class ConsistentHash:
         """Hash ``key`` to an integer in ``[0, 2**bits)``."""
         if isinstance(key, str):
             key = key.encode("utf-8")
-        digest = hashlib.sha1(self.salt.encode("utf-8") + key).digest()
+        digest = hashlib.sha1(key).digest()
         # SHA-1 gives 160 bits; take the top `bits` of them.
         value = int.from_bytes(digest, "big")
         return value >> (160 - self.bits)

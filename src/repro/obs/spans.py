@@ -134,7 +134,7 @@ class QueryTracer:
     ----------
     max_traces:
         Retained completed+active trace cap; the oldest trace is dropped
-        (and counted in :attr:`dropped`) when exceeded.
+        when exceeded.
     """
 
     def __init__(self, *, max_traces: int = 256) -> None:
@@ -142,8 +142,6 @@ class QueryTracer:
         self._ticks = 0
         self.max_traces = max_traces
         self.traces: list[QueryTrace] = []
-        #: Traces evicted because :attr:`max_traces` was exceeded.
-        self.dropped = 0
         self._stack: list[Span] = []
         self._next_span_id = 0
         self._next_trace_id = 0
@@ -178,7 +176,6 @@ class QueryTracer:
             self._next_trace_id += 1
             if len(self.traces) > self.max_traces:
                 del self.traces[0]
-                self.dropped += 1
         self._stack.append(span)
         return span
 

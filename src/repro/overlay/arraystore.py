@@ -106,7 +106,6 @@ class CompactChordRing:
         #: Maintenance-message accounting (same formulas as the object
         #: ring's ``count_maintenance`` call sites).
         self.maintenance_messages = 0
-        self.routing_hops = 0
 
     @classmethod
     def sampled(cls, num_nodes: int, *, seed: int = 0) -> "CompactChordRing":
@@ -305,7 +304,6 @@ class CompactChordRing:
                         break
                 cur = nxt
             hops += 1
-        self.routing_hops += hops
         return cur, hops
 
     def measure_lookups(

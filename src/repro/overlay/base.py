@@ -83,10 +83,6 @@ class Overlay:
         self.durability = (
             durability if durability is not None else successor_replication(1)
         )
-        #: Copies (fragments) kept per key.  With the default policy at 1
-        #: behaviour matches the paper exactly; higher values make data
-        #: survive *crash* failures (see :meth:`fail`).
-        self.replication = self.durability.fragments
         self.durability.validate(self)
         #: :meth:`replica_set_of` per storage key id, for the current
         #: membership epoch — a placement is a pure function of (key id,
@@ -322,11 +318,10 @@ class Overlay:
         return result
 
     def _truncate_walk(self, result: WalkResult, reason: str) -> None:
-        """Flag ``result`` truncated (first reason wins) and count it."""
+        """Flag ``result`` truncated (first reason wins)."""
         if not result.truncated:
             result.truncated = True
             result.reason = reason
-        self.network.count_walk_truncation()
 
     def arc_items(self, walk: WalkResult, namespace: str, attribute: str) -> list:
         """Every ``attribute`` item the nodes of a ``contiguous`` walk hold

@@ -42,11 +42,10 @@ __all__ = ["ChordNode", "ChordRing"]
 class ChordNode(OverlayNode):
     """A Chord node: finger table, predecessor, successor list."""
 
-    __slots__ = ("bits", "fingers", "predecessor", "successor_list")
+    __slots__ = ("fingers", "predecessor", "successor_list")
 
     def __init__(self, node_id: int, bits: int, arcs: ArcDirectory | None = None) -> None:
         super().__init__(node_id, arcs)
-        self.bits = bits
         #: finger[i] targets successor(id + 2**i); entries may go stale
         #: (dead) between stabilization rounds.
         self.fingers: list[ChordNode | None] = [None] * bits
@@ -535,9 +534,8 @@ class ChordRing(Overlay):
         Returns a :class:`WalkResult` (a ``list`` of nodes): walks cut
         short by a dead successor chain, by the ring-corruption safety
         valve, or — under an active fault injector — by unreachable
-        successors are marked ``truncated`` with a ``reason`` and counted
-        in ``MessageStats.walk_truncations`` instead of silently returning
-        a short visit list.
+        successors are marked ``truncated`` with a ``reason`` instead of
+        silently returning a short visit list.
 
         Fault-free with the routing caches on, nothing is stepped: the
         same visit list is cut from the membership index

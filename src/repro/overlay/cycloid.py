@@ -71,18 +71,14 @@ class CycloidNode(OverlayNode):
     """A Cycloid node with the seven-entry constant-degree routing table."""
 
     __slots__ = (
-        "dimension",
         "cubical_neighbor",
         "cyclic_neighbors",
         "inside_leaf",
         "outside_leaf",
     )
 
-    def __init__(
-        self, cid: CycloidId, dimension: int, arcs: ArcDirectory | None = None
-    ) -> None:
+    def __init__(self, cid: CycloidId, arcs: ArcDirectory | None = None) -> None:
         super().__init__(cid, arcs)
-        self.dimension = dimension
         self.cubical_neighbor: CycloidNode | None = None
         #: (node in preceding cluster, node in succeeding cluster), both at
         #: cyclic level k-1 when available.
@@ -224,7 +220,7 @@ class CycloidOverlay(Overlay):
         ids = sorted({CycloidId(k % self.dimension, a % self.cubical_space.size)
                       for k, a in node_ids})
         require(bool(ids), "cannot build an empty overlay")
-        self._nodes = {cid: CycloidNode(cid, self.dimension, self._arcs) for cid in ids}
+        self._nodes = {cid: CycloidNode(cid, self._arcs) for cid in ids}
         grouped: dict[int, list[int]] = {}
         for cid in ids:
             grouped.setdefault(cid.a, []).append(cid.k)
@@ -612,8 +608,7 @@ class CycloidOverlay(Overlay):
 
         Returns a :class:`WalkResult` (a ``list`` of nodes): a walk cut
         short by a broken leaf chain — or, under an active fault injector,
-        by an unreachable cluster successor — is marked ``truncated`` and
-        counted in ``MessageStats.walk_truncations``.
+        by an unreachable cluster successor — is marked ``truncated``.
         """
         policy = self.lookup_policy
         fault_mode = self.faults_active
@@ -675,7 +670,7 @@ class CycloidOverlay(Overlay):
         """A new node joins and takes over the keys now closest to it."""
         cid = self._normalize_id(cid)
         require(cid not in self._nodes, f"node {cid} already present")
-        node = CycloidNode(cid, self.dimension, self._arcs)
+        node = CycloidNode(cid, self._arcs)
         had_members = bool(self._nodes)
 
         self._nodes[cid] = node

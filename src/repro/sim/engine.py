@@ -51,7 +51,6 @@ class Simulator:
         self._now = 0.0
         self._queue: list[Event] = []
         self._seq = itertools.count()
-        self.events_processed = 0
 
     @property
     def now(self) -> float:
@@ -81,7 +80,6 @@ class Simulator:
         event = heapq.heappop(self._queue)
         self._now = event.time
         event.action()
-        self.events_processed += 1
         return event
 
     def run(self) -> int:

@@ -252,7 +252,7 @@ class LookupPolicy:
 
         The exponent is capped: uncapped ``base * factor**(k-1)`` overflows
         to ``inf`` for large round indices (``2.0**1100`` already does),
-        and one ``inf`` poisons every ``backoff_seconds`` total it touches.
+        and one ``inf`` poisons the requester clock it is added to.
         """
         exponent = min(round_index - 1, self._BACKOFF_EXPONENT_CAP)
         return self.backoff_base * self.backoff_factor**exponent
@@ -345,10 +345,10 @@ def deliver_first(
         for attempt in range(policy.max_retries + 1):
             if attempt:
                 retries_used += 1
-                network.count_retry(backoff=policy.backoff_for(attempt))
+                network.count_retry()
             if network.try_deliver(src_id, dst_id):
                 return node, retries_used, position
-            network.count_timeout(policy.timeout)
+            network.count_timeout()
             if on_drop is not None:
                 on_drop(dst_id, attempt)
     return None, retries_used, len(candidates)
@@ -431,13 +431,13 @@ def _deliver_first_timed(
                 if attempt:
                     retries_used += 1
                     backoff = policy.backoff_for(attempt)
-                    network.count_retry(backoff=backoff)
+                    network.count_retry()
                     elapsed += backoff
                 timeout = policy.effective_timeout(estimator)
                 if not network.try_deliver(src_id, dst_id):
                     # Dropped outright: the requester burns the full
                     # timeout window before acting.
-                    network.count_timeout(timeout)
+                    network.count_timeout()
                     elapsed += timeout
                     if on_drop is not None:
                         on_drop(dst_id, attempt)
@@ -475,7 +475,7 @@ def _deliver_first_timed(
                     return node, retries_used, position
                 # Delivered but slower than the deadline(s): declared
                 # lost, retransmit to the same destination.
-                network.count_timeout(window)
+                network.count_timeout()
                 elapsed += window
                 if on_drop is not None:
                     on_drop(dst_id, attempt)

@@ -244,7 +244,6 @@ class ChurnGuard:
     _CONSERVING = ("churn_join", "churn_leave", "stabilize")
 
     def __init__(self, service: Any) -> None:
-        self.service = service
         self.overlay = overlay_of(service)
         self.policy = self.overlay.durability
         #: Number of churn events validated so far.

@@ -13,9 +13,6 @@ fail-slow substrate:
   an EWMA (Jacobson/Karels) smoothed-RTT tracker plus a sliding-window
   quantile tracker, from which :class:`~repro.sim.faults.LookupPolicy`
   derives adaptive timeouts and hedge-fire delays.
-* :func:`critical_path_latency` — the response time of a multi-attribute
-  query: sub-queries resolve in *parallel* (Section III), so the answer
-  arrives when the slowest sub-query's serial hop chain completes.
 
 A ``None`` latency model (the default everywhere) is a strict identity: no
 randomness is drawn and no behaviour changes.
@@ -36,7 +33,6 @@ __all__ = [
     "LognormalLatency",
     "RttEstimator",
     "RttBook",
-    "critical_path_latency",
 ]
 
 
@@ -293,24 +289,3 @@ class RttBook:
         self.aggregate = RttEstimator()
         self._per.clear()
 
-
-def critical_path_latency(result, model: LatencyModel) -> float:
-    """Response time of a multi-attribute query under ``model``.
-
-    Sub-queries of one request resolve in parallel (Section III), so the
-    requester's response time is the *max* over sub-queries — each
-    sub-query's own hop chain (routed lookup plus sequential range-walk
-    forwarding) is serial.  Sub-results that already carry a measured
-    ``latency`` (the fault-path requester clock) are used as-is; the rest
-    are drawn from ``model`` over their recorded hop counts.
-
-    Under :class:`ConstantLatency` this reproduces the seed's
-    ``latency_hops × hop_latency`` byte-for-byte: every sub-query's
-    latency is ``hops * rate`` and multiplication by a positive constant
-    preserves the max.
-    """
-    latencies = [
-        r.latency if r.latency > 0.0 else model.route(r.hops)
-        for r in result.sub_results
-    ]
-    return max(latencies, default=0.0)

@@ -48,7 +48,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "ZERO_BUDGET",
     "UNLIMITED_BUDGET",
-    "MaintenanceReport",
     "MaintenanceRound",
     "MaintenanceScheduler",
 ]
@@ -66,7 +65,6 @@ class RepairProgress:
     pass reached the end of the key space (the next call starts over).
     """
 
-    keys_repaired: int
     copies_moved: int
     next_after: tuple[str, int] | None
 
@@ -104,7 +102,7 @@ def repair_buckets(
     """
     require(budget is None or budget >= 0, "repair budget must be >= 0")
     if budget == 0:
-        return RepairProgress(0, 0, after)
+        return RepairProgress(0, after)
     threshold = 1 if policy is None else policy.threshold
 
     # Scan surviving copies, bucketed by (namespace, key_id).
@@ -158,7 +156,7 @@ def repair_buckets(
 
     exhausted = start + len(selected) >= len(ordered)
     next_after = None if exhausted else selected[-1]
-    return RepairProgress(len(selected), moved, next_after)
+    return RepairProgress(moved, next_after)
 
 
 # ----------------------------------------------------------------------
@@ -206,19 +204,6 @@ UNLIMITED_BUDGET = MaintenanceBudget(
 )
 
 
-@dataclass(frozen=True)
-class MaintenanceReport:
-    """What one maintenance round actually did."""
-
-    stabilized: int = 0
-    refreshed: int = 0
-    keys_repaired: int = 0
-    copies_moved: int = 0
-    #: True when the round ran as an unbounded global sweep (the seed
-    #: path), where per-bucket counts are not individually tracked.
-    full_sweep: bool = False
-
-
 # ----------------------------------------------------------------------
 # The round and its scheduler
 # ----------------------------------------------------------------------
@@ -239,15 +224,9 @@ class MaintenanceRound:
 
     def __init__(self, overlay: Any) -> None:
         self.overlay = overlay
-        #: Simulated time of the last round (set by the scheduler before
-        #: each tick; informational — staleness accounting).
-        self.clock = 0.0
         self._stab_pos = 0
         self._refresh_pos = 0
         self._repair_after: tuple[str, int] | None = None
-        #: node uid → clock at its last routing refresh (staleness metric).
-        self._last_refresh: dict[Any, float] = {}
-        self.rounds_run = 0
 
     # -- helpers -------------------------------------------------------
     def _take(self, nodes: list[Any], pos: int, count: int | None) -> tuple[list[Any], int]:
@@ -260,35 +239,18 @@ class MaintenanceRound:
         picked = [nodes[(start + i) % len(nodes)] for i in range(count)]
         return picked, start + count
 
-    def max_staleness(self) -> float:
-        """Longest time (vs. :attr:`clock`) any live node has gone without
-        a routing refresh.  Nodes never refreshed since tracking began
-        count from t=0."""
-        ages = [
-            self.clock - self._last_refresh.get(node.uid, 0.0)
-            for node in self.overlay.nodes()
-        ]
-        return max(ages, default=0.0)
-
     # -- the round -----------------------------------------------------
-    def run(self, budget: MaintenanceBudget = DEFAULT_BUDGET) -> MaintenanceReport:
-        """Spend one round's budget; returns what was done.
+    def run(self, budget: MaintenanceBudget = DEFAULT_BUDGET) -> int:
+        """Spend one round's budget; returns the replica copies moved.
 
         With :data:`UNLIMITED_BUDGET` this is *literally* the seed's
         global sweeps (``stabilize_all`` + ``repair_replication``), so
         accounting, churn-guard checks and placement semantics are
         byte-identical to the pre-budget code path.
         """
-        self.rounds_run += 1
         if budget.unbounded:
             self.overlay.stabilize_all()
-            moved = self.overlay.repair_replication()
-            for node in self.overlay.nodes():
-                self._last_refresh[node.uid] = self.clock
-            n = self.overlay.num_nodes
-            return MaintenanceReport(
-                stabilized=n, refreshed=n, copies_moved=moved, full_sweep=True
-            )
+            return self.overlay.repair_replication()
 
         nodes = list(self.overlay.nodes())
         to_stabilize, self._stab_pos = self._take(
@@ -301,18 +263,12 @@ class MaintenanceRound:
         )
         for node in to_refresh:
             self.overlay.refresh_routing_step(node)
-            self._last_refresh[node.uid] = self.clock
 
         progress = self.overlay.repair_replication_step(
             budget.repair_keys, self._repair_after
         )
         self._repair_after = progress.next_after
-        return MaintenanceReport(
-            stabilized=len(to_stabilize),
-            refreshed=len(to_refresh),
-            keys_repaired=progress.keys_repaired,
-            copies_moved=progress.copies_moved,
-        )
+        return progress.copies_moved
 
 
 class MaintenanceScheduler:
@@ -322,7 +278,8 @@ class MaintenanceScheduler:
     ``service.stabilize(budget)`` — the service routes bounded budgets
     through its :class:`MaintenanceRound` and unbounded ones through the
     seed's global sweep, and any installed churn-guard wrappers stay in
-    the loop.  Reports are retained for inspection.
+    the loop.  :attr:`copies_moved` totals the replica copies its rounds
+    moved.
     """
 
     def __init__(
@@ -335,14 +292,11 @@ class MaintenanceScheduler:
         self.service = service
         self.budget = budget
         self.interval = interval
-        self.reports: list[tuple[float, MaintenanceReport]] = []
+        self.copies_moved = 0
 
-    def tick(self, now: float) -> MaintenanceReport:
-        """Run one maintenance round at simulated time ``now``."""
-        self.service.maintenance_round().clock = now
-        report = self.service.stabilize(self.budget)
-        self.reports.append((now, report))
-        return report
+    def tick(self) -> None:
+        """Run one maintenance round."""
+        self.copies_moved += self.service.stabilize(self.budget)
 
     def install(self, sim: "Simulator", horizon: float) -> int:
         """Schedule rounds every :attr:`interval` up to ``horizon``.
@@ -354,7 +308,7 @@ class MaintenanceScheduler:
         rounds = 0
         t = sim.now + self.interval
         while t <= horizon:
-            sim.schedule_at(t, (lambda at=t: self.tick(at)), name="maintenance")
+            sim.schedule_at(t, self.tick, name="maintenance")
             rounds += 1
             t += self.interval
         return rounds

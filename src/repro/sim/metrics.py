@@ -3,8 +3,8 @@
 The paper reports, for directory sizes, the mean together with the 1st and
 99th percentiles; for hop counts it reports means and totals.
 :func:`summarize` computes exactly that summary from raw samples, and
-:class:`MetricsRegistry` is the shared sink the services write their
-per-operation accounting into.
+:class:`MetricsRegistry` is the per-operation sample log the services
+write into.
 """
 
 from __future__ import annotations
@@ -65,27 +65,17 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
 
 
 class MetricsRegistry:
-    """Named counters and sample accumulators.
+    """Named sample series.
 
-    Services record one sample per operation (e.g. ``lookup.hops``) and
-    monotone counters (e.g. ``messages.sent``); experiments read them back
-    as :class:`SummaryStats`.
+    Services record one sample per operation (e.g. ``query.hops``);
+    experiments read them back as :class:`SummaryStats`.
     """
 
     def __init__(self) -> None:
-        self._counters: defaultdict[str, float] = defaultdict(float)
         #: One flat ``array('d')`` per series: 8 bytes a sample, where a
         #: list of boxed floats costs 32 — a long run records two samples
         #: per sub-query for as long as it lives.
         self._samples: defaultdict[str, array] = defaultdict(partial(array, "d"))
-
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        """Increase counter ``name`` by ``amount``."""
-        self._counters[name] += amount
-
-    def counter(self, name: str) -> float:
-        """Current value of counter ``name`` (0 if never incremented)."""
-        return self._counters[name]
 
     def record(self, name: str, value: float) -> None:
         """Append one sample to series ``name``."""
@@ -124,20 +114,13 @@ class MetricsRegistry:
         return summarize(self._samples[name])
 
     def reset(self, name: str | None = None) -> None:
-        """Clear one series/counter, or everything when ``name`` is None."""
+        """Clear one series, or every series when ``name`` is None."""
         if name is None:
-            self._counters.clear()
             self._samples.clear()
         else:
-            self._counters.pop(name, None)
             self._samples.pop(name, None)
 
     @property
     def series_names(self) -> tuple[str, ...]:
         """Names of all recorded sample series."""
         return tuple(self._samples)
-
-    @property
-    def counter_names(self) -> tuple[str, ...]:
-        """Names of all counters."""
-        return tuple(self._counters)

@@ -25,24 +25,7 @@ from typing import ClassVar
 from repro.sim.faults import FaultInjector
 from repro.sim.latency import LatencyModel, RttBook
 
-__all__ = ["MessageStats", "SimulatedNetwork", "publish_stats"]
-
-
-def publish_stats(stats: "MessageStats", registry) -> None:
-    """Accumulate ``stats`` into a :class:`~repro.sim.metrics.MetricsRegistry`.
-
-    Each :class:`MessageStats` field becomes the counter ``faults.<field>``.
-    The requester-side fault accounting (retries, timeouts, backoff waits)
-    otherwise stays trapped in the network object; publishing it lets the
-    experiment report tables show what the lookup policy actually paid.
-    Pass a ``delta_since`` result to publish one measurement window.
-
-    Every field is published, including zero values: a window with zero
-    retries must yield a ``faults.retries`` counter that *reads* 0, so
-    report tables can distinguish "measured zero" from "never measured".
-    """
-    for field_name, value in stats.as_dict().items():
-        registry.incr(f"faults.{field_name}", value)
+__all__ = ["MessageStats", "SimulatedNetwork"]
 
 
 @dataclass
@@ -51,26 +34,16 @@ class MessageStats:
 
     messages: int = 0
     routing_hops: int = 0
-    directory_checks: int = 0
     maintenance_messages: int = 0
     dropped: int = 0
     timeouts: int = 0
     retries: int = 0
-    walk_truncations: int = 0
-    timeout_seconds: float = 0.0
-    backoff_seconds: float = 0.0
-    #: Sum of sampled per-message latencies of delivered messages (only
-    #: accumulated while a :class:`~repro.sim.latency.LatencyModel` is
-    #: attached — zero otherwise).
-    latency_seconds: float = 0.0
-    #: Hedged (backup) requests fired / won by the backup / discarded
-    #: because the primary answered first.
+    #: Hedged (backup) requests fired / won by the backup.
     hedges: int = 0
     hedges_won: int = 0
-    hedges_cancelled: int = 0
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat field → value mapping (counter publication and CSV rows)."""
+    def as_dict(self) -> dict[str, int]:
+        """Flat field → value mapping."""
         return asdict(self)
 
     def snapshot(self) -> "MessageStats":
@@ -98,8 +71,8 @@ class SimulatedNetwork:
     latency_model:
         Optional :class:`~repro.sim.latency.LatencyModel` sampled once per
         delivered message on the fault path.  ``None`` (the default) keeps
-        the constant-``hop_latency`` world: no randomness is drawn, the
-        latency counters stay zero and every fast path is byte-identical.
+        the constant-``hop_latency`` world: no randomness is drawn and
+        every fast path is byte-identical.
     """
 
     #: Simulated one-way latency of a single overlay hop, in seconds (the
@@ -141,12 +114,11 @@ class SimulatedNetwork:
     def sample_latency(self, src: int | None, dst: int | None) -> float:
         """One message's latency under the attached model and fail-slow
         faults: a model draw scaled by the injector's ``latency_factor``
-        (slow nodes).  Accumulates ``latency_seconds``."""
+        (slow nodes)."""
         latency = self.latency_model.sample()
         if self.faults is not None:
             latency *= self.faults.latency_factor(src, dst, self.latency_model.rng)
         self.last_latency = latency
-        self.stats.latency_seconds += latency
         return latency
 
     def try_deliver(self, src: int | None = None, dst: int | None = None) -> bool:
@@ -173,19 +145,13 @@ class SimulatedNetwork:
         self.stats.dropped += 1
         return False
 
-    def count_timeout(self, seconds: float = 0.0) -> None:
+    def count_timeout(self) -> None:
         """Record one requester-observed timeout (a message never answered)."""
         self.stats.timeouts += 1
-        self.stats.timeout_seconds += seconds
 
-    def count_retry(self, backoff: float = 0.0) -> None:
-        """Record one retransmission round and its backoff wait."""
+    def count_retry(self) -> None:
+        """Record one retransmission round."""
         self.stats.retries += 1
-        self.stats.backoff_seconds += backoff
-
-    def count_walk_truncation(self) -> None:
-        """Record one range walk cut short (dead chain / safety valve)."""
-        self.stats.walk_truncations += 1
 
     def count_hedge(self, won: bool, delivered: bool = True) -> None:
         """Record one hedged (backup) request.
@@ -200,17 +166,11 @@ class SimulatedNetwork:
             self.stats.messages += 1
         if won:
             self.stats.hedges_won += 1
-        else:
-            self.stats.hedges_cancelled += 1
 
     def count_hop(self, n: int = 1) -> None:
         """Record ``n`` routing hops (each hop is one message)."""
         self.stats.routing_hops += n
         self.stats.messages += n
-
-    def count_directory_check(self, n: int = 1) -> None:
-        """Record ``n`` visited nodes (query received, directory checked)."""
-        self.stats.directory_checks += n
 
     def count_maintenance(self, n: int = 1) -> None:
         """Record ``n`` maintenance messages (stabilize, leaf-set repair…)."""

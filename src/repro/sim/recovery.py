@@ -11,8 +11,7 @@ a bounded maintenance budget?
   evidence (a key whose every copy died is invisible; with replication
   ≥ 2 a crash leaves survivors whose under-replication is countable).
 * :class:`RecoverySample` — one timeline point: lookup availability,
-  replica deficit, structural cleanliness, the requester-side fault
-  accounting spent since the previous sample, and routing staleness.
+  replica deficit and structural cleanliness.
 * :class:`RecoveryTracker` — periodic sampler + fault log, reduced to
   the SLO metrics: per-fault time-to-reconverge, overall reconvergence,
   and replica-deficit area (deficit integrated over time — the "damage ×
@@ -95,12 +94,6 @@ class RecoverySample:
     replica_deficit: int
     #: Whether the overlay passed its structural invariants.
     structurally_clean: bool
-    #: Requester-side retransmissions spent since the previous sample.
-    retries: int = 0
-    #: Requester-observed timeouts since the previous sample.
-    timeouts: int = 0
-    #: Longest time any node has gone without a routing refresh.
-    max_staleness: float = 0.0
 
     def recovered(self, availability_floor: float = 1.0) -> bool:
         """Whether this sample shows a fully healed system."""
@@ -117,9 +110,7 @@ class RecoveryTracker:
 
     ``availability_probe`` runs the probe workload under whatever faults
     are live *now* and returns the exactly-answered fraction; the tracker
-    adds replica deficit, structural checks, staleness (of the service's
-    :class:`~repro.sim.maintenance.MaintenanceRound`) and the
-    requester-side retry/timeout spend between samples.
+    adds replica deficit and structural checks.
     """
 
     def __init__(
@@ -134,14 +125,11 @@ class RecoveryTracker:
         # genuinely lost pieces can heal its redundancy without exact
         # availability ever returning to 1.0.
         require(0.0 <= availability_floor <= 1.0, "availability_floor must be in [0, 1]")
-        self.service = service
         self.overlay = overlay_of(service)
         self.availability_probe = availability_probe
-        self.maintenance_round = service.maintenance_round()
         self.availability_floor = availability_floor
         self.samples: list[RecoverySample] = []
         self.fault_times: list[float] = []
-        self._last_stats = self.overlay.network.stats.snapshot()
 
     # ------------------------------------------------------------------
     # Recording
@@ -158,20 +146,12 @@ class RecoveryTracker:
             clean = True
         except InvariantViolation:
             clean = False
-        stats = self.overlay.network.stats
-        before = self._last_stats
-        availability = self.availability_probe()
-        after = stats.snapshot()
         point = RecoverySample(
             time=now,
-            availability=availability,
+            availability=self.availability_probe(),
             replica_deficit=replica_deficit(self.overlay),
             structurally_clean=clean,
-            retries=after.retries - before.retries,
-            timeouts=after.timeouts - before.timeouts,
-            max_staleness=self.maintenance_round.max_staleness(),
         )
-        self._last_stats = after
         self.samples.append(point)
         return point
 

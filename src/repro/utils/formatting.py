@@ -12,13 +12,14 @@ from collections.abc import Iterable, Sequence
 __all__ = ["format_count", "format_float", "render_table"]
 
 
-def format_float(value: float, precision: int = 3) -> str:
-    """Format a float compactly: trims trailing zeros, keeps magnitude."""
+def format_float(value: float) -> str:
+    """Format a float compactly (three decimals): trims trailing zeros,
+    keeps magnitude."""
     if value != value:  # NaN
         return "nan"
     if abs(value) >= 1e6 or (value != 0 and abs(value) < 1e-3):
-        return f"{value:.{precision}e}"
-    text = f"{value:.{precision}f}".rstrip("0").rstrip(".")
+        return f"{value:.3e}"
+    text = f"{value:.3f}".rstrip("0").rstrip(".")
     return text if text not in ("", "-") else "0"
 
 def format_count(value: int) -> str:

@@ -132,7 +132,6 @@ class GridWorkload:
         attribute: str,
         kind: QueryKind = QueryKind.RANGE,
         rng: np.random.Generator | None = None,
-        index: int | None = None,
     ) -> AttributeConstraint:
         """One constraint on ``attribute`` of the requested ``kind``.
 
@@ -140,44 +139,23 @@ class GridWorkload:
         docstring) so their expected hashed span is ``mean_span_fraction``
         regardless of the Pareto skew.  POINT constraints sample an
         *existing* provider value so that non-range queries have hits.
-
-        With a :attr:`popularity` model that skews values, the model's
-        target quantile pulls the constraint toward hot values: POINT
-        picks the provider value at that quantile, RANGE covers it,
-        AT_LEAST anchors its lower bound near it.
         """
         rng = rng if rng is not None else self._seeds.numpy("adhoc-constraint")
         spec = self.schema.spec(attribute)
         dist = spec.distribution
-        target: float | None = None
-        if self.popularity is not None:
-            target = self.popularity.value_quantile(rng, 0 if index is None else index)
         if kind is QueryKind.POINT:
             values = self._values[attribute]
-            if target is None:
-                pick = int(rng.integers(len(values)))
-                return AttributeConstraint.point(attribute, float(values[pick]))
-            ordered = np.sort(values)
-            pick = min(int(target * len(ordered)), len(ordered) - 1)
-            return AttributeConstraint.point(attribute, float(ordered[pick]))
+            pick = int(rng.integers(len(values)))
+            return AttributeConstraint.point(attribute, float(values[pick]))
         if kind is QueryKind.AT_LEAST:
             # Lower bound placed so the expected covered quantile mass is
             # mean_span_fraction: U ~ Uniform(1 - 2*msf, 1) covers on
             # average msf of the space.
             lo = 1.0 - 2.0 * self.mean_span_fraction
-            if target is None:
-                u = float(rng.uniform(lo, 1.0))
-            else:
-                u = min(max(target, lo), 1.0)
+            u = float(rng.uniform(lo, 1.0))
             return AttributeConstraint.at_least(attribute, dist.ppf(u))
         span = float(rng.uniform(0.0, 2.0 * self.mean_span_fraction))
-        if target is None:
-            start = float(rng.uniform(0.0, 1.0 - span))
-        else:
-            # Cover the hot quantile: the span is placed uniformly among
-            # the positions that contain ``target``.
-            start = target - span * float(rng.uniform(0.0, 1.0))
-            start = min(max(start, 0.0), 1.0 - span)
+        start = float(rng.uniform(0.0, 1.0 - span))
         return AttributeConstraint.between(
             attribute, dist.ppf(start), dist.ppf(start + span)
         )
@@ -208,7 +186,7 @@ class GridWorkload:
                 rng, len(self.schema), num_attributes, 0 if index is None else index
             )
         constraints = tuple(
-            self.sample_constraint(self.schema.specs[int(i)].name, kind, rng, index=index)
+            self.sample_constraint(self.schema.specs[int(i)].name, kind, rng)
             for i in chosen
         )
         return MultiAttributeQuery(constraints, requester=requester)

@@ -8,8 +8,7 @@ This module supplies both models as drop-in strategies for
 
 * :class:`UniformPopularity` — the paper's model, made explicit;
 * :class:`ZipfPopularity` — rank-``r`` attribute drawn with probability
-  proportional to ``1 / (r + 1) ** s``, with an optional *value-level*
-  Zipf (hot provider values / hot quantile cells for range queries).
+  proportional to ``1 / (r + 1) ** s``.
 
 Every decision is a pure function of ``(model, per-query rng, index)``;
 the workload derives one rng per query index, so streams are reproducible
@@ -32,10 +31,6 @@ __all__ = [
     "stable_seed",
     "zipf_weights",
 ]
-
-#: Quantile cells the value-level Zipf chooses between for range queries.
-VALUE_CELLS = 16
-
 
 def stable_seed(*parts: object) -> int:
     """A process-independent 63-bit seed from arbitrary labelled parts.
@@ -61,9 +56,7 @@ class PopularityModel:
     """Base popularity model: the paper's uniform-random selection.
 
     Subclasses override :meth:`attribute_weights` (per-attribute selection
-    probabilities, possibly index-dependent) and :meth:`value_quantile`
-    (a target quantile in ``[0, 1)`` concentrating value-level load, or
-    ``None`` for the uniform value placement of the seed workload).
+    probabilities, possibly index-dependent).
     """
 
     #: Seed of the model's internal permutations (which attribute is hot).
@@ -74,10 +67,6 @@ class PopularityModel:
 
         ``None`` means uniform — the caller then uses an unweighted draw.
         """
-        return None
-
-    def value_quantile(self, rng: np.random.Generator, index: int) -> float | None:
-        """A target quantile for value-level skew (``None`` = uniform)."""
         return None
 
     def choose_attributes(
@@ -97,29 +86,22 @@ class UniformPopularity(PopularityModel):
 
 @dataclass(frozen=True)
 class ZipfPopularity(PopularityModel):
-    """Zipf-skewed attribute (and optionally value) popularity.
+    """Zipf-skewed attribute popularity.
 
     Parameters
     ----------
     s:
         Attribute-level Zipf exponent; ``0`` degenerates to uniform.
-    value_s:
-        Value-level exponent.  When positive, point queries prefer hot
-        provider values and range queries concentrate around hot quantile
-        cells, so value-rooted directories (Mercury hubs, MAAN's value
-        map) develop hotspots too.
     seed:
         Seeds the rank permutations, so *which* attribute is hot is
         deterministic but not simply "the first one in the schema".
     """
 
     s: float = 1.1
-    value_s: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         require(self.s >= 0.0, f"zipf exponent s must be >= 0, got {self.s}")
-        require(self.value_s >= 0.0, f"value_s must be >= 0, got {self.value_s}")
 
     def _permutation(self, label: str, count: int) -> np.ndarray:
         key = (label, count)
@@ -145,11 +127,3 @@ class ZipfPopularity(PopularityModel):
             weights[self.rank_order(num_attributes)] = by_rank
             self._cache[key] = weights
         return weights
-
-    def value_quantile(self, rng: np.random.Generator, index: int) -> float | None:
-        if self.value_s == 0.0:
-            return None
-        by_rank = zipf_weights(VALUE_CELLS, self.value_s)
-        cell_order = self._permutation("values", VALUE_CELLS)
-        cell = int(cell_order[int(rng.choice(VALUE_CELLS, p=by_rank))])
-        return (cell + float(rng.uniform(0.0, 1.0))) / VALUE_CELLS

@@ -23,18 +23,6 @@ class TestDerive:
         derived = derive_curve("Analysis-LORM", measured, divide_by=2.0)
         assert derived.y == (5.0, 10.0, 15.0)
         assert derived.x == measured.x
-        assert derived.derived_from == "MAAN"
-        assert derived.factor == pytest.approx(0.5)
-
-    def test_multiply(self, measured):
-        derived = derive_curve("up", measured, multiply_by=3.0)
-        assert derived.y == (30.0, 60.0, 90.0)
-
-    def test_exactly_one_factor_required(self, measured):
-        with pytest.raises(ValueError):
-            derive_curve("x", measured)
-        with pytest.raises(ValueError):
-            derive_curve("x", measured, divide_by=2.0, multiply_by=2.0)
 
     def test_zero_divide_rejected(self, measured):
         with pytest.raises(ValueError):

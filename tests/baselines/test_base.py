@@ -14,6 +14,7 @@ from repro.experiments.common import SYSTEM_NAMES, build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
 from repro.sim.faults import NO_RETRY_POLICY, FaultInjector, FaultPlan
 from repro.sim.invariants import overlay_of
+from repro.sim.loadstats import LoadStats
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import QueryKind
 
@@ -253,8 +254,9 @@ class TestSubQueryEngine:
     @pytest.mark.parametrize("system,tier", BINDINGS)
     def test_accounting_equals_network_counters(self, system, tier, loss):
         """Per sub-query, ``hops`` is the network's hop-counter delta,
-        ``visited_nodes`` its directory-check delta, and the recorded
-        ``query.hops`` / ``query.visited`` sample is the result's."""
+        ``visited_nodes`` the serve load an attached :class:`LoadStats`
+        saw, and the recorded ``query.hops`` / ``query.visited`` sample is
+        the result's."""
         workload = build_workload(SMOKE_CONFIG)
         service = build_service(SMOKE_CONFIG, system, workload=workload, overlay=tier)
         if loss:
@@ -262,6 +264,8 @@ class TestSubQueryEngine:
                 FaultInjector(FaultPlan(loss_rate=loss, seed=5)), NO_RETRY_POLICY
             )
         stats = service.overlay.network.stats
+        load = LoadStats()
+        service.attach_load_stats(load)
         incomplete = 0
         for kind in (QueryKind.POINT, QueryKind.RANGE):
             for q in _sub_queries(workload, kind):
@@ -269,7 +273,7 @@ class TestSubQueryEngine:
                 result = service.query(q)
                 delta = stats.delta_since(before)
                 assert result.hops == delta.routing_hops
-                assert result.visited_nodes == delta.directory_checks
+                assert result.visited_nodes == load.take_window().total_serves
                 assert service.metrics.last("query.hops") == result.hops
                 assert service.metrics.last("query.visited") == result.visited_nodes
                 incomplete += not result.complete
@@ -293,12 +297,14 @@ class TestSubQueryEngine:
 
         overlay.lookup = second_lookup_fails
         q = _sub_queries(workload, kind, count=1)[0]
+        load = LoadStats()
+        service.attach_load_stats(load)
         before = overlay.network.stats.snapshot()
         result = service.query(q)
         delta = overlay.network.stats.delta_since(before)
         assert len(routed) == 2
         assert result.matches == () and not result.complete and result.timed_out
-        assert result.visited_nodes == 1 == delta.directory_checks
+        assert result.visited_nodes == 1 == load.take_window().total_serves
         assert result.hops == routed[0].hops + routed[1].hops == delta.routing_hops
         assert service.metrics.last("query.hops") == result.hops
         assert service.metrics.last("query.visited") == 1

@@ -78,7 +78,7 @@ class TestLeases:
         manager = RefreshManager(service, ttl=10.0)
         manager.report(ResourceInfo("cpu-mhz", 3000.0, "p1"), now=0.0)
         manager.report(ResourceInfo("cpu-mhz", 900.0, "p1"), now=1.0)
-        assert manager.replacements == 1
+        assert manager.renewals == 0  # a changed value is not a renewal
         assert service.total_info_pieces() == 1
         result = service.query(Query(AttributeConstraint.at_least("cpu-mhz", 2000.0)))
         assert result.providers == frozenset()  # old 3000 report is gone

@@ -623,6 +623,8 @@ class TestBadInput:
             (["run", "recovery", "--scale", "smoke", "--seed", "-1"], "--seed"),
             (["all", "--seed", "-1"], "--seed"),
             (["trace", "--system", "lorm", "--seed", "-1", "--loss", "0.1"], "--seed"),
+            (["trace", "--system", "mercury", "--overlay", "cycloid"], "--overlay"),
+            (["trace", "--system", "maan", "--overlay", "Cycloid"], "--overlay"),
         ],
     )
     def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):
@@ -631,6 +633,34 @@ class TestBadInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: " in err and needle in err
+        assert stubbed["calls"] == []
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["chaos", "--smoke"], "file"),
+            (["availability", "--scale", "smoke"], "file"),
+            (["scale", "--smoke"], "file/sub"),
+            (["run", "fig4a", "--scale", "smoke"], "file"),
+            (["all", "--scale", "smoke"], "file/sub"),
+            (["trace", "--system", "lorm"], "dir"),
+            (["trace", "--system", "lorm"], "missing/x.jsonl"),
+        ],
+    )
+    def test_out_of_the_wrong_shape_exits_2_before_any_work(
+        self, argv, out, tmp_path, stubbed, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        monkeypatch.setattr(cli, "run_figures", lambda *a, **k: stubbed["calls"].append(a))
+        monkeypatch.setattr(cli, "replay_queries", lambda *a, **k: stubbed["calls"].append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: --out" in err
         assert stubbed["calls"] == []
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import theorems
 from repro.experiments import figure3, figure6
 from repro.experiments.runner import run_figures
 
@@ -90,10 +91,16 @@ class TestFig4:
         ratio = avg.curve("MAAN").y[-1] / avg.curve("Mercury").y[-1]
         assert ratio == pytest.approx(2.0, rel=0.2)
 
-    def test_analysis_curves_derived_from_maan(self, panels):
+    def test_analysis_curves_derived_from_maan(self, panels, tiny_config):
         avg = panels[0]
-        assert avg.curve("Analysis-LORM").derived_from == "MAAN"
-        assert avg.curve("Analysis-SWORD/Mercury").derived_from == "MAAN"
+        maan = avg.curve("MAAN").y
+        n, d = tiny_config.population, tiny_config.dimension
+        for name, factor in (
+            ("Analysis-LORM", theorems.thm47_contacted_reduction_vs_maan(n, d)),
+            ("Analysis-SWORD/Mercury",
+             theorems.thm48_contacted_reduction_mercury_sword_vs_maan()),
+        ):
+            assert avg.curve(name).y == pytest.approx(tuple(v / factor for v in maan))
 
     def test_total_panel_is_query_count_times_average(self, panels, tiny_config):
         num_queries = tiny_config.num_requesters * tiny_config.queries_per_requester

@@ -30,17 +30,6 @@ class TestDeterminism:
         assert 0 <= h(key) < 512
 
 
-class TestSalt:
-    def test_salts_give_independent_functions(self):
-        a = ConsistentHash(16, salt="a")
-        b = ConsistentHash(16, salt="b")
-        keys = [f"attr-{i}" for i in range(64)]
-        assert any(a(k) != b(k) for k in keys)
-
-    def test_salted_still_deterministic(self):
-        assert ConsistentHash(8, salt="s")("x") == ConsistentHash(8, salt="s")("x")
-
-
 class TestUniformity:
     def test_spread_over_buckets(self):
         """Hashing many keys should touch a large share of a small space."""
@@ -70,7 +59,7 @@ class TestUniformity:
 class TestDigest:
     def test_call_matches_digest_top_bits(self):
         h = ConsistentHash(12)
-        full = int.from_bytes(hashlib.sha1((h.salt + "xyz").encode("utf-8")).digest(), "big")
+        full = int.from_bytes(hashlib.sha1(b"xyz").digest(), "big")
         assert h("xyz") == full >> (160 - 12)
 
     @pytest.mark.parametrize("bits", [1, 8, 11, 32, 160])

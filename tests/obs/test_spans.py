@@ -59,7 +59,6 @@ class TestSpanLifecycle:
         for i in range(3):
             with tracer.span("query", f"q{i}"):
                 pass
-        assert tracer.dropped == 1
         assert [t.root.name for t in tracer.traces] == ["q1", "q2"]
 
 

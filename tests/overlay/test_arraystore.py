@@ -166,14 +166,10 @@ class TestLookupScanStart:
         for offset in (-1, 0, 1):
             starts += rng.integers(ring.num_nodes, size=300).tolist()
             keys += (members + offset).tolist()
-        before = ring.routing_hops
-        total = 0
         for start, key in zip(starts, keys):
             owner, hops = ring.lookup(start, key)
             assert (owner, hops) == _full_scan_lookup(ring, start, key), (start, key)
             assert owner == ring.owner_index(key)
-            total += hops
-        assert ring.routing_hops - before == total
 
     def test_key_is_the_start_node_itself(self):
         # key == ids[cur]: the stop test answers before any scan (the

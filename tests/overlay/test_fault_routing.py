@@ -92,7 +92,7 @@ class TestChordParity:
         assert result.complete
         stats = full_ring.network.stats
         assert stats.dropped == 0 and stats.retries == 0
-        assert stats.timeouts == 0 and stats.walk_truncations == 0
+        assert stats.timeouts == 0
         full_ring.network.faults = None
 
 
@@ -208,7 +208,6 @@ class TestHonestFailure:
         # ...but not for free: retransmissions happened and were counted.
         assert sum(res.retries for res in results) > 0
         assert ring.network.stats.retries > 0
-        assert ring.network.stats.backoff_seconds > 0
 
     def test_no_retry_policy_fails_honestly_under_loss(self):
         ring = ChordRing(6)
@@ -240,19 +239,16 @@ class TestWalkTruncation:
     def test_chord_walk_truncates_at_partition(self):
         ring = ChordRing(6)
         ring.build_full()
-        before = ring.network.stats.walk_truncations
         ring.network.faults = partitioned(ArcPartition(32, 63, space=64))
         walk = ring.walk_arc(ring.node(20), 20, 40)
         assert walk.truncated
         assert walk.reason == "unreachable successor chain"
         assert walk.timed_out
         assert [n.node_id for n in walk] == list(range(20, 32))
-        assert ring.network.stats.walk_truncations == before + 1
 
     def test_cycloid_walk_truncates_at_partition(self):
         overlay = CycloidOverlay(4)
         overlay.build_full()
-        before = overlay.network.stats.walk_truncations
         # Sever cyclic positions 2..3 of cluster 0 (linearized ids 2..3).
         overlay.network.faults = partitioned(ArcPartition(2, 3, space=64))
         walk = overlay.walk_cluster(overlay.node(CycloidId(0, 0)), 0, 3)
@@ -260,7 +256,6 @@ class TestWalkTruncation:
         assert walk.reason == "unreachable cluster successor"
         assert walk.timed_out
         assert [n.cid for n in walk] == [CycloidId(0, 0), CycloidId(1, 0)]
-        assert overlay.network.stats.walk_truncations == before + 1
 
     def test_walk_result_is_a_list(self):
         walk = WalkResult(["a", "b"])

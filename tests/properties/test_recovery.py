@@ -86,8 +86,7 @@ class TestUnboundedBudgetIsComplete:
     def test_one_unlimited_round_always_reconverges(self, keys, crash_seq):
         ring = _stormed_ring(keys, crash_seq)
         before = directory_census(ring)
-        report = MaintenanceRound(ring).run(UNLIMITED_BUDGET)
-        assert report.full_sweep
+        MaintenanceRound(ring).run(UNLIMITED_BUDGET)
         check_overlay(ring)
         check_replica_placement(ring)
         assert replica_deficit(ring) == 0
@@ -126,8 +125,7 @@ class TestEveryPolicyRepairsCompletely:
     def test_unlimited_sweep_restores_zero_deficit(self, policy, keys, crash_seq):
         ring = _stormed_ring(keys, crash_seq, policy=policy)
         before = directory_census(ring, policy)
-        report = MaintenanceRound(ring).run(UNLIMITED_BUDGET)
-        assert report.full_sweep
+        MaintenanceRound(ring).run(UNLIMITED_BUDGET)
         check_overlay(ring)
         check_replica_placement(ring)
         assert replica_deficit(ring) == 0
@@ -171,8 +169,9 @@ class TestZeroBudgetIsInert:
         deficit = replica_deficit(ring)
         assume(deficit > 0)  # the storm must actually have wounded a replica set
         round_ = MaintenanceRound(ring)
+        steps = []
+        ring.stabilize_step = ring.refresh_routing_step = steps.append
         for _ in range(rounds):
-            report = round_.run(ZERO_BUDGET)
-            assert report.stabilized == report.refreshed == 0
-            assert report.copies_moved == 0
+            assert round_.run(ZERO_BUDGET) == 0  # copies moved
+        assert steps == []
         assert replica_deficit(ring) == deficit

@@ -76,7 +76,7 @@ class TestLatencyFactor:
 class TestBackoffOverflowRegression:
     def test_huge_round_index_stays_finite(self):
         # Uncapped ``base * factor**(k-1)`` overflows to inf around
-        # round 1100 and one inf poisons every backoff_seconds total.
+        # round 1100 and one inf poisons the requester clock.
         policy = LookupPolicy(backoff_base=0.05)
         assert math.isfinite(policy.backoff_for(1024))
         assert math.isfinite(policy.backoff_for(10**6))
@@ -197,7 +197,6 @@ class TestTimedDeliverFirst:
         assert node == "a"
         assert net.stats.hedges == 1
         assert net.stats.hedges_won == 0
-        assert net.stats.hedges_cancelled == 1
         assert net.route_clock == pytest.approx(0.056)
 
     def test_dropped_backup_leaves_primary_racing_alone(self):

@@ -38,8 +38,8 @@ _SEED = 1
 _QUERIES = 200
 
 _DIGESTS: dict[str, str] = {
-    "lorm": "6e974175d6fb593187b0d8bbeadb90a3fff8e041571506baf35a1d5799d57840",
-    "sword": "61827512db17630e730e6826376c3dd7e1c5048142c90e0cb132f1a68f1b622f",
+    "lorm": "851defa7f253e9cc2908230d8ebd66f09d3d7a78b0f8279c915bba0c7afc2a15",
+    "sword": "ebd4edc19b4ae5438067e8c77a0e0a5fd4030e650f2812ae77b3be64efb2019a",
 }
 
 

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from repro.core.resource import MultiQueryResult
+from repro.experiments.common import build_services
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.latency import (
     ConstantLatency,
     LognormalLatency,
     RttBook,
     RttEstimator,
-    critical_path_latency,
 )
 from repro.sim.network import SimulatedNetwork
+from repro.workloads.generator import QueryKind
 
 
 class TestConstantLatency:
@@ -195,7 +195,6 @@ class TestNetworkLatencySampling:
         net = SimulatedNetwork(faults=injector)
         for _ in range(50):
             net.try_deliver(0, 1)
-        assert net.stats.latency_seconds == 0.0
         assert net.last_latency == 0.0
 
     def test_no_active_faults_is_the_fast_path(self):
@@ -203,7 +202,7 @@ class TestNetworkLatencySampling:
         net = SimulatedNetwork(latency_model=LognormalLatency(0.05, seed=2))
         state = net.latency_model.rng.bit_generator.state
         assert net.try_deliver(0, 1)
-        assert net.stats.latency_seconds == 0.0
+        assert net.last_latency == 0.0
         assert net.latency_model.rng.bit_generator.state == state
 
     def test_delivered_messages_sample_the_model(self):
@@ -214,7 +213,6 @@ class TestNetworkLatencySampling:
         )
         assert net.try_deliver(0, 1)
         assert net.last_latency == pytest.approx(0.05)
-        assert net.stats.latency_seconds == pytest.approx(0.05)
 
     def test_slow_destination_multiplies_the_sample(self):
         injector = FaultInjector(FaultPlan(seed=1))
@@ -232,28 +230,24 @@ class TestNetworkLatencySampling:
         net.count_hedge(won=False, delivered=False)
         assert net.stats.hedges == 3
         assert net.stats.hedges_won == 1
-        assert net.stats.hedges_cancelled == 2
         assert net.stats.messages == 2  # dropped backup already counted
 
 
 class TestCriticalPathLatency:
-    @staticmethod
-    def _result(*subs):
-        return SimpleNamespace(sub_results=subs)
+    """A multi-attribute answer arrives with its slowest parallel
+    sub-query; fault-free under a constant model that is the seed's
+    ``latency_hops × hop_latency``."""
 
-    def test_constant_model_reproduces_seed_expression(self):
-        result = self._result(
-            SimpleNamespace(latency=0.0, hops=3),
-            SimpleNamespace(latency=0.0, hops=7),
+    def test_constant_model_reproduces_seed_expression(self, tiny_config):
+        bundle = build_services(tiny_config)
+        queries = list(
+            bundle.workload.query_stream(20, 3, QueryKind.RANGE, label="critical")
         )
-        assert critical_path_latency(result, ConstantLatency(0.05)) == 7 * 0.05
-
-    def test_measured_latencies_take_precedence(self):
-        result = self._result(
-            SimpleNamespace(latency=1.25, hops=3),
-            SimpleNamespace(latency=0.0, hops=2),
-        )
-        assert critical_path_latency(result, ConstantLatency(0.05)) == 1.25
+        for service in bundle.all():
+            service.configure_latency(ConstantLatency(0.05))
+            for q in queries:
+                result = service.multi_query(q)
+                assert result.latency == result.latency_hops * 0.05
 
     def test_empty_result(self):
-        assert critical_path_latency(self._result(), ConstantLatency(0.05)) == 0.0
+        assert MultiQueryResult(frozenset(), ()).latency == 0.0

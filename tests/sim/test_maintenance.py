@@ -21,12 +21,25 @@ from repro.sim.maintenance import (
     UNLIMITED_BUDGET,
     ZERO_BUDGET,
     MaintenanceBudget,
-    MaintenanceReport,
     MaintenanceRound,
     MaintenanceScheduler,
     repair_buckets,
 )
 from repro.sim.recovery import replica_deficit
+
+
+def _spy(obj, name: str) -> list:
+    """Wrap ``obj.name`` on the instance; returns the list of the
+    positional-argument tuples of every call."""
+    calls: list = []
+    method = getattr(obj, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    setattr(obj, name, spy)
+    return calls
 
 
 def _loaded_ring(replication: int = 2) -> ChordRing:
@@ -59,7 +72,6 @@ class TestRepairBuckets:
         ring.fail(20)
         cursor = ("ns", 8)
         progress = repair_buckets(ring, ring.replica_set_of, budget=0, after=cursor)
-        assert progress.keys_repaired == 0
         assert progress.copies_moved == 0
         assert progress.next_after == cursor
         assert progress.next_after is not None
@@ -75,7 +87,6 @@ class TestRepairBuckets:
         ring.fail(20)
         progress = repair_buckets(ring, ring.replica_set_of, budget=None)
         assert progress.next_after is None
-        assert progress.keys_repaired == 16  # every stored bucket visited
         check_replica_placement(ring)
         assert directory_census(ring) == before
 
@@ -87,19 +98,16 @@ class TestRepairBuckets:
             ring.fail(r.choice(ring.node_ids))
         cursor = None
         passes = 0
-        visited = 0
         while True:
             progress = repair_buckets(ring, ring.replica_set_of, budget=5, after=cursor)
             # Census is conserved even mid-sweep (strays drop only after
             # their copies are merged onto the replica set).
             assert directory_census(ring) == before
             passes += 1
-            visited += progress.keys_repaired
             if progress.next_after is None:
                 break
             cursor = progress.next_after
         assert passes == 4  # ceil(16 buckets / 5 per pass)
-        assert visited == 16
         check_replica_placement(ring)
 
     def test_clean_bucket_costs_no_messages(self):
@@ -129,9 +137,9 @@ class TestMaintenanceRound:
         for _ in range(5):
             ring.fail(r.choice(ring.node_ids))
         round_ = MaintenanceRound(ring)
-        report = round_.run(UNLIMITED_BUDGET)
-        assert report.full_sweep
-        assert report.stabilized == report.refreshed == ring.num_nodes
+        steps = _spy(ring, "stabilize_step") + _spy(ring, "repair_replication_step")
+        assert round_.run(UNLIMITED_BUDGET) > 0  # copies moved
+        assert steps == []  # the global sweeps, not the per-node steps
         check_overlay(ring)
         check_replica_placement(ring)
         assert directory_census(ring) == before
@@ -144,8 +152,10 @@ class TestMaintenanceRound:
         assert deficit > 0
         round_ = MaintenanceRound(ring)
         stats_before = ring.network.stats.snapshot()
-        report = round_.run(ZERO_BUDGET)
-        assert report == MaintenanceReport()
+        stabilized = _spy(ring, "stabilize_step")
+        refreshed = _spy(ring, "refresh_routing_step")
+        assert round_.run(ZERO_BUDGET) == 0
+        assert stabilized == refreshed == []
         assert ring.network.stats.snapshot() == stats_before
         assert replica_deficit(ring) == deficit  # the fault never heals
 
@@ -166,30 +176,35 @@ class TestMaintenanceRound:
         ring = _loaded_ring()
         round_ = MaintenanceRound(ring)
         budget = MaintenanceBudget(stabilize_nodes=0, refresh_nodes=7, repair_keys=0)
+        refreshed = _spy(ring, "refresh_routing_step")
         rounds = -(-ring.num_nodes // 7)  # ceil
-        for _ in range(rounds):
+        for i in range(rounds):
             round_.run(budget)
-        refreshed = set(round_._last_refresh)
-        assert refreshed == {node.uid for node in ring.nodes()}
-
-    def test_max_staleness_tracks_refresh_clock(self):
-        ring = _loaded_ring()
-        round_ = MaintenanceRound(ring)
-        round_.clock = 10.0
-        assert round_.max_staleness() == 10.0  # nothing refreshed yet
-        round_.run(UNLIMITED_BUDGET)
-        assert round_.max_staleness() == 0.0
-        round_.clock = 14.0
-        assert round_.max_staleness() == 4.0
+            assert len(refreshed) == 7 * (i + 1)  # the cap, every round
+        assert {node.uid for (node,) in refreshed} == {node.uid for node in ring.nodes()}
 
     def test_stabilize_step_counts_maintenance_traffic(self):
         ring = _loaded_ring()
         baseline = ring.network.stats.maintenance_messages
         round_ = MaintenanceRound(ring)
         budget = MaintenanceBudget(stabilize_nodes=4, refresh_nodes=0, repair_keys=0)
-        report = round_.run(budget)
-        assert report.stabilized == 4
+        stabilized = _spy(ring, "stabilize_step")
+        round_.run(budget)
+        assert len(stabilized) == 4
         assert ring.network.stats.maintenance_messages == baseline + 4
+
+
+def _clocked_rounds(service, sim: Simulator) -> list[float]:
+    """Record the simulated time of every ``service.stabilize`` call."""
+    times: list[float] = []
+    stabilize = service.stabilize
+
+    def clocked(budget=None):
+        times.append(sim.now)
+        return stabilize(budget)
+
+    service.stabilize = clocked
+    return times
 
 
 class TestMaintenanceScheduler:
@@ -208,21 +223,22 @@ class TestMaintenanceScheduler:
         service = self._service(schema, workload)
         scheduler = MaintenanceScheduler(service, interval=5.0)
         sim = Simulator()
+        ticks = _clocked_rounds(service, sim)
         assert scheduler.install(sim, horizon=20.0) == 4
         sim.run()
-        assert [at for at, _ in scheduler.reports] == [5.0, 10.0, 15.0, 20.0]
-        assert all(isinstance(r, MaintenanceReport) for _, r in scheduler.reports)
-        assert service.maintenance_round().rounds_run == 4
+        assert ticks == [5.0, 10.0, 15.0, 20.0]
+        assert scheduler.copies_moved == 0  # nothing crashed
 
     def test_first_round_is_one_full_interval_out(self, schema, workload):
         # Faults at t=0 must not be healed for free at t=0.
         service = self._service(schema, workload)
         scheduler = MaintenanceScheduler(service, interval=5.0)
         sim = Simulator()
+        ticks = _clocked_rounds(service, sim)
         sim.run_until(2.0)
         scheduler.install(sim, horizon=8.0)
         sim.run()
-        assert [at for at, _ in scheduler.reports] == [7.0]
+        assert ticks == [7.0]
 
     def test_budgeted_round_passes_churn_guard(self, schema, workload):
         service = self._service(schema, workload)

@@ -49,15 +49,6 @@ class TestSummarize:
 
 
 class TestRegistry:
-    def test_counters_accumulate(self):
-        m = MetricsRegistry()
-        m.incr("msgs")
-        m.incr("msgs", 2.5)
-        assert m.counter("msgs") == 3.5
-
-    def test_unknown_counter_is_zero(self):
-        assert MetricsRegistry().counter("nope") == 0.0
-
     def test_samples_recorded_and_summarized(self):
         m = MetricsRegistry()
         for v in (1, 2, 3):
@@ -76,18 +67,17 @@ class TestRegistry:
     def test_reset_single_series(self):
         m = MetricsRegistry()
         m.record("a", 1)
-        m.incr("c")
+        m.record("b", 2)
         m.reset("a")
         assert m.samples("a") == []
-        assert m.counter("c") == 1.0
+        assert m.samples("b") == [2.0]
 
     def test_reset_all(self):
         m = MetricsRegistry()
         m.record("a", 1)
-        m.incr("c")
+        m.record("b", 2)
         m.reset()
         assert m.series_names == ()
-        assert m.counter_names == ()
 
     def test_samples_returns_copy(self):
         m = MetricsRegistry()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.sim.faults import FaultInjector, FaultPlan
-from repro.sim.network import MessageStats, SimulatedNetwork, publish_stats
+from repro.sim.network import MessageStats, SimulatedNetwork
 
 
 class TestCounting:
@@ -14,12 +14,6 @@ class TestCounting:
         net.count_hop(3)
         assert net.stats.routing_hops == 3
         assert net.stats.messages == 3
-
-    def test_directory_checks_are_not_messages(self):
-        net = SimulatedNetwork()
-        net.count_directory_check(5)
-        assert net.stats.directory_checks == 5
-        assert net.stats.messages == 0
 
     def test_maintenance_counts_as_messages(self):
         net = SimulatedNetwork()
@@ -70,7 +64,7 @@ class TestSnapshots:
 
     def test_every_field_survives_dict_snapshot_and_delta(self):
         names = [f.name for f in dataclasses.fields(MessageStats)]
-        assert len(names) == 14
+        assert len(names) == 8
         stats = MessageStats(**{name: i + 1 for i, name in enumerate(names)})
         assert list(stats.as_dict()) == names
         assert stats.as_dict() == {name: i + 1 for i, name in enumerate(names)}
@@ -78,40 +72,3 @@ class TestSnapshots:
         doubled = MessageStats(**{name: 2 * (i + 1) for i, name in enumerate(names)})
         assert doubled.delta_since(stats) == stats
 
-
-class TestPublishStats:
-    """Regression: zero-valued fields are published, not skipped."""
-
-    def _registry(self):
-        from repro.sim.metrics import MetricsRegistry
-
-        return MetricsRegistry()
-
-    def test_all_fields_published_including_zeros(self):
-        registry = self._registry()
-        net = SimulatedNetwork()
-        net.count_hop(3)  # leaves retries/timeouts/... at zero
-        publish_stats(net.stats, registry)
-        expected = {f"faults.{name}" for name in MessageStats().as_dict()}
-        assert set(registry.counter_names) == expected
-        assert registry.counter("faults.retries") == 0
-        assert registry.counter("faults.routing_hops") == 3
-
-    def test_fresh_window_publishes_full_counter_set(self):
-        # A window with no traffic at all still yields every counter, so
-        # report tables can tell "measured zero" from "never measured".
-        registry = self._registry()
-        net = SimulatedNetwork()
-        delta = net.stats.delta_since(MessageStats())
-        publish_stats(delta, registry)
-        assert len(registry.counter_names) == len(MessageStats().as_dict())
-        assert registry.counter("faults.messages") == 0
-
-    def test_values_accumulate_across_windows(self):
-        registry = self._registry()
-        net = SimulatedNetwork()
-        net.count_retry(0.5)
-        publish_stats(net.stats, registry)
-        publish_stats(net.stats, registry)
-        assert registry.counter("faults.retries") == 2
-        assert registry.counter("faults.backoff_seconds") == 1.0

@@ -22,9 +22,6 @@ class TestFormatFloat:
     def test_zero(self):
         assert format_float(0.0) == "0"
 
-    def test_precision_parameter(self):
-        assert format_float(3.14159, precision=2) == "3.14"
-
 
 class TestFormatCount:
     def test_thousands_separators(self):

@@ -8,7 +8,6 @@ import pytest
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
 from repro.workloads.popularity import (
-    VALUE_CELLS,
     ZipfPopularity,
     stable_seed,
     zipf_weights,
@@ -72,29 +71,9 @@ class TestZipfPopularity:
         assert list(a) == list(b)
         assert list(a) != list(c)
 
-    def test_value_quantile_disabled_by_default(self):
-        rng = np.random.default_rng(0)
-        assert ZipfPopularity(s=1.1).value_quantile(rng, 0) is None
-
-    def test_value_quantile_in_unit_interval(self):
-        model = ZipfPopularity(s=1.1, value_s=1.0, seed=5)
-        rng = np.random.default_rng(0)
-        for i in range(50):
-            q = model.value_quantile(rng, i)
-            assert 0.0 <= q < 1.0
-
-    def test_value_quantiles_concentrate_when_skewed(self):
-        model = ZipfPopularity(s=0.0, value_s=2.0, seed=5)
-        rng = np.random.default_rng(0)
-        cells = [int(model.value_quantile(rng, i) * VALUE_CELLS) for i in range(400)]
-        top = max(cells.count(c) for c in set(cells))
-        assert top > 400 / VALUE_CELLS * 2
-
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             ZipfPopularity(s=-0.5)
-        with pytest.raises(ValueError):
-            ZipfPopularity(value_s=-0.5)
 
 
 class TestStreamDeterminism:
