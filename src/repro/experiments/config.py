@@ -153,6 +153,10 @@ class ExperimentConfig:
             "every tail_slow_fractions entry must be in [0, 1]",
         )
         require(
+            any(f > 0.0 for f in self.tail_slow_fractions),
+            "tail_slow_fractions needs an entry > 0 (the headline fraction)",
+        )
+        require(
             all(s >= 0.0 for s in self.hotspot_zipf_s),
             "every hotspot_zipf_s entry must be >= 0",
         )

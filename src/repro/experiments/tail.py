@@ -124,9 +124,8 @@ class TailResult(CellTable):
     @property
     def headline_fraction(self) -> float:
         """The slow-node fraction the verdict is computed at (the highest
-        non-zero fraction swept)."""
-        fractions = [f for f in self.config.tail_slow_fractions if f > 0.0]
-        return max(fractions) if fractions else 0.0
+        fraction swept; the config requires one above 0)."""
+        return max(self.config.tail_slow_fractions)
 
     def speedup(self, system: str) -> float:
         """p99(fixed) / p99(hedged) at the headline fraction."""
@@ -142,7 +141,7 @@ class TailResult(CellTable):
         """The ISSUE 8 headline: ≥2× p99 cut on LORM and SWORD under the
         gray-failure fraction, hedged p99 within the SLO, hedge overhead
         bounded."""
-        if not self.cells or self.headline_fraction <= 0.0:
+        if not self.cells:
             return False
         for system in HEADLINE_SYSTEMS:
             try:
@@ -163,8 +162,6 @@ class TailResult(CellTable):
 
     def verdict_lines(self) -> list[str]:
         fraction = self.headline_fraction
-        if fraction <= 0.0:
-            return []
         lines = []
         for system in HEADLINE_SYSTEMS:
             try:

@@ -11,8 +11,8 @@ churn, and the maintenance steps.
 A concrete overlay supplies only geometry, as small hooks: the owner
 oracle and the native-key <-> storage-key mapping (``owner_of`` /
 ``key_id`` / ``key_of`` / ``uid_of`` / ``id_space_size``), the fault-free
-hop loop ``_lookup_plain``, the fault path's ``_owns_local`` stop test and
-``_hop_candidates`` preference list, ``edge_kind``, the range walk
+hop loop ``_lookup_plain``, the fault path's hop step ``_fault_step``
+(stop test + preference list in one pass), ``edge_kind``, the range walk
 ``_walk_impl``, the two routing-table refresh halves ``_refresh_near`` /
 ``_refresh_far``, ``join`` with ``_membership_add`` / ``_membership_remove``
 (which also mark the stale set ``stabilize_all`` re-derives) and
@@ -221,10 +221,11 @@ class Overlay:
     ) -> LookupResult:
         """The fault-path route: local stop test, lossy hops, failover.
 
-        Never touches the membership oracle — ownership is judged by
-        ``_owns_local`` from (possibly stale) local state alone, and when
-        no entry of ``_hop_candidates`` answers within the policy's retry
-        budget the lookup *fails* with ``complete=False``.  The believed
+        Never touches the membership oracle — ``_fault_step`` judges from
+        (possibly stale) local state alone whether ``cur`` owns the key and
+        else which next hops to try, and when none of them answers within
+        the policy's retry budget the lookup *fails* with
+        ``complete=False``.  The believed
         owner can legitimately differ from the true one while routing
         state is degraded — the caller sees that as missing matches, not
         as a wrong "complete" claim from the oracle.
@@ -243,7 +244,8 @@ class Overlay:
             lambda dst_id, won: hedges.append((dst_id, won))
         )
         while True:
-            if self._owns_local(cur, key):
+            candidates = self._fault_step(cur, key, policy)
+            if candidates is None:
                 return LookupResult(
                     owner=cur, hops=hops, path=tuple(path), retries=retries
                 )
@@ -256,7 +258,7 @@ class Overlay:
             nxt, used, skipped = deliver_first(
                 self.network,
                 self.uid_of(cur),
-                self._hop_candidates(cur, key, policy),
+                candidates,
                 policy,
                 on_drop,
                 on_hedge,
@@ -329,8 +331,8 @@ class Overlay:
         ``items_in(namespace)`` reads would yield, grouped by holder in
         walk order, in time proportional to the answer."""
         arcs = self._arcs
-        if namespace not in arcs:
-            arcs.index(namespace, self._nodes.values())
+        if not arcs:
+            arcs.index(self._nodes.values())
         return arcs.arc(namespace, attribute, self.uid_of(walk[0]), self.uid_of(walk[-1]))
 
     # ------------------------------------------------------------------
@@ -376,8 +378,8 @@ class Overlay:
 
         Ordering contract: what every node ends up holding is what the
         same stream through :meth:`store` leaves, observably — the same
-        namespace order in its ``_store``, the same key order inside a
-        namespace, the same item order inside a bucket, the same view
+        ``(namespace, key_id)`` order in its ``_store``, the same item
+        order inside a bucket, the same view
         flushes and arc-directory posts.  By construction: every copy goes
         through :meth:`OverlayNode.store` on the same holder at the same
         point of the stream; only the resolution and the maintenance

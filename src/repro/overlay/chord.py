@@ -426,66 +426,59 @@ class ChordRing(Overlay):
         dist_key = (key - pred.node_id) % size
         return dist_node == 0 or 0 < dist_key <= dist_node
 
-    def _owns_local(self, node: ChordNode, key: int) -> bool:
-        """Ownership judged purely from local state — no oracle.
-
-        Uses the predecessor pointer even when it is stale (dead): that is
-        exactly the information a real Chord node would have between
-        stabilization rounds.  With no predecessor at all the node claims
-        the key only when it believes it is alone on the ring.
-        """
-        pred = node.predecessor
-        if pred is None:
-            succ = node.successor
-            return succ is None or succ is node
-        return self.space.in_interval(key, pred.node_id, node.node_id)
-
-    def _hop_candidates(
+    def _fault_step(
         self, cur: ChordNode, key: int, policy: LookupPolicy
-    ) -> list[tuple[int, ChordNode]]:
-        """Ordered next-hop preference list for the fault-path route.
+    ) -> list[tuple[int, ChordNode]] | None:
+        """One fault-path hop from ``cur``, judged from local state alone.
 
-        The first entry always matches the fault-free greedy choice; the
-        rest are the policy-gated failover alternatives (further
-        successor-list entries, lower fingers).
+        ``None`` when ``cur`` believes it owns ``key``: the ``(pred, cur]``
+        test on the predecessor pointer even when it is stale (dead), as a
+        real node between stabilization rounds would; with no predecessor,
+        only when it believes it is alone.  Otherwise the next-hop
+        preference list: first the fault-free greedy choice, then the
+        policy-gated failover alternatives — further successor-list
+        entries when the successor owns ``key``, else the lower live
+        fingers inside ``(cur, key)`` (the :meth:`_finger_row` cut at one
+        bisect, highest first), then the successor.
         """
-        succ = cur.successor
-        if (
-            succ is not None
-            and succ is not cur
-            and self.space.in_interval(key, cur.node_id, succ.node_id)
-        ):
-            return self._successor_candidates(cur, policy)
-        out: list[tuple[int, ChordNode]] = []
-        seen = {cur.node_id}
-
-        def add(candidate: ChordNode | None) -> None:
-            if (
-                candidate is not None
-                and candidate.alive
-                and candidate.node_id not in seen
-            ):
-                seen.add(candidate.node_id)
-                out.append((candidate.node_id, candidate))
-
-        fingers = [
-            finger
-            for finger in reversed(cur.fingers)
-            if finger is not None
-            and finger.alive
-            and finger is not cur
-            and self.space.in_interval(
-                finger.node_id, cur.node_id, key,
-                closed_left=False, closed_right=False,
-            )
-        ]
+        size = self.space.size
+        nid = cur.uid
+        for succ in cur.successor_list:
+            if succ.alive:
+                break
+        else:
+            succ = None
+        pred = cur.predecessor
+        if pred is None:
+            if succ is None or succ is cur:
+                return None
+        else:
+            pid = pred.uid
+            dist_cur = (nid - pid) % size
+            if dist_cur == 0 or 0 < (key - pid) % size <= dist_cur:
+                return None
+        span = (key - nid) % size
+        if succ is cur:
+            succ = None
+        elif succ is not None:
+            dist_succ = (succ.uid - nid) % size
+            if dist_succ == 0 or 0 < span <= dist_succ:
+                return self._successor_candidates(cur, policy)
+        row = self._cpf_cache.get(nid)
+        if row is None:
+            row = self._finger_row(cur)
+        dists, fingers = row
+        # The open interval (cur, key); the whole ring minus the point
+        # when cur == key.
+        at = bisect.bisect_left(dists, span or size)
         if not policy.failover:
             # Exactly the fault-free greedy choice, nothing else.
-            add(fingers[0] if fingers else succ)
-            return out
-        for finger in fingers:
-            add(finger)
-        add(succ)
+            nxt = fingers[at - 1] if at else succ
+            return [] if nxt is None else [(nxt.uid, nxt)]
+        inside = fingers[:at]
+        out = [(finger.uid, finger) for finger in reversed(inside)]
+        if succ is not None and succ not in inside:
+            out.append((succ.uid, succ))
         return out
 
     def _successor_candidates(

@@ -65,6 +65,8 @@ class CycloidId(NamedTuple):
 
 #: The order of :meth:`CycloidOverlay._ordered_ids`: cluster, then cyclic.
 _ORDERED_BY = itemgetter(1, 0)
+#: A scored fault-path candidate's sort key (stable: ties keep slot order).
+_BY_SCORE = itemgetter(0)
 
 
 class CycloidNode(OverlayNode):
@@ -496,35 +498,52 @@ class CycloidOverlay(Overlay):
         """The fault path's give-up point (sized for a full cluster ring)."""
         return 10 * self.dimension + 3 * self.cubical_space.size + 4
 
-    def _owns_local(self, node: CycloidNode, key: CycloidId) -> bool:
-        """Ownership judged purely from local state — no oracle.
-
-        A node with no strictly key-closer live routing-table entry is a
-        local minimum of :meth:`_key_badness` and believes it owns the key.
-        """
-        tk, ta = key
-        own = self._key_badness(node, tk, ta)
-        return not any(
-            self._key_badness(n, tk, ta) < own for n in node.table_entries()
-        )
-
-    def _hop_candidates(
+    def _fault_step(
         self, cur: CycloidNode, key: CycloidId, policy: LookupPolicy
-    ) -> list[tuple[int, CycloidNode]]:
-        """Ordered next-hop preference list for the fault-path route:
-        ``cur``'s strictly key-closer table entries, nearest first (only
-        the nearest without ``policy.failover``).
+    ) -> list[tuple[int, CycloidNode]] | None:
+        """One fault-path hop from ``cur``, judged from local state alone:
+        ``None`` when no live table entry is strictly key-closer under
+        :meth:`_key_badness` (a local minimum believes it owns the key),
+        else those entries nearest first (only the nearest without
+        ``policy.failover``) as ``(linearized id, node)`` pairs.  Strict
+        improvement bounds the route without any oracle termination check.
 
-        Strict improvement bounds the route without any oracle termination
-        check.
+        One pass over the seven slots on each ``uid``'s integer ``(k, a)``,
+        each scored once as ``cluster distance * d + cyclic distance`` (the
+        badness order, as a cyclic distance is below ``d``); a repeated
+        slot keeps its first position, as in :meth:`CycloidNode.table_entries`.
         """
         tk, ta = key
-        own = self._key_badness(cur, tk, ta)
-        scored = [(self._key_badness(n, tk, ta), n) for n in cur.table_entries()]
-        improving = sorted((e for e in scored if e[0] < own), key=itemgetter(0))
+        d = self.dimension
+        size = self.cubical_space.size
+        ck, ca = cur.uid
+        gap = (ca - ta) % size
+        lag = (ck - tk) % d
+        own = (size - gap if 2 * gap > size else gap) * d + (d - lag if 2 * lag > d else lag)
+        improving = []
+        for node in (
+            cur.cubical_neighbor, *cur.cyclic_neighbors, *cur.inside_leaf, *cur.outside_leaf
+        ):
+            if node is None or not node.alive:
+                continue
+            k, a = node.uid
+            gap = (a - ta) % size
+            lag = (k - tk) % d
+            score = (size - gap if 2 * gap > size else gap) * d + (
+                d - lag if 2 * lag > d else lag
+            )
+            if score < own:  # never ``cur`` itself: it scores ``own``
+                for entry in improving:
+                    if entry[2] is node:
+                        break
+                else:
+                    improving.append((score, a * d + k, node))
+        if not improving:
+            return None
+        improving.sort(key=_BY_SCORE)
         if not policy.failover:
-            improving = improving[:1]
-        return [(self.linearize(n.cid), n) for _, n in improving]
+            del improving[1:]
+        return [(lin, node) for _, lin, node in improving]
 
     def _next_hop_msb(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
         """The link the Cycloid paper's MSB-first step names (clusters

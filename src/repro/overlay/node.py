@@ -1,10 +1,11 @@
 """Shared overlay-node abstractions.
 
 Every DHT node — Chord or Cycloid — stores opaque *items* under
-``(namespace, key_id)`` pairs.  Namespaces let several logical indexes share
-one physical overlay (Mercury's per-attribute hubs, MAAN's separate
-attribute and value maps) while keeping per-node *directory size*
-accounting — the quantity plotted throughout Figure 3 — exact.
+``(namespace, key_id)`` pairs, in one dict keyed by the pair.  Namespaces
+let several logical indexes share one physical overlay (Mercury's
+per-attribute hubs, MAAN's separate attribute and value maps) while keeping
+per-node *directory size* accounting — the quantity plotted throughout
+Figure 3 — exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import chain
 from math import inf
 from operator import attrgetter, itemgetter
 from typing import Any
@@ -100,13 +100,15 @@ class ArcDirectory(dict):
     a slice (:meth:`arc`) instead of one directory probe per member.
 
     Pure derived state, like the nodes' ``_views``, but *maintained*
-    rather than flushed: a namespace is indexed by one pass over the
-    members on its first arc read (:meth:`index`), and from then on the
-    node write paths that flush ``_views`` post every copy they add or
-    drop (:meth:`add` / :meth:`discard`).  Entries are keyed by holder id,
-    not ring position, so a membership change by itself touches nothing —
+    rather than flushed: every namespace is indexed by one pass over the
+    members on the directory's first arc read (:meth:`index`), and from
+    then on the node write paths that flush ``_views`` post every copy
+    they add or drop (:meth:`add` / :meth:`discard`), a namespace first
+    stored after the pass included.  Entries are keyed by holder id, not
+    ring position, so a membership change by itself touches nothing —
     only the stores and removals of the handover it causes do.  An empty
-    directory costs those write paths one truth test.
+    directory is an unindexed one: it costs those write paths one truth
+    test, and the next arc read indexes again.
     """
 
     __slots__ = ("uid_of",)
@@ -122,16 +124,17 @@ class ArcDirectory(dict):
             table = tables[attribute] = (array("q"), [])
         return table
 
-    def index(self, namespace: str, nodes: Iterable["OverlayNode"]) -> None:
-        """Start indexing ``namespace`` from what ``nodes`` hold now."""
-        tables = self[namespace] = {}
+    def index(self, nodes: Iterable["OverlayNode"]) -> None:
+        """Start indexing every namespace from what ``nodes`` hold now."""
         uid_of = self.uid_of
         holders = sorted(
-            ((uid_of(node), node) for node in nodes if namespace in node._store),
-            key=itemgetter(0),
+            ((uid_of(node), node) for node in nodes if node._store), key=itemgetter(0)
         )
         for uid, node in holders:
-            for bucket in node._store[namespace].values():
+            for (namespace, _), bucket in node._store.items():
+                tables = self.get(namespace)
+                if tables is None:
+                    tables = self[namespace] = {}
                 for item in bucket:
                     ids, items = self._table(tables, item.attribute)
                     ids.append(uid)
@@ -141,7 +144,7 @@ class ArcDirectory(dict):
         """``node`` stored one more copy of ``item`` in ``namespace``."""
         tables = self.get(namespace)
         if tables is None:
-            return
+            tables = self[namespace] = {}
         uid = self.uid_of(node)
         ids, items = self._table(tables, item.attribute)
         at = bisect_right(ids, uid)
@@ -150,9 +153,7 @@ class ArcDirectory(dict):
 
     def discard(self, node: "OverlayNode", namespace: str, dropped: Iterable[Any]) -> None:
         """``node`` dropped one copy of each of ``dropped`` from ``namespace``."""
-        tables = self.get(namespace)
-        if tables is None:
-            return
+        tables = self[namespace]
         uid = self.uid_of(node)
         for item in dropped:
             ids, items = tables[item.attribute]
@@ -161,10 +162,11 @@ class ArcDirectory(dict):
             del ids[at], items[at]
 
     def arc(self, namespace: str, attribute: str, first_id: int, last_id: int) -> list[Any]:
-        """The ``attribute`` items of indexed ``namespace`` held by nodes
-        with ids on the clockwise arc ``[first_id, last_id]`` (the whole
-        ring when ``last_id`` is ``first_id``'s predecessor)."""
-        table = self[namespace].get(attribute)
+        """The ``attribute`` items of ``namespace`` held by nodes with ids
+        on the clockwise arc ``[first_id, last_id]`` (the whole ring when
+        ``last_id`` is ``first_id``'s predecessor)."""
+        tables = self.get(namespace)
+        table = None if tables is None else tables.get(attribute)
         if table is None:
             return []
         ids, items = table
@@ -189,7 +191,9 @@ class OverlayNode:
         self.uid = uid
         #: False once the node has left; dead nodes are skipped by routing.
         self.alive = True
-        self._store: dict[str, dict[int, list[Any]]] = {}
+        #: ``(namespace, key_id) -> bucket``: flat, as a node holds about
+        #: one key per namespace and a dict per namespace costs more.
+        self._store: dict[tuple[str, int], list[Any]] = {}
         #: Ordered read views, ``namespace -> {key_id (None: the whole
         #: namespace) -> (items, attributes, values)}``: the bucket's items
         #: stably sorted by ``(attribute, value)`` with the two sort keys
@@ -210,17 +214,14 @@ class OverlayNode:
     # ------------------------------------------------------------------
     def store(self, namespace: str, key_id: int, item: Any) -> None:
         """Store ``item`` under ``key_id`` within ``namespace``."""
-        ns = self._store.get(namespace)
-        if ns is None:
-            self._store[namespace] = {key_id: [item]}
+        bucket_key = (namespace, key_id)
+        bucket = self._store.get(bucket_key)
+        if bucket is None:
+            # Most buckets hold one item: an exact-size list, not an
+            # appended one with spare capacity.
+            self._store[bucket_key] = [item]
         else:
-            bucket = ns.get(key_id)
-            if bucket is None:
-                # Most buckets hold one item: an exact-size list, not an
-                # appended one with spare capacity.
-                ns[key_id] = [item]
-            else:
-                bucket.append(item)
+            bucket.append(item)
         if self._views:
             self._views.pop(namespace, None)
         if self._arcs:
@@ -240,10 +241,7 @@ class OverlayNode:
         ordered view in time proportional to the answer."""
         if attribute is not None:
             return self._view_slice(namespace, key_id, attribute, low, high)
-        ns = self._store.get(namespace)
-        if ns is None:
-            return []
-        return list(ns.get(key_id, ()))
+        return list(self._store.get((namespace, key_id), ()))
 
     def items_in(
         self,
@@ -256,10 +254,12 @@ class OverlayNode:
         ``attribute``, the matching ones only (see :meth:`items_at`)."""
         if attribute is not None:
             return self._view_slice(namespace, None, attribute, low, high)
-        ns = self._store.get(namespace)
-        if ns is None:
-            return []
-        return [item for bucket in ns.values() for item in bucket]
+        return [
+            item
+            for (held_in, _), bucket in self._store.items()
+            if held_in == namespace
+            for item in bucket
+        ]
 
     def _view_slice(
         self, namespace: str, key_id: int | None, attribute: str, low: float, high: float
@@ -286,11 +286,10 @@ class OverlayNode:
     ) -> tuple[list, list | None, list]:
         """Derive (and keep until the next write to ``namespace``) the
         ordered view of one bucket, or of the whole namespace."""
-        ns = self._store.get(namespace, {})
         if key_id is None:
-            bucket = [item for held in ns.values() for item in held]
+            bucket = self.items_in(namespace)
         else:
-            bucket = ns.get(key_id, ())
+            bucket = self._store.get((namespace, key_id), ())
         items = sorted(bucket, key=_VIEW_ORDER)
         single = not items or items[0].attribute == items[-1].attribute
         view = (
@@ -305,42 +304,34 @@ class OverlayNode:
         """Every stored ``(namespace, key_id, item)`` triple (for re-homing)."""
         return [
             (namespace, key_id, item)
-            for namespace, buckets in self._store.items()
-            for key_id, bucket in buckets.items()
+            for (namespace, key_id), bucket in self._store.items()
             for item in bucket
         ]
 
     def bucket_counts(self) -> dict[tuple[str, int], Counter]:
         """Per ``(namespace, key_id)`` bucket, each stored item's copy count
         (what handover, repair and the placement checks reason over)."""
-        return {
-            (namespace, key_id): Counter(bucket)
-            for namespace, buckets in self._store.items()
-            for key_id, bucket in buckets.items()
-        }
+        return {bucket_key: Counter(bucket) for bucket_key, bucket in self._store.items()}
 
     def remove_items(self, namespace: str, key_id: int) -> list[Any]:
         """Remove and return all items under ``(namespace, key_id)``."""
-        ns = self._store.get(namespace)
-        if ns is None:
+        removed = self._store.pop((namespace, key_id), None)
+        if removed is None:
             return []
         self._views.pop(namespace, None)
-        removed = list(ns.pop(key_id, ()))
         if self._arcs:
             self._arcs.discard(self, namespace, removed)
         return removed
 
     def remove_item(self, namespace: str, key_id: int, item: Any) -> bool:
         """Remove one copy of ``item``; True if a copy was present."""
-        ns = self._store.get(namespace)
-        if ns is None:
-            return False
-        bucket = ns.get(key_id)
-        if not bucket or item not in bucket:
+        bucket_key = (namespace, key_id)
+        bucket = self._store.get(bucket_key)
+        if bucket is None or item not in bucket:
             return False
         bucket.remove(item)
         if not bucket:
-            del ns[key_id]
+            del self._store[bucket_key]
         self._views.pop(namespace, None)
         if self._arcs:
             self._arcs.discard(self, namespace, (item,))
@@ -349,8 +340,8 @@ class OverlayNode:
     def clear_storage(self) -> None:
         """Drop every stored item (used after transfer on departure)."""
         if self._arcs:
-            for namespace, buckets in self._store.items():
-                self._arcs.discard(self, namespace, chain.from_iterable(buckets.values()))
+            for (namespace, _), bucket in self._store.items():
+                self._arcs.discard(self, namespace, bucket)
         self._store.clear()
         self._views.clear()
 
@@ -361,9 +352,8 @@ class OverlayNode:
         node's full directory.  This is Figure 3's per-node *directory size*.
         """
         if namespace is not None:
-            ns = self._store.get(namespace)
-            return sum(len(b) for b in ns.values()) if ns else 0
-        return sum(len(b) for ns in self._store.values() for b in ns.values())
+            return sum(len(b) for (ns, _), b in self._store.items() if ns == namespace)
+        return sum(map(len, self._store.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.alive else "dead"

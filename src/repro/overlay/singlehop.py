@@ -227,12 +227,14 @@ class SingleHopRing(ChordRing):
             return "membership"
         return kind
 
-    def _hop_candidates(
+    def _fault_step(
         self, cur: ChordNode, key: int, policy: LookupPolicy
-    ) -> list[tuple[int, ChordNode]]:
-        """Fault-path preference: the believed owner first (when live),
-        then the inherited Chord failover alternatives."""
-        out = super()._hop_candidates(cur, key, policy)
+    ) -> list[tuple[int, ChordNode]] | None:
+        """Fault-path step: Chord's, with the believed owner (when live)
+        first in the preference list."""
+        out = super()._fault_step(cur, key, policy)
+        if out is None:
+            return None
         target = self._believed_owner_id(cur.node_id, key)
         node = self._nodes.get(target)
         if node is not None and node is not cur and node.alive:

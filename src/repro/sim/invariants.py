@@ -117,9 +117,9 @@ def directory_census(overlay: Any, policy: Any = None) -> Counter:
 
 
 def directory_layout(overlay: Any) -> list:
-    """Every node's directory exactly as it is stored: per node the
-    namespaces in ``_store`` order, per namespace the keys in dict order,
-    per key the bucket in item order.
+    """Every node's directory exactly as it is stored: per node its
+    ``((namespace, key_id), bucket)`` pairs in ``_store`` order, per key
+    the bucket in item order.
 
     Finer than the census on purpose.  Handover, repair and the arc index
     iterate these dicts and lists, so two load paths that agree only on
@@ -127,13 +127,7 @@ def directory_layout(overlay: Any) -> list:
     are compared on this.
     """
     return [
-        (
-            node.uid,
-            [
-                (namespace, [(key_id, list(bucket)) for key_id, bucket in buckets.items()])
-                for namespace, buckets in node._store.items()
-            ],
-        )
+        (node.uid, [(bucket_key, list(bucket)) for bucket_key, bucket in node._store.items()])
         for node in overlay.nodes()
     ]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -133,12 +134,13 @@ class RttEstimator:
     burst cannot talk the estimator into waiting longer than a fixed
     timeout would have.
 
-    One delivered message asks for the same quantile twice (the adaptive
-    timeout and the hedge delay both read p95), so the last quantile is
-    kept until the next :meth:`observe`.
+    The window is kept twice: in arrival order (what to evict) and in
+    value order (what a quantile reads), the second updated by one bisect
+    delete and one bisect insert per :meth:`observe`, so a quantile is two
+    order statistics and never a sort.
     """
 
-    __slots__ = ("_srtt", "_rttvar", "_window", "_cached_q", "_cached")
+    __slots__ = ("_srtt", "_rttvar", "_window", "_sorted")
 
     ALPHA = 0.125
     BETA = 0.25
@@ -154,11 +156,8 @@ class RttEstimator:
         self._rttvar = 0.0
         #: The last ``WINDOW`` samples, oldest first.
         self._window = array("d")
-        #: ``quantile_estimate(q)`` of the current window for ``q ==
-        #: _cached_q`` (``None``: nothing cached).  Two slots, not a tuple:
-        #: thousands of estimators keep one.
-        self._cached_q: float | None = None
-        self._cached = 0.0
+        #: The same samples in ascending order.
+        self._sorted = array("d")
 
     @property
     def srtt(self) -> float | None:
@@ -191,10 +190,12 @@ class RttEstimator:
             self._rttvar += self.BETA * (abs(err) - self._rttvar)
             self._srtt += self.ALPHA * err
         window = self._window
+        ordered = self._sorted
         if len(window) == self.WINDOW:
+            del ordered[bisect_left(ordered, window[0])]
             del window[0]
         window.append(rtt)
-        self._cached_q = None
+        insort(ordered, rtt)
 
     def quantile_estimate(self, q: float) -> float | None:
         """Empirical ``q``-quantile of the window (None until warm).
@@ -203,22 +204,17 @@ class RttEstimator:
         float: the virtual index ``(n - 1) * q`` between two order
         statistics, interpolated as numpy's ``_lerp`` does (from the upper
         neighbour once the weight reaches 0.5)."""
-        if q == self._cached_q:
-            return self._cached
-        n = len(self._window)
+        ordered = self._sorted
+        n = len(ordered)
         if n < self.MIN_SAMPLES:
             return None
-        ordered = sorted(self._window)
         at = (n - 1) * q
         if at >= n - 1:
-            value = ordered[-1]
-        else:
-            i = int(at)
-            a, b = ordered[i], ordered[i + 1]
-            t = at - i
-            value = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
-        self._cached_q, self._cached = q, value
-        return value
+            return ordered[-1]
+        i = int(at)
+        a, b = ordered[i], ordered[i + 1]
+        t = at - i
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
     def timeout(self, fallback: float) -> float:
         """Adaptive timeout: tightest of EWMA, quantile and ``fallback``."""

@@ -625,6 +625,7 @@ class TestBadInput:
             (["trace", "--system", "lorm", "--seed", "-1", "--loss", "0.1"], "--seed"),
             (["trace", "--system", "mercury", "--overlay", "cycloid"], "--overlay"),
             (["trace", "--system", "maan", "--overlay", "Cycloid"], "--overlay"),
+            (["tail", "--smoke", "--fractions", "0"], "tail_slow_fractions"),
         ],
     )
     def test_exits_2_with_a_message(self, argv, needle, stubbed, capsys):

@@ -1,7 +1,10 @@
-"""Fault-path routing: zero-loss parity, honest failure, walk truncation.
+"""Fault-path routing: the one-pass hop step, zero-loss parity, honest
+failure, walk truncation.
 
-The contract under test: with an *active but lossless* injector the fault
-path routes exactly like the legacy path (Chord) or lands on the true owner
+The contract under test: each overlay's ``_fault_step`` answers exactly
+what the stop test and preference list it replaced answered (kept below as
+the reference); with an *active but lossless* injector the fault path
+routes exactly like the legacy path (Chord) or lands on the true owner
 (Cycloid); with real loss the membership oracle is never consulted, every
 unfinishable route surfaces as a ``complete=False`` result instead of an
 exception, and cut-short range walks come back flagged ``truncated``.
@@ -10,12 +13,15 @@ exception, and cut-short range walks come back flagged ``truncated``.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pytest
 
-from repro.overlay.chord import ChordRing
-from repro.overlay.cycloid import CycloidId, CycloidOverlay
+from repro.overlay.chord import ChordNode, ChordRing
+from repro.overlay.cycloid import CycloidId, CycloidNode, CycloidOverlay
 from repro.overlay.node import WalkResult
+from repro.overlay.record import ReCordOverlay
+from repro.overlay.singlehop import SingleHopRing
 from repro.sim.faults import (
     DEFAULT_POLICY,
     NO_RETRY_POLICY,
@@ -40,6 +46,204 @@ def empty_arc_injector() -> FaultInjector:
 
 def lossy_injector(rate: float, seed: int = 0) -> FaultInjector:
     return FaultInjector(FaultPlan(loss_rate=rate, seed=seed))
+
+
+# ----------------------------------------------------------------------
+# The reference: the two hooks a fault-path hop called before
+# ``_fault_step`` fused them — the stop test, then the preference list.
+# ----------------------------------------------------------------------
+def chord_owns_local(ring: ChordRing, node: ChordNode, key: int) -> bool:
+    pred = node.predecessor
+    if pred is None:
+        succ = node.successor
+        return succ is None or succ is node
+    return ring.space.in_interval(key, pred.node_id, node.node_id)
+
+
+def chord_hop_candidates(ring: ChordRing, cur: ChordNode, key: int, policy) -> list:
+    succ = cur.successor
+    if (
+        succ is not None
+        and succ is not cur
+        and ring.space.in_interval(key, cur.node_id, succ.node_id)
+    ):
+        return ring._successor_candidates(cur, policy)
+    out: list = []
+    seen = {cur.node_id}
+
+    def add(candidate) -> None:
+        if candidate is not None and candidate.alive and candidate.node_id not in seen:
+            seen.add(candidate.node_id)
+            out.append((candidate.node_id, candidate))
+
+    fingers = [
+        finger
+        for finger in reversed(cur.fingers)
+        if finger is not None
+        and finger.alive
+        and finger is not cur
+        and ring.space.in_interval(
+            finger.node_id, cur.node_id, key, closed_left=False, closed_right=False
+        )
+    ]
+    if not policy.failover:
+        add(fingers[0] if fingers else succ)
+        return out
+    for finger in fingers:
+        add(finger)
+    add(succ)
+    return out
+
+
+def singlehop_hop_candidates(ring: SingleHopRing, cur: ChordNode, key: int, policy) -> list:
+    out = chord_hop_candidates(ring, cur, key, policy)
+    target = ring._believed_owner_id(cur.node_id, key)
+    node = ring._nodes.get(target)
+    if node is not None and node is not cur and node.alive:
+        out = [(target, node)] + [(i, n) for i, n in out if i != target]
+    return out
+
+
+def cycloid_owns_local(overlay: CycloidOverlay, node: CycloidNode, key: CycloidId) -> bool:
+    tk, ta = key
+    own = overlay._key_badness(node, tk, ta)
+    return not any(overlay._key_badness(n, tk, ta) < own for n in node.table_entries())
+
+
+def cycloid_hop_candidates(
+    overlay: CycloidOverlay, cur: CycloidNode, key: CycloidId, policy
+) -> list:
+    tk, ta = key
+    own = overlay._key_badness(cur, tk, ta)
+    scored = [(overlay._key_badness(n, tk, ta), n) for n in cur.table_entries()]
+    improving = sorted((e for e in scored if e[0] < own), key=itemgetter(0))
+    if not policy.failover:
+        improving = improving[:1]
+    return [(overlay.linearize(n.cid), n) for _, n in improving]
+
+
+def reference_step(overlay, cur, key, policy):
+    """What one fault-path hop used: ``None`` if ``cur`` owns ``key``,
+    else the preference list."""
+    if isinstance(overlay, CycloidOverlay):
+        owns, candidates = cycloid_owns_local, cycloid_hop_candidates
+    else:
+        owns = chord_owns_local
+        candidates = (
+            singlehop_hop_candidates if isinstance(overlay, SingleHopRing)
+            else chord_hop_candidates
+        )
+    if owns(overlay, cur, key):
+        return None
+    return candidates(overlay, cur, key, policy)
+
+
+#: Failover on, and off.
+POLICIES = (DEFAULT_POLICY, NO_RETRY_POLICY)
+
+
+def maim_chord(ring: ChordRing, seed: int) -> None:
+    """Crash a few nodes without stabilizing, then stage the local states a
+    fault-path hop must judge alone: dead, missing and self fingers; dead,
+    missing, wrong and self predecessors; a dead first successor, an
+    all-dead successor list and a self-successor."""
+    r = random.Random(seed)
+    corpses = []
+    for uid in r.sample(list(ring.node_ids), max(2, ring.num_nodes // 8)):
+        corpses.append(ring.node(uid))
+        ring.fail(uid)
+    live = list(ring.nodes())
+    for node in r.sample(live, len(live) // 3):
+        for level in r.sample(range(len(node.fingers)), 3):
+            node.fingers[level] = r.choice([None, node, r.choice(corpses)])
+    ring.invalidate_routing_caches()
+    for node in r.sample(live, len(live) // 3):
+        node.predecessor = r.choice([None, node, r.choice(corpses), r.choice(live)])
+    first_dead, all_dead, own = r.sample(live, 3)
+    first_dead.successor_list = [r.choice(corpses), *first_dead.successor_list]
+    all_dead.successor_list = corpses[:2]
+    own.successor_list = [own]
+
+
+def maim_cycloid(overlay: CycloidOverlay, seed: int) -> None:
+    """Crash a few nodes without stabilizing (dead table entries), then
+    stage missing, self and repeated entries."""
+    r = random.Random(seed)
+    for cid in r.sample(list(overlay.node_ids), overlay.num_nodes // 8):
+        overlay.fail(cid)
+    live = list(overlay.nodes())
+    for node in r.sample(live, len(live) // 3):
+        other = r.choice(live)
+        node.cubical_neighbor = r.choice([None, node, other])
+        node.inside_leaf = (node.inside_leaf[0], r.choice([node.inside_leaf[0], other]))
+        node.outside_leaf = (other, node.outside_leaf[1])
+
+
+def assert_steps_match(overlay, keys) -> tuple[int, int]:
+    """Every (node, key, policy) step equals the reference's; returns how
+    many steps claimed ownership and how many offered failover."""
+    owned = failovers = 0
+    for policy in POLICIES:
+        for node in list(overlay.nodes()):
+            for key in keys:
+                step = overlay._fault_step(node, key, policy)
+                assert step == reference_step(overlay, node, key, policy), (node, key)
+                owned += step is None
+                failovers += step is not None and len(step) > 1
+    return owned, failovers
+
+
+def chord_keys(ring: ChordRing) -> range:
+    return range(ring.space.size)
+
+
+def cycloid_keys(overlay: CycloidOverlay) -> list[CycloidId]:
+    d, clusters = overlay.dimension, overlay.cubical_space.size
+    keys = [CycloidId(k, a) for a in range(clusters) for k in range(d)]
+    return keys + [CycloidId(d + 1, clusters + 3), CycloidId(-1, -2)]
+
+
+class TestFaultStepMatchesReference:
+    """``_fault_step`` is the replaced stop test + preference list, hop for
+    hop: the same owns verdict and the same candidates (ids, nodes, order)
+    with failover on and off, on stabilized and on maimed local state."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ChordRing(6),
+            lambda: ChordRing(6, routing_cache=False),
+            lambda: ReCordOverlay(6, fanout=4, seed=7),
+            lambda: SingleHopRing(6),
+        ],
+        ids=["chord", "chord-uncached", "record", "singlehop"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chord_family(self, make, seed):
+        ring = make()
+        ring.build(random.Random(seed).sample(range(64), 40))
+        assert_steps_match(ring, chord_keys(ring))
+        if isinstance(ring, SingleHopRing):
+            # Unlearned joins and departures: the believed owner is stale.
+            for uid in random.Random(seed + 10).sample(range(64), 12):
+                if uid in ring:
+                    ring.leave(uid)
+                else:
+                    ring.join(uid)
+            assert ring.pending_events()
+        maim_chord(ring, seed)
+        owned, failovers = assert_steps_match(ring, chord_keys(ring))
+        assert owned and failovers
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cycloid(self, seed):
+        overlay = CycloidOverlay(4)
+        all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
+        overlay.build(all_ids if seed == 0 else random.Random(seed).sample(all_ids, 40))
+        assert_steps_match(overlay, cycloid_keys(overlay))
+        maim_cycloid(overlay, seed)
+        owned, failovers = assert_steps_match(overlay, cycloid_keys(overlay))
+        assert owned and failovers
 
 
 class TestChordParity:

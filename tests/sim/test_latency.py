@@ -106,7 +106,7 @@ class TestRttEstimator:
         assert est.samples_seen == RttEstimator.WINDOW
         assert list(est._window) == [float(i) for i in range(5, RttEstimator.WINDOW + 5)]
 
-    def test_observe_invalidates_the_cached_quantile(self):
+    def test_every_observe_moves_the_quantile(self):
         est = RttEstimator()
         for _ in range(10):
             est.observe(0.1)
@@ -115,7 +115,20 @@ class TestRttEstimator:
         assert est.quantile_estimate(0.95) > 0.1
         assert est.quantile_estimate(0.95) == float(np.quantile(np.asarray(est._window), 0.95))
 
-    def test_cache_answers_only_the_quantile_it_holds(self):
+    def test_sorted_mirror_is_the_sorted_window_after_every_observe(self):
+        # Over three window turnovers, with repeats (evicting one of several
+        # equal samples must drop exactly one of them).
+        rng = np.random.default_rng(3)
+        est = RttEstimator()
+        for step in range(3 * RttEstimator.WINDOW + 17):
+            if step % 5 == 0 and est.samples_seen:
+                rtt = est._window[int(rng.integers(est.samples_seen))]
+            else:
+                rtt = float(rng.choice([0.1, 0.2, 0.3, rng.random()]))
+            est.observe(rtt)
+            assert list(est._sorted) == sorted(est._window)
+
+    def test_each_quantile_reads_its_own_order_statistics(self):
         est = RttEstimator()
         for value in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             est.observe(value)

@@ -56,9 +56,10 @@ for cmd in "" list run all availability chaos durability hotspot tradeoff tail \
     COLUMNS=100 capture "help${cmd:+-$cmd}" $cmd --help
 done
 
-# Traces: every system on its native substrate, flat LORM, one lossy replay,
-# the single-hop and ReCord routing tiers hop by hop, and the point and
-# at-least query shapes over several queries and attributes.
+# Traces: every system on its native substrate, flat LORM, lossy replays on
+# Cycloid, on Chord (with failover) and on the single-hop tier, the
+# single-hop and ReCord routing tiers hop by hop, and the point and at-least
+# query shapes over several queries and attributes.
 for format in tree jsonl chrome; do
     for system in lorm mercury sword maan; do
         capture "trace-$system.$format" trace --system "$system" --seed 0 --format "$format"
@@ -71,6 +72,8 @@ for format in tree jsonl chrome; do
         trace --system lorm --overlay chord --seed 0 --format "$format"
     capture "trace-lorm-loss.$format" \
         trace --system lorm --seed 0 --loss 0.1 --format "$format"
+    capture "trace-sword-loss.$format" \
+        trace --system sword --seed 0 --queries 4 --loss 0.5 --format "$format"
     capture "trace-maan-singlehop.$format" \
         trace --system maan --overlay singlehop --seed 0 --format "$format"
     capture "trace-maan-singlehop-loss.$format" \
