@@ -11,7 +11,6 @@ tests run identical workloads through this interface.
 
 from __future__ import annotations
 
-import dataclasses
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
@@ -88,11 +87,6 @@ class DiscoveryService(ABC):
     #: bypassed.
     tracer: Any | None = None
 
-    #: The overlay network while a latency model is attached (``None``
-    #: otherwise — a class attribute for the same reason as ``tracer``,
-    #: so the no-latency hot path stays one ``is None`` check).
-    _latency_net: Any | None = None
-
     #: Optional :class:`~repro.sim.loadstats.LoadStats` sink.  ``None``
     #: (the default, same class-attribute pattern as ``tracer``) keeps
     #: query paths free of load accounting — one ``is None`` check.
@@ -118,6 +112,12 @@ class DiscoveryService(ABC):
         #: range benchmarks measure visited-node counts over millions of
         #: node visits; collecting matches there is pure overhead.
         self.collect_matches = True
+        #: The overlay network while a latency model is attached, else
+        #: ``None`` — an instance attribute, as every sub-query reads it
+        #: twice (:meth:`query`, :meth:`_result`).
+        self._latency_net: Any | None = None
+        #: ``_latency_net.route_clock`` when the current sub-query began.
+        self._clock_start = 0.0
         self.metrics = MetricsRegistry()
         self._seeds = SeedFactory(seed).fork(f"service:{self.name}")
         #: The query stream's RNG (entry-node draws).
@@ -306,18 +306,19 @@ class DiscoveryService(ABC):
     def query(self, q: Query, start: Any | None = None) -> QueryResult:
         """Resolve one single-attribute query from entry node ``start``
         (random when omitted)."""
+        net = self._latency_net
+        if net is not None:
+            # The requester clock at the query's start: ``_result`` stamps
+            # the delta onto the result.
+            self._clock_start = net.route_clock
         if self.tracer is None:
-            if self._latency_net is None:
-                return self._query_impl(q, start)
-            return self._timed_query(q, start)
+            return self._query_impl(q, start)
         with self.tracer.span(
             "subquery", f"{self.name}.query",
             attribute=q.attribute, range=q.is_range,
         ) as span:
-            if self._latency_net is None:
-                result = self._query_impl(q, start)
-            else:
-                result = self._timed_query(q, start)
+            result = self._query_impl(q, start)
+            if net is not None:
                 span.attrs["latency"] = result.latency
             span.attrs.update(
                 hops=result.hops, visited=result.visited_nodes,
@@ -325,25 +326,6 @@ class DiscoveryService(ABC):
                 matches=len(result.matches),
             )
         return result
-
-    def _timed_query(self, q: Query, start: Any | None) -> QueryResult:
-        """Resolve one sub-query under the attached latency model and stamp
-        the requester-observed response time onto the result.
-
-        The fault-path delivery loop accumulates the requester's waits
-        (responses, timeout windows, backoffs) onto the network's
-        ``route_clock``; this wrapper reads the per-query delta.  A query
-        that never touched the timed loop (fault-free routing, or the
-        injector's fast path) costs its hop chain under the model instead.
-        """
-        net = self._latency_net
-        before = net.route_clock
-        result = self._query_impl(q, start)
-        elapsed = net.route_clock - before
-        if elapsed == 0.0 and result.hops:
-            elapsed = net.latency_model.route(result.hops)
-        self.metrics.record("query.latency", elapsed)
-        return dataclasses.replace(result, latency=elapsed)
 
     @abstractmethod
     def _plan(self, q: Query) -> tuple:
@@ -435,9 +417,24 @@ class DiscoveryService(ABC):
         timed_out: bool,
     ) -> QueryResult:
         """Record the sub-query's ``query.hops`` / ``query.visited`` sample
-        and build the result that reports the same numbers."""
+        and build the result that reports the same numbers.
+
+        Under a latency model the result also carries the
+        requester-observed response time, recorded as ``query.latency``:
+        the ``route_clock`` delta since :meth:`query` began — the timed
+        sender's response waits, timeout windows and backoffs — or, for a
+        query that never touched the timed loop (fault-free routing, or
+        the injector's fast path), its hop chain under the model.
+        """
         self.metrics.record_pair("query.hops", hops, "query.visited", visited)
-        return QueryResult(matches, hops, visited, complete, retries, timed_out)
+        net = self._latency_net
+        if net is None:
+            return QueryResult(matches, hops, visited, complete, retries, timed_out)
+        elapsed = net.route_clock - self._clock_start
+        if elapsed == 0.0 and hops:
+            elapsed = net.latency_model.route(hops)
+        self.metrics.record("query.latency", elapsed)
+        return QueryResult(matches, hops, visited, complete, retries, timed_out, elapsed)
 
     def multi_query(
         self, mq: MultiAttributeQuery, start: Any | None = None

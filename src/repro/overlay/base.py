@@ -43,7 +43,7 @@ from repro.sim.durability import (
     decodable_level,
     successor_replication,
 )
-from repro.sim.faults import DEFAULT_POLICY, LookupPolicy, deliver_first
+from repro.sim.faults import DEFAULT_POLICY, LookupPolicy
 from repro.sim.maintenance import RepairProgress, repair_buckets
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
@@ -243,6 +243,11 @@ class Overlay:
         on_hedge = None if tracer is None else (
             lambda dst_id, won: hedges.append((dst_id, won))
         )
+        network = self.network
+        stats = network.stats
+        send = network.sender(policy, on_drop, on_hedge)
+        # The sender's network id; after a hop, the chosen candidate's own.
+        src_id = self.uid_of(cur)
         while True:
             candidates = self._fault_step(cur, key, policy)
             if candidates is None:
@@ -255,14 +260,7 @@ class Overlay:
                     owner=cur, hops=hops, path=tuple(path),
                     complete=False, retries=retries,
                 )
-            nxt, used, skipped = deliver_first(
-                self.network,
-                self.uid_of(cur),
-                candidates,
-                policy,
-                on_drop,
-                on_hedge,
-            )
+            nxt, used, skipped = send(src_id, candidates)
             retries += used
             if tracer is not None:
                 advanced = nxt is not None and nxt is not cur
@@ -281,9 +279,11 @@ class Overlay:
                     complete=False, retries=retries, timed_out=True,
                 )
             cur = nxt
+            src_id = candidates[skipped][0]
             hops += 1
             path.append(cur.uid)
-            self.network.count_hop()
+            stats.routing_hops += 1
+            stats.messages += 1
 
     # ------------------------------------------------------------------
     # Range walk

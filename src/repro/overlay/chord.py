@@ -33,7 +33,7 @@ from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace
 from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
-from repro.sim.faults import LookupPolicy, deliver_first
+from repro.sim.faults import LookupPolicy
 from repro.utils.validation import require
 
 __all__ = ["ChordNode", "ChordRing"]
@@ -546,7 +546,9 @@ class ChordRing(Overlay):
             and self._nodes.get(start.node_id) is start
         ):
             return self._walk_slice(start, from_key % size, span)
-        policy = self.lookup_policy
+        if fault_mode:
+            policy = self.lookup_policy
+            send = self.network.sender(policy)
         result = WalkResult([start])
         cur = start
         num_nodes = self.num_nodes
@@ -555,7 +557,11 @@ class ChordRing(Overlay):
         # per visited node on the range-query hot path).
         while (cur.node_id - from_key) % size < span:
             if fault_mode:
-                nxt, skipped = self._walk_step_faulty(cur, policy, result)
+                # One lossy step: to the nearest reachable successor.
+                nxt, retries, skipped = send(
+                    cur.node_id, self._successor_candidates(cur, policy)
+                )
+                result.retries += retries
                 if nxt is None:
                     self._truncate_walk(result, "unreachable successor chain")
                     result.timed_out = True
@@ -604,16 +610,6 @@ class ChordRing(Overlay):
         ring = self._ring
         arc = ring[first:last + 1] if first <= last else ring[first:] + ring[:last + 1]
         return WalkResult(arc, contiguous=True)
-
-    def _walk_step_faulty(
-        self, cur: ChordNode, policy: LookupPolicy, result: WalkResult
-    ) -> tuple[ChordNode | None, int]:
-        """One lossy walk step: deliver to the nearest reachable successor."""
-        nxt, retries, skipped = deliver_first(
-            self.network, cur.node_id, self._successor_candidates(cur, policy), policy
-        )
-        result.retries += retries
-        return nxt, skipped
 
     # ------------------------------------------------------------------
     # Churn

@@ -50,7 +50,7 @@ from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
 from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
-from repro.sim.faults import LookupPolicy, deliver_first
+from repro.sim.faults import LookupPolicy
 from repro.utils.validation import require
 
 __all__ = ["CycloidId", "CycloidNode", "CycloidOverlay"]
@@ -185,10 +185,14 @@ class CycloidOverlay(Overlay):
         #: wraps at the service level) clears it.  ``routing_cache=False``
         #: disables memoisation (equivalence tests diff the two modes).
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
+        #: Memoised :meth:`_slot_row` per node id: routing-table state
+        #: only, popped by the refresh that rewrites the node's slots.
+        self._slot_rows: dict[CycloidId, tuple] = {}
 
     def invalidate_routing_caches(self) -> None:
         super().invalidate_routing_caches()
         self._owner_cache.clear()
+        self._slot_rows.clear()
 
     # ------------------------------------------------------------------
     # Membership / construction
@@ -298,6 +302,7 @@ class CycloidOverlay(Overlay):
     def _refresh_near(self, node: CycloidNode) -> None:
         """Inside and outside leaf sets (the cluster-local entries)."""
         k, a = node.cid
+        self._slot_rows.pop(node.uid, None)
 
         # Inside leaf set: cyclic predecessor and successor in own cluster.
         ks = self._clusters[a]
@@ -330,6 +335,7 @@ class CycloidOverlay(Overlay):
         """Cubical and cyclic neighbours (the long-range routing entries)."""
         d = self.dimension
         k, a = node.cid
+        self._slot_rows.pop(node.uid, None)
         j = (k - 1) % d
 
         # Cubical neighbour: level j in the cluster differing at bit j.
@@ -508,42 +514,67 @@ class CycloidOverlay(Overlay):
         ``policy.failover``) as ``(linearized id, node)`` pairs.  Strict
         improvement bounds the route without any oracle termination check.
 
-        One pass over the seven slots on each ``uid``'s integer ``(k, a)``,
-        each scored once as ``cluster distance * d + cyclic distance`` (the
-        badness order, as a cyclic distance is below ``d``); a repeated
-        slot keeps its first position, as in :meth:`CycloidNode.table_entries`.
+        One pass over ``cur``'s :meth:`_slot_row` — each distinct entry
+        checked for liveness and scored once, on its integer ``(k, a)``,
+        as ``cluster distance * d + cyclic distance`` (the badness order,
+        as a cyclic distance is below ``d``); ties keep slot order, and
+        only the improving entries get their linearized id.
         """
         tk, ta = key
         d = self.dimension
         size = self.cubical_space.size
-        ck, ca = cur.uid
+        uid = cur.uid
+        ck, ca = uid
         gap = (ca - ta) % size
         lag = (ck - tk) % d
         own = (size - gap if 2 * gap > size else gap) * d + (d - lag if 2 * lag > d else lag)
+        row = self._slot_rows.get(uid)
+        if row is None:
+            row = self._slot_row(cur)
         improving = []
-        for node in (
-            cur.cubical_neighbor, *cur.cyclic_neighbors, *cur.inside_leaf, *cur.outside_leaf
-        ):
-            if node is None or not node.alive:
+        entries = iter(row)
+        for k, a, node in zip(entries, entries, entries):
+            if not node.alive:
                 continue
-            k, a = node.uid
             gap = (a - ta) % size
             lag = (k - tk) % d
             score = (size - gap if 2 * gap > size else gap) * d + (
                 d - lag if 2 * lag > d else lag
             )
-            if score < own:  # never ``cur`` itself: it scores ``own``
-                for entry in improving:
-                    if entry[2] is node:
-                        break
-                else:
-                    improving.append((score, a * d + k, node))
+            if score < own:
+                improving.append((score, a * d + k, node))
         if not improving:
             return None
         improving.sort(key=_BY_SCORE)
         if not policy.failover:
             del improving[1:]
         return [(lin, node) for _, lin, node in improving]
+
+    def _slot_row(self, node: CycloidNode) -> tuple:
+        """``node``'s seven routing-table slots, flat: ``k, a, entry`` per
+        distinct entry in slot order (a repeated entry at its first slot;
+        missing entries and ``node`` itself dropped), memoised in
+        ``_slot_rows`` until :meth:`_refresh_near` / :meth:`_refresh_far`
+        rewrite the slots or :meth:`invalidate_routing_caches` runs.
+
+        Slot contents only: liveness is read by each step.  ``node``
+        itself never scores below its own position, so dropping it
+        changes no step.  A row is one tuple (at most 21 references to
+        objects the table already holds): ~210 bytes per node.
+        """
+        row: list = []
+        seen: list[CycloidNode] = [node]
+        for entry in (
+            node.cubical_neighbor, *node.cyclic_neighbors, *node.inside_leaf, *node.outside_leaf
+        ):
+            if entry is None or any(entry is other for other in seen):
+                continue
+            seen.append(entry)
+            row += entry.uid
+            row.append(entry)
+        if self.routing_cache:
+            self._slot_rows[node.uid] = row = tuple(row)
+        return row
 
     def _next_hop_msb(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
         """The link the Cycloid paper's MSB-first step names (clusters
@@ -629,13 +660,16 @@ class CycloidOverlay(Overlay):
         short by a broken leaf chain — or, under an active fault injector,
         by an unreachable cluster successor — is marked ``truncated``.
         """
-        policy = self.lookup_policy
         fault_mode = self.faults_active
         d = self.dimension
         k_from %= d
         k_to %= d
         span = (k_to - k_from) % d
         num_members = len(self._clusters.get(start.a, ()))
+        if fault_mode:
+            send = self.network.sender(self.lookup_policy)
+            # The sender's linearized id, carried along the walk.
+            src_id = start.a * d + start.k
         result = WalkResult([start])
         cur = start
         while len(result) < num_members:
@@ -654,17 +688,15 @@ class CycloidOverlay(Overlay):
             if (first_of_succ - k_from) % d > span:
                 break
             if fault_mode:
-                nxt, retries, _skipped = deliver_first(
-                    self.network,
-                    self.linearize(cur.cid),
-                    [(self.linearize(succ.cid), succ)],
-                    policy,
-                )
+                k, a = succ.uid
+                dst_id = a * d + k
+                nxt, retries, _skipped = send(src_id, [(dst_id, succ)])
                 result.retries += retries
                 if nxt is None:
                     self._truncate_walk(result, "unreachable cluster successor")
                     result.timed_out = True
                     break
+                src_id = dst_id
             cur = succ
             result.append(cur)
         return result

@@ -192,8 +192,10 @@ class OverlayNode:
         #: False once the node has left; dead nodes are skipped by routing.
         self.alive = True
         #: ``(namespace, key_id) -> bucket``: flat, as a node holds about
-        #: one key per namespace and a dict per namespace costs more.
-        self._store: dict[tuple[str, int], list[Any]] = {}
+        #: one key per namespace and a dict per namespace costs more.  A
+        #: bucket of one item — most of them — is a 1-tuple (48 bytes, a
+        #: one-item list takes 72); the second item makes it a list.
+        self._store: dict[tuple[str, int], list[Any] | tuple[Any]] = {}
         #: Ordered read views, ``namespace -> {key_id (None: the whole
         #: namespace) -> (items, attributes, values)}``: the bucket's items
         #: stably sorted by ``(attribute, value)`` with the two sort keys
@@ -217,9 +219,9 @@ class OverlayNode:
         bucket_key = (namespace, key_id)
         bucket = self._store.get(bucket_key)
         if bucket is None:
-            # Most buckets hold one item: an exact-size list, not an
-            # appended one with spare capacity.
-            self._store[bucket_key] = [item]
+            self._store[bucket_key] = (item,)
+        elif type(bucket) is tuple:
+            self._store[bucket_key] = [*bucket, item]
         else:
             bucket.append(item)
         if self._views:
@@ -318,6 +320,8 @@ class OverlayNode:
         removed = self._store.pop((namespace, key_id), None)
         if removed is None:
             return []
+        if type(removed) is tuple:
+            removed = list(removed)
         self._views.pop(namespace, None)
         if self._arcs:
             self._arcs.discard(self, namespace, removed)
@@ -329,9 +333,12 @@ class OverlayNode:
         bucket = self._store.get(bucket_key)
         if bucket is None or item not in bucket:
             return False
-        bucket.remove(item)
-        if not bucket:
+        if type(bucket) is tuple:  # a bucket of one: now empty
             del self._store[bucket_key]
+        else:
+            bucket.remove(item)
+            if not bucket:
+                del self._store[bucket_key]
         self._views.pop(namespace, None)
         if self._arcs:
             self._arcs.discard(self, namespace, (item,))
@@ -379,8 +386,9 @@ def trace_fault_step(
     retry-round and failover annotations attach to it.  One "retry" event
     is emitted per retransmission round, so the retry-event count of a
     span tree always equals the ``LookupResult.retries`` accounting.
-    ``drops`` holds the ``(dst_id, attempt)`` pairs observed by
-    :func:`repro.sim.faults.deliver_first` and is cleared for the next step.
+    ``drops`` holds the ``(dst_id, attempt)`` pairs observed by the route's
+    sender (:meth:`repro.sim.network.SimulatedNetwork.sender`) and is
+    cleared for the next step.
     ``hedges`` likewise holds ``(dst_id, won)`` pairs from hedged backup
     requests — each becomes a "hedge" event and marks the hop span with
     ``hedge``/``hedge_won`` attributes.

@@ -52,9 +52,9 @@ def network_ids_of(overlay: Any) -> list[int]:
     """Every live node's identifier in the *network's* integer space.
 
     Chord node IDs are already ring integers; Cycloid ``(k, a)`` IDs are
-    linearized — the same mapping the fault path hands to
-    ``deliver_first``, so fail-slow marks land on the IDs messages
-    actually travel between.
+    linearized — the same mapping the fault path hands to the route's
+    sender, so fail-slow marks land on the IDs messages actually travel
+    between.
     """
     # int(): ring ids built from numpy draws stay numpy integers.
     return sorted(int(overlay.uid_of(node)) for node in overlay.nodes())

@@ -29,13 +29,14 @@ changes, so every existing figure reproduces unchanged.
 faults: how many retransmission rounds it attempts per hop, its timeout and
 backoff accounting, and whether it fails over across successor-list entries
 and alternate fingers.  An overlay's fault-path ``lookup`` and range walk
-read it from ``overlay.lookup_policy``.
+read it from ``overlay.lookup_policy`` and deliver under it through the
+network's per-route sender (:meth:`~repro.sim.network.SimulatedNetwork.sender`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "NO_RETRY_POLICY",
     "ADAPTIVE_POLICY",
     "HEDGED_POLICY",
-    "deliver_first",
 ]
 
 
@@ -219,8 +219,8 @@ class LookupPolicy:
         above ``timeout``, so the fixed value stays the conservative cap).
         Only meaningful while a latency model is attached.
     hedge:
-        After the observed ``hedge_quantile`` delay with no answer, fire
-        one backup copy of the message and take whichever response lands
+        After the requester's observed p95 delay with no answer, fire one
+        backup copy of the message and take whichever response lands
         first.  Hedging is *result-transparent*: the backup goes to the
         same destination, so only latency and hedge counters can change.
     """
@@ -236,9 +236,6 @@ class LookupPolicy:
     timeout: ClassVar[float] = 0.5
     #: The growth factor of the backoff between retransmission rounds.
     backoff_factor: ClassVar[float] = 2.0
-    #: Observed response-time quantile at which the hedge fires (the "tail
-    #: at scale" p95 rule).
-    hedge_quantile: ClassVar[float] = 0.95
     #: Exponent ceiling for :meth:`backoff_for` — far beyond any plausible
     #: retry budget, small enough that ``factor ** cap`` stays finite.
     _BACKOFF_EXPONENT_CAP: ClassVar[int] = 32
@@ -256,24 +253,6 @@ class LookupPolicy:
         """
         exponent = min(round_index - 1, self._BACKOFF_EXPONENT_CAP)
         return self.backoff_base * self.backoff_factor**exponent
-
-    def effective_timeout(self, estimator: Any | None = None) -> float:
-        """The timeout charged for one unanswered message.
-
-        The fixed ``timeout`` — unless ``adaptive_timeout`` is set and an
-        estimator view is available, in which case the estimator's
-        (tighter, floor-clamped) adaptive value applies.
-        """
-        if not self.adaptive_timeout or estimator is None:
-            return self.timeout
-        return estimator.timeout(self.timeout)
-
-    def hedge_delay(self, estimator: Any | None) -> float | None:
-        """Seconds after which a hedge fires, or ``None`` while the
-        estimator is still too cold to know its ``hedge_quantile``."""
-        if not self.hedge or estimator is None:
-            return None
-        return estimator.hedge_delay(self.hedge_quantile)
 
 
 #: The default requester behaviour: 2 retransmission rounds, full failover.
@@ -298,187 +277,3 @@ ADAPTIVE_POLICY = LookupPolicy(
 HEDGED_POLICY = LookupPolicy(
     adaptive_timeout=True, hedge=True, max_retries=4, backoff_base=0.0
 )
-
-
-def deliver_first(
-    network: Any,
-    src_id: int,
-    candidates: Sequence[tuple[int, Any]],
-    policy: LookupPolicy,
-    on_drop: Callable[[int, int], None] | None = None,
-    on_hedge: Callable[[int, bool], None] | None = None,
-) -> tuple[Any, int, int]:
-    """Deliver one message to the first reachable candidate.
-
-    ``candidates`` is an ordered ``(dst_id, node)`` preference list.  The
-    preferred candidate is retried up to ``max_retries`` times (with
-    backoff accounting) before the requester fails over to the next one —
-    transient loss is absorbed by retransmission, persistent
-    unreachability by failover.  Dropped messages count as timeouts.
-
-    ``on_drop(dst_id, attempt)`` — when given — observes every failed
-    delivery attempt (the hop-level tracer sources its "drop" annotations
-    from here, so annotations reflect the injector's actual decisions).
-    ``on_hedge(dst_id, won)`` likewise observes every hedge fired on the
-    latency-aware path.
-
-    Returns ``(node, retries_used, skipped)`` where ``skipped`` is the
-    number of candidates given up on before ``node`` answered, or
-    ``(None, retries_used, len(candidates))`` when every candidate failed.
-
-    With no injector active this is exact-identity: the first candidate
-    wins, nothing is counted, no randomness is drawn.  With an injector
-    but no latency model the seed's loss-only loop runs unchanged; a
-    latency model routes through :func:`_deliver_first_timed`, which adds
-    the requester clock, adaptive timeouts and hedging.
-    """
-    if not candidates:
-        return None, 0, 0
-    if not network.faults_active:
-        return candidates[0][1], 0, 0
-    if network.latency_model is not None:
-        return _deliver_first_timed(
-            network, src_id, candidates, policy, on_drop, on_hedge
-        )
-    retries_used = 0
-    for position, (dst_id, node) in enumerate(candidates):
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                retries_used += 1
-                network.count_retry()
-            if network.try_deliver(src_id, dst_id):
-                return node, retries_used, position
-            network.count_timeout()
-            if on_drop is not None:
-                on_drop(dst_id, attempt)
-    return None, retries_used, len(candidates)
-
-
-def _fire_hedge(
-    network: Any,
-    src_id: int,
-    dst_id: int,
-    hedge_at: float,
-    primary: float,
-    on_hedge: Callable[[int, bool], None] | None,
-) -> tuple[float, float]:
-    """Fire one backup request at ``hedge_at`` and race the primary.
-
-    The backup is a fresh transmission to the *same* destination (an iid
-    latency draw — the "tail at scale" defense against stragglers and
-    intermittent gray failures), so results cannot change, only response
-    time.  Returns ``(response, sample)``: the winning response time
-    measured from the primary's send instant, and the winning
-    transmission's *own* RTT (the backup's latency excludes the hedge
-    delay) — the value safe to feed the estimator.  A dropped backup
-    leaves the primary racing alone.
-    """
-    if not network.try_deliver(src_id, dst_id):
-        network.count_hedge(won=False, delivered=False)
-        if on_hedge is not None:
-            on_hedge(dst_id, False)
-        return primary, primary
-    backup_rtt = network.last_latency
-    backup = hedge_at + backup_rtt
-    won = backup < primary
-    network.count_hedge(won=won)
-    if on_hedge is not None:
-        on_hedge(dst_id, won)
-    if won:
-        return backup, backup_rtt
-    return primary, primary
-
-
-def _deliver_first_timed(
-    network: Any,
-    src_id: int,
-    candidates: Sequence[tuple[int, Any]],
-    policy: LookupPolicy,
-    on_drop: Callable[[int, int], None] | None,
-    on_hedge: Callable[[int, bool], None] | None,
-) -> tuple[Any, int, int]:
-    """The latency-aware delivery loop (a latency model is attached).
-
-    Semantics on top of the loss-only loop:
-
-    * every delivered message carries a sampled response time;
-    * the timeout charged per unanswered window is the policy's
-      *effective* timeout (adaptive when enabled);
-    * a delivered-but-late response (slower than the timeout) is treated
-      as lost — the requester retransmits to the *same* destination — but
-      once retransmissions are exhausted the requester waits the slow
-      reply out rather than failing over: the node is alive, and failing
-      over would change query results under a pure fail-slow fault;
-    * with hedging enabled, a response slower than the observed
-      ``hedge_quantile`` races a backup copy; the first answer wins;
-    * responses accepted within the timeout feed the requester's RTT
-      estimator; forced (retries-exhausted) straggler accepts do not
-      (Karn's rule), and the requester-observed elapsed time (responses
-      + timeout windows + backoffs) accumulates on
-      ``network.route_clock``.
-
-    Only latencies, latency-side counters and the estimator differ from
-    the loss-only loop: which node answers is decided by the same
-    drop/failover logic, so owner sets stay policy-independent under
-    pure fail-slow plans (the result-transparency property).
-    """
-    estimator = network.rtt_for(src_id)
-    retries_used = 0
-    elapsed = 0.0
-    try:
-        for position, (dst_id, node) in enumerate(candidates):
-            for attempt in range(policy.max_retries + 1):
-                if attempt:
-                    retries_used += 1
-                    backoff = policy.backoff_for(attempt)
-                    network.count_retry()
-                    elapsed += backoff
-                timeout = policy.effective_timeout(estimator)
-                if not network.try_deliver(src_id, dst_id):
-                    # Dropped outright: the requester burns the full
-                    # timeout window before acting.
-                    network.count_timeout()
-                    elapsed += timeout
-                    if on_drop is not None:
-                        on_drop(dst_id, attempt)
-                    continue
-                response = network.last_latency
-                sample = response
-                window = timeout
-                hedge_at = policy.hedge_delay(estimator)
-                if hedge_at is not None and response > hedge_at:
-                    response, sample = _fire_hedge(
-                        network, src_id, dst_id, hedge_at, response, on_hedge
-                    )
-                    # The backup got its own deadline, clocked from its
-                    # own send instant: the round is given up only once
-                    # both transmissions' windows expired.
-                    window = hedge_at + timeout
-                if response <= window:
-                    if sample <= timeout:
-                        # Only responses within their own transmission's
-                        # deadline train the estimator — accepted
-                        # stragglers would inflate it until stragglers
-                        # pass unchallenged (Karn's rule).
-                        estimator.observe(sample)
-                    elapsed += response
-                    return node, retries_used, position
-                if attempt == policy.max_retries:
-                    # Retries exhausted: the node is alive, so the
-                    # requester waits the straggler out (failing over
-                    # would change results under pure fail-slow).  The
-                    # sample does NOT feed the estimator — Karn's rule:
-                    # straggler accepts would inflate the adaptive
-                    # timeout until stragglers pass unchallenged,
-                    # defeating the defense they triggered.
-                    elapsed += response
-                    return node, retries_used, position
-                # Delivered but slower than the deadline(s): declared
-                # lost, retransmit to the same destination.
-                network.count_timeout()
-                elapsed += window
-                if on_drop is not None:
-                    on_drop(dst_id, attempt)
-        return None, retries_used, len(candidates)
-    finally:
-        network.route_clock += elapsed

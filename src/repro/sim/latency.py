@@ -11,8 +11,10 @@ fail-slow substrate:
   :class:`LognormalLatency` is the classic WAN RTT shape.
 * :class:`RttEstimator` / :class:`RttBook` — the requester-side defenses:
   an EWMA (Jacobson/Karels) smoothed-RTT tracker plus a sliding-window
-  quantile tracker, from which :class:`~repro.sim.faults.LookupPolicy`
-  derives adaptive timeouts and hedge-fire delays.
+  quantile tracker, from which the network's timed sender
+  (:meth:`~repro.sim.network.SimulatedNetwork.sender`) derives the
+  adaptive timeouts and hedge-fire delays a
+  :class:`~repro.sim.faults.LookupPolicy` asks for.
 
 A ``None`` latency model (the default everywhere) is a strict identity: no
 randomness is drawn and no behaviour changes.
@@ -129,7 +131,7 @@ class RttEstimator:
       timeout ``MARGIN * q`` that stays tight even when a few accepted
       stragglers inflate ``rttvar``.
 
-    :meth:`timeout` takes the *tighter* of the two (never above the
+    :meth:`deadlines` takes the *tighter* of the two (never above the
     policy's fixed fallback, never below :attr:`FLOOR`), so a gray-failure
     burst cannot talk the estimator into waiting longer than a fixed
     timeout would have.
@@ -150,6 +152,9 @@ class RttEstimator:
     #: Samples the window needs before its quantiles are trusted.
     MIN_SAMPLES = 8
     FLOOR = 1e-3
+    #: The response-time quantile the robust timeout and the hedge read
+    #: (the "tail at scale" p95 rule).
+    QUANTILE = 0.95
 
     def __init__(self) -> None:
         self._srtt: float | None = None
@@ -182,13 +187,15 @@ class RttEstimator:
     def observe(self, rtt: float) -> None:
         """Fold one requester-observed response time into both trackers."""
         rtt = float(rtt)
-        if self._srtt is None:
+        srtt = self._srtt
+        if srtt is None:
             self._srtt = rtt
             self._rttvar = rtt / 2.0
         else:
-            err = rtt - self._srtt
-            self._rttvar += self.BETA * (abs(err) - self._rttvar)
-            self._srtt += self.ALPHA * err
+            err = rtt - srtt
+            # ``abs(err)`` and ``srtt += ALPHA * err``, without the calls.
+            self._rttvar += self.BETA * ((err if err >= 0.0 else -err) - self._rttvar)
+            self._srtt = srtt + self.ALPHA * err
         window = self._window
         ordered = self._sorted
         if len(window) == self.WINDOW:
@@ -216,72 +223,59 @@ class RttEstimator:
         t = at - i
         return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
-    def timeout(self, fallback: float) -> float:
-        """Adaptive timeout: tightest of EWMA, quantile and ``fallback``."""
+    def deadlines(self, fallback: float) -> tuple[float, float | None]:
+        """The adaptive timeout and the :attr:`QUANTILE` it reads, from one
+        quantile read: the timeout is the tightest of EWMA, ``MARGIN *``
+        quantile and ``fallback`` (never below :attr:`FLOOR`); the
+        quantile (None until warm) is also where a hedge fires.  Read once
+        per delivery, so ``min`` / ``max`` are written out."""
         best = fallback
-        if self._srtt is not None:
-            best = min(best, self._srtt + self.K * self._rttvar)
-        q95 = self.quantile_estimate(0.95)
-        if q95 is not None:
-            best = min(best, self.MARGIN * q95)
-        return max(self.FLOOR, best)
-
-
-class _RequesterRtt:
-    """One requester's view into a :class:`RttBook`.
-
-    Observations feed both the requester's own estimator and the book's
-    aggregate; reads prefer the requester's estimator once it is warm and
-    fall back to the aggregate before that — so sparse requesters defend
-    themselves from the population-wide picture instead of flying blind.
-    """
-
-    __slots__ = ("_own", "_aggregate")
-
-    def __init__(self, own: RttEstimator, aggregate: RttEstimator) -> None:
-        self._own = own
-        self._aggregate = aggregate
-
-    def observe(self, rtt: float) -> None:
-        self._own.observe(rtt)
-        self._aggregate.observe(rtt)
-
-    def _best(self) -> RttEstimator:
-        return self._own if self._own.ready else self._aggregate
-
-    def timeout(self, fallback: float) -> float:
-        return self._best().timeout(fallback)
-
-    def hedge_delay(self, quantile: float) -> float | None:
-        return self._best().quantile_estimate(quantile)
+        srtt = self._srtt
+        if srtt is not None:
+            ewma = srtt + self.K * self._rttvar
+            if ewma < best:
+                best = ewma
+        quantile = self.quantile_estimate(self.QUANTILE)
+        if quantile is not None:
+            robust = self.MARGIN * quantile
+            if robust < best:
+                best = robust
+        return (best if best > self.FLOOR else self.FLOOR), quantile
 
 
 class RttBook:
     """Per-requester :class:`RttEstimator` registry with a shared aggregate.
 
-    ``for_requester(src_id)`` returns the requester's view (created on
-    first use).  The aggregate estimator sees every observation, which is
-    what lets adaptive timeouts and hedging engage after a handful of
-    warmup queries instead of per-node sample counts.
+    Observations feed both the requester's own estimator and the
+    aggregate; a requester defends from its own estimator once that is
+    warm and from the aggregate before, so sparse requesters defend
+    themselves from the population-wide picture instead of flying blind —
+    which is what lets adaptive timeouts and hedging engage after a
+    handful of warmup queries instead of per-node sample counts.
     """
 
     def __init__(self) -> None:
         self.aggregate = RttEstimator()
         self._per: dict = {}
 
-    def for_requester(self, src_id) -> _RequesterRtt:
-        return _RequesterRtt(self.estimator(src_id), self.aggregate)
-
     def estimator(self, src_id) -> RttEstimator:
-        """The raw per-requester estimator (tests and reporting)."""
+        """Requester ``src_id``'s own estimator (created on first use)."""
         own = self._per.get(src_id)
         if own is None:
-            own = RttEstimator()
-            self._per[src_id] = own
+            own = self._per[src_id] = RttEstimator()
         return own
+
+    def deadlines(self, src_id, fallback: float) -> tuple[RttEstimator, float, float | None]:
+        """Requester ``src_id``'s own estimator, and the adaptive timeout
+        and quantile it defends with (:meth:`RttEstimator.deadlines` of
+        its own window once warm, of the aggregate's before)."""
+        own = self._per.get(src_id)
+        if own is None:
+            own = self._per[src_id] = RttEstimator()
+        timeout, quantile = (own if own.ready else self.aggregate).deadlines(fallback)
+        return own, timeout, quantile
 
     def reset(self) -> None:
         """Drop every estimator (fresh measurement window)."""
         self.aggregate = RttEstimator()
         self._per.clear()
-

@@ -134,7 +134,8 @@ class TestHedgeTraces:
             median=net.hop_latency, sigma=0.35, seed=seed
         )
         for _ in range(12):  # warm the shared aggregate estimator
-            net.rtt_for(0).observe(net.hop_latency)
+            net.rtt.estimator(0).observe(net.hop_latency)
+            net.rtt.aggregate.observe(net.hop_latency)
         tracer = QueryTracer()
         ring.tracer = tracer
         ring.lookup_policy = HEDGED_POLICY

@@ -122,6 +122,45 @@ def cycloid_hop_candidates(
     return [(overlay.linearize(n.cid), n) for _, n in improving]
 
 
+def cycloid_slot_scan(
+    overlay: CycloidOverlay, cur: CycloidNode, key: CycloidId, policy
+) -> list | None:
+    """The one-pass step before slot rows: the seven slots read and
+    scored on every call (the memoised :meth:`CycloidOverlay._slot_row`
+    must answer exactly this)."""
+    tk, ta = key
+    d = overlay.dimension
+    size = overlay.cubical_space.size
+    ck, ca = cur.uid
+    gap = (ca - ta) % size
+    lag = (ck - tk) % d
+    own = (size - gap if 2 * gap > size else gap) * d + (d - lag if 2 * lag > d else lag)
+    improving = []
+    for node in (
+        cur.cubical_neighbor, *cur.cyclic_neighbors, *cur.inside_leaf, *cur.outside_leaf
+    ):
+        if node is None or not node.alive:
+            continue
+        k, a = node.uid
+        gap = (a - ta) % size
+        lag = (k - tk) % d
+        score = (size - gap if 2 * gap > size else gap) * d + (
+            d - lag if 2 * lag > d else lag
+        )
+        if score < own:
+            for entry in improving:
+                if entry[2] is node:
+                    break
+            else:
+                improving.append((score, a * d + k, node))
+    if not improving:
+        return None
+    improving.sort(key=itemgetter(0))
+    if not policy.failover:
+        del improving[1:]
+    return [(lin, node) for _, lin, node in improving]
+
+
 def reference_step(overlay, cur, key, policy):
     """What one fault-path hop used: ``None`` if ``cur`` owns ``key``,
     else the preference list."""
@@ -177,6 +216,7 @@ def maim_cycloid(overlay: CycloidOverlay, seed: int) -> None:
         node.cubical_neighbor = r.choice([None, node, other])
         node.inside_leaf = (node.inside_leaf[0], r.choice([node.inside_leaf[0], other]))
         node.outside_leaf = (other, node.outside_leaf[1])
+    overlay.invalidate_routing_caches()
 
 
 def assert_steps_match(overlay, keys) -> tuple[int, int]:
@@ -244,6 +284,85 @@ class TestFaultStepMatchesReference:
         maim_cycloid(overlay, seed)
         owned, failovers = assert_steps_match(overlay, cycloid_keys(overlay))
         assert owned and failovers
+
+
+class TestSlotRowCoherence:
+    """Cycloid's memoised slot rows never outlive the slots they copy:
+    after every event that rewrites a routing table, each ``(node, key)``
+    step equals the per-call seven-slot scan.  Rows are filled before each
+    event, so a refresh that forgets to drop one is caught."""
+
+    @staticmethod
+    def _check(overlay: CycloidOverlay) -> None:
+        keys = cycloid_keys(overlay)
+        for policy in POLICIES:
+            for node in list(overlay.nodes()):
+                for key in keys:
+                    assert overlay._fault_step(node, key, policy) == cycloid_slot_scan(
+                        overlay, node, key, policy
+                    ), (node.uid, key)
+        assert overlay._slot_rows, "the steps must run on memoised rows"
+
+    @staticmethod
+    def _tables(overlay: CycloidOverlay) -> list:
+        """Every node's seven slots, by identity."""
+        return [
+            tuple(map(id, (n.cubical_neighbor, *n.cyclic_neighbors, *n.inside_leaf, *n.outside_leaf)))
+            for n in overlay.nodes()
+        ]
+
+    def test_rows_follow_every_table_rewrite(self):
+        r = random.Random(21)
+        overlay = CycloidOverlay(4)
+        overlay.build(r.sample([CycloidId(k, a) for a in range(16) for k in range(4)], 44))
+        check = self._check
+        check(overlay)
+        absent = [CycloidId(k, a) for a in range(16) for k in range(4) if CycloidId(k, a) not in overlay]
+        overlay.join(absent[0])
+        check(overlay)
+        overlay.leave(r.choice(overlay.node_ids))
+        check(overlay)
+        for _ in range(3):
+            overlay.fail(r.choice(overlay.node_ids))
+        check(overlay)  # the far links of a departure stay stale ...
+        before = self._tables(overlay)
+        overlay.stabilize_all()  # ... until the sweep re-derives them
+        assert self._tables(overlay) != before
+        check(overlay)
+        for _ in range(3):
+            overlay.fail(r.choice(overlay.node_ids))
+        check(overlay)
+        before = self._tables(overlay)
+        for node in list(overlay.nodes()):
+            overlay.refresh_routing_step(node)
+        assert self._tables(overlay) != before
+        check(overlay)
+        # Leaf sets staged out of date by hand: the stabilize steps alone
+        # (no invalidation) must repair tables and rows alike.
+        for node in r.sample(list(overlay.nodes()), 12):
+            node.inside_leaf = node.inside_leaf[::-1]
+            node.outside_leaf = (None, None)
+        overlay.invalidate_routing_caches()
+        check(overlay)
+        before = self._tables(overlay)
+        for node in list(overlay.nodes()):
+            overlay.stabilize_step(node)
+        assert self._tables(overlay) != before
+        check(overlay)
+
+    def test_hand_staged_tables_after_invalidation(self):
+        overlay = CycloidOverlay(4)
+        overlay.build_full()
+        self._check(overlay)
+        maim_cycloid(overlay, 5)  # stages by hand, then invalidates
+        self._check(overlay)
+
+    def test_uncached_overlay_memoises_nothing(self):
+        overlay = CycloidOverlay(4, routing_cache=False)
+        overlay.build_full()
+        node = overlay.node(CycloidId(0, 0))
+        assert overlay._fault_step(node, CycloidId(2, 9), DEFAULT_POLICY)
+        assert not overlay._slot_rows
 
 
 class TestChordParity:

@@ -13,10 +13,10 @@ from repro.sim.faults import (
     ADAPTIVE_POLICY,
     DEFAULT_POLICY,
     HEDGED_POLICY,
+    ArcPartition,
     FaultInjector,
     FaultPlan,
     LookupPolicy,
-    deliver_first,
 )
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.network import SimulatedNetwork
@@ -101,11 +101,21 @@ class TestDefendedPresets:
         assert HEDGED_POLICY.backoff_base == 0.0
 
     def test_effective_timeout_without_estimator_is_fixed(self):
-        assert ADAPTIVE_POLICY.effective_timeout(None) == ADAPTIVE_POLICY.timeout
+        # A cold requester (no samples anywhere) charges the fixed timeout
+        # for every dropped round, adaptive or not.
+        injector = FaultInjector(FaultPlan())
+        injector.arm_partition(ArcPartition(1, 1, space=4))
+        net = SimulatedNetwork(faults=injector, latency_model=ConstantLatency(0.05))
+        node, retries, _ = deliver(net, 0, [(1, "cut")], ADAPTIVE_POLICY)
+        assert node is None and retries == ADAPTIVE_POLICY.max_retries
+        assert net.route_clock == (ADAPTIVE_POLICY.max_retries + 1) * ADAPTIVE_POLICY.timeout
 
     def test_hedge_delay_cold_is_none(self):
-        net = SimulatedNetwork()
-        assert HEDGED_POLICY.hedge_delay(net.rtt_for(0)) is None
+        # A cold requester knows no p95 yet: a straggler fires no hedge.
+        net = _gray_network(ConstantLatency(0.05), victim=1)
+        node, _, _ = deliver(net, 0, [(1, "slow")], HEDGED_POLICY)
+        assert node == "slow"
+        assert net.stats.hedges == 0
 
 
 def _gray_network(model, victim=1, multiplier=100.0):
@@ -116,14 +126,24 @@ def _gray_network(model, victim=1, multiplier=100.0):
 
 
 def _warm(network, src, rtt=0.05, n=10):
+    """Feed ``n`` accepted responses to ``src``'s estimator and the
+    aggregate, as the timed sender does."""
     for _ in range(n):
-        network.rtt_for(src).observe(rtt)
+        network.rtt.estimator(src).observe(rtt)
+        network.rtt.aggregate.observe(rtt)
+
+
+def deliver(network, src, candidates, policy, on_drop=None, on_hedge=None):
+    """One delivery through a fresh route's sender."""
+    return network.sender(policy, on_drop, on_hedge)(src, candidates)
 
 
 class TestTimedDeliverFirst:
+    """The timed sender: the requester clock, adaptive timeouts, hedges."""
+
     def test_model_without_faults_is_exact_identity(self):
         net = SimulatedNetwork(latency_model=ConstantLatency(0.05))
-        node, retries, skipped = deliver_first(
+        node, retries, skipped = deliver(
             net, 0, [(1, "a"), (2, "b")], HEDGED_POLICY
         )
         assert (node, retries, skipped) == ("a", 0, 0)
@@ -132,7 +152,7 @@ class TestTimedDeliverFirst:
 
     def test_accept_within_timeout_trains_the_estimator(self):
         net = _gray_network(ConstantLatency(0.05), victim=99)
-        node, retries, skipped = deliver_first(
+        node, retries, skipped = deliver(
             net, 0, [(1, "a")], ADAPTIVE_POLICY
         )
         assert (node, retries, skipped) == ("a", 0, 0)
@@ -142,7 +162,7 @@ class TestTimedDeliverFirst:
     def test_adaptive_timeout_cuts_the_wait_short(self):
         net = _gray_network(ConstantLatency(0.05), victim=1)
         _warm(net, src=0)
-        node, retries, skipped = deliver_first(
+        node, retries, skipped = deliver(
             net, 0, [(1, "slow")], ADAPTIVE_POLICY
         )
         # Every round times out fast (adaptive window << 0.5s), then the
@@ -160,13 +180,13 @@ class TestTimedDeliverFirst:
         net = _gray_network(ConstantLatency(0.05), victim=1)
         _warm(net, src=0)
         before = net.rtt.estimator(0).samples_seen
-        deliver_first(net, 0, [(1, "slow")], ADAPTIVE_POLICY)
+        deliver(net, 0, [(1, "slow")], ADAPTIVE_POLICY)
         assert net.rtt.estimator(0).samples_seen == before
         assert net.rtt.estimator(0).srtt == pytest.approx(0.05)
 
     def test_fixed_policy_burns_full_windows(self):
         net = _gray_network(ConstantLatency(0.05), victim=1)
-        node, retries, skipped = deliver_first(
+        node, retries, skipped = deliver(
             net, 0, [(1, "slow")], DEFAULT_POLICY
         )
         assert node == "slow"
@@ -179,7 +199,7 @@ class TestTimedDeliverFirst:
     def test_hedge_fires_and_backup_wins(self):
         net = _gray_network(ScriptedLatency([1.0, 0.03]), victim=99)
         _warm(net, src=0)
-        node, retries, skipped = deliver_first(
+        node, retries, skipped = deliver(
             net, 0, [(1, "a")], HEDGED_POLICY
         )
         assert (node, retries, skipped) == ("a", 0, 0)
@@ -193,7 +213,7 @@ class TestTimedDeliverFirst:
     def test_hedge_loses_to_the_primary(self):
         net = _gray_network(ScriptedLatency([0.056, 0.2]), victim=99)
         _warm(net, src=0)
-        node, _, _ = deliver_first(net, 0, [(1, "a")], HEDGED_POLICY)
+        node, _, _ = deliver(net, 0, [(1, "a")], HEDGED_POLICY)
         assert node == "a"
         assert net.stats.hedges == 1
         assert net.stats.hedges_won == 0
@@ -216,7 +236,7 @@ class TestTimedDeliverFirst:
         policy = LookupPolicy(
             adaptive_timeout=True, hedge=True, max_retries=0, backoff_base=0.0
         )
-        node, _, _ = deliver_first(net, 0, [(1, "a")], policy)
+        node, _, _ = deliver(net, 0, [(1, "a")], policy)
         assert node == "a"  # forced accept of the straggling primary
         assert net.stats.hedges == 1
         assert net.stats.hedges_won == 0
@@ -227,7 +247,7 @@ class TestTimedDeliverFirst:
         net = _gray_network(ScriptedLatency([1.0, 0.03]), victim=99)
         _warm(net, src=0)
         seen = []
-        deliver_first(
+        deliver(
             net, 0, [(1, "a")], HEDGED_POLICY,
             on_hedge=lambda dst, won: seen.append((dst, won)),
         )

@@ -12,7 +12,6 @@ from repro.sim.faults import (
     FaultInjector,
     FaultPlan,
     LookupPolicy,
-    deliver_first,
 )
 from repro.sim.network import SimulatedNetwork
 
@@ -157,6 +156,9 @@ class TestLookupPolicy:
 
 
 class TestDeliverFirst:
+    """One message to the first reachable candidate, through a route's
+    sender (``SimulatedNetwork.sender``): retries, failover, timeouts."""
+
     def _network(self, injector=None) -> SimulatedNetwork:
         return SimulatedNetwork(faults=injector)
 
@@ -167,21 +169,18 @@ class TestDeliverFirst:
 
     def test_no_faults_is_exact_identity(self):
         network = self._network()
-        node, retries, skipped = deliver_first(
-            network, 0, [(1, "a"), (2, "b")], DEFAULT_POLICY
-        )
+        node, retries, skipped = network.sender(DEFAULT_POLICY)(0, [(1, "a"), (2, "b")])
         assert (node, retries, skipped) == ("a", 0, 0)
         assert network.stats == SimulatedNetwork().stats  # nothing counted
 
     def test_empty_candidates(self):
-        assert deliver_first(self._network(), 0, [], DEFAULT_POLICY) == (None, 0, 0)
+        assert self._network().sender(DEFAULT_POLICY)(0, []) == (None, 0, 0)
 
     def test_partition_forces_failover(self):
         network = self._partitioned(ArcPartition(100, 120, space=256))
         # First candidate is across the cut, second is on our side.
-        node, retries, skipped = deliver_first(
-            network, 10, [(110, "cut"), (50, "near")], DEFAULT_POLICY
-        )
+        send = network.sender(DEFAULT_POLICY)
+        node, retries, skipped = send(10, [(110, "cut"), (50, "near")])
         assert node == "near"
         assert skipped == 1
         assert retries == DEFAULT_POLICY.max_retries  # burnt on the cut one
@@ -191,9 +190,8 @@ class TestDeliverFirst:
 
     def test_all_candidates_unreachable(self):
         network = self._partitioned(ArcPartition(100, 120, space=256))
-        node, retries, skipped = deliver_first(
-            network, 10, [(110, "a"), (115, "b")], NO_RETRY_POLICY
-        )
+        send = network.sender(NO_RETRY_POLICY)
+        node, retries, skipped = send(10, [(110, "a"), (115, "b")])
         assert node is None
         assert retries == 0
         assert skipped == 2
@@ -205,9 +203,7 @@ class TestDeliverFirst:
         probe = FaultInjector(plan)
         assert [probe.delivered(0, 1) for _ in range(2)] == [False, True]
         network = self._network(FaultInjector(plan))
-        node, retries, skipped = deliver_first(
-            network, 0, [(1, "a")], DEFAULT_POLICY
-        )
+        node, retries, skipped = network.sender(DEFAULT_POLICY)(0, [(1, "a")])
         assert node == "a"
         assert retries == 1
         assert skipped == 0

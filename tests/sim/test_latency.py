@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.resource import MultiQueryResult
 from repro.experiments.common import build_services
-from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.faults import HEDGED_POLICY, FaultInjector, FaultPlan, LookupPolicy
 from repro.sim.latency import (
     ConstantLatency,
     LognormalLatency,
@@ -67,7 +67,7 @@ class TestRttEstimator:
         assert est.rttvar == pytest.approx(0.05)
 
     def test_timeout_falls_back_before_any_sample(self):
-        assert RttEstimator().timeout(0.5) == 0.5
+        assert RttEstimator().deadlines(0.5) == (0.5, None)
 
     def test_quantiles_need_min_samples(self):
         assert RttEstimator.MIN_SAMPLES == 8
@@ -85,19 +85,19 @@ class TestRttEstimator:
         for _ in range(20):
             est.observe(0.1)
         # Stable 100ms RTTs must pull the timeout well under a fixed 1s.
-        assert est.timeout(1.0) < 0.2
+        assert est.deadlines(1.0)[0] < 0.2
 
     def test_timeout_never_exceeds_the_fallback(self):
         est = RttEstimator()
         for _ in range(20):
             est.observe(5.0)
-        assert est.timeout(0.5) == 0.5
+        assert est.deadlines(0.5)[0] == 0.5
 
     def test_timeout_floor(self):
         est = RttEstimator()
         for _ in range(20):
             est.observe(1e-9)
-        assert est.timeout(0.5) == RttEstimator.FLOOR
+        assert est.deadlines(0.5)[0] == RttEstimator.FLOOR
 
     def test_window_keeps_the_last_samples_in_arrival_order(self):
         est = RttEstimator()
@@ -170,32 +170,35 @@ class TestRttEstimator:
 
 class TestRttBook:
     def test_observations_feed_requester_and_aggregate(self):
-        book = RttBook()
-        view = book.for_requester(1)
-        view.observe(0.1)
-        assert book.estimator(1).samples_seen == 1
-        assert book.aggregate.samples_seen == 1
+        net = _gray_network(ConstantLatency(0.1))
+        net.sender(HEDGED_POLICY)(1, [(2, "a")])
+        assert net.rtt.estimator(1).samples_seen == 1
+        assert net.rtt.aggregate.samples_seen == 1
 
     def test_cold_requester_defends_from_the_aggregate(self):
         book = RttBook()
         for _ in range(10):
-            book.for_requester(1).observe(0.1)
+            book.estimator(1).observe(0.1)
+            book.aggregate.observe(0.1)
         # Requester 2 has no samples of its own but inherits the
         # population-wide picture instead of flying blind.
-        assert book.for_requester(2).timeout(1.0) < 0.2
-        assert book.for_requester(2).hedge_delay(0.95) == pytest.approx(0.1)
+        own, timeout, quantile = book.deadlines(2, 1.0)
+        assert own is book.estimator(2) and own.samples_seen == 0
+        assert timeout < 0.2
+        assert quantile == pytest.approx(0.1)
 
     def test_warm_requester_prefers_its_own_estimator(self):
         book = RttBook()
-        for _ in range(10):
-            book.for_requester(1).observe(1.0)
-        for _ in range(10):
-            book.for_requester(2).observe(0.01)
-        assert book.for_requester(2).hedge_delay(0.95) == pytest.approx(0.01)
+        for src, rtt in ((1, 1.0), (2, 0.01)):
+            for _ in range(10):
+                book.estimator(src).observe(rtt)
+                book.aggregate.observe(rtt)
+        assert book.deadlines(2, 1.0)[2] == pytest.approx(0.01)
 
     def test_requesters_and_reset(self):
         book = RttBook()
-        book.for_requester(3).observe(0.1)
+        book.estimator(3).observe(0.1)
+        book.aggregate.observe(0.1)
         assert book.estimator(3).samples_seen == 1
         book.reset()
         assert book.estimator(3).samples_seen == 0
@@ -237,13 +240,49 @@ class TestNetworkLatencySampling:
         assert net.last_latency == pytest.approx(0.5)
 
     def test_count_hedge_accounting(self):
-        net = SimulatedNetwork()
-        net.count_hedge(won=True)
-        net.count_hedge(won=False)
-        net.count_hedge(won=False, delivered=False)
+        # Three straggling primaries race a backup each: one backup wins,
+        # one loses, one is dropped (counted once, as a dropped message).
+        def draws(seed):
+            probe = FaultInjector(FaultPlan(loss_rate=0.5, seed=seed))
+            return [probe.delivered(0, 1) for _ in range(6)]
+
+        pattern = [True, True, True, True, True, False]
+        seed = next(s for s in range(1000) if draws(s) == pattern)
+        injector = FaultInjector(FaultPlan(loss_rate=0.5, seed=seed))
+        net = SimulatedNetwork(
+            faults=injector, latency_model=_Scripted([0.3, 0.01, 0.3, 0.4, 0.3])
+        )
+        for _ in range(10):
+            net.rtt.aggregate.observe(0.05)
+        # No retries: each delivery is exactly one primary and its backup.
+        send = net.sender(
+            LookupPolicy(adaptive_timeout=True, hedge=True, max_retries=0, backoff_base=0.0)
+        )
+        for _ in range(3):
+            assert send(0, [(1, "a")])[0] == "a"
         assert net.stats.hedges == 3
         assert net.stats.hedges_won == 1
-        assert net.stats.messages == 2  # dropped backup already counted
+        assert net.stats.dropped == 1
+        assert net.stats.messages == 3  # two delivered backups + the dropped one
+
+
+def _gray_network(model, victim=99):
+    """A network whose injector is active (one gray node) but leaves
+    every other destination at the model's latency."""
+    injector = FaultInjector(FaultPlan())
+    injector.mark_slow(victim, 2.0)
+    return SimulatedNetwork(faults=injector, latency_model=model)
+
+
+class _Scripted(ConstantLatency):
+    """Plays back scripted per-message samples."""
+
+    def __init__(self, samples) -> None:
+        super().__init__(0.05)
+        self._samples = list(samples)
+
+    def sample(self) -> float:
+        return self._samples.pop(0)
 
 
 class TestCriticalPathLatency:
