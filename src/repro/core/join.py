@@ -8,28 +8,35 @@ providers appearing in *every* sub-query's result.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable
+from operator import attrgetter
 
 from repro.core.resource import ResourceInfo
 
 __all__ = ["join_on_provider"]
 
+_provider = attrgetter("provider")
+
 
 def join_on_provider(
-    per_attribute_matches: Sequence[Iterable[ResourceInfo]],
+    per_attribute_matches: Iterable[Collection[ResourceInfo]],
 ) -> frozenset[str]:
     """Providers present in every per-attribute result set.
+
+    One set is built, from the smallest sub-result; the others are
+    intersected into it as they stream past, so no set is built per
+    sub-query.
 
     Parameters
     ----------
     per_attribute_matches:
-        One iterable of :class:`ResourceInfo` per queried attribute.
+        One collection of :class:`ResourceInfo` per queried attribute.
 
     Returns
     -------
     frozenset[str]
         The provider addresses satisfying all attributes; empty when any
-        sub-query returned nothing.
+        sub-query returned nothing (or there were no sub-queries).
 
     Examples
     --------
@@ -38,15 +45,9 @@ def join_on_provider(
     >>> sorted(join_on_provider([a, b]))
     ['n2']
     """
-    if not per_attribute_matches:
+    ordered = sorted(per_attribute_matches, key=len)
+    if not ordered:
         return frozenset()
-    provider_sets = [
-        frozenset(info.provider for info in matches)
-        for matches in per_attribute_matches
-    ]
-    result = provider_sets[0]
-    for providers in provider_sets[1:]:
-        result &= providers
-        if not result:
-            break
-    return frozenset(result)
+    return frozenset(map(_provider, ordered[0])).intersection(
+        *[map(_provider, matches) for matches in ordered[1:]]
+    )

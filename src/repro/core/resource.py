@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.utils.validation import require
 
@@ -147,8 +148,7 @@ def select_matches(
     ])
 
 
-@dataclass(frozen=True, slots=True)
-class Query:
+class Query(NamedTuple):
     """A single-attribute resource request, ``⟨a, π_a, ip_addr(j)⟩``."""
 
     constraint: AttributeConstraint
@@ -193,8 +193,7 @@ class MultiAttributeQuery:
         return tuple(Query(c, self.requester) for c in self.constraints)
 
 
-@dataclass(frozen=True, slots=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """Outcome and accounting of one single-attribute query.
 
     ``hops`` is the paper's logical-hop metric (routing messages);
@@ -211,6 +210,10 @@ class QueryResult:
     populated only while a :class:`~repro.sim.latency.LatencyModel` is
     attached to the service's network (0.0 otherwise, keeping the
     constant-``hop_latency`` world's accounting untouched).
+
+    Like :class:`Query` (and :class:`~repro.overlay.node.LookupResult`) a
+    named tuple: immutable and equal by value, built once per sub-query
+    by one tuple allocation rather than a setattr per field.
     """
 
     matches: tuple[ResourceInfo, ...]
@@ -234,6 +237,10 @@ class MultiQueryResult:
     ``providers`` holds the requesters' answer: nodes offering *all*
     requested attributes within the requested ranges, obtained by the
     database-like join on ``ip_addr``.
+
+    Built once per multi-attribute query, so it stays a slotted
+    dataclass: the benchmark's and the differential checker's tests forge
+    wrong answers from it with :func:`dataclasses.replace`.
     """
 
     providers: frozenset[str]

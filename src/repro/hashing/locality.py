@@ -58,8 +58,13 @@ class LocalityPreservingHash(ABC):
         return value
 
     def _bucket(self, fraction: float) -> int:
-        fraction = min(max(fraction, 0.0), 1.0)
-        return min(int(fraction * self.size), self.size - 1)
+        size = self.size
+        if fraction >= 1.0:
+            return size - 1
+        if fraction <= 0.0:
+            return 0
+        bucket = int(fraction * size)  # NaN raises ValueError here
+        return bucket if bucket < size else size - 1
 
     def hash_range(self, v1: float, v2: float) -> tuple[int, int]:
         """Hash an inclusive value range, normalising endpoint order."""
@@ -113,5 +118,8 @@ class CdfLocalityHash(LocalityPreservingHash):
         require(self.hi > self.lo, f"need hi > lo, got [{self.lo}, {self.hi}]")
 
     def __call__(self, value: float) -> int:
-        value = self._clamp(value)
+        if value < self.lo:
+            value = self.lo
+        elif value > self.hi:
+            value = self.hi
         return self._bucket(self.cdf(value))

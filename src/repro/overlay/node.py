@@ -14,10 +14,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from math import inf
 from operator import attrgetter, itemgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "ArcDirectory",
@@ -28,9 +27,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LookupResult:
+class LookupResult(NamedTuple):
     """Outcome of a routed DHT lookup.
+
+    An immutable record built once per lookup — a named tuple, so
+    building it is one tuple allocation rather than a setattr per field.
 
     Attributes
     ----------

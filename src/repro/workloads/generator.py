@@ -107,11 +107,24 @@ class GridWorkload:
         return float(self._values[attribute][provider_index])
 
     def resource_infos(self) -> Iterator[ResourceInfo]:
-        """All ``m * k`` resource-information pieces, provider-major order."""
-        for p in range(self.num_providers):
-            provider = self.provider_name(p)
-            for spec in self.schema:
-                yield ResourceInfo(spec.name, float(self._values[spec.name][p]), provider)
+        """All ``m * k`` resource-information pieces, provider-major order.
+
+        The records (and their value floats) are *created* attribute-major,
+        all ``k`` of one attribute after another: every bucket, arc table,
+        ordered view and join reads one attribute's records together, and
+        created together they share pages instead of sitting a provider's
+        ``m`` records apart.  Only the yield order is provider-major.
+        """
+        providers = [self.provider_name(p) for p in range(self.num_providers)]
+        columns = [
+            [
+                ResourceInfo(spec.name, value, provider)
+                for value, provider in zip(self._values[spec.name].tolist(), providers)
+            ]
+            for spec in self.schema
+        ]
+        for row in zip(*columns):
+            yield from row
 
     def infos_for_attribute(self, attribute: str) -> list[ResourceInfo]:
         """The ``k`` info pieces of one attribute."""

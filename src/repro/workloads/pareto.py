@@ -12,7 +12,7 @@ CDF-calibrated locality-preserving hash can be driven analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +37,15 @@ class BoundedPareto:
     alpha: float
     low: float
     high: float
+    #: The truncation normaliser ``1 - (L/H)^alpha``, computed once: the
+    #: value hash calls :meth:`cdf` for every registered info.
+    _norm: float = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         require_positive(self.alpha, "alpha")
         require_positive(self.low, "low")
         require(self.high > self.low, f"need high > low, got [{self.low}, {self.high}]")
-
-    @property
-    def _norm(self) -> float:
-        """The truncation normaliser ``1 - (L/H)^alpha``."""
-        return 1.0 - (self.low / self.high) ** self.alpha
+        object.__setattr__(self, "_norm", 1.0 - (self.low / self.high) ** self.alpha)
 
     def cdf(self, x: float) -> float:
         """Cumulative distribution function F(x)."""

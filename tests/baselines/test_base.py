@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -292,7 +290,7 @@ class TestSubQueryEngine:
         def second_lookup_fails(start, key):
             routed.append(route(start, key))
             if len(routed) == 2:
-                return dataclasses.replace(routed[-1], complete=False, timed_out=True)
+                return routed[-1]._replace(complete=False, timed_out=True)
             return routed[-1]
 
         overlay.lookup = second_lookup_fails

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.resource import ResourceInfo
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
 
@@ -61,6 +62,27 @@ class TestResourceInfos:
     def test_provider_value_consistent(self, wl):
         infos = wl.infos_for_attribute("cpu-mhz")
         assert infos[3].value == wl.provider_value("cpu-mhz", 3)
+
+    @pytest.mark.parametrize(
+        "attributes, k, seed", [(10, 40, 5), (1, 1, 0), (3, 7, 2), (6, 500, 1)]
+    )
+    def test_yields_the_seed_provider_major_sequence(self, attributes, k, seed):
+        """Record for record what the seed's provider-major loop yielded
+        (values as Python floats, providers shared per provider)."""
+        workload = GridWorkload(
+            AttributeSchema.synthetic(attributes), infos_per_attribute=k, seed=seed
+        )
+        seed_infos = [
+            ResourceInfo(spec.name, workload.provider_value(spec.name, p), workload.provider_name(p))
+            for p in range(workload.num_providers)
+            for spec in workload.schema
+        ]
+        infos = list(workload.resource_infos())
+        assert infos == seed_infos
+        assert all(type(info.value) is float for info in infos)
+        assert [info.value.hex() for info in infos] == [
+            info.value.hex() for info in seed_infos
+        ]
 
 
 class TestConstraintSampling:
