@@ -86,9 +86,9 @@ class Overlay:
         self.durability.validate(self)
         #: :meth:`replica_set_of` per storage key id, for the current
         #: membership epoch — a placement is a pure function of (key id,
-        #: membership), so :meth:`invalidate_routing_caches` flushes it and
-        #: nothing else has to.  A workload stores under far fewer distinct
-        #: key ids than it stores copies.
+        #: membership), so :meth:`_flush_holders` empties it on every
+        #: membership event and nothing else has to.  A workload stores
+        #: under far fewer distinct key ids than it stores copies.
         self._holders: dict[int, tuple] = {}
         #: Requester behaviour under injected faults (retries, timeouts,
         #: failover).  Irrelevant — and never consulted — while the network
@@ -142,15 +142,22 @@ class Overlay:
         return ids
 
     def invalidate_routing_caches(self) -> None:
-        """Drop every cache derived from the membership (it, or a liveness
-        flag, changed).
+        """Drop every cache derived from the membership or the routing
+        tables.
 
-        Called automatically by every membership-changing entry point
-        (``build`` / ``join`` / ``leave`` / ``fail``); public so external
+        ``build`` calls it, and so does an event the overlay cannot scope
+        (``_stale is None``); ``join`` / ``leave`` / ``fail`` otherwise drop
+        only the entries their arc changed (the subclasses'
+        ``_membership_add`` / ``_membership_remove``).  Public so external
         code that mutates routing state in place (e.g. tests staging stale
         fingers) can restore cache coherence.  Subclasses extend it with
         their own derived-routing caches.
         """
+        self._flush_holders()
+
+    def _flush_holders(self) -> None:
+        """Forget every memoised replica set (:attr:`_holders`): run by
+        every membership event, as a placement may read any member."""
         self._holders.clear()
 
     # ------------------------------------------------------------------
@@ -524,15 +531,20 @@ class Overlay:
         node = self._nodes.pop(node_id)
         self._membership_remove(node_id)
         node.alive = False
-        self.invalidate_routing_caches()
         if handover:
-            for (namespace, key_id), pieces in node.bucket_counts().items():
+            for (namespace, key_id), bucket in node.buckets():
                 # With replication the heir usually holds replica copies
                 # already; top up to the departing node's count instead of
                 # duplicating, so identical items stay distinct pieces.
                 heir = self._heir(node, key_id)
+                if len(bucket) == 1:
+                    # The common bucket: the top-up is one membership test.
+                    item = bucket[0]
+                    if not heir.holds(namespace, key_id, item):
+                        heir.store(namespace, key_id, item)
+                    continue
                 held = Counter(heir.items_at(namespace, key_id))
-                for item, count in pieces.items():
+                for item, count in Counter(bucket).items():
                     for _ in range(count - held[item]):
                         heir.store(namespace, key_id, item)
             self.network.count_maintenance(2)  # departure notifications

@@ -144,10 +144,11 @@ class ChordRing(Overlay):
         #: ``_succ_cache`` memoises :meth:`successor_of` and ``_cpf_cache``
         #: holds each node's *finger row* (:meth:`_finger_row`), what the
         #: closest-preceding-finger step of :meth:`_lookup_plain` reads.
-        #: Both are valid only for the current membership + alive flags,
-        #: so every churn entry point (:meth:`join` / :meth:`leave` /
-        #: :meth:`fail` / :meth:`build` — the methods ChurnGuard wraps at
-        #: the service level) clears them, and :meth:`_refresh_far`
+        #: :meth:`build` clears both; :meth:`join` / :meth:`leave` /
+        #: :meth:`fail` drop only what their arc ``(pred, id]`` changed
+        #: (:meth:`_drop_memos`): the successors of the arc's keys, and
+        #: on a departure the rows of the stale set — the only nodes whose
+        #: fingers can name the departed node — while :meth:`_refresh_far`
         #: (stabilize/refresh paths) drops the touched node's row.
         #: ``routing_cache=False`` disables the caches entirely (the
         #: equivalence tests diff the two modes).
@@ -199,9 +200,10 @@ class ChordRing(Overlay):
     def successor_of(self, key: int) -> ChordNode:
         """The live node owning ``key`` (first node at or after it).
 
-        Memoised per membership epoch: finger refreshes resolve the same
-        ``id + 2**i`` targets from many nodes, so the cache turns the
-        stabilization sweep's repeated bisects into dict hits.
+        Memoised until an event moves ``key`` (:meth:`_drop_memos`):
+        finger refreshes resolve the same ``id + 2**i`` targets from many
+        nodes, so the cache turns the stabilization sweep's repeated
+        bisects into dict hits.
         """
         require(bool(self._sorted_ids), "ring is empty")
         key = self.space.wrap(key)
@@ -350,11 +352,12 @@ class ChordRing(Overlay):
     def _finger_row(self, node: ChordNode) -> FingerRow:
         """``node``'s live fingers — dead entries, self-references and
         duplicates dropped — with their clockwise distances from it,
-        memoised in ``_cpf_cache`` per membership epoch.
+        memoised in ``_cpf_cache`` until a refresh rewrites the fingers
+        or a departure can have killed one (:meth:`_drop_memos`).
 
         A finger table holds ``bits`` entries but only ``O(log n)``
-        distinct targets, and liveness cannot change between cache
-        invalidations.  The row memoises finger state only: the stop test
+        distinct targets, and a memoised row's fingers stay alive until
+        it is evicted.  The row memoises finger state only: the stop test
         and the successor pick of :meth:`_lookup_plain` stay live reads.
 
         The next hop is the *first* finger, scanning the table from its
@@ -628,20 +631,19 @@ class ChordRing(Overlay):
         node = ChordNode(node_id, self.bits, self._arcs)
         self._nodes[node_id] = node
         self._membership_add(node_id)
-        self.invalidate_routing_caches()
         self._refresh_routing_state(node)
         self.network.count_maintenance(self.bits)  # building its state
 
         if had_members:
             succ = self.successor_of(node_id + 1)
-            # Transfer the keys the newcomer is now responsible for.
+            # Transfer the buckets the newcomer is now responsible for.
             if succ is not node:
-                moved = 0
-                for namespace, key_id, item in succ.stored_entries():
+                moved = False
+                for (namespace, key_id), _ in succ.buckets():
                     if self.successor_of(key_id) is node:
-                        succ.remove_items(namespace, key_id)  # removes bucket
-                        node.store(namespace, key_id, item)
-                        moved += 1
+                        for item in succ.remove_items(namespace, key_id):
+                            node.store(namespace, key_id, item)
+                        moved = True
                 if moved:
                     self.network.count_maintenance(1)
             self._repair_neighbourhood(node)
@@ -653,6 +655,7 @@ class ChordRing(Overlay):
         self._ring.insert(at, self._nodes[node_id])
         self._node_ids = None
         self._mark_stale(node_id)
+        self._drop_memos(node_id, self._sorted_ids[at - 1], departed=False)
 
     def _membership_remove(self, node_id: int) -> None:
         at = bisect.bisect_left(self._sorted_ids, node_id)
@@ -660,6 +663,50 @@ class ChordRing(Overlay):
         del self._ring[at]
         self._node_ids = None
         self._mark_stale(node_id)
+        self._drop_memos(node_id, self._sorted_ids[at - 1], departed=True)
+
+    def _drop_memos(self, node_id: int, pred: int, departed: bool) -> None:
+        """Drop the memo entries the join or departure of ``node_id``
+        (already applied to the index and the stale set; ``pred`` is its
+        predecessor there) can have made wrong — exactly those, by the
+        arc argument of :meth:`_mark_stale`.
+
+        The event moves the keys of ``(pred, node_id]`` and no others, so
+        only their ``_succ_cache`` entries change.  A finger row reads
+        just its node's ``fingers`` and their liveness: a join changes
+        neither, and a departure kills one node, which only the fingers of
+        stale nodes can name (every other node's fingers are a fresh
+        derivation from the membership without it).  Without a stale set
+        (``ReCordOverlay``, tiny rings, ``routing_cache=False``) every memo
+        goes.
+        """
+        if self._stale is None:
+            self.invalidate_routing_caches()
+            return
+        self._flush_holders()
+        self._drop_arc_successors(pred, node_id)
+        if departed:
+            self._drop_departed_rows(node_id)
+
+    def _drop_arc_successors(self, pred: int, node_id: int) -> None:
+        """Forget the memoised successors of the keys in ``(pred, node_id]``
+        (the whole ring when ``pred == node_id``)."""
+        cache = self._succ_cache
+        size = self.space.size
+        span = (node_id - pred) % size or size
+        if span > len(cache):
+            cache.clear()
+            return
+        for key in range(pred + 1, pred + span + 1):
+            cache.pop(key % size, None)
+
+    def _drop_departed_rows(self, node_id: int) -> None:
+        """Forget the finger rows that can name departed ``node_id``: its
+        own and those of the stale set."""
+        rows = self._cpf_cache
+        rows.pop(node_id, None)
+        for uid in self._stale:
+            rows.pop(uid, None)
 
     def _mark_stale(self, node_id: int) -> None:
         """Add to the stale set every node whose routing state the join or

@@ -179,14 +179,18 @@ class CycloidOverlay(Overlay):
         #: the non-empty clusters' cubical indices, a sorted ``array('q')``
         self._cluster_ids = array("q")
         #: Memoised :meth:`closest_node` resolution (normalised key ->
-        #: owner).  Pure derived state: valid only for the current
-        #: membership, so every churn entry point (:meth:`join` /
-        #: :meth:`leave` / :meth:`fail` / :meth:`build` — what ChurnGuard
-        #: wraps at the service level) clears it.  ``routing_cache=False``
-        #: disables memoisation (equivalence tests diff the two modes).
+        #: owner).  Pure derived state of the membership: :meth:`build`
+        #: clears it, and so does a join or departure that creates or
+        #: empties a cluster (every nearest-cluster cell may move); any
+        #: other event changes the owners of its own cluster's cells only
+        #: (:meth:`_nearest_cells`), and drops just those ``d`` keys per
+        #: cell.  ``routing_cache=False`` disables memoisation
+        #: (equivalence tests diff the two modes).
         self._owner_cache: dict[CycloidId, CycloidNode] = {}
         #: Memoised :meth:`_slot_row` per node id: routing-table state
-        #: only, popped by the refresh that rewrites the node's slots.
+        #: only, so no membership event flushes it — the refresh that
+        #: rewrites a node's slots pops its row, and a departure pops the
+        #: departed node's.
         self._slot_rows: dict[CycloidId, tuple] = {}
 
     def invalidate_routing_caches(self) -> None:
@@ -267,9 +271,10 @@ class CycloidOverlay(Overlay):
 
         First the nearest non-empty cluster to ``target.a`` on the large
         cycle, then the node with cyclic index nearest ``target.k`` (ties
-        clockwise) inside that cluster.  Memoised per membership epoch:
-        every lookup, store and replica-set computation resolves an owner,
-        and workload keys (attribute roots, hashed values) repeat heavily.
+        clockwise) inside that cluster.  Memoised until an event moves the
+        key's owner (:meth:`_membership_changed`): every lookup, store and
+        replica-set computation resolves an owner, and workload keys
+        (attribute roots, hashed values) repeat heavily.
         """
         d = self.dimension
         key = CycloidId(target.k % d, self.cubical_space.wrap(target.a))
@@ -555,7 +560,9 @@ class CycloidOverlay(Overlay):
         distinct entry in slot order (a repeated entry at its first slot;
         missing entries and ``node`` itself dropped), memoised in
         ``_slot_rows`` until :meth:`_refresh_near` / :meth:`_refresh_far`
-        rewrite the slots or :meth:`invalidate_routing_caches` runs.
+        rewrite the slots, ``node`` departs or
+        :meth:`invalidate_routing_caches` runs — a membership event alone
+        never changes a slot, and liveness is not part of the row.
 
         Slot contents only: liveness is read by each step.  ``node``
         itself never scores below its own position, so dropping it
@@ -726,7 +733,6 @@ class CycloidOverlay(Overlay):
 
         self._nodes[cid] = node
         self._membership_add(cid)
-        self.invalidate_routing_caches()
 
         self._refresh_routing_state(node)
         self.network.count_maintenance(7)
@@ -745,10 +751,10 @@ class CycloidOverlay(Overlay):
             moved = 0
             incoming: dict[tuple[str, int], Counter] = {}
             for donor in donors:
-                for bucket_key, pieces in donor.bucket_counts().items():
+                for bucket_key, _ in donor.buckets():
                     if self.owner_of(bucket_key[1]) is not node:
                         continue
-                    donor.remove_items(*bucket_key)
+                    pieces = Counter(donor.remove_items(*bucket_key))
                     # Several donors can hold replica copies of the same
                     # piece; merge with max so the newcomer receives each
                     # piece's true multiplicity, not the sum over replicas.
@@ -785,9 +791,7 @@ class CycloidOverlay(Overlay):
         bisect.insort(ks, cid.k)
         if len(ks) == 1:
             bisect.insort(self._cluster_ids, cid.a)
-            self._stale = None  # a new cluster re-draws the nearest-cluster cells
-        else:
-            self._mark_stale(cid.a)
+        self._membership_changed(cid.a, redrawn=len(ks) == 1)
 
     def _membership_remove(self, cid: CycloidId) -> None:
         self._splice_node_ids(cid, joined=False)
@@ -796,21 +800,53 @@ class CycloidOverlay(Overlay):
         if not ks:
             del self._clusters[cid.a]
             del self._cluster_ids[bisect.bisect_left(self._cluster_ids, cid.a)]
-            self._stale = None  # so does an emptied one
-        else:
-            self._mark_stale(cid.a)
+        self._slot_rows.pop(cid, None)
+        self._membership_changed(cid.a, redrawn=not ks)
 
-    def _mark_stale(self, a: int) -> None:
+    def _membership_changed(self, a: int, redrawn: bool) -> None:
+        """Mark stale and drop memo entries after a join or departure in
+        cluster ``a`` (already applied to the index).
+
+        A cluster created or emptied (``redrawn``) re-draws the
+        nearest-cluster cells: every node is stale and every owner memo
+        goes.  Otherwise ownership moves only inside ``a``, for the keys
+        of its cells, so the stale set grows by their cubical dependents
+        and only those cells' owners are dropped.  Slot rows copy slots,
+        which no event rewrites but a refresh (that pops the row itself).
+        """
+        self._flush_holders()
+        if redrawn:
+            self._stale = None
+            self._owner_cache.clear()
+            return
+        cells = self._nearest_cells(a)
+        self._mark_stale(cells)
+        self._drop_owner_cells(cells)
+
+    def _nearest_cells(self, a: int) -> list[int]:
+        """The cubical indices whose nearest non-empty cluster is ``a``,
+        ``a`` first."""
+        size = self.cubical_space.size
+        cells = [a]
+        for step in (1, -1):
+            t = (a + step) % size
+            while t != a and self.nearest_cluster(t) == a:
+                cells.append(t)
+                t = (t + step) % size
+        return cells
+
+    def _mark_stale(self, cells: list[int]) -> None:
         """Add to the stale set every node a membership change inside the
-        surviving cluster ``a`` can have invalidated, beyond the three
-        clusters :meth:`_repair_neighbourhood` re-derives on the spot.
+        surviving cluster that owns ``cells`` can have invalidated, beyond
+        the three clusters :meth:`_repair_neighbourhood` re-derives on the
+        spot.
 
         Leaf sets and cyclic neighbours only reach the own and the two
         adjacent clusters, so what is left are the cubical links resolved
-        through ``a``: for each cubical index ``t`` whose nearest cluster
-        is ``a`` and each level ``j``, the node one level up in the
-        cluster differing from ``t`` at bit ``j``.  The full-sweep
-        reference ``routing_cache=False`` marks everything.
+        through the cluster: for each cubical index ``t`` of its cells and
+        each level ``j``, the node one level up in the cluster differing
+        from ``t`` at bit ``j``.  The full-sweep reference
+        ``routing_cache=False`` marks everything.
         """
         stale = self._stale
         if stale is None:
@@ -819,16 +855,18 @@ class CycloidOverlay(Overlay):
             self._stale = None
             return
         d = self.dimension
-        size = self.cubical_space.size
-        cells = [a]
-        for step in (1, -1):
-            t = (a + step) % size
-            while t != a and self.nearest_cluster(t) == a:
-                cells.append(t)
-                t = (t + step) % size
         stale.update(
             CycloidId((j + 1) % d, t ^ (1 << j)) for t in cells for j in range(d)
         )
+
+    def _drop_owner_cells(self, cells: list[int]) -> None:
+        """Forget the memoised owners of every key ``(k, t)`` with ``t``
+        in ``cells``."""
+        cache = self._owner_cache
+        if cache:
+            for t in cells:
+                for k in range(self.dimension):
+                    cache.pop((k, t), None)
 
     def _repair_neighbourhood(self, node: CycloidNode) -> None:
         """Refresh routing state around a membership change.

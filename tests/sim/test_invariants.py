@@ -164,8 +164,9 @@ class TestHoldersMemoIsPoliced:
 
     @pytest.fixture
     def flush_lost(self, monkeypatch):
-        # The base method, minus the memo flush.
-        monkeypatch.setattr(Overlay, "invalidate_routing_caches", lambda self: None)
+        # The per-event flush (also the one ``invalidate_routing_caches``
+        # runs), made a no-op.
+        monkeypatch.setattr(Overlay, "_flush_holders", lambda self: None)
 
     def test_stale_but_live_holders_are_replica_drift(self, flush_lost):
         ring = _small_ring(replication=2)

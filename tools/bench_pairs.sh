@@ -14,9 +14,14 @@
 #
 # Prints one line per run as it finishes, then for each end-to-end metric
 # of CHANGE_SRC's BENCHMARK.json the q1 / median / q3 of both sides, the
-# ratio of the medians (change / parent) and the pairs the change wins in
-# the metric's better direction.  A run with `failed > 0` is flagged
-# `FAILED OPS`, and any such run makes the exit status 1.
+# ratio of the medians (change / parent), the pairs the change wins in
+# the metric's better direction (ties count for neither side) and a
+# verdict: `gain` when the change wins at least 9/10 of the pairs and its
+# median is better than the parent's by more than the parent's own
+# q3 - q1, `identical` when every run of both sides reads the same,
+# `unresolved` otherwise.  Fewer than 10 pairs are below that
+# rule's minimum, and the table says so.  A run with `failed > 0` is
+# flagged `FAILED OPS`, and any such run makes the exit status 1.
 set -euo pipefail
 
 usage="usage: tools/bench_pairs.sh PARENT_SRC CHANGE_SRC WORKLOAD SEED N"
@@ -79,7 +84,7 @@ def quartiles(values):
 
 
 print(f"\n{'metric':<20}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}"
-      f"{'ratio':>8}{'wins':>8}")
+      f"{'ratio':>8}{'wins':>8}  verdict")
 for entry in spec["end_to_end"]:
     name, higher = entry["name"], entry["better"] == "higher"
     parent = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -89,9 +94,20 @@ for entry in spec["end_to_end"]:
         label: " / ".join(f"{v:.6g}" for v in quartiles(values))
         for label, values in (("parent", parent), ("change", change))
     }
-    p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_med = statistics.median(change)
     ratio = f"{c_med / p_med:.3f}" if p_med else "n/a"
-    print(f"{name:<20}{side['parent']:>36}{side['change']:>36}{ratio:>8}{f'{wins}/{pairs}':>8}")
+    gain = (c_med - p_med) if higher else (p_med - c_med)
+    if parent == change:
+        verdict = "identical"
+    elif 10 * wins >= 9 * pairs and gain > p_q3 - p_q1:
+        verdict = "gain"
+    else:
+        verdict = "unresolved"
+    print(f"{name:<20}{side['parent']:>36}{side['change']:>36}{ratio:>8}"
+          f"{f'{wins}/{pairs}':>8}  {verdict}")
+if pairs < 10:
+    print(f"note: {pairs} pairs; the gain rule asks for at least 10")
 failed = [
     f"{side} pair {i}" for side, rows in results.items()
     for i, row in enumerate(rows) if row["failed"]

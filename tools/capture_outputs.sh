@@ -41,6 +41,9 @@ capture list list
 capture check check --systems all --seed 0
 capture check-named check --systems lorm sword --seed 0
 capture check-seed1 check --systems all --seed 1 --queries 12 --churn-events 6
+# Long join/leave/fail runs between stabilizations (168 guarded events per
+# overlay): the path the scoped routing-memo drops and the handover take.
+capture check-churn check --systems all --seed 2 --churn-events 40
 capture all all --scale smoke --out "$out/all"
 capture all-parallel all --scale smoke --parallel 2 --out "$out/all-parallel"
 capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
