@@ -166,6 +166,7 @@ class ExperimentConfig:
         )
         require(self.num_availability_queries >= 1, "num_availability_queries must be >= 1")
         require(self.tradeoff_churn_events >= 0, "tradeoff_churn_events must be >= 0")
+        require(self.scale_churn_events >= 0, "scale_churn_events must be >= 0")
         require(self.tail_slo_p99 > 0.0, "tail_slo_p99 must be > 0")
         require(self.hotspot_salts >= 1, "hotspot_salts must be >= 1")
         require(self.tail_queries >= 1, "tail_queries must be >= 1")

@@ -5,8 +5,8 @@ dict-routed simulation thrashes long before the 10^5–10^6-peer regime the
 single-hop and ReCord literature argues about.  :class:`CompactChordRing`
 breaks that ceiling: it is the full struct-of-arrays representation used
 by the ``repro scale`` experiment — node state is *only* flat integer
-arrays (sorted id vector, implicit successor/predecessor by index
-adjacency, an ``(n, bits)`` finger table of node indices).  Routing
+arrays (sorted id vector, implicit successor/predecessor by position
+adjacency, a finger table indexed by a stable per-node slot).  Routing
 replays :meth:`ChordRing._lookup_plain` hop for hop (the equivalence is
 pinned by tests), and churn accounting mirrors the object ring's
 maintenance-message formulas, so large-n figures are directly comparable
@@ -14,16 +14,18 @@ with the paper-scale ones.
 
 View contract / cache invalidation
 ----------------------------------
-The id vector is the single source of truth for membership; the finger
-table is a cache keyed on the membership it was derived from.
-``CompactChordRing`` never mutates its id vector in place — ``join`` /
-``leave`` / ``fail`` replace ``ring.ids`` with a new array — so "derived
-from this membership" is an identity test: the finger table remembers
-the ``ids`` array it is current for, and the next routed operation or
-``stabilize_all`` *repairs* it from the diff of that array against
-``ring.ids`` (:meth:`CompactChordRing.repair_fingers`), rebuilding only
-when the diff is a sizeable share of the ring.  What a repair may never
-change: any finger entry (the repaired table equals a from-scratch
+Positions move under churn; slots do not.  The sorted ``ids`` and the
+parallel position -> slot ``order`` are never written in place: ``join``
+/ ``leave`` / ``fail`` replace both (one ``np.insert`` / ``np.delete``).
+The ``(capacity, bits)`` finger table of slots and the per-slot
+``[id, successor id, successor slot]`` records are edited in place, so
+they are the one place buffer views may be kept (``build_fingers`` and
+growth past the spare rows replace them and take new views).  An event
+writes what its arc ``(pred(x), x]`` moved — the joiner's row and record,
+its predecessor's record, at most ``bits`` slices of finger entries — and
+marks the slot -> position map stale; the next lookup or
+``stabilize_all`` rebuilds that map in one O(n) scatter.  What an event
+may never change: the table read in positions (equal to a from-scratch
 ``build_fingers`` element for element, dtype included), any maintenance
 message count, any hop.
 """
@@ -39,10 +41,6 @@ from repro.utils.validation import require
 
 __all__ = ["CompactChordRing"]
 
-#: Survivor rows re-indexed per step of a finger repair: bounds the
-#: temporaries to a few MB whatever the ring size.
-_REPAIR_BLOCK_ROWS = 1 << 16
-
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array — ``np.unique``'s result by
@@ -57,23 +55,21 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 class CompactChordRing:
     """A stabilized Chord ring as flat integer arrays — no node objects.
 
-    State is exactly two arrays: the sorted id vector and the ``(n, bits)``
-    finger table of node indices (``fingers[i, j]`` = index of
-    ``successor(ids[i] + 2**j)``).  Successor and predecessor are index
-    adjacency (``i ± 1 mod n``) — the ring is always in its stabilized
-    state, which is the regime every paper figure measures.
+    Membership is the sorted id vector; successor and predecessor are
+    position adjacency (``i ± 1 mod n``) — the ring is always in its
+    stabilized state, which is the regime every paper figure measures.
+    Every node holds a stable slot; ``fingers[s, j]`` is the slot of
+    ``successor(id + 2**j)`` for the node in slot ``s``.
 
     Routing replays :meth:`ChordRing._lookup_plain` exactly — same stop
-    test, same greedy closest-preceding-finger scan, same termination
-    guard — so measured hop counts at any ``n`` extend the paper's Figure
-    4 curves rather than approximating them.  Churn (:meth:`join` /
-    :meth:`leave` / :meth:`fail`) replaces the id vector and counts the
-    same maintenance messages the object ring counts; the finger table is
-    then repaired from the membership diff (:meth:`repair_fingers`) by the
-    next routed operation or :meth:`stabilize_all`, at a cost proportional
-    to what changed.  A repair never changes a finger entry (the table
-    equals a from-scratch :meth:`build_fingers`, dtype included), a
-    message count or a hop.
+    test, same greedy closest-preceding-finger scan — so measured hop
+    counts at any ``n`` extend the paper's Figure 4 curves rather than
+    approximating them.  Churn (:meth:`join` / :meth:`leave` /
+    :meth:`fail`) edits the id vector, patches the slot tables where the
+    event's arc moved them and counts the same maintenance messages the
+    object ring counts.  A patch never changes a finger (the table read in
+    positions equals a from-scratch :meth:`build_fingers`, dtype
+    included), a message count or a hop.
 
     Examples
     --------
@@ -92,17 +88,24 @@ class CompactChordRing:
         require(1 <= bits <= 62, f"compact core needs bits in [1, 62], got {bits}")
         self.bits = bits
         self.size = 1 << bits
+        self._steps = np.left_shift(1, np.arange(bits, dtype=np.int64))  # 2**j per level
         if not isinstance(ids, np.ndarray):
             ids = list(ids)
         unique = _sorted_unique(np.asarray(ids, dtype=np.int64) % self.size)
         require(unique.size > 0, "cannot build an empty ring")
-        #: Sorted ascending.  Never mutated in place: churn replaces it,
-        #: which is what lets derived state remember the array it is for.
+        #: Sorted ascending.  Never mutated in place: churn replaces it.
         self.ids: np.ndarray = unique
-        self.fingers: np.ndarray | None = None  # built lazily, (n, bits)
-        #: The ``ids`` array ``fingers`` is current for — ``self.ids``
-        #: itself exactly when the table needs no repair.
-        self._fingers_ids: np.ndarray | None = None
+        #: Built lazily by :meth:`build_fingers`: position -> slot,
+        #: parallel to ``ids`` (replaced by churn, like ``ids``); the
+        #: ``(capacity, bits)`` finger table of slots and the per-slot
+        #: ``[id, successor id, successor slot]`` records (both edited in
+        #: place); the free slots; the slot -> position map (``None``
+        #: after churn until the next lookup or ``stabilize_all``).
+        self.order: np.ndarray | None = None
+        self.fingers: np.ndarray | None = None
+        self._rec: np.ndarray | None = None
+        self._free: list[int] = []
+        self._pos: np.ndarray | None = None
         #: Maintenance-message accounting (same formulas as the object
         #: ring's ``count_maintenance`` call sites).
         self.maintenance_messages = 0
@@ -161,97 +164,97 @@ class CompactChordRing:
         return idx % self.ids.size
 
     # ------------------------------------------------------------------
-    # Finger table
+    # Slot tables
     # ------------------------------------------------------------------
     def _finger_dtype(self) -> type:
-        return np.int32 if self.ids.size < (1 << 31) else np.int64
+        # Every slot is below 2**bits (see ``_capacity``).
+        return np.int32 if self.size <= (1 << 31) else np.int64
+
+    def _capacity(self, rows: int) -> int:
+        """Table rows for ``rows`` slots plus 1/64 spare, capped at one
+        row per id so that no slot outgrows :meth:`_finger_dtype`."""
+        return min(self.size, rows + rows // 64 + 1)
+
+    def _views(self) -> None:
+        # Over the two arrays churn edits in place; replaced only by
+        # build_fingers and _grow, which call this again.
+        self._rec_view = memoryview(self._rec.reshape(-1))
+        self._finger_view = memoryview(self.fingers)
 
     def build_fingers(self) -> None:
-        """(Re)build the full ``(n, bits)`` finger table, column-wise.
+        """(Re)build every table from scratch: slot ``i`` is position ``i``.
 
-        Column ``j`` is one vectorised successor resolution of every
-        node's ``id + 2**j`` target — the array equivalent of a global
-        ``stabilize_all`` + ``fix_fingers`` sweep.
+        Column ``j`` of the finger table is one vectorised successor
+        resolution of every node's ``id + 2**j`` target — the array
+        equivalent of a global ``stabilize_all`` + ``fix_fingers`` sweep.
         """
         ids = self.ids
         n = ids.size
-        fingers = np.empty((n, self.bits), dtype=self._finger_dtype())
-        for j in range(self.bits):
-            targets = (ids + (1 << j)) % self.size
-            idx = np.searchsorted(ids, targets)
-            fingers[:, j] = idx % n
-        self.fingers = fingers
-        self._fingers_ids = ids
-
-    def repair_fingers(self) -> None:
-        """Bring the finger table up to date with ``self.ids``.
-
-        Diffs the id array the table was built for against the current
-        one and rewrites only what the diff can have changed; the result
-        equals a fresh :meth:`build_fingers` element for element.  Falls
-        back to that rebuild when there is no table yet, when the index
-        dtype would change, or when the diff is large enough
-        (``changed * bits >= n``) that patching would not be cheaper.
-        """
-        old_ids, ids = self._fingers_ids, self.ids
-        if old_ids is ids:
-            return
-        old = self.fingers
-        n, bits, size = ids.size, self.bits, self.size
+        capacity = self._capacity(n)
         dtype = self._finger_dtype()
-        if old is None or old.dtype != dtype:
+        fingers = np.empty((capacity, self.bits), dtype=dtype)
+        for j in range(self.bits):
+            fingers[:n, j] = np.searchsorted(ids, (ids + (1 << j)) % self.size) % n
+        rec = np.empty((capacity, 3), dtype=np.int64)
+        rec[:n, 0] = ids
+        rec[:n, 1] = np.roll(ids, -1)
+        rec[:n, 2] = np.arange(1, n + 1) % n
+        self.fingers, self._rec = fingers, rec
+        self.order = np.arange(n, dtype=dtype)
+        self._free = list(range(capacity - 1, n - 1, -1))
+        self._pos = None
+        self._views()
+
+    def _grow(self) -> None:
+        """Add spare rows to the finger table and the records."""
+        old = len(self.fingers)
+        extra = self._capacity(old) - old
+        self.fingers = np.concatenate(
+            (self.fingers, np.empty((extra, self.bits), self.fingers.dtype))
+        )
+        self._rec = np.concatenate((self._rec, np.empty((extra, 3), np.int64)))
+        self._free = list(range(old + extra - 1, old - 1, -1))
+        self._views()
+
+    def _positions(self) -> np.ndarray:
+        """The slot -> position map lookups leave through (built after
+        each batch of churn; the tables first, if there are none)."""
+        if self.fingers is None:
             self.build_fingers()
-            return
-        # (1) Old index -> new index of the successor of the old id: a
-        # survivor's own new position, and exactly what a finger that
-        # pointed at a departed node must now point at.
-        remap = np.searchsorted(ids, old_ids)
-        remap[remap == n] = 0
-        survived = np.flatnonzero(ids[remap] == old_ids)
-        is_joiner = np.ones(n, dtype=bool)
-        is_joiner[remap[survived]] = False
-        joined = np.flatnonzero(is_joiner)
-        changed = (old_ids.size - survived.size) + joined.size
-        if changed * bits >= n:
-            self.build_fingers()
-            return
-        remap = remap.astype(dtype)
-        fingers = np.empty((n, bits), dtype=dtype)
-        # (2) Survivors keep their rows, re-indexed.  Block-wise, so the
-        # peak stays at two finger tables plus one block of temporaries.
-        for lo in range(0, survived.size, _REPAIR_BLOCK_ROWS):
-            rows = survived[lo : lo + _REPAIR_BLOCK_ROWS]
-            fingers[remap[rows]] = remap[old[rows]]
-        joined_ids = ids[joined]
-        steps = np.left_shift(1, np.arange(bits, dtype=np.int64))
-        # (3) A joiner's own row is built from scratch.
-        targets = (joined_ids[:, None] + steps) % size
-        fingers[joined] = np.searchsorted(ids, targets) % n
-        # (4) Joiner x with ring predecessor q takes over the targets
-        # in (q, x]: at level j those belong to the members with id in
-        # [q + 1 - 2**j, x - 2**j] mod size, a slice of the sorted ids
-        # (two slices when the interval wraps past zero).
-        pred_ids = ids[joined - 1]
-        first = (pred_ids[:, None] + 1 - steps) % size
-        last = first + ((joined_ids - pred_ids) % size - 1)[:, None]
-        wraps = last >= size
-        start = np.searchsorted(ids, first)
-        stop = np.searchsorted(ids, last % size, side="right")
-        for k, j in zip(*np.nonzero(wraps | (start < stop))):
-            a, b, x = start[k, j], stop[k, j], joined[k]
-            if wraps[k, j]:
-                fingers[a:, j] = x
-                fingers[:b, j] = x
-            else:
-                fingers[a:b, j] = x
-        self.fingers = fingers
-        self._fingers_ids = ids
+        pos = np.empty(len(self.fingers), dtype=self.order.dtype)
+        pos[self.order] = np.arange(self.order.size, dtype=pos.dtype)
+        self._pos = pos
+        return pos
+
+    def _adopt(self, p: int, node_id: int) -> None:
+        """After a membership edit at position ``p``, the node at ``p``
+        (mod n) owns the arc ``(ids[p - 1], node_id]``: relink its
+        predecessor's record to it and point every finger whose target is
+        in the arc at it.  At level ``j`` those fingers belong to the
+        members with id in ``(ids[p - 1] - 2**j, node_id - 2**j]``, a slice
+        of the sorted ids (two when it wraps past zero)."""
+        ids, order, fingers = self.ids, self.order, self.fingers
+        q = p % ids.size
+        owner, pred, pred_id = order.item(q), order.item(p - 1), ids.item(p - 1)
+        self._rec[pred, 1:] = ids.item(q), owner
+        lows = (pred_id - self._steps) % self.size
+        highs = (node_id - self._steps) % self.size
+        starts = np.searchsorted(ids, lows, side="right").tolist()
+        stops = np.searchsorted(ids, highs, side="right").tolist()
+        for j, (a, b, wraps) in enumerate(zip(starts, stops, (lows > highs).tolist())):
+            if wraps:
+                fingers[order[a:], j] = owner
+                fingers[order[:b], j] = owner
+            elif a < b:
+                fingers[order[a:b], j] = owner
+        self._pos = None
 
     def state_bytes(self) -> int:
-        """Bytes held by the flat ring state (id vector + finger table)."""
-        self.repair_fingers()
-        assert self.fingers is not None
-        return int(self.ids.nbytes + self.fingers.nbytes)
+        """Bytes held by the flat ring state: ids, both slot maps, the
+        finger table and the slot records."""
+        pos = self._positions() if self._pos is None else self._pos
+        arrays = (self.ids, self.order, pos, self.fingers, self._rec)
+        return sum(int(a.nbytes) for a in arrays)
 
     # ------------------------------------------------------------------
     # Routing (mirrors ChordRing._lookup_plain; the level scan picks the
@@ -262,49 +265,42 @@ class CompactChordRing:
 
         Hop-for-hop identical to the object ring's fault-free lookup on
         the same (stabilized) membership — the equivalence tests diff the
-        two implementations query by query.
+        two implementations query by query.  The stop test runs once, on
+        the start node: after a successor step the successor owns the key,
+        and a finger step lands strictly before the key, on a node that
+        cannot own it.
         """
-        self.repair_fingers()
-        # Buffer views, made per call and never stored: indexing one is a
-        # C-level read that returns a Python int, where indexing the array
-        # builds a numpy scalar.  A stored view would need invalidating when
-        # churn replaces the arrays, and would pin the replaced ones.
-        ids = memoryview(self.ids)
-        fingers = memoryview(self.fingers)
-        n = len(ids)
-        size = self.size
+        pos = self._positions() if self._pos is None else self._pos
+        ids, size = self.ids, self.size
         key %= size
-        cur = start_index
-        hops = 0
-        max_hops = 8 * self.bits + n  # termination guard (as ChordRing)
-        while hops < max_hops:
-            cur_id = ids[cur]
-            pred_id = ids[cur - 1]  # index -1 wraps to the last node
-            # Stop test: key in (pred, cur] — the stabilized _owns check.
-            dist_cur = (cur_id - pred_id) % size
-            if dist_cur == 0 or 0 < (key - pred_id) % size <= dist_cur:
-                break
-            succ = cur + 1 if cur + 1 < n else 0
-            dist_key = (key - cur_id) % size
-            dist_succ = (ids[succ] - cur_id) % size
-            if dist_succ == 0 or 0 < dist_key <= dist_succ:
-                cur = succ
-            else:
-                # Closest preceding finger: highest finger in (cur, key).
-                span = dist_key or size
-                nxt = succ
-                # A level-j finger sits at clockwise distance >= 2**j, so
-                # levels with 2**j >= span cannot pass the test below.
-                # span > dist_succ >= 1 here, so top >= 1 and the scan
-                # always covers level 0.
-                for j in range((span - 1).bit_length() - 1, -1, -1):
-                    f = fingers[cur, j]
-                    if f != cur and 0 < (ids[f] - cur_id) % size < span:
-                        nxt = f
-                        break
-                cur = nxt
+        cur_id = ids.item(start_index)
+        pred_id = ids.item(start_index - 1)  # index -1 wraps to the last node
+        # Stop test: key in (pred, cur] — the stabilized _owns check.
+        dist_cur = (cur_id - pred_id) % size
+        if dist_cur == 0 or 0 < (key - pred_id) % size <= dist_cur:
+            return start_index, 0
+        # Buffer views: indexing one is a C-level read that returns a
+        # Python int, where indexing the array builds a numpy scalar.
+        rec, fingers = self._rec_view, self._finger_view
+        cur = self.order.item(start_index)
+        hops = 1
+        while True:
+            r = 3 * cur
+            dist_key = (key - cur_id) % size  # > 0: cur does not own key
+            nxt, nxt_id = rec[r + 2], rec[r + 1]
+            if dist_key <= (nxt_id - cur_id) % size:
+                return pos.item(nxt), hops
+            # Closest preceding finger: highest finger in (cur, key).  A
+            # level-j finger sits at clockwise distance >= 2**j, so levels
+            # with 2**j >= dist_key cannot pass the test below.
+            for j in range((dist_key - 1).bit_length() - 1, -1, -1):
+                f = fingers[cur, j]
+                f_id = rec[3 * f]
+                if 0 < (f_id - cur_id) % size < dist_key:
+                    nxt, nxt_id = f, f_id
+                    break
+            cur, cur_id = nxt, nxt_id
             hops += 1
-        return cur, hops
 
     def measure_lookups(
         self, num_queries: int, rng: np.random.Generator
@@ -327,30 +323,54 @@ class CompactChordRing:
         return min(self.successor_list_len + 1, self.num_nodes) + 1
 
     def join(self, node_id: int) -> None:
-        """A node joins: id vector grows, fingers await repair, messages count.
+        """A node joins: it takes a free slot, its row and record are
+        written, the arc it takes over is re-pointed; messages count.
 
         Cost model is the object ring's: ``bits`` messages to build the
         newcomer's state plus the neighbourhood repair sweep.
         """
         node_id %= self.size
-        idx, present = self._position(node_id)
+        p, present = self._position(node_id)
         require(not present, f"node {node_id} already present")
-        self.ids = np.insert(self.ids, idx, node_id)
+        if self.fingers is None:
+            self.build_fingers()
+        if not self._free:
+            self._grow()
+        slot = self._free.pop()
+        ids = self.ids = np.insert(self.ids, p, node_id)
+        order = self.order = np.insert(self.order, p, slot)
+        n = ids.size
+        targets = (node_id + self._steps) % self.size
+        self.fingers[slot] = order[np.searchsorted(ids, targets) % n]
+        self._rec[slot] = node_id, ids.item((p + 1) % n), order.item((p + 1) % n)
+        self._adopt(p, node_id)
         self.maintenance_messages += self.bits + self._neighbourhood_repair_cost()
+
+    def _depart(self, node_id: int) -> None:
+        """Remove ``node_id``; its successor takes over its arc."""
+        require(self.num_nodes > 1, "cannot remove the last ring node")
+        p = self.index_of(node_id)
+        if self.fingers is None:
+            self.build_fingers()
+        self._free.append(self.order.item(p))
+        self.ids = np.delete(self.ids, p)
+        self.order = np.delete(self.order, p)
+        self._adopt(p, node_id)
 
     def leave(self, node_id: int) -> None:
         """Graceful departure: two departure notifications + repair."""
-        require(self.num_nodes > 1, "cannot remove the last ring node")
-        self.ids = np.delete(self.ids, self.index_of(node_id))
+        self._depart(node_id)
         self.maintenance_messages += 2 + self._neighbourhood_repair_cost()
 
     def fail(self, node_id: int) -> None:
         """Crash: neighbours detect and repair; no departure handoff."""
-        require(self.num_nodes > 1, "cannot remove the last ring node")
-        self.ids = np.delete(self.ids, self.index_of(node_id))
+        self._depart(node_id)
         self.maintenance_messages += self._neighbourhood_repair_cost()
 
     def stabilize_all(self) -> None:
-        """Full stabilization sweep: fingers current, one message per node."""
-        self.repair_fingers()
+        """Full stabilization sweep, one message per node.  The tables are
+        patched per event; what the sweep rebuilds is the slot -> position
+        map that lookups leave through."""
+        if self._pos is None:
+            self._positions()
         self.maintenance_messages += self.num_nodes

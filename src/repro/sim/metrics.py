@@ -1,8 +1,8 @@
 """Metric collection and the percentile summaries used in Figure 3.
 
 The paper reports, for directory sizes, the mean together with the 1st and
-99th percentiles; for hop counts it reports means and totals.
-:func:`summarize` computes exactly that summary from raw samples, and
+99th percentiles; for hop counts it reports means.  :func:`summarize`
+computes that summary from raw samples, and
 :class:`MetricsRegistry` is the per-operation sample log the services
 write into.
 """
@@ -27,12 +27,10 @@ class SummaryStats:
     count: int
     mean: float
     std: float
-    minimum: float
     p01: float
     median: float
     p99: float
     maximum: float
-    total: float
 
 
 def summarize(samples: Sequence[float]) -> SummaryStats:
@@ -46,21 +44,18 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     2.0
     """
     if len(samples) == 0:
-        return SummaryStats(0, float("nan"), float("nan"), float("nan"),
-                            float("nan"), float("nan"), float("nan"),
-                            float("nan"), 0.0)
+        nan = float("nan")
+        return SummaryStats(0, nan, nan, nan, nan, nan, nan)
     arr = np.asarray(samples, dtype=float)
     p01, median, p99 = np.percentile(arr, [1, 50, 99])
     return SummaryStats(
         count=int(arr.size),
         mean=float(arr.mean()),
         std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
         p01=float(p01),
         median=float(median),
         p99=float(p99),
         maximum=float(arr.max()),
-        total=float(arr.sum()),
     )
 
 

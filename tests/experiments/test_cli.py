@@ -676,6 +676,7 @@ class TestBadInput:
             (["tail", "--smoke", "--slo-p99", "-1"], "tail_slo_p99"),
             (["scale", "--smoke", "--budget-seconds", "-1"], "--budget-seconds"),
             (["scale", "--smoke", "--budget-mb", "0"], "--budget-mb"),
+            (["scale", "--smoke", "--churn-events", "-1"], "scale_churn_events"),
         ],
     )
     def test_sweep_inputs_are_usage_errors(self, argv, needle, capsys):

@@ -90,14 +90,29 @@ class TestCompactChordRingEquivalence:
         self._assert_routes_match(obj, compact, rng, queries=100)
 
 
+def position_fingers(ring: CompactChordRing) -> np.ndarray:
+    """The ring's ``(n, bits)`` finger table in positions: row ``i`` is the
+    node at ``ids[i]``, entry ``j`` the position of its level-``j`` finger
+    — what :meth:`CompactChordRing.build_fingers` computes from scratch.
+    The slot -> position map is derived here from ``order``, not read from
+    the ring, so a stale map of the ring's own shows up in its lookups
+    instead of being refreshed by the check."""
+    if ring.fingers is None:
+        ring.build_fingers()
+    pos = np.empty(len(ring.fingers), dtype=ring.order.dtype)
+    pos[ring.order] = np.arange(ring.num_nodes)
+    return pos[ring.fingers[ring.order]]
+
+
 def _full_scan_lookup(ring: CompactChordRing, start_index: int, key: int) -> tuple[int, int]:
     """The numpy-scalar reference loop that stays the oracle: every id is
-    an ``int(ids[i])`` and every finger step scans the whole reversed row
-    through ``.tolist()``.  ``CompactChordRing.lookup`` reads buffer views
-    instead and starts its scan below the levels whose ``2**j`` reaches
-    the remaining distance; owners and hop counts must be this loop's."""
-    ring.repair_fingers()
-    ids, fingers, n, size = ring.ids, ring.fingers, ring.ids.size, ring.size
+    an ``int(ids[i])``, the stop test runs at every hop and every finger
+    step scans the whole reversed row of the position table through
+    ``.tolist()``.  ``CompactChordRing.lookup`` walks slot records through
+    buffer views instead, tests ownership once and starts its scan below
+    the levels whose ``2**j`` reaches the remaining distance; owners and
+    hop counts must be this loop's."""
+    ids, fingers, n, size = ring.ids, position_fingers(ring), ring.ids.size, ring.size
     key %= size
     cur = start_index
     hops = 0
@@ -210,14 +225,42 @@ class TestLookupScanStart:
 #: pin a ring with 20 finger levels, stabilized and after lazy repairs.  A
 #: digest that moves means some lookup now ends elsewhere or takes another
 #: number of hops.  To re-record after an *intended* routing change, run
-#: this file as a script and paste the printed table.
+#: this file as a script and paste the printed table.  ``batched`` replays
+#: the ``compact-scale`` benchmark's traffic (rounds of membership edits,
+#: one ``stabilize_all``, then lookups) and digests the maintenance
+#: message count with the pairs; it was recorded on the diff-based finger
+#: repair that the slot-indexed table replaced.
 _LARGE_RING_DIGESTS = {
     "stabilized": "9908e29f242f208ac638e23521fd16cf91fb8cab28addc76950b83243ab83967",
     "churned": "884644c545ee65fbd00bad6d8e22effe9cddd59baf26cc5cb4dc2d0467e4973d",
+    "batched": "3e4001df2dd865323af72802cef6789dde6a7965aa8b6a2db1600803900a37e0",
 }
 
 
+def _batched_digest() -> str:
+    ring = CompactChordRing.sampled(50_000, seed=3)
+    rng = np.random.default_rng(9)
+    pairs = []
+    for _ in range(6):
+        for _ in range(10):
+            joiner = int(rng.integers(ring.size))
+            while joiner in ring:
+                joiner = int(rng.integers(ring.size))
+            ring.join(joiner)
+            ring.leave(int(ring.ids[rng.integers(ring.num_nodes)]))
+        ring.fail(int(ring.ids[rng.integers(ring.num_nodes)]))
+        ring.stabilize_all()
+        starts = rng.integers(ring.num_nodes, size=3_000).tolist()
+        keys = rng.integers(ring.size, size=3_000).tolist()
+        pairs += [ring.lookup(s, k) for s, k in zip(starts, keys)]
+        assert [o for o, _ in pairs[-3_000:]] == ring.owner_indices(np.array(keys)).tolist()
+    pairs.append((ring.maintenance_messages, ring.num_nodes))
+    return hashlib.sha256(np.array(pairs, dtype=np.int64).tobytes()).hexdigest()
+
+
 def _large_ring_digest(family: str) -> str:
+    if family == "batched":
+        return _batched_digest()
     ring = CompactChordRing.sampled(50_000, seed=3)
     rng = np.random.default_rng(8)
     if family == "stabilized":
@@ -271,12 +314,16 @@ class TestLookupBuffers:
 
     @pytest.mark.parametrize("repair", ["lookup", "stabilize_all"])
     def test_no_replaced_array_outlives_the_churn(self, repair):
-        # A view kept past its call would pin the arrays churn replaces
-        # (the repair by stabilize_all never refreshes one).
+        # Views are stored only over the finger table and the slot records,
+        # which churn edits in place; a view over ``ids`` or ``order`` would
+        # pin the arrays every join and departure replaces.
         ring = CompactChordRing.sampled(2_000, seed=1)
         ring.lookup(0, 5)
-        assert not any(isinstance(v, memoryview) for v in vars(ring).values())
-        old_ids, old_fingers = weakref.ref(ring.ids), weakref.ref(ring.fingers)
+        tables = ring.fingers, ring._rec
+        views = [v for v in vars(ring).values() if isinstance(v, memoryview)]
+        assert len(views) == 2
+        assert all(any(np.shares_memory(v.obj, t) for t in tables) for v in views)
+        old_ids, old_order = weakref.ref(ring.ids), weakref.ref(ring.order)
         ring.join(int(np.setdiff1d(np.arange(ring.size), ring.ids)[0]))
         ring.leave(int(ring.ids[1_000]))
         if repair == "lookup":
@@ -285,7 +332,22 @@ class TestLookupBuffers:
             ring.stabilize_all()
         gc.collect()
         assert old_ids() is None
-        assert old_fingers() is None
+        assert old_order() is None
+        assert ring.fingers is tables[0] and ring._rec is tables[1]
+
+    def test_a_grown_table_frees_the_old_one(self):
+        # Joins past the spare rows replace both slot tables; the stored
+        # views move with them.
+        ring = CompactChordRing.sampled(200, seed=1)
+        ring.lookup(0, 5)
+        old = weakref.ref(ring.fingers), weakref.ref(ring._rec)
+        free = np.setdiff1d(np.arange(ring.size), ring.ids)[:10].tolist()
+        for node_id in free:
+            ring.join(node_id)
+        assert len(ring.fingers) > 200 + 200 // 64 + 1
+        assert ring.lookup(0, free[-1])[0] == ring.index_of(free[-1])
+        gc.collect()
+        assert old[0]() is None and old[1]() is None
 
 
 class TestMaintenanceParity:
@@ -393,9 +455,14 @@ class TestCompactChordRingValidation:
         assert 6 in ring and 5 not in ring
 
     def test_state_bytes_counts_ids_and_fingers(self):
+        # 100 nodes in 102 slots (100 // 64 + 1 spare): int32
+        # position -> slot and slot -> position maps, an int32 finger
+        # table and int64 ``[id, successor id, successor slot]`` records.
         ring = CompactChordRing.sampled(100, seed=1)
-        expected = ring.ids.nbytes + 100 * ring.bits * 4  # int32 fingers
+        slots, row = 102, ring.bits * 4
+        expected = ring.ids.nbytes + 100 * 4 + slots * 4 + slots * row + slots * 3 * 8
         assert ring.state_bytes() == expected
+        assert ring.fingers.shape == (slots, ring.bits)
 
 
 if __name__ == "__main__":

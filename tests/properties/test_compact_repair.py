@@ -1,19 +1,21 @@
-"""``CompactChordRing.repair_fingers`` against a from-scratch rebuild.
+"""``CompactChordRing``'s per-event slot patch against a from-scratch build.
 
-The compact core repairs its finger table from the membership diff: old
-indices are remapped to the new positions of their ids' successors,
-joiners' own rows are built fresh, and every row whose level-``j`` target
-a joiner ``x`` took over — the targets in ``(pred(x), x]`` — is pointed at
-``x``.  The property, over any interleaving of join / leave / fail with
-lookups (the lazy repair) and ``stabilize_all`` at drawn points: after
-every repair ``fingers`` is ``array_equal``, dtype included, to
-``build_fingers`` on a fresh ring over the same ids; every event counts
-exactly the maintenance messages its formula says; and the rebuild is
-taken exactly when ``changed * bits >= n``.
+Every node of the compact core holds a stable slot: the finger table and
+the ``[id, successor id, successor slot]`` records are indexed by slot and
+fingers store slots.  A join writes the newcomer's row and record; a join
+or departure relinks the predecessor's record and re-points, level by
+level, the fingers whose targets the changed arc ``(pred(x), x]`` holds.
+The property, over any interleaving of join / leave / fail with lookups
+and ``stabilize_all``: after *every* event the table read in positions is
+``array_equal``, dtype included, to ``build_fingers`` on a fresh ring over
+the same ids; every record names its node's id and its ring successor;
+the free slots and the live ones partition the table; every event counts
+exactly the maintenance messages its formula says; and ``build_fingers``
+is never called again once the ring is built.
 
-Each repair step is load-bearing — drop the survivors' remap, the
-joiners' own rows, the ``(q, x]`` patch or its wrap branch and a named
-scenario below fails.
+Each patch step is load-bearing — drop the joiner's row or record, the
+predecessor relink, the arc re-point or its wrap branch, the slot reuse
+or the table growth and a named scenario below fails.
 """
 
 from __future__ import annotations
@@ -21,21 +23,21 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.overlay.arraystore import CompactChordRing
+from tests.overlay.test_arraystore import position_fingers
 
 
 class Driver:
-    """A ring driven through events, checked after every repair."""
+    """A ring driven through events, checked after every one."""
 
     def __init__(self, bits: int, ids) -> None:
         self.ring = CompactChordRing(bits, ids)
         self.ring.build_fingers()
-        #: One entry per repair: did it take the ``build_fingers`` fallback?
-        self.rebuilt: list[bool] = []
+        #: ``build_fingers`` calls after construction: must stay 0.
+        self.rebuilt = 0
 
     def _counted(self, action, expected: int) -> None:
         before = self.ring.maintenance_messages
@@ -48,12 +50,14 @@ class Driver:
         repair = min(ring.successor_list_len + 1, n + (1 if op == "join" else -1)) + 1
         if op == "join":
             if arg % ring.size not in ring:
-                self._counted(lambda: ring.join(arg), ring.bits + repair)
+                self.repaired(lambda: self._counted(lambda: ring.join(arg), ring.bits + repair))
         elif op in ("leave", "fail"):
             if n > 1:
                 victim = int(ring.ids[arg % n])
-                self._counted(
-                    lambda: getattr(ring, op)(victim), (2 if op == "leave" else 0) + repair
+                self.repaired(
+                    lambda: self._counted(
+                        lambda: getattr(ring, op)(victim), (2 if op == "leave" else 0) + repair
+                    )
                 )
         elif op == "lookup":
             key = (arg * 2654435761) % ring.size
@@ -63,30 +67,34 @@ class Driver:
             self.repaired(lambda: self._counted(ring.stabilize_all, n))
 
     def repaired(self, action) -> None:
-        """Run ``action`` (which brings the table up to date), spying on
-        ``build_fingers``, then hold the table against a fresh ring's."""
+        """Run ``action``, spying on ``build_fingers``, then hold the
+        slot tables against a fresh ring's position table."""
         ring = self.ring
-        stale = ring._fingers_ids
         calls = []
         ring.build_fingers = lambda: (calls.append(1), type(ring).build_fingers(ring))
         try:
             action()
         finally:
             del ring.build_fingers
-        assert ring._fingers_ids is ring.ids
+        self.rebuilt += len(calls)
         fresh = CompactChordRing(ring.bits, ring.ids)
         fresh.build_fingers()
-        assert ring.fingers.dtype == fresh.fingers.dtype
-        assert np.array_equal(ring.fingers, fresh.fingers)
-        if stale is not ring.ids:
-            changed = len(set(stale.tolist()) ^ set(ring.ids.tolist()))
-            assert bool(calls) == (changed * ring.bits >= ring.num_nodes)
-            self.rebuilt.append(bool(calls))
+        table = position_fingers(ring)
+        assert table.dtype == fresh.fingers.dtype
+        assert np.array_equal(table, fresh.fingers[: ring.num_nodes])
+        order = ring.order
+        assert np.array_equal(ring._rec[order], np.column_stack(
+            (ring.ids, np.roll(ring.ids, -1), np.roll(order, -1))
+        ))
+        live = set(order.tolist())
+        assert len(live) == order.size and not live & set(ring._free)
+        assert sorted(live | set(ring._free)) == list(range(len(ring.fingers)))
 
     def run(self, ops) -> "Driver":
         for op, arg in ops:
             self.apply(op, arg)
         self.apply("stabilize", 0)
+        assert self.rebuilt == 0
         return self
 
 
@@ -112,8 +120,7 @@ def test_repair_matches_rebuild(bits, fill, seed, ops):
 
 
 class TestNamedBatches:
-    """The corners, each on a ring large enough (n = 60, bits = 8) that a
-    batch of up to three changes is repaired and not rebuilt."""
+    """The corners, on a ring of n = 60 in 2**8 ids."""
 
     BITS = 8
 
@@ -122,9 +129,7 @@ class TestNamedBatches:
         return sorted(random.Random(3).sample(range(2, 254), 60))
 
     def repaired(self, ops, ids=None) -> Driver:
-        driver = Driver(self.BITS, ids or self.ids()).run(ops)
-        assert driver.rebuilt == [False]
-        return driver
+        return Driver(self.BITS, ids or self.ids()).run(ops)
 
     def test_joiner_becomes_index_zero(self):
         driver = self.repaired([("join", self.ids()[0] - 1)])
@@ -160,50 +165,41 @@ class TestNamedBatches:
         ids = self.ids()
         joiner = ids[10] + 1
         assert joiner not in ids
-        # The joiner sits at index 11 when it leaves again: the diff is empty.
+        # The joiner sits at index 11 when it leaves again.
         driver = self.repaired([("join", joiner), ("leave", 11)])
         assert driver.ring.ids.tolist() == ids
 
     def test_leave_then_rejoin_of_one_id(self):
+        # The rejoining id takes the slot its departure freed.
         ids = self.ids()
-        driver = self.repaired([("leave", 10), ("join", ids[10])])
+        driver = Driver(self.BITS, ids)
+        slot = driver.ring.order.item(10)
+        driver.run([("leave", 10), ("join", ids[10])])
         assert driver.ring.ids.tolist() == ids
+        assert driver.ring.order.item(10) == slot
 
     def test_departure_and_arrival_side_by_side(self):
         ids = self.ids()
         self.repaired([("fail", 10), ("join", ids[10] + 1), ("leave", 30)])
 
     def test_lazy_repair_before_a_lookup(self):
-        driver = Driver(self.BITS, self.ids()).run(
+        # Lookups between events, with no stabilize_all: each leaves
+        # through a slot -> position map rebuilt after the event.
+        self.repaired(
             [("join", 1), ("lookup", 5), ("fail", 7), ("lookup", 9), ("leave", 0), ("lookup", 2)]
         )
-        assert driver.rebuilt == [False, False, False]
 
     def test_one_to_two_to_one(self):
-        driver = Driver(self.BITS, [77]).run(
+        driver = self.repaired(
             [("join", 5), ("stabilize", 0), ("lookup", 1), ("leave", 1), ("stabilize", 0),
-             ("join", 200), ("fail", 0)]
+             ("join", 200), ("fail", 0)], ids=[77],
         )
         assert driver.ring.ids.tolist() == [200]
-        assert all(driver.rebuilt)
 
-
-class TestRebuildThreshold:
-    """``changed * bits >= n`` takes ``build_fingers``; below it, never."""
-
-    def test_small_batch_on_a_large_ring_is_repaired(self):
-        driver = Driver(12, _scattered(12, 400)).run(
-            [("join", 7 * i + 1) for i in range(12)] + [("leave", 11 * i) for i in range(12)]
+    def test_joins_past_the_spare_rows_grow_the_table(self):
+        # 60 nodes in 60 + 0 + 1 slots: the second join finds no free
+        # slot.  The lookups route on the grown table's stored views.
+        driver = self.repaired(
+            [(op, 7 * i + 1) for i in range(12) for op in ("join", "lookup")]
         )
-        assert driver.rebuilt == [False]  # 24 * 12 < 400
-
-    def test_large_batch_is_rebuilt(self):
-        driver = Driver(12, _scattered(12, 400)).run([("fail", 3 * i) for i in range(40)])
-        assert driver.rebuilt == [True]  # 40 * 12 >= 360
-
-    @pytest.mark.parametrize("joins,rebuilt", [(4, False), (5, True)])
-    def test_the_boundary(self, joins, rebuilt):
-        # bits = 12, n = 55 + joins: 4 * 12 = 48 < 59, 5 * 12 = 60 >= 60.
-        ids = [64 * i for i in range(55)]
-        driver = Driver(12, ids).run([("join", 64 * i + 9) for i in range(joins)])
-        assert driver.rebuilt == [rebuilt]
+        assert len(driver.ring.fingers) > 61

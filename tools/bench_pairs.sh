@@ -21,7 +21,9 @@
 # q3 - q1, `identical` when every run of both sides reads the same,
 # `unresolved` otherwise.  Fewer than 10 pairs are below that
 # rule's minimum, and the table says so.  A run with `failed > 0` is
-# flagged `FAILED OPS`, and any such run makes the exit status 1.
+# flagged `FAILED OPS`, and any such run makes the exit status 1.  The
+# last line is strict JSON: every run's result, and per metric both sides'
+# q1 / median / q3, the ratio, the wins and the verdict.
 set -euo pipefail
 
 usage="usage: tools/bench_pairs.sh PARENT_SRC CHANGE_SRC WORKLOAD SEED N"
@@ -65,11 +67,12 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$runs" "$pairs" "$change/BENCHMARK.json" <<'EOF'
+python3 - "$runs" "$pairs" "$change/BENCHMARK.json" "$workload" "$seed" <<'EOF'
 import json, statistics, sys
 from pathlib import Path
 
 runs, pairs, spec = Path(sys.argv[1]), int(sys.argv[2]), json.load(open(sys.argv[3]))
+workload, seed = sys.argv[4], int(sys.argv[5])
 results = {
     side: [json.loads((runs / f"{side}-{i}.json").read_text()) for i in range(pairs)]
     for side in ("parent", "change")
@@ -83,6 +86,7 @@ def quartiles(values):
     return [q1, median, q3]
 
 
+summary = {}
 print(f"\n{'metric':<20}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}"
       f"{'ratio':>8}{'wins':>8}  verdict")
 for entry in spec["end_to_end"]:
@@ -96,7 +100,7 @@ for entry in spec["end_to_end"]:
     }
     p_q1, p_med, p_q3 = quartiles(parent)
     c_med = statistics.median(change)
-    ratio = f"{c_med / p_med:.3f}" if p_med else "n/a"
+    ratio = c_med / p_med if p_med else None
     gain = (c_med - p_med) if higher else (p_med - c_med)
     if parent == change:
         verdict = "identical"
@@ -104,8 +108,17 @@ for entry in spec["end_to_end"]:
         verdict = "gain"
     else:
         verdict = "unresolved"
-    print(f"{name:<20}{side['parent']:>36}{side['change']:>36}{ratio:>8}"
+    ratio_text = "n/a" if ratio is None else f"{ratio:.3f}"
+    print(f"{name:<20}{side['parent']:>36}{side['change']:>36}{ratio_text:>8}"
           f"{f'{wins}/{pairs}':>8}  {verdict}")
+    summary[name] = {
+        "better": entry["better"],
+        "parent": dict(zip(("q1", "median", "q3"), quartiles(parent))),
+        "change": dict(zip(("q1", "median", "q3"), quartiles(change))),
+        "ratio": ratio,
+        "wins": wins,
+        "verdict": verdict,
+    }
 if pairs < 10:
     print(f"note: {pairs} pairs; the gain rule asks for at least 10")
 failed = [
@@ -114,5 +127,11 @@ failed = [
 ]
 if failed:
     print(f"FAILED OPS in: {', '.join(failed)}")
-    sys.exit(1)
+# The last line: the whole comparison as strict JSON.
+print(json.dumps(
+    {"workload": workload, "seed": seed, "pairs": pairs, "runs": results,
+     "metrics": summary, "failed": failed},
+    allow_nan=False, separators=(",", ":"),
+))
+sys.exit(1 if failed else 0)
 EOF

@@ -52,6 +52,9 @@ for gate in chaos durability tail hotspot tradeoff; do
 done
 capture availability availability --scale smoke --out "$out/availability"
 capture scale scale --smoke --seed 0 --out "$out/scale"
+# A long mixed join/leave/fail storm on the compact core: its per-event
+# maintenance-message accounting, pinned byte for byte.
+capture scale-churn scale --smoke --seed 0 --churn-events 300 --out "$out/scale-churn"
 
 # Help text: the top-level parser and every subcommand, at a fixed width.
 for cmd in "" list run all availability chaos durability hotspot tradeoff tail \
@@ -86,7 +89,7 @@ for format in tree jsonl chrome; do
 done
 
 # The `scale` figure reports wall-clock and memory beside its seeded columns.
-for run in all all-parallel scale; do
+for run in all all-parallel scale scale-churn; do
     rm -f "$out/$run/scale_table.json"
     sed -i '/^note: n=[0-9]*: built in /d' "$out/$run.stdout" "$out/$run/scale.txt"
 done
