@@ -27,7 +27,7 @@ Quickstart — a toy-scale LORM grid, seeded end to end:
 >>> service = LormService.build_full(cfg.dimension, cfg.schema(), seed=1)
 >>> workload = GridWorkload(schema=cfg.schema(),
 ...                         infos_per_attribute=cfg.infos_per_attribute, seed=2)
->>> routed_hops = service.register_all(workload.resource_infos())
+>>> routed_hops = sum(map(service.register, workload.resource_infos()))
 >>> query = workload.sample_multi_query(num_attributes=3)
 >>> result = service.multi_query(query)
 >>> sorted(result.providers), result.total_visited

@@ -262,22 +262,21 @@ class DiscoveryService(ABC):
     def _on_registered(self, info: ResourceInfo, placements: tuple) -> None:
         """Called after ``info`` was stored under ``placements``."""
 
-    def register_all(self, infos: Iterable[ResourceInfo], *, routed: bool = True) -> int:
-        """Register many infos, in order; returns total hops.
-
-        Unrouted and untraced — a bulk load — the placements go to the
-        overlay as one stream (:meth:`~repro.overlay.base.Overlay.
-        store_all`), which resolves each distinct key once.
-        Ordering contract: the outcome is that of ``register(info,
-        routed=False)`` per info, observably — per node the same namespace
-        order, key order and bucket order (placements are streamed info by
-        info in the order given, never regrouped by attribute), and the
-        same message counts.
+    def register_all(self, infos: Iterable[ResourceInfo]) -> None:
+        """Bulk-load many infos, in order, unrouted (a routed load is
+        ``register`` per info).  Untraced, the placements go to the overlay
+        as one stream (:meth:`~repro.overlay.base.Overlay.store_all`),
+        which resolves each distinct key once.  Ordering contract: the
+        outcome is that of ``register(info, routed=False)`` per info,
+        observably — per node the same namespace order, key order and
+        bucket order (placements are streamed info by info in the order
+        given, never regrouped by attribute), and the same message counts.
         """
-        if routed or self.tracer is not None:
-            return sum(self.register(info, routed=routed) for info in infos)
-        self.overlay.store_all(self._placement_stream(infos))
-        return 0
+        if self.tracer is None:
+            self.overlay.store_all(self._placement_stream(infos))
+        else:
+            for info in infos:
+                self.register(info, routed=False)
 
     def _placement_stream(self, infos: Iterable[ResourceInfo]) -> Iterator[tuple]:
         """``(namespace, key, info)`` per placement of each of ``infos``."""

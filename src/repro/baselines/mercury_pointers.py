@@ -113,11 +113,12 @@ class PointerMercuryService(MercuryService):
         """Single-attribute registration = a one-attribute record."""
         return self.register_record([info], routed=routed)
 
-    def register_all(self, infos, *, routed: bool = True) -> int:
-        """One record per info: what is stored is an envelope, not the
-        info under its placements, so there is no bulk stream to hand the
-        overlay."""
-        return sum(self.register(info, routed=routed) for info in infos)
+    def register_all(self, infos) -> None:
+        """One unrouted record per info: what is stored is an envelope,
+        not the info under its placements, so there is no bulk stream to
+        hand the overlay."""
+        for info in infos:
+            self.register(info, routed=False)
 
     def deregister_record(self, infos: Sequence[ResourceInfo]) -> int:
         """Withdraw a record: the home envelope plus every pointer."""

@@ -211,7 +211,7 @@ def build_service(
                 config.chord_bits, config.population, workload.schema, **kwargs
             )
     if register:
-        service.register_all(workload.resource_infos(), routed=False)
+        service.register_all(workload.resource_infos())
     return service
 
 
@@ -266,7 +266,7 @@ def build_services(
         # Materialised once, so the four services store the same objects.
         infos = tuple(workload.resource_infos())
         for service in bundle.all():
-            service.register_all(infos, routed=False)
+            service.register_all(infos)
     return bundle
 
 

@@ -1,6 +1,6 @@
 """The bulk load is the per-info load, observably.
 
-``register_all(infos, routed=False)`` hands the overlay one placement
+``register_all(infos)`` hands the overlay one placement
 stream (``Overlay.store_all``) instead of calling ``register`` per info.
 Twins loaded the two ways must agree on every node's directory *as
 stored* — namespace order, key order, bucket order
@@ -59,7 +59,7 @@ def test_bulk_load_equals_per_info_load(system, redundancy, overlay):
     per_info, bulk = _twins(system, overlay=overlay, **redundancy)
     for info in INFOS:
         per_info.register(info, routed=False)
-    assert bulk.register_all(INFOS, routed=False) == 0
+    bulk.register_all(INFOS)
     _assert_same_state(per_info, bulk)
 
 
@@ -71,7 +71,7 @@ def test_bulk_load_equals_per_info_load_under_salting(system, replication):
     )
     for info in INFOS:
         per_info.register(info, routed=False)
-    bulk.register_all(INFOS, routed=False)
+    bulk.register_all(INFOS)
     _assert_same_state(per_info, bulk)
 
 
@@ -95,7 +95,7 @@ def test_bulk_load_onto_live_views_and_arc_index(system):
         ]
 
     for service in (per_info, bulk):
-        service.register_all(INFOS[:half], routed=False)
+        service.register_all(INFOS[:half])
     assert answers(per_info) == answers(bulk)
     # The branches this test is for are live:
     if system != "Mercury":
@@ -105,7 +105,7 @@ def test_bulk_load_onto_live_views_and_arc_index(system):
 
     for info in INFOS[half:]:
         per_info.register(info, routed=False)
-    bulk.register_all(INFOS[half:], routed=False)
+    bulk.register_all(INFOS[half:])
 
     _assert_same_state(per_info, bulk)
     assert per_info.overlay._arcs == bulk.overlay._arcs
@@ -115,17 +115,18 @@ def test_bulk_load_onto_live_views_and_arc_index(system):
 
 
 def test_routed_or_traced_register_all_stays_the_per_info_loop(monkeypatch):
-    """``routed=True`` pays the lookups and a tracer sees one span per
-    info: neither goes through ``store_all``."""
+    """A routed load (``register`` per info) pays the lookups and a
+    traced ``register_all`` shows one span per info: neither goes through
+    ``store_all``."""
     from repro.obs import QueryTracer
     from repro.overlay.base import Overlay
 
     monkeypatch.delattr(Overlay, "store_all")
     routed, traced = _twins("SWORD")
-    assert routed.register_all(INFOS[:40]) > 0
+    assert sum(map(routed.register, INFOS[:40])) > 0
     tracer = QueryTracer()
     traced.attach_tracer(tracer)
-    traced.register_all(INFOS[:40], routed=False)
+    traced.register_all(INFOS[:40])
     assert len(tracer.traces) == 40
 
 
@@ -133,7 +134,7 @@ def test_store_all_counts_what_it_stored_when_the_stream_raises():
     service, reference = _twins("MAAN", durability=successor_replication(2))
     unknown = dataclasses.replace(INFOS[0], attribute="no-such-attribute")
     with pytest.raises(KeyError):
-        service.register_all([*INFOS[:10], unknown], routed=False)
+        service.register_all([*INFOS[:10], unknown])
     for info in INFOS[:10]:
         reference.register(info, routed=False)
     _assert_same_state(reference, service)

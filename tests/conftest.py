@@ -6,8 +6,10 @@ construction; paper-scale runs live in ``benchmarks/``.
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,19 +21,21 @@ from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload
 
-# Hypothesis profiles: "dev" keeps property suites laptop-fast; "ci" runs
-# more examples, derandomized for reproducible builds.  Select with
-# HYPOTHESIS_PROFILE=ci (the GitHub Actions workflow does).
+# Hypothesis profiles: "dev" keeps property suites laptop-fast; "ci" runs more
+# examples and longer state machines, derandomized for reproducible builds.
+# Select with HYPOTHESIS_PROFILE=ci (the GitHub Actions workflow does).
 settings.register_profile(
     "dev",
     deadline=None,
     max_examples=15,
+    stateful_step_count=5,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile(
     "ci",
     deadline=None,
     max_examples=60,
+    stateful_step_count=20,
     derandomize=True,
     print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
@@ -140,3 +144,25 @@ def check_report():
     from repro.testing.differential import run_check
 
     return run_check(seed=0, num_queries=24, churn_events=24)
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """``plant(cls, name, edit)`` installs a bug-zoo plant: ``edit`` is the
+    replacement method, or ``(old, new)`` pairs edited into the method's
+    own source (each ``old`` must occur once) and recompiled in its module."""
+
+    def install(cls: type, name: str, edit) -> None:
+        if not callable(edit):
+            function = getattr(cls, name)
+            source = textwrap.dedent(inspect.getsource(function))
+            for old, new in edit:
+                assert source.count(old) == 1, f"plant anchor {old!r} not unique in {name}"
+                source = source.replace(old, new)
+            scope: dict = {}
+            code = compile(source, inspect.getsourcefile(function), "exec")
+            exec(code, function.__globals__, scope)
+            edit = scope[name]
+        monkeypatch.setattr(cls, name, edit)
+
+    return install

@@ -56,7 +56,8 @@ class TestBuildServices:
         slow = build_services(tiny_config, register=False)
         infos = tuple(slow.workload.resource_infos())
         for service in slow.all():
-            service.register_all(infos, routed=True)
+            for info in infos:
+                service.register(info)
         assert fast.lorm.directory_sizes() == slow.lorm.directory_sizes()
         assert fast.sword.directory_sizes() == slow.sword.directory_sizes()
 

@@ -188,7 +188,7 @@ class TestOneSweepIndex:
     def mercury(self) -> MercuryService:
         schema = AttributeSchema.synthetic(3)
         service = MercuryService.build(6, 24, schema, seed=5)
-        service.register_all(GridWorkload(schema, 20, seed=5).resource_infos(), routed=False)
+        service.register_all(GridWorkload(schema, 20, seed=5).resource_infos())
         return service
 
     def test_first_arc_read_indexes_every_hub(self, mercury, monkeypatch):

@@ -1,30 +1,17 @@
 """Cached routing must be observably identical to uncached routing.
 
 The overlays memoise *derived* routing state (Chord's ``successor_of``
-and per-node live-finger lists, Cycloid's key-owner resolution) per
-membership epoch.  These tests drive a cached and an uncached twin
-through identical seeded churn storms — joins, graceful leaves, crash
-failures, stabilization sweeps — probing owners, hop counts, full routed
-paths and range walks after every event, and require byte-identical
-transcripts.  A divergence means a cache outlived its epoch.
-
-The twins also pin the incremental stabilization sweep against the full
-one: the cached overlay's ``stabilize_all`` re-derives only its stale set,
-the uncached twin's sweeps everything, and the storm sweeps directly after
-every rejoin of a crashed id (a new node object under an id the stale
-entries still name) as well as every fifth event.
-
-Chord's finger step reads a per-node *finger row* (``_cpf_cache``): the
-live, de-duplicated fingers with their clockwise distances, one bisect per
-hop.  ``TestFingerRow`` holds it against the seed's reversed table scan,
-written out here as the reference, through a storm that also runs the
-per-node maintenance steps and on hand-staged tables no figure reaches.
-
-The replica sets are memoised the same way (``Overlay._holders``); their
-twins are services, because the memo's readers are the write paths —
-``register`` / ``deregister`` between membership and repair events, with
-every node's directory, every withdrawal's count and the message counts
-compared after each step.
+and finger rows, Cycloid's key owners, the replica sets in
+``Overlay._holders``) per membership epoch.  That every memo stays a fresh
+derivation through churn, sweeps and writes, every route equal to a
+``routing_cache=False`` twin's, is checked by the membership state machine
+(``tests/properties/test_membership_machine.py``).  This file holds that
+the memos engage at all, and the finger row: Chord's finger step reads a
+per-node row (``_cpf_cache``) of the live, de-duplicated fingers with
+their clockwise distances, one bisect per hop.  ``TestFingerRow`` holds it
+against the seed's reversed table scan, written out here as the
+reference, through a storm that also runs the per-node maintenance steps
+and on hand-staged tables no figure reaches.
 """
 
 from __future__ import annotations
@@ -43,126 +30,14 @@ from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
 from repro.sim.durability import successor_replication
-from repro.sim.invariants import directory_layout
 from repro.workloads.attributes import AttributeSchema
 
-_STORM_EVENTS = 40
-_PROBES_PER_EVENT = 6
 
-
-def _chord_probe(ring: ChordRing, rng: random.Random) -> list:
-    """Owners, hops, paths and walks — everything a service observes."""
-    size = ring.space.size
-    transcript = []
-    for _ in range(_PROBES_PER_EVENT):
-        ids = ring.node_ids
-        start = ring.node(ids[rng.randrange(len(ids))])
-        key = rng.randrange(size)
-        result = ring.lookup(start, key)
-        transcript.append(
-            (
-                "lookup",
-                result.owner.node_id,
-                result.hops,
-                tuple(result.path),
-                result.complete,
-            )
-        )
-        from_key = rng.randrange(size)
-        until_key = (from_key + rng.randrange(1, max(2, size // 4))) % size
-        walk = ring.walk_arc(ring.successor_of(from_key), from_key, until_key)
-        transcript.append(
-            ("walk", tuple(node.node_id for node in walk), walk.truncated)
-        )
-    return transcript
-
-
-def _chord_storm(ring: ChordRing, seed: int) -> list:
-    """A deterministic churn storm; returns the full probe transcript."""
-    rng = random.Random(seed)
-    size = ring.space.size
-    departed: list[int] = []
-    transcript = _chord_probe(ring, rng)
-    for step in range(_STORM_EVENTS):
-        roll = rng.random()
-        ids = ring.node_ids
-        if roll < 0.25 and len(ids) > 8:
-            ring.leave(ids[rng.randrange(len(ids))])
-        elif roll < 0.5 and len(ids) > 8:
-            victim = ids[rng.randrange(len(ids))]
-            ring.fail(victim)
-            departed.append(victim)
-        elif departed:
-            ring.join(departed.pop(rng.randrange(len(departed))))
-            ring.stabilize_all()
-        else:
-            newcomer = rng.randrange(size)
-            if newcomer in set(ids):
-                continue
-            ring.join(newcomer)
-        if step % 5 == 4:
-            ring.stabilize_all()
-        transcript.extend(_chord_probe(ring, rng))
-    return transcript
-
-
-def _cycloid_probe(overlay: CycloidOverlay, rng: random.Random) -> list:
-    d = overlay.dimension
-    num_clusters = overlay.cubical_space.size
-    transcript = []
-    for _ in range(_PROBES_PER_EVENT):
-        ids = overlay.node_ids
-        start = overlay.node(ids[rng.randrange(len(ids))])
-        target = CycloidId(rng.randrange(d), rng.randrange(num_clusters))
-        transcript.append(("owner", overlay.closest_node(target).cid))
-        result = overlay.lookup(start, target)
-        transcript.append(
-            (
-                "lookup",
-                result.owner.cid,
-                result.hops,
-                tuple(result.path),
-                result.complete,
-            )
-        )
-        k_from, k_to = rng.randrange(d), rng.randrange(d)
-        anchor = overlay.closest_node(CycloidId(k_from, target.a))
-        walk = overlay.walk_cluster(anchor, k_from, k_to)
-        transcript.append(
-            ("walk", tuple(node.cid for node in walk), walk.truncated)
-        )
-    return transcript
-
-
-def _cycloid_storm(overlay: CycloidOverlay, seed: int) -> list:
-    rng = random.Random(seed)
-    d = overlay.dimension
-    num_clusters = overlay.cubical_space.size
-    departed: list[CycloidId] = []
-    transcript = _cycloid_probe(overlay, rng)
-    for step in range(_STORM_EVENTS):
-        roll = rng.random()
-        ids = overlay.node_ids
-        if roll < 0.25 and len(ids) > 8:
-            victim = ids[rng.randrange(len(ids))]
-            overlay.leave(victim)
-            departed.append(victim)
-        elif roll < 0.5 and len(ids) > 8:
-            victim = ids[rng.randrange(len(ids))]
-            overlay.fail(victim)
-            departed.append(victim)
-        elif departed:
-            overlay.join(departed.pop(rng.randrange(len(departed))))
-            overlay.stabilize_all()
-        else:
-            cid = CycloidId(rng.randrange(d), rng.randrange(num_clusters))
-            if cid in set(overlay.node_ids):
-                continue
-            overlay.join(cid)
-        if step % 5 == 4:
-            overlay.stabilize_all()
-        transcript.extend(_cycloid_probe(overlay, rng))
-    return transcript
+def _route_everywhere(overlay) -> None:
+    """One lookup from every node: fills the memos a route reads."""
+    size = overlay.id_space_size
+    for node in list(overlay.nodes()):
+        overlay.lookup(node, overlay.key_of((overlay.uid_of(node) + size // 2) % size))
 
 
 #: Every ring tier built on the Chord machinery shares its routing caches.
@@ -173,8 +48,8 @@ _ring_tiers = pytest.mark.parametrize(
 )
 
 
-def _twin_rings(ring_class, bits: int, node_ids) -> tuple[ChordRing, ChordRing]:
-    """The same ring twice: with the routing caches, and without."""
+def _twin_rings(ring_class, bits: int, node_ids) -> tuple:
+    """The same overlay twice: with the routing caches, and without."""
     cached = ring_class(bits, routing_cache=True)
     cached.build(node_ids)
     plain = ring_class(bits, routing_cache=False)
@@ -183,76 +58,25 @@ def _twin_rings(ring_class, bits: int, node_ids) -> tuple[ChordRing, ChordRing]:
 
 
 class TestChordCacheEquivalence:
-    def _rings(self, ring_class=ChordRing) -> tuple[ChordRing, ChordRing]:
-        return _twin_rings(ring_class, 7, random.Random(11).sample(range(128), 48))
-
-    @_ring_tiers
-    def test_storm_transcripts_identical(self, ring_class):
-        cached, plain = self._rings(ring_class)
-        assert _chord_storm(cached, seed=23) == _chord_storm(plain, seed=23)
-
     @_ring_tiers
     def test_caches_actually_engage(self, ring_class):
-        cached, plain = self._rings(ring_class)
-        _chord_storm(cached, seed=23)
-        _chord_storm(plain, seed=23)
+        cached, plain = _twin_rings(ring_class, 7, random.Random(11).sample(range(128), 48))
+        _route_everywhere(cached)
+        _route_everywhere(plain)
         assert cached._succ_cache
         # Single-hop jumps to the believed owner: no finger scan to memoise.
         assert bool(cached._cpf_cache) == (ring_class is not SingleHopRing)
         assert not plain._succ_cache and not plain._cpf_cache
 
-    def test_invalidation_on_membership_change(self):
-        cached, _ = self._rings()
-        size = cached.space.size
-        for key in range(size):
-            cached.successor_of(key)
-        joiner = next(i for i in range(size) if i not in cached._nodes)
-        # The memo currently answers ``joiner``'s key with its old owner;
-        # after the join it must answer with the joiner itself (the join
-        # flushes the epoch, then repopulates while refreshing routing).
-        assert cached.successor_of(joiner).node_id != joiner
-        cached.join(joiner)
-        assert cached.successor_of(joiner).node_id == joiner
-
 
 class TestCycloidCacheEquivalence:
-    def _overlays(self) -> tuple[CycloidOverlay, CycloidOverlay]:
-        all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
-        node_ids = random.Random(5).sample(all_ids, 48)
-        cached = CycloidOverlay(4, routing_cache=True)
-        cached.build(node_ids)
-        plain = CycloidOverlay(4, routing_cache=False)
-        plain.build(node_ids)
-        return cached, plain
-
-    def test_storm_transcripts_identical(self):
-        cached, plain = self._overlays()
-        assert _cycloid_storm(cached, seed=31) == _cycloid_storm(plain, seed=31)
-
     def test_caches_actually_engage(self):
-        cached, plain = self._overlays()
-        _cycloid_storm(cached, seed=31)
-        _cycloid_storm(plain, seed=31)
+        all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
+        cached, plain = _twin_rings(CycloidOverlay, 4, random.Random(5).sample(all_ids, 48))
+        _route_everywhere(cached)
+        _route_everywhere(plain)
         assert cached._owner_cache
         assert not plain._owner_cache
-
-    def test_invalidation_on_membership_change(self):
-        cached, _ = self._overlays()
-        for a in range(16):
-            for k in range(4):
-                cached.closest_node(CycloidId(k, a))
-        live = set(cached.node_ids)
-        joiner = next(
-            CycloidId(k, a)
-            for a in range(16)
-            for k in range(4)
-            if CycloidId(k, a) not in live
-        )
-        # The memo holds the joiner's key under its old owner; the join
-        # must flush it so the key re-resolves to the joiner itself.
-        assert cached.closest_node(joiner).cid != joiner
-        cached.join(joiner)
-        assert cached.closest_node(joiner).cid == joiner
 
 
 # ----------------------------------------------------------------------
@@ -465,61 +289,7 @@ def _cycloid_service(replication: int, routing_cache: bool) -> LormService:
     return LormService(overlay, _SCHEMA, seed=3)
 
 
-def _write_storm(service, seed: int) -> list:
-    """A seeded interleaving of every membership and repair entry point
-    with registrations and withdrawals in between; the transcript is what
-    a caller can observe after each step."""
-    rng = random.Random(seed)
-    overlay = service.overlay
-    specs = _SCHEMA.specs
-    live: list[ResourceInfo] = []
-    departed: list = []
-    transcript = []
-    for step in range(60):
-        for _ in range(3):
-            spec = specs[rng.randrange(len(specs))]
-            info = ResourceInfo(
-                spec.name, rng.uniform(spec.lo, spec.hi), f"p{rng.randrange(12)}"
-            )
-            service.register(info, routed=False)
-            live.append(info)
-        removed = [
-            service.deregister(live.pop(rng.randrange(len(live))))
-            for _ in range(min(2, len(live)))
-        ]
-        # Withdrawing what is not there touches the same holders.
-        removed.append(service.deregister(ResourceInfo(specs[0].name, specs[0].lo, "nobody")))
-        roll = rng.random()
-        ids = overlay.node_ids
-        if roll < 0.2 and len(ids) > 8:
-            victim = ids[rng.randrange(len(ids))]
-            overlay.leave(victim)
-            departed.append(victim)
-        elif roll < 0.4 and len(ids) > 8:
-            victim = ids[rng.randrange(len(ids))]
-            overlay.fail(victim)
-            departed.append(victim)
-        elif roll < 0.6 and departed:
-            overlay.join(departed.pop(rng.randrange(len(departed))))
-        elif roll < 0.8:
-            overlay.stabilize_all()
-        else:
-            overlay.repair_replication()
-        transcript.append(
-            (step, removed, directory_layout(overlay), overlay.network.stats.as_dict())
-        )
-    return transcript
-
-
 class TestHoldersMemo:
-    @pytest.mark.parametrize("replication", (1, 2, 3))
-    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
-    def test_write_storm_transcripts_identical(self, build, replication):
-        cached = _write_storm(build(replication, True), seed=41)
-        plain = _write_storm(build(replication, False), seed=41)
-        for with_memo, without in zip(cached, plain):
-            assert with_memo == without, with_memo[0]
-
     @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
     def test_memo_engages_only_with_the_routing_cache(self, build):
         info = ResourceInfo(_SCHEMA.specs[0].name, _SCHEMA.specs[0].lo, "p0")
@@ -528,30 +298,6 @@ class TestHoldersMemo:
             service.register(info, routed=False)
         assert cached.overlay._holders
         assert not plain.overlay._holders
-
-    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
-    def test_every_membership_entry_point_empties_it(self, build):
-        overlay = build(2, True).overlay
-        key_ids = range(0, overlay.id_space_size, 3)
-
-        def fill() -> None:
-            for key_id in key_ids:
-                overlay.replica_set_of(key_id)
-            assert len(overlay._holders) == len(key_ids)
-
-        ids = overlay.node_ids
-        fill()
-        overlay.leave(ids[0])
-        assert not overlay._holders
-        fill()
-        overlay.fail(ids[1])
-        assert not overlay._holders
-        fill()
-        overlay.join(ids[0])
-        assert not overlay._holders
-        fill()
-        overlay.build(ids)
-        assert not overlay._holders
 
     @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
     def test_a_caller_cannot_edit_the_memo(self, build):

@@ -13,9 +13,10 @@ the free slots and the live ones partition the table; every event counts
 exactly the maintenance messages its formula says; and ``build_fingers``
 is never called again once the ring is built.
 
-Each patch step is load-bearing — drop the joiner's row or record, the
-predecessor relink, the arc re-point or its wrap branch, the slot reuse
-or the table growth and a named scenario below fails.
+Each patch step is load-bearing: ``PLANTS`` drops or bends one per row
+(the joiner's row or record, the predecessor relink, the arc re-point or
+its wrap branch, the slot reuse, the table growth and its stored views,
+the position-map reset) and a seeded drive of :class:`Driver` must fail.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -203,3 +205,42 @@ class TestNamedBatches:
             [(op, 7 * i + 1) for i in range(12) for op in ("join", "lookup")]
         )
         assert len(driver.ring.fingers) > 61
+
+
+#: ``(id, method, edit)``: one patch step of :class:`CompactChordRing`
+#: removed or bent (see the ``plant`` fixture).
+PLANTS = [
+    ("joiner-row", "join", ("self.fingers[slot] = order", "_ = order")),
+    ("joiner-record", "join", ("self._rec[slot] = node_id,", "_ = node_id,")),
+    ("predecessor-relink", "_adopt", ("self._rec[pred, 1:] = ids.item(q), owner", "pass")),
+    ("arc-repoint", "_adopt", ("fingers[order[a:b], j] = owner", "pass")),
+    ("wrap-branch", "_adopt", ("if wraps:", "if False:")),
+    ("position-map-reset", "_adopt", ("self._pos = None", "pass")),
+    ("slot-reuse", "_depart", ("self._free.append(self.order.item(p))", "pass")),
+    ("table-growth", "join", ("self._grow()", "pass")),
+    ("grown-views", "_grow", ("self._views()", "pass")),
+]
+
+
+DRIVE_OPS = ("join", "join", "leave", "fail", "lookup", "lookup", "stabilize")
+
+
+def seeded_drive(seed: int = 5, events: int = 80) -> Driver:
+    """A ring of 60 in 2**8 ids (one spare slot) through seeded joins,
+    departures, lookups and sweeps."""
+    rng = random.Random(seed)
+    ops = [(rng.choice(DRIVE_OPS), rng.randrange(1 << 13)) for _ in range(events)]
+    return Driver(8, _scattered(8, 60, seed)).run(ops)
+
+
+@pytest.mark.parametrize(
+    "method, edit", [row[1:] for row in PLANTS], ids=[row[0] for row in PLANTS]
+)
+def test_planted_patch_step_is_caught(method, edit, plant):
+    plant(CompactChordRing, method, [edit])
+    with pytest.raises((AssertionError, IndexError)):
+        seeded_drive()
+
+
+def test_the_seeded_drive_passes_unplanted():
+    seeded_drive()

@@ -183,12 +183,12 @@ class TestHoldersMemoIsPoliced:
     def test_guard_raises_on_join_register_leave(self, flush_lost, schema, workload):
         service = MercuryService.build(6, 24, schema, seed=11, durability=successor_replication(2))
         infos = list(workload.resource_infos())
-        service.register_all(infos[::2], routed=False)
+        service.register_all(infos[::2])
         install_churn_guards(service)
         with pytest.raises(InvariantViolation):
             service.churn_leave()
             service.churn_join()  # the same id again, as a new node object
-            service.register_all(infos[1::2], routed=False)
+            service.register_all(infos[1::2])
             service.churn_leave()
             service.ring.repair_replication()
 
