@@ -70,11 +70,10 @@ class Overlay:
 
     def __init__(self, durability: DurabilityPolicy | None, routing_cache: bool) -> None:
         self.network = SimulatedNetwork()
-        #: Whether the caches derived from the membership are kept at all
-        #: (the subclasses' owner / finger caches and :attr:`_holders`
-        #: here).  ``False`` is the reference path the equivalence tests
-        #: diff against: every answer is re-derived from the membership
-        #: index.
+        #: Whether the subclasses keep their routing rows (Chord's finger
+        #: rows, Cycloid's slot rows) and narrow the sweep to a stale set.
+        #: ``False`` is the reference path the equivalence tests diff
+        #: against: every row is re-derived per hop, every sweep is full.
         self.routing_cache = routing_cache
         #: The durability policy governing where a key's copies/fragments
         #: live and when a piece still decodes.  ``None`` is the paper's
@@ -84,12 +83,6 @@ class Overlay:
             durability if durability is not None else successor_replication(1)
         )
         self.durability.validate(self)
-        #: :meth:`replica_set_of` per storage key id, for the current
-        #: membership epoch — a placement is a pure function of (key id,
-        #: membership), so :meth:`_flush_holders` empties it on every
-        #: membership event and nothing else has to.  A workload stores
-        #: under far fewer distinct key ids than it stores copies.
-        self._holders: dict[int, tuple] = {}
         #: Requester behaviour under injected faults (retries, timeouts,
         #: failover).  Irrelevant — and never consulted — while the network
         #: has no active fault injector.
@@ -142,23 +135,16 @@ class Overlay:
         return ids
 
     def invalidate_routing_caches(self) -> None:
-        """Drop every cache derived from the membership or the routing
-        tables.
+        """Drop every routing row the subclass memoises (Chord's finger
+        rows, Cycloid's slot rows).
 
-        ``build`` calls it, and so does an event the overlay cannot scope
-        (``_stale is None``); ``join`` / ``leave`` / ``fail`` otherwise drop
-        only the entries their arc changed (the subclasses'
-        ``_membership_add`` / ``_membership_remove``).  Public so external
-        code that mutates routing state in place (e.g. tests staging stale
-        fingers) can restore cache coherence.  Subclasses extend it with
-        their own derived-routing caches.
+        ``build`` calls it.  Otherwise a membership event drops only the
+        rows of the departed node and of the stale set (every row when
+        ``_stale is None``), and a refresh pops the row it rewrites; owners
+        and replica sets are never memoised.  Public so external code that
+        edits routing tables in place (e.g. tests staging stale fingers)
+        can restore coherence.
         """
-        self._flush_holders()
-
-    def _flush_holders(self) -> None:
-        """Forget every memoised replica set (:attr:`_holders`): run by
-        every membership event, as a placement may read any member."""
-        self._holders.clear()
 
     # ------------------------------------------------------------------
     # Routed lookup
@@ -345,18 +331,11 @@ class Overlay:
     # ------------------------------------------------------------------
     # Key storage (routed through the overlay)
     # ------------------------------------------------------------------
-    def replica_set_of(self, key_id: int) -> tuple:
+    def replica_set_of(self, key_id: int) -> list:
         """The nodes that should hold storage key ``key_id`` under the
         durability policy (default: its owner plus the next ``replication -
-        1`` native successors), owner first.  Derived by the policy once
-        per membership epoch, then answered from :attr:`_holders` (a
-        tuple, so no caller can edit the memo)."""
-        holders = self._holders.get(key_id)
-        if holders is None:
-            holders = tuple(self.durability.holders(self, key_id))
-            if self.routing_cache:
-                self._holders[key_id] = holders
-        return holders
+        1`` native successors), owner first — a fresh list per call."""
+        return self.durability.holders(self, key_id)
 
     def native_holders(self, key_id: int, count: int) -> list:
         """``count`` native successor holders of storage key ``key_id`` —
@@ -393,7 +372,7 @@ class Overlay:
         count — posted once, with the total — are shared.
         """
         copies = 0
-        resolved: dict[Any, tuple[int, tuple]] = {}
+        resolved: dict[Any, tuple[int, list]] = {}
         try:
             for namespace, key, item in entries:
                 try:

@@ -140,24 +140,16 @@ class ChordRing(Overlay):
         #: The node objects in the same order — the index's second column,
         #: so a run of ring members is one list slice.
         self._ring: list[ChordNode] = []
-        #: Derived-routing caches (pure memoisation, no observable effect):
-        #: ``_succ_cache`` memoises :meth:`successor_of` and ``_cpf_cache``
-        #: holds each node's *finger row* (:meth:`_finger_row`), what the
-        #: closest-preceding-finger step of :meth:`_lookup_plain` reads.
-        #: :meth:`build` clears both; :meth:`join` / :meth:`leave` /
-        #: :meth:`fail` drop only what their arc ``(pred, id]`` changed
-        #: (:meth:`_drop_memos`): the successors of the arc's keys, and
-        #: on a departure the rows of the stale set — the only nodes whose
-        #: fingers can name the departed node — while :meth:`_refresh_far`
-        #: (stabilize/refresh paths) drops the touched node's row.
-        #: ``routing_cache=False`` disables the caches entirely (the
-        #: equivalence tests diff the two modes).
-        self._succ_cache: dict[int, ChordNode] = {}
+        #: Each node's *finger row* (:meth:`_finger_row`), what the
+        #: closest-preceding-finger step of :meth:`_lookup_plain` reads
+        #: (pure memoisation, no observable effect).  :meth:`build` clears
+        #: it, :meth:`_refresh_far` pops the row it rewrites, a join drops
+        #: nothing and a departure only the rows that can name the departed
+        #: node (:meth:`_drop_departed_rows`).  ``routing_cache=False``
+        #: keeps no rows (the equivalence tests diff the two modes).
         self._cpf_cache: dict[int, FingerRow] = {}
 
     def invalidate_routing_caches(self) -> None:
-        super().invalidate_routing_caches()
-        self._succ_cache.clear()
         self._cpf_cache.clear()
 
     # ------------------------------------------------------------------
@@ -198,53 +190,38 @@ class ChordRing(Overlay):
     # Oracle helpers (membership index)
     # ------------------------------------------------------------------
     def successor_of(self, key: int) -> ChordNode:
-        """The live node owning ``key`` (first node at or after it).
-
-        Memoised until an event moves ``key`` (:meth:`_drop_memos`):
-        finger refreshes resolve the same ``id + 2**i`` targets from many
-        nodes, so the cache turns the stabilization sweep's repeated
-        bisects into dict hits.
-        """
+        """The live node owning ``key`` (first node at or after it): one
+        bisect of the membership index, read from its node column."""
         require(bool(self._sorted_ids), "ring is empty")
-        key = self.space.wrap(key)
-        node = self._succ_cache.get(key)
-        if node is None:
-            ids = self._sorted_ids
-            idx = bisect.bisect_left(ids, key)
-            node = self._nodes[ids[idx if idx < len(ids) else 0]]
-            if self.routing_cache:
-                self._succ_cache[key] = node
-        return node
+        idx = bisect.bisect_left(self._sorted_ids, self.space.wrap(key))
+        return self._ring[idx if idx < len(self._ring) else 0]
 
     def predecessor_of(self, key: int) -> ChordNode:
         """The last live node strictly before ``key`` on the ring."""
         require(bool(self._sorted_ids), "ring is empty")
-        key = self.space.wrap(key)
-        ids = self._sorted_ids
-        idx = bisect.bisect_left(ids, key) - 1
-        return self._nodes[ids[idx]]
+        return self._ring[bisect.bisect_left(self._sorted_ids, self.space.wrap(key)) - 1]
 
     def _successors_from(self, key: int, count: int) -> list[ChordNode]:
         """Up to ``count`` distinct live nodes clockwise from ``key``."""
-        result: list[ChordNode] = []
-        if not self._sorted_ids:
-            return result
-        ids = self._sorted_ids
-        idx = bisect.bisect_left(ids, self.space.wrap(key))
-        n = len(ids)
-        for offset in range(min(count, n)):
-            result.append(self._nodes[ids[(idx + offset) % n]])
-        return result
+        ring = self._ring
+        n = len(ring)
+        idx = bisect.bisect_left(self._sorted_ids, self.space.wrap(key))
+        return [ring[(idx + offset) % n] for offset in range(min(count, n))]
 
     #: The native placement's holders are the key's successor list.
     _native_holders = _successors_from
 
     def _refresh_far(self, node: ChordNode) -> None:
-        """Point ``node``'s fingers at their true targets (``fix_fingers``)."""
+        """Point ``node``'s fingers at their true targets (``fix_fingers``):
+        :meth:`successor_of` of each ``id + 2**i``, bisected inline."""
         nid = node.node_id
-        node.fingers = [
-            self.successor_of(nid + (1 << i)) for i in range(self.bits)
-        ]
+        ids, ring = self._sorted_ids, self._ring
+        n, size = len(ids), self.space.size
+        fingers = []
+        for i in range(self.bits):
+            idx = bisect.bisect_left(ids, (nid + (1 << i)) % size)
+            fingers.append(ring[idx if idx < n else 0])
+        node.fingers = fingers
         self._cpf_cache.pop(nid, None)
 
     def _refresh_near(self, node: ChordNode) -> None:
@@ -353,7 +330,7 @@ class ChordRing(Overlay):
         """``node``'s live fingers — dead entries, self-references and
         duplicates dropped — with their clockwise distances from it,
         memoised in ``_cpf_cache`` until a refresh rewrites the fingers
-        or a departure can have killed one (:meth:`_drop_memos`).
+        or a departure can have killed one (:meth:`_drop_departed_rows`).
 
         A finger table holds ``bits`` entries but only ``O(log n)``
         distinct targets, and a memoised row's fingers stay alive until
@@ -655,7 +632,6 @@ class ChordRing(Overlay):
         self._ring.insert(at, self._nodes[node_id])
         self._node_ids = None
         self._mark_stale(node_id)
-        self._drop_memos(node_id, self._sorted_ids[at - 1], departed=False)
 
     def _membership_remove(self, node_id: int) -> None:
         at = bisect.bisect_left(self._sorted_ids, node_id)
@@ -663,47 +639,21 @@ class ChordRing(Overlay):
         del self._ring[at]
         self._node_ids = None
         self._mark_stale(node_id)
-        self._drop_memos(node_id, self._sorted_ids[at - 1], departed=True)
-
-    def _drop_memos(self, node_id: int, pred: int, departed: bool) -> None:
-        """Drop the memo entries the join or departure of ``node_id``
-        (already applied to the index and the stale set; ``pred`` is its
-        predecessor there) can have made wrong — exactly those, by the
-        arc argument of :meth:`_mark_stale`.
-
-        The event moves the keys of ``(pred, node_id]`` and no others, so
-        only their ``_succ_cache`` entries change.  A finger row reads
-        just its node's ``fingers`` and their liveness: a join changes
-        neither, and a departure kills one node, which only the fingers of
-        stale nodes can name (every other node's fingers are a fresh
-        derivation from the membership without it).  Without a stale set
-        (``ReCordOverlay``, tiny rings, ``routing_cache=False``) every memo
-        goes.
-        """
-        if self._stale is None:
-            self.invalidate_routing_caches()
-            return
-        self._flush_holders()
-        self._drop_arc_successors(pred, node_id)
-        if departed:
-            self._drop_departed_rows(node_id)
-
-    def _drop_arc_successors(self, pred: int, node_id: int) -> None:
-        """Forget the memoised successors of the keys in ``(pred, node_id]``
-        (the whole ring when ``pred == node_id``)."""
-        cache = self._succ_cache
-        size = self.space.size
-        span = (node_id - pred) % size or size
-        if span > len(cache):
-            cache.clear()
-            return
-        for key in range(pred + 1, pred + span + 1):
-            cache.pop(key % size, None)
+        self._drop_departed_rows(node_id)
 
     def _drop_departed_rows(self, node_id: int) -> None:
         """Forget the finger rows that can name departed ``node_id``: its
-        own and those of the stale set."""
+        own and those of the stale set (every row without one).
+
+        A row reads just its node's ``fingers`` and their liveness, so a
+        join changes none, and a departure kills one node, which only the
+        fingers of stale nodes can name: every other node's fingers are a
+        fresh derivation from the membership without it.
+        """
         rows = self._cpf_cache
+        if self._stale is None:
+            rows.clear()
+            return
         rows.pop(node_id, None)
         for uid in self._stale:
             rows.pop(uid, None)

@@ -178,15 +178,6 @@ class CycloidOverlay(Overlay):
         self._clusters: dict[int, array] = {}
         #: the non-empty clusters' cubical indices, a sorted ``array('q')``
         self._cluster_ids = array("q")
-        #: Memoised :meth:`closest_node` resolution (normalised key ->
-        #: owner).  Pure derived state of the membership: :meth:`build`
-        #: clears it, and so does a join or departure that creates or
-        #: empties a cluster (every nearest-cluster cell may move); any
-        #: other event changes the owners of its own cluster's cells only
-        #: (:meth:`_nearest_cells`), and drops just those ``d`` keys per
-        #: cell.  ``routing_cache=False`` disables memoisation
-        #: (equivalence tests diff the two modes).
-        self._owner_cache: dict[CycloidId, CycloidNode] = {}
         #: Memoised :meth:`_slot_row` per node id: routing-table state
         #: only, so no membership event flushes it — the refresh that
         #: rewrites a node's slots pops its row, and a departure pops the
@@ -194,8 +185,6 @@ class CycloidOverlay(Overlay):
         self._slot_rows: dict[CycloidId, tuple] = {}
 
     def invalidate_routing_caches(self) -> None:
-        super().invalidate_routing_caches()
-        self._owner_cache.clear()
         self._slot_rows.clear()
 
     # ------------------------------------------------------------------
@@ -271,21 +260,13 @@ class CycloidOverlay(Overlay):
 
         First the nearest non-empty cluster to ``target.a`` on the large
         cycle, then the node with cyclic index nearest ``target.k`` (ties
-        clockwise) inside that cluster.  Memoised until an event moves the
-        key's owner (:meth:`_membership_changed`): every lookup, store and
-        replica-set computation resolves an owner, and workload keys
-        (attribute roots, hashed values) repeat heavily.
+        clockwise) inside that cluster; derived from the membership index
+        on every call, by at most two bisects.
         """
         d = self.dimension
-        key = CycloidId(target.k % d, self.cubical_space.wrap(target.a))
-        node = self._owner_cache.get(key)
-        if node is None:
-            cluster = self.nearest_cluster(key.a)
-            best = closest_on_ring(key.k, self._clusters[cluster], d)
-            node = self._nodes[CycloidId(best, cluster)]
-            if self.routing_cache:
-                self._owner_cache[key] = node
-        return node
+        cluster = self.nearest_cluster(target.a)
+        best = closest_on_ring(target.k % d, self._clusters[cluster], d)
+        return self._nodes[CycloidId(best, cluster)]
 
     def _cluster_neighbor(self, a: int, direction: int) -> int | None:
         """Nearest non-empty cluster strictly after (+1) / before (-1) ``a``.
@@ -804,24 +785,19 @@ class CycloidOverlay(Overlay):
         self._membership_changed(cid.a, redrawn=not ks)
 
     def _membership_changed(self, a: int, redrawn: bool) -> None:
-        """Mark stale and drop memo entries after a join or departure in
-        cluster ``a`` (already applied to the index).
+        """Mark stale after a join or departure in cluster ``a`` (already
+        applied to the index).
 
         A cluster created or emptied (``redrawn``) re-draws the
-        nearest-cluster cells: every node is stale and every owner memo
-        goes.  Otherwise ownership moves only inside ``a``, for the keys
-        of its cells, so the stale set grows by their cubical dependents
-        and only those cells' owners are dropped.  Slot rows copy slots,
+        nearest-cluster cells: every node is stale.  Otherwise ownership
+        moves only inside ``a``, for the keys of its cells, so the stale
+        set grows by their cubical dependents.  Slot rows copy slots,
         which no event rewrites but a refresh (that pops the row itself).
         """
-        self._flush_holders()
         if redrawn:
             self._stale = None
-            self._owner_cache.clear()
-            return
-        cells = self._nearest_cells(a)
-        self._mark_stale(cells)
-        self._drop_owner_cells(cells)
+        else:
+            self._mark_stale(self._nearest_cells(a))
 
     def _nearest_cells(self, a: int) -> list[int]:
         """The cubical indices whose nearest non-empty cluster is ``a``,
@@ -858,15 +834,6 @@ class CycloidOverlay(Overlay):
         stale.update(
             CycloidId((j + 1) % d, t ^ (1 << j)) for t in cells for j in range(d)
         )
-
-    def _drop_owner_cells(self, cells: list[int]) -> None:
-        """Forget the memoised owners of every key ``(k, t)`` with ``t``
-        in ``cells``."""
-        cache = self._owner_cache
-        if cache:
-            for t in cells:
-                for k in range(self.dimension):
-                    cache.pop((k, t), None)
 
     def _repair_neighbourhood(self, node: CycloidNode) -> None:
         """Refresh routing state around a membership change.

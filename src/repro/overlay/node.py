@@ -203,7 +203,7 @@ class OverlayNode:
         #: as parallel lists, so an attribute/range read is four bisects
         #: and a slice (``attributes`` is ``None`` when the bucket holds a
         #: single attribute: two bisects).  Pure derived state (the same
-        #: idiom as the overlays' ``_succ_cache``): built on the first
+        #: idiom as the overlays' routing rows): built on the first
         #: filtered read, dropped by every write to the namespace, never
         #: observable.
         self._views: dict[str, dict[int | None, tuple[list, list | None, list]]] = {}

@@ -72,10 +72,8 @@ class ReCordOverlay(ChordRing):
         for level in range(self.bits):
             base = 1 << level
             count = min(self.fanout, base)
-            entries.append(
-                ((self.successor_of(nid + base).node_id - nid) % size,
-                 self.successor_of(nid + base))
-            )
+            owner = self.successor_of(nid + base)
+            entries.append(((owner.node_id - nid) % size, owner))
             for j in range(1, count):
                 target = self.successor_of(
                     nid + base + self._sample_offset(nid, level, j)

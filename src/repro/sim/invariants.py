@@ -187,8 +187,6 @@ def check_replica_placement(overlay: Any) -> None:
         for bucket_key, pieces in node.bucket_counts().items():
             holders.setdefault(bucket_key, {})[node.uid] = pieces
     for (namespace, key_id), per_key in holders.items():
-        # Derived afresh from the policy, never read from the overlay's
-        # per-epoch holders memo: the checker polices that memo.
         expected = {n.uid for n in overlay.durability.holders(overlay, key_id)}
         actual = set(per_key)
         _check(

@@ -128,7 +128,7 @@ def repair_buckets(
         merged = {
             item: decodable_level(cs, threshold) for item, cs in counts.items()
         }
-        replicas = list(replica_set_of(key_id))
+        replicas = replica_set_of(key_id)
         replica_ids = {id(r) for r in replicas}
         # Drop stray copies that live outside the current replica set.
         for node, pieces in bucket_holders:

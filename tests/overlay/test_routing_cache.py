@@ -1,8 +1,7 @@
 """Cached routing must be observably identical to uncached routing.
 
-The overlays memoise *derived* routing state (Chord's ``successor_of``
-and finger rows, Cycloid's key owners, the replica sets in
-``Overlay._holders``) per membership epoch.  That every memo stays a fresh
+The overlays memoise *derived* routing state per node: Chord's finger
+rows and Cycloid's slot rows.  That every row stays a fresh
 derivation through churn, sweeps and writes, every route equal to a
 ``routing_cache=False`` twin's, is checked by the membership state machine
 (``tests/properties/test_membership_machine.py``).  This file holds that
@@ -22,15 +21,11 @@ from functools import partial
 
 import pytest
 
-from repro.baselines.maan import MaanService
-from repro.core.lorm import LormService
-from repro.core.resource import ResourceInfo
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
-from repro.sim.durability import successor_replication
-from repro.workloads.attributes import AttributeSchema
+from repro.sim.faults import DEFAULT_POLICY
 
 
 def _route_everywhere(overlay) -> None:
@@ -63,20 +58,20 @@ class TestChordCacheEquivalence:
         cached, plain = _twin_rings(ring_class, 7, random.Random(11).sample(range(128), 48))
         _route_everywhere(cached)
         _route_everywhere(plain)
-        assert cached._succ_cache
         # Single-hop jumps to the believed owner: no finger scan to memoise.
         assert bool(cached._cpf_cache) == (ring_class is not SingleHopRing)
-        assert not plain._succ_cache and not plain._cpf_cache
+        assert not plain._cpf_cache
 
 
 class TestCycloidCacheEquivalence:
     def test_caches_actually_engage(self):
         all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
         cached, plain = _twin_rings(CycloidOverlay, 4, random.Random(5).sample(all_ids, 48))
-        _route_everywhere(cached)
-        _route_everywhere(plain)
-        assert cached._owner_cache
-        assert not plain._owner_cache
+        for overlay in (cached, plain):
+            for node in list(overlay.nodes()):
+                overlay._fault_step(node, CycloidId(0, 0), DEFAULT_POLICY)
+        assert cached._slot_rows
+        assert not plain._slot_rows
 
 
 # ----------------------------------------------------------------------
@@ -266,43 +261,3 @@ class TestFingerRow:
             for row in rows.values()
         )
         assert held / len(rows) <= 400
-
-
-# ----------------------------------------------------------------------
-# The holders memo (``Overlay._holders``): replica sets per membership epoch
-# ----------------------------------------------------------------------
-_SCHEMA = AttributeSchema.synthetic(6)
-
-
-def _chord_service(replication: int, routing_cache: bool) -> MaanService:
-    ring = ChordRing(7, durability=successor_replication(replication), routing_cache=routing_cache)
-    ring.build(random.Random(11).sample(range(128), 48))
-    return MaanService(ring, _SCHEMA, seed=3)
-
-
-def _cycloid_service(replication: int, routing_cache: bool) -> LormService:
-    overlay = CycloidOverlay(
-        4, durability=successor_replication(replication), routing_cache=routing_cache
-    )
-    all_ids = [CycloidId(k, a) for a in range(16) for k in range(4)]
-    overlay.build(random.Random(5).sample(all_ids, 48))
-    return LormService(overlay, _SCHEMA, seed=3)
-
-
-class TestHoldersMemo:
-    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
-    def test_memo_engages_only_with_the_routing_cache(self, build):
-        info = ResourceInfo(_SCHEMA.specs[0].name, _SCHEMA.specs[0].lo, "p0")
-        cached, plain = build(2, True), build(2, False)
-        for service in (cached, plain):
-            service.register(info, routed=False)
-        assert cached.overlay._holders
-        assert not plain.overlay._holders
-
-    @pytest.mark.parametrize("build", (_chord_service, _cycloid_service))
-    def test_a_caller_cannot_edit_the_memo(self, build):
-        overlay = build(3, True).overlay
-        holders = overlay.replica_set_of(5)
-        assert isinstance(holders, tuple) and len(holders) == 3
-        assert overlay.replica_set_of(5) is holders
-        assert list(holders) == overlay.durability.holders(overlay, 5)

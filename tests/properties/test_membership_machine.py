@@ -28,7 +28,6 @@ bug per row and requires a fixed-seed drive of the machine to catch it.
 
 from __future__ import annotations
 
-import bisect
 import random
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -43,7 +42,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_stat
 from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordNode, ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
-from repro.overlay.node import ArcDirectory
+from repro.overlay.node import ArcDirectory, OverlayNode
 from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
 from repro.sim.durability import erasure_code, successor_replication
@@ -104,24 +103,17 @@ CELLS = [f"{name}/{policy}" for name in BUILDERS for policy in POLICIES]
 # ----------------------------------------------------------------------
 # Fresh derivations
 # ----------------------------------------------------------------------
-MEMOS = ("_holders", "_succ_cache", "_cpf_cache", "_owner_cache", "_slot_rows")
-
-
 @contextmanager
-def uncached(overlay):
-    """Derive afresh: ``routing_cache`` off and every memo swapped for an
-    empty one, so nothing is read from or written into the real memos,
-    which the block gets by name."""
-    memos = {name: getattr(overlay, name) for name in MEMOS if hasattr(overlay, name)}
-    overlay.routing_cache = False
-    for name in memos:
-        setattr(overlay, name, {})
+def uncached(holder, name: str):
+    """Derive afresh: ``holder``'s memo ``name`` swapped for an empty one,
+    so nothing is read from or written into the real memo, which the
+    block gets."""
+    memo = getattr(holder, name)
+    setattr(holder, name, {})
     try:
-        yield memos
+        yield memo
     finally:
-        overlay.routing_cache = True
-        for name, memo in memos.items():
-            setattr(overlay, name, memo)
+        setattr(holder, name, memo)
 
 
 def same_nodes(held, fresh) -> bool:
@@ -129,31 +121,28 @@ def same_nodes(held, fresh) -> bool:
 
 
 def check_memos(overlay) -> None:
-    """Every memo entry of ``overlay`` against a fresh derivation."""
+    """Every memo entry of ``overlay`` — its routing rows and each live
+    node's read views — against a fresh derivation."""
     members = overlay._nodes
-    with uncached(overlay) as memos:
-        for key_id, holders in memos["_holders"].items():
-            fresh = tuple(overlay.durability.holders(overlay, key_id))
-            assert same_nodes(holders, fresh), f"holders of {key_id}"
-        if isinstance(overlay, ChordRing):
-            ids = overlay._sorted_ids
-            for key, node in memos["_succ_cache"].items():
-                idx = bisect.bisect_left(ids, key)
-                expected = members[ids[idx if idx < len(ids) else 0]]
-                assert node is expected, f"successor of {key}: {node.uid} != {expected.uid}"
-            for uid, (dists, fingers) in memos["_cpf_cache"].items():
+    if isinstance(overlay, ChordRing):
+        with uncached(overlay, "_cpf_cache") as rows:
+            for uid, (dists, fingers) in rows.items():
                 assert uid in members, f"finger row of departed {uid}"
                 fresh_dists, fresh_fingers = overlay._finger_row(members[uid])
                 assert dists == fresh_dists, f"finger row of {uid}"
                 assert same_nodes(fingers, fresh_fingers), f"finger row of {uid}"
-        else:
-            for key, node in memos["_owner_cache"].items():
-                expected = overlay.closest_node(key)
-                assert node is expected, f"owner of {key}: {node.uid} != {expected.uid}"
-            for uid, row in memos["_slot_rows"].items():
+    else:
+        with uncached(overlay, "_slot_rows") as rows:
+            for uid, row in rows.items():
                 assert uid in members, f"slot row of departed {uid}"
                 fresh = overlay._slot_row(members[uid])
                 assert row == tuple(fresh), f"slot row of {uid}"
+    for node in members.values():
+        with uncached(node, "_views") as views:
+            for namespace, by_key in views.items():
+                for key_id, view in by_key.items():
+                    fresh = node._build_view(namespace, key_id)
+                    assert view == fresh, f"read view of {namespace}:{key_id} at {node.uid}"
 
 
 def entries(node) -> tuple:
@@ -441,11 +430,19 @@ class Membership(RuleBasedStateMachine):
 
     def probe(self) -> None:
         """Lookups, owner resolutions, placements, fault-path steps and a
-        walk on both twins, compared; they also fill the memos."""
+        walk on both twins, compared; they also fill the memos, and
+        directory reads on the subject build read views."""
         subject, twin, rng = self.subject, self.twin, self.rng
         ids = list(self.live)
         size = subject.id_space_size
+        pieces = list(self.model)
         for _ in range(3):
+            if pieces:  # read views over the holders of a registered piece
+                namespace, key_id, item = pieces[rng.randrange(len(pieces))]
+                low = rng.randrange(3) - 0.5
+                for node in subject.replica_set_of(key_id):
+                    node.items_at(namespace, key_id, item.attribute, low, low + 1)
+                    node.items_in(namespace, item.attribute, low, low + 1)
             uid = ids[rng.randrange(len(ids))]
             key = subject.key_of(rng.randrange(size))
             assert route(subject, uid, key) == route(twin, uid, key), (uid, key)
@@ -611,15 +608,17 @@ def _noop(*args) -> None:
 #: ``(id, target, (class, method, edit), match)``: the plant (see
 #: the ``plant`` fixture) and the message its drive must fail with.
 ZOO = [
-    # Scoped memo drops.
+    # Memo drops: departed finger rows, and each write's read-view flush.
     ("finger-rows-kept", "storm:chord-full/r2",
      (ChordRing, "_drop_departed_rows", _noop), "finger row"),
-    ("arc-successors-kept", "storm:chord-sparse/r2",
-     (ChordRing, "_drop_arc_successors", _noop), "successor of"),
-    ("owner-cells-kept", "storm:cycloid-full/r2",
-     (CycloidOverlay, "_drop_owner_cells", _noop), "owner of"),
-    ("holders-kept", "storm:chord-sparse/r2",
-     (Overlay, "_flush_holders", _noop), "holders of"),
+    ("views-kept-on-store", "storm:chord-sparse/r2",
+     (OverlayNode, "store", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("views-kept-on-remove-items", "storm:cycloid-full/r2",
+     (OverlayNode, "remove_items", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("views-kept-on-remove-item", "storm:chord-sparse/r2",
+     (OverlayNode, "remove_item", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("views-kept-on-clear", "storm:chord-sparse/r2",
+     (OverlayNode, "clear_storage", [("self._views.clear()", "pass")]), "read view"),
     # Marking rules of the stale set.
     ("stale-finger-slices", "storm:chord-wide/r1",
      (ChordRing, "_mark_stale", [("in range(self.bits):", "in ():")]), "stale routing|finger row"),
