@@ -1,7 +1,7 @@
 """The bulk load at paper scale: 100,000 infos on four systems.
 
-``tests/baselines/test_bulk_load.py`` holds the bulk path to the per-info
-one on every substrate and policy at smoke scale; this is the same check
+``tests/properties/test_service_machine.py`` holds the bulk path to the
+per-info one after every rule on a tiny ring; this is the same check
 on the load every paper-scale figure starts from — ``build_services`` at
 ``PAPER_CONFIG`` against a per-info ``register`` loop, every node's
 directory compared as stored (namespace, key and bucket order) and the

@@ -50,7 +50,7 @@ from repro.overlay.base import Overlay
 from repro.overlay.idspace import IdSpace, closest_on_ring
 from repro.overlay.node import ArcDirectory, LookupResult, OverlayNode, WalkResult
 from repro.sim.durability import DurabilityPolicy
-from repro.sim.faults import LookupPolicy
+from repro.sim.faults import NO_RETRY_POLICY, LookupPolicy
 from repro.utils.validation import require
 
 __all__ = ["CycloidId", "CycloidNode", "CycloidOverlay"]
@@ -468,18 +468,6 @@ class CycloidOverlay(Overlay):
             return "outside-leaf"
         return "unknown"
 
-    def _key_badness(self, node: CycloidNode, tk: int, ta: int) -> tuple[int, int]:
-        """Cluster-first distance of ``node`` to the raw key ``(tk, ta)``.
-
-        The local analogue of :meth:`closest_node`'s closeness, computable
-        without the membership oracle: large-cycle distance of the cubical
-        indices first, cyclic distance second.
-        """
-        cluster_dist = self.cubical_space.ring_distance(node.a, ta)
-        cyclic_dist = min((node.k - tk) % self.dimension,
-                          (tk - node.k) % self.dimension)
-        return (cluster_dist, cyclic_dist)
-
     def structural_hop_bound(self) -> int:
         """Worst-case hops of one fault-free lookup on the stabilized
         overlay: the adaptive descend plus the deterministic fallback
@@ -494,8 +482,10 @@ class CycloidOverlay(Overlay):
         self, cur: CycloidNode, key: CycloidId, policy: LookupPolicy
     ) -> list[tuple[int, CycloidNode]] | None:
         """One fault-path hop from ``cur``, judged from local state alone:
-        ``None`` when no live table entry is strictly key-closer under
-        :meth:`_key_badness` (a local minimum believes it owns the key),
+        ``None`` when no live table entry is strictly key-closer — closer
+        cluster first, then cyclic index: :meth:`closest_node`'s closeness
+        computed without the membership oracle (a local minimum believes
+        it owns the key),
         else those entries nearest first (only the nearest without
         ``policy.failover``) as ``(linearized id, node)`` pairs.  Strict
         improvement bounds the route without any oracle termination check.
@@ -596,21 +586,17 @@ class CycloidOverlay(Overlay):
         return succ if succ is not None and succ.alive else None
 
     def _greedy_fallback(self, cur: CycloidNode, owner: CycloidNode) -> CycloidNode | None:
-        """Strictly-improving greedy step over the whole routing table.
+        """Strictly-improving greedy step over the whole routing table: the
+        fault path's nearest step towards ``owner`` (:meth:`_fault_step`).
 
         Used when the ideal CCC link is missing (sparse overlay or between
         repairs under churn).  Falls back to the outside leaf set — the
         large-cycle traversal — which always makes cluster-ring progress, so
         routing still terminates.
         """
-        best: CycloidNode | None = None
-        best_badness = self._key_badness(cur, owner.k, owner.a)
-        for cand in cur.table_entries():
-            b = self._key_badness(cand, owner.k, owner.a)
-            if b < best_badness:
-                best, best_badness = cand, b
-        if best is not None:
-            return best
+        step = self._fault_step(cur, owner.uid, NO_RETRY_POLICY)
+        if step:
+            return step[0][1]
         # No strictly-improving entry: take an outside-leaf step clockwise.
         for cand in (cur.outside_leaf[1], cur.outside_leaf[0]):
             if cand is not None and cand.alive:

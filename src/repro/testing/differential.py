@@ -404,7 +404,7 @@ def run_check(
     rng = np.random.default_rng(seed + 1)
     graceful_ops = tuple(
         _GRACEFUL_OPS[int(i)]
-        for i in rng.integers(0, len(_GRACEFUL_OPS), size=max(1, churn_events // 2))
+        for i in rng.integers(0, len(_GRACEFUL_OPS), size=churn_events // 2)
     )
     storm_config = CHECK_CONFIG.scaled(seed=CHECK_CONFIG.seed + seed)
     third = max(1, num_queries // 3)

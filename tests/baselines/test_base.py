@@ -10,8 +10,9 @@ from repro.baselines.sword import SwordService
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, ResourceInfo
 from repro.experiments.common import SYSTEM_NAMES, build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
+from repro.sim.durability import successor_replication
 from repro.sim.faults import NO_RETRY_POLICY, FaultInjector, FaultPlan
-from repro.sim.invariants import overlay_of
+from repro.sim.invariants import directory_layout, overlay_of
 from repro.sim.loadstats import LoadStats
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import QueryKind
@@ -229,6 +230,31 @@ class TestPlacement:
         assert stored == {(ns, overlay.key_id(key)) for ns, key in placements}
         assert service.deregister(info) == len(placements)
         assert service.total_info_pieces() == 0
+
+    def test_traced_register_all_is_the_per_info_loop(self):
+        """Traced, ``register_all`` shows one ``register`` span per info."""
+        from repro.obs import QueryTracer
+
+        service = build_service(SMOKE_CONFIG, "SWORD", register=False)
+        tracer = QueryTracer()
+        service.attach_tracer(tracer)
+        service.register_all(list(build_workload(SMOKE_CONFIG).resource_infos())[:40])
+        assert len(tracer.traces) == 40
+
+    def test_bulk_load_counts_what_it_stored_when_the_stream_raises(self):
+        infos = list(build_workload(SMOKE_CONFIG).resource_infos())[:10]
+        bulk, reference = (
+            build_service(SMOKE_CONFIG, "MAAN", register=False,
+                          durability=successor_replication(2))
+            for _ in range(2)
+        )
+        unknown = ResourceInfo("no-such-attribute", 1.0, "p")
+        with pytest.raises(KeyError):
+            bulk.register_all([*infos, unknown])
+        for info in infos:
+            reference.register(info, routed=False)
+        assert directory_layout(bulk.overlay) == directory_layout(reference.overlay)
+        assert bulk.overlay.network.stats == reference.overlay.network.stats
 
 
 class TestSubQueryEngine:

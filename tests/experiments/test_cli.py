@@ -173,6 +173,11 @@ class TestMain:
         out = capsys.readouterr().out
         assert "result: OK" in out
 
+    def test_check_without_churn_runs_no_churn_op(self, capsys):
+        assert main(["check", "--systems", "SWORD", "--churn-events", "0", "--queries", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(", 0 churn ops,") == out.count("differential replay:")
+
     def test_check_single_system(self, capsys):
         code = main(
             ["check", "--systems", "SWORD", "--seed", "1",

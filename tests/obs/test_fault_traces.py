@@ -193,6 +193,33 @@ class TestHedgeTraces:
         pytest.fail("gray destinations over 8 seeds never hedged")
 
 
+def traced_drops(seed: int) -> tuple[int, int, int]:
+    """Traced lookups on a lossy ring with gray destinations under a
+    latency model: ``(drop events, stats.timeouts, stats.dropped)``."""
+    ring = ChordRing(6)
+    ring.build_full()
+    net = ring.network
+    injector = FaultInjector(FaultPlan(loss_rate=0.2, seed=seed))
+    for node_id in list(network_ids_of(ring))[::3]:
+        injector.mark_slow(node_id, 40.0, 0.6)
+    net.faults = injector
+    net.latency_model = LognormalLatency(median=net.hop_latency, sigma=0.35, seed=seed)
+    tracer = QueryTracer()
+    ring.tracer = tracer
+    for key in range(0, 64, 3):
+        ring.lookup(ring.node((key * 7) % 64), key)
+    drops = sum(len(trace.events_of("drop")) for trace in tracer.traces)
+    return drops, net.stats.timeouts, net.stats.dropped
+
+
+def test_timed_drop_events_reconcile_with_timeouts():
+    """Every failed attempt of the timed loop is traced as a ``drop``: the
+    outright drops and the late replies declared lost alike."""
+    drops, timeouts, outright = traced_drops(seed=3)
+    assert 0 < outright < timeouts, "the run must take both drop branches"
+    assert drops == timeouts
+
+
 def test_latency_spans_reconcile_with_metrics_and_route_clock():
     """Under a gray-failure replay every query span carries a measured
     ``latency`` attribute; the per-sub metric samples sum to the network's

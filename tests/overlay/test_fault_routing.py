@@ -104,18 +104,26 @@ def singlehop_hop_candidates(ring: SingleHopRing, cur: ChordNode, key: int, poli
     return out
 
 
+def key_badness(overlay: CycloidOverlay, node: CycloidNode, tk: int, ta: int) -> tuple[int, int]:
+    """Cluster-first distance of ``node`` to the raw key ``(tk, ta)``:
+    large-cycle distance of the cubical indices, then cyclic distance."""
+    cluster_dist = overlay.cubical_space.ring_distance(node.a, ta)
+    cyclic_dist = min((node.k - tk) % overlay.dimension, (tk - node.k) % overlay.dimension)
+    return (cluster_dist, cyclic_dist)
+
+
 def cycloid_owns_local(overlay: CycloidOverlay, node: CycloidNode, key: CycloidId) -> bool:
     tk, ta = key
-    own = overlay._key_badness(node, tk, ta)
-    return not any(overlay._key_badness(n, tk, ta) < own for n in node.table_entries())
+    own = key_badness(overlay, node, tk, ta)
+    return not any(key_badness(overlay, n, tk, ta) < own for n in node.table_entries())
 
 
 def cycloid_hop_candidates(
     overlay: CycloidOverlay, cur: CycloidNode, key: CycloidId, policy
 ) -> list:
     tk, ta = key
-    own = overlay._key_badness(cur, tk, ta)
-    scored = [(overlay._key_badness(n, tk, ta), n) for n in cur.table_entries()]
+    own = key_badness(overlay, cur, tk, ta)
+    scored = [(key_badness(overlay, n, tk, ta), n) for n in cur.table_entries()]
     improving = sorted((e for e in scored if e[0] < own), key=itemgetter(0))
     if not policy.failover:
         improving = improving[:1]
@@ -448,9 +456,9 @@ class TestCycloidParity:
                 assert result.complete
                 tk, ta = target.k % 4, target.a % 16
                 oracle = sparse_overlay.closest_node(target)
-                assert sparse_overlay._key_badness(
-                    result.owner, tk, ta
-                ) == sparse_overlay._key_badness(oracle, tk, ta)
+                assert key_badness(sparse_overlay, result.owner, tk, ta) == key_badness(
+                    sparse_overlay, oracle, tk, ta
+                )
         finally:
             sparse_overlay.network.faults = None
 

@@ -1,8 +1,12 @@
 """Edge cases of ``ChordRing.walk_arc``: wrap-around arcs, degenerate
-rings, and truncation accounting under an active fault injector."""
+rings, and truncation accounting under an active fault injector; and of
+the arc directory its slice walks are read through."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.resource import ResourceInfo
 from repro.overlay.chord import ChordRing
 from repro.sim.faults import ArcPartition, FaultInjector, FaultPlan
 
@@ -88,3 +92,27 @@ class TestTruncationAccounting:
         ring = _ring()
         walk = ring.walk_arc(ring.successor_of(0), 0, 40)
         assert not walk.truncated and walk.reason == ""
+
+
+class TestArcDirectory:
+    """What the service machine's rings never reach: ids past 2**62 and a
+    rebuilt ring.  The one indexing sweep is test_arc_directory.py."""
+
+    def test_id_space_beyond_int64(self):
+        # Holder ids are array('q'): wider rings are refused, the widest
+        # admitted one fits.
+        with pytest.raises(ValueError):
+            ChordRing(70)
+        ring = ChordRing(62)
+        ring.build([3, 1 << 60, (1 << 61) + 5])
+        ring.node(1 << 60).store("ns", 9, ResourceInfo("cpu", 2.0, "p"))
+        walk = ring.walk_arc(ring.node(3), 3, 1 << 60)
+        assert ring.arc_items(walk, "ns", "cpu") == [ResourceInfo("cpu", 2.0, "p")]
+
+    def test_rebuilt_ring_starts_from_an_empty_directory(self):
+        ring = _ring()
+        ring.node(8).store("ns", 1, ResourceInfo("cpu", 2.0, "p"))
+        everyone = ring.walk_arc(ring.node(0), 0, 63)
+        assert ring.arc_items(everyone, "ns", "cpu")
+        ring.build(range(0, 64, 8))
+        assert ring.arc_items(ring.walk_arc(ring.node(0), 0, 63), "ns", "cpu") == []

@@ -153,9 +153,9 @@ def entries(node) -> tuple:
 
 
 def arc_table(arcs) -> dict:
-    """``(namespace, attribute) -> sorted (holder id, item) pairs``."""
+    """``(namespace, attribute) -> Counter of (holder id, item) pairs``."""
     return {
-        (namespace, attribute): sorted(zip(ids, items))
+        (namespace, attribute): Counter(zip(ids, items))
         for namespace, tables in arcs.items()
         for attribute, (ids, items) in tables.items() if ids
     }

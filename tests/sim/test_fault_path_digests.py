@@ -24,14 +24,20 @@ loops became per-route senders: drops under the hedged policy (10% loss),
 adaptive timeouts without hedging on gray nodes, the fixed-timeout policy
 with exponential backoff under loss, the hedged policy across an armed
 partition, and the loss-only loop (no latency model).
+
+``SENDER_PLANTS`` plants one sender bug per row and requires the named
+pin, one digest cell (or the traced drop reconcile of
+``tests/obs/test_fault_traces.py``), to catch it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 
 import pytest
 
+import repro.sim.network as network_module
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
 from repro.sim.chaos import slow_victims
@@ -45,7 +51,9 @@ from repro.sim.faults import (
 )
 from repro.sim.invariants import overlay_of
 from repro.sim.latency import LognormalLatency
+from repro.sim.network import SimulatedNetwork
 from repro.workloads.generator import QueryKind
+from tests.obs.test_fault_traces import traced_drops
 
 _SYSTEMS = ("lorm", "sword")
 _SEED = 1
@@ -132,6 +140,61 @@ def test_fault_path_matches_the_digest_recorded_before_the_rewrite(system):
 @pytest.mark.parametrize("system", _SYSTEMS)
 def test_untaken_branches_match_the_digest_recorded_before_the_sender(system, cell):
     assert _run(system, cell) == _CELL_DIGESTS[f"{cell}/{system}"]
+
+
+def _pinned(system: str, cell: str | None = None) -> None:
+    if cell is None:
+        assert _run(system) == _DIGESTS[system], f"{system} digest"
+    else:
+        assert _run(system, cell) == _CELL_DIGESTS[f"{cell}/{system}"], f"{cell} digest"
+
+
+def _drops_traced() -> None:
+    drops, timeouts, _ = traced_drops(seed=3)
+    assert drops == timeouts, "drop events"
+
+
+#: The indentation of the timed loop's attempt body and of its late path.
+_DROP, _LATE = "\n" + " " * 24, "\n" + " " * 20
+
+#: ``(id, (target, function, edit), pin)``: the plant (see the ``plant``
+#: fixture) and the pin that must fail under it.
+SENDER_PLANTS = [
+    # Historical: a dropped message was not counted in ``messages``.
+    ("dropped-message-conservation",
+     (SimulatedNetwork, "try_deliver", [("self.stats.messages += 1", "pass")]),
+     partial(_pinned, "sword", "fixed-loss")),
+    ("karn-rule-off", (network_module, "_timed_sender", [("if sample <= timeout:", "if True:")]),
+     partial(_pinned, "sword")),
+    ("hedge-winner-learns-delayed-rtt", (network_module, "_timed_sender", [
+        ("response, sample = backup, backup_rtt", "response = sample = backup"),
+    ]), partial(_pinned, "sword")),
+    ("no-backoff", (network_module, "_timed_sender", [("elapsed += backoff_for(attempt)", "pass")]),
+     partial(_pinned, "sword", "fixed-loss")),
+    ("loss-only-retries-uncounted",
+     (network_module, "_loss_only_sender", [("stats.retries += 1", "pass")]),
+     partial(_pinned, "sword", "loss-only")),
+    ("timeouts-uncounted", (network_module, "_timed_sender", [
+        (f"stats.timeouts += 1{_DROP}elapsed += timeout", "elapsed += timeout"),
+        (f"stats.timeouts += 1{_LATE}elapsed += window", "elapsed += window"),
+    ]), partial(_pinned, "sword", "fixed-loss")),
+    ("drop-untraced", (network_module, "_timed_sender", [
+        (f"elapsed += timeout{_DROP}if on_drop is not None:",
+         f"elapsed += timeout{_DROP}if False:"),
+    ]), _drops_traced),
+    ("late-loss-untraced", (network_module, "_timed_sender", [
+        (f"elapsed += window{_LATE}if on_drop is not None:", f"elapsed += window{_LATE}if False:"),
+    ]), _drops_traced),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, pin", [row[1:] for row in SENDER_PLANTS], ids=[row[0] for row in SENDER_PLANTS]
+)
+def test_sender_plant_is_caught(edit, pin, plant):
+    plant(*edit)
+    with pytest.raises(AssertionError):
+        pin()
 
 
 if __name__ == "__main__":

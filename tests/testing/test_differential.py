@@ -1,19 +1,21 @@
 """Tests for the differential replay harness and ``repro check``.
 
-The monkeypatch tests are the harness's own acceptance criterion: a
-deliberately reintroduced bug (the pre-fix ``repair_replication`` that
-collapsed duplicate pieces, a service that lies about its result set, a
-broken hop bound) must surface as a divergence, not pass silently.
+``PLANTS`` is the harness's own acceptance criterion: each deliberately
+reintroduced bug (the pre-fix ``repair_replication`` that collapsed
+duplicate pieces, a service that lies about its result set, broken hop
+and visited bounds) must surface as a divergence, not pass silently.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 
+import pytest
+
+from repro.baselines.base import DiscoveryService
 from repro.baselines.sword import SwordService
 from repro.experiments.common import SYSTEM_NAMES
-from repro.overlay.chord import ChordRing
+from repro.overlay.base import Overlay
 from repro.testing.differential import (
     Divergence,
     run_check,
@@ -51,64 +53,49 @@ class TestRunDifferential:
             assert name in text
 
 
-class TestDivergenceDetection:
-    def test_lying_result_set_is_flagged(self, monkeypatch):
-        orig = SwordService.multi_query
+def _lying_multi_query(self, query, start=None):
+    """Drops the first provider of every non-empty answer."""
+    result = DiscoveryService.multi_query(self, query, start)
+    if result.providers:
+        return dataclasses.replace(result, providers=frozenset(sorted(result.providers)[1:]))
+    return result
 
-        def lying(self, query, *args, **kwargs):
-            result = orig(self, query, *args, **kwargs)
-            if result.providers:
-                return dataclasses.replace(
-                    result,
-                    providers=frozenset(sorted(result.providers)[1:]),
-                )
-            return result
 
-        monkeypatch.setattr(SwordService, "multi_query", lying)
-        report = run_differential(systems=("SWORD",), num_queries=12)
-        assert report.divergences
-        assert any(d.kind == "result-set" for d in report.divergences)
+def _sword_replay():
+    return run_differential(systems=("SWORD",), num_queries=12)
 
-    def test_broken_hop_bound_is_flagged(self, monkeypatch):
-        monkeypatch.setattr(
-            SwordService, "structural_hop_bound", lambda self: 0
-        )
-        monkeypatch.setattr(
-            SwordService, "max_visited_per_subquery", lambda self: 0
-        )
-        report = run_differential(systems=("SWORD",), num_queries=10)
-        kinds = {d.kind for d in report.divergences}
-        assert "hop-bound" in kinds
-        assert "visited-bound" in kinds
 
-    def test_reintroduced_repair_multiplicity_bug_is_caught(self, monkeypatch):
-        # The pre-fix ChordRing.repair_replication: collapses duplicate
-        # identical pieces to a single copy while re-placing replicas.
-        def buggy_repair(self):
-            surviving: dict[tuple[str, int], Counter] = {}
-            for node in list(self.nodes()):
-                for namespace, key_id, item in node.stored_entries():
-                    bucket = surviving.setdefault((namespace, key_id), Counter())
-                    bucket[item] = max(bucket[item], 1)
-                node.clear_storage()
-            moved = 0
-            for (namespace, key_id), bucket in surviving.items():
-                for holder in self.replica_set_of(key_id):
-                    for item, count in bucket.items():
-                        for _ in range(count):
-                            holder.store(namespace, key_id, item)
-                        moved += count
-            if moved:
-                self.network.count_maintenance(moved)
-            return moved
+def _storm_check():
+    return run_check(systems=("SWORD",), seed=0, num_queries=9, churn_events=20)
 
-        monkeypatch.setattr(ChordRing, "repair_replication", buggy_repair)
-        report = run_check(seed=0, num_queries=9, churn_events=20)
-        assert not report.ok
-        assert any(
-            d.kind == "invariant" and "conserve" in d.detail
-            for d in report.divergences
-        ), report.render()
+
+#: ``(id, (class, method, edit), run, kind, detail)``: the plant (see the
+#: ``plant`` fixture), the harness run that must report it, and the kind
+#: and detail of the divergence it must report.
+PLANTS = [
+    ("lying-result-set", (SwordService, "multi_query", _lying_multi_query),
+     _sword_replay, "result-set", ""),
+    ("hop-bound-zero", (SwordService, "structural_hop_bound", lambda self: 0),
+     _sword_replay, "hop-bound", ""),
+    ("visited-bound-zero", (SwordService, "max_visited_per_subquery", lambda self: 0),
+     _sword_replay, "visited-bound", ""),
+    # The pre-fix repair collapsed duplicate identical pieces to one copy.
+    ("repair-collapses-duplicates", (Overlay, "repair_replication", [(
+        "level = decodable_level(counts, threshold)",
+        "level = min(1, decodable_level(counts, threshold))",
+    )]), _storm_check, "invariant", "conserve"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, run, kind, detail", [row[1:] for row in PLANTS], ids=[row[0] for row in PLANTS]
+)
+def test_check_plant_is_caught(edit, run, kind, detail, plant):
+    plant(*edit)
+    report = run()
+    assert any(d.kind == kind and detail in d.detail for d in report.divergences), (
+        report.render()
+    )
 
 
 class TestRunCheck:

@@ -41,6 +41,7 @@ capture list list
 capture check check --systems all --seed 0
 capture check-named check --systems lorm sword --seed 0
 capture check-seed1 check --systems all --seed 1 --queries 12 --churn-events 6
+capture check-no-churn check --churn-events 0 --queries 3
 # Long join/leave/fail runs between stabilizations (168 guarded events per
 # overlay): the path the scoped routing-memo drops and the handover take.
 capture check-churn check --systems all --seed 2 --churn-events 40
