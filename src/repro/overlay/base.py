@@ -312,6 +312,20 @@ class Overlay:
             )
         return result
 
+    def _walk_sender(self):
+        """The lossy walk's sender under :attr:`lookup_policy`; with a
+        tracer attached, every failed attempt and every hedge fired becomes
+        a ``drop`` / ``hedge`` event of the open WALK span, as a lookup's
+        do of its hop spans."""
+        tracer = self.tracer
+        if tracer is None:
+            return self.network.sender(self.lookup_policy)
+        return self.network.sender(
+            self.lookup_policy,
+            lambda dst_id, attempt: tracer.event("drop", target=dst_id, attempt=attempt),
+            lambda dst_id, won: tracer.event("hedge", target=dst_id, won=won),
+        )
+
     def _truncate_walk(self, result: WalkResult, reason: str) -> None:
         """Flag ``result`` truncated (first reason wins)."""
         if not result.truncated:

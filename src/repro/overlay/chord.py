@@ -528,7 +528,7 @@ class ChordRing(Overlay):
             return self._walk_slice(start, from_key % size, span)
         if fault_mode:
             policy = self.lookup_policy
-            send = self.network.sender(policy)
+            send = self._walk_sender()
         result = WalkResult([start])
         cur = start
         num_nodes = self.num_nodes

@@ -641,7 +641,7 @@ class CycloidOverlay(Overlay):
         span = (k_to - k_from) % d
         num_members = len(self._clusters.get(start.a, ()))
         if fault_mode:
-            send = self.network.sender(self.lookup_policy)
+            send = self._walk_sender()
             # The sender's linearized id, carried along the walk.
             src_id = start.a * d + start.k
         result = WalkResult([start])

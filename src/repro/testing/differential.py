@@ -16,16 +16,15 @@ every answer is compared against the brute-force oracle
   validated at every event.
 
 :func:`run_check` is the ``repro check`` CLI entry point: a fault-free
-differential replay, a graceful-churn replay, and guarded churn storms
+differential replay, a graceful-churn replay, and one guarded churn storm
 (leave/join/fail/stabilize plus replica repair at replication 2, with a
-deliberately duplicated piece so multiplicity handling is exercised) —
-one under the default successor replication, then one per non-default
-durability policy (symmetric placement and a (2, 1) erasure code), so
-placement and census validation covers every policy kind.  The same
-fault-free replay + guarded storm then repeats per alternative routing
-tier (single-hop and ReCord), so the new overlays get the identical
-oracle-exact replay guarantees as Chord/Cycloid.  Any divergence makes
-the report ``not ok`` and the CLI exit non-zero.
+deliberately duplicated piece so multiplicity handling is exercised).
+Any divergence makes the report ``not ok`` and the CLI exit non-zero.
+Per durability policy and per routing tier, churn is driven rule by rule
+by the membership and service state machines in ``tests/properties/``;
+this harness keeps what they do not check: answers against the
+brute-force oracle at the experiments' scale, and hop counts against the
+structural bounds and the Section IV theorems.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.analysis.theorems import nonrange_query_hops_avg
 from repro.core.resource import ResourceInfo
 from repro.experiments.common import SYSTEM_NAMES, ServiceBundle, build_services
 from repro.experiments.config import CHECK_CONFIG, ExperimentConfig
-from repro.sim.durability import parse_policy, successor_replication
+from repro.sim.durability import successor_replication
 from repro.sim.invariants import (
     InvariantViolation,
     check_overlay,
@@ -48,7 +47,6 @@ from repro.sim.invariants import (
 from repro.workloads.generator import QueryKind
 
 __all__ = [
-    "OVERLAY_LEGS",
     "CheckReport",
     "DifferentialReport",
     "Divergence",
@@ -62,10 +60,6 @@ MEAN_HOPS_SLACK = 2.0
 
 _GRACEFUL_OPS = ("leave", "join", "stabilize")
 _ALL_OPS = ("leave", "join", "fail", "stabilize")
-
-#: Alternative routing tiers ``run_check`` re-validates end to end
-#: (fault-free oracle replay + guarded churn storm per tier).
-OVERLAY_LEGS = ("singlehop", "record")
 
 
 @dataclass(frozen=True)
@@ -98,16 +92,14 @@ class DifferentialReport:
     systems: tuple[str, ...]
     num_queries: int
     churn_ops: tuple[str, ...]
-    overlay: str | None = None
     divergences: list[Divergence] = field(default_factory=list)
     stats: dict[str, _SystemStats] = field(default_factory=dict)
 
     def render(self) -> str:
-        substrate = f", overlay {self.overlay}" if self.overlay else ""
         lines = [
             f"differential replay: {self.num_queries} queries x "
             f"{len(self.systems)} systems, {len(self.churn_ops)} churn ops, "
-            f"replication 1{substrate}"
+            f"replication 1"
         ]
         for name in self.systems:
             st = self.stats.get(name, _SystemStats())
@@ -163,7 +155,6 @@ def run_differential(
     num_queries: int = 60,
     churn_ops: tuple[str, ...] = (),
     label: str = "differential",
-    overlay: str | None = None,
 ) -> DifferentialReport:
     """Replay one seeded workload, at ``CHECK_CONFIG`` scale, through
     ``systems`` against the oracle.
@@ -172,11 +163,10 @@ def run_differential(
     replay, followed by a stabilization round.  Every answer must equal
     the oracle set — correct for fault-free runs and graceful churn — and
     every churn event is validated by a
-    :class:`~repro.sim.invariants.ChurnGuard`.  ``overlay`` runs every
-    system on an alternative routing tier (``None`` = native substrates).
+    :class:`~repro.sim.invariants.ChurnGuard`.
     """
     config = CHECK_CONFIG if seed is None else CHECK_CONFIG.scaled(seed=seed)
-    bundle: ServiceBundle = build_services(config, overlay=overlay)
+    bundle: ServiceBundle = build_services(config)
     services = [bundle.by_name(name) for name in systems]
     for service in services:
         install_churn_guards(service)
@@ -185,7 +175,6 @@ def run_differential(
         systems=tuple(systems),
         num_queries=num_queries,
         churn_ops=tuple(churn_ops),
-        overlay=overlay,
         stats={name: _SystemStats() for name in systems},
     )
     dead: set[str] = set()
@@ -292,28 +281,18 @@ def run_differential(
 
 
 def _churn_storm(
-    config: ExperimentConfig,
-    systems: tuple[str, ...],
-    num_events: int,
-    seed: int,
-    durability=None,
-    overlay: str | None = None,
+    systems: tuple[str, ...], seed: int, num_events: int
 ) -> tuple[list[Divergence], int]:
-    """A guarded leave/join/fail/stabilize storm at replication 2.
+    """A guarded leave/join/fail/stabilize storm at replication 2, on the
+    ``CHECK_CONFIG`` population drawn for ``seed``.
 
     Every service additionally carries one deliberately *duplicated*
     piece (the same info registered twice — two distinct pieces under one
     key), so directory conservation catches any multiplicity collapse in
-    the churn or repair paths.  ``durability`` swaps in a non-default
-    :class:`~repro.sim.durability.DurabilityPolicy` (the guard then
-    validates the policy's census and placement — ``repro check`` runs
-    extra storms under symmetric placement and erasure coding this way).
-    Returns (divergences, events validated).
+    the churn or repair paths.  Returns (divergences, events validated).
     """
-    bundle = build_services(
-        config, overlay=overlay,
-        durability=durability if durability is not None else successor_replication(2),
-    )
+    config = CHECK_CONFIG.scaled(seed=CHECK_CONFIG.seed + seed)
+    bundle = build_services(config, durability=successor_replication(2))
     services = [bundle.by_name(name) for name in systems]
     guards = {s.name: install_churn_guards(s) for s in services}
     spec = bundle.workload.schema.specs[0]
@@ -406,35 +385,13 @@ def run_check(
         _GRACEFUL_OPS[int(i)]
         for i in rng.integers(0, len(_GRACEFUL_OPS), size=churn_events // 2)
     )
-    storm_config = CHECK_CONFIG.scaled(seed=CHECK_CONFIG.seed + seed)
-    third = max(1, num_queries // 3)
-
-    def replay(label: str, count: int, **kwargs):
-        return run_differential(
-            systems=systems, seed=seed, num_queries=count, label=label, **kwargs
-        )
-
-    def storm(**kwargs):
-        return _churn_storm(storm_config, systems, churn_events, seed, **kwargs)
-
-    legs = [
+    return CheckReport([
         ("fault-free differential replay",
-         replay("check-fault-free", num_queries)),
+         run_differential(systems=systems, seed=seed, num_queries=num_queries,
+                          label="check-fault-free")),
         ("graceful-churn differential replay",
-         replay("check-graceful", third, churn_ops=graceful_ops)),
-        ("churn storm (replication 2)", storm()),
-    ]
-    legs += [
-        (f"churn storm ({spec})", storm(durability=parse_policy(spec)))
-        for spec in ("symmetric:2", "erasure:2+1")
-    ]
-    legs += [
-        (f"fault-free differential replay (overlay {overlay})",
-         replay(f"check-{overlay}", third, overlay=overlay))
-        for overlay in OVERLAY_LEGS
-    ]
-    legs += [
-        (f"churn storm (overlay {overlay})", storm(overlay=overlay))
-        for overlay in OVERLAY_LEGS
-    ]
-    return CheckReport(legs)
+         run_differential(systems=systems, seed=seed,
+                          num_queries=max(1, num_queries // 3),
+                          churn_ops=graceful_ops, label="check-graceful")),
+        ("churn storm (replication 2)", _churn_storm(systems, seed, churn_events)),
+    ])

@@ -150,11 +150,13 @@ def check_report():
 def plant(monkeypatch):
     """``plant(cls, name, edit)`` installs a bug-zoo plant: ``edit`` is the
     replacement method, or ``(old, new)`` pairs edited into the method's
-    own source (each ``old`` must occur once) and recompiled in its module."""
+    (or property's) own source (each ``old`` must occur once) and
+    recompiled in its module."""
 
     def install(cls: type, name: str, edit) -> None:
         if not callable(edit):
             function = getattr(cls, name)
+            function = getattr(function, "fget", function)  # a property's getter
             source = textwrap.dedent(inspect.getsource(function))
             for old, new in edit:
                 assert source.count(old) == 1, f"plant anchor {old!r} not unique in {name}"

@@ -201,22 +201,10 @@ class TestMain:
         out = capsys.readouterr().out
         assert "DIVERGED" in out or "hop-bound" in out
 
-    def test_chaos_command_exits_zero_and_saves(self, capsys, tmp_path, monkeypatch):
-        import repro.cli as cli
-        from repro.experiments import recovery
-
-        small = cli._SCALES["smoke"].scaled(
-            infos_per_attribute=25,
-            num_recovery_queries=6,
-            maintenance_intervals=(2.0,),
-        )
-        monkeypatch.setitem(cli._SCALES, "smoke", small)
-        monkeypatch.setattr(recovery, "SAMPLE_INTERVAL", 4.0)
-        code = main(["chaos", "--smoke", "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "recovery SLOs" in out
-        assert (tmp_path / "chaos_slo.txt").exists()
+    def test_chaos_command_exits_zero_and_saves(self, chaos_run):
+        assert chaos_run.code == 0
+        assert "recovery SLOs" in chaos_run.stdout
+        assert (chaos_run.tree / "chaos_slo.txt").exists()
 
     def test_run_with_invariants_flag(self, capsys, tiny_config, monkeypatch):
         import repro.cli as cli
@@ -225,13 +213,14 @@ class TestMain:
         assert main(["run", "fig6a", "--invariants"]) == 0
         assert "fig6a" in capsys.readouterr().out
 
-    def test_all_command(self, capsys, tmp_path, tiny_config, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setitem(cli._SCALES, "smoke", tiny_config)
-        assert main(["all", "--scale", "smoke", "--out", str(tmp_path)]) == 0
-        produced = {p.name for p in tmp_path.glob("*.csv")}
+    def test_all_command(self, smoke_all):
+        assert smoke_all.code == 0
+        produced = {p.name for p in smoke_all.tree.glob("*.csv")}
         assert "fig6b.csv" in produced and "theorems.csv" in produced
+        # Every figure rendered, in id order, each ended by a blank line.
+        assert smoke_all.stdout == "".join(
+            f"{smoke_all.result[figure_id].render()}\n\n" for figure_id in sorted(smoke_all.result)
+        )
 
     def test_trace_tree_output(self, capsys):
         assert main(["trace", "--system", "lorm", "--seed", "0"]) == 0

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import recovery
-from repro.experiments.config import SMOKE_CONFIG
 from repro.experiments.durability import (
     DEFAULT_SYSTEMS,
     DurabilityResult,
@@ -16,15 +15,7 @@ from repro.experiments.durability import (
 )
 from repro.sim.chaos import DEMO_SCENARIO
 from repro.sim.durability import DEFAULT_POLICY_SPECS, parse_policy
-
-#: Reduced load: same population and scenario shape as smoke, lighter
-#: probing — mirrors the recovery experiment's TINY configuration.
-TINY = SMOKE_CONFIG.scaled(
-    infos_per_attribute=25,
-    num_recovery_queries=6,
-    maintenance_intervals=(2.0,),
-    recovery_churn_rates=(0.0,),
-)
+from tests.experiments.conftest import TINY
 
 
 @pytest.fixture(scope="module", autouse=True)

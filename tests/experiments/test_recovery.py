@@ -7,33 +7,17 @@ import math
 import pytest
 
 from repro.experiments import recovery
-from repro.experiments.config import SMOKE_CONFIG
-from repro.experiments.recovery import run_chaos_demo, run_recovery
+from repro.experiments.recovery import run_recovery
 from repro.experiments.runner import FIGURES
+from tests.experiments.conftest import TINY
 
 SYSTEMS = ("LORM", "Mercury", "SWORD", "MAAN")
 
-#: The demo at reduced load: same population and scenario shape as smoke
-#: (so the crash burst still hits data holders), lighter probing.
-TINY = SMOKE_CONFIG.scaled(
-    infos_per_attribute=25,
-    num_recovery_queries=6,
-    maintenance_intervals=(2.0,),
-    recovery_churn_rates=(0.0,),
-)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _sparse_sampling():
-    """Lighter probing still: a health sample every 4 s, not every 2 s."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "SAMPLE_INTERVAL", 4.0)
-        yield
-
 
 @pytest.fixture(scope="module")
-def demo():
-    return run_chaos_demo(TINY)
+def demo(chaos_run):
+    """The demo ``repro chaos`` ran at ``TINY``."""
+    return chaos_run.result
 
 
 class TestChaosDemo:
@@ -83,11 +67,6 @@ class TestChaosDemo:
         demo.save(tmp_path)
         assert (tmp_path / "chaos.csv").exists()
         assert (tmp_path / "chaos_slo.txt").exists()
-
-    def test_render_is_deterministic(self, monkeypatch):
-        monkeypatch.setattr(recovery, "SAMPLE_INTERVAL", 8.0)
-        fast = TINY.scaled(num_recovery_queries=4)
-        assert run_chaos_demo(fast).render() == run_chaos_demo(fast).render()
 
 
 class TestRunRecovery:

@@ -12,13 +12,6 @@ from repro.experiments import runner
 from repro.experiments.runner import FIGURES, run_figure, run_figures
 
 
-@pytest.fixture(scope="module")
-def serial_all(tiny_config, tmp_path_factory):
-    """Every figure, serially, saved — computed once for the module."""
-    save_dir = tmp_path_factory.mktemp("all")
-    return run_figures(sorted(FIGURES), tiny_config, save_dir=save_dir), save_dir
-
-
 def _rendered(figure_id: str, result) -> str:
     # The scale figure's notes carry wall-clock and memory readings.
     return result.to_csv() if figure_id == "scale" else result.render()
@@ -84,18 +77,18 @@ class TestRunFigure:
 
 
 class TestRunAll:
-    def test_all_figures_produced_and_saved(self, serial_all):
-        results, save_dir = serial_all
-        assert set(results) == set(FIGURES)
+    def test_all_figures_produced_and_saved(self, smoke_all):
+        assert set(smoke_all.result) == set(FIGURES)
         for figure_id in FIGURES:
-            assert (save_dir / f"{figure_id}.csv").exists(), figure_id
+            assert (smoke_all.tree / f"{figure_id}.csv").exists(), figure_id
 
 
 class TestEntryPointIdentity:
-    """A figure has one output per (config, seed), whatever produced it."""
+    """A figure has one output per (config, seed), whatever produced it:
+    ``repro all`` (serial), the figure loop fanned out, or one figure."""
 
-    def test_parallel_renders_what_serial_renders(self, serial_all, tiny_config):
-        serial, _ = serial_all
+    def test_parallel_renders_what_serial_renders(self, smoke_all, tiny_config):
+        serial = smoke_all.result
         parallel = run_figures(sorted(FIGURES), tiny_config, workers=2)
         assert set(parallel) == set(FIGURES)
         for figure_id in FIGURES:
@@ -106,9 +99,8 @@ class TestEntryPointIdentity:
     # theorems / latency once rode a bundle that fig4 and fig5 had already
     # queried inside `all`; fig5b / fig6b are second panels of a sweep.
     @pytest.mark.parametrize("figure_id", ["theorems", "latency", "fig5b", "fig6b"])
-    def test_one_figure_renders_what_all_renders(self, figure_id, serial_all, tiny_config):
-        serial, _ = serial_all
-        assert run_figure(figure_id, tiny_config).render() == serial[figure_id].render()
+    def test_one_figure_renders_what_all_renders(self, figure_id, smoke_all, tiny_config):
+        assert run_figure(figure_id, tiny_config).render() == smoke_all.result[figure_id].render()
 
 
 class TestRunOnce:

@@ -193,30 +193,51 @@ class TestHedgeTraces:
         pytest.fail("gray destinations over 8 seeds never hedged")
 
 
-def traced_drops(seed: int) -> tuple[int, int, int]:
-    """Traced lookups on a lossy ring with gray destinations under a
-    latency model: ``(drop events, stats.timeouts, stats.dropped)``."""
-    ring = ChordRing(6)
-    ring.build_full()
-    net = ring.network
+def _lossy_traced(overlay, seed: int) -> QueryTracer:
+    """Attach 20% loss, a gray third of the nodes, a latency model and a
+    tracer to ``overlay``; returns the tracer."""
+    net = overlay.network
     injector = FaultInjector(FaultPlan(loss_rate=0.2, seed=seed))
-    for node_id in list(network_ids_of(ring))[::3]:
+    for node_id in list(network_ids_of(overlay))[::3]:
         injector.mark_slow(node_id, 40.0, 0.6)
     net.faults = injector
     net.latency_model = LognormalLatency(median=net.hop_latency, sigma=0.35, seed=seed)
-    tracer = QueryTracer()
-    ring.tracer = tracer
+    overlay.tracer = QueryTracer()
+    return overlay.tracer
+
+
+def traced_drops(seed: int) -> tuple[int, int, int, int]:
+    """Traced lookups and range walks on a lossy Chord ring, and cluster
+    walks on a lossy Cycloid: ``(drop events, of which on walk spans,
+    stats.timeouts, stats.dropped)``, summed over both overlays."""
+    ring = ChordRing(6)
+    ring.build_full()
+    cycloid = CycloidOverlay(4)
+    cycloid.build_full()
+    tracers = [_lossy_traced(ring, seed), _lossy_traced(cycloid, seed)]
     for key in range(0, 64, 3):
         ring.lookup(ring.node((key * 7) % 64), key)
-    drops = sum(len(trace.events_of("drop")) for trace in tracer.traces)
-    return drops, net.stats.timeouts, net.stats.dropped
+        ring.walk_arc(ring.node(key), key, key + 12)
+    for cid in cycloid.node_ids[::3]:
+        cycloid.walk_cluster(cycloid.node(cid), cid.k, cid.k - 1)
+    traces = [trace for tracer in tracers for trace in tracer.traces]
+    walks = [span for trace in traces for span in trace.spans_of(SpanKind.WALK)]
+    stats = [ring.network.stats, cycloid.network.stats]
+    return (
+        sum(len(trace.events_of("drop")) for trace in traces),
+        sum(ev.kind == "drop" for span in walks for ev in span.events),
+        sum(s.timeouts for s in stats),
+        sum(s.dropped for s in stats),
+    )
 
 
 def test_timed_drop_events_reconcile_with_timeouts():
     """Every failed attempt of the timed loop is traced as a ``drop``: the
-    outright drops and the late replies declared lost alike."""
-    drops, timeouts, outright = traced_drops(seed=3)
+    outright drops and the late replies declared lost alike, on lookups
+    and on range walks."""
+    drops, walk_drops, timeouts, outright = traced_drops(seed=3)
     assert 0 < outright < timeouts, "the run must take both drop branches"
+    assert 0 < walk_drops < drops, "lookups and walks must both drop"
     assert drops == timeouts
 
 

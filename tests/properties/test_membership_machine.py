@@ -18,6 +18,8 @@ After every rule:
   stale replica behind, which a discard misses;
 * a joiner holds just the buckets its donors gave up, owns each, and got
   each donor's in that donor's ``buckets()`` order (:func:`check_arrivals`);
+* on the single-hop tier, a lookup for an event a member has not learned
+  goes where that member's stale view says (:func:`stale_route`);
 * the ``ArcDirectory`` equals a fresh ``index``; ``check_overlay`` passes.
 
 After a sweep every routing entry *is* what a fresh
@@ -29,6 +31,7 @@ bug per row and requires a fixed-seed drive of the machine to catch it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from functools import partial, reduce
@@ -223,6 +226,31 @@ def route(overlay, start_uid, key) -> tuple:
     result = overlay.lookup(overlay.node(start_uid), key)
     assert result.owner is overlay.owner_of(overlay.key_id(key)), (start_uid, key)
     return result.owner.uid, result.hops, result.path, result.complete
+
+
+def stale_route(overlay, uid) -> tuple | None:
+    """On the single-hop tier, a lookup from member ``uid`` for the id of
+    the first membership event it has not learned, which must go where
+    its view (the members, less the joins it missed, plus the departures
+    it missed) says: a departed member it believes owns the key costs a
+    retry, and a live believed owner is the first hop."""
+    deltas = overlay._pending.get(uid)
+    if not deltas:
+        return None
+    key = next(iter(deltas))
+    start = overlay.node(uid)
+    if overlay.owner_of(key) is start:
+        return None
+    view = sorted({*overlay.node_ids, *deltas} - {i for i, joined in deltas.items() if joined})
+    believed = view[bisect_left(view, key) % len(view)]
+    result = overlay.lookup(start, key)
+    if believed not in overlay:
+        assert result.retries, f"stale view: {uid} believes departed {believed} owns {key}"
+    elif believed != uid:
+        assert result.path[1] == believed, (
+            f"stale view: {uid} jumped to {result.path[1]}, its view says {believed}"
+        )
+    return result.owner.uid, result.hops, result.path, result.retries
 
 
 def walk(overlay, start_id: int, lo: int, hi: int) -> tuple:
@@ -453,6 +481,9 @@ class Membership(RuleBasedStateMachine):
             steps = [o._fault_step(o.node(uid), key, DEFAULT_POLICY) for o in (subject, twin)]
             steps = [step and [i for i, _ in step] for step in steps]
             assert steps[0] == steps[1], (uid, key)
+        if isinstance(subject, SingleHopRing):
+            uid = next((uid for uid in ids if subject._pending.get(uid)), ids[0])
+            assert stale_route(subject, uid) == stale_route(twin, uid), uid
         start_id = rng.randrange(size)
         if isinstance(subject, ChordRing):
             span = (start_id, start_id, (start_id + rng.randrange(size // 4 + 1)) % size)
@@ -646,6 +677,12 @@ ZOO = [
         "node = self._nodes.pop(node_id)\n"
         '    require(self.num_nodes > 0, "cannot remove the last ring node")',
     )]), "refused leave changed the membership"),
+    # PR 10: the believed owner was asked of the node object, not its id,
+    # which silently disabled the staleness model.
+    ("believed-owner-of-node-object", "storm:singlehop/r2", (SingleHopRing, "_lookup_plain", [(
+        "target = self._believed_owner_id(cur.node_id, key)\n        while",
+        "target = self._believed_owner_id(cur, key)\n        while",
+    )]), "stale view"),
     ("unnormalised-depart-id", "storm:cycloid-full/r2",
      (Overlay, "_depart", [("self._normalize_id(node_id)", "node_id")]), "not a live member"),
     ("repair-collapses-duplicates", "storm:chord-full/r2", (Overlay, "repair_replication", [(

@@ -23,7 +23,10 @@ digests pin the branches it never takes, recorded before the delivery
 loops became per-route senders: drops under the hedged policy (10% loss),
 adaptive timeouts without hedging on gray nodes, the fixed-timeout policy
 with exponential backoff under loss, the hedged policy across an armed
-partition, and the loss-only loop (no latency model).
+partition, and the loss-only loop (no latency model).  The ``inactive``
+cell attaches an injector that can neither drop nor slow a message, under
+a latency model: every route must stay on the fault-free paths, so its
+digests are those of the same run with no injector attached.
 
 ``SENDER_PLANTS`` plants one sender bug per row and requires the named
 pin, one digest cell (or the traced drop reconcile of
@@ -40,6 +43,7 @@ import pytest
 import repro.sim.network as network_module
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
+from repro.overlay.base import Overlay
 from repro.sim.chaos import slow_victims
 from repro.sim.faults import (
     ADAPTIVE_POLICY,
@@ -73,6 +77,7 @@ _CELLS = {
     "fixed-loss": (DEFAULT_POLICY, 0.1, False, False, True, ("dropped", "retries")),
     "hedged-partition": (HEDGED_POLICY, 0.0, True, True, True, ("dropped", "hedges")),
     "loss-only": (DEFAULT_POLICY, 0.1, False, False, False, ("dropped", "retries")),
+    "inactive": (HEDGED_POLICY, 0.0, False, False, True, ()),
 }
 
 _CELL_DIGESTS: dict[str, str] = {
@@ -86,6 +91,8 @@ _CELL_DIGESTS: dict[str, str] = {
     "hedged-partition/sword": "5784db0a7f69c5093d56d65e2fa07805f2776b26108ed599cfd515f39cf370db",
     "loss-only/lorm": "980cec21ef6fde50aca8c4831bd77a155f4178c2c70529dafd6ebd11f4f72458",
     "loss-only/sword": "9ca9c3459cf13d525e2e5f19ac6161576f9771571c4443e83e437a46798b42e8",
+    "inactive/lorm": "f05b9c6895283a1ac0cf11f1daf948f3478ba41b112881fc23dead20c0d640db",
+    "inactive/sword": "6a5d2c02a4131ef0c6156300886966799b0f32925600cb4baeca3d0197131849",
 }
 
 
@@ -150,7 +157,7 @@ def _pinned(system: str, cell: str | None = None) -> None:
 
 
 def _drops_traced() -> None:
-    drops, timeouts, _ = traced_drops(seed=3)
+    drops, _, timeouts, _ = traced_drops(seed=3)
     assert drops == timeouts, "drop events"
 
 
@@ -185,6 +192,14 @@ SENDER_PLANTS = [
     ("late-loss-untraced", (network_module, "_timed_sender", [
         (f"elapsed += window{_LATE}if on_drop is not None:", f"elapsed += window{_LATE}if False:"),
     ]), _drops_traced),
+    # Historical: range walks took a sender without the tracer's hooks.
+    ("walk-sender-untraced",
+     (Overlay, "_walk_sender", [("if tracer is None:", "if True:")]), _drops_traced),
+    # Historical: an injector that could neither drop nor slow a message
+    # read as active, forcing every route onto the fault path.
+    ("inactive-injector-active", (FaultInjector, "active", [
+        ("return self._loss_rate > 0.0 or", "return True or"),
+    ]), partial(_pinned, "sword", "inactive")),
 ]
 
 

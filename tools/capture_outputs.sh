@@ -42,8 +42,10 @@ capture check check --systems all --seed 0
 capture check-named check --systems lorm sword --seed 0
 capture check-seed1 check --systems all --seed 1 --queries 12 --churn-events 6
 capture check-no-churn check --churn-events 0 --queries 3
-# Long join/leave/fail runs between stabilizations (168 guarded events per
-# overlay): the path the scoped routing-memo drops and the handover take.
+# Long join/leave/fail runs between stabilizations: one replication-2 storm
+# of 40 events per system, 168 guarded events over the four systems (the
+# final stabilization and repair included) -- the path the departures' row
+# drops and the bucket handover take.
 capture check-churn check --systems all --seed 2 --churn-events 40
 capture all all --scale smoke --out "$out/all"
 capture all-parallel all --scale smoke --parallel 2 --out "$out/all-parallel"
