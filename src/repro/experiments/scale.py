@@ -8,8 +8,8 @@ populations up to that regime and reports, per point:
 * mean / p99 routed lookup hops (the stabilized-Chord ``(1/2) log2 n``
   regime Figure 4's curves are built on),
 * maintenance messages per churn event (the object ring's cost model),
-* construction + query wall-clock and peak memory (tracemalloc across
-  build + the query batch + churn, plus process peak RSS),
+* construction, query and churn wall-clock and peak memory (tracemalloc
+  across build + the query batch + churn, plus process peak RSS),
 
 so the first 100k–1M-node figure of the repo is directly comparable with
 the n=2048 object-overlay results and carries its own resource budget for
@@ -49,6 +49,7 @@ class ScalePoint:
     maintenance_per_event: float
     build_seconds: float
     query_seconds: float
+    churn_seconds: float
     state_mb: float
     peak_tracemalloc_mb: float
     rss_max_mb: float | None
@@ -91,6 +92,7 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
         churn_rng = seeds.numpy("churn")
         before = ring.maintenance_messages
         events = config.scale_churn_events
+        started = time.perf_counter()
         for i in range(events):
             if i % 3 == 0:
                 node_id = int(churn_rng.integers(ring.size))
@@ -100,6 +102,7 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
             else:
                 victim = int(ring.ids[churn_rng.integers(ring.num_nodes)])
                 (ring.leave if i % 3 == 1 else ring.fail)(victim)
+        churn_seconds = time.perf_counter() - started
         maintenance_per_event = (
             (ring.maintenance_messages - before) / events if events else 0.0
         )
@@ -117,6 +120,7 @@ def scale_point(config: ExperimentConfig, num_nodes: int) -> ScalePoint:
         maintenance_per_event=maintenance_per_event,
         build_seconds=build_seconds,
         query_seconds=query_seconds,
+        churn_seconds=churn_seconds,
         state_mb=state_mb,
         peak_tracemalloc_mb=peak / 1e6,
         rss_max_mb=None if rss is None else rss / 1024,
@@ -221,6 +225,7 @@ def run_scale(config: ExperimentConfig, *, workers: int | None = None) -> ScaleR
         result.notes.append(
             f"n={p.num_nodes}: built in {p.build_seconds:.2f}s, "
             f"{config.scale_queries} lookups in {p.query_seconds:.2f}s, "
+            f"{config.scale_churn_events} churn events in {p.churn_seconds:.2f}s, "
             f"ring state {p.state_mb:.1f} MB, peak "
             f"{p.peak_tracemalloc_mb:.1f} MB traced, {rss}"
         )

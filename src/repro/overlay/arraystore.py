@@ -15,15 +15,19 @@ with the paper-scale ones.
 View contract / cache invalidation
 ----------------------------------
 Positions move under churn; slots do not.  The sorted ``ids`` and the
-parallel position -> slot ``order`` are never written in place: ``join``
-/ ``leave`` / ``fail`` replace both (one ``np.insert`` / ``np.delete``).
-The ``(capacity, bits)`` finger table of slots and the per-slot
-``[id, successor id, successor slot]`` records are edited in place, so
-they are the one place buffer views may be kept (``build_fingers`` and
-growth past the spare rows replace them and take new views).  An event
-writes what its arc ``(pred(x), x]`` moved — the joiner's row and record,
-its predecessor's record, at most ``bits`` slices of finger entries — and
-marks the slot -> position map stale; the next lookup or
+parallel position -> slot ``order`` are read-only ``[:n]`` views of two
+buffers with the finger table's capacity, and they are valid until the
+next membership event: ``join`` shifts the buffers' positions ``[p, n)``
+right by one in place and ``leave`` / ``fail`` shift ``[p + 1, n)`` left,
+then both views are re-sliced.  Hold a copy, not the view, across an
+event.  The ``(capacity, bits)`` finger table of slots and the per-slot
+``[id, successor id, successor slot]`` records are edited in place too;
+they are the one place memoryviews are stored (``build_fingers`` and
+growth past the spare rows replace all four buffers and take new views).
+Apart from that growth, no event allocates an array of ``n`` entries.
+An event writes what its arc ``(pred(x), x]`` moved — the joiner's row
+and record, its predecessor's record, at most ``bits`` slices of finger
+entries — and marks the slot -> position map stale; the next lookup or
 ``stabilize_all`` rebuilds that map in one O(n) scatter.  What an event
 may never change: the table read in positions (equal to a from-scratch
 ``build_fingers`` element for element, dtype included), any maintenance
@@ -93,15 +97,19 @@ class CompactChordRing:
             ids = list(ids)
         unique = _sorted_unique(np.asarray(ids, dtype=np.int64) % self.size)
         require(unique.size > 0, "cannot build an empty ring")
-        #: Sorted ascending.  Never mutated in place: churn replaces it.
+        unique.flags.writeable = False
+        #: Sorted ascending, read-only; from :meth:`build_fingers` on, a
+        #: view of ``_id_buf`` valid until the next membership event.
         self.ids: np.ndarray = unique
         #: Built lazily by :meth:`build_fingers`: position -> slot,
-        #: parallel to ``ids`` (replaced by churn, like ``ids``); the
-        #: ``(capacity, bits)`` finger table of slots and the per-slot
-        #: ``[id, successor id, successor slot]`` records (both edited in
-        #: place); the free slots; the slot -> position map (``None``
-        #: after churn until the next lookup or ``stabilize_all``).
+        #: parallel to ``ids`` (a read-only view of ``_order_buf``, like
+        #: ``ids``); the ``(capacity, bits)`` finger table of slots and the
+        #: per-slot ``[id, successor id, successor slot]`` records (both
+        #: edited in place); the free slots; the slot -> position map
+        #: (``None`` after churn until the next lookup or ``stabilize_all``).
         self.order: np.ndarray | None = None
+        self._id_buf: np.ndarray | None = None
+        self._order_buf: np.ndarray | None = None
         self.fingers: np.ndarray | None = None
         self._rec: np.ndarray | None = None
         self._free: list[int] = []
@@ -176,10 +184,16 @@ class CompactChordRing:
         return min(self.size, rows + rows // 64 + 1)
 
     def _views(self) -> None:
-        # Over the two arrays churn edits in place; replaced only by
-        # build_fingers and _grow, which call this again.
+        # Over the two slot tables; replaced only by build_fingers and
+        # _grow, which call this again.
         self._rec_view = memoryview(self._rec.reshape(-1))
         self._finger_view = memoryview(self.fingers)
+
+    def _members(self, n: int) -> None:
+        """Re-slice ``ids`` and ``order`` to the ``n`` live positions of
+        their buffers, read-only."""
+        self.ids, self.order = self._id_buf[:n], self._order_buf[:n]
+        self.ids.flags.writeable = self.order.flags.writeable = False
 
     def build_fingers(self) -> None:
         """(Re)build every table from scratch: slot ``i`` is position ``i``.
@@ -200,19 +214,26 @@ class CompactChordRing:
         rec[:n, 1] = np.roll(ids, -1)
         rec[:n, 2] = np.arange(1, n + 1) % n
         self.fingers, self._rec = fingers, rec
-        self.order = np.arange(n, dtype=dtype)
+        self._id_buf = np.empty(capacity, dtype=np.int64)
+        self._id_buf[:n] = ids
+        self._order_buf = np.arange(capacity, dtype=dtype)
+        self._members(n)
         self._free = list(range(capacity - 1, n - 1, -1))
         self._pos = None
         self._views()
 
     def _grow(self) -> None:
-        """Add spare rows to the finger table and the records."""
+        """Add spare rows to the finger table, the records and the two
+        membership buffers (the joining caller re-slices ``ids`` and
+        ``order``)."""
         old = len(self.fingers)
         extra = self._capacity(old) - old
-        self.fingers = np.concatenate(
-            (self.fingers, np.empty((extra, self.bits), self.fingers.dtype))
-        )
-        self._rec = np.concatenate((self._rec, np.empty((extra, 3), np.int64)))
+
+        def grown(a: np.ndarray) -> np.ndarray:
+            return np.concatenate((a, np.empty((extra, *a.shape[1:]), a.dtype)))
+
+        self.fingers, self._rec = grown(self.fingers), grown(self._rec)
+        self._id_buf, self._order_buf = grown(self._id_buf), grown(self._order_buf)
         self._free = list(range(old + extra - 1, old - 1, -1))
         self._views()
 
@@ -250,10 +271,11 @@ class CompactChordRing:
         self._pos = None
 
     def state_bytes(self) -> int:
-        """Bytes held by the flat ring state: ids, both slot maps, the
+        """Bytes held by the flat ring state: the id and position -> slot
+        buffers (spare rows included), the slot -> position map, the
         finger table and the slot records."""
         pos = self._positions() if self._pos is None else self._pos
-        arrays = (self.ids, self.order, pos, self.fingers, self._rec)
+        arrays = (self._id_buf, self._order_buf, pos, self.fingers, self._rec)
         return sum(int(a.nbytes) for a in arrays)
 
     # ------------------------------------------------------------------
@@ -337,9 +359,12 @@ class CompactChordRing:
         if not self._free:
             self._grow()
         slot = self._free.pop()
-        ids = self.ids = np.insert(self.ids, p, node_id)
-        order = self.order = np.insert(self.order, p, slot)
-        n = ids.size
+        n = self.ids.size + 1
+        ids, order = self._id_buf[:n], self._order_buf[:n]
+        ids[p + 1 :] = ids[p:-1]
+        order[p + 1 :] = order[p:-1]
+        ids[p], order[p] = node_id, slot
+        self._members(n)
         targets = (node_id + self._steps) % self.size
         self.fingers[slot] = order[np.searchsorted(ids, targets) % n]
         self._rec[slot] = node_id, ids.item((p + 1) % n), order.item((p + 1) % n)
@@ -353,8 +378,11 @@ class CompactChordRing:
         if self.fingers is None:
             self.build_fingers()
         self._free.append(self.order.item(p))
-        self.ids = np.delete(self.ids, p)
-        self.order = np.delete(self.order, p)
+        n = self.ids.size - 1
+        ids, order = self._id_buf[: n + 1], self._order_buf[: n + 1]
+        ids[p:-1] = ids[p + 1 :]
+        order[p:-1] = order[p + 1 :]
+        self._members(n)
         self._adopt(p, node_id)
 
     def leave(self, node_id: int) -> None:

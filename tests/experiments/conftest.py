@@ -52,12 +52,12 @@ def _recording(function, returned: list):
 
 def _run(argv: list[str], tree: Path, smoke: ExperimentConfig, command: str) -> CliRun:
     """``repro ARGV --out TREE`` at ``--scale smoke`` = ``smoke``, recording
-    what ``command`` computed: the figure loop's results for ``all``, else
-    the return value of that subcommand's registry row."""
+    what ``command`` computed: the figure loop's results for ``run`` and
+    ``all``, else the return value of that subcommand's registry row."""
     returned: list = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(cli._SCALES, "smoke", smoke)
-        if command == "all":
+        if command in ("run", "all"):
             mp.setattr(cli, "run_figures", _recording(run_figures, returned))
         else:
             mp.setattr(cli, "_RUNS", tuple(
@@ -75,6 +75,14 @@ def smoke_all(tiny_config, tmp_path_factory) -> CliRun:
     """``repro all --scale smoke`` at the tiny config; ``result`` maps each
     figure id to its result."""
     return _run(["all", "--scale", "smoke"], tmp_path_factory.mktemp("all"), tiny_config, "all")
+
+
+@pytest.fixture(scope="session")
+def fig3a_run(tmp_path_factory) -> CliRun:
+    """``repro run fig3a theorems --scale smoke``; ``result`` maps both
+    figure ids to their results."""
+    argv = ["run", "fig3a", "theorems", "--scale", "smoke"]
+    return _run(argv, tmp_path_factory.mktemp("run"), SMOKE_CONFIG, "run")
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments.config import SMOKE_CONFIG, ExperimentConfig
 
 
 class TestParser:
@@ -109,24 +111,40 @@ class TestMain:
         for fig in ("fig3a", "fig4a", "fig5b", "fig6b"):
             assert fig in out
 
-    def test_run_single_figure(self, capsys, tmp_path):
-        code = main(["run", "fig3a", "--scale", "smoke", "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Outlinks per node" in out
-        assert (tmp_path / "fig3a.csv").exists()
+    def test_run_single_figure(self, fig3a_run):
+        assert fig3a_run.code == 0
+        assert "Outlinks per node" in fig3a_run.stdout
+        assert (fig3a_run.tree / "fig3a.csv").exists()
 
-    def test_seed_override_changes_config(self, capsys):
-        assert main(["run", "fig3a", "--seed", "123"]) == 0
+    @staticmethod
+    def _config_of(argv, fig3a_run, monkeypatch) -> ExperimentConfig:
+        """The config ``repro ARGV`` hands the figure loop (which answers
+        with the session run's results instead of running)."""
+        configs = []
 
-    def test_lph_override(self, capsys):
-        assert main(["run", "fig3a", "--lph", "linear"]) == 0
+        def record(figure_ids, config, **kwargs):
+            configs.append(config)
+            return fig3a_run.result
 
-    def test_run_multiple_figures(self, capsys):
-        assert main(["run", "fig3a", "theorems", "--scale", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "Outlinks per node" in out
-        assert "Theorems 4.1-4.10" in out
+        monkeypatch.setattr(cli, "run_figures", record)
+        assert main(argv) == 0
+        return configs[0]
+
+    def test_seed_override_changes_config(self, fig3a_run, monkeypatch):
+        config = self._config_of(["run", "fig3a", "--seed", "123"], fig3a_run, monkeypatch)
+        assert config.seed == 123
+        assert config == SMOKE_CONFIG.scaled(seed=123)
+
+    def test_lph_override(self, fig3a_run, monkeypatch):
+        config = self._config_of(["run", "fig3a", "--lph", "linear"], fig3a_run, monkeypatch)
+        assert config.lph_kind == "linear"
+        assert config == SMOKE_CONFIG.scaled(lph_kind="linear")
+
+    def test_run_multiple_figures(self, fig3a_run):
+        assert set(fig3a_run.result) == {"fig3a", "theorems"}
+        assert "Outlinks per node" in fig3a_run.stdout
+        assert "Theorems 4.1-4.10" in fig3a_run.stdout
+        assert {p.name for p in fig3a_run.tree.glob("*.csv")} == {"fig3a.csv", "theorems.csv"}
 
     def test_availability_command(self, capsys, tmp_path, monkeypatch):
         import repro.cli as cli

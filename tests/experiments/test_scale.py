@@ -46,6 +46,7 @@ class TestScalePoint:
         point = scale_point(scale_config, 64)
         assert point.build_seconds > 0
         assert point.query_seconds > 0
+        assert point.churn_seconds > 0  # the point ran 9 churn events
         assert point.peak_tracemalloc_mb > 0
         assert point.state_mb > 0
         assert point.maintenance_per_event > 0
@@ -93,6 +94,7 @@ class TestRunScale:
         text = result.render()
         assert "scale" in text
         assert "built in" in text
+        assert "9 churn events in" in text
         assert "traced" in text
 
     def test_over_budget_names_each_blown_budget(self, result):

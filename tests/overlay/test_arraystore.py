@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -314,40 +315,57 @@ class TestLookupBuffers:
 
     @pytest.mark.parametrize("repair", ["lookup", "stabilize_all"])
     def test_no_replaced_array_outlives_the_churn(self, repair):
-        # Views are stored only over the finger table and the slot records,
-        # which churn edits in place; a view over ``ids`` or ``order`` would
-        # pin the arrays every join and departure replaces.
-        ring = CompactChordRing.sampled(2_000, seed=1)
+        # Churn replaces no array: it shifts the id and position -> slot
+        # buffers in place and re-slices ``ids`` / ``order`` as read-only
+        # views of them, and it patches the finger table and the slot
+        # records, the only arrays views are stored over.  So 20 join /
+        # leave pairs on 200k nodes allocate less than one ``order`` copy.
+        ring = CompactChordRing.sampled(200_000, seed=1)
         ring.lookup(0, 5)
         tables = ring.fingers, ring._rec
+        buffers = ring._id_buf, ring._order_buf
         views = [v for v in vars(ring).values() if isinstance(v, memoryview)]
         assert len(views) == 2
         assert all(any(np.shares_memory(v.obj, t) for t in tables) for v in views)
-        old_ids, old_order = weakref.ref(ring.ids), weakref.ref(ring.order)
-        ring.join(int(np.setdiff1d(np.arange(ring.size), ring.ids)[0]))
-        ring.leave(int(ring.ids[1_000]))
+        rng = np.random.default_rng(2)
+        joiners = np.setdiff1d(rng.integers(ring.size, size=40), ring.ids)[:20].tolist()
+        tracemalloc.start()
+        try:
+            for joiner in joiners:
+                ring.join(joiner)
+                ring.leave(int(ring.ids[rng.integers(ring.num_nodes)]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.order.nbytes
         if repair == "lookup":
-            ring.lookup(3, 77)
+            assert ring.lookup(3, 77)[0] == ring.owner_index(77)
         else:
             ring.stabilize_all()
-        gc.collect()
-        assert old_ids() is None
-        assert old_order() is None
         assert ring.fingers is tables[0] and ring._rec is tables[1]
+        for view, buffer in zip((ring.ids, ring.order), buffers):
+            assert view.base is buffer and view.size == ring.num_nodes == 200_000
+            assert not view.flags.writeable
 
     def test_a_grown_table_frees_the_old_one(self):
-        # Joins past the spare rows replace both slot tables; the stored
-        # views move with them.
+        # Joins past the spare rows replace both slot tables and both
+        # membership buffers; the stored views and ``ids`` / ``order``
+        # move with them.
         ring = CompactChordRing.sampled(200, seed=1)
         ring.lookup(0, 5)
-        old = weakref.ref(ring.fingers), weakref.ref(ring._rec)
+        arrays = ring.fingers, ring._rec, ring._id_buf, ring._order_buf
+        old = [weakref.ref(a) for a in arrays]
+        del arrays
         free = np.setdiff1d(np.arange(ring.size), ring.ids)[:10].tolist()
         for node_id in free:
             ring.join(node_id)
-        assert len(ring.fingers) > 200 + 200 // 64 + 1
+        capacity = len(ring.fingers)
+        assert capacity > 200 + 200 // 64 + 1
+        assert len(ring._rec) == len(ring._id_buf) == len(ring._order_buf) == capacity
+        assert ring.ids.base is ring._id_buf and ring.order.base is ring._order_buf
         assert ring.lookup(0, free[-1])[0] == ring.index_of(free[-1])
         gc.collect()
-        assert old[0]() is None and old[1]() is None
+        assert all(ref() is None for ref in old)
 
 
 class TestMaintenanceParity:
@@ -455,12 +473,13 @@ class TestCompactChordRingValidation:
         assert 6 in ring and 5 not in ring
 
     def test_state_bytes_counts_ids_and_fingers(self):
-        # 100 nodes in 102 slots (100 // 64 + 1 spare): int32
-        # position -> slot and slot -> position maps, an int32 finger
-        # table and int64 ``[id, successor id, successor slot]`` records.
+        # 100 nodes in 102 slots (100 // 64 + 1 spare): the int64 id
+        # buffer, int32 position -> slot buffer and slot -> position map,
+        # an int32 finger table and int64 ``[id, successor id, successor
+        # slot]`` records, every one with the spare rows.
         ring = CompactChordRing.sampled(100, seed=1)
         slots, row = 102, ring.bits * 4
-        expected = ring.ids.nbytes + 100 * 4 + slots * 4 + slots * row + slots * 3 * 8
+        expected = slots * 8 + slots * 4 + slots * 4 + slots * row + slots * 3 * 8
         assert ring.state_bytes() == expected
         assert ring.fingers.shape == (slots, ring.bits)
 

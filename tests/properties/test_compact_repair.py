@@ -15,8 +15,10 @@ is never called again once the ring is built.
 
 Each patch step is load-bearing: ``PLANTS`` drops or bends one per row
 (the joiner's row or record, the predecessor relink, the arc re-point or
-its wrap branch, the slot reuse, the table growth and its stored views,
-the position-map reset) and a seeded drive of :class:`Driver` must fail.
+its wrap branch, the slot reuse, the table growth, its stored views and
+its membership buffers, the position-map reset, the in-place shift of
+``order`` on a join and of ``ids`` on a departure) and a seeded drive of
+:class:`Driver` must fail.
 """
 
 from __future__ import annotations
@@ -219,6 +221,12 @@ PLANTS = [
     ("slot-reuse", "_depart", ("self._free.append(self.order.item(p))", "pass")),
     ("table-growth", "join", ("self._grow()", "pass")),
     ("grown-views", "_grow", ("self._views()", "pass")),
+    (
+        "grown-buffers", "_grow",
+        ("self._id_buf, self._order_buf = grown(self._id_buf), grown(self._order_buf)", "pass"),
+    ),
+    ("join-order-shift", "join", ("order[p + 1 :] = order[p:-1]", "pass")),
+    ("departure-ids-shift", "_depart", ("ids[p:-1] = ids[p + 1 :]", "pass")),
 ]
 
 
