@@ -15,23 +15,28 @@ with the paper-scale ones.
 View contract / cache invalidation
 ----------------------------------
 Positions move under churn; slots do not.  The sorted ``ids`` and the
-parallel position -> slot ``order`` are read-only ``[:n]`` views of two
-buffers with the finger table's capacity, and they are valid until the
-next membership event: ``join`` shifts the buffers' positions ``[p, n)``
-right by one in place and ``leave`` / ``fail`` shift ``[p + 1, n)`` left,
-then both views are re-sliced.  Hold a copy, not the view, across an
-event.  The ``(capacity, bits)`` finger table of slots and the per-slot
-``[id, successor id, successor slot]`` records are edited in place too;
-they are the one place memoryviews are stored (``build_fingers`` and
-growth past the spare rows replace all four buffers and take new views).
-Apart from that growth, no event allocates an array of ``n`` entries.
-An event writes what its arc ``(pred(x), x]`` moved — the joiner's row
-and record, its predecessor's record, at most ``bits`` slices of finger
-entries — and marks the slot -> position map stale; the next lookup or
-``stabilize_all`` rebuilds that map in one O(n) scatter.  What an event
-may never change: the table read in positions (equal to a from-scratch
-``build_fingers`` element for element, dtype included), any maintenance
-message count, any hop.
+parallel position -> slot ``order`` are read-only views of the live
+window ``[h, h + n)`` of two buffers with the finger table's capacity,
+and they are valid until the next membership event.  Every shift is a
+move to lower addresses (a forward memmove): ``join`` moves the prefix
+``[0, p)`` one left into the front gap and writes position ``p``, and
+``leave`` / ``fail`` move ``[p + 1, n)`` one left, then both views are
+re-sliced.  ``build_fingers`` puts the window at the back of the buffers;
+a join that finds the front gap used up first moves the window back
+there once.  Hold a copy, not the view, across an event.  The
+``(capacity, bits)`` finger table of slots and the per-slot ``[id,
+successor id, successor slot]`` records are edited in place too; they
+are the one place memoryviews are stored.  The slot -> position map is a
+third per-slot buffer, kept with the tables.  ``build_fingers`` and
+growth past the spare rows replace all five buffers (and take new
+views); apart from that growth, no event allocates an array of ``n``
+entries.  An event writes what its arc ``(pred(x), x]`` moved — the
+joiner's row and record, its predecessor's record, at most ``bits``
+slices of finger entries — and marks the position map stale; the next
+lookup or ``stabilize_all`` rewrites it in one O(n) scatter.  What an
+event may never change: the table read in positions (equal to a
+from-scratch ``build_fingers`` element for element, dtype included), any
+maintenance message count, any hop.
 """
 
 from __future__ import annotations
@@ -103,16 +108,19 @@ class CompactChordRing:
         self.ids: np.ndarray = unique
         #: Built lazily by :meth:`build_fingers`: position -> slot,
         #: parallel to ``ids`` (a read-only view of ``_order_buf``, like
-        #: ``ids``); the ``(capacity, bits)`` finger table of slots and the
-        #: per-slot ``[id, successor id, successor slot]`` records (both
-        #: edited in place); the free slots; the slot -> position map
+        #: ``ids``) and the window's first buffer index; the ``(capacity,
+        #: bits)`` finger table of slots and the per-slot ``[id, successor
+        #: id, successor slot]`` records (both edited in place); the free
+        #: slots; the slot -> position buffer and the map read from it
         #: (``None`` after churn until the next lookup or ``stabilize_all``).
         self.order: np.ndarray | None = None
+        self._head = 0
         self._id_buf: np.ndarray | None = None
         self._order_buf: np.ndarray | None = None
         self.fingers: np.ndarray | None = None
         self._rec: np.ndarray | None = None
         self._free: list[int] = []
+        self._pos_buf: np.ndarray | None = None
         self._pos: np.ndarray | None = None
         #: Maintenance-message accounting (same formulas as the object
         #: ring's ``count_maintenance`` call sites).
@@ -189,10 +197,11 @@ class CompactChordRing:
         self._rec_view = memoryview(self._rec.reshape(-1))
         self._finger_view = memoryview(self.fingers)
 
-    def _members(self, n: int) -> None:
-        """Re-slice ``ids`` and ``order`` to the ``n`` live positions of
-        their buffers, read-only."""
-        self.ids, self.order = self._id_buf[:n], self._order_buf[:n]
+    def _members(self, h: int, n: int) -> None:
+        """Re-slice ``ids`` and ``order`` to the live window ``[h, h + n)``
+        of their buffers, read-only."""
+        self._head = h
+        self.ids, self.order = self._id_buf[h : h + n], self._order_buf[h : h + n]
         self.ids.flags.writeable = self.order.flags.writeable = False
 
     def build_fingers(self) -> None:
@@ -214,18 +223,22 @@ class CompactChordRing:
         rec[:n, 1] = np.roll(ids, -1)
         rec[:n, 2] = np.arange(1, n + 1) % n
         self.fingers, self._rec = fingers, rec
+        # The window starts at the back: the spare rows are the front gap.
+        h = capacity - n
         self._id_buf = np.empty(capacity, dtype=np.int64)
-        self._id_buf[:n] = ids
-        self._order_buf = np.arange(capacity, dtype=dtype)
-        self._members(n)
+        self._id_buf[h:] = ids
+        self._order_buf = np.arange(-h, n, dtype=dtype)  # the gap is never read
+        self._members(h, n)
+        del ids  # free the replaced id vector before the map adds to the peak
+        self._pos_buf = np.empty(capacity, dtype=dtype)
         self._free = list(range(capacity - 1, n - 1, -1))
         self._pos = None
         self._views()
 
     def _grow(self) -> None:
-        """Add spare rows to the finger table, the records and the two
-        membership buffers (the joining caller re-slices ``ids`` and
-        ``order``)."""
+        """Add spare rows to the finger table, the records, the position
+        map and the two membership buffers, behind the window (the
+        joining caller re-slices ``ids`` and ``order``)."""
         old = len(self.fingers)
         extra = self._capacity(old) - old
 
@@ -234,15 +247,17 @@ class CompactChordRing:
 
         self.fingers, self._rec = grown(self.fingers), grown(self._rec)
         self._id_buf, self._order_buf = grown(self._id_buf), grown(self._order_buf)
+        self._pos_buf = grown(self._pos_buf)
         self._free = list(range(old + extra - 1, old - 1, -1))
         self._views()
 
     def _positions(self) -> np.ndarray:
-        """The slot -> position map lookups leave through (built after
-        each batch of churn; the tables first, if there are none)."""
+        """The slot -> position map lookups leave through (rewritten in
+        its buffer after each batch of churn; the tables first, if there
+        are none)."""
         if self.fingers is None:
             self.build_fingers()
-        pos = np.empty(len(self.fingers), dtype=self.order.dtype)
+        pos = self._pos_buf
         pos[self.order] = np.arange(self.order.size, dtype=pos.dtype)
         self._pos = pos
         return pos
@@ -272,10 +287,11 @@ class CompactChordRing:
 
     def state_bytes(self) -> int:
         """Bytes held by the flat ring state: the id and position -> slot
-        buffers (spare rows included), the slot -> position map, the
-        finger table and the slot records."""
-        pos = self._positions() if self._pos is None else self._pos
-        arrays = (self._id_buf, self._order_buf, pos, self.fingers, self._rec)
+        buffers, the slot -> position map, the finger table and the slot
+        records, spare rows included."""
+        if self.fingers is None:
+            self.build_fingers()
+        arrays = (self._id_buf, self._order_buf, self._pos_buf, self.fingers, self._rec)
         return sum(int(a.nbytes) for a in arrays)
 
     # ------------------------------------------------------------------
@@ -309,19 +325,21 @@ class CompactChordRing:
         while True:
             r = 3 * cur
             dist_key = (key - cur_id) % size  # > 0: cur does not own key
-            nxt, nxt_id = rec[r + 2], rec[r + 1]
-            if dist_key <= (nxt_id - cur_id) % size:
-                return pos.item(nxt), hops
+            if dist_key <= (rec[r + 1] - cur_id) % size:
+                return pos.item(rec[r + 2]), hops
             # Closest preceding finger: highest finger in (cur, key).  A
             # level-j finger sits at clockwise distance >= 2**j, so levels
-            # with 2**j >= dist_key cannot pass the test below.
-            for j in range((dist_key - 1).bit_length() - 1, -1, -1):
+            # with 2**j >= dist_key cannot pass the test below.  Level 0
+            # is the successor, which lies in (cur, key) here, so the
+            # countdown stops by then.
+            j = (dist_key - 1).bit_length() - 1
+            f = fingers[cur, j]
+            f_id = rec[3 * f]
+            while not 0 < (f_id - cur_id) % size < dist_key:
+                j -= 1
                 f = fingers[cur, j]
                 f_id = rec[3 * f]
-                if 0 < (f_id - cur_id) % size < dist_key:
-                    nxt, nxt_id = f, f_id
-                    break
-            cur, cur_id = nxt, nxt_id
+            cur, cur_id = f, f_id
             hops += 1
 
     def measure_lookups(
@@ -359,12 +377,19 @@ class CompactChordRing:
         if not self._free:
             self._grow()
         slot = self._free.pop()
-        n = self.ids.size + 1
-        ids, order = self._id_buf[:n], self._order_buf[:n]
-        ids[p + 1 :] = ids[p:-1]
-        order[p + 1 :] = order[p:-1]
+        h, n = self._head, self.ids.size
+        if h == 0:
+            # The front gap is used up: move the window to the back (a
+            # free slot means n < capacity, so that opens a gap).
+            h = len(self._id_buf) - n
+            self._id_buf[h:] = self._id_buf[:n]
+            self._order_buf[h:] = self._order_buf[:n]
+        h, n = h - 1, n + 1
+        ids, order = self._id_buf[h : h + n], self._order_buf[h : h + n]
+        ids[:p] = ids[1 : p + 1]
+        order[:p] = order[1 : p + 1]
         ids[p], order[p] = node_id, slot
-        self._members(n)
+        self._members(h, n)
         targets = (node_id + self._steps) % self.size
         self.fingers[slot] = order[np.searchsorted(ids, targets) % n]
         self._rec[slot] = node_id, ids.item((p + 1) % n), order.item((p + 1) % n)
@@ -378,11 +403,11 @@ class CompactChordRing:
         if self.fingers is None:
             self.build_fingers()
         self._free.append(self.order.item(p))
-        n = self.ids.size - 1
-        ids, order = self._id_buf[: n + 1], self._order_buf[: n + 1]
+        h, n = self._head, self.ids.size - 1
+        ids, order = self._id_buf[h : h + n + 1], self._order_buf[h : h + n + 1]
         ids[p:-1] = ids[p + 1 :]
         order[p:-1] = order[p + 1 :]
-        self._members(n)
+        self._members(h, n)
         self._adopt(p, node_id)
 
     def leave(self, node_id: int) -> None:

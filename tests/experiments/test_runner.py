@@ -8,8 +8,9 @@ import inspect
 import pytest
 
 from repro import cli
-from repro.experiments import runner
+from repro.experiments import common, figure4, latency, runner
 from repro.experiments.runner import FIGURES, run_figure, run_figures
+from tests.experiments.conftest import _run
 
 
 def _rendered(figure_id: str, result) -> str:
@@ -101,6 +102,46 @@ class TestEntryPointIdentity:
     @pytest.mark.parametrize("figure_id", ["theorems", "latency", "fig5b", "fig6b"])
     def test_one_figure_renders_what_all_renders(self, figure_id, smoke_all, tiny_config):
         assert run_figure(figure_id, tiny_config).render() == smoke_all.result[figure_id].render()
+
+
+def _assert_run_writes_what_all_wrote(figure_ids, smoke_all, smoke, tree) -> None:
+    """``repro run FIGURE_IDS --scale smoke`` writes, for each id, the
+    bytes the session ``repro all`` tree holds."""
+    run = _run(["run", *figure_ids, "--scale", "smoke"], tree, smoke, "run")
+    for figure_id in figure_ids:
+        for suffix in (".csv", ".txt"):
+            name = f"{figure_id}{suffix}"
+            assert (run.tree / name).read_bytes() == (smoke_all.tree / name).read_bytes(), name
+
+
+class TestOneOutputPerSeed:
+    """Each row builds its own service bundle.  ``all`` once threaded one
+    bundle from row to row, so ``theorems`` and ``latency`` had one output
+    inside ``all`` and another alone (the render-level check of one figure
+    alone is ``test_one_figure_renders_what_all_renders``)."""
+
+    def test_a_run_writes_what_all_wrote(self, smoke_all, tiny_config, tmp_path):
+        _assert_run_writes_what_all_wrote(["fig4a", "latency"], smoke_all, tiny_config, tmp_path)
+
+    def test_a_bundle_shared_by_two_rows_is_caught(
+        self, smoke_all, tiny_config, tmp_path, plant
+    ):
+        # The planted bug: rows that ask for the same bundle get one object,
+        # so ``latency`` routes on the bundle ``fig4a`` already queried.
+        bundles = {}
+
+        def shared(config, **kwargs):
+            key = (config, tuple(sorted(kwargs.items())))
+            if key not in bundles:
+                bundles[key] = common.build_services(config, **kwargs)
+            return bundles[key]
+
+        for module in (figure4, latency):
+            plant(module, "build_services", shared)
+        with pytest.raises(AssertionError, match="latency"):
+            _assert_run_writes_what_all_wrote(
+                ["fig4a", "latency"], smoke_all, tiny_config, tmp_path
+            )
 
 
 class TestRunOnce:

@@ -317,12 +317,14 @@ class TestLookupBuffers:
     def test_no_replaced_array_outlives_the_churn(self, repair):
         # Churn replaces no array: it shifts the id and position -> slot
         # buffers in place and re-slices ``ids`` / ``order`` as read-only
-        # views of them, and it patches the finger table and the slot
-        # records, the only arrays views are stored over.  So 20 join /
-        # leave pairs on 200k nodes allocate less than one ``order`` copy.
+        # views of their live window, it patches the finger table and the
+        # slot records, the only arrays views are stored over, and the
+        # next lookup or sweep rewrites the slot -> position map in its
+        # buffer.  So 20 join / leave pairs on 200k nodes allocate less
+        # than one ``order`` copy.
         ring = CompactChordRing.sampled(200_000, seed=1)
         ring.lookup(0, 5)
-        tables = ring.fingers, ring._rec
+        tables = ring.fingers, ring._rec, ring._pos
         buffers = ring._id_buf, ring._order_buf
         views = [v for v in vars(ring).values() if isinstance(v, memoryview)]
         assert len(views) == 2
@@ -343,17 +345,40 @@ class TestLookupBuffers:
         else:
             ring.stabilize_all()
         assert ring.fingers is tables[0] and ring._rec is tables[1]
+        assert ring._pos is tables[2] and ring._pos_buf is tables[2]
         for view, buffer in zip((ring.ids, ring.order), buffers):
             assert view.base is buffer and view.size == ring.num_nodes == 200_000
             assert not view.flags.writeable
 
+    def test_a_window_move_allocates_no_copy(self):
+        # Once joins have used up the front gap, the next join moves the
+        # live window to the back of its buffers in place.
+        ring = CompactChordRing.sampled(20_000, seed=1)
+        ring.lookup(0, 5)
+        rng = np.random.default_rng(3)
+        joiners = iter(np.setdiff1d(rng.integers(ring.size, size=1_000), ring.ids).tolist())
+        buffers = ring._id_buf, ring._order_buf
+        while ring._head:
+            ring.join(next(joiners))
+            ring.leave(int(ring.ids[rng.integers(ring.num_nodes)]))
+        tracemalloc.start()
+        try:
+            ring.join(next(joiners))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.order.nbytes
+        assert ring._head == len(ring._id_buf) - ring.num_nodes
+        assert ring.ids.base is buffers[0] and ring.order.base is buffers[1]
+        assert ring.lookup(3, 77)[0] == ring.owner_index(77)
+
     def test_a_grown_table_frees_the_old_one(self):
-        # Joins past the spare rows replace both slot tables and both
-        # membership buffers; the stored views and ``ids`` / ``order``
-        # move with them.
+        # Joins past the spare rows replace both slot tables, the
+        # position map and both membership buffers; the stored views and
+        # ``ids`` / ``order`` move with them.
         ring = CompactChordRing.sampled(200, seed=1)
         ring.lookup(0, 5)
-        arrays = ring.fingers, ring._rec, ring._id_buf, ring._order_buf
+        arrays = ring.fingers, ring._rec, ring._pos_buf, ring._id_buf, ring._order_buf
         old = [weakref.ref(a) for a in arrays]
         del arrays
         free = np.setdiff1d(np.arange(ring.size), ring.ids)[:10].tolist()
@@ -361,9 +386,11 @@ class TestLookupBuffers:
             ring.join(node_id)
         capacity = len(ring.fingers)
         assert capacity > 200 + 200 // 64 + 1
-        assert len(ring._rec) == len(ring._id_buf) == len(ring._order_buf) == capacity
+        buffers = ring._rec, ring._pos_buf, ring._id_buf, ring._order_buf
+        assert [len(b) for b in buffers] == [capacity] * 4
         assert ring.ids.base is ring._id_buf and ring.order.base is ring._order_buf
         assert ring.lookup(0, free[-1])[0] == ring.index_of(free[-1])
+        assert ring._pos is ring._pos_buf
         gc.collect()
         assert all(ref() is None for ref in old)
 
@@ -476,12 +503,20 @@ class TestCompactChordRingValidation:
         # 100 nodes in 102 slots (100 // 64 + 1 spare): the int64 id
         # buffer, int32 position -> slot buffer and slot -> position map,
         # an int32 finger table and int64 ``[id, successor id, successor
-        # slot]`` records, every one with the spare rows.
+        # slot]`` records, every one with the spare rows.  Those are all
+        # the arrays the ring holds that own their memory, apart from the
+        # ``bits`` per-level steps.
         ring = CompactChordRing.sampled(100, seed=1)
         slots, row = 102, ring.bits * 4
         expected = slots * 8 + slots * 4 + slots * 4 + slots * row + slots * 3 * 8
         assert ring.state_bytes() == expected
         assert ring.fingers.shape == (slots, ring.bits)
+        ring.lookup(0, 5)
+        held = {
+            id(a): a for a in vars(ring).values()
+            if isinstance(a, np.ndarray) and a.base is None and a is not ring._steps
+        }
+        assert sum(a.nbytes for a in held.values()) == expected == ring.state_bytes()
 
 
 if __name__ == "__main__":

@@ -15,10 +15,11 @@ is never called again once the ring is built.
 
 Each patch step is load-bearing: ``PLANTS`` drops or bends one per row
 (the joiner's row or record, the predecessor relink, the arc re-point or
-its wrap branch, the slot reuse, the table growth, its stored views and
-its membership buffers, the position-map reset, the in-place shift of
-``order`` on a join and of ``ids`` on a departure) and a seeded drive of
-:class:`Driver` must fail.
+its wrap branch, the slot reuse, the table growth, its stored views, its
+membership buffers and its position map, the position-map reset, the
+join's prefix shift of ``order`` into the front gap, the window move
+once that gap is used up, and the departure's shift of ``ids``) and a
+seeded drive of :class:`Driver` must fail.
 """
 
 from __future__ import annotations
@@ -200,6 +201,22 @@ class TestNamedBatches:
         )
         assert driver.ring.ids.tolist() == [200]
 
+    def test_joins_that_use_up_the_front_gap_move_the_window(self):
+        # 60 nodes in 61 slots: the window starts one entry into its
+        # buffers, so the first join uses up the front gap, and the join
+        # after a departure (a free slot, no growth) moves the window to
+        # the back before it shifts the prefix.
+        ids = self.ids()
+        gaps = [a + 1 for a, b in zip(ids, ids[1:]) if b - a >= 2]
+        driver = Driver(self.BITS, ids)
+        ring = driver.ring
+        assert ring._head == 1
+        driver.run([("join", gaps[2]), ("leave", 30)])
+        assert ring._head == 0 and len(ring.fingers) == 61
+        driver.run([("join", gaps[-3]), ("lookup", 4), ("join", gaps[-2])])
+        assert len(ring.fingers) > 61
+        assert ring.ids.base is ring._id_buf and ring.order.base is ring._order_buf
+
     def test_joins_past_the_spare_rows_grow_the_table(self):
         # 60 nodes in 60 + 0 + 1 slots: the second join finds no free
         # slot.  The lookups route on the grown table's stored views.
@@ -225,7 +242,9 @@ PLANTS = [
         "grown-buffers", "_grow",
         ("self._id_buf, self._order_buf = grown(self._id_buf), grown(self._order_buf)", "pass"),
     ),
-    ("join-order-shift", "join", ("order[p + 1 :] = order[p:-1]", "pass")),
+    ("position-map-grown", "_grow", ("self._pos_buf = grown(self._pos_buf)", "pass")),
+    ("join-order-shift", "join", ("order[:p] = order[1 : p + 1]", "pass")),
+    ("window-move", "join", ("if h == 0:", "if False:")),
     ("departure-ids-shift", "_depart", ("ids[p:-1] = ids[p + 1 :]", "pass")),
 ]
 
@@ -246,7 +265,9 @@ def seeded_drive(seed: int = 5, events: int = 80) -> Driver:
 )
 def test_planted_patch_step_is_caught(method, edit, plant):
     plant(CompactChordRing, method, [edit])
-    with pytest.raises((AssertionError, IndexError)):
+    # A crash counts as caught: an index past a buffer (IndexError) or a
+    # window slice that no longer fits its buffer (numpy's ValueError).
+    with pytest.raises((AssertionError, IndexError, ValueError)):
         seeded_drive()
 
 
