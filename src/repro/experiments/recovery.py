@@ -9,9 +9,11 @@ instead of the seed's free global sweeps.  Two entry points:
 * :func:`run_chaos_demo` — the acceptance scenario.  All four systems
   live through the same seeded :data:`~repro.sim.chaos.DEMO_SCENARIO`
   twice: once under the default budget (every fault must heal — finite
-  time-to-reconverge) and once under ``budget=0`` (the crash burst's
-  replica deficit must *persist*, proving the harness detects
-  non-recovery rather than assuming it).
+  time-to-reconverge) and once under ``budget=0`` without the flap (the
+  crash burst's replica deficit must *persist*, proving the harness
+  detects non-recovery rather than assuming it; the flap's rejoin is left
+  out because a join hands the rejoiner its copies, which is repair at
+  the membership level).
 * :func:`run_recovery` — the sweep figure: time-to-reconverge as a
   function of the maintenance-round interval, per approach × background
   churn rate R.
@@ -23,7 +25,7 @@ reports on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.analysis.models import AnalysisCurve
@@ -145,14 +147,16 @@ class ChaosDemoResult:
     figure: FigureResult
     #: service name -> tracker, under the default budget.
     budgeted: dict = field(default_factory=dict)
-    #: service name -> tracker, under ZERO_BUDGET.
+    #: service name -> tracker, under ZERO_BUDGET and the scenario less
+    #: its flaps.
     unbudgeted: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         """The demo's contract: every system heals under the default
-        budget, *no* system heals with maintenance disabled, and every
-        system's availability visibly dipped during the faults."""
+        budget, *no* system heals from the partition and the burst with
+        maintenance disabled, and every system's availability visibly
+        dipped during the faults."""
         if not self.budgeted or not self.unbudgeted:
             return False
         healed = all(t.reconverged for t in self.budgeted.values())
@@ -198,8 +202,10 @@ class ChaosDemoResult:
 def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
     """The seeded acceptance demo over all four systems.
 
-    One bundle per budget regime (identical seeds, so the two runs differ
-    *only* in maintenance), the same scenario installed on every service.
+    One bundle per budget regime (identical seeds), the same scenario
+    installed on every service; the ``budget=0`` control drops the
+    scenario's flaps, since a rejoin refills the rejoiner's copies, so the
+    two runs differ in maintenance and in that one rejoin.
     """
     scenario = DEMO_SCENARIO
     interval = min(config.maintenance_intervals)
@@ -211,15 +217,17 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
         y_label="Fraction of probe queries answered exactly",
     )
     result = ChaosDemoResult(figure=figure)
-    for budget, into in ((DEFAULT_BUDGET, result.budgeted),
-                         (ZERO_BUDGET, result.unbudgeted)):
+    for budget, into, faults in (
+        (DEFAULT_BUDGET, result.budgeted, scenario),
+        (ZERO_BUDGET, result.unbudgeted, replace(scenario, flaps=())),
+    ):
         bundle = build_services(
             config, register=True, durability=successor_replication(REPLICATION)
         )
         cases = query_cases(bundle, config.num_recovery_queries, "recovery")
         for service in bundle.all():
             tracker = chaos_trial(
-                service, cases, scenario,
+                service, cases, faults,
                 budget=budget,
                 interval=interval,
                 horizon=horizon,
@@ -241,8 +249,9 @@ def run_chaos_demo(config: ExperimentConfig) -> ChaosDemoResult:
     )
     figure.notes.append(
         "Recovery = structural invariants clean, replica deficit zero and "
-        "probe availability back to 1.0.  The budget=0 control run must "
-        "NOT reconverge (the crash burst's replica deficit persists), "
+        "probe availability back to 1.0.  The budget=0 control run, the "
+        "same timeline without the flap (a rejoin refills its own copies), "
+        "must NOT reconverge (the crash burst's replica deficit persists), "
         "proving non-recovery is detectable, not assumed."
     )
     return result

@@ -27,7 +27,6 @@ lines in the simulator.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from typing import Any
 
@@ -44,7 +43,7 @@ from repro.sim.durability import (
     successor_replication,
 )
 from repro.sim.faults import DEFAULT_POLICY, LookupPolicy
-from repro.sim.maintenance import RepairProgress, repair_buckets
+from repro.sim.maintenance import RepairProgress, place_bucket, repair_buckets
 from repro.sim.network import SimulatedNetwork
 from repro.utils.validation import require
 
@@ -495,8 +494,8 @@ class Overlay:
     # Churn: the depart half (``join`` is geometry)
     # ------------------------------------------------------------------
     def leave(self, node_id: Any) -> None:
-        """Graceful departure: keys hand off to their heirs, neighbours
-        repair.
+        """Graceful departure: every bucket hands off to its new replica
+        set, neighbours repair.
 
         Matches the paper's churn model, in which "there were no failures in
         all test cases" — departures hand their state off before leaving.
@@ -525,31 +524,42 @@ class Overlay:
         self._membership_remove(node_id)
         node.alive = False
         if handover:
-            for (namespace, key_id), bucket in node.buckets():
-                # With replication the heir usually holds replica copies
-                # already; top up to the departing node's count instead of
-                # duplicating, so identical items stay distinct pieces.
-                heir = self._heir(node, key_id)
-                if len(bucket) == 1:
-                    # The common bucket: the top-up is one membership test.
-                    item = bucket[0]
-                    if not heir.holds(namespace, key_id, item):
-                        heir.store(namespace, key_id, item)
-                    continue
-                held = Counter(heir.items_at(namespace, key_id))
-                for item, count in Counter(bucket).items():
-                    for _ in range(count - held[item]):
-                        heir.store(namespace, key_id, item)
+            # The leaver stands for the old replica set of every bucket it
+            # held: a leave drops it from a set and changes nothing else.
+            keys = [bucket_key for bucket_key, _ in node.buckets()]
+            self._place_after(keys, {key_id: (node,) for _, key_id in keys})
             self.network.count_maintenance(2)  # departure notifications
         # A crashed node's memory is simply gone; neighbours detect the
         # failure via timeouts and repair locally.
         node.clear_storage()
         self._repair_neighbourhood(node)
 
-    def _heir(self, node: OverlayNode, key_id: int) -> OverlayNode:
-        """Who receives departing ``node``'s bucket ``key_id``: by default
-        the key's new owner."""
-        return self.owner_of(key_id)
+    def _replica_sets(self, nodes: Iterable[OverlayNode]) -> tuple[list, dict]:
+        """The buckets ``nodes`` hold, each once, in store order, and the
+        replica set of each key id among them: what a join reads before it
+        changes the membership."""
+        keys = list(dict.fromkeys(key for node in nodes for key, _ in node.buckets()))
+        return keys, {key_id: self.replica_set_of(key_id) for _, key_id in set(keys)}
+
+    def _place_after(self, keys: list, before: dict) -> int:
+        """Run :func:`~repro.sim.maintenance.place_bucket` after a join or
+        graceful leave over each bucket of ``keys`` whose replica set
+        changed, over its set before the event (``before``, by key id) and
+        its set now; returns the copies moved.  Each set is resolved once
+        per key id, and a node in neither set is left as it is."""
+        threshold = self.durability.threshold
+        after = {key_id: self.replica_set_of(key_id) for key_id in before}
+        moved = 0
+        for bucket_key in keys:
+            old, new = before[bucket_key[1]], after[bucket_key[1]]
+            if old != new:
+                holders = [
+                    (node, bucket)
+                    for node in (*old, *[node for node in new if node not in old])
+                    if (bucket := node.items_at(*bucket_key))
+                ]
+                moved += place_bucket(bucket_key, holders, new, threshold)
+        return moved
 
     # ------------------------------------------------------------------
     # Maintenance

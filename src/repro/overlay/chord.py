@@ -595,7 +595,8 @@ class ChordRing(Overlay):
     # Churn
     # ------------------------------------------------------------------
     def join(self, node_id: int) -> ChordNode:
-        """A new node joins: takes over its key sector from its successor.
+        """A new node joins: every bucket of its successor's whose replica
+        set it enters moves onto the new set (:meth:`_place_after`).
 
         Models Chord's join: the newcomer builds correct routing state, its
         neighbours learn about it immediately (predecessor/successor
@@ -605,6 +606,9 @@ class ChordRing(Overlay):
         node_id = self._normalize_id(node_id)
         require(node_id not in self._nodes, f"node {node_id} already present")
         had_members = bool(self._sorted_ids)
+        if had_members:
+            # The joiner splits the arc of its successor-to-be.
+            keys, before = self._replica_sets([self.successor_of(node_id)])
         node = ChordNode(node_id, self.bits, self._arcs)
         self._nodes[node_id] = node
         self._membership_add(node_id)
@@ -612,17 +616,8 @@ class ChordRing(Overlay):
         self.network.count_maintenance(self.bits)  # building its state
 
         if had_members:
-            succ = self.successor_of(node_id + 1)
-            # Transfer the buckets the newcomer is now responsible for.
-            if succ is not node:
-                moved = False
-                for (namespace, key_id), _ in succ.buckets():
-                    if self.successor_of(key_id) is node:
-                        for item in succ.remove_items(namespace, key_id):
-                            node.store(namespace, key_id, item)
-                        moved = True
-                if moved:
-                    self.network.count_maintenance(1)
+            if self._place_after(keys, before):
+                self.network.count_maintenance(1)  # one transfer
             self._repair_neighbourhood(node)
         return node
 
@@ -694,10 +689,6 @@ class ChordRing(Overlay):
                 stale.update(ids[:hi])
         for offset in range(-reach, reach + 1):
             stale.add(ids[(at + offset) % n])
-
-    def _heir(self, node: ChordNode, key_id: int) -> ChordNode:
-        """A departing node's keys all move to its successor."""
-        return self.successor_of(node.node_id)
 
     def _repair_neighbourhood(self, node: ChordNode) -> None:
         """Refresh routing state of nodes adjacent to a membership change."""

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from collections import Counter
 from collections.abc import Iterable
 from operator import itemgetter
 from typing import NamedTuple
@@ -683,59 +682,42 @@ class CycloidOverlay(Overlay):
         clockwise in its cluster — the intra-cluster holders of the native
         placement."""
         owner = self.closest_node(key)
-        members = self.cluster_members(owner.a)
-        idx = bisect.bisect_left(self._clusters[owner.a], owner.k)
-        count = min(count, len(members))
-        return [members[(idx + offset) % len(members)] for offset in range(count)]
+        ks = self._clusters[owner.a]
+        at = bisect.bisect_left(ks, owner.k)
+        return [owner] + [
+            self._nodes[CycloidId(ks[(at + offset) % len(ks)], owner.a)]
+            for offset in range(1, min(count, len(ks)))
+        ]
 
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
     def join(self, cid: CycloidId) -> CycloidNode:
-        """A new node joins and takes over the keys now closest to it."""
+        """A new node joins; every bucket whose replica set it enters moves
+        onto the new set (:meth:`_place_after`)."""
         cid = self._normalize_id(cid)
         require(cid not in self._nodes, f"node {cid} already present")
         node = CycloidNode(cid, self._arcs)
         had_members = bool(self._nodes)
+        if had_members:
+            # Keys the newcomer takes over may sit on its own cluster's
+            # members (intra-cluster redistribution) and on the nearest
+            # non-empty cluster on either side (keys whose target cluster
+            # was empty and had been pushed outward).
+            donors = self.cluster_members(cid.a)
+            for direction in (-1, +1):
+                adjacent = self._cluster_neighbor(cid.a, direction)
+                if adjacent is not None and adjacent != cid.a:
+                    donors.extend(self.cluster_members(adjacent))
+            keys, before = self._replica_sets(donors)
 
         self._nodes[cid] = node
         self._membership_add(cid)
 
         self._refresh_routing_state(node)
         self.network.count_maintenance(7)
-        if had_members:
-            # Keys the newcomer now owns may sit on several donors: its own
-            # cluster's members (intra-cluster redistribution) and the
-            # nearest non-empty cluster on either side (keys whose target
-            # cluster was empty and had been pushed outward).
-            donors: list[CycloidNode] = [
-                member for member in self.cluster_members(cid.a) if member is not node
-            ]
-            for direction in (-1, +1):
-                adjacent = self._cluster_neighbor(cid.a, direction)
-                if adjacent is not None and adjacent != cid.a:
-                    donors.extend(self.cluster_members(adjacent))
-            moved = 0
-            incoming: dict[tuple[str, int], Counter] = {}
-            for donor in donors:
-                for bucket_key, _ in donor.buckets():
-                    if self.owner_of(bucket_key[1]) is not node:
-                        continue
-                    pieces = Counter(donor.remove_items(*bucket_key))
-                    # Several donors can hold replica copies of the same
-                    # piece; merge with max so the newcomer receives each
-                    # piece's true multiplicity, not the sum over replicas.
-                    bucket = incoming.setdefault(bucket_key, Counter())
-                    for item, count in pieces.items():
-                        if count > bucket[item]:
-                            bucket[item] = count
-            for (namespace, key_id), pieces in incoming.items():
-                for item, count in pieces.items():
-                    for _ in range(count):
-                        node.store(namespace, key_id, item)
-                        moved += 1
-            if moved:
-                self.network.count_maintenance(1)
+        if had_members and self._place_after(keys, before):
+            self.network.count_maintenance(1)
         self._repair_neighbourhood(node)
         return node
 

@@ -317,10 +317,6 @@ class OverlayNode:
         buckets themselves are the node's own (read, do not edit)."""
         return list(self._store.items())
 
-    def holds(self, namespace: str, key_id: int, item: Any) -> bool:
-        """Whether a copy of ``item`` is stored under ``(namespace, key_id)``."""
-        return item in self._store.get((namespace, key_id), ())
-
     def bucket_counts(self) -> dict[tuple[str, int], Counter]:
         """Per ``(namespace, key_id)`` bucket, each stored item's copy count
         (what handover, repair and the placement checks reason over)."""

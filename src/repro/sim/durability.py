@@ -205,10 +205,6 @@ class DurabilityPolicy:
         """Bytes stored per byte of data when fully placed (r, or (k+m)/k)."""
         return self.fragments / self.threshold
 
-    @property
-    def is_erasure(self) -> bool:
-        return self.threshold > 1
-
     def holders(self, overlay: Any, key_id: int) -> list:
         """The nodes that should hold ``key_id``'s fragments, owner first."""
         return self.placement.holders(overlay, key_id, self.fragments)

@@ -13,9 +13,10 @@ checkable invariants and makes them cheap to run after every churn event:
   joins, graceful leaves, stabilization rounds and replica repair must
   conserve every piece exactly, while a crash may only lose pieces, never
   invent them;
-* **replica placement** — immediately after ``repair_replication`` every
-  piece sits on exactly its replica set, with identical per-key contents
-  on every holder.
+* **replica placement** — every piece sits on exactly its replica set,
+  with identical per-key contents on every holder: after
+  ``repair_replication``, and after a join or graceful leave that starts
+  placed.
 
 Census semantics: the multiplicity of a piece is the *maximum* per-node
 copy count.  Replicas of one piece therefore count once, while genuinely
@@ -174,13 +175,16 @@ def overlay_of(service: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Replica placement (strict; valid immediately after repair_replication)
+# Replica placement
 # ----------------------------------------------------------------------
 def check_replica_placement(overlay: Any) -> None:
     """Every stored key sits on exactly its replica set, identically.
 
-    Only guaranteed immediately after ``repair_replication`` — between
-    repairs, churn legitimately leaves copies on stale holders.
+    Holds after ``repair_replication``, and a join or graceful leave keeps
+    it (each moved bucket goes through
+    :func:`~repro.sim.maintenance.place_bucket`); a crash breaks it by
+    leaving replica sets short of copies until repair, and so do copies
+    placed off the set on purpose (hot-directory replicas).
     """
     holders: dict[tuple[str, int], dict[Any, Counter]] = {}
     for node in list(overlay.nodes()):
@@ -222,14 +226,8 @@ class ChurnGuard:
     :class:`InvariantViolation` at the offending event.
 
     The census is taken under the overlay's durability policy, so for an
-    erasure-coded configuration it counts *decodable* pieces.  One
-    contract is weaker there: graceful joins and leaves merge the moving
-    node's fragments onto the new owner, so previously distinct holders
-    fate-share and decodability may legitimately drop until the next
-    repair re-spreads the fragments — under a decode threshold > 1 those
-    events are guarded as "may only lose" (like crashes) instead of
-    exact-conserving.  Repair and stabilization stay exact for every
-    policy.
+    erasure-coded configuration it counts *decodable* pieces; the contract
+    is the same under every policy.
     """
 
     #: Events that must conserve the directory census exactly.
@@ -240,10 +238,8 @@ class ChurnGuard:
         self.policy = self.overlay.durability
         #: Number of churn events validated so far.
         self.events = 0
-        fragments_fate_share = self.policy.is_erasure
         for name in self._CONSERVING:
-            exact = name == "stabilize" or not fragments_fate_share
-            setattr(service, name, self._guarded(getattr(service, name), exact=exact))
+            setattr(service, name, self._guarded(getattr(service, name), exact=True))
         service.churn_fail = self._guarded(service.churn_fail, exact=False)
         self.overlay.repair_replication = self._guarded(
             self.overlay.repair_replication, exact=True, placement=True

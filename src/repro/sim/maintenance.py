@@ -19,13 +19,15 @@ the round interval.  This module adds that cost model:
   :class:`~repro.sim.engine.Simulator` through a service's
   ``stabilize(budget)`` entry point (keeping churn-guard wrappers and
   accounting in the loop).
+* :func:`place_bucket` — the one rule for which copies a bucket's holders
+  keep, shared by repair and by the overlays' join / leave handover;
 * :func:`repair_buckets` — the shared incremental anti-entropy pass
   both overlays' ``repair_replication_step`` delegates to.
 
 Import discipline: this module is imported *by* ``repro.overlay`` (for
-:class:`RepairProgress` / :func:`repair_buckets`), so it must not import
-anything from ``repro.overlay`` or ``repro.baselines``; overlays and
-services are duck-typed.
+:class:`RepairProgress` / :func:`place_bucket` / :func:`repair_buckets`),
+so it must not import anything from ``repro.overlay`` or
+``repro.baselines``; overlays and services are duck-typed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = [
     "RepairProgress",
+    "place_bucket",
     "repair_buckets",
     "MaintenanceBudget",
     "DEFAULT_BUDGET",
@@ -69,6 +72,50 @@ class RepairProgress:
     next_after: tuple[str, int] | None
 
 
+def place_bucket(
+    bucket_key: tuple[str, int],
+    holders: Sequence[tuple[Any, Sequence[Any]]],
+    replicas: Sequence[Any],
+    threshold: int,
+) -> int:
+    """Leave one bucket's decodable level on every node of ``replicas`` and
+    no copy on the other ``holders`` (``(node, items it holds)`` pairs, a
+    copy per repeat); returns the copies added or removed.
+
+    Per item the level is :func:`~repro.sim.durability.decodable_level`
+    over the holders' counts: at threshold 1 the ``max`` merge (replica
+    copies count once, distinct identical pieces keep their multiplicity);
+    under an erasure code a piece with fewer than ``threshold`` fragments
+    is purged, never resurrected.  Repair runs it over every holder of a
+    bucket, a join or graceful leave over the bucket's replica sets before
+    and after the event (``Overlay._place_after``).
+    """
+    namespace, key_id = bucket_key
+    counts: dict[Any, list[int]] = {}
+    kept: dict[Any, dict] = {}
+    moved = 0
+    for node, bucket in holders:
+        # Most buckets hold one item, which a Counter would cost more to count.
+        held = Counter(bucket) if len(bucket) > 1 else {bucket[0]: 1}
+        for item, count in held.items():
+            counts.setdefault(item, []).append(count)
+        if node in replicas:
+            kept[node] = held
+        else:
+            node.remove_items(namespace, key_id)
+            moved += len(bucket)
+    for holder in replicas:
+        held = kept.get(holder)
+        for item, cs in counts.items():
+            delta = decodable_level(cs, threshold) - (held.get(item, 0) if held else 0)
+            for _ in range(delta):
+                holder.store(namespace, key_id, item)
+            for _ in range(-delta):
+                holder.remove_item(namespace, key_id, item)
+            moved += abs(delta)
+    return moved
+
+
 def repair_buckets(
     overlay: Any,
     replica_set_of: Callable[[int], Sequence[Any]],
@@ -80,19 +127,12 @@ def repair_buckets(
     """Anti-entropy repair of up to ``budget`` key buckets.
 
     A *bucket* is one ``(namespace, key_id)`` pair.  Buckets are visited
-    in sorted order starting strictly after the ``after`` cursor.  For
-    each visited bucket the surviving per-node copy counts reduce to the
-    piece's decodable level under ``policy`` (a
-    :class:`~repro.sim.durability.DurabilityPolicy`; ``None`` or a
-    decode threshold of 1 is the seed's ``max`` merge — replica copies
-    count once, genuinely distinct identical pieces keep their
-    multiplicity, the census convention of ``repair_replication``),
-    stray copies on nodes outside the current replica set are dropped,
-    and every replica-set member is set to exactly that level.  Under an
-    erasure policy (threshold > 1) that also means *purging* pieces with
-    fewer than ``k`` surviving fragments — repair never silently
-    resurrects undecodable data — and trimming members that hold more
-    fragments than the decodable level.  Copies actually added or
+    in sorted order starting strictly after the ``after`` cursor.  Each
+    visited bucket goes through :func:`place_bucket` over every node that
+    holds it, under ``policy``'s decode threshold (a
+    :class:`~repro.sim.durability.DurabilityPolicy`; ``None`` is 1): stray
+    copies outside the current replica set are dropped and every member
+    is set to exactly the decodable level.  Copies actually added or
     removed count as maintenance messages; a bucket already in its
     repaired state costs nothing.
 
@@ -106,51 +146,20 @@ def repair_buckets(
     threshold = 1 if policy is None else policy.threshold
 
     # Scan surviving copies, bucketed by (namespace, key_id).
-    holders: dict[tuple[str, int], list[tuple[Any, Counter]]] = {}
+    holders: dict[tuple[str, int], list[tuple[Any, Sequence[Any]]]] = {}
     for node in list(overlay.nodes()):
-        for bucket_key, pieces in node.bucket_counts().items():
-            holders.setdefault(bucket_key, []).append((node, pieces))
+        for bucket_key, bucket in node.buckets():
+            holders.setdefault(bucket_key, []).append((node, bucket))
 
     ordered = sorted(holders)
     start = 0 if after is None else bisect.bisect_right(ordered, after)
     selected = ordered[start:] if budget is None else ordered[start:start + budget]
 
     moved = 0
-    for namespace, key_id in selected:
-        bucket_holders = holders[(namespace, key_id)]
-        # Per item, the decodable level given all surviving holders (for
-        # threshold 1 exactly the max-merge; level 0 marks a dead piece
-        # whose remaining fragments must be purged).
-        counts: dict[Any, list[int]] = {}
-        for _node, pieces in bucket_holders:
-            for item, count in pieces.items():
-                counts.setdefault(item, []).append(count)
-        merged = {
-            item: decodable_level(cs, threshold) for item, cs in counts.items()
-        }
-        replicas = replica_set_of(key_id)
-        replica_ids = {id(r) for r in replicas}
-        # Drop stray copies that live outside the current replica set.
-        for node, pieces in bucket_holders:
-            if id(node) in replica_ids:
-                continue
-            for item, count in pieces.items():
-                for _ in range(count):
-                    node.remove_item(namespace, key_id, item)
-                moved += count
-        # Set every replica member to exactly the decodable level (a top
-        # up at threshold 1, where no holder can exceed the max; possibly
-        # a trim or purge under an erasure policy).
-        held_by = {id(node): pieces for node, pieces in bucket_holders}
-        for holder in replicas:
-            current = held_by.get(id(holder), Counter())
-            for item, target in merged.items():
-                delta = target - current[item]
-                for _ in range(delta):
-                    holder.store(namespace, key_id, item)
-                for _ in range(-delta):
-                    holder.remove_item(namespace, key_id, item)
-                moved += abs(delta)
+    for bucket_key in selected:
+        moved += place_bucket(
+            bucket_key, holders[bucket_key], replica_set_of(bucket_key[1]), threshold
+        )
     if moved:
         overlay.network.count_maintenance(moved)
 

@@ -1,6 +1,6 @@
 """Regression tests for churn-path state corruption and replica drift.
 
-Covers three fixed bugs:
+Covers four fixed bugs:
 
 * ``ChordRing.leave`` / ``fail`` popped the node from the membership
   indexes *before* the last-node guard, so a refused removal left the
@@ -8,19 +8,21 @@ Covers three fixed bugs:
 * ``repair_replication`` (both overlays) collapsed duplicate identical
   pieces to one copy while re-placing replicas;
 * ``CycloidOverlay.join`` summed the replica copies held by several
-  donors onto the newcomer, duplicating data under ``replication >= 2``.
-
-``TestDiscardAfterJoin`` pins one open bug as a strict xfail.
+  donors onto the newcomer, duplicating data under ``replication >= 2``;
+* a join left a copy off the replica set, which ``discard`` missed and
+  repair re-spread (``TestDiscardAfterJoin``).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.overlay.chord import ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
-from repro.sim.durability import successor_replication
-from repro.sim.invariants import check_overlay, directory_census
+from repro.sim.durability import parse_policy, successor_replication
+from repro.sim.invariants import check_overlay, check_replica_placement, directory_census
 
 
 def _small_ring(replication: int = 1) -> ChordRing:
@@ -120,16 +122,29 @@ class TestCycloidJoinTransfer:
 
 
 class TestDiscardAfterJoin:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a join leaves the second copy outside the replica set, which "
-        "discard misses and repair_replication re-spreads",
-    )
-    def test_discarded_piece_stays_gone(self):
-        ring = ChordRing(6, durability=successor_replication(2))
-        ring.build([0, 16, 32, 48])
-        ring.store("ns", 10, "x")  # on 16 and 32
-        ring.join(12)  # 12 takes 16's copy; 32's is now outside (12, 16)
-        ring.discard("ns", 10, "x")
-        ring.repair_replication()
-        assert not directory_census(ring)
+    """After joins every copy sits on its replica set, so a discard reaches
+    all of them and repair has nothing to re-spread."""
+
+    @pytest.mark.parametrize("spec", ["replication:2", "symmetric:2", "erasure:2+1"])
+    @pytest.mark.parametrize("kind", ["chord", "cycloid"])
+    def test_discarded_piece_stays_gone(self, kind, spec):
+        rng = random.Random(7)
+        if kind == "chord":
+            overlay = ChordRing(10, durability=parse_policy(spec))
+            ids, members, joins = list(range(1024)), 24, 17
+        else:
+            overlay = CycloidOverlay(4, durability=parse_policy(spec))
+            ids, members, joins = [CycloidId(k, a) for a in range(16) for k in range(4)], 30, 12
+        rng.shuffle(ids)
+        overlay.build(ids[:members])
+        for i in range(64):
+            overlay.store("ns", overlay.key_of(rng.randrange(overlay.id_space_size)), f"v{i % 40}")
+        overlay.repair_replication()
+        for node_id in ids[members:members + joins]:
+            overlay.join(node_id)
+        check_replica_placement(overlay)
+        for (namespace, key_id, item), count in directory_census(overlay).items():
+            for _ in range(count):
+                overlay.discard(namespace, overlay.key_of(key_id), item)
+        overlay.repair_replication()
+        assert not directory_census(overlay)

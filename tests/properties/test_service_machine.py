@@ -24,8 +24,8 @@ equal a fresh derivation (the membership machine's ``check_memos`` and
 ``check_arcs``).
 
 Write contract, as the membership machine states it: a withdrawal is
-exact only while every bucket sits on its replica set (a join leaves a
-stale replica behind, which a discard misses), so an info withdrawn
+exact only while every bucket sits on its replica set (after a crash a
+discard can miss a copy), so an info withdrawn
 otherwise may still be found (a *ghost*).  A fail may lose copies.  Hot
 replicas are copies the replicator places once and mirrors registrations
 onto: a withdrawal leaves them, and after a membership event or a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.overlay.chord import ChordRing
@@ -56,7 +58,6 @@ class TestPolicyConstruction:
         assert policy.threshold == 1
         assert policy.fragment_weight == 1.0
         assert policy.storage_overhead == 3.0
-        assert not policy.is_erasure
 
     def test_erasure_factors(self):
         policy = erasure_code(2, 1)
@@ -64,7 +65,6 @@ class TestPolicyConstruction:
         assert policy.threshold == 2
         assert policy.fragment_weight == 0.5
         assert policy.storage_overhead == 1.5
-        assert policy.is_erasure
 
     def test_zero_fragments_rejected(self):
         with pytest.raises(ValueError):
@@ -222,41 +222,35 @@ class TestCrashRejoinDeficit:
         assert timeline[2] == 0  # repair restored redundancy
         assert timeline[3] == 0  # the rejoin must not re-open the deficit
 
-    def test_rejoin_before_repair_keeps_the_deficit(self):
+    def test_rejoin_before_repair_refills_the_rejoiner(self):
         ring = _loaded_ring(successor_replication(2))
         ring.repair_replication()
         ring.fail(8)
-        wounded = replica_deficit(ring)
-        assert wounded > 0
-        ring.join(8)  # rejoins empty: redundancy is still missing
-        assert replica_deficit(ring) == wounded
-        ring.repair_replication()
+        assert replica_deficit(ring) > 0
+        # The join hands the rejoiner its copies back, before any repair.
+        ring.join(8)
         assert replica_deficit(ring) == 0
+        check_replica_placement(ring)
+        assert ring.repair_replication_step().copies_moved == 0
 
     def test_guarded_erasure_churn_cycle(self):
-        """Fragment fate-sharing on join/leave is guarded as lose-only."""
-
-        class _Service:
-            def __init__(self, overlay):
-                self.overlay = overlay
-
-            def churn_join(self):
-                return self.overlay.join(8)
-
-            def churn_leave(self):
-                return self.overlay.leave(9)
-
-            def churn_fail(self):
-                return self.overlay.fail(10)
-
-            def stabilize(self):
-                return self.overlay.stabilize_all()
-
+        """Joins and leaves conserve the decodable census exactly under an
+        erasure code too."""
         ring = _loaded_ring(erasure_code(2, 1))
         ring.repair_replication()
-        service = _Service(ring)
+        service = SimpleNamespace(
+            overlay=ring,
+            churn_join=lambda: ring.join(9),
+            churn_leave=lambda: ring.leave(9),
+            churn_fail=lambda: ring.fail(10),
+            stabilize=ring.stabilize_all,
+        )
         install_churn_guards(service)
+        census = directory_census(ring, ring.durability)
         service.churn_leave()
+        service.churn_join()
+        assert directory_census(ring, ring.durability) == census
+        check_replica_placement(ring)
         service.churn_fail()
         service.stabilize()
         ring.repair_replication()

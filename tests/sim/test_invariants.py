@@ -189,7 +189,7 @@ class TestCycloidConservation:
         overlay.repair_replication()
         assert directory_census(overlay) == before
 
-        # Re-join: several donors hold replica copies of the moved pieces;
-        # the join transfer must merge them (max), not sum them.
+        # Re-join: both surviving replicas hold the pieces; the joiner gets
+        # their decodable level (the max), not their sum.
         overlay.join(owner_cid)
         assert directory_census(overlay) == before

@@ -53,6 +53,9 @@ capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
 for gate in chaos durability tail hotspot tradeoff; do
     capture "$gate" "$gate" --smoke --seed 0 --out "$out/$gate"
 done
+# The durability sweep under an erasure code with every join, leave, fail
+# and repair guarded: joins and leaves must conserve the decodable census.
+capture durability-guarded durability --smoke --seed 0 --invariants --policies erasure:2+1
 capture availability availability --scale smoke --out "$out/availability"
 capture scale scale --smoke --seed 0 --out "$out/scale"
 # A long mixed join/leave/fail storm on the compact core: its per-event
