@@ -256,11 +256,7 @@ class DiscoveryService(ABC):
             for namespace, key in placements:
                 hops += overlay.routed_store(origin, namespace, key, info).hops
             self.metrics.record("register.hops", hops)
-        self._on_registered(info, placements)
         return hops
-
-    def _on_registered(self, info: ResourceInfo, placements: tuple) -> None:
-        """Called after ``info`` was stored under ``placements``."""
 
     def register_all(self, infos: Iterable[ResourceInfo]) -> None:
         """Bulk-load many infos, in order, unrouted (a routed load is
@@ -281,12 +277,9 @@ class DiscoveryService(ABC):
     def _placement_stream(self, infos: Iterable[ResourceInfo]) -> Iterator[tuple]:
         """``(namespace, key, info)`` per placement of each of ``infos``."""
         placements_of = self._placements
-        registered = self._on_registered
         for info in infos:
-            placements = placements_of(info)
-            for namespace, key in placements:
+            for namespace, key in placements_of(info):
                 yield namespace, key, info
-            registered(info, placements)
 
     def deregister(self, info: ResourceInfo) -> int:
         """Withdraw one previously registered info piece from every
@@ -701,12 +694,18 @@ class ChordBackedService(DiscoveryService):
         if replicator is None and self.hot_replicator is not None:
             self.hot_replicator.clear()
         self.hot_replicator = replicator
+        self._placers.clear()
 
-    def _on_registered(self, info: ResourceInfo, placements: tuple) -> None:
-        """Mirror the registration onto the attribute's hot replicas, under
-        its root key — an attribute-rooted binding's first placement."""
-        if self.hot_replicator is not None:
-            self.hot_replicator.on_register(info, placements[0][1])
+    def attr_placements(self, namespace: str, attribute: str) -> tuple:
+        """The ``(namespace, key)`` pairs of ``attribute``'s directory a
+        registration writes: one per :meth:`attr_store_keys` root, then
+        one per key the :attr:`hot_replicator` keeps a copy under (in its
+        own namespace)."""
+        roots = tuple((namespace, key) for key in self.attr_store_keys(attribute))
+        hot = self.hot_replicator
+        if hot is None:
+            return roots
+        return roots + tuple((hot.replica_namespace, key) for key in hot.holders(attribute))
 
     def attr_store_keys(self, attribute: str) -> tuple[int, ...]:
         """Every ring key a registration for ``attribute``'s directory
@@ -728,9 +727,9 @@ class ChordBackedService(DiscoveryService):
         Unmitigated, all three collapse to the native root.  Under a
         :attr:`salting` plan the requester's stable salted root is both
         route and directory key.  Under an attached
-        :attr:`hot_replicator`, a replicated attribute may route to a
-        replica node's own id while the directory key stays the native
-        root (replica copies live under the replicator's namespace).
+        :attr:`hot_replicator`, a replicated attribute may route to one of
+        its replica keys, which is also the directory key (replica copies
+        live under the replicator's namespace).
         """
         key = self.attr_key(attribute)
         if self.salting is not None:
@@ -742,7 +741,7 @@ class ChordBackedService(DiscoveryService):
         if self.hot_replicator is not None:
             target = self.hot_replicator.route_for(attribute, requester)
             if target is not None:
-                return target, self.hot_replicator.replica_namespace, key
+                return target, self.hot_replicator.replica_namespace, target
         return key, namespace, key
 
     def max_visited_per_subquery(self) -> int:

@@ -46,10 +46,10 @@ class MaanService(ChordBackedService):
         map.
 
         A salting plan spreads the attribute-map insertion over all ``S``
-        salted roots; the value map is untouched (its load spreads by
-        value hashing already).
+        salted roots, and hot replica keys add theirs; the value map is
+        untouched (its load spreads by value hashing already).
         """
-        roots = tuple((_ATTR_NS, key) for key in self.attr_store_keys(attribute))
+        roots = self.attr_placements(_ATTR_NS, attribute)
         value_hash = self.value_hash(attribute)
         return lambda value: (*roots, (_VALUE_NS, value_hash(value)))
 

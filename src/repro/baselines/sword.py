@@ -38,8 +38,8 @@ class SwordService(ChordBackedService):
     def _placer(self, attribute: str) -> Callable[[float], tuple]:
         """One insertion at the attribute root, ``successor(H(attribute))``
         — or one at each of the ``S`` salted roots under a salting plan —
-        whatever the value."""
-        roots = tuple((_NAMESPACE, key) for key in self.attr_store_keys(attribute))
+        plus one per hot replica key, whatever the value."""
+        roots = self.attr_placements(_NAMESPACE, attribute)
         return lambda value: roots
 
     # ------------------------------------------------------------------

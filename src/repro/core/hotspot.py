@@ -22,12 +22,16 @@ observer watches the per-attribute serve counts of each harvested
 :class:`~repro.sim.loadstats.LoadWindow`; an attribute whose window load
 exceeds ``TRIGGER_RATIO`` times the population-mean node load is *hot*
 and gets its directory copied to the next ``MAX_REPLICAS`` ring
-successors of its root.  Copies are charged as maintenance messages and
-capped per tick by the existing :class:`~repro.sim.maintenance.
-MaintenanceBudget` (``repair_keys``); an attribute that stays cold for
-``DECAY_WINDOWS`` consecutive windows has its replicas dropped.  Queries
-then spread reads over the root plus its live replicas with the same
-stable ``(attribute, requester)`` hash.
+successors of its root, each copy an ordinary bucket keyed by its
+holder's node id in the ``<namespace>:hot`` namespace.  Copies are
+charged as maintenance messages and capped per tick by the existing
+:class:`~repro.sim.maintenance.MaintenanceBudget` (``repair_keys``); an
+attribute that stays cold for ``DECAY_WINDOWS`` consecutive windows has
+its replicas dropped.  Queries then spread reads over the root plus its
+replica keys with the same stable ``(attribute, requester)`` hash.  The
+replica keys join the binding's placements, so registration and
+withdrawal write them, and join / leave handover and repair keep each
+copy on its key's replica set like any other bucket.
 """
 
 from __future__ import annotations
@@ -76,8 +80,9 @@ class DynamicReplicator:
     experiment loop calls :meth:`observe` with each harvested load window
     and :meth:`tick` with a maintenance budget to apply the pending
     copies.  The service consults :meth:`route_for` on every attribute
-    root read and :meth:`on_register` after every registration so replica
-    directories never go stale.
+    root read and places registrations under :meth:`holders` too, so
+    replica directories never go stale; where a copy lives is the
+    overlay's placement of its key.
     """
 
     #: An attribute is hot when its window serve count exceeds this many
@@ -94,7 +99,8 @@ class DynamicReplicator:
         self.replica_namespace = f"{namespace}:hot"
         #: Attributes currently marked hot (replicas wanted).
         self._desired: set[str] = set()
-        #: Placed replicas: attribute -> node ids holding a directory copy.
+        #: Placed replicas: attribute -> the keys its directory copies
+        #: are stored under (the holders' node ids at placement time).
         self._replicas: dict[str, list[int]] = {}
         #: Consecutive cold windows per replicated attribute.
         self._cold: dict[str, int] = {}
@@ -156,19 +162,22 @@ class DynamicReplicator:
             key = self.service.attr_key(attr)
             root = ring.successor_of(key)
             items = root.items_at(self.namespace, key)
-            targets = ring.native_holders(key, 1 + self.MAX_REPLICAS)[1:]
-            targets = [t for t in targets if t.node_id != root.node_id]
+            targets = [
+                t.node_id for t in ring.native_holders(key, 1 + self.MAX_REPLICAS)[1:]
+                if t is not root
+            ]
             if not targets:
                 continue
-            for target in targets:
-                for item in items:
-                    target.store(self.replica_namespace, key, item)
+            ring.store_all(
+                (self.replica_namespace, target, item) for target in targets for item in items
+            )
             copies = len(items) * len(targets)
             if copies:
                 ring.network.count_maintenance(copies)
             sent += copies
             created += 1
-            self._replicas[attr] = [t.node_id for t in targets]
+            self._replicas[attr] = targets
+            self.service._placers.pop(attr, None)
         dropped = self._drop_decayed()
         self.copies_sent += sent
         self.replicas_created += created
@@ -178,13 +187,12 @@ class DynamicReplicator:
         ring = self.service.ring
         dropped = 0
         for attr in list(self._replicas.keys() - self._desired):
-            key = self.service.attr_key(attr)
-            for node_id in self._replicas.pop(attr):
-                if node_id not in ring:
-                    continue
-                node = ring.node(node_id)
-                for item in node.items_at(self.replica_namespace, key):
-                    node.remove_item(self.replica_namespace, key, item)
+            for key in self._replicas.pop(attr):
+                # Another hot attribute may keep copies under the same key.
+                for holder in ring.replica_set_of(key):
+                    for item in holder.items_at(self.replica_namespace, key, attr):
+                        holder.remove_item(self.replica_namespace, key, item)
+            self.service._placers.pop(attr, None)
             self._cold.pop(attr, None)
             dropped += 1
         return dropped
@@ -197,19 +205,16 @@ class DynamicReplicator:
         self._cold.clear()
 
     # ------------------------------------------------------------------
-    # Query/registration hooks (hot paths while attached)
+    # Query hooks (hot paths while attached)
     # ------------------------------------------------------------------
     def holders(self, attribute: str) -> list[int]:
-        """Live replica node ids of ``attribute`` (empty if none)."""
-        placed = self._replicas.get(attribute)
-        if not placed:
-            return []
-        ring = self.service.ring
-        return [nid for nid in placed if nid in ring]
+        """The keys ``attribute``'s replica copies are stored under, each
+        read by routing to it (empty if none)."""
+        return self._replicas.get(attribute, [])
 
     def route_for(self, attribute: str, requester: str) -> int | None:
-        """The replica node id this requester should read — ``None`` for
-        the native root (no replicas, or the stable hash picked it)."""
+        """The replica key this requester should read — ``None`` for the
+        native root (no replicas, or the stable hash picked it)."""
         holders = self.holders(attribute)
         if not holders:
             return None
@@ -217,13 +222,3 @@ class DynamicReplicator:
         if pick == 0:
             return None
         return holders[pick - 1]
-
-    def on_register(self, info: Any, key: int) -> None:
-        """Mirror a fresh registration onto the attribute's replicas."""
-        holders = self.holders(info.attribute)
-        if not holders:
-            return
-        ring = self.service.ring
-        for node_id in holders:
-            ring.node(node_id).store(self.replica_namespace, key, info)
-        ring.network.count_maintenance(len(holders))

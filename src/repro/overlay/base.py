@@ -37,11 +37,7 @@ from repro.overlay.node import (
     WalkResult,
     trace_fault_step,
 )
-from repro.sim.durability import (
-    DurabilityPolicy,
-    decodable_level,
-    successor_replication,
-)
+from repro.sim.durability import DurabilityPolicy, successor_replication
 from repro.sim.faults import DEFAULT_POLICY, LookupPolicy
 from repro.sim.maintenance import RepairProgress, place_bucket, repair_buckets
 from repro.sim.network import SimulatedNetwork
@@ -435,41 +431,15 @@ class Overlay:
     def repair_replication(self) -> int:
         """Restore every key to exactly its replica set; returns copies moved.
 
-        Models the periodic replica-maintenance pass: after
-        joins/leaves/failures, each surviving piece is re-homed so every
-        member of the policy's holder set carries it (and nobody else
-        does).  Surviving per-holder counts reduce through
-        :func:`~repro.sim.durability.decodable_level` — at the default
-        decode threshold of 1 that is the seed's ``max`` merge (a node's
-        own copy count is a piece's true multiplicity; replicas mirror
-        it, so identical items stay distinct pieces without replica
-        copies multiplying back in), while an erasure policy re-homes
-        only pieces with at least ``k`` surviving fragments and *purges*
-        undecodable fragments rather than resurrecting lost data.
+        Models the periodic replica-maintenance pass after joins, leaves
+        and failures: :func:`~repro.sim.maintenance.place_bucket` over
+        every bucket, which is :meth:`repair_replication_step` without a
+        budget, called directly so that a churn guard checks the sweep
+        once.  Only copies added or removed count, as maintenance
+        messages; an erasure policy purges undecodable fragments rather
+        than resurrecting lost data.
         """
-        threshold = self.durability.threshold
-        surviving: dict[tuple[str, int], dict[Any, list[int]]] = {}
-        for node in list(self.nodes()):
-            held = node.bucket_counts()
-            node.clear_storage()
-            for bucket_key, pieces in held.items():
-                bucket = surviving.setdefault(bucket_key, {})
-                for item, count in pieces.items():
-                    bucket.setdefault(item, []).append(count)
-        moved = 0
-        for (namespace, key_id), pieces in surviving.items():
-            replicas = self.replica_set_of(key_id)
-            for item, counts in pieces.items():
-                level = decodable_level(counts, threshold)
-                if level == 0:
-                    continue
-                for holder in replicas:
-                    for _ in range(level):
-                        holder.store(namespace, key_id, item)
-                    moved += level
-        if moved:
-            self.network.count_maintenance(moved)
-        return moved
+        return repair_buckets(self).copies_moved
 
     def repair_replication_step(
         self,
@@ -486,9 +456,7 @@ class Overlay:
         :class:`~repro.sim.maintenance.RepairProgress` whose ``next_after``
         is the resume cursor (``None`` once the sweep wrapped).
         """
-        return repair_buckets(
-            self, self.replica_set_of, budget, after, policy=self.durability
-        )
+        return repair_buckets(self, budget, after)
 
     # ------------------------------------------------------------------
     # Churn: the depart half (``join`` is geometry)

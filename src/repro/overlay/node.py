@@ -319,7 +319,7 @@ class OverlayNode:
 
     def bucket_counts(self) -> dict[tuple[str, int], Counter]:
         """Per ``(namespace, key_id)`` bucket, each stored item's copy count
-        (what handover, repair and the placement checks reason over)."""
+        (what the placement check and the replica deficit reason over)."""
         return {bucket_key: Counter(bucket) for bucket_key, bucket in self._store.items()}
 
     def remove_items(self, namespace: str, key_id: int) -> list[Any]:

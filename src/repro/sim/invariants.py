@@ -183,8 +183,7 @@ def check_replica_placement(overlay: Any) -> None:
     Holds after ``repair_replication``, and a join or graceful leave keeps
     it (each moved bucket goes through
     :func:`~repro.sim.maintenance.place_bucket`); a crash breaks it by
-    leaving replica sets short of copies until repair, and so do copies
-    placed off the set on purpose (hot-directory replicas).
+    leaving replica sets short of copies until repair.
     """
     holders: dict[tuple[str, int], dict[Any, Counter]] = {}
     for node in list(overlay.nodes()):

@@ -21,8 +21,9 @@ the round interval.  This module adds that cost model:
   accounting in the loop).
 * :func:`place_bucket` — the one rule for which copies a bucket's holders
   keep, shared by repair and by the overlays' join / leave handover;
-* :func:`repair_buckets` — the shared incremental anti-entropy pass
-  both overlays' ``repair_replication_step`` delegates to.
+* :func:`repair_buckets` — the anti-entropy pass behind every overlay's
+  ``repair_replication_step`` and, over every bucket, its
+  ``repair_replication``.
 
 Import discipline: this module is imported *by* ``repro.overlay`` (for
 :class:`RepairProgress` / :func:`place_bucket` / :func:`repair_buckets`),
@@ -35,7 +36,7 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.sim.durability import decodable_level
 from repro.utils.validation import require
@@ -118,23 +119,19 @@ def place_bucket(
 
 def repair_buckets(
     overlay: Any,
-    replica_set_of: Callable[[int], Sequence[Any]],
     budget: int | None = None,
     after: tuple[str, int] | None = None,
-    *,
-    policy: Any = None,
 ) -> RepairProgress:
     """Anti-entropy repair of up to ``budget`` key buckets.
 
     A *bucket* is one ``(namespace, key_id)`` pair.  Buckets are visited
     in sorted order starting strictly after the ``after`` cursor.  Each
     visited bucket goes through :func:`place_bucket` over every node that
-    holds it, under ``policy``'s decode threshold (a
-    :class:`~repro.sim.durability.DurabilityPolicy`; ``None`` is 1): stray
-    copies outside the current replica set are dropped and every member
-    is set to exactly the decodable level.  Copies actually added or
-    removed count as maintenance messages; a bucket already in its
-    repaired state costs nothing.
+    holds it, onto ``overlay.replica_set_of`` under the decode threshold
+    of ``overlay.durability``: stray copies outside the current replica
+    set are dropped and every member is set to exactly the decodable
+    level.  Copies actually added or removed count as maintenance
+    messages; a bucket already in its repaired state costs nothing.
 
     ``budget=None`` sweeps every bucket from the cursor to the end of
     the key space in one call; ``budget=0`` is a no-op that keeps the
@@ -143,7 +140,7 @@ def repair_buckets(
     require(budget is None or budget >= 0, "repair budget must be >= 0")
     if budget == 0:
         return RepairProgress(0, after)
-    threshold = 1 if policy is None else policy.threshold
+    threshold = overlay.durability.threshold
 
     # Scan surviving copies, bucketed by (namespace, key_id).
     holders: dict[tuple[str, int], list[tuple[Any, Sequence[Any]]]] = {}
@@ -158,7 +155,7 @@ def repair_buckets(
     moved = 0
     for bucket_key in selected:
         moved += place_bucket(
-            bucket_key, holders[bucket_key], replica_set_of(bucket_key[1]), threshold
+            bucket_key, holders[bucket_key], overlay.replica_set_of(bucket_key[1]), threshold
         )
     if moved:
         overlay.network.count_maintenance(moved)

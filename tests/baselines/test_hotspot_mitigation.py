@@ -116,6 +116,15 @@ class TestSaltedService:
         assert max(salt_load.serves.values()) < max(base_load.serves.values())
 
 
+def _hot_copies(service, attribute):
+    """Each hot replica key's directory copy, read at the key's owner."""
+    replicator = service.hot_replicator
+    return [
+        service.ring.successor_of(key).items_at(replicator.replica_namespace, key)
+        for key in replicator.holders(attribute)
+    ]
+
+
 @pytest.fixture()
 def fast_replicator(monkeypatch):
     """A faster-reacting replicator than the experiment's: hot at 2x the
@@ -163,11 +172,6 @@ class TestDynamicReplicator:
         targets = {replicator.route_for(attribute, f"req-{i:04d}") for i in range(30)}
         assert None in targets and len(targets) == 3
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="repair_replication re-homes the hot replicas to the root's "
-        "replica set, and replica reads then answer empty",
-    )
     def test_replicated_reads_survive_replica_repair(self, service):
         attribute = service.schema.specs[0].name
         _, _, _, before = self._replicate(service, attribute)
@@ -180,37 +184,33 @@ class TestDynamicReplicator:
         replicator, _, _, _ = self._replicate(service, attribute)
         info = ResourceInfo(attribute, 1.0, "fresh-provider")
         service.register(info, routed=False)
-        key = service.attr_key(attribute)
-        for node_id in replicator.holders(attribute):
-            items = service.ring.node(node_id).items_at(replicator.replica_namespace, key)
-            assert any(item.provider == "fresh-provider" for item in items)
+        assert all(info in copy for copy in _hot_copies(service, attribute))
+        service.deregister(info)
+        assert not any(info in copy for copy in _hot_copies(service, attribute))
 
     def test_departed_holder_is_skipped_until_it_rejoins(self, service):
         attribute = service.schema.specs[0].name
-        replicator, _, _, _ = self._replicate(service, attribute)
-        placed = replicator.holders(attribute)
-        gone = placed[0]
+        _, _, _, before = self._replicate(service, attribute)
+        gone = service.hot_replicator.holders(attribute)[0]
         service.ring.leave(gone)
         assert gone not in service.ring
-        assert replicator.holders(attribute) == placed[1:]
-        requesters = [f"req-{i:04d}" for i in range(30)]
-        assert gone not in {replicator.route_for(attribute, r) for r in requesters}
+        _, away = _hammer(service, attribute, 30)
         service.ring.join(gone)
         assert gone in service.ring
-        assert replicator.holders(attribute) == placed
-        assert gone in {replicator.route_for(attribute, r) for r in requesters}
+        _, back = _hammer(service, attribute, 30)
+        assert away == back == before
 
     def test_cold_windows_decay_replicas(self, service):
         attribute = service.schema.specs[0].name
         replicator, _, _, _ = self._replicate(service, attribute)
         stats = LoadStats()
         replicator.observe(stats.take_window(), service.num_nodes())  # cold window
+        assert all(_hot_copies(service, attribute))
         report = replicator.tick(MaintenanceBudget(0, 0, 10_000))
         assert report["dropped"] == 1
         assert replicator.holders(attribute) == []
-        key = service.attr_key(attribute)
         for node in service.ring.nodes():
-            assert not node.items_at(replicator.replica_namespace, key)
+            assert not node.directory_size(replicator.replica_namespace)
 
     def test_detach_clears_replicas(self, service):
         attribute = service.schema.specs[0].name

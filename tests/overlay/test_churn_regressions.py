@@ -84,7 +84,8 @@ class TestRepairMultiplicity:
         ring.store("ns", 5, "x")
         ring.store("ns", 5, "x")
         before = directory_census(ring)
-        ring.repair_replication()
+        ring.fail(9)  # the owner: repair re-spreads both copies
+        assert ring.repair_replication() == 2
         assert directory_census(ring) == before
         for holder in ring.replica_set_of(5):
             assert holder.items_at("ns", 5) == ["x", "x"]
@@ -96,7 +97,8 @@ class TestRepairMultiplicity:
         overlay.store("ns", key, "x")
         overlay.store("ns", key, "x")
         before = directory_census(overlay)
-        overlay.repair_replication()
+        overlay.fail(key)  # the owner: repair re-spreads both copies
+        assert overlay.repair_replication() == 2
         assert directory_census(overlay) == before
         key_id = overlay.linearize(key)
         for holder in overlay.replica_set_of(overlay.key_id(key)):

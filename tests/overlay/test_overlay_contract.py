@@ -24,6 +24,7 @@ from repro.overlay.record import ReCordOverlay
 from repro.overlay.singlehop import SingleHopRing
 from repro.sim.durability import successor_replication
 from repro.sim.faults import FaultInjector, FaultPlan, LookupPolicy
+from repro.sim.invariants import InvariantViolation, check_replica_placement
 
 OVERLAY_CLASSES = (ChordRing, ReCordOverlay, SingleHopRing, CycloidOverlay)
 
@@ -209,21 +210,18 @@ class TestStorageAndRepair:
         ]
 
     def test_repair_leaves_every_bucket_exactly_on_its_replica_set(self, cls):
-        overlay = make_overlay(cls, durability=successor_replication(3))
+        # Full clusters, so a Cycloid crash leaves its cluster's sets short.
+        overlay = make_overlay(cls, full=True, durability=successor_replication(3))
         rng = random.Random(9)
         for i in range(60):
             overlay.store("ns", native_key(overlay, rng), f"v{i}")
         for _ in range(6):
             overlay.fail(rng.choice(overlay.node_ids))
             overlay.leave(rng.choice(overlay.node_ids))
+        with pytest.raises(InvariantViolation, match="replica drift"):
+            check_replica_placement(overlay)
         assert overlay.repair_replication() > 0
-        holders: dict[int, set] = {}
-        for node in overlay.nodes():
-            for _, key_id, _ in node.stored_entries():
-                holders.setdefault(key_id, set()).add(node.uid)
-        assert holders
-        for key_id, uids in holders.items():
-            assert uids == {n.uid for n in overlay.replica_set_of(key_id)}, key_id
+        check_replica_placement(overlay)
         # A second pass finds nothing left to move into place.
         assert overlay.repair_replication_step().copies_moved == 0
         overlay.check_invariants()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from math import inf
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.resource import ResourceInfo
@@ -63,6 +63,11 @@ def _check_read(node: OverlayNode, namespace, key_id, attribute, low, high) -> N
     assert values == sorted(values)
 
 
+READ = ("read", ("ns-a", 0, "cpu", -inf, inf))
+
+
+@example(ops=[("store", "ns-a", 0, ResourceInfo("cpu", 1, "p")), READ, ("clear_storage",), READ],
+         final_reads=[])
 @given(ops=st.lists(op_st, max_size=40), final_reads=st.lists(read_st, max_size=6))
 def test_filtered_reads_equal_bruteforce_filter(ops, final_reads):
     node = OverlayNode("n")

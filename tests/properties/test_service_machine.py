@@ -26,11 +26,10 @@ equal a fresh derivation (the membership machine's ``check_memos`` and
 Write contract, as the membership machine states it: a withdrawal is
 exact only while every bucket sits on its replica set (after a crash a
 discard can miss a copy), so an info withdrawn
-otherwise may still be found (a *ghost*).  A fail may lose copies.  Hot
-replicas are copies the replicator places once and mirrors registrations
-onto: a withdrawal leaves them, and after a membership event or a
-replica repair (which re-homes them to the root) a replica read may miss
-matches.  ``ZOO`` plants one bug per behaviour the retired
+otherwise may still be found (a *ghost*).  A fail may lose copies, and
+until a repair every bucket sits on its replica set.  Hot replicas are
+buckets keyed by their holders' ids, under the same contract.  ``ZOO``
+plants one bug per behaviour the retired
 arc-read, view, directory-read and bulk-load suites pinned, and requires
 a fixed-seed drive of the machine to catch it.
 """
@@ -46,18 +45,17 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from repro.baselines.base import ChordBackedService, DiscoveryService
-from repro.baselines.maan import _ATTR_NS
 from repro.baselines.mercury_pointers import PointerMercuryService
-from repro.baselines.sword import _NAMESPACE as _SWORD_NS
 from repro.core.hotspot import DynamicReplicator, SaltPlan
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, Query, ResourceInfo
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
+from repro.experiments.hotspot import _directory_namespace
 from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordRing
 from repro.overlay.node import ArcDirectory, OverlayNode
 from repro.sim.durability import successor_replication
-from repro.sim.invariants import directory_layout
+from repro.sim.invariants import check_replica_placement, directory_layout
 from repro.sim.loadstats import LoadStats, LoadWindow
 from repro.sim.maintenance import MaintenanceBudget
 from tests.properties.test_membership_machine import check_arcs, check_memos, placed
@@ -94,17 +92,16 @@ CELLS = [
     "SWORD/salted", "MAAN/salted", "SWORD/hot", "MAAN/hot", "Mercury/singlehop",
     "Mercury+ptr/r1",
 ]
-#: The directory a hot replicator copies, per system.
-HOT_NAMESPACE = {"SWORD": _SWORD_NS, "MAAN": _ATTR_NS}
 
 
 def attach_hot(service: ChordBackedService) -> None:
-    """Replicate the first attribute's root directory onto its successors."""
-    replicator = DynamicReplicator(service, HOT_NAMESPACE[service.name])
-    hot = SCHEMA.names[0]
-    replicator.observe(LoadWindow(serves={0: 1.0}, by_attribute={hot: 1.0}), service.num_nodes())
+    """Replicate every attribute's root directory onto its successors
+    (adjacent roots share replica keys)."""
+    replicator = DynamicReplicator(service, _directory_namespace(service))
+    hot = dict.fromkeys(SCHEMA.names, 1.0)
+    replicator.observe(LoadWindow(serves={0: 1.0}, by_attribute=hot), service.num_nodes())
     replicator.tick(MaintenanceBudget(0, 0, 10_000))
-    assert replicator.holders(hot), "no hot replica placed"
+    assert all(map(replicator.holders, hot)), "no hot replica placed"
     service.attach_hot_replicator(replicator)
 
 
@@ -155,14 +152,11 @@ class Service(RuleBasedStateMachine):
         super().__init__()
         self.subject, self.twin = build(cell, False), build(cell, True)
         self.pointer = cell.startswith("Mercury+ptr")
-        self.hot = {SCHEMA.names[0]} if cell.endswith("/hot") else set()
         self.model: Counter = Counter(INFOS)
         #: Withdrawn infos a stale copy may still answer with.
         self.ghosts: set = set()
-        #: Whether a fail may have lost copies; hot attributes whose
-        #: replicas a membership event or a repair may have left stale.
-        self.lossy = False
-        self.loose: set = set()
+        #: Whether a fail may have lost copies; whether none is unrepaired.
+        self.lossy, self.placed = False, True
         self.departed: list = []
 
     def _both(self, call) -> list:
@@ -186,7 +180,6 @@ class Service(RuleBasedStateMachine):
     def _join(self, uid) -> None:
         if uid not in self.subject.overlay:
             self._both(lambda s: s.overlay.join(uid))
-            self.loose |= self.hot
 
     @rule(arg=ARG)
     def leave(self, arg: int) -> None:
@@ -204,7 +197,7 @@ class Service(RuleBasedStateMachine):
             self._both(lambda s: getattr(s.overlay, op)(uid))
             self.departed.append(uid)
             self.lossy |= op == "fail"
-            self.loose |= self.hot
+            self.placed &= op != "fail"
 
     @rule()
     def stabilize(self) -> None:
@@ -214,7 +207,7 @@ class Service(RuleBasedStateMachine):
     def repair_replication(self) -> None:
         moved = self._both(lambda s: s.overlay.repair_replication())
         assert moved[0] == moved[1], "repair_replication"
-        self.loose |= self.hot
+        self.placed = True
 
     # -- writes --------------------------------------------------------
     @staticmethod
@@ -246,7 +239,7 @@ class Service(RuleBasedStateMachine):
             info = infos[arg % len(infos)]
         else:
             info = self._info(random.Random(arg))
-        if not placed(self.subject.overlay) or info.attribute in self.hot:
+        if not placed(self.subject.overlay):
             self.ghosts.add(info)
         removed = self._both(lambda s: s.deregister(info))
         assert removed[0] == removed[1], "deregister count"
@@ -274,7 +267,7 @@ class Service(RuleBasedStateMachine):
         got, want = self._both(lambda s: s.query(q, s.overlay.node(uid)))
         self._same_result(got, want)
         self._served(got.visited_nodes)
-        self._answer(set(got.matches), {attribute}, partial(matching, constraint=q.constraint))
+        self._answer(set(got.matches), partial(matching, constraint=q.constraint))
 
     @rule(arg=ARG)
     def multi_query(self, arg: int) -> None:
@@ -289,7 +282,7 @@ class Service(RuleBasedStateMachine):
         for one, other in zip(got.sub_results, want.sub_results):
             self._same_result(one, other)
         self._served(sum(r.visited_nodes for r in got.sub_results))
-        self._answer(got.providers, set(attributes), partial(providers, constraints=mq.constraints))
+        self._answer(got.providers, partial(providers, constraints=mq.constraints))
 
     @staticmethod
     def _same_result(got, want) -> None:
@@ -304,13 +297,13 @@ class Service(RuleBasedStateMachine):
             f"{serves} serves recorded for {visited} visited nodes"
         )
 
-    def _answer(self, got: set, attributes: set, select) -> None:
+    def _answer(self, got: set, select) -> None:
         """``got`` between the brute-force answers ``select(infos)``: none
         beyond the registered infos and ghosts, none short of the
-        registered ones unless a copy of ``attributes`` may be lost."""
+        registered ones unless a copy may be lost."""
         invented = got - select(self.model.keys() | self.ghosts)
         assert not invented, f"answer invented {invented}"
-        if not self.lossy and not self.loose & attributes:
+        if not self.lossy:
             lost = select(self.model.keys()) - got
             assert not lost, f"answer lost {lost}"
 
@@ -322,6 +315,8 @@ class Service(RuleBasedStateMachine):
         assert subject.network.stats == twin.network.stats, "network stats"
         check_memos(subject)
         check_arcs(subject)
+        if self.placed:
+            check_replica_placement(subject)
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -353,8 +348,7 @@ def storm(cell: str, rules: tuple = RULES, seed: int = 2, events: int = 150) -> 
 
 
 #: ``"<drive>:<cell>"`` targets of the zoo.  ``static`` leaves the
-#: membership and the replicas alone, so hot replica reads stay checked
-#: against the model.
+#: membership and the replicas alone, so no answer may lose a match.
 DRIVES = {
     "storm": storm,
     "static": partial(storm, rules=tuple(op for op in RULES if op not in MOVERS)),
@@ -390,10 +384,23 @@ ZOO = [
     ("salting-one-root", "storm:SWORD/salted", (ChordBackedService, "attr_store_keys", [
         ("self.salting.salted_names(attribute)", "self.salting.salted_names(attribute)[:1]"),
     ]), "lost"),
-    ("hot-mirror-dropped", "static:SWORD/hot", (DynamicReplicator, "on_register", _noop), "lost"),
+    ("hot-mirror-dropped", "static:SWORD/hot",
+     (ChordBackedService, "attr_placements", [("if hot is None:", "if True:")]), "lost"),
     ("hot-read-native-namespace", "static:SWORD/hot", (ChordBackedService, "attr_read_target", [
-        ("target, self.hot_replicator.replica_namespace, key", "target, namespace, key"),
+        ("target, self.hot_replicator.replica_namespace, target", "target, namespace, target"),
     ]), "lost"),
+    # The replicator's own placement re-planted: copies keyed by the root
+    # key, a withdrawal that skips them, a rejoined holder left empty.
+    ("hot-keyed-by-root", "static:SWORD/hot", (DynamicReplicator, "tick", [
+        ("(self.replica_namespace, target, item)", "(self.replica_namespace, key, item)"),
+    ]), "lost"),
+    ("hot-withdrawal-skipped", "static:SWORD/hot", (DiscoveryService, "deregister", [
+        ("for namespace, key in self._placements(info)",
+         'for namespace, key in self._placements(info) if not namespace.endswith(":hot")'),
+    ]), "invented"),
+    ("hot-rejoin-unfilled", "storm:SWORD/hot", (Overlay, "_replica_sets", [
+        ("for key, _ in node.buckets()", 'for key, _ in node.buckets() if ":hot" not in key[0]'),
+    ]), "replica drift"),
     # Writes: the bulk load and withdrawal.
     ("bulk-load-owner-only", "storm:MAAN/r2",
      (Overlay, "store_all", [("for holder in holders:", "for holder in holders[:1]:")]),

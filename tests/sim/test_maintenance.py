@@ -71,7 +71,7 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)
         cursor = ("ns", 8)
-        progress = repair_buckets(ring, ring.replica_set_of, budget=0, after=cursor)
+        progress = repair_buckets(ring, budget=0, after=cursor)
         assert progress.copies_moved == 0
         assert progress.next_after == cursor
         assert progress.next_after is not None
@@ -79,13 +79,13 @@ class TestRepairBuckets:
     def test_negative_budget_rejected(self):
         ring = _loaded_ring()
         with pytest.raises(ValueError):
-            repair_buckets(ring, ring.replica_set_of, budget=-1)
+            repair_buckets(ring, budget=-1)
 
     def test_unbounded_sweep_matches_global_repair(self):
         ring = _loaded_ring()
         before = directory_census(ring)
         ring.fail(20)
-        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.next_after is None
         check_replica_placement(ring)
         assert directory_census(ring) == before
@@ -99,7 +99,7 @@ class TestRepairBuckets:
         cursor = None
         passes = 0
         while True:
-            progress = repair_buckets(ring, ring.replica_set_of, budget=5, after=cursor)
+            progress = repair_buckets(ring, budget=5, after=cursor)
             # Census is conserved even mid-sweep (strays drop only after
             # their copies are merged onto the replica set).
             assert directory_census(ring) == before
@@ -113,7 +113,7 @@ class TestRepairBuckets:
     def test_clean_bucket_costs_no_messages(self):
         ring = _loaded_ring()
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.copies_moved == 0
         assert ring.network.stats.maintenance_messages == baseline
 
@@ -121,7 +121,7 @@ class TestRepairBuckets:
         ring = _loaded_ring()
         ring.fail(20)  # crash-time neighbourhood repair counts separately
         baseline = ring.network.stats.maintenance_messages
-        progress = repair_buckets(ring, ring.replica_set_of, budget=None)
+        progress = repair_buckets(ring, budget=None)
         assert progress.copies_moved > 0
         assert (
             ring.network.stats.maintenance_messages

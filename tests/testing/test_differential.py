@@ -15,7 +15,7 @@ import pytest
 from repro.baselines.base import DiscoveryService
 from repro.baselines.sword import SwordService
 from repro.experiments.common import SYSTEM_NAMES
-from repro.overlay.base import Overlay
+from repro.sim import maintenance
 from repro.testing.differential import (
     Divergence,
     run_check,
@@ -80,10 +80,9 @@ PLANTS = [
     ("visited-bound-zero", (SwordService, "max_visited_per_subquery", lambda self: 0),
      _sword_replay, "visited-bound", ""),
     # The pre-fix repair collapsed duplicate identical pieces to one copy.
-    ("repair-collapses-duplicates", (Overlay, "repair_replication", [(
-        "level = decodable_level(counts, threshold)",
-        "level = min(1, decodable_level(counts, threshold))",
-    )]), _storm_check, "invariant", "conserve"),
+    ("repair-collapses-duplicates", (maintenance, "place_bucket", [
+        ("decodable_level(cs, threshold)", "min(1, decodable_level(cs, threshold))"),
+    ]), _storm_check, "invariant", "conserve"),
 ]
 
 
