@@ -7,10 +7,14 @@ breaks that ceiling: it is the full struct-of-arrays representation used
 by the ``repro scale`` experiment — node state is *only* flat integer
 arrays (sorted id vector, implicit successor/predecessor by position
 adjacency, a finger table indexed by a stable per-node slot).  Routing
-replays :meth:`ChordRing._lookup_plain` hop for hop (the equivalence is
-pinned by tests), and churn accounting mirrors the object ring's
-maintenance-message formulas, so large-n figures are directly comparable
-with the paper-scale ones.
+replays :meth:`ChordRing._lookup_plain`: over the same membership a
+lookup ends at the object ring's owner after every event, and takes the
+object ring's hops once that ring has run ``stabilize_all`` (the compact
+ring is always stabilized).  Churn accounting counts the object ring's
+maintenance messages, less a join's one bucket-transfer message, since
+no directory is held here.  The membership state machine's compact
+mirror checks all three, so large-n figures are directly comparable with
+the paper-scale ones.
 
 View contract / cache invalidation
 ----------------------------------
@@ -71,12 +75,14 @@ class CompactChordRing:
     ``successor(id + 2**j)`` for the node in slot ``s``.
 
     Routing replays :meth:`ChordRing._lookup_plain` exactly — same stop
-    test, same greedy closest-preceding-finger scan — so measured hop
-    counts at any ``n`` extend the paper's Figure 4 curves rather than
-    approximating them.  Churn (:meth:`join` / :meth:`leave` /
-    :meth:`fail`) edits the id vector, patches the slot tables where the
-    event's arc moved them and counts the same maintenance messages the
-    object ring counts.  A patch never changes a finger (the table read in
+    test, same greedy closest-preceding-finger scan — so on a stabilized
+    object ring over the same ids every lookup takes the same hops to the
+    same owner, and measured hop counts at any ``n`` extend the paper's
+    Figure 4 curves rather than approximating them.  Churn
+    (:meth:`join` / :meth:`leave` / :meth:`fail`) edits the id vector,
+    patches the slot tables where the event's arc moved them and counts
+    the maintenance messages the object ring counts (less a join's bucket
+    transfer).  A patch never changes a finger (the table read in
     positions equals a from-scratch :meth:`build_fingers`, dtype
     included), a message count or a hop.
 
@@ -302,8 +308,9 @@ class CompactChordRing:
         """Greedy closest-preceding-finger route; returns (owner_index, hops).
 
         Hop-for-hop identical to the object ring's fault-free lookup on
-        the same (stabilized) membership — the equivalence tests diff the
-        two implementations query by query.  The stop test runs once, on
+        the same membership once that ring has run ``stabilize_all``;
+        between sweeps only the owners agree, as the object ring's
+        fingers may be stale.  The stop test runs once, on
         the start node: after a successor step the successor owns the key,
         and a finger step lands strictly before the key, on a node that
         cannot own it.
@@ -397,8 +404,10 @@ class CompactChordRing:
         self.maintenance_messages += self.bits + self._neighbourhood_repair_cost()
 
     def _depart(self, node_id: int) -> None:
-        """Remove ``node_id``; its successor takes over its arc."""
+        """Remove ``node_id`` (wrapped into the id space, as :meth:`join`
+        wraps it); its successor takes over its arc."""
         require(self.num_nodes > 1, "cannot remove the last ring node")
+        node_id %= self.size
         p = self.index_of(node_id)
         if self.fingers is None:
             self.build_fingers()

@@ -1,10 +1,12 @@
 """Tests for the flat array-backed ring core (``repro.overlay.arraystore``).
 
-The load-bearing property is *equivalence*: :class:`CompactChordRing` must
-route hop-for-hop like the object :class:`ChordRing` on the same stabilized
-membership, and count the same maintenance messages per churn event — that
-is what makes the 100k–1M-node scale figures comparable with the paper-scale
-ones.
+Equivalence with the object :class:`ChordRing` — owners after every
+membership event, ``(owner, hops)`` after a sweep, the maintenance messages
+of every event — is the membership machine's compact mirror
+(``tests/properties/test_membership_machine.py``).  Here: the hop loop
+against the numpy-scalar reference loop and sha256 route digests of a
+50k-node ring, the buffers the loop reads and the churn leaves in place,
+validation, and :func:`position_fingers`, which the mirror's check reads.
 """
 
 from __future__ import annotations
@@ -18,77 +20,6 @@ import numpy as np
 import pytest
 
 from repro.overlay.arraystore import CompactChordRing
-from repro.overlay.chord import ChordRing
-
-
-def _object_hops(ring: ChordRing, start_id: int, key: int) -> tuple[int, int]:
-    result = ring.lookup(ring.node(start_id), key)
-    return result.owner.node_id, result.hops
-
-
-class TestCompactChordRingEquivalence:
-    BITS = 10
-
-    def _paired_rings(self, seed: int = 5, n: int = 48):
-        rng = np.random.default_rng(seed)
-        ids = sorted(int(i) for i in rng.choice(1 << self.BITS, size=n, replace=False))
-        obj = ChordRing(bits=self.BITS)
-        obj.build(ids)
-        compact = CompactChordRing(bits=self.BITS, ids=ids)
-        return obj, compact, rng
-
-    def _assert_routes_match(self, obj, compact, rng, queries=150):
-        ids = compact.ids
-        starts = rng.integers(len(ids), size=queries)
-        keys = rng.integers(1 << self.BITS, size=queries, dtype=np.int64)
-        for s, key in zip(starts, keys):
-            start_id = int(ids[int(s)])
-            owner_idx, hops = compact.lookup(int(s), int(key))
-            obj_owner, obj_hops = _object_hops(obj, start_id, int(key))
-            assert int(ids[owner_idx]) == obj_owner, (start_id, int(key))
-            assert hops == obj_hops, (start_id, int(key))
-
-    def test_owner_and_hops_match_object_ring(self):
-        obj, compact, rng = self._paired_rings()
-        self._assert_routes_match(obj, compact, rng)
-
-    def test_owner_index_matches_successor_of(self):
-        obj, compact, _ = self._paired_rings(seed=6)
-        for key in range(0, 1 << self.BITS, 7):
-            assert (
-                int(compact.ids[compact.owner_index(key)])
-                == obj.successor_of(key).node_id
-            )
-
-    def test_equivalence_survives_churn(self):
-        obj, compact, rng = self._paired_rings(seed=7)
-        members = set(int(i) for i in compact.ids)
-        # A joined/left/failed mix.  Between events the compact ring routes
-        # with no stabilize_all of its own (the lazy repair path) and must
-        # still agree with the re-stabilized object ring.
-        for event in range(9):
-            if event % 3 == 0:
-                node_id = int(rng.integers(1 << self.BITS))
-                while node_id in members:
-                    node_id = int(rng.integers(1 << self.BITS))
-                members.add(node_id)
-                obj.join(node_id)
-                compact.join(node_id)
-            else:
-                node_id = int(rng.choice(sorted(members)))
-                members.remove(node_id)
-                if event % 3 == 1:
-                    obj.leave(node_id)
-                    compact.leave(node_id)
-                else:
-                    obj.fail(node_id)
-                    compact.fail(node_id)
-            obj.stabilize_all()
-            self._assert_routes_match(obj, compact, rng, queries=40)
-        obj.stabilize_all()
-        compact.stabilize_all()
-        assert compact.ids.tolist() == list(obj.node_ids)
-        self._assert_routes_match(obj, compact, rng, queries=100)
 
 
 def position_fingers(ring: CompactChordRing) -> np.ndarray:
@@ -393,60 +324,6 @@ class TestLookupBuffers:
         assert ring._pos is ring._pos_buf
         gc.collect()
         assert all(ref() is None for ref in old)
-
-
-class TestMaintenanceParity:
-    """Per-event maintenance messages match the object ring's accounting."""
-
-    BITS = 9
-
-    def _paired_rings(self):
-        rng = np.random.default_rng(13)
-        ids = sorted(int(i) for i in rng.choice(1 << self.BITS, size=20, replace=False))
-        obj = ChordRing(bits=self.BITS)
-        obj.build(ids)
-        compact = CompactChordRing(bits=self.BITS, ids=ids)
-        return obj, compact
-
-    def _deltas(self, obj, compact, action):
-        before_obj = obj.network.stats.maintenance_messages
-        before_compact = compact.maintenance_messages
-        action()
-        return (
-            obj.network.stats.maintenance_messages - before_obj,
-            compact.maintenance_messages - before_compact,
-        )
-
-    def test_join_parity(self):
-        obj, compact = self._paired_rings()
-        node_id = next(i for i in range(1 << self.BITS) if i not in obj.node_ids)
-        d_obj, d_compact = self._deltas(
-            obj, compact, lambda: (obj.join(node_id), compact.join(node_id))
-        )
-        assert d_obj == d_compact
-
-    def test_leave_parity(self):
-        obj, compact = self._paired_rings()
-        node_id = obj.node_ids[3]
-        d_obj, d_compact = self._deltas(
-            obj, compact, lambda: (obj.leave(node_id), compact.leave(node_id))
-        )
-        assert d_obj == d_compact
-
-    def test_fail_parity(self):
-        obj, compact = self._paired_rings()
-        node_id = obj.node_ids[5]
-        d_obj, d_compact = self._deltas(
-            obj, compact, lambda: (obj.fail(node_id), compact.fail(node_id))
-        )
-        assert d_obj == d_compact
-
-    def test_stabilize_all_parity(self):
-        obj, compact = self._paired_rings()
-        d_obj, d_compact = self._deltas(
-            obj, compact, lambda: (obj.stabilize_all(), compact.stabilize_all())
-        )
-        assert d_obj == d_compact == obj.num_nodes
 
 
 class TestCompactChordRingValidation:

@@ -21,11 +21,16 @@ After every rule:
   now holds from the node that dropped out of the set;
 * on the single-hop tier, a lookup for an event a member has not learned
   goes where that member's stale view says (:func:`stale_route`);
-* the ``ArcDirectory`` equals a fresh ``index``; ``check_overlay`` passes.
+* the ``ArcDirectory`` equals a fresh ``index``; ``check_overlay`` passes;
+* on the Chord cells, a ``CompactChordRing`` mirror that replays every
+  membership event and sweep is a fresh ``build_fingers``'s table and
+  routes to the subject's owners (:func:`check_compact`), and counts the
+  subject's maintenance messages, less a join's bucket transfer.
 
 After a sweep every routing entry *is* what a fresh
-``_refresh_routing_state`` yields and ``network.stats`` equals the twin's;
-after a full repair ``check_replica_placement`` passes.  ``ZOO`` plants one
+``_refresh_routing_state`` yields, ``network.stats`` equals the twin's and
+drawn compact routes take the subject's hops; after a full repair
+``check_replica_placement`` passes.  ``ZOO`` plants one
 bug per row and requires a fixed-seed drive of the machine (for a read view
 kept across a clear, the read-view property) to catch it.
 """
@@ -40,11 +45,13 @@ from functools import partial
 from itertools import groupby
 from operator import attrgetter
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
 from repro.overlay import base as overlay_base
+from repro.overlay.arraystore import CompactChordRing
 from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordNode, ChordRing
 from repro.overlay.cycloid import CycloidId, CycloidOverlay
@@ -60,6 +67,7 @@ from repro.sim.invariants import (
     check_replica_placement,
     directory_census,
 )
+from tests.overlay.test_arraystore import position_fingers
 from tests.properties.test_directory_views import (
     test_filtered_reads_equal_bruteforce_filter as read_views,
 )
@@ -182,6 +190,34 @@ def check_arcs(overlay) -> None:
         assert all(list(ids) == sorted(ids) for ids in tables), "arc directory out of order"
 
 
+def check_compact(compact, subject, rng) -> None:
+    """The compact mirror against the subject and a from-scratch build: its
+    ids are the subject's, its table read in positions is a fresh
+    ``build_fingers``'s (dtype included), every record names its node's id
+    and ring successor, the free and live slots partition the table, and
+    drawn lookups end at the subject's owner."""
+    ids, order = compact.ids, compact.order
+    assert ids.tolist() == list(subject.node_ids), "compact ids"
+    fresh = CompactChordRing(compact.bits, ids)
+    fresh.build_fingers()
+    table = position_fingers(compact)
+    assert table.dtype == fresh.fingers.dtype, "compact finger dtype"
+    assert np.array_equal(table, fresh.fingers[: ids.size]), "compact finger table"
+    successors = np.column_stack((ids, np.roll(ids, -1), np.roll(order, -1)))
+    assert np.array_equal(compact._rec[order], successors), "compact records"
+    live, free = set(order.tolist()), set(compact._free)
+    assert len(live) == order.size and not live & free, "compact slots"
+    assert sorted(live | free) == list(range(len(compact.fingers))), "compact slots"
+    for _ in range(3):
+        key = rng.randrange(compact.size)
+        owner, _ = compact.lookup(rng.randrange(ids.size), key)
+        assert ids.item(owner) == subject.owner_of(key).uid, f"compact owner of {key}"
+
+
+def no_rebuild() -> None:
+    raise AssertionError("compact build_fingers called after the mirror was built")
+
+
 def placed(overlay) -> bool:
     """Whether every bucket sits on exactly its replica set (and enough
     members exist for a piece to decode)."""
@@ -251,7 +287,9 @@ Item = namedtuple("Item", "attribute value provider")
 
 
 class Membership(RuleBasedStateMachine):
-    """One ``CELLS`` entry: subject, twin and model."""
+    """One ``CELLS`` entry: subject, twin and model; on a ``ChordRing``,
+    also a ``CompactChordRing`` mirror that replays each membership event
+    and sweep (ReCord and single-hop route differently)."""
 
     def __init__(self, cell: str) -> None:
         super().__init__()
@@ -266,6 +304,12 @@ class Membership(RuleBasedStateMachine):
         self._write("store_all", [self._entry(self.rng) for _ in range(24)])
         for overlay in (self.subject, self.twin):
             overlay._arcs.index(overlay.nodes())
+        self.compact = None
+        if type(self.subject) is ChordRing:
+            self.compact = CompactChordRing(self.subject.bits, self.subject.node_ids)
+            self.compact.build_fingers()
+            self.compact.build_fingers = no_rebuild
+            self.compact_rng = random.Random(f"{cell}:compact")
 
     def _entry(self, rng: random.Random) -> tuple:
         """A write under one of ~24 keys, drawing from 12 items: buckets
@@ -277,6 +321,19 @@ class Membership(RuleBasedStateMachine):
 
     def _both(self, name: str, *args) -> list:
         return [getattr(overlay, name)(*args) for overlay in (self.subject, self.twin)]
+
+    def _mirrored(self, name: str, *args) -> None:
+        """``_both``, then the same call on the compact mirror, which must
+        count the maintenance messages the subject counts, less the one
+        bucket-transfer message (0 or 1) of a join: it holds no directory."""
+        stats = self.subject.network.stats
+        before = stats.maintenance_messages
+        self._both(name, *args)
+        if self.compact is not None:
+            sent = self.compact.maintenance_messages
+            getattr(self.compact, name)(*args)
+            spare = stats.maintenance_messages - before - (self.compact.maintenance_messages - sent)
+            assert spare in ((0, 1) if name == "join" else (0,)), f"compact {name} messages"
 
     def _account(
         self, event: str, expected: Counter, exact: bool, bound=None, crashed=None
@@ -312,7 +369,7 @@ class Membership(RuleBasedStateMachine):
         if uid in self.live:
             return
         starts_placed = placed(self.subject)
-        self._both("join", uid)
+        self._mirrored("join", uid)
         self.live[uid] = None
         self._account("join", self.model, exact=True)
         if starts_placed:
@@ -333,7 +390,7 @@ class Membership(RuleBasedStateMachine):
         uid = ids[(arg >> 1) % len(ids)]
         name = alias(self.subject, uid) if arg & 1 else uid
         if len(ids) == 1:
-            for overlay in (self.subject, self.twin):
+            for overlay in (o for o in (self.subject, self.twin, self.compact) if o is not None):
                 with pytest.raises(ValueError, match="last ring node"):
                     getattr(overlay, op)(name)
                 assert overlay.num_nodes == 1, f"refused {op} changed the membership"
@@ -341,7 +398,7 @@ class Membership(RuleBasedStateMachine):
             return
         held = set(self.subject.node(uid).stored_entries())
         starts_placed = op == "leave" and placed(self.subject)
-        self._both(op, name)
+        self._mirrored(op, name)
         del self.live[uid]
         self.departed.append(uid)
         exact = op == "leave" and len(ids) > self.subject.durability.threshold
@@ -366,12 +423,22 @@ class Membership(RuleBasedStateMachine):
 
     @rule()
     def stabilize_all(self) -> None:
-        """The sweep, then: every routing entry *is* a fresh derivation
-        and the message counts are the full-sweep twin's."""
+        """The sweep, then: every routing entry *is* a fresh derivation,
+        the message counts are the full-sweep twin's, and drawn compact
+        routes take the subject's hops (before a sweep the subject's
+        fingers may be stale, so only the owners agree)."""
         subject = self.subject
-        self._both("stabilize_all")
+        self._mirrored("stabilize_all")
         self._account("stabilize_all", self.model, exact=True)
         assert subject.network.stats == self.twin.network.stats, "network stats"
+        if self.compact is not None:
+            ids, rng = list(self.live), self.compact_rng
+            for _ in range(3):
+                uid, key = ids[rng.randrange(len(ids))], rng.randrange(subject.id_space_size)
+                owner, hops = self.compact.lookup(self.compact.index_of(uid), key)
+                route(self.twin, uid, key)  # lookups count in ``network.stats``
+                want = route(subject, uid, key)[:2]
+                assert (self.compact.ids.item(owner), hops) == want, f"compact route {uid} -> {key}"
         for node in list(subject.nodes()):
             held = entries(node)
             subject._refresh_routing_state(node)
@@ -435,6 +502,8 @@ class Membership(RuleBasedStateMachine):
         self.probe()
         check_arcs(subject)
         check_overlay(subject)
+        if self.compact is not None:
+            check_compact(self.compact, subject, self.compact_rng)
 
     def probe(self) -> None:
         """Lookups, owner resolutions, placements, fault-path steps and a
@@ -534,10 +603,24 @@ def clusters(cell: str) -> None:
             apply(machine, "stabilize_all")
 
 
+def corners(cell: str) -> None:
+    """The compact mirror's corners that no storm or shrink reaches: a
+    member leaves and at once rejoins, into the slot its departure freed."""
+    machine = Membership(cell)
+    uid = list(machine.live)[5]
+    slot = machine.compact.order.item(machine.compact.index_of(uid))
+    apply(machine, "leave", 5 << 1)
+    apply(machine, "join", uid)
+    assert machine.compact.order.item(machine.compact.index_of(uid)) == slot
+
+
 #: ``"<drive>:<cell>"`` targets of the zoo.  Only a departing node's
 #: storage is cleared, and no overlay reads it again, so ``views`` is the
 #: read-view property's explicit example, not a drive of the machine.
-DRIVES = {"storm": storm, "shrink": shrink, "clusters": clusters, "views": lambda _: read_views()}
+DRIVES = {
+    "storm": storm, "shrink": shrink, "clusters": clusters, "corners": corners,
+    "views": lambda _: read_views(),
+}
 
 
 @pytest.mark.parametrize(
@@ -552,6 +635,10 @@ def test_ring_shrunk_to_a_handful_and_regrown(cell):
 )
 def test_every_cycloid_cluster_emptied_and_recreated(cell):
     clusters(cell)
+
+
+def test_compact_corners():
+    corners("chord-wide/r1")
 
 
 class TestSweepIsNarrow:
@@ -683,6 +770,38 @@ ZOO = [
     ("repair-collapses-duplicates", "storm:chord-full/r2", (REPAIR, "place_bucket", [
         ("decodable_level(cs, threshold)", "min(1, decodable_level(cs, threshold))"),
     ]), "repair_replication: census"),
+    # The compact mirror's per-event patch, one step dropped or bent per
+    # row: the joiner's row and record, the predecessor relink, the arc
+    # re-point and its wrap branch, the position-map reset, the slot reuse,
+    # the table growth with its views, buffers and position map, the join's
+    # prefix shift and window move, the departure's shift and its id wrap.
+    # Several crash: an index past a buffer, a pop with no free slot, a
+    # window that no longer fits its buffer.  An unwritten joiner row holds
+    # garbage slots, or a departed node's row if the slot was reused.
+    # ``chord-full`` cannot catch growth or wraps: 64 ids fill 64 slots.
+    *[(f"compact-{name}", "storm:chord-wide/r1", (CompactChordRing, method, [edit]), match)
+      for name, method, edit, match in [
+        ("joiner-row", "join", ("self.fingers[slot] = order", "_ = order"),
+         "out of bounds|compact finger table"),
+        ("joiner-record", "join", ("self._rec[slot] = node_id,", "_ = node_id,"), "compact records"),
+        ("predecessor-relink", "_adopt", ("self._rec[pred, 1:] = ids.item(q), owner", "pass"),
+         "compact records"),
+        ("arc-repoint", "_adopt", ("fingers[order[a:b], j] = owner", "pass"), "compact finger table"),
+        ("wrap-branch", "_adopt", ("if wraps:", "if False:"), "compact finger table"),
+        ("position-map-reset", "_adopt", ("self._pos = None", "pass"), "compact owner"),
+        ("slot-reuse", "_depart", ("self._free.append(self.order.item(p))", "pass"), "compact slots"),
+        ("table-growth", "join", ("self._grow()", "pass"), "pop from empty list"),
+        ("grown-views", "_grow", ("self._views()", "pass"), "out of bounds"),
+        ("grown-buffers", "_grow", (
+            "self._id_buf, self._order_buf = grown(self._id_buf), grown(self._order_buf)", "pass",
+        ), "could not broadcast"),
+        ("position-map-grown", "_grow", ("self._pos_buf = grown(self._pos_buf)", "pass"),
+         "out of bounds"),
+        ("join-order-shift", "join", ("order[:p] = order[1 : p + 1]", "pass"), "compact finger table"),
+        ("window-move", "join", ("if h == 0:", "if False:"), "out of bounds"),
+        ("departure-ids-shift", "_depart", ("ids[p:-1] = ids[p + 1 :]", "pass"), "compact ids"),
+        ("unnormalised-depart-id", "_depart", ("node_id %= self.size", "pass"), "not present"),
+    ]],
 ]
 
 
