@@ -235,8 +235,8 @@ class DiscoveryService(ABC):
 
     def _placements(self, info: ResourceInfo) -> tuple:
         """The ``(namespace, key)`` pairs ``info`` is stored under —
-        what :meth:`register`, :meth:`deregister` and the bulk
-        :meth:`register_all` all read."""
+        what :meth:`register` and :meth:`deregister` read (the bulk
+        :meth:`register_all` stream reads ``_placers`` inline)."""
         place = self._placers.get(info.attribute)
         if place is None:
             place = self._placers[info.attribute] = self._placer(info.attribute)
@@ -276,9 +276,12 @@ class DiscoveryService(ABC):
 
     def _placement_stream(self, infos: Iterable[ResourceInfo]) -> Iterator[tuple]:
         """``(namespace, key, info)`` per placement of each of ``infos``."""
-        placements_of = self._placements
+        placers = self._placers
         for info in infos:
-            for namespace, key in placements_of(info):
+            place = placers.get(info.attribute)
+            if place is None:
+                place = placers[info.attribute] = self._placer(info.attribute)
+            for namespace, key in place(info.value):
                 yield namespace, key, info
 
     def deregister(self, info: ResourceInfo) -> int:

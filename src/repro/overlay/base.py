@@ -27,6 +27,7 @@ lines in the simulator.
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Iterable
 from typing import Any
 
@@ -379,9 +380,14 @@ class Overlay:
         through :meth:`OverlayNode.store` on the same holder at the same
         point of the stream; only the resolution and the maintenance
         count — posted once, with the total — are shared.
+
+        The cyclic collector is paused for the load (and left as found):
+        a load builds only acyclic buckets, so a pass would find nothing.
         """
         copies = 0
         resolved: dict[Any, tuple[int, list]] = {}
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             for namespace, key, item in entries:
                 try:
@@ -397,6 +403,8 @@ class Overlay:
             # Also when the stream raises: count what was stored.
             if copies:
                 self.network.count_maintenance(copies)
+            if collecting:
+                gc.enable()
 
     def routed_store(
         self, start: OverlayNode, namespace: str, key: Any, item: Any

@@ -11,6 +11,7 @@ skeleton promises, on all four.
 from __future__ import annotations
 
 import copy
+import gc
 import random
 import re
 
@@ -225,6 +226,53 @@ class TestStorageAndRepair:
         # A second pass finds nothing left to move into place.
         assert overlay.repair_replication_step().copies_moved == 0
         overlay.check_invariants()
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def load(overlay, count: int, seen: list, fail: bool = False):
+    """``count`` entries under distinct keys, noting in ``seen`` the
+    collector's state as each is drawn; then raise if ``fail``."""
+    for i in range(count):
+        seen.append(gc.isenabled())
+        yield "ns", overlay.key_of(i), i
+    if fail:
+        raise RuntimeError("stream broke")
+
+
+class TestStoreAllCollector:
+    """``store_all`` runs a load with the cyclic collector paused and
+    leaves it as it found it."""
+
+    def test_enabled_stays_enabled(self, collector):
+        overlay, seen = make_overlay(ChordRing), []
+        gc.enable()
+        overlay.store_all(load(overlay, 5, seen))
+        assert seen == [False] * 5
+        assert gc.isenabled()
+
+    def test_a_callers_pause_stays_in_force(self, collector):
+        overlay = make_overlay(ChordRing)
+        gc.disable()
+        overlay.store_all(load(overlay, 5, []))
+        assert not gc.isenabled()
+
+    def test_a_stream_that_raises_reenables_and_counts_the_stored_copies(self, collector):
+        overlay = make_overlay(ChordRing, durability=successor_replication(2))
+        stats = overlay.network.stats
+        before = stats.maintenance_messages
+        gc.enable()
+        with pytest.raises(RuntimeError, match="stream broke"):
+            overlay.store_all(load(overlay, 3, [], fail=True))
+        assert gc.isenabled()
+        assert sum(n.directory_size("ns") for n in overlay.nodes()) == 6
+        assert stats.maintenance_messages - before == 3
 
 
 @pytest.mark.parametrize("cls", OVERLAY_CLASSES)

@@ -28,8 +28,9 @@ After every rule:
   subject's maintenance messages, less a join's bucket transfer.
 
 After a sweep every routing entry *is* what a fresh
-``_refresh_routing_state`` yields, ``network.stats`` equals the twin's and
-drawn compact routes take the subject's hops; after a full repair
+``_refresh_routing_state`` yields, ``network.stats`` equals the twin's, the
+compact position map is current and drawn compact routes take the
+subject's hops; after a full repair
 ``check_replica_placement`` passes.  ``ZOO`` plants one
 bug per row and requires a fixed-seed drive of the machine (for a read view
 kept across a clear, the read-view property) to catch it.
@@ -195,7 +196,8 @@ def check_compact(compact, subject, rng) -> None:
     ids are the subject's, its table read in positions is a fresh
     ``build_fingers``'s (dtype included), every record names its node's id
     and ring successor, the free and live slots partition the table, and
-    drawn lookups end at the subject's owner."""
+    drawn lookups end at the subject's owner.  The position map is left as
+    found, so a sweep after churn still meets it reset."""
     ids, order = compact.ids, compact.order
     assert ids.tolist() == list(subject.node_ids), "compact ids"
     fresh = CompactChordRing(compact.bits, ids)
@@ -208,10 +210,12 @@ def check_compact(compact, subject, rng) -> None:
     live, free = set(order.tolist()), set(compact._free)
     assert len(live) == order.size and not live & free, "compact slots"
     assert sorted(live | free) == list(range(len(compact.fingers))), "compact slots"
+    pos = compact._pos
     for _ in range(3):
         key = rng.randrange(compact.size)
         owner, _ = compact.lookup(rng.randrange(ids.size), key)
         assert ids.item(owner) == subject.owner_of(key).uid, f"compact owner of {key}"
+    compact._pos = pos
 
 
 def no_rebuild() -> None:
@@ -432,6 +436,10 @@ class Membership(RuleBasedStateMachine):
         self._account("stabilize_all", self.model, exact=True)
         assert subject.network.stats == self.twin.network.stats, "network stats"
         if self.compact is not None:
+            order, pos = self.compact.order, self.compact._pos
+            assert pos is not None and np.array_equal(pos[order], np.arange(order.size)), (
+                "compact position map"
+            )
             ids, rng = list(self.live), self.compact_rng
             for _ in range(3):
                 uid, key = ids[rng.randrange(len(ids))], rng.randrange(subject.id_space_size)
@@ -773,8 +781,9 @@ ZOO = [
     # The compact mirror's per-event patch, one step dropped or bent per
     # row: the joiner's row and record, the predecessor relink, the arc
     # re-point and its wrap branch, the position-map reset, the slot reuse,
-    # the table growth with its views, buffers and position map, the join's
-    # prefix shift and window move, the departure's shift and its id wrap.
+    # the sweep's position-map rebuild, the table growth with its views,
+    # buffers and position map, the join's prefix shift and window move,
+    # the departure's shift and its id wrap.
     # Several crash: an index past a buffer, a pop with no free slot, a
     # window that no longer fits its buffer.  An unwritten joiner row holds
     # garbage slots, or a departed node's row if the slot was reused.
@@ -789,6 +798,8 @@ ZOO = [
         ("arc-repoint", "_adopt", ("fingers[order[a:b], j] = owner", "pass"), "compact finger table"),
         ("wrap-branch", "_adopt", ("if wraps:", "if False:"), "compact finger table"),
         ("position-map-reset", "_adopt", ("self._pos = None", "pass"), "compact owner"),
+        ("sweep-position-map", "stabilize_all", ("self._positions()", "pass"),
+         "compact position map"),
         ("slot-reuse", "_depart", ("self._free.append(self.order.item(p))", "pass"), "compact slots"),
         ("table-growth", "join", ("self._grow()", "pass"), "pop from empty list"),
         ("grown-views", "_grow", ("self._views()", "pass"), "out of bounds"),
