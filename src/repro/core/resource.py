@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ResourceInfo:
     """One piece of available-resource information, ``⟨a, δπ_a, ip_addr⟩``.
 
@@ -54,6 +54,22 @@ class ResourceInfo:
         # range test and break the ordered directory views' bisects.
         if self.value != self.value:
             raise ValueError(f"NaN value for attribute {self.attribute!r}")
+
+    # Every directory set, dict and bucket search compares pieces, so
+    # equality is written out: field by field with short-circuit (the
+    # value first, as it differs most often), no tuples built.  The hash
+    # is the generated formula, so sets and dicts iterate as before.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.value == other.value
+            and self.provider == other.provider
+            and self.attribute == other.attribute
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.attribute, self.value, self.provider))
 
 
 @dataclass(frozen=True, slots=True)

@@ -86,8 +86,9 @@ class WalkResult(list):
         self.contiguous = contiguous
 
 
-#: A view's sort key (stable, so equal keys keep their bucket order).
-_VIEW_ORDER = attrgetter("attribute", "value")
+#: A view's two sort keys and columns (sorted by value, then stably by
+#: attribute, so equal keys keep their bucket order).
+_ATTRIBUTE, _VALUE = attrgetter("attribute"), attrgetter("value")
 
 
 class ArcDirectory(dict):
@@ -100,16 +101,15 @@ class ArcDirectory(dict):
     items a contiguous run of ring members holds are then two bisects and
     a slice (:meth:`arc`) instead of one directory probe per member.
 
-    Pure derived state, like the nodes' ``_views``, but *maintained*
-    rather than flushed: every namespace is indexed by one pass over the
-    members on the directory's first arc read (:meth:`index`), and from
-    then on the node write paths that flush ``_views`` post every copy
-    they add or drop (:meth:`add` / :meth:`discard`), a namespace first
-    stored after the pass included.  Entries are keyed by holder id, not
-    ring position, so a membership change by itself touches nothing —
-    only the stores and removals of the handover it causes do.  An empty
-    directory is an unindexed one: it costs those write paths one truth
-    test, and the next arc read indexes again.
+    Pure derived state, *maintained* like the nodes' ``_views``: every
+    namespace is indexed by one pass over the members on the directory's
+    first arc read (:meth:`index`), and from then on the node write paths
+    post every copy they add or drop (:meth:`add` / :meth:`discard`), a
+    namespace first stored after the pass included.  Entries are keyed
+    by holder id, not ring position, so a membership change by itself
+    touches nothing — only the stores and removals of the handover it
+    causes do.  An empty directory is an unindexed one: it costs those
+    write paths one truth test, and the next arc read indexes again.
     """
 
     __slots__ = ("uid_of",)
@@ -204,12 +204,14 @@ class OverlayNode:
         #: and a slice (``attributes`` is ``None`` when the bucket holds a
         #: single attribute: two bisects).  Pure derived state (the same
         #: idiom as the overlays' routing rows): built on the first
-        #: filtered read, dropped by every write to the namespace, never
-        #: observable.
+        #: filtered read, never observable.  ``store`` and ``remove_item``
+        #: update the written bucket's view in place (:meth:`_write_view`)
+        #: and drop the namespace-wide one; ``remove_items`` and
+        #: ``clear_storage`` drop the namespace's (node's) views.
         self._views: dict[str, dict[int | None, tuple[list, list | None, list]]] = {}
         #: The overlay's shared :class:`ArcDirectory` (``None`` for a node
-        #: outside any overlay); every write below that flushes ``_views``
-        #: also posts its change there.
+        #: outside any overlay); every write below also posts its change
+        #: there.
         self._arcs = arcs
 
     # ------------------------------------------------------------------
@@ -226,7 +228,7 @@ class OverlayNode:
         else:
             bucket.append(item)
         if self._views:
-            self._views.pop(namespace, None)
+            self._write_view(namespace, key_id, item, True)
         if self._arcs:
             self._arcs.add(self, namespace, item)
 
@@ -287,21 +289,64 @@ class OverlayNode:
     def _build_view(
         self, namespace: str, key_id: int | None
     ) -> tuple[list, list | None, list]:
-        """Derive (and keep until the next write to ``namespace``) the
-        ordered view of one bucket, or of the whole namespace."""
+        """Derive (and keep) the ordered view of one bucket, or of the
+        whole namespace."""
         if key_id is None:
             bucket = self.items_in(namespace)
         else:
             bucket = self._store.get((namespace, key_id), ())
-        items = sorted(bucket, key=_VIEW_ORDER)
+        items = sorted(bucket, key=_VALUE)
+        items.sort(key=_ATTRIBUTE)
         single = not items or items[0].attribute == items[-1].attribute
         view = (
             items,
-            None if single else [item.attribute for item in items],
-            [item.value for item in items],
+            None if single else list(map(_ATTRIBUTE, items)),
+            list(map(_VALUE, items)),
         )
         self._views.setdefault(namespace, {})[key_id] = view
         return view
+
+    def _write_view(self, namespace: str, key_id: int, item: Any, stored: bool) -> None:
+        """Apply one write to ``namespace``'s views: a copy of ``item``
+        ``stored`` under ``key_id``, or removed from it.  The bucket's
+        view, if built, keeps ``_build_view``'s order in place — a new copy
+        goes after its equal keys, as it went after them in the bucket, and
+        a removed one is the first equal copy of its key run — with one
+        bisect inside the attribute's run and one insert or delete per
+        column.  The namespace-wide view is dropped."""
+        views = self._views.get(namespace)
+        if not views:
+            return
+        views.pop(None, None)
+        view = views.get(key_id)
+        if view is None:
+            return
+        items, attributes, values = view
+        attribute, value = item.attribute, item.value
+        if attributes is None and items and items[0].attribute != attribute:
+            attributes = [items[0].attribute] * len(items)
+            views[key_id] = (items, attributes, values)
+        if attributes is None:
+            first, last = 0, len(items)
+        else:
+            first = bisect_left(attributes, attribute)
+            last = bisect_right(attributes, attribute, first)
+        if stored:
+            at = bisect_right(values, value, first, last)
+            items.insert(at, item)
+            values.insert(at, value)
+            if attributes is not None:
+                attributes.insert(at, attribute)
+            return
+        low = bisect_left(values, value, first, last)
+        at = items.index(item, low, bisect_right(values, value, low, last))
+        del items[at], values[at]
+        if not items:
+            del views[key_id]
+        elif attributes is not None:
+            del attributes[at]
+            if attributes[0] == attributes[-1]:
+                views[key_id] = (items, None, values)
 
     def stored_entries(self) -> list[tuple[str, int, Any]]:
         """Every stored ``(namespace, key_id, item)`` triple (for re-homing)."""
@@ -338,15 +383,20 @@ class OverlayNode:
         """Remove one copy of ``item``; True if a copy was present."""
         bucket_key = (namespace, key_id)
         bucket = self._store.get(bucket_key)
-        if bucket is None or item not in bucket:
+        if bucket is None:
+            return False
+        try:
+            at = bucket.index(item)
+        except ValueError:
             return False
         if type(bucket) is tuple:  # a bucket of one: now empty
             del self._store[bucket_key]
         else:
-            bucket.remove(item)
+            del bucket[at]
             if not bucket:
                 del self._store[bucket_key]
-        self._views.pop(namespace, None)
+        if self._views:
+            self._write_view(namespace, key_id, item, False)
         if self._arcs:
             self._arcs.discard(self, namespace, (item,))
         return True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import pytest
 
 from repro.core.resource import (
@@ -88,6 +90,40 @@ class TestResourceInfo:
         assert hash(info) == hash(ResourceInfo("cpu", 2.0, "p"))
         with pytest.raises(AttributeError):
             info.value = 3.0  # frozen
+
+    def test_equality_contract_is_the_generated_one(self):
+        """The written-out ``__eq__`` / ``__hash__`` behave as the
+        dataclass-generated pair: the same hash formula, equal exactly
+        when all three fields are, never equal to a tuple or another
+        class, and sets and dicts iterate in the generated twin's order."""
+        import random
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True, slots=True)
+        class Twin:
+            attribute: str
+            value: float
+            provider: str
+
+        for fields in (("cpu", 2.5, "p"), ("cpu", 3, "p"), ("cpu", -0.0, "p")):
+            assert hash(ResourceInfo(*fields)) == hash(fields) == hash(Twin(*fields))
+        info = ResourceInfo("cpu", 2.0, "p")
+        assert info == ResourceInfo("cpu", 2.0, "p") and not info != ResourceInfo("cpu", 2.0, "p")
+        assert info == ResourceInfo("cpu", 2, "p")  # as the generated tuple compare
+        for other in (("mem", 2.0, "p"), ("cpu", 2.5, "p"), ("cpu", 2.0, "q")):
+            assert info != ResourceInfo(*other) and not info == ResourceInfo(*other)
+        for other in (("cpu", 2.0, "p"), Twin("cpu", 2.0, "p"), "cpu", None):
+            assert info != other and not info == other and not other == info
+
+        rng = random.Random(7)
+        rows = [
+            (rng.choice("abcd"), rng.choice([rng.random(), rng.randrange(9), -0.0]), f"p{i % 37}")
+            for i in range(1000)
+        ]
+        infos, twins = [ResourceInfo(*row) for row in rows], [Twin(*row) for row in rows]
+        fields = attrgetter("attribute", "value", "provider")
+        assert list(map(fields, set(infos))) == list(map(fields, set(twins)))
+        assert list(map(fields, dict.fromkeys(infos))) == list(map(fields, dict.fromkeys(twins)))
 
     def test_select_matches_is_the_per_item_filter(self):
         constraint = AttributeConstraint.between("cpu", 1.0, 3.0)

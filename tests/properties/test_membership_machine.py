@@ -727,17 +727,26 @@ PLACE, REPAIR, CENSUS = overlay_base, maintenance, "(join|leave): census"
 #: ``(id, target, (class, method, edit), match)``: the plant (see
 #: the ``plant`` fixture) and the message its drive must fail with.
 ZOO = [
-    # Memo drops: departed finger rows, and each write's read-view flush.
+    # Memo upkeep: departed finger rows; each write's read-view update or
+    # flush, a delete's collapse to one attribute, a store's tie order.
     ("finger-rows-kept", "storm:chord-full/r2",
      (ChordRing, "_drop_departed_rows", _noop), "finger row"),
-    ("views-kept-on-store", "storm:chord-sparse/r2",
-     (OverlayNode, "store", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("views-kept-on-store", "storm:chord-sparse/r2", (OverlayNode, "store", [
+        ("self._write_view(namespace, key_id, item, True)", "pass"),
+    ]), "read view"),
     ("views-kept-on-remove-items", "storm:cycloid-full/r2",
      (OverlayNode, "remove_items", [("self._views.pop(namespace, None)", "pass")]), "read view"),
-    ("views-kept-on-remove-item", "storm:chord-sparse/r2",
-     (OverlayNode, "remove_item", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("views-kept-on-remove-item", "storm:chord-sparse/r2", (OverlayNode, "remove_item", [
+        ("self._write_view(namespace, key_id, item, False)", "pass"),
+    ]), "read view"),
     ("views-kept-on-clear", "views:node",
      (OverlayNode, "clear_storage", [("self._views.clear()", "pass")]), "Counter"),
+    ("view-collapse-skipped", "storm:chord-sparse/r2",
+     (OverlayNode, "_write_view", [("views[key_id] = (items, None, values)", "pass")]),
+     "read view"),
+    ("view-tie-before", "storm:chord-sparse/r2", (OverlayNode, "_write_view", [
+        ("bisect_right(values, value, first, last)", "bisect_left(values, value, first, last)"),
+    ]), "read view"),
     # Marking rules of the stale set.
     ("stale-finger-slices", "storm:chord-wide/r1",
      (ChordRing, "_mark_stale", [("in range(self.bits):", "in ():")]), "stale routing|finger row"),

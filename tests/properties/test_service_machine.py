@@ -369,8 +369,9 @@ ZOO = [
     ("view-lower-bound", "storm:MAAN/r1", (OverlayNode, "_view_slice", [
         ("bisect_left(values, low, first, last)", "bisect_right(values, low, first, last)"),
     ]), "lost|differ"),
-    ("view-kept-on-store", "storm:SWORD/r2",
-     (OverlayNode, "store", [("self._views.pop(namespace, None)", "pass")]), "read view"),
+    ("view-kept-on-store", "storm:SWORD/r2", (OverlayNode, "store", [
+        ("self._write_view(namespace, key_id, item, True)", "pass"),
+    ]), "read view"),
     # The arc directory and the slice walk (the retired arc suites).
     ("arc-add-dropped", "storm:Mercury/r1", (ArcDirectory, "add", _noop), "arc directory"),
     ("arc-discard-dropped", "storm:MAAN/r2",
