@@ -18,6 +18,7 @@ from typing import Any, ClassVar
 
 import numpy as np
 
+from repro.core.hotspot import route_choice
 from repro.core.join import join_on_provider
 from repro.core.resource import (
     MultiAttributeQuery,
@@ -33,6 +34,7 @@ from repro.hashing.spread import spread_attribute_ids
 from repro.overlay.chord import ChordRing
 from repro.sim.metrics import MetricsRegistry
 from repro.utils.seeding import SeedFactory
+from repro.utils.validation import require
 from repro.workloads.attributes import AttributeSchema
 
 __all__ = ["DiscoveryService", "ChordBackedService", "build_ring"]
@@ -138,8 +140,8 @@ class DiscoveryService(ABC):
         #: indices ``[0, d)`` for LORM).
         self._value_space = value_space
         self._value_hashes: dict[str, LocalityPreservingHash] = {}
-        #: ``_placer(attribute)`` per attribute seen (the root ID, ℋ and
-        #: the namespace are fixed for the service's life).
+        #: ``_placer(attribute)`` per attribute seen (dropped only when the
+        #: attribute's root table changes: ``set_hot_keys``).
         self._placers: dict[str, Callable[[float], tuple]] = {}
 
     # ------------------------------------------------------------------
@@ -623,19 +625,20 @@ class DiscoveryService(ABC):
 
 class ChordBackedService(DiscoveryService):
     """Common machinery for the Chord-based approaches: the seeded ring
-    builders and the attribute-root mitigations (salted roots, hot-root
-    replicas) that SWORD and MAAN share.
+    builders and the attribute-root table (:meth:`root_keys`) SWORD and
+    MAAN share.  A query reads one entry of it; a registration writes
+    every entry, or only the static roots where queries just visit them.
     """
 
-    #: Optional :class:`~repro.core.hotspot.SaltPlan` spreading attribute
-    #: roots over salted replicas.  Must be set at construction (it
-    #: changes placement), hence a ctor kwarg; ``None`` keeps the seed
-    #: single-root placement byte-identical.
-    salting: Any | None = None
+    #: The namespace of the attribute-rooted directory.
+    root_namespace: ClassVar[str]
+    #: Whether a query reads the directory at its attribute root (True)
+    #: or only visits the root, so hot keys are route targets with no
+    #: copies (False).
+    reads_root: ClassVar[bool]
 
     #: Optional :class:`~repro.core.hotspot.DynamicReplicator` (attached
-    #: via :meth:`attach_hot_replicator`; ``None`` keeps root reads on
-    #: the native owner).
+    #: via :meth:`attach_hot_replicator`) that changes the hot keys.
     hot_replicator: Any | None = None
 
     def __init__(
@@ -646,7 +649,7 @@ class ChordBackedService(DiscoveryService):
         seed: int = 0,
         lph_kind: str = "cdf",
         attr_placement: str = "spread",
-        salting: Any | None = None,
+        salts: int | None = None,
     ) -> None:
         super().__init__(
             ring, schema, attr_bits=ring.bits, value_space=ring.space.size,
@@ -654,7 +657,14 @@ class ChordBackedService(DiscoveryService):
         )
         #: The substrate again, under the name ring-level callers read.
         self.ring = ring
-        self.salting = salting
+        require(salts is None or salts >= 1, f"salts must be >= 1, got {salts}")
+        #: ``S`` salted roots per attribute, or ``None`` for the native
+        #: root.  Set at construction: it changes placement.
+        self.salts = salts
+        #: Hot keys per attribute, changed only through :meth:`set_hot_keys`.
+        self.hot_keys: dict[str, tuple[int, ...]] = {}
+        #: :meth:`root_keys` per attribute seen.
+        self._roots: dict[str, tuple] = {}
 
     @classmethod
     def build_full(
@@ -692,60 +702,61 @@ class ChordBackedService(DiscoveryService):
     # ------------------------------------------------------------------
     def attach_hot_replicator(self, replicator: Any | None) -> None:
         """Attach a :class:`~repro.core.hotspot.DynamicReplicator`
-        (``None`` detaches; any placed replicas are dropped first so the
-        service returns to its unmitigated read path)."""
+        (``None`` detaches; its hot keys and copies are dropped first so
+        the service returns to its unmitigated reads).  A salted service
+        takes none: hot keys follow the native root."""
+        require(
+            replicator is None or self.salts is None,
+            "a hot replicator needs the native attribute root; this service is salted",
+        )
         if replicator is None and self.hot_replicator is not None:
             self.hot_replicator.clear()
         self.hot_replicator = replicator
-        self._placers.clear()
 
-    def attr_placements(self, namespace: str, attribute: str) -> tuple:
-        """The ``(namespace, key)`` pairs of ``attribute``'s directory a
-        registration writes: one per :meth:`attr_store_keys` root, then
-        one per key the :attr:`hot_replicator` keeps a copy under (in its
-        own namespace)."""
-        roots = tuple((namespace, key) for key in self.attr_store_keys(attribute))
-        hot = self.hot_replicator
-        if hot is None:
-            return roots
-        return roots + tuple((hot.replica_namespace, key) for key in hot.holders(attribute))
-
-    def attr_store_keys(self, attribute: str) -> tuple[int, ...]:
-        """Every ring key a registration for ``attribute``'s directory
-        writes: the native root, or all ``S`` salted roots.  Salted roots
-        use the plain consistent hash of the salted name (spread
-        placement only covers schema attributes)."""
-        if self.salting is not None:
-            return tuple(
-                self.attr_hash(name) for name in self.salting.salted_names(attribute)
+    def root_keys(self, attribute: str) -> tuple:
+        """``attribute``'s root table: its static roots, then its hot keys,
+        as ``(namespace, key)`` pairs.  Salted roots use the plain
+        consistent hash of the salted name (spread placement only covers
+        schema attributes)."""
+        keys = self._roots.get(attribute)
+        if keys is None:
+            namespace = self.root_namespace
+            if self.salts is None:
+                static = (self.attr_key(attribute),)
+            else:
+                static = tuple(self.attr_hash(f"{attribute}#s{j}") for j in range(self.salts))
+            hot = f"{namespace}:hot"
+            keys = self._roots[attribute] = (
+                *((namespace, key) for key in static),
+                *((hot, key) for key in self.hot_keys.get(attribute, ())),
             )
-        return (self.attr_key(attribute),)
+        return keys
 
-    def attr_read_target(
-        self, attribute: str, requester: str, namespace: str
-    ) -> tuple[int, str, int]:
-        """``(route_key, directory_namespace, directory_key)`` for one
-        attribute-root read by ``requester``.
+    def set_hot_keys(self, attribute: str, keys: tuple[int, ...]) -> None:
+        """Make ``keys`` ``attribute``'s hot keys (``()``: none)."""
+        if keys:
+            self.hot_keys[attribute] = keys
+        else:
+            self.hot_keys.pop(attribute, None)
+        self._roots.pop(attribute, None)
+        self._placers.pop(attribute, None)
 
-        Unmitigated, all three collapse to the native root.  Under a
-        :attr:`salting` plan the requester's stable salted root is both
-        route and directory key.  Under an attached
-        :attr:`hot_replicator`, a replicated attribute may route to one of
-        its replica keys, which is also the directory key (replica copies
-        live under the replicator's namespace).
-        """
-        key = self.attr_key(attribute)
-        if self.salting is not None:
-            name = self.salting.salted_names(attribute)[
-                self.salting.choose(attribute, requester)
-            ]
-            salted = self.attr_hash(name)
-            return salted, namespace, salted
-        if self.hot_replicator is not None:
-            target = self.hot_replicator.route_for(attribute, requester)
-            if target is not None:
-                return target, self.hot_replicator.replica_namespace, target
-        return key, namespace, key
+    def root_read(self, attribute: str, requester: str) -> tuple[str, int]:
+        """The root-table entry ``requester`` reads for ``attribute``:
+        the only one, else the requester's stable choice."""
+        try:  # every sub-query reads here: the cache inline, no call
+            keys = self._roots[attribute]
+        except KeyError:
+            keys = self.root_keys(attribute)
+        if len(keys) == 1:
+            return keys[0]
+        return keys[route_choice(attribute, requester, len(keys))]
+
+    def _root_placements(self, attribute: str) -> tuple:
+        """The root-table entries a registration writes: all of them where
+        queries read the root, else the static roots alone."""
+        keys = self.root_keys(attribute)
+        return keys if self.reads_root else keys[: self.salts or 1]
 
     def max_visited_per_subquery(self) -> int:
         # A range walk can cover the whole ring (Theorem 4.10's worst case).

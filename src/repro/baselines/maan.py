@@ -21,14 +21,16 @@ from repro.core.resource import Query
 
 __all__ = ["MaanService"]
 
-_ATTR_NS = "maan:attr"
 _VALUE_NS = "maan:value"
 
 
 class MaanService(ChordBackedService):
-    """Single-DHT decentralized discovery with split attribute/value maps."""
+    """Single-DHT decentralized discovery with split attribute/value maps
+    (a query only visits its attribute root, so hot keys get no copies)."""
 
     name: ClassVar[str] = "MAAN"
+    root_namespace: ClassVar[str] = "maan:attr"
+    reads_root: ClassVar[bool] = False
 
     #: Attribute root first, then the value root (Theorems 4.7/4.8).
     lookups_per_attribute: ClassVar[int] = 2
@@ -45,11 +47,11 @@ class MaanService(ChordBackedService):
         """Two insertions (two pieces stored): attribute map, then value
         map.
 
-        A salting plan spreads the attribute-map insertion over all ``S``
-        salted roots, and hot replica keys add theirs; the value map is
-        untouched (its load spreads by value hashing already).
+        Salting spreads the attribute-map insertion over all ``S`` salted
+        roots; the value map is untouched (its load spreads by value
+        hashing already).
         """
-        roots = self.attr_placements(_ATTR_NS, attribute)
+        roots = self._root_placements(attribute)
         value_hash = self.value_hash(attribute)
         return lambda value: (*roots, (_VALUE_NS, value_hash(value)))
 
@@ -58,10 +60,9 @@ class MaanService(ChordBackedService):
     # ------------------------------------------------------------------
     def _plan(self, q: Query) -> tuple:
         """Two steps per attribute (Theorems 4.7/4.8): a visit to the
-        attribute root — under a mitigation, the requester's stable salted
-        root or hot replica — which checks its directory but returns
-        nothing, then the value root's read, extended for range queries
-        into a value-arc walk across the whole ring."""
-        attr_route, _, _ = self.attr_read_target(q.attribute, q.requester, _ATTR_NS)
+        requester's root-table entry, which checks its directory but
+        returns nothing, then the value root's read, extended for range
+        queries into a value-arc walk across the whole ring."""
+        _, attr_route = self.root_read(q.attribute, q.requester)
         key, arc = self._value_target(q)
         return ((attr_route, None, None), (key, arc, (_VALUE_NS, key, True)))

@@ -20,13 +20,14 @@ from repro.core.resource import Query
 
 __all__ = ["SwordService"]
 
-_NAMESPACE = "sword"
-
 
 class SwordService(ChordBackedService):
-    """Single-DHT centralized discovery: one directory node per attribute."""
+    """Single-DHT centralized discovery: one directory node per attribute
+    (every root-table entry holds the full directory)."""
 
     name: ClassVar[str] = "SWORD"
+    root_namespace: ClassVar[str] = "sword"
+    reads_root: ClassVar[bool] = True
 
     def max_visited_per_subquery(self) -> int:
         # The attribute root answers alone, point or range (Theorem 4.9).
@@ -36,10 +37,10 @@ class SwordService(ChordBackedService):
     # Registration
     # ------------------------------------------------------------------
     def _placer(self, attribute: str) -> Callable[[float], tuple]:
-        """One insertion at the attribute root, ``successor(H(attribute))``
-        — or one at each of the ``S`` salted roots under a salting plan —
-        plus one per hot replica key, whatever the value."""
-        roots = self.attr_placements(_NAMESPACE, attribute)
+        """One insertion per root-table entry of the attribute: its root,
+        ``successor(H(attribute))``, or its ``S`` salted roots, then its hot
+        keys, whatever the value."""
+        roots = self._root_placements(attribute)
         return lambda value: roots
 
     # ------------------------------------------------------------------
@@ -47,9 +48,6 @@ class SwordService(ChordBackedService):
     # ------------------------------------------------------------------
     def _plan(self, q: Query) -> tuple:
         """One read of the attribute root's pooled directory, point and
-        range alike (no forwarding) — under a mitigation, of the
-        requester's stable salted root or hot replica."""
-        route_key, namespace, key = self.attr_read_target(
-            q.attribute, q.requester, _NAMESPACE
-        )
-        return ((route_key, None, (namespace, key, True)),)
+        range alike (no forwarding), at the requester's root-table entry."""
+        namespace, key = self.root_read(q.attribute, q.requester)
+        return ((key, None, (namespace, key, True)),)

@@ -4,34 +4,39 @@ SWORD (and MAAN's attribute map) hash every query for attribute ``a`` to
 the single node ``successor(H(a))``.  Under Zipf-skewed popularity that
 node serves a constant fraction of *all* queries — the per-node serve
 load measured by :mod:`repro.sim.loadstats` grows like ``n * p(a)``
-while the mean stays at ``total / n``.  Two standard mitigations:
+while the mean stays at ``total / n``.  Both standard mitigations are
+key sets of one per-attribute root table
+(:meth:`~repro.baselines.base.ChordBackedService.root_keys`), and a query
+reads **one** of its keys, chosen by :func:`route_choice` — a stable hash
+of ``(attribute, requester)``:
 
-**Key salting** (:class:`SaltPlan`) — static.  Attribute ``a`` gets ``S``
-salted roots ``successor(H(f"{a}#s{j}"))``; registration writes the full
-directory to *all* of them, and each query reads exactly **one**, chosen
-by a stable hash of ``(attribute, requester)``.  Every root holds the
-complete directory, so any single read returns the byte-identical answer
-of the unmitigated system while the per-root serve load drops by ``S``.
-(The write-sharding variant — partition registrations across roots and
-fan each query over all of them — keeps queries hitting every root and
-therefore does *not* reduce per-node serve counts; it trades load for
-hops.  We implement the read-spreading form.)
+**Key salting** — static keys.  A service built with ``salts=S`` gives
+attribute ``a`` the ``S`` salted roots ``successor(H(f"{a}#s{j}"))`` in
+place of its native root, and registration writes the full directory to
+*all* of them.  Every root holds the complete directory, so any single
+read returns the byte-identical answer of the unmitigated system while
+the per-root serve load drops by ``S``.  (The write-sharding variant —
+partition registrations across roots and fan each query over all of
+them — keeps queries hitting every root and therefore does *not* reduce
+per-node serve counts; it trades load for hops.  We implement the
+read-spreading form.)
 
-**Dynamic replication** (:class:`DynamicReplicator`) — reactive.  An
-observer watches the per-attribute serve counts of each harvested
-:class:`~repro.sim.loadstats.LoadWindow`; an attribute whose window load
-exceeds ``TRIGGER_RATIO`` times the population-mean node load is *hot*
-and gets its directory copied to the next ``MAX_REPLICAS`` ring
-successors of its root, each copy an ordinary bucket keyed by its
-holder's node id in the ``<namespace>:hot`` namespace.  Copies are
+**Dynamic replication** (:class:`DynamicReplicator`) — keys added while
+an attribute is hot.  An observer watches the per-attribute serve counts
+of each harvested :class:`~repro.sim.loadstats.LoadWindow`; an attribute
+whose window load exceeds ``TRIGGER_RATIO`` times the population-mean
+node load is *hot*, and the next ``MAX_REPLICAS`` ring successors of its
+root join its table, each keyed by the holder's node id in the
+``<root namespace>:hot`` namespace.  Where a query reads its root
+(SWORD), the root's directory is copied under every such key, copies are
 charged as maintenance messages and capped per tick by the existing
-:class:`~repro.sim.maintenance.MaintenanceBudget` (``repair_keys``); an
-attribute that stays cold for ``DECAY_WINDOWS`` consecutive windows has
-its replicas dropped.  Queries then spread reads over the root plus its
-replica keys with the same stable ``(attribute, requester)`` hash.  The
-replica keys join the binding's placements, so registration and
-withdrawal write them, and join / leave handover and repair keep each
-copy on its key's replica set like any other bucket.
+:class:`~repro.sim.maintenance.MaintenanceBudget` (``repair_keys``), and
+registration and withdrawal write the hot keys like any other placement;
+join / leave handover and repair keep each copy on its key's replica set.
+Where a query only visits its root (MAAN's attribute map), the hot keys
+are route targets alone: nothing is copied or written there.  An
+attribute that stays cold for ``DECAY_WINDOWS`` consecutive windows
+leaves the table and its copies are dropped.
 """
 
 from __future__ import annotations
@@ -41,68 +46,42 @@ from typing import Any
 from repro.utils.validation import require
 from repro.workloads.popularity import stable_seed
 
-__all__ = ["SaltPlan", "DynamicReplicator"]
+__all__ = ["DynamicReplicator", "route_choice"]
 
 
 def route_choice(attribute: str, requester: str, fanout: int) -> int:
-    """The replica index in ``[0, fanout)`` this requester reads for
+    """The root-table index in ``[0, fanout)`` this requester reads for
     ``attribute`` — a pure function, so repeated queries by the same
-    requester stay on one replica (cache-friendly) while distinct
+    requester stay on one root (cache-friendly) while distinct
     requesters spread uniformly."""
     require(fanout >= 1, "fanout must be >= 1")
     return stable_seed("hotspot-route", attribute, requester) % fanout
 
 
-class SaltPlan:
-    """Static key salting of attribute roots.
-
-    Every attribute's root is salted: ``salts`` (``S``) salted roots per
-    attribute.
-    """
-
-    def __init__(self, salts: int = 4) -> None:
-        require(salts >= 1, f"salts must be >= 1, got {salts}")
-        self.salts = salts
-
-    def salted_names(self, attribute: str) -> tuple[str, ...]:
-        """The ``S`` salted directory names of ``attribute``."""
-        return tuple(f"{attribute}#s{j}" for j in range(self.salts))
-
-    def choose(self, attribute: str, requester: str) -> int:
-        """Which salted root this requester reads (stable per requester)."""
-        return route_choice(attribute, requester, self.salts)
-
-
 class DynamicReplicator:
-    """Load-driven replication of hot attribute directories.
+    """Load-driven hot keys for attribute roots.
 
     Owned by one :class:`~repro.baselines.base.ChordBackedService`; the
     experiment loop calls :meth:`observe` with each harvested load window
     and :meth:`tick` with a maintenance budget to apply the pending
-    copies.  The service consults :meth:`route_for` on every attribute
-    root read and places registrations under :meth:`holders` too, so
-    replica directories never go stale; where a copy lives is the
-    overlay's placement of its key.
+    changes.  The hot keys live in the service's root table, changed
+    through :meth:`~repro.baselines.base.ChordBackedService.set_hot_keys`;
+    where a copy lives is the overlay's placement of its key.
     """
 
     #: An attribute is hot when its window serve count exceeds this many
     #: times the mean per-node load.
     TRIGGER_RATIO = 4.0
-    #: Ring successors of the root a hot attribute's directory is copied to.
+    #: Ring successors of the root a hot attribute's reads spread to.
     MAX_REPLICAS = 3
-    #: Consecutive cold windows before a hot attribute's replicas go.
+    #: Consecutive cold windows before a hot attribute's keys go.
     DECAY_WINDOWS = 2
 
-    def __init__(self, service: Any, namespace: str) -> None:
+    def __init__(self, service: Any) -> None:
         self.service = service
-        self.namespace = namespace
-        self.replica_namespace = f"{namespace}:hot"
-        #: Attributes currently marked hot (replicas wanted).
+        #: Attributes currently marked hot (hot keys wanted).
         self._desired: set[str] = set()
-        #: Placed replicas: attribute -> the keys its directory copies
-        #: are stored under (the holders' node ids at placement time).
-        self._replicas: dict[str, list[int]] = {}
-        #: Consecutive cold windows per replicated attribute.
+        #: Consecutive cold windows per attribute with hot keys.
         self._cold: dict[str, int] = {}
         #: Last observed per-attribute serve counts (placement priority).
         self._loads: dict[str, float] = {}
@@ -139,13 +118,17 @@ class DynamicReplicator:
     def tick(self, budget: Any) -> dict[str, int]:
         """Apply pending placements/removals under ``budget``.
 
-        At most ``budget.repair_keys`` directory copies are sent per tick
-        (a directory that alone exceeds the cap still replicates — being
-        first in line — so huge directories are not starved); every copy
-        is charged as one maintenance message.  Replicas of attributes
-        that decayed out of the desired set are dropped.
+        A pending attribute gets its root's ring successors as hot keys.
+        Where queries read the root, its directory is copied under each
+        key: at most ``budget.repair_keys`` copies are sent per tick (a
+        directory that alone exceeds the cap still replicates — being
+        first in line — so huge directories are not starved), each charged
+        as one maintenance message.  A visit-only root sends none, so
+        every pending attribute is placed in the tick that marks it.  Hot
+        keys of attributes that decayed out of the desired set are dropped.
         """
-        ring = self.service.ring
+        service = self.service
+        ring = service.ring
         cap = budget.repair_keys
         sent = 0
         created = 0
@@ -153,72 +136,55 @@ class DynamicReplicator:
         # or two directories, and replicating a lukewarm attribute before
         # the melting one would leave the gate metric untouched.
         pending = sorted(
-            self._desired - self._replicas.keys(),
+            self._desired - service.hot_keys.keys(),
             key=lambda attr: (-self._loads.get(attr, 0.0), attr),
         )
         for attr in pending:
             if sent >= cap:
                 break
-            key = self.service.attr_key(attr)
+            namespace, key = service.root_keys(attr)[0]
             root = ring.successor_of(key)
-            items = root.items_at(self.namespace, key)
-            targets = [
+            targets = tuple(
                 t.node_id for t in ring.native_holders(key, 1 + self.MAX_REPLICAS)[1:]
                 if t is not root
-            ]
+            )
             if not targets:
                 continue
-            ring.store_all(
-                (self.replica_namespace, target, item) for target in targets for item in items
-            )
-            copies = len(items) * len(targets)
-            if copies:
-                ring.network.count_maintenance(copies)
-            sent += copies
+            service.set_hot_keys(attr, targets)
+            if service.reads_root:
+                items = root.items_at(namespace, key)
+                ring.store_all(
+                    (hot_namespace, hot_key, item)
+                    for hot_namespace, hot_key in service.root_keys(attr)[1:]
+                    for item in items
+                )
+                copies = len(items) * len(targets)
+                if copies:
+                    ring.network.count_maintenance(copies)
+                sent += copies
             created += 1
-            self._replicas[attr] = targets
-            self.service._placers.pop(attr, None)
         dropped = self._drop_decayed()
         self.copies_sent += sent
         self.replicas_created += created
         return {"copies": sent, "created": created, "dropped": dropped}
 
     def _drop_decayed(self) -> int:
-        ring = self.service.ring
+        service = self.service
         dropped = 0
-        for attr in list(self._replicas.keys() - self._desired):
-            for key in self._replicas.pop(attr):
+        for attr in list(service.hot_keys.keys() - self._desired):
+            for namespace, key in service.root_keys(attr)[1:]:
                 # Another hot attribute may keep copies under the same key.
-                for holder in ring.replica_set_of(key):
-                    for item in holder.items_at(self.replica_namespace, key, attr):
-                        holder.remove_item(self.replica_namespace, key, item)
-            self.service._placers.pop(attr, None)
+                for holder in service.ring.replica_set_of(key):
+                    for item in holder.items_at(namespace, key, attr):
+                        holder.remove_item(namespace, key, item)
+            service.set_hot_keys(attr, ())
             self._cold.pop(attr, None)
             dropped += 1
         return dropped
 
     def clear(self) -> None:
-        """Drop every replica and reset all observer state (used between
+        """Drop every hot key and reset all observer state (used between
         common-random-number experiment cells sharing one service)."""
         self._desired.clear()
         self._drop_decayed()
         self._cold.clear()
-
-    # ------------------------------------------------------------------
-    # Query hooks (hot paths while attached)
-    # ------------------------------------------------------------------
-    def holders(self, attribute: str) -> list[int]:
-        """The keys ``attribute``'s replica copies are stored under, each
-        read by routing to it (empty if none)."""
-        return self._replicas.get(attribute, [])
-
-    def route_for(self, attribute: str, requester: str) -> int | None:
-        """The replica key this requester should read — ``None`` for the
-        native root (no replicas, or the stable hash picked it)."""
-        holders = self.holders(attribute)
-        if not holders:
-            return None
-        pick = route_choice(attribute, requester, len(holders) + 1)
-        if pick == 0:
-            return None
-        return holders[pick - 1]

@@ -149,7 +149,7 @@ def build_service(
     *,
     workload: GridWorkload | None = None,
     register: bool = True,
-    salting=None,
+    salting: int | None = None,
     overlay: str | None = None,
     fanout: int = 2,
     durability: "DurabilityPolicy | None" = None,
@@ -159,9 +159,9 @@ def build_service(
     single construction path (:func:`build_services` and ``repro trace``
     call it per system).
 
-    ``salting`` forwards a :class:`~repro.core.hotspot.SaltPlan` to
-    Chord-backed services (LORM has no attribute-rooted single directory,
-    so salting it is rejected).
+    ``salting`` is the number ``S`` of salted roots per attribute, given
+    to Chord-backed services as ``salts`` (LORM has no attribute-rooted
+    single directory, so salting it is rejected).
 
     ``overlay`` picks the routing substrate (see :data:`OVERLAY_NAMES`).
     ``None`` keeps each system on its native substrate (Cycloid for LORM,
@@ -187,7 +187,7 @@ def build_service(
     if salting is not None:
         if cls is LormService:
             raise ValueError("key salting applies to Chord-backed services only")
-        kwargs["salting"] = salting
+        kwargs["salts"] = salting
     if cls is LormService and overlay in (None, "cycloid"):
         service = cls.build_full(config.dimension, workload.schema, **kwargs)
     else:

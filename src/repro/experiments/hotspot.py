@@ -10,10 +10,10 @@ mitigation:
 
 * **none** — the seed behaviour (also the result-transparency oracle);
 * **salt** — ``S`` salted attribute roots, registrations written to all,
-  each query reading its requester's stable root
-  (:class:`~repro.core.hotspot.SaltPlan`);
-* **dynamic** — load-driven directory replication charged to the
-  maintenance budget (:class:`~repro.core.hotspot.DynamicReplicator`).
+  each query reading its requester's stable root (a ``salts=S`` service);
+* **dynamic** — load-driven hot keys for the root, directory copies
+  charged to the maintenance budget where queries read the root
+  (:class:`~repro.core.hotspot.DynamicReplicator`).
 
 Mitigations apply to the attribute-rooted systems (SWORD, MAAN); LORM
 and Mercury spread load by *value* hashing already and are swept
@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.core.hotspot import DynamicReplicator, SaltPlan
+from repro.core.hotspot import DynamicReplicator
 from repro.experiments.common import SYSTEM_NAMES, build_service, resolve_systems
 from repro.experiments.config import HOTSPOT_WINDOWS, ExperimentConfig
 from repro.experiments.report import CellTable
@@ -305,7 +305,6 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
     """
     names = resolve_systems(systems) if systems else SYSTEM_NAMES
     result = HotspotResult(config=config)
-    salt_plan = SaltPlan(salts=config.hotspot_salts)
     total = (config.hotspot_queries // HOTSPOT_WINDOWS) * HOTSPOT_WINDOWS
     for name in names:
         base = build_service(config, name)
@@ -314,7 +313,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
         salted = None
         salted_starts = None
         if name in MITIGATED_SYSTEMS:
-            salted = build_service(config, name, salting=salt_plan)
+            salted = build_service(config, name, salting=config.hotspot_salts)
             salted_starts = _entry_nodes(salted, indices)
         for s in sorted(config.hotspot_zipf_s):
             workload = _skewed_workload(config, s)
@@ -332,7 +331,7 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
                 continue
             cell, answers = _measure_cell(salted, "salt", s, queries, salted_starts, config)
             result.cells.append(_with_transparency(cell, answers == reference))
-            replicator = DynamicReplicator(base, _directory_namespace(base))
+            replicator = DynamicReplicator(base)
             base.attach_hot_replicator(replicator)
             try:
                 cell, answers = _measure_cell(
@@ -365,12 +364,3 @@ def run_hotspot(config: ExperimentConfig, systems=None) -> HotspotResult:
 
 def _with_transparency(cell: HotspotCell, transparent: bool) -> HotspotCell:
     return dataclasses.replace(cell, transparent=transparent)
-
-
-def _directory_namespace(service) -> str:
-    """The namespace of the service's attribute-rooted directory."""
-    if service.name == "SWORD":
-        return "sword"
-    if service.name == "MAAN":
-        return "maan:attr"
-    raise ValueError(f"{service.name} has no attribute-rooted directory")

@@ -1,11 +1,11 @@
-"""Tests for hotspot mitigations: key salting and dynamic replication."""
+"""Tests for hotspot mitigations: the attribute-root table's salted roots
+and hot keys."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines.sword import _NAMESPACE
-from repro.core.hotspot import DynamicReplicator, SaltPlan, route_choice
+from repro.core.hotspot import DynamicReplicator, route_choice
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, ResourceInfo
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
@@ -27,7 +27,7 @@ def base(workload):
 
 @pytest.fixture(scope="module")
 def salted(workload):
-    return build_service(CONFIG, "SWORD", workload=workload, salting=SaltPlan(salts=3))
+    return build_service(CONFIG, "SWORD", workload=workload, salting=3)
 
 
 def _attr_query(service, attribute, requester):
@@ -64,41 +64,47 @@ class TestRouteChoice:
             route_choice("cpu", "req", 0)
 
 
-class TestSaltPlan:
-    def test_salted_names(self):
-        assert SaltPlan(salts=3).salted_names("cpu") == ("cpu#s0", "cpu#s1", "cpu#s2")
+class TestSaltedService:
+    def test_salted_roots_hash_the_salted_names(self, salted):
+        assert salted.root_keys("cpu") == tuple(
+            ("sword", salted.attr_hash(name)) for name in ("cpu#s0", "cpu#s1", "cpu#s2")
+        )
 
     def test_applies_to_all_by_default(self, salted):
-        # A plan salts every attribute's root: S store keys each.
+        # A salted service salts every attribute's root: S static roots each.
         for attribute in salted.schema.names:
-            assert len(set(salted.attr_store_keys(attribute))) == 3, attribute
+            assert len(set(salted.root_keys(attribute))) == 3, attribute
 
-    def test_choose_within_fanout(self):
-        plan = SaltPlan(salts=4)
-        assert all(0 <= plan.choose("cpu", f"r{i}") < 4 for i in range(50))
+    def test_reads_pick_a_salted_root(self, salted):
+        keys = salted.root_keys("cpu")
+        assert {salted.root_read("cpu", f"r{i}") for i in range(50)} == set(keys)
 
-    def test_validation(self):
+    def test_salts_validation(self, workload):
         with pytest.raises(ValueError):
-            SaltPlan(salts=0)
+            build_service(CONFIG, "SWORD", workload=workload, salting=0)
 
-
-class TestSaltedService:
     def test_lorm_rejects_salting(self, workload):
         with pytest.raises(ValueError):
-            build_service(CONFIG, "LORM", workload=workload, salting=SaltPlan())
+            build_service(CONFIG, "LORM", workload=workload, salting=4)
+
+    def test_rejects_a_hot_replicator(self, salted):
+        # Hot keys follow the native root, which a salted service leaves empty.
+        with pytest.raises(ValueError, match="salted"):
+            salted.attach_hot_replicator(DynamicReplicator(salted))
+        assert salted.hot_replicator is None
 
     def test_store_keys_are_distinct_salted_roots(self, salted):
         attribute = salted.schema.specs[0].name
-        keys = salted.attr_store_keys(attribute)
+        keys = [key for _, key in salted.root_keys(attribute)]
         assert len(keys) == 3
         assert len(set(keys)) == 3
         assert salted.attr_key(attribute) not in keys
 
     def test_every_salted_root_holds_the_full_directory(self, salted):
         attribute = salted.schema.specs[0].name
-        for key in salted.attr_store_keys(attribute):
+        for namespace, key in salted.root_keys(attribute):
             holder = salted.ring.successor_of(key)
-            assert len(holder.items_at(_NAMESPACE, key)) == CONFIG.infos_per_attribute
+            assert len(holder.items_at(namespace, key)) == CONFIG.infos_per_attribute
 
     def test_answers_match_unsalted(self, base, salted, workload):
         for i, q in enumerate(workload.query_stream(15, 2, label="salt-transparency")):
@@ -117,12 +123,21 @@ class TestSaltedService:
 
 
 def _hot_copies(service, attribute):
-    """Each hot replica key's directory copy, read at the key's owner."""
-    replicator = service.hot_replicator
+    """Each hot key's directory copy, read at the key's owner."""
     return [
-        service.ring.successor_of(key).items_at(replicator.replica_namespace, key)
-        for key in replicator.holders(attribute)
+        service.ring.successor_of(key).items_at(namespace, key)
+        for namespace, key in service.root_keys(attribute)[1:]
     ]
+
+
+def _replicate(service, attribute, queries=30):
+    """Attach a replicator, hammer ``attribute`` and apply one tick."""
+    replicator = DynamicReplicator(service)
+    service.attach_hot_replicator(replicator)
+    window, answers = _hammer(service, attribute, queries)
+    hot = replicator.observe(window, service.num_nodes())
+    report = replicator.tick(MaintenanceBudget(0, 0, 10_000))
+    return replicator, hot, report, answers
 
 
 @pytest.fixture()
@@ -141,47 +156,39 @@ class TestDynamicReplicator:
         # Function-scoped: replicator state must not leak across tests.
         return build_service(CONFIG, "SWORD", workload=workload)
 
-    def _replicate(self, service, attribute, queries=30):
-        replicator = DynamicReplicator(service, _NAMESPACE)
-        service.attach_hot_replicator(replicator)
-        window, answers = _hammer(service, attribute, queries)
-        hot = replicator.observe(window, service.num_nodes())
-        report = replicator.tick(MaintenanceBudget(0, 0, 10_000))
-        return replicator, hot, report, answers
-
     def test_hot_attribute_detected_and_replicated(self, service):
         attribute = service.schema.specs[0].name
-        replicator, hot, report, _ = self._replicate(service, attribute)
+        _, hot, report, _ = _replicate(service, attribute)
         assert hot == {attribute}
         assert report["created"] == 1
         assert report["copies"] == 2 * CONFIG.infos_per_attribute
-        assert len(replicator.holders(attribute)) == 2
+        assert len(service.root_keys(attribute)) == 3  # native root + 2 hot keys
 
     def test_copies_charged_to_maintenance(self, service):
         attribute = service.schema.specs[0].name
         before = service.ring.network.stats.maintenance_messages
-        self._replicate(service, attribute)
+        _replicate(service, attribute)
         assert service.ring.network.stats.maintenance_messages >= before + 24
 
     def test_replicated_reads_spread_and_stay_transparent(self, service):
         attribute = service.schema.specs[0].name
-        replicator, _, _, before = self._replicate(service, attribute)
+        _, _, _, before = _replicate(service, attribute)
         load, after = _hammer(service, attribute, 30)
         assert after == before
         assert len(load.serves) == 3  # native root + 2 replicas
-        targets = {replicator.route_for(attribute, f"req-{i:04d}") for i in range(30)}
-        assert None in targets and len(targets) == 3
+        targets = {service.root_read(attribute, f"req-{i:04d}") for i in range(30)}
+        assert targets == set(service.root_keys(attribute))
 
     def test_replicated_reads_survive_replica_repair(self, service):
         attribute = service.schema.specs[0].name
-        _, _, _, before = self._replicate(service, attribute)
+        _, _, _, before = _replicate(service, attribute)
         service.ring.repair_replication()
         _, after = _hammer(service, attribute, 30)
         assert after == before
 
     def test_on_register_mirrors_to_replicas(self, service, workload):
         attribute = service.schema.specs[0].name
-        replicator, _, _, _ = self._replicate(service, attribute)
+        _replicate(service, attribute)
         info = ResourceInfo(attribute, 1.0, "fresh-provider")
         service.register(info, routed=False)
         assert all(info in copy for copy in _hot_copies(service, attribute))
@@ -190,8 +197,8 @@ class TestDynamicReplicator:
 
     def test_departed_holder_is_skipped_until_it_rejoins(self, service):
         attribute = service.schema.specs[0].name
-        _, _, _, before = self._replicate(service, attribute)
-        gone = service.hot_replicator.holders(attribute)[0]
+        _, _, _, before = _replicate(service, attribute)
+        gone = service.hot_keys[attribute][0]
         service.ring.leave(gone)
         assert gone not in service.ring
         _, away = _hammer(service, attribute, 30)
@@ -202,24 +209,62 @@ class TestDynamicReplicator:
 
     def test_cold_windows_decay_replicas(self, service):
         attribute = service.schema.specs[0].name
-        replicator, _, _, _ = self._replicate(service, attribute)
+        replicator, _, _, _ = _replicate(service, attribute)
         stats = LoadStats()
         replicator.observe(stats.take_window(), service.num_nodes())  # cold window
         assert all(_hot_copies(service, attribute))
         report = replicator.tick(MaintenanceBudget(0, 0, 10_000))
         assert report["dropped"] == 1
-        assert replicator.holders(attribute) == []
+        assert service.root_keys(attribute) == (("sword", service.attr_key(attribute)),)
         for node in service.ring.nodes():
-            assert not node.directory_size(replicator.replica_namespace)
+            assert not node.directory_size("sword:hot")
 
     def test_detach_clears_replicas(self, service):
         attribute = service.schema.specs[0].name
-        replicator, _, _, _ = self._replicate(service, attribute)
-        assert replicator.holders(attribute)
+        _replicate(service, attribute)
+        assert service.hot_keys[attribute]
         service.attach_hot_replicator(None)
-        assert replicator.holders(attribute) == []
+        assert service.hot_keys == {}
+        assert len(service.root_keys(attribute)) == 1
         assert service.hot_replicator is None
 
     def test_validation(self, service):
         with pytest.raises(ValueError):
-            DynamicReplicator(service, _NAMESPACE).observe(LoadWindow(), population=0)
+            DynamicReplicator(service).observe(LoadWindow(), population=0)
+
+
+@pytest.mark.usefixtures("fast_replicator")
+class TestVisitOnlyRoot:
+    """MAAN only visits its attribute root: its hot keys are route
+    targets, with no directory copied under them."""
+
+    @pytest.fixture()
+    def service(self, workload):
+        return build_service(CONFIG, "MAAN", workload=workload)
+
+    def test_tick_copies_nothing(self, service):
+        attribute = service.schema.specs[0].name
+        _, hot, report, _ = _replicate(service, attribute)
+        assert hot == {attribute}
+        assert report == {"copies": 0, "created": 1, "dropped": 0}
+        assert len(service.root_keys(attribute)) == 3
+        service.register(ResourceInfo(attribute, 1.0, "fresh-provider"), routed=False)
+        for node in service.ring.nodes():
+            assert not node.directory_size("maan:attr:hot")
+
+    def test_reads_spread_over_root_and_hot_keys(self, service):
+        attribute = service.schema.specs[0].name
+        unmitigated, _ = _hammer(service, attribute, 30)
+        _replicate(service, attribute)
+        load, _ = _hammer(service, attribute, 30)
+        root, *hot = (service.ring.successor_of(key).uid for _, key in service.root_keys(attribute))
+        # Every query's value walk visits the same nodes; only the visit
+        # to the attribute root moves, from the root to its hot keys.
+        assert load.serves[root] < unmitigated.serves[root]
+        assert all(load.serves[uid] > unmitigated.serves[uid] for uid in hot)
+
+    def test_answers_match_unmitigated(self, service):
+        attribute = service.schema.specs[0].name
+        _, _, _, before = _replicate(service, attribute)
+        _, after = _hammer(service, attribute, 30)
+        assert after == before

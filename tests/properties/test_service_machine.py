@@ -28,7 +28,8 @@ exact only while every bucket sits on its replica set (after a crash a
 discard can miss a copy), so an info withdrawn
 otherwise may still be found (a *ghost*).  A fail may lose copies, and
 until a repair every bucket sits on its replica set.  Hot replicas are
-buckets keyed by their holders' ids, under the same contract.  ``ZOO``
+buckets keyed by their holders' ids, under the same contract; a
+visit-only root (MAAN) has hot keys but no copies under them.  ``ZOO``
 plants one bug per behaviour the retired
 arc-read, view, directory-read and bulk-load suites pinned, and requires
 a fixed-seed drive of the machine to catch it.
@@ -46,11 +47,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_stat
 
 from repro.baselines.base import ChordBackedService, DiscoveryService
 from repro.baselines.mercury_pointers import PointerMercuryService
-from repro.core.hotspot import DynamicReplicator, SaltPlan
+from repro.core.hotspot import DynamicReplicator
 from repro.core.resource import AttributeConstraint, MultiAttributeQuery, Query, ResourceInfo
 from repro.experiments.common import build_service, build_workload
 from repro.experiments.config import SMOKE_CONFIG
-from repro.experiments.hotspot import _directory_namespace
 from repro.overlay.base import Overlay
 from repro.overlay.chord import ChordRing
 from repro.overlay.node import ArcDirectory, OverlayNode
@@ -82,7 +82,7 @@ R2 = {"durability": successor_replication(2)}
 VARIANTS = {
     "r1": {},
     "r2": R2,
-    "salted": {"salting": SaltPlan(salts=3), **R2},
+    "salted": {"salting": 3, **R2},
     "hot": {},
     "singlehop": {"overlay": "singlehop", **R2},
 }
@@ -95,14 +95,15 @@ CELLS = [
 
 
 def attach_hot(service: ChordBackedService) -> None:
-    """Replicate every attribute's root directory onto its successors
-    (adjacent roots share replica keys)."""
-    replicator = DynamicReplicator(service, _directory_namespace(service))
+    """Give every attribute's root its successors as hot keys (adjacent
+    roots share them), with the root directory copied there if queries
+    read it."""
+    replicator = DynamicReplicator(service)
+    service.attach_hot_replicator(replicator)
     hot = dict.fromkeys(SCHEMA.names, 1.0)
     replicator.observe(LoadWindow(serves={0: 1.0}, by_attribute=hot), service.num_nodes())
     replicator.tick(MaintenanceBudget(0, 0, 10_000))
-    assert all(map(replicator.holders, hot)), "no hot replica placed"
-    service.attach_hot_replicator(replicator)
+    assert service.hot_keys.keys() == hot.keys(), "no hot key placed"
 
 
 def build(cell: str, reference: bool) -> DiscoveryService:
@@ -311,7 +312,13 @@ class Service(RuleBasedStateMachine):
     @invariant()
     def coherent(self) -> None:
         subject, twin = self.subject.overlay, self.twin.overlay
-        assert directory_layout(subject) == directory_layout(twin), "directory layout"
+        layout = directory_layout(subject)
+        assert layout == directory_layout(twin), "directory layout"
+        if not getattr(self.subject, "reads_root", True):
+            hot = f"{self.subject.root_namespace}:hot"
+            assert all(ns != hot for _, buckets in layout for (ns, _), _ in buckets), (
+                "copies under the hot keys of a visit-only root"
+            )
         assert subject.network.stats == twin.network.stats, "network stats"
         check_memos(subject)
         check_arcs(subject)
@@ -381,20 +388,27 @@ ZOO = [
     ("slice-wrap", "storm:MAAN/r1", (ChordRing, "_walk_slice", [
         ("last = 0  # wraps past the end", "last = len(ids) - 1"),
     ]), "differs from the twin"),
-    # Redirected reads: salted roots and hot replicas.
-    ("salting-one-root", "storm:SWORD/salted", (ChordBackedService, "attr_store_keys", [
-        ("self.salting.salted_names(attribute)", "self.salting.salted_names(attribute)[:1]"),
+    # The root table: writes that skip salted roots or hot keys, a read of
+    # a hot key in the static namespace.
+    ("salting-one-root", "storm:SWORD/salted", (ChordBackedService, "_root_placements", [
+        ("return keys if", "return keys[:1] if"),
     ]), "lost"),
-    ("hot-mirror-dropped", "static:SWORD/hot",
-     (ChordBackedService, "attr_placements", [("if hot is None:", "if True:")]), "lost"),
-    ("hot-read-native-namespace", "static:SWORD/hot", (ChordBackedService, "attr_read_target", [
-        ("target, self.hot_replicator.replica_namespace, target", "target, namespace, target"),
+    ("hot-mirror-dropped", "static:SWORD/hot", (ChordBackedService, "_root_placements", [
+        ("if self.reads_root", "if False"),
+    ]), "lost"),
+    ("hot-read-native-namespace", "static:SWORD/hot", (ChordBackedService, "root_read", [
+        ("return keys[route_choice(attribute, requester, len(keys))]",
+         "return self.root_namespace, keys[route_choice(attribute, requester, len(keys))][1]"),
     ]), "lost"),
     # The replicator's own placement re-planted: copies keyed by the root
-    # key, a withdrawal that skips them, a rejoined holder left empty.
+    # key, copies under a visit-only root's hot keys, a withdrawal that
+    # skips them, a rejoined holder left empty.
     ("hot-keyed-by-root", "static:SWORD/hot", (DynamicReplicator, "tick", [
-        ("(self.replica_namespace, target, item)", "(self.replica_namespace, key, item)"),
+        ("(hot_namespace, hot_key, item)", "(hot_namespace, key, item)"),
     ]), "lost"),
+    ("hot-copies-for-visit-only", "static:MAAN/hot", (DynamicReplicator, "tick", [
+        ("if service.reads_root:", "if True:"),
+    ]), "visit-only root"),
     ("hot-withdrawal-skipped", "static:SWORD/hot", (DiscoveryService, "deregister", [
         ("for namespace, key in self._placements(info)",
          'for namespace, key in self._placements(info) if not namespace.endswith(":hot")'),

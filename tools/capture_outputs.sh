@@ -53,6 +53,9 @@ capture run run fig4a fig6a --seed 3 --lph linear --invariants --out "$out/run"
 for gate in chaos durability tail hotspot tradeoff; do
     capture "$gate" "$gate" --smoke --seed 0 --out "$out/$gate"
 done
+# The hotspot gate at a second seed: its dynamic cells place and read
+# hot keys on a different schedule.
+capture hotspot-seed1 hotspot --smoke --seed 1 --out "$out/hotspot-seed1"
 # The durability sweep under an erasure code with every join, leave, fail
 # and repair guarded: joins and leaves must conserve the decodable census.
 capture durability-guarded durability --smoke --seed 0 --invariants --policies erasure:2+1
