@@ -658,6 +658,10 @@ class ChordBackedService(DiscoveryService):
         #: The substrate again, under the name ring-level callers read.
         self.ring = ring
         require(salts is None or salts >= 1, f"salts must be >= 1, got {salts}")
+        require(
+            salts is None or hasattr(self, "root_namespace"),
+            f"{self.name} has no attribute root to salt",
+        )
         #: ``S`` salted roots per attribute, or ``None`` for the native
         #: root.  Set at construction: it changes placement.
         self.salts = salts
@@ -704,7 +708,12 @@ class ChordBackedService(DiscoveryService):
         """Attach a :class:`~repro.core.hotspot.DynamicReplicator`
         (``None`` detaches; its hot keys and copies are dropped first so
         the service returns to its unmitigated reads).  A salted service
-        takes none: hot keys follow the native root."""
+        takes none: hot keys follow the native root; nor does a service
+        without one (Mercury)."""
+        require(
+            replicator is None or hasattr(self, "root_namespace"),
+            f"{self.name} has no attribute root to replicate",
+        )
         require(
             replicator is None or self.salts is None,
             "a hot replicator needs the native attribute root; this service is salted",

@@ -160,8 +160,8 @@ def build_service(
     call it per system).
 
     ``salting`` is the number ``S`` of salted roots per attribute, given
-    to Chord-backed services as ``salts`` (LORM has no attribute-rooted
-    single directory, so salting it is rejected).
+    to Chord-backed services as ``salts`` (LORM and Mercury have no
+    attribute-rooted single directory, so salting either is rejected).
 
     ``overlay`` picks the routing substrate (see :data:`OVERLAY_NAMES`).
     ``None`` keeps each system on its native substrate (Cycloid for LORM,

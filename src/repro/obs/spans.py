@@ -92,10 +92,6 @@ class QueryTrace:
     trace_id: int
     root: Span
 
-    def spans(self) -> list[Span]:
-        """Every span of the tree, depth-first."""
-        return list(self.root.walk())
-
     def spans_of(self, kind: SpanKind) -> list[Span]:
         """All spans of ``kind``, depth-first order."""
         return self.root.find(kind)

@@ -432,7 +432,7 @@ def trace_fault_step(
     used: int,
     skipped: int,
     drops: list,
-    hedges: list | None = None,
+    hedges: list,
 ) -> None:
     """Emit one fault-path routing step into ``tracer`` (called by
     :meth:`repro.overlay.base.Overlay._lookup_faulty`).
@@ -455,9 +455,8 @@ def trace_fault_step(
             tracer.event("drop", target=dropped_id, attempt=attempt)
         for _ in range(used):
             tracer.event("retry")
-        if hedges:
-            for hedged_id, won in hedges:
-                tracer.event("hedge", target=hedged_id, won=won)
+        for hedged_id, won in hedges:
+            tracer.event("hedge", target=hedged_id, won=won)
         tracer.event("timeout", stuck_at=src)
     else:
         hop = tracer.hop(src, dst, choice)
@@ -473,5 +472,4 @@ def trace_fault_step(
             for hedged_id, won in hedges:
                 tracer.event("hedge", span=hop, target=hedged_id, won=won)
     drops.clear()
-    if hedges:
-        hedges.clear()
+    hedges.clear()

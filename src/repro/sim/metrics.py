@@ -104,18 +104,3 @@ class MetricsRegistry:
         series = self._samples.get(name)
         return series[-1] if series else None
 
-    def summary(self, name: str) -> SummaryStats:
-        """Summary of series ``name``."""
-        return summarize(self._samples[name])
-
-    def reset(self, name: str | None = None) -> None:
-        """Clear one series, or every series when ``name`` is None."""
-        if name is None:
-            self._samples.clear()
-        else:
-            self._samples.pop(name, None)
-
-    @property
-    def series_names(self) -> tuple[str, ...]:
-        """Names of all recorded sample series."""
-        return tuple(self._samples)

@@ -56,10 +56,6 @@ class MessageStats:
     hedges: int = 0
     hedges_won: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        """Flat field → value mapping."""
-        return asdict(self)
-
     def snapshot(self) -> "MessageStats":
         """An independent copy of the current totals."""
         return replace(self)

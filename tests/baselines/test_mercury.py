@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.mercury import MercuryService
+from repro.baselines.mercury_pointers import PointerMercuryService
+from repro.core.hotspot import DynamicReplicator
 from repro.core.resource import AttributeConstraint, Query, ResourceInfo
 from repro.workloads.attributes import AttributeSchema
 from repro.workloads.generator import GridWorkload, QueryKind
@@ -113,3 +115,13 @@ class TestStructure:
     def test_build_sparse_population(self, schema):
         service = MercuryService.build(8, 100, schema, seed=1)
         assert service.num_nodes() == 100
+
+
+@pytest.mark.parametrize("cls", [MercuryService, PointerMercuryService])
+def test_no_attribute_root_to_salt_or_replicate(cls, schema):
+    with pytest.raises(ValueError, match="no attribute root"):
+        cls.build_full(4, schema, salts=2)
+    service = cls.build_full(4, schema)
+    with pytest.raises(ValueError, match="no attribute root"):
+        service.attach_hot_replicator(DynamicReplicator(service))
+    assert service.hot_replicator is None

@@ -82,6 +82,11 @@ class TestBuildServices:
         bundle.set_collect_matches(True)
         assert all(s.collect_matches for s in bundle.all())
 
+    def test_mercury_rejects_salting(self, tiny_config):
+        # Mercury has no attribute root: salts would change nothing.
+        with pytest.raises(ValueError, match="no attribute root"):
+            build_service(tiny_config, "Mercury", register=False, salting=3)
+
     def test_full_ring_used_when_population_is_power_of_two(self, tiny_config):
         # d=5 -> population 160; with chord_bits=8 the ring is sparse.
         bundle = build_services(tiny_config, register=False)

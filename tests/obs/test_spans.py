@@ -24,7 +24,7 @@ class TestSpanLifecycle:
         tracer.end()
         tracer.end()
         trace = tracer.traces[0]
-        assert [s.kind for s in trace.spans()] == [
+        assert [s.kind for s in trace.root.walk()] == [
             SpanKind.QUERY, SpanKind.SUBQUERY, SpanKind.LOOKUP,
         ]
         assert trace.root.children[0].children[0].name == "l"
@@ -35,7 +35,7 @@ class TestSpanLifecycle:
             with tracer.span("query", "q"):
                 tracer.hop(1, 2, "finger")
                 tracer.hop(2, 3, "finger")
-            return [(s.start, s.end) for s in tracer.traces[0].spans()]
+            return [(s.start, s.end) for s in tracer.traces[0].root.walk()]
 
         stamps = run()
         assert stamps == run()

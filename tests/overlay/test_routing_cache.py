@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import asdict
 from functools import partial
 
 import pytest
@@ -160,7 +161,7 @@ def _maintenance_storm(ring: ChordRing, seed: int) -> list:
         ]
         if touched.alive:
             pairs += [(touched, rng.randrange(size)) for _ in range(6)]
-        transcript.append((step, _routes(ring, pairs), ring.network.stats.as_dict()))
+        transcript.append((step, _routes(ring, pairs), asdict(ring.network.stats)))
     return transcript
 
 
@@ -182,7 +183,7 @@ class TestFingerRow:
         for ring in rings:
             nodes = list(ring.nodes()) if starts is None else starts(ring)
             pairs = [(node, key) for node in nodes for key in range(ring.space.size)]
-            observed.append((_routes(ring, pairs), ring.network.stats.as_dict()))
+            observed.append((_routes(ring, pairs), asdict(ring.network.stats)))
         assert observed[0] == observed[1]
 
     @pytest.mark.parametrize(

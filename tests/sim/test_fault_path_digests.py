@@ -36,6 +36,7 @@ pin, one digest cell (or the traced drop reconcile of
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 from functools import partial
 
 import pytest
@@ -134,7 +135,7 @@ def _run(system: str, cell: str | None = None) -> str:
     stats = overlay.network.stats
     for counter in moved:
         assert getattr(stats, counter), f"the cell must exercise {counter}"
-    digest.update(repr(stats.as_dict()).encode())
+    digest.update(repr(asdict(stats)).encode())
     return digest.hexdigest()
 
 
